@@ -25,8 +25,8 @@ import sys
 from .exprparse import EvalError, ParseError, parse_and_evaluate
 from .permutations import Composition, compositions, coset_system
 from .reps import rep_e, rep_g, rep_module, rep_t
-from .tableaux import (catalan, dim_CTL, dim_FTL, dim_TL, dim_Y,
-                       enumerate_d_partitions, jones_pairs, standard_tableaux)
+from .tableaux import (dim_CTL, dim_FTL, dim_TL, dim_Y, enumerate_d_partitions,
+                       jones_pairs, standard_tableaux)
 from . import isomaps as iso
 from .verify import run_suite
 
@@ -183,12 +183,6 @@ def cmd_mul(args):
                "pretty": repr(element)}
     _emit(args, payload)
     return 0
-
-
-def _pair_json(key):
-    if hasattr(key, "to_json"):
-        return key.to_json()
-    return key
 
 
 def cmd_basis(args):

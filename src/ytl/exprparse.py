@@ -9,14 +9,15 @@ Grammar (whitespace insensitive, left-associative):
 
 Evaluation produces a YElement for a fixed session (d, n). Negative
 exponents are allowed on q, on t atoms (reduced mod d), and on g atoms
-(closed-form inverse); other bases require non-negative exponents.
+(closed-form inverse); other bases require non-negative exponents. The
+atoms e, T and E are idempotents, so any positive power is the atom.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .permutations import Composition
+from .permutations import Composition, coset_system
 from .scalars import RatFunc
 from . import yokonuma as yk
 
@@ -227,28 +228,24 @@ def _eval_atom(atom, d, n, power):
             for _ in range(abs(power)):
                 out = out * base
             return out
-        if kind in ("e", "T"):
+        if kind in ("e", "T", "E"):
+            # idempotents: every positive power is the atom itself
             if power < 0:
                 raise EvalError("%s atoms are not invertible" % kind)
-            base = yk.e(d, n, atom.args[0]) if kind == "e" else yk.T(d, n, atom.args[0])
-            out = yk.unit(d, n)
-            for _ in range(power):
-                out = out * base
-            return out
-        if kind == "E":
-            if power < 0:
-                raise EvalError("E atoms are not invertible")
-            k, parts = atom.args
-            mu = Composition(parts)
-            if mu.d != d or mu.n != n:
-                raise EvalError("E(%d; %s) does not match session (d=%d, n=%d)"
-                                % (k, ",".join(map(str, parts)), d, n))
-            from .permutations import coset_system
-            if not 1 <= k <= coset_system(mu).m:
-                raise EvalError("character index %d out of range 1..%d"
-                                % (k, coset_system(mu).m))
-            from .yokonuma import E_chi, character_exponents
-            base = E_chi(d, n, character_exponents(mu, k))
+            if kind == "e":
+                base = yk.e(d, n, atom.args[0])
+            elif kind == "T":
+                base = yk.T(d, n, atom.args[0])
+            else:
+                k, parts = atom.args
+                mu = Composition(parts)
+                if mu.d != d or mu.n != n:
+                    raise EvalError("E(%d; %s) does not match session (d=%d, n=%d)"
+                                    % (k, ",".join(map(str, parts)), d, n))
+                m = coset_system(mu).m
+                if not 1 <= k <= m:
+                    raise EvalError("character index %d out of range 1..%d" % (k, m))
+                base = yk.E_chi(d, n, yk.character_exponents(mu, k))
             return base if power >= 1 else yk.unit(d, n)
     except ValueError as exc:
         raise EvalError(str(exc)) from exc

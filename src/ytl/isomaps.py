@@ -14,15 +14,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .linalg import Field, invert_matrix, matrix_rank
-from .permutations import (Composition, Perm, act_on_character, compositions,
-                           coset_system, embed_word, factor_in_young)
+from .permutations import (Perm, act_on_character, compositions, coset_system,
+                           embed_word, factor_in_young)
 from .scalars import (Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc,
                       specialize_q)
-from .reps import rep_element, rep_module, quotient_shapes, ideal_membership
+from .reps import rep_element, rep_module, quotient_shapes
 from .tableaux import (enumerate_partitions, jones_pairs, jones_permutation,
                        jones_word, two_column)
-from .yokonuma import (YElement, E_chi, character_exponents, chi_value,
-                       staircase_exponents, zero as y_zero)
+from .yokonuma import (YElement, E_chi, _acc_term, character_exponents,
+                       chi_value, zero as y_zero)
 
 
 class SingularReduction(Exception):
@@ -104,45 +104,46 @@ def block_equal(a, b):
 # psi_mu and phi_mu
 
 
-def psi_tilde_mu(mu, k, w):
-    """Image data of the product (k-th idempotent) * g_w before the diagonal
-    rescaling: returns (l, half-power scalar, Hecke element)."""
-    d = mu.d
+@lru_cache(maxsize=None)
+def _coset_step(mu, k, w):
+    """Where (k-th idempotent) * g_w lands: the character index l, the
+    element u = pi_k^-1 w pi_l of the Young subgroup, and the half-step
+    count h = l(w) - l(u)."""
     sys = coset_system(mu)
-    chars = block_characters(mu)
-    target = act_on_character(w.inv(), chars[k - 1].exps)
+    target = act_on_character(w.inv(), block_characters(mu)[k - 1].exps)
     l = _character_lookup(mu)[target]
     u = sys.rep(k).inv() * w * sys.rep(l)
-    h = w.length() - u.length()
-    scalar = RatFunc.q_power(h, d, half=True)
-    return l, scalar, hecke_term(w.n, u, RatFunc.one(d))
+    return l, u, w.length() - u.length()
+
+
+def psi_tilde_mu(mu, k, w):
+    """Image data of the product (k-th idempotent) * g_w before the diagonal
+    rescaling: (l, h, G_u), where the scalar is q^(h/2) and h is the integer
+    half-step count."""
+    l, u, h = _coset_step(mu, k, w)
+    return l, h, hecke_term(w.n, u, RatFunc.one(mu.d))
 
 
 def psi_mu(mu, x):
     """The block image of x (implicitly of E_mu * x): an m x m matrix of
-    Hecke elements supported in the Young subgroup. Entries are guaranteed
-    integral in q; a half-integer power raises NonIntegralExponent."""
+    Hecke elements supported in the Young subgroup. Entries are integral in
+    q; an odd half-step count raises NonIntegralExponent."""
     d, n = mu.d, mu.n
     if x.d != d or x.n != n:
         raise ValueError("algebra parameter mismatch")
     sys = coset_system(mu)
     m = sys.m
     chars = block_characters(mu)
-    lookup = _character_lookup(mu)
     out = _zero_block(n, m)
     for (tmon, w), c in x.terms:
-        winv = w.inv()
         for k in range(1, m + 1):
-            chi = chars[k - 1]
-            target = act_on_character(winv, chi.exps)
-            l = lookup[target]
-            pi_k, pi_l = sys.rep(k), sys.rep(l)
-            u = pi_k.inv() * w * pi_l
-            h = w.length() - u.length() + pi_k.length() - pi_l.length()
+            l, u, h = _coset_step(mu, k, w)
+            # the diagonal rescaling by pi_k and pi_l
+            h += sys.rep(k).length() - sys.rep(l).length()
             if h % 2 != 0:
                 raise NonIntegralExponent(
                     "odd half-power at mu=%r, k=%d, w=%r" % (mu.parts, k, w))
-            coeff = c * RatFunc.from_scalar(chi.value(d, tmon), d) \
+            coeff = c * RatFunc.from_scalar(chars[k - 1].value(d, tmon), d) \
                       * RatFunc.q_power(h // 2, d)
             out[k - 1][l - 1] = out[k - 1][l - 1] + hecke_term(n, u, coeff)
     return out
@@ -245,7 +246,12 @@ def rho_reduce(h, m=None):
     if m is None:
         m = h.n
     pairs, inverse = _jones_solver(m)
-    vec = _vectorize_hecke(h, m)
+    return _coordinates(pairs, inverse, _vectorize_hecke(h, m))
+
+
+def _coordinates(pairs, inverse, vec):
+    """{pair: coeff}, the nonzero entries of the rows of inverse * vec that
+    belong to the Jones pairs."""
     out = {}
     for i, pair in enumerate(pairs):
         c = None
@@ -310,46 +316,15 @@ def rho_bruteforce(h, m):
     """Oracle: reduce h modulo the span of {G_x * G_{1,2} * G_y}: express h
     as Jones combination + ideal element by solving the cached square system."""
     pairs, index, inverse = _bruteforce_solver(m)
-    h_vec = _flat_hecke(h, index)
-    out = {}
-    for i, pair in enumerate(pairs):
-        c = None
-        for j, v in enumerate(h_vec):
-            if v.is_zero():
-                continue
-            term = inverse[i][j] * v
-            c = term if c is None else c + term
-        if c is not None and not c.is_zero():
-            out[pair] = c
-    return out
+    return _coordinates(pairs, inverse, _flat_hecke(h, index))
 
 
 # ---------------------------------------------------------------------------
 # quotient isomorphisms
 
 
-def _block_offsets(mu):
-    return mu.offsets
-
-
-def _coords_mul(a, b, mul_key):
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            for key, scale in mul_key(ka, kb):
-                c = ca * cb * scale if scale is not None else ca * cb
-                if key in out:
-                    c = out[key] + c
-                if c.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = c
-    return out
-
-
 def ftl_entry(mu, hecke):
     """Jones-coordinate tensor for one matrix entry: {(b_1..b_d): coeff}."""
-    offsets = mu.offsets
     out = {}
     for (_, w), c in hecke.terms:
         locals_ = factor_in_young(mu, w)
@@ -362,22 +337,10 @@ def ftl_entry(mu, hecke):
             nxt = {}
             for key, cv in acc.items():
                 for pair, pc in coords:
-                    k2 = key + (pair,)
-                    v = cv * pc
-                    if k2 in nxt:
-                        v = nxt[k2] + v
-                    if not v.is_zero():
-                        nxt[k2] = v
-                    else:
-                        nxt.pop(k2, None)
+                    _acc_term(nxt, key + (pair,), cv * pc)
             acc = nxt
         for key, v in acc.items():
-            s = out.get(key)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _acc_term(out, key, v)
     return out
 
 
@@ -389,14 +352,7 @@ def ctl_entry(mu, hecke):
         locals_ = factor_in_young(mu, w)
         rest = tuple(locals_[1:])
         for pair, pc in _rho_perm(mu.parts[0], locals_[0]):
-            key = (pair, rest)
-            v = c * pc
-            if key in out:
-                v = out[key] + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            _acc_term(out, (pair, rest), c * pc)
     return out
 
 
@@ -404,11 +360,8 @@ def _quotient_psi(x, entry_map):
     blocks = {}
     for mu in compositions(x.d, x.n):
         mat = psi_mu(mu, x)
-        block = [[entry_map(mu, e) for e in row] for row in mat]
-        if any(cell for row in block for cell in row):
-            blocks[mu] = block
-        else:
-            blocks[mu] = block  # keep explicit zero blocks for fixed shape
+        # zero blocks are kept too, so every family has the same shape
+        blocks[mu] = [[entry_map(mu, e) for e in row] for row in mat]
     return blocks
 
 
@@ -522,11 +475,12 @@ def ctl_basis(d, n):
 
 
 def basis_blocks(descriptor, kind):
-    """The DirectSumElement (block family) of one basis descriptor."""
+    """The DirectSumElement (block family) of one basis descriptor; the
+    layout is the same for kind 'FTL' and 'CTL'."""
     mu, key, k, l = descriptor
     m = coset_system(mu).m
     block = [[{} for _ in range(m)] for _ in range(m)]
-    block[k - 1][l - 1] = {key if kind == "FTL" else key: RatFunc.one(mu.d)}
+    block[k - 1][l - 1] = {key: RatFunc.one(mu.d)}
     return {mu: block}
 
 

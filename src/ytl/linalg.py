@@ -32,13 +32,6 @@ def mat_mul(a, b, zero):
                 orow[j] = orow[j] + aik * brow[j]
     return out
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
 
 def identity_matrix(n, zero, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]

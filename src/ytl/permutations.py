@@ -14,6 +14,10 @@ from functools import lru_cache
 from math import factorial
 
 
+class ConsistencyError(Exception):
+    """Two independent computations of the same quantity disagree."""
+
+
 @dataclass(frozen=True)
 class Perm:
     """A permutation of {1, ..., n} in one-line notation."""
@@ -254,7 +258,9 @@ def coset_system(mu):
             build(remaining - set(block), chosen + [block])
     build(set(range(1, n + 1)), [])
     reps.sort(key=lambda w: (w.length(), w.images))
-    assert reps[0].is_identity()
+    if not reps[0].is_identity():
+        raise ConsistencyError("the first coset representative of %r is not "
+                               "the identity" % (mu.parts,))
     return CosetSystem(mu, tuple(reps))
 
 
@@ -272,7 +278,7 @@ def deodhar(sys, k, i):
     conj = pi_k.inv() * s_i * pi_k
     j = simple_transposition_index(conj)
     if j is None or j not in sys.mu.j_set():
-        raise AssertionError("Deodhar's lemma violated at k=%d, i=%d" % (k, i))
+        raise ConsistencyError("Deodhar's lemma violated at k=%d, i=%d" % (k, i))
     return l, ("descend", j)
 
 

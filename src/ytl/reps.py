@@ -8,11 +8,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import Field, identity_matrix, mat_mul
+from .linalg import identity_matrix, mat_mul
+from .permutations import ConsistencyError
 from .scalars import Cyclotomic, RatFunc, root_of_unity
 from .tableaux import (ctl_admissible, enumerate_d_partitions, ftl_admissible,
                        standard_tableaux)
-from .yokonuma import NTooSmall, ctl_generator, ftl_generator
+from .yokonuma import ctl_generator, ftl_generator
 
 
 class RepModule:
@@ -146,8 +147,8 @@ def is_zero_matrix(mat):
 
 def passes_to_quotient(d, shape, which):
     """Whether V_shape factors through the named quotient; computed both from
-    the column-count predicate and from generator annihilation, and asserted
-    equal."""
+    the column-count predicate and from generator annihilation. Raises
+    ConsistencyError when the two disagree."""
     n = sum(sum(comp) for comp in shape)
     if which == "FTL":
         combinatorial = ftl_admissible(shape)
@@ -159,13 +160,14 @@ def passes_to_quotient(d, shape, which):
         raise ValueError("which must be 'FTL' or 'CTL'")
     if gen is None:
         # the ideal is zero for n <= 2: every module passes
-        assert combinatorial or n > 2
-        return True
-    module = rep_module(d, shape)
-    annihilates = is_zero_matrix(rep_element(module, gen(d, n)))
-    assert combinatorial == annihilates, (
-        "admissibility predicate disagrees with generator annihilation "
-        "at shape %r (%s)" % (shape, which))
+        annihilates = True
+    else:
+        module = rep_module(d, shape)
+        annihilates = is_zero_matrix(rep_element(module, gen(d, n)))
+    if combinatorial != annihilates:
+        raise ConsistencyError(
+            "admissibility predicate disagrees with generator annihilation "
+            "at shape %r (%s)" % (shape, which))
     return combinatorial
 
 
@@ -195,8 +197,3 @@ def element_is_zero(x):
         if not is_zero_matrix(rep_element(rep_module(x.d, shape), x)):
             return False
     return True
-
-
-def ratfunc_field(order=1):
-    return Field(RatFunc.zero(order), RatFunc.one(order),
-                 is_zero=lambda x: x.is_zero())

@@ -3,11 +3,11 @@ and the rational-function field they generate.
 
 All values are immutable. A ``Cyclotomic`` of order d lives in the field
 Q(zeta_d), stored in the reduced power basis 1, zeta, ..., zeta^(phi(d)-1)
-modulo the d-th cyclotomic polynomial. ``Laurent`` polynomials carry an
-optional half-exponent flag (exponents counted in units of 1/2); the flag
-is an internal device for the conjugated isomorphism maps and never leaks
-into public algebra arithmetic. ``RatFunc`` is the fraction field, kept in
-a canonical form so equality is a plain structural comparison.
+modulo the d-th cyclotomic polynomial. ``Laurent`` polynomials have integer
+exponents. ``RatFunc`` is the fraction field, kept in a canonical form so
+equality is a plain structural comparison. Equal values hash equally, also
+across field orders and across the int -> Cyclotomic -> Laurent -> RatFunc
+coercions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from math import gcd as int_gcd
 
 
 class NonIntegralExponent(Exception):
-    """A half-exponent survived where an integer exponent was required."""
+    """A q-exponent of an isomorphism image came out as an odd number of
+    half-steps, so it is not an integer power of q."""
 
 
 class PoleAtValue(Exception):
@@ -38,22 +39,23 @@ def cyclotomic_polynomial(d):
     poly = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
     for e in range(1, d):
         if d % e == 0:
-            poly = _poly_divide_exact(poly, cyclotomic_polynomial(e))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(e))
+            if rem[-1] != 0:
+                raise ArithmeticError("inexact polynomial division")
     return tuple(poly)
 
 
-def _poly_divide_exact(num, den):
-    """Exact division of Fraction coefficient lists (constant first)."""
-    num = list(num)
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        quot[k] = c
-        for j, dj in enumerate(den):
-            num[k + j] -= c * dj
-    if any(c != 0 for c in num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return quot
+@lru_cache(maxsize=None)
+def _trace_weights(d):
+    """Normalised trace to Q of each basis power zeta_d^i. That power is a
+    primitive m-th root of unity, m = d/gcd(i, d), and the mean of the
+    primitive m-th roots is minus the subleading coefficient of Phi_m over
+    its degree. The trace does not depend on the field a number lies in."""
+    out = []
+    for i in range(len(cyclotomic_polynomial(d)) - 1):
+        phi_m = cyclotomic_polynomial(d // int_gcd(i, d))
+        out.append(-phi_m[-2] / (len(phi_m) - 1))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +206,7 @@ class Cyclotomic:
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, _trim(r)
+            r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         # r1 is a nonzero constant; s1 * a == r1 (mod Phi)
         c = r1[0]
@@ -229,9 +231,10 @@ class Cyclotomic:
         return a.coords == b.coords
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.order, self.coords))
+        # the normalised trace: equal across promotions, and the number
+        # itself for rationals
+        return hash(sum(c * w for c, w in zip(self.coords, _trace_weights(self.order))
+                        if c))
 
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.order, list(self.coords))
@@ -255,7 +258,7 @@ def root_of_unity(d, j):
     return Cyclotomic.root_power(d, j - 1)
 
 
-# polynomial helpers on Fraction lists (constant first)
+# polynomial helpers on coefficient lists (constant first) over Q or Q(zeta)
 
 def _trim(p):
     while len(p) > 1 and p[-1] == 0:
@@ -264,18 +267,19 @@ def _trim(p):
 
 
 def _poly_divmod(num, den):
+    """Long division of Fraction or Cyclotomic coefficient lists: returns
+    (quotient, remainder), the remainder without zero leading terms."""
     num = list(num)
     den = _trim(den)
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(quot) - 1, -1, -1):
+    zero = den[-1] - den[-1]
+    quot = [zero] * max(len(num) - len(den) + 1, 1)
+    for k in range(len(num) - len(den), -1, -1):
         c = num[k + len(den) - 1] / den[-1]
         quot[k] = c
         if c != 0:
             for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    return quot, num[: len(den) - 1] or [Fraction(0)]
+                num[k + j] = num[k + j] - c * dj
+    return quot, _trim(num[: len(den) - 1] or [zero])
 
 
 def _poly_mul(a, b):
@@ -299,15 +303,12 @@ def _poly_sub(a, b):
 
 
 class Laurent:
-    """Laurent polynomial in q over a cyclotomic field.
+    """Laurent polynomial in q with integer exponents over a cyclotomic
+    field: sorted (exponent, coefficient) terms, no zero coefficients."""
 
-    Exponents are integers; with ``half=True`` the stored exponent keys
-    count half-steps, i.e. key k stands for q^(k/2).
-    """
+    __slots__ = ("order", "terms")
 
-    __slots__ = ("order", "half", "terms")
-
-    def __init__(self, order, terms, half=False):
+    def __init__(self, order, terms):
         clean = {}
         for e, c in (terms.items() if isinstance(terms, dict) else terms):
             c = _as_cyclotomic(c, order)
@@ -323,7 +324,6 @@ class Laurent:
                 else:
                     clean[e] = c
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "half", half)
         object.__setattr__(self, "terms", tuple(sorted(clean.items())))
 
     def __setattr__(self, *a):
@@ -332,8 +332,8 @@ class Laurent:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(order=1, half=False):
-        return Laurent(order, {}, half)
+    def zero(order=1):
+        return Laurent(order, {})
 
     @staticmethod
     def one(order=1):
@@ -344,9 +344,8 @@ class Laurent:
         return Laurent(order, {1: Cyclotomic.one(order)})
 
     @staticmethod
-    def q_power(e, order=1, half=False):
-        """q^e, or q^(e/2) when half=True (e counts half-steps)."""
-        return Laurent(order, {e: Cyclotomic.one(order)}, half)
+    def q_power(e, order=1):
+        return Laurent(order, {e: Cyclotomic.one(order)})
 
     @staticmethod
     def from_scalar(c, order=1):
@@ -376,31 +375,12 @@ class Laurent:
                 return c
         return Cyclotomic.zero(self.order)
 
-    def to_half(self):
-        if self.half:
-            return self
-        return Laurent(self.order, {2 * e: c for e, c in self.terms}, half=True)
-
-    def integral(self):
-        """Integer-exponent form; raises NonIntegralExponent on odd halves."""
-        if not self.half:
-            return self
-        out = {}
-        for e, c in self.terms:
-            if e % 2 != 0:
-                raise NonIntegralExponent("exponent %d/2 is not an integer" % e)
-            out[e // 2] = c
-        return Laurent(self.order, out)
-
     @staticmethod
     def _common(a, b):
-        if a.order != b.order:
-            m = a.order * b.order // int_gcd(a.order, b.order)
-            a = Laurent(m, {e: c.promote(m) for e, c in a.terms}, a.half)
-            b = Laurent(m, {e: c.promote(m) for e, c in b.terms}, b.half)
-        if a.half != b.half:
-            a, b = a.to_half(), b.to_half()
-        return a, b
+        if a.order == b.order:
+            return a, b
+        m = a.order * b.order // int_gcd(a.order, b.order)
+        return Laurent(m, a.terms), Laurent(m, b.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -410,12 +390,12 @@ class Laurent:
         out = dict(a.terms)
         for e, c in b.terms:
             out[e] = out.get(e, Cyclotomic.zero(a.order)) + c
-        return Laurent(a.order, out, a.half)
+        return Laurent(a.order, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent(self.order, {e: -c for e, c in self.terms}, self.half)
+        return Laurent(self.order, {e: -c for e, c in self.terms})
 
     def __sub__(self, other):
         return self + (-_as_laurent(other, self.order))
@@ -435,20 +415,25 @@ class Laurent:
                     out[e] = out[e] + p
                 else:
                     out[e] = p
-        return Laurent(a.order, out, a.half)
+        return Laurent(a.order, out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Laurent.from_scalar(other, self.order)
+        elif isinstance(other, Cyclotomic):
+            other = Laurent.from_scalar(other, other.order)
         if not isinstance(other, Laurent):
             return NotImplemented
         a, b = Laurent._common(self, other)
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.half, self.terms))
+        # a constant hashes as its coefficient, so it agrees with ints
+        if all(e == 0 for e, _ in self.terms):
+            return hash(self.constant())
+        return hash(self.terms)
 
     def __repr__(self):
         return "Laurent(%s)" % self.pretty()
@@ -459,11 +444,7 @@ class Laurent:
             return "0"
         parts = []
         for e, c in reversed(self.terms):
-            if self.half:
-                ehalf = Fraction(e, 2)
-                qpow = "1" if ehalf == 0 else ("q" if ehalf == 1 else "q^%s" % ehalf)
-            else:
-                qpow = "1" if e == 0 else ("q" if e == 1 else "q^%d" % e)
+            qpow = "1" if e == 0 else ("q" if e == 1 else "q^%d" % e)
             if c.is_rational():
                 r = c.as_rational()
                 sign = "-" if r < 0 else "+"
@@ -484,8 +465,7 @@ class Laurent:
         return text
 
     def to_json(self):
-        return [[("%d/2" % e if self.half and e % 2 else str(e // 2 if self.half else e)),
-                 c.to_json()] for e, c in self.terms]
+        return [[str(e), c.to_json()] for e, c in self.terms]
 
 
 def _as_laurent(x, order):
@@ -497,37 +477,21 @@ def _as_laurent(x, order):
 
 
 def _laurent_gcd(a, b):
-    """Monic gcd of two Laurent polynomials, as an ordinary polynomial
-    (minimal exponent 0). Exponent units (half or not) must agree."""
-    if a.is_zero():
-        return _make_monic(_shift_to_zero(b))
-    if b.is_zero():
-        return _make_monic(_shift_to_zero(a))
+    """Monic gcd of two Laurent polynomials, not both zero, as an ordinary
+    polynomial (minimal exponent 0)."""
     pa = _to_dense(_shift_to_zero(a))
     pb = _to_dense(_shift_to_zero(b))
     while len(pb) > 1 or not pb[0].is_zero():
-        pa, pb = pb, _dense_mod(pa, pb)
-        if len(pb) == 1 and pb[0].is_zero():
-            break
-    order = a.order
-    # make monic
+        pa, pb = pb, _poly_divmod(pa, pb)[1]
     lead = pa[-1]
-    pa = [c / lead for c in pa]
-    return Laurent(order, {i: c for i, c in enumerate(pa)}, a.half)
+    return Laurent(a.order, {i: c / lead for i, c in enumerate(pa)})
 
 
 def _shift_to_zero(p):
     if p.is_zero():
         return p
     m = p.min_exp()
-    return Laurent(p.order, {e - m: c for e, c in p.terms}, p.half)
-
-
-def _make_monic(p):
-    if p.is_zero():
-        return p
-    lead = p.terms[-1][1]
-    return Laurent(p.order, {e: c / lead for e, c in p.terms}, p.half)
+    return Laurent(p.order, {e - m: c for e, c in p.terms})
 
 
 def _to_dense(p):
@@ -537,40 +501,6 @@ def _to_dense(p):
     for e, c in p.terms:
         out[e] = c
     return out
-
-
-def _dense_mod(num, den):
-    num = list(num)
-    zero = num[0] - num[0] if num else None
-    while len(den) > 1 and den[-1].is_zero():
-        den = den[:-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        if not c.is_zero():
-            for j in range(len(den)):
-                num[k + j] = num[k + j] - c * den[j]
-    rem = num[: len(den) - 1]
-    while len(rem) > 1 and rem[-1].is_zero():
-        rem = rem[:-1]
-    if not rem:
-        rem = [den[0] - den[0]]
-    return rem
-
-
-def _dense_divide_exact(num, den):
-    num = list(num)
-    while len(den) > 1 and den[-1].is_zero():
-        den = den[:-1]
-    quot = [num[0] - num[0]] * max(len(num) - len(den) + 1, 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        quot[k] = c
-        if not c.is_zero():
-            for j in range(len(den)):
-                num[k + j] = num[k + j] - c * den[j]
-    if any(not c.is_zero() for c in num[: len(den) - 1]):
-        raise ArithmeticError("inexact Laurent division")
-    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -603,24 +533,25 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         num, den = Laurent._common(num, den)
         order = num.order
-        if den.is_one() or (len(den.terms) == 1 and den.terms[0] == (0, Cyclotomic.one(order))):
+        if den.is_one():
             return num, den
         if num.is_zero():
-            one = Laurent.one(order).to_half() if num.half else Laurent.one(order)
-            return Laurent.zero(order, num.half), one
+            return Laurent.zero(order), Laurent.one(order)
         sn, sd = num.min_exp(), den.min_exp()
         num0, den0 = _shift_to_zero(num), _shift_to_zero(den)
         g = _laurent_gcd(num0, den0)
-        if not g.is_one() and not (len(g.terms) == 1 and g.terms[0][0] == 0):
+        if not g.is_one():
             gd = _to_dense(g)
-            num0 = Laurent(order, dict(enumerate(_dense_divide_exact(_to_dense(num0), gd))),
-                           num.half)
-            den0 = Laurent(order, dict(enumerate(_dense_divide_exact(_to_dense(den0), gd))),
-                           num.half)
-        c = den0.terms[0][1]  # constant coefficient, nonzero by construction
-        cinv = c.inv()
-        num0 = Laurent(order, {e + sn - sd: v * cinv for e, v in num0.terms}, num.half)
-        den0 = Laurent(order, {e: v * cinv for e, v in den0.terms}, num.half)
+            reduced = []
+            for p in (num0, den0):
+                quot, rem = _poly_divmod(_to_dense(p), gd)
+                if not rem[-1].is_zero():
+                    raise ArithmeticError("inexact Laurent division")
+                reduced.append(Laurent(order, dict(enumerate(quot))))
+            num0, den0 = reduced
+        cinv = den0.terms[0][1].inv()  # constant coefficient, nonzero by construction
+        num0 = Laurent(order, {e + sn - sd: v * cinv for e, v in num0.terms})
+        den0 = Laurent(order, {e: v * cinv for e, v in den0.terms})
         return num0, den0
 
     # -- constructors ------------------------------------------------------
@@ -638,16 +569,12 @@ class RatFunc:
         return RatFunc(Laurent.q(order), Laurent.one(order), _normalized=True)
 
     @staticmethod
-    def q_power(e, order=1, half=False):
-        return RatFunc(Laurent.q_power(e, order, half))
+    def q_power(e, order=1):
+        return RatFunc(Laurent.q_power(e, order))
 
     @staticmethod
     def from_scalar(c, order=1):
         return RatFunc(Laurent.from_scalar(c, order))
-
-    @staticmethod
-    def from_laurent(p):
-        return RatFunc(p)
 
     # -- structure ---------------------------------------------------------
 
@@ -662,17 +589,12 @@ class RatFunc:
         return self.num.is_one() and self.den.is_one()
 
     def is_laurent(self):
-        return self.den.is_one() or (len(self.den.terms) == 1 and self.den.terms[0][0] == 0
-                                     and self.den.terms[0][1] == 1)
+        return self.den.is_one()
 
     def as_laurent(self):
         if not self.is_laurent():
             raise ValueError("denominator is not a unit: %r" % (self,))
         return self.num
-
-    def integral(self):
-        """Integer-exponent form of a half-step rational function."""
-        return RatFunc(self.num.integral(), self.den.integral())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -728,6 +650,10 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # with denominator 1, hash as the numerator, so a RatFunc agrees with
+        # the Laurent, Cyclotomic or int it equals
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -756,9 +682,9 @@ def as_ratfunc(x, order=1):
 
 def specialize_q(rf, value):
     """Evaluate a rational function at a cyclotomic value of q."""
-    rf = as_ratfunc(rf) if not isinstance(rf, RatFunc) else rf
-    num = _eval_laurent(rf.num.integral(), value)
-    den = _eval_laurent(rf.den.integral(), value)
+    rf = as_ratfunc(rf)
+    num = _eval_laurent(rf.num, value)
+    den = _eval_laurent(rf.den, value)
     if den.is_zero():
         raise PoleAtValue("denominator vanishes at the given value")
     return num / den

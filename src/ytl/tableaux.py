@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .permutations import Composition, Perm, compositions
+from .permutations import ConsistencyError, Perm, compositions
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +46,6 @@ def enumerate_d_partitions(d, n):
 
 def d_partition_size(shape):
     return sum(sum(comp) for comp in shape)
-
-
-def size_composition(shape):
-    """The composition (|lambda^(1)|, ..., |lambda^(d)|) of a d-partition."""
-    return Composition(tuple(sum(comp) for comp in shape))
 
 
 def two_column(partition):
@@ -202,8 +197,8 @@ def dim_FTL(d, n):
 
 
 def dim_CTL(d, n):
-    """Catalan/derangement-style sum; computed by both published formulas
-    and asserted equal."""
+    """Catalan/derangement-style sum; computed by both published formulas,
+    which must agree."""
     by_k = sum(comb(n, k) ** 2 * catalan(k) * (d - 1) ** (n - k) * factorial(n - k)
                for k in range(n + 1))
     by_comp = 0
@@ -212,7 +207,9 @@ def dim_CTL(d, n):
         for p in mu.parts[1:]:
             rest *= factorial(p)
         by_comp += multinomial(mu.parts) ** 2 * catalan(mu.parts[0]) * rest
-    assert by_k == by_comp, "the two CTL dimension formulas disagree"
+    if by_k != by_comp:
+        raise ConsistencyError("the two CTL dimension formulas disagree at "
+                               "d=%d, n=%d" % (d, n))
     return by_k
 
 

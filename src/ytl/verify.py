@@ -10,15 +10,16 @@ import random
 from math import factorial
 
 from .linalg import identity_matrix, mat_mul
-from .permutations import Perm, all_perms, compositions, coset_system
-from .scalars import RatFunc
+from .permutations import (ConsistencyError, Perm, all_perms, compositions,
+                           coset_system)
+from .scalars import NonIntegralExponent, RatFunc
 from .tableaux import (catalan, count_standard_tableaux, dim_CTL, dim_FTL,
                        dim_FTL_bruteforce, dim_CTL_bruteforce, dim_TL, dim_Y,
                        enumerate_d_partitions, enumerate_partitions,
                        jones_pairs, jones_permutation, two_column)
 from . import yokonuma as yk
-from .reps import (ideal_membership, is_zero_matrix, passes_to_quotient,
-                   rep_e, rep_element, rep_g, rep_module, rep_t)
+from .reps import (ideal_membership, passes_to_quotient, rep_e, rep_element,
+                   rep_g, rep_module, rep_t)
 from . import isomaps as iso
 
 
@@ -215,7 +216,7 @@ def suite_quotients(d, n, seed=0):
         try:
             passes_to_quotient(d, shape, "FTL")
             passes_to_quotient(d, shape, "CTL")
-        except AssertionError:
+        except ConsistencyError:
             ok = False
     _check(report, "two_column_vs_annihilation", 2 * len(shapes), ok)
     if n >= 3:
@@ -236,13 +237,25 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
     rng = random.Random(seed)
     mus = compositions(d, n)
     report["blocks"] = [[list(mu.parts), coset_system(mu).m] for mu in mus]
+    nonintegral = []
+
+    def images(fn, *args):
+        """fn(*args), or None when an image has a non-integral q-power; such
+        a call fails its own check and integrality_of_images."""
+        try:
+            return fn(*args)
+        except NonIntegralExponent as exc:
+            nonintegral.append(exc)
+            return None
+
     # inverse pair on the full standard basis
     ok_inv = True
     cnt = 0
     for a in itertools.product(range(d), repeat=n):
         for w in all_perms(n):
             x = yk.YElement(d, n, {(a, w): RatFunc.one(d)})
-            ok_inv &= (iso.phi_n(iso.psi_n(x)) == x); cnt += 1
+            blocks = images(iso.psi_n, x)
+            ok_inv &= blocks is not None and iso.phi_n(blocks) == x; cnt += 1
     _check(report, "phi_after_psi_identity", cnt, ok_inv)
     # inverse on the matrix side, sampled per block
     ok_mat = True
@@ -257,7 +270,8 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
             hterm = iso.hecke_term(n, w, RatFunc.one(d))
             hmat = [[hterm if (i, j) == (k, l) else yk.zero(1, n)
                      for j in range(m)] for i in range(m)]
-            ok_mat &= iso.block_equal(iso.psi_mu(mu, iso.phi_mu(mu, hmat)), hmat)
+            back = images(lambda: iso.psi_mu(mu, iso.phi_mu(mu, hmat)))
+            ok_mat &= back is not None and iso.block_equal(back, hmat)
             cnt += 1
     _check(report, "psi_after_phi_identity", cnt, ok_mat)
     # homomorphism property on random pairs
@@ -267,21 +281,24 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
         for _ in range(hom_pairs):
             x = _random_element(d, n, rng)
             y = _random_element(d, n, rng)
-            lhs = iso.psi_mu(mu, x * y)
-            rhs = iso.block_mat_mul(iso.psi_mu(mu, x), iso.psi_mu(mu, y))
-            ok_hom &= iso.block_equal(lhs, rhs); cnt += 1
+            lhs = images(iso.psi_mu, mu, x * y)
+            px, py = images(iso.psi_mu, mu, x), images(iso.psi_mu, mu, y)
+            ok_hom &= None not in (lhs, px, py) and \
+                iso.block_equal(lhs, iso.block_mat_mul(px, py)); cnt += 1
     _check(report, "homomorphism_property", cnt, ok_hom)
-    # integrality is enforced inside psi_mu (NonIntegralExponent would raise)
-    _check(report, "integrality_of_images", cnt, True,
-           "integer q-exponents asserted during every psi computation")
+    hom_cnt = cnt
     # diagonal action of the framing generators on each block
     ok_diag = True
-    cnt = 0
+    diag_cnt = 0
     for mu in mus:
         m = coset_system(mu).m
         chars = iso.block_characters(mu)
         for j in range(1, n + 1):
-            mat = iso.psi_mu(mu, yk.gen_t(d, n, j))
+            mat = images(iso.psi_mu, mu, yk.gen_t(d, n, j))
+            diag_cnt += 1
+            if mat is None:
+                ok_diag = False
+                continue
             tmon = tuple(1 if jj == j - 1 else 0 for jj in range(n))
             for k in range(m):
                 for l in range(m):
@@ -290,23 +307,31 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
                 want = iso.hecke_term(n, Perm.identity(n),
                                       RatFunc.from_scalar(chars[k].value(d, tmon), d))
                 ok_diag &= (mat[k][k] == want)
-            cnt += 1
-    _check(report, "framing_images_diagonal", cnt, ok_diag)
     if n >= 3:
-        _check(report, "ftl_psi_kills_generator", 1,
-               iso.blocks_is_zero(iso.ftl_psi(yk.ftl_generator(d, n))))
-        _check(report, "ctl_psi_kills_generator", 1,
-               iso.blocks_is_zero(iso.ctl_psi(yk.ctl_generator(d, n))))
+        kills = {}
+        for name, psi, gen in (("ftl", iso.ftl_psi, yk.ftl_generator),
+                               ("ctl", iso.ctl_psi, yk.ctl_generator)):
+            blocks = images(psi, gen(d, n))
+            kills[name] = blocks is not None and iso.blocks_is_zero(blocks)
         # quotient round trips on random standard-basis elements
         ok_rt = True
-        cnt = 0
+        rt_cnt = 0
         rounds = 10 if d ** n * factorial(n) > 100 else 20
         for _ in range(rounds):
             x = _random_basis_element(d, n, rng)
-            ok_rt &= ideal_membership(iso.ftl_phi(iso.ftl_psi(x)) - x, "FTL")
-            ok_rt &= ideal_membership(iso.ctl_phi(iso.ctl_psi(x)) - x, "CTL")
-            cnt += 2
-        _check(report, "quotient_round_trips_mod_ideal", cnt, ok_rt)
+            for psi, phi, which in ((iso.ftl_psi, iso.ftl_phi, "FTL"),
+                                    (iso.ctl_psi, iso.ctl_phi, "CTL")):
+                back = images(lambda: phi(psi(x)))
+                ok_rt &= back is not None and ideal_membership(back - x, which)
+            rt_cnt += 2
+    # every psi image above has been computed before this check is reported
+    _check(report, "integrality_of_images", hom_cnt, not nonintegral,
+           "integer q-exponents asserted during every psi computation")
+    _check(report, "framing_images_diagonal", diag_cnt, ok_diag)
+    if n >= 3:
+        _check(report, "ftl_psi_kills_generator", 1, kills["ftl"])
+        _check(report, "ctl_psi_kills_generator", 1, kills["ctl"])
+        _check(report, "quotient_round_trips_mod_ideal", rt_cnt, ok_rt)
     # basis counts
     _check(report, "ftl_basis_count", 1,
            len(iso.ftl_basis(d, n)) == dim_FTL(d, n))

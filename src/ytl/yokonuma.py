@@ -54,13 +54,6 @@ class YElement:
     def is_zero(self):
         return not self.terms
 
-    def coeff(self, tmon, w):
-        tmon = tuple(a % self.d for a in tmon)
-        for key, c in self.terms:
-            if key == (tmon, w):
-                return c
-        return RatFunc.zero(self.d)
-
     def support_size(self):
         return len(self.terms)
 

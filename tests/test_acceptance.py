@@ -117,7 +117,9 @@ def test_criterion_4_isomorphism_suite(capsys):
                         for entry in row:
                             for _, c in entry.terms:
                                 assert c.is_laurent()
-                                c.integral()
+                                assert all(type(e) is int
+                                           for p in (c.num, c.den)
+                                           for e, _ in p.terms)
                 assert iso.phi_n(mats) == x
         # matrix side: psi(phi(M)) = M on the full matrix-unit basis
         for mu in mus:

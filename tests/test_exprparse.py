@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,15 @@ def test_evaluate_character_idempotent():
     assert x * x == x
     assert parse_and_evaluate("E(1; 2,1)^3", d, n) == x
     assert parse_and_evaluate("E(1; 2,1)^0", d, n) == yk.unit(d, n)
+
+
+def test_idempotent_atoms_large_powers():
+    d, n = 2, 3
+    start = time.monotonic()
+    assert parse_and_evaluate("e1^1000000", d, n) == yk.e(d, n, 1)
+    assert parse_and_evaluate("T2^1000000", d, n) == yk.T(d, n, 2)
+    assert parse_and_evaluate("e1^0", d, n) == yk.unit(d, n)
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize("text", [

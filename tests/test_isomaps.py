@@ -24,23 +24,23 @@ def single_entry(mu, m, n, k, l, hecke):
 
 def test_psi_tilde_identity_and_full_block():
     mu = Composition((1, 2))
-    l, scalar, h = iso.psi_tilde_mu(mu, 2, Perm.identity(3))
-    assert l == 2 and scalar == RatFunc.q_power(0, 2, half=True)
-    assert h == iso.hecke_unit(3, 2)
+    l, h, hecke = iso.psi_tilde_mu(mu, 2, Perm.identity(3))
+    assert l == 2 and h == 0
+    assert hecke == iso.hecke_unit(3, 2)
     # mu = (n): the single coset representative is the identity
     mun = Composition((3,))
     for w in all_perms(3):
-        l, scalar, h = iso.psi_tilde_mu(mun, 1, w)
-        assert l == 1
-        assert h == iso.hecke_term(3, w, RatFunc.one(1))
+        l, h, hecke = iso.psi_tilde_mu(mun, 1, w)
+        assert l == 1 and h == 0
+        assert hecke == iso.hecke_term(3, w, RatFunc.one(1))
 
 
 def test_psi_tilde_deodhar_descend():
     # mu=(1,3), k=4, w=s_2: stays on the diagonal with a conjugated generator
     mu = Composition((1, 3))
-    l, scalar, h = iso.psi_tilde_mu(mu, 4, Perm.transposition(4, 2))
-    assert l == 4
-    ((_, u), c), = h.terms
+    l, h, hecke = iso.psi_tilde_mu(mu, 4, Perm.transposition(4, 2))
+    assert l == 4 and h == 0
+    ((_, u), c), = hecke.terms
     assert u == Perm.transposition(4, 3)
 
 

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ytl.scalars import (Cyclotomic, Laurent, NonIntegralExponent, PoleAtValue,
-                         RatFunc, as_ratfunc, cyclotomic_polynomial,
-                         root_of_unity, specialize_q)
+from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, as_ratfunc,
+                         cyclotomic_polynomial, root_of_unity, specialize_q)
 
 
 def test_cyclotomic_polynomials():
@@ -49,10 +48,6 @@ def test_laurent_basics():
     p = q * q + Laurent.one() - Laurent.q_power(-1)
     assert p.pretty() == "q^2 + 1 - q^-1"
     assert p.min_exp() == -1 and p.max_exp() == 2
-    half = Laurent.q_power(3, half=True)
-    with pytest.raises(NonIntegralExponent):
-        half.integral()
-    assert Laurent.q_power(4, half=True).integral() == q * q
 
 
 def test_ratfunc_canonical_form():
@@ -115,3 +110,71 @@ def test_integrality_predicate():
 def test_coercion():
     assert as_ratfunc(3) == RatFunc.from_scalar(3)
     assert as_ratfunc(Fraction(1, 2)) * as_ratfunc(2) == RatFunc.one()
+
+
+# -- __hash__ agrees with __eq__ ---------------------------------------------
+
+_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8])
+
+
+@st.composite
+def cyclotomics(draw):
+    order = draw(_orders)
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                           min_size=order, max_size=order))
+    out = Cyclotomic.zero(order)
+    for e, c in enumerate(coeffs):
+        out = out + Cyclotomic.root_power(order, e) * c
+    return out
+
+
+def test_hash_examples():
+    assert Cyclotomic.root_power(4, 1) == Cyclotomic.root_power(8, 2)
+    assert len({Cyclotomic.root_power(4, 1), Cyclotomic.root_power(8, 2)}) == 1
+    for x in (Laurent.from_scalar(3), RatFunc.from_scalar(3)):
+        assert x == 3 and hash(x) == hash(3)
+    assert RatFunc.from_scalar(3) == Laurent.from_scalar(3)
+    assert hash(RatFunc.from_scalar(3)) == hash(Laurent.from_scalar(3))
+
+
+@given(st.fractions(-5, 5), _orders)
+@settings(max_examples=40, deadline=None)
+def test_rational_hash_through_coercions(r, order):
+    for x in (Cyclotomic.from_rational(r, order), Laurent.from_scalar(r, order),
+              RatFunc.from_scalar(r, order)):
+        assert x == r and hash(x) == hash(r)
+
+
+@given(_orders, st.integers(1, 3),
+       st.lists(st.fractions(-3, 3, max_denominator=4), min_size=8, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_cyclotomic_hash_across_fields(order, k, coeffs):
+    # the same number built natively in Q(zeta_order) and in Q(zeta_(k*order))
+    small = Cyclotomic.zero(order)
+    big = Cyclotomic.zero(k * order)
+    for e, c in enumerate(coeffs[:order]):
+        small = small + Cyclotomic.root_power(order, e) * c
+        big = big + Cyclotomic.root_power(k * order, k * e) * c
+    assert small == big and hash(small) == hash(big)
+    assert small == small.promote(2 * k * order)
+    assert hash(small) == hash(small.promote(2 * k * order))
+
+
+@given(cyclotomics(), cyclotomics(), st.integers(-3, 3), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_hash_across_promotion_and_coercion(x, y, e, k):
+    p = Laurent(x.order, {e: x}) + Laurent(y.order, {0: y})
+    den = Laurent(y.order, {0: 1, 1: y})
+    m = p.order * k
+    pairs = [
+        (RatFunc.from_scalar(x, x.order), x),
+        (RatFunc.from_scalar(x, x.order), Laurent.from_scalar(x, x.order)),
+        (Laurent.from_scalar(x, x.order), x),
+        (x, Laurent.from_scalar(x, x.order)),
+        (RatFunc(p), p),
+        (p, Laurent(m, p.terms)),
+        (RatFunc(p), RatFunc(Laurent(m, p.terms))),
+        (RatFunc(p, den), RatFunc(Laurent(m, p.terms), Laurent(m, den.terms))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +35,57 @@ def test_seed_determinism():
     a = run_suite(2, 2, "iso", seed=7)
     b = run_suite(2, 2, "iso", seed=7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_admissibility_mismatch_fails_the_check(monkeypatch):
+    import ytl.reps as reps
+    from ytl.permutations import ConsistencyError
+    from ytl.verify import suite_quotients
+
+    original = reps.ftl_admissible
+    monkeypatch.setattr(reps, "ftl_admissible", lambda shape: not original(shape))
+    with pytest.raises(ConsistencyError):
+        reps.passes_to_quotient(1, ((2, 1),), "FTL")
+    report = suite_quotients(1, 3)
+    check, = [c for c in report["checks"]
+              if c["name"] == "two_column_vs_annihilation"]
+    assert check["passed"] is False and report["ok"] is False
+
+
+def test_admissibility_mismatch_fails_under_optimize():
+    # python -O strips assert statements; the check must still fail
+    script = (
+        "import ytl.reps as reps\n"
+        "from ytl.verify import suite_quotients\n"
+        "original = reps.ftl_admissible\n"
+        "reps.ftl_admissible = lambda shape: not original(shape)\n"
+        "report = suite_quotients(1, 3)\n"
+        "print([c['passed'] for c in report['checks']"
+        " if c['name'] == 'two_column_vs_annihilation'])\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[False]"
+
+
+def test_nonintegral_exponent_fails_integrality(monkeypatch):
+    import ytl.isomaps as iso
+    from ytl.scalars import NonIntegralExponent
+
+    def raising(mu, x):
+        raise NonIntegralExponent("forced")
+
+    passing = {c["name"]: c for c in run_suite(1, 2, "iso")["checks"]}
+    monkeypatch.setattr(iso, "psi_mu", raising)
+    report = run_suite(1, 2, "iso")
+    checks = {c["name"]: c for c in report["checks"]}
+    assert not report["ok"]
+    assert checks.keys() == passing.keys()
+    for name in ("integrality_of_images", "phi_after_psi_identity",
+                 "psi_after_phi_identity", "homomorphism_property",
+                 "framing_images_diagonal"):
+        assert checks[name]["passed"] is False, name
+        assert checks[name]["instances"] == passing[name]["instances"]
+    assert checks["integrality_of_images"]["detail"] == \
+        passing["integrality_of_images"]["detail"]

@@ -11,8 +11,9 @@ Commands:
 Output is JSON (stdout or --output). Exit codes: 0 success, 1 verification
 failure, 2 usage error. Results of verify and basis runs are cached on disk
 (override the directory with --cache-dir or the YTL_CACHE_DIR variable);
-cached entries are keyed by the command parameters and a convention version,
-so warm results are bit-identical to cold ones.
+cached entries are keyed by the command parameters, a convention version and
+the package version, so warm results are bit-identical to cold ones. Entries
+are written atomically, and an unreadable entry is recomputed.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from .exprparse import EvalError, ParseError, parse_and_evaluate
 from .permutations import Composition, compositions, coset_system
 from .reps import rep_e, rep_g, rep_module, rep_t
 from .tableaux import (dim_CTL, dim_FTL, dim_TL, dim_Y, enumerate_d_partitions,
                        jones_pairs, standard_tableaux)
-from . import isomaps as iso
+from . import __version__, isomaps as iso
 from .verify import run_suite
 
 CONVENTION_VERSION = 1
@@ -47,27 +49,38 @@ def _cache_dir(args):
 
 
 def _cache_path(args, kind, key):
-    name = "%s-%s-v%d.json" % (kind, key, CONVENTION_VERSION)
+    name = "%s-%s-v%d-%s.json" % (kind, key, CONVENTION_VERSION, __version__)
     return os.path.join(_cache_dir(args), name)
 
 
 def _cache_load(args, kind, key):
+    """The cached payload, or None on a miss; an unreadable or corrupt entry
+    is a miss, and the store after the recomputation overwrites it."""
     if getattr(args, "no_cache", False):
         return None
-    path = _cache_path(args, kind, key)
-    if os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)
-    return None
+    try:
+        with open(_cache_path(args, kind, key)) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def _cache_store(args, kind, key, payload):
+    """Write the entry to a temporary file and rename it into place, so a
+    reader never sees a partial entry."""
     if getattr(args, "no_cache", False):
         return
     directory = _cache_dir(args)
     os.makedirs(directory, exist_ok=True)
-    with open(_cache_path(args, kind, key), "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, _cache_path(args, kind, key))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +152,13 @@ def cmd_enumerate(args):
 
 def _parse_shape(text, d, n):
     data = json.loads(text)
+    if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
+        raise ValueError("shape must be a list of %d lists" % d)
+    for comp in data:
+        if not all(type(p) is int and p > 0 for p in comp):
+            raise ValueError("parts must be positive integers: %r" % (comp,))
+        if any(a < b for a, b in zip(comp, comp[1:])):
+            raise ValueError("parts must be non-increasing: %r" % (comp,))
     shape = tuple(tuple(part) for part in data)
     if len(shape) != d:
         raise ValueError("shape must have %d components" % d)
@@ -151,7 +171,7 @@ def cmd_rep(args):
     d, n = args.d, args.n
     try:
         shape = _parse_shape(args.shape, d, n)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         return _error(args, "bad shape: %s" % exc)
     module = rep_module(d, shape)
     def render(mat):
@@ -217,7 +237,7 @@ def cmd_verify(args):
     d, n = args.d, args.n
     key = "%s-d%d-n%d-s%d" % (args.suite, d, n, args.seed)
     cached = _cache_load(args, "verify", key)
-    if cached is not None:
+    if cached is not None and isinstance(cached.get("ok"), bool):
         _emit(args, cached)
         return 0 if cached["ok"] else 1
     try:

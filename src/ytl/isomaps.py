@@ -7,10 +7,20 @@ the explicit quotient bases.
 Matrix blocks are indexed by compositions mu; row/column indices follow the
 canonical coset-representative order. Entries of psi images are Hecke
 elements, stored as d=1 YElements supported inside the Young subgroup.
+
+The block maps work in the character coordinates of an element,
+x = sum c_{w,chi} E_chi g_w with c_{w,chi} = sum_a x[t^a g_w] chi(t^a). One
+transform over (Z/d)^n, n passes of size d per permutation w, computes them;
+the same transform with inverse roots and the factor d^-n goes back. In
+these coordinates psi is a relabelling: the coordinate of (w, k-th
+character of mu) lands in cell (k, l) of the block of mu as q^s G_u, with
+u = pi_k^-1 w pi_l. phi gathers the coordinates of all its blocks into one
+dict and transforms back once.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Field, invert_matrix, matrix_rank
@@ -21,8 +31,8 @@ from .scalars import (Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc,
 from .reps import rep_element, rep_module, quotient_shapes
 from .tableaux import (enumerate_partitions, jones_pairs, jones_permutation,
                        jones_word, two_column)
-from .yokonuma import (YElement, E_chi, _acc_term, character_exponents,
-                       chi_value, zero as y_zero)
+from .yokonuma import (YElement, _acc_term, character_exponents, chi_value,
+                       zero as y_zero)
 
 
 class SingularReduction(Exception):
@@ -101,6 +111,54 @@ def block_equal(a, b):
 
 
 # ---------------------------------------------------------------------------
+# character coordinates
+
+
+def _char_transform(d, n, values, sign):
+    """The transform over (Z/d)^n of {a: c}: {b: sum_a c * zeta_d^(sign a.b)},
+    one axis at a time (n passes of size d), zero sums dropped."""
+    for j in range(n):
+        nxt = {}
+        for key, c in values.items():
+            a, head, tail = key[j], key[:j], key[j + 1:]
+            for b in range(d):
+                e = sign * a * b % d
+                _acc_term(nxt, head + (b,) + tail,
+                          c.times_monomial(Cyclotomic.root_power(d, e)) if e else c)
+        values = nxt
+    return values
+
+
+def _in_field(c, d):
+    """c as a RatFunc whose order is a multiple of d, the order an image
+    coefficient gets from its characters."""
+    c = as_ratfunc(c, d)
+    return c * RatFunc.one(d) if c.order % d else c
+
+
+def _character_coords(x):
+    """The coordinates c_{w,chi} of x = sum c_{w,chi} E_chi g_w, as
+    {w: {chi: c}}, chi an exponent vector: c_{w,chi} = sum_a x[t^a g_w]
+    chi(t^a). Every permutation of x is a key, in order of first appearance,
+    even when all its coordinates vanish."""
+    by_w = {}
+    for (tmon, w), c in x.terms:
+        by_w.setdefault(w, {})[tmon] = _in_field(c, x.d)
+    return {w: _char_transform(x.d, x.n, vals, 1) for w, vals in by_w.items()}
+
+
+def _from_character_coords(d, n, coords):
+    """The element sum_{v,chi} coords[v][chi] E_chi g_v: the inverse
+    transform, times d^-n."""
+    scale = Fraction(1, d ** n)
+    terms = []
+    for v, chis in coords.items():
+        for a, c in _char_transform(d, n, chis, -1).items():
+            terms.append(((a, v), c.times_monomial(scale)))
+    return YElement(d, n, terms)
+
+
+# ---------------------------------------------------------------------------
 # psi_mu and phi_mu
 
 
@@ -124,83 +182,100 @@ def psi_tilde_mu(mu, k, w):
     return l, h, hecke_term(w.n, u, RatFunc.one(mu.d))
 
 
+@lru_cache(maxsize=None)
+def _psi_step(mu, k, w):
+    """(l, u, s): the coordinate of (w, k-th character) lands in cell (k, l)
+    as q^s G_u, with the diagonal rescaling by pi_k and pi_l applied. An odd
+    half-step count raises NonIntegralExponent (not cached)."""
+    sys = coset_system(mu)
+    l, u, h = _coset_step(mu, k, w)
+    h += sys.rep(k).length() - sys.rep(l).length()
+    if h % 2 != 0:
+        raise NonIntegralExponent(
+            "odd half-power at mu=%r, k=%d, w=%r" % (mu.parts, k, w))
+    return l, u, h // 2
+
+
+def _psi_block(mu, coords):
+    """The block of mu from character coordinates {w: {chi: c}}: an m x m
+    matrix of Hecke elements. For fixed (k, l) the map w -> u is injective,
+    so each cell is built once from its list of terms."""
+    n, m = mu.n, coset_system(mu).m
+    chars = block_characters(mu)
+    ident = (0,) * n
+    cells = [[[] for _ in range(m)] for _ in range(m)]
+    for w, chis in coords.items():
+        for k in range(1, m + 1):
+            l, u, s = _psi_step(mu, k, w)
+            c = chis.get(chars[k - 1].exps)
+            if c is not None:
+                cells[k - 1][l - 1].append(((ident, u), c.times_monomial(1, s)))
+    return [[YElement(1, n, cell) for cell in row] for row in cells]
+
+
 def psi_mu(mu, x):
     """The block image of x (implicitly of E_mu * x): an m x m matrix of
     Hecke elements supported in the Young subgroup. Entries are integral in
     q; an odd half-step count raises NonIntegralExponent."""
-    d, n = mu.d, mu.n
-    if x.d != d or x.n != n:
+    if x.d != mu.d or x.n != mu.n:
         raise ValueError("algebra parameter mismatch")
+    return _psi_block(mu, _character_coords(x))
+
+
+@lru_cache(maxsize=None)
+def _phi_step(mu, k, l, w):
+    """(v, s): the term q^s E_chi_k g_v that G_w in cell (k, l) maps to,
+    v = pi_k w pi_l^-1, undoing the diagonal rescaling. An odd half-step
+    count raises NonIntegralExponent (not cached)."""
     sys = coset_system(mu)
-    m = sys.m
-    chars = block_characters(mu)
-    out = _zero_block(n, m)
-    for (tmon, w), c in x.terms:
-        for k in range(1, m + 1):
-            l, u, h = _coset_step(mu, k, w)
-            # the diagonal rescaling by pi_k and pi_l
-            h += sys.rep(k).length() - sys.rep(l).length()
-            if h % 2 != 0:
-                raise NonIntegralExponent(
-                    "odd half-power at mu=%r, k=%d, w=%r" % (mu.parts, k, w))
-            coeff = c * RatFunc.from_scalar(chars[k - 1].value(d, tmon), d) \
-                      * RatFunc.q_power(h // 2, d)
-            out[k - 1][l - 1] = out[k - 1][l - 1] + hecke_term(n, u, coeff)
-    return out
+    pi_k, pi_l = sys.rep(k), sys.rep(l)
+    v = pi_k * w * pi_l.inv()
+    h = w.length() - v.length() + pi_l.length() - pi_k.length()
+    if h % 2 != 0:
+        raise NonIntegralExponent(
+            "odd half-power at mu=%r, (k,l)=(%d,%d)" % (mu.parts, k, l))
+    return v, h // 2
 
 
-def _E_chi_times_g(d, n, exps, v, coeff):
-    """The element (character idempotent) * coeff * g_v, expanded directly:
-    the idempotent is a pure t-polynomial, so each of its monomials just
-    pairs with v."""
-    base = E_chi(d, n, exps)
-    return YElement(d, n, [((tmon, v), c * coeff) for (tmon, _), c in base.terms])
+def _phi_blocks(blocks, cell_terms):
+    """phi of a block family: the character coordinates of all blocks are
+    gathered into one dict {v: {chi: c}} and transformed back once.
+    cell_terms(mu, cell) yields (w, c) for each term c G_w of a cell."""
+    coords = {}
+    for mu, block in blocks.items():
+        chars = block_characters(mu)
+        for k, row in enumerate(block, 1):
+            for l, cell in enumerate(row, 1):
+                for w, c in cell_terms(mu, cell):
+                    c = _in_field(c, mu.d)
+                    if c.is_zero():
+                        continue
+                    v, s = _phi_step(mu, k, l, w)
+                    _acc_term(coords.setdefault(v, {}), chars[k - 1].exps,
+                              c.times_monomial(1, s))
+    mu = next(iter(blocks))
+    return _from_character_coords(mu.d, mu.n, coords)
 
 
-def phi_mu(mu, matrix, verbatim=False):
+def _hecke_terms(mu, entry):
+    return ((w, c) for (_, w), c in entry.terms)
+
+
+def phi_mu(mu, matrix):
     """Inverse block map: matrix of Hecke elements (support in the Young
     subgroup) to a YElement. The q-power on each term uses the length of
-    pi_k w pi_l^{-1} (the permutation appearing in the image); set
-    verbatim=True for the variant using pi_k^{-1} w pi_l instead, which is
-    NOT inverse to psi_mu (see tests)."""
-    d, n = mu.d, mu.n
-    sys = coset_system(mu)
-    m = sys.m
-    chars = block_characters(mu)
-    out = y_zero(d, n)
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            entry = matrix[k - 1][l - 1]
-            if entry.is_zero():
-                continue
-            pi_k, pi_l = sys.rep(k), sys.rep(l)
-            for (_, w), c in entry.terms:
-                v = pi_k * w * pi_l.inv()
-                if verbatim:
-                    h = w.length() - (pi_k.inv() * w * pi_l).length()
-                else:
-                    h = w.length() - v.length()
-                # undo the diagonal rescaling, then apply the tilde map
-                h += pi_l.length() - pi_k.length()
-                if h % 2 != 0:
-                    raise NonIntegralExponent(
-                        "odd half-power at mu=%r, (k,l)=(%d,%d)" % (mu.parts, k, l))
-                coeff = as_ratfunc(c, d) * RatFunc.q_power(h // 2, d)
-                out = out + _E_chi_times_g(d, n, chars[k - 1].exps, v, coeff)
-    return out
+    pi_k w pi_l^{-1}, the permutation appearing in the image."""
+    return _phi_blocks({mu: matrix}, _hecke_terms)
 
 
 def psi_n(x):
     """Blockwise image over all compositions: {mu: matrix}."""
-    return {mu: psi_mu(mu, x) for mu in compositions(x.d, x.n)}
+    coords = _character_coords(x)
+    return {mu: _psi_block(mu, coords) for mu in compositions(x.d, x.n)}
 
 
 def phi_n(blocks):
-    out = None
-    for mu, matrix in blocks.items():
-        y = phi_mu(mu, matrix)
-        out = y if out is None else out + y
-    return out
+    return _phi_blocks(blocks, _hecke_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +432,10 @@ def ctl_entry(mu, hecke):
 
 
 def _quotient_psi(x, entry_map):
-    blocks = {}
-    for mu in compositions(x.d, x.n):
-        mat = psi_mu(mu, x)
-        # zero blocks are kept too, so every family has the same shape
-        blocks[mu] = [[entry_map(mu, e) for e in row] for row in mat]
-    return blocks
+    coords = _character_coords(x)
+    # zero blocks are kept too, so every family has the same shape
+    return {mu: [[entry_map(mu, e) for e in row] for row in _psi_block(mu, coords)]
+            for mu in compositions(x.d, x.n)}
 
 
 def ftl_psi(x):
@@ -374,49 +447,39 @@ def ctl_psi(x):
     return _quotient_psi(x, ctl_entry)
 
 
-def ftl_coord_hecke(mu, key, coeff):
-    """The Hecke element whose per-factor images have the given Jones
-    coordinates: concatenated embedded Jones words form one reduced word."""
+@lru_cache(maxsize=None)
+def ftl_coord_perm(mu, key):
+    """The permutation whose Hecke basis element has the given per-factor
+    Jones coordinates: concatenated embedded Jones words form one reduced
+    word."""
     word = []
     for pair, offset in zip(key, mu.offsets):
         word.extend(embed_word(jones_word(pair), offset))
-    w = Perm.from_word(mu.n, tuple(word))
-    return hecke_term(mu.n, w, coeff)
+    return Perm.from_word(mu.n, tuple(word))
 
 
-def ctl_coord_hecke(mu, key, coeff):
+@lru_cache(maxsize=None)
+def ctl_coord_perm(mu, key):
     pair, rest = key
     word = list(jones_word(pair))
     for wloc, offset in zip(rest, mu.offsets[1:]):
         word.extend(embed_word(wloc.reduced_word(), offset))
-    w = Perm.from_word(mu.n, tuple(word))
-    return hecke_term(mu.n, w, coeff)
+    return Perm.from_word(mu.n, tuple(word))
 
 
-def _quotient_phi(blocks, coord_hecke):
-    out = None
-    for mu, block in blocks.items():
-        m = len(block)
-        hmat = _zero_block(mu.n, m)
-        nonzero = False
-        for i in range(m):
-            for j in range(m):
-                for key, c in block[i][j].items():
-                    hmat[i][j] = hmat[i][j] + coord_hecke(mu, key, c)
-                    nonzero = True
-        y = phi_mu(mu, hmat) if nonzero else y_zero(mu.d, mu.n)
-        out = y if out is None else out + y
-    return out
+def _quotient_phi(blocks, coord_perm):
+    return _phi_blocks(blocks, lambda mu, cell: (
+        (coord_perm(mu, key), c) for key, c in cell.items()))
 
 
 def ftl_phi(blocks):
     """A preimage in the algebra whose ftl_psi image is the given block
     family (well-defined modulo the defining ideal)."""
-    return _quotient_phi(blocks, ftl_coord_hecke)
+    return _quotient_phi(blocks, ftl_coord_perm)
 
 
 def ctl_phi(blocks):
-    return _quotient_phi(blocks, ctl_coord_hecke)
+    return _quotient_phi(blocks, ctl_coord_perm)
 
 
 def blocks_equal(a, b):
@@ -486,14 +549,8 @@ def basis_blocks(descriptor, kind):
 
 def basis_element(descriptor, kind):
     """The algebra-side representative of one basis descriptor."""
-    mu, key, k, l = descriptor
-    m = coset_system(mu).m
-    hmat = _zero_block(mu.n, m)
-    if kind == "FTL":
-        hmat[k - 1][l - 1] = ftl_coord_hecke(mu, key, RatFunc.one(mu.d))
-    else:
-        hmat[k - 1][l - 1] = ctl_coord_hecke(mu, key, RatFunc.one(mu.d))
-    return phi_mu(mu, hmat)
+    phi = ftl_phi if kind == "FTL" else ctl_phi
+    return phi(basis_blocks(descriptor, kind))
 
 
 # ---------------------------------------------------------------------------

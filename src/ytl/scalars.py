@@ -313,7 +313,10 @@ class Laurent:
         for e, c in (terms.items() if isinstance(terms, dict) else terms):
             c = _as_cyclotomic(c, order)
             if c.order != order:
-                c = c.promote(order) if order % c.order == 0 else c
+                if order % c.order:
+                    raise ValueError("a coefficient of order %d does not lie in "
+                                     "Q(zeta_%d)" % (c.order, order))
+                c = c.promote(order)
             if not c.is_zero():
                 if e in clean:
                     s = clean[e] + c
@@ -623,6 +626,17 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    def times_monomial(self, c, e=0):
+        """self * c * q^e for a nonzero scalar c of self's field. The factor
+        is a unit, so only the numerator changes and no renormalisation is
+        needed."""
+        unit = c == 1
+        if unit and e == 0:
+            return self
+        num = Laurent(self.order, [(k + e, v if unit else v * c)
+                                   for k, v in self.num.terms])
+        return RatFunc(num, self.den, _normalized=True)
+
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
@@ -695,8 +709,7 @@ def _eval_laurent(p, value):
     value = _as_cyclotomic(value, order)
     if value.is_zero() and p.terms and p.min_exp() < 0:
         raise PoleAtValue("negative exponent at zero")
-    out = Cyclotomic.zero(max(order, p.order) if p.order % order == 0 or
-                          order % p.order == 0 else order * p.order)
+    out = Cyclotomic.zero(order * p.order // int_gcd(order, p.order))
     inv = None
     for e, c in p.terms:
         if e >= 0:

@@ -1,7 +1,11 @@
+import argparse
 import json
+import os
 
 import pytest
 
+import ytl
+from ytl import cli
 from ytl.cli import main
 
 
@@ -99,3 +103,53 @@ def test_output_file(capsys, tmp_path):
                  "dim", "tl", "-n", "3"])
     assert code == 0
     assert json.loads(target.read_text())["dim"] == 5
+
+
+@pytest.mark.parametrize("shape", ["[[1,2]]", "[[3,-1,1]]", "[[2,0,1]]",
+                                   "[[2,1.0]]", "[[true,1,1]]", "3", "[3]"])
+def test_bad_shapes_are_usage_errors(capsys, shape):
+    for argv in (["rep", "-d", "1", "-n", "3", "--shape", shape],
+                 ["enumerate", "tableaux", "-d", "1", "-n", "3", "--shape", shape]):
+        code, payload = run(capsys, "--no-cache", *argv)
+        assert code == 2 and "error" in payload, argv
+
+
+def test_shape_with_empty_component(capsys):
+    code, payload = run(capsys, "--no-cache", "enumerate", "tableaux",
+                        "-d", "2", "-n", "3", "--shape", "[[2,1],[]]")
+    assert code == 0 and len(payload["tableaux"][0]["standard"]) == 2
+
+
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
+    args = ["--cache-dir", str(tmp_path), "basis", "ftl", "-d", "2", "-n", "3"]
+    code, cold = run(capsys, *args)
+    assert code == 0
+    path, = tmp_path.iterdir()
+    assert ytl.__version__ in path.name
+    text = path.read_text()
+    for bad in (text[: len(text) // 2], "", "[]"):
+        path.write_text(bad)
+        code, warm = run(capsys, *args)
+        assert code == 0 and warm == cold
+        assert path.read_text() == text
+    vargs = ["--cache-dir", str(tmp_path), "verify", "-d", "1", "-n", "2",
+             "--suite", "dims"]
+    code, cold = run(capsys, *vargs)
+    vpath, = [p for p in tmp_path.iterdir() if p != path]
+    vpath.write_text("{}")
+    code, warm = run(capsys, *vargs)
+    assert code == 0 and warm == cold
+
+
+def test_cache_store_is_atomic(tmp_path):
+    args = argparse.Namespace(cache_dir=str(tmp_path), no_cache=False)
+    cli._cache_store(args, "verify", "k", {"ok": True})
+    path = cli._cache_path(args, "verify", "k")
+    with open(path) as fh:
+        before = fh.read()
+    # json.dump writes part of this payload before it fails on the object
+    with pytest.raises(TypeError):
+        cli._cache_store(args, "verify", "k", {"a": "x" * 100000, "b": object()})
+    with open(path) as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == [os.path.basename(path)]

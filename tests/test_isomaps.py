@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from ytl.permutations import Composition, Perm, all_perms, compositions, coset_system
-from ytl.scalars import NonIntegralExponent, RatFunc
+from fractions import Fraction
+
+from ytl.permutations import (Composition, Perm, act_on_character, all_perms,
+                              compositions, coset_system)
+from ytl.scalars import Cyclotomic, Laurent, RatFunc, as_ratfunc
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
 from ytl.reps import ideal_membership
@@ -128,30 +131,6 @@ def test_generator_image_structure():
                     assert mat[k][l].is_zero() == mat[l][k].is_zero()
 
 
-def test_verbatim_exponent_variant_fails_inversion():
-    """The exponent convention using the length of pi_k^-1 w pi_l does not
-    invert psi; the default, using the length of pi_k w pi_l^-1, does."""
-    mu = Composition((1, 2))
-    sys = coset_system(mu)
-    m = sys.m
-    n = 3
-    failures = 0
-    for w in mu.young_subgroup():
-        hterm = iso.hecke_term(n, w, RatFunc.one(2))
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                hmat = single_entry(mu, m, n, k, l, hterm)
-                assert iso.block_equal(
-                    iso.psi_mu(mu, iso.phi_mu(mu, hmat)), hmat)
-                try:
-                    bad = iso.phi_mu(mu, hmat, verbatim=True)
-                    if not iso.block_equal(iso.psi_mu(mu, bad), hmat):
-                        failures += 1
-                except NonIntegralExponent:
-                    failures += 1
-    assert failures > 0
-
-
 def test_phi_identity_matrix_is_central_idempotent():
     d, n = 2, 3
     for mu in compositions(d, n):
@@ -173,6 +152,176 @@ def test_phi_on_first_column_has_no_length_correction():
             lhs = iso.phi_mu(mu, hmat)
             rhs = E1 * yk.g_word(d, n, w.reduced_word()) * E1
             assert lhs == rhs
+
+
+# -- reference block maps in the standard basis ---------------------------------
+# The formulas the character transform replaced: psi adds one character value
+# per (term, k) into YElement cells, phi expands E_chi for every entry term.
+
+def ref_psi_mu(mu, x):
+    d, n = mu.d, mu.n
+    sys = coset_system(mu)
+    m = sys.m
+    chars = iso.block_characters(mu)
+    index = {c.exps: c.k for c in chars}
+    out = [[yk.zero(1, n) for _ in range(m)] for _ in range(m)]
+    for (tmon, w), c in x.terms:
+        for k in range(1, m + 1):
+            l = index[act_on_character(w.inv(), chars[k - 1].exps)]
+            pi_k, pi_l = sys.rep(k), sys.rep(l)
+            u = pi_k.inv() * w * pi_l
+            h = w.length() - u.length() + pi_k.length() - pi_l.length()
+            assert h % 2 == 0
+            coeff = c * RatFunc.from_scalar(chars[k - 1].value(d, tmon), d) \
+                * RatFunc.q_power(h // 2, d)
+            out[k - 1][l - 1] = out[k - 1][l - 1] + iso.hecke_term(n, u, coeff)
+    return out
+
+
+def ref_phi_mu(mu, matrix):
+    d, n = mu.d, mu.n
+    sys = coset_system(mu)
+    chars = iso.block_characters(mu)
+    out = yk.zero(d, n)
+    for k, row in enumerate(matrix, 1):
+        for l, entry in enumerate(row, 1):
+            pi_k, pi_l = sys.rep(k), sys.rep(l)
+            for (_, w), c in entry.terms:
+                v = pi_k * w * pi_l.inv()
+                h = w.length() - v.length() + pi_l.length() - pi_k.length()
+                assert h % 2 == 0
+                coeff = as_ratfunc(c, d) * RatFunc.q_power(h // 2, d)
+                idem = yk.E_chi(d, n, chars[k - 1].exps)
+                out = out + yk.YElement(d, n, [((tmon, v), e * coeff)
+                                               for (tmon, _), e in idem.terms])
+    return out
+
+
+def ref_phi_n(blocks):
+    out = None
+    for mu, matrix in blocks.items():
+        y = ref_phi_mu(mu, matrix)
+        out = y if out is None else out + y
+    return out
+
+
+def ref_quotient_psi(x, entry_map):
+    return {mu: [[entry_map(mu, e) for e in row] for row in ref_psi_mu(mu, x)]
+            for mu in compositions(x.d, x.n)}
+
+
+def ref_quotient_phi(blocks, coord_perm):
+    out = None
+    for mu, block in blocks.items():
+        hmat = [[yk.zero(1, mu.n) for _ in row] for row in block]
+        for i, row in enumerate(block):
+            for j, cell in enumerate(row):
+                for key, c in cell.items():
+                    hmat[i][j] = hmat[i][j] + iso.hecke_term(
+                        mu.n, coord_perm(mu, key), c)
+        y = ref_phi_mu(mu, hmat)
+        out = y if out is None else out + y
+    return out
+
+
+def same(a, b):
+    """Exact equality, also of the printed form (the coefficient fields)."""
+    return a == b and repr(a) == repr(b)
+
+
+def same_block(a, b):
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(same(x, y) for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b))
+
+
+def random_coeff(rng, d):
+    """A Laurent polynomial with negative exponents and cyclotomic
+    coefficients; now and then divided by 1 + q."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        terms[rng.randint(-2, 2)] = Cyclotomic.root_power(d, rng.randrange(d)) \
+            * rng.choice([1, -2, Fraction(1, 3)])
+    c = RatFunc(Laurent(d, terms))
+    if rng.random() < 0.2:
+        c = c / (RatFunc.one(d) + RatFunc.q(d))
+    return c if not c.is_zero() else RatFunc.one(d)
+
+
+def random_elements(rng, d, n):
+    """Several t-monomials sharing each permutation; and products with E_chi,
+    whose character coordinates cancel for all but one character."""
+    perms = all_perms(n)
+    out = []
+    for _ in range(2):
+        terms = [((tuple(rng.randrange(d) for _ in range(n)), w), random_coeff(rng, d))
+                 for w in rng.sample(perms, min(2, len(perms))) for _ in range(3)]
+        out.append(yk.YElement(d, n, terms))
+    exps = tuple(rng.randrange(d) for _ in range(n))
+    w = rng.choice(perms)
+    g = yk.YElement(d, n, {((0,) * n, w): random_coeff(rng, d)})
+    out.append(yk.E_chi(d, n, exps) * g + yk.gen_t(d, n, 1) * g - g)
+    return out
+
+
+def random_matrix(rng, mu):
+    m = coset_system(mu).m
+    young = mu.young_subgroup()
+    mat = [[yk.zero(1, mu.n) for _ in range(m)] for _ in range(m)]
+    for _ in range(3):
+        k, l = rng.randrange(m), rng.randrange(m)
+        terms = [(((0,) * mu.n, w), random_coeff(rng, mu.d))
+                 for w in rng.sample(young, min(2, len(young)))]
+        mat[k][l] = mat[k][l] + yk.YElement(1, mu.n, terms)
+    return mat
+
+
+def random_quotient_blocks(rng, d, n, kind):
+    """A block family with several basis coordinates, some in one cell."""
+    descs = iso.ftl_basis(d, n) if kind == "FTL" else iso.ctl_basis(d, n)
+    blocks = {}
+    for desc in rng.sample(descs, min(5, len(descs))):
+        for mu, block in iso.basis_blocks(desc, kind).items():
+            mine = blocks.setdefault(mu, [[{} for _ in row] for row in block])
+            for i, row in enumerate(block):
+                for j, cell in enumerate(row):
+                    for key in cell:
+                        mine[i][j][key] = random_coeff(rng, d)
+    return blocks
+
+
+ORACLE_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("d,n", ORACLE_CELLS)
+def test_psi_phi_against_reference(d, n):
+    rng = random.Random(100 * d + n)
+    for x in random_elements(rng, d, n):
+        mats = iso.psi_n(x)
+        assert list(mats) == compositions(d, n)
+        for mu in compositions(d, n):
+            want = ref_psi_mu(mu, x)
+            assert same_block(mats[mu], want)
+            assert same_block(iso.psi_mu(mu, x), want)
+        assert same(iso.phi_n(mats), ref_phi_n(mats))
+        assert iso.phi_n(mats) == x
+    for mu in compositions(d, n):
+        mat = random_matrix(rng, mu)
+        assert same(iso.phi_mu(mu, mat), ref_phi_mu(mu, mat))
+    blocks = {mu: random_matrix(rng, mu) for mu in compositions(d, n)}
+    assert same(iso.phi_n(blocks), ref_phi_n(blocks))
+
+
+@pytest.mark.parametrize("d,n", ORACLE_CELLS)
+def test_quotient_maps_against_reference(d, n):
+    rng = random.Random(100 * d + n + 1)
+    for x in random_elements(rng, d, n):
+        assert same(iso.ftl_psi(x), ref_quotient_psi(x, iso.ftl_entry))
+        assert same(iso.ctl_psi(x), ref_quotient_psi(x, iso.ctl_entry))
+    for kind, phi, coord_perm in (("FTL", iso.ftl_phi, iso.ftl_coord_perm),
+                                  ("CTL", iso.ctl_phi, iso.ctl_coord_perm)):
+        blocks = random_quotient_blocks(rng, d, n, kind)
+        assert same(phi(blocks), ref_quotient_phi(blocks, coord_perm))
 
 
 # -- rho_reduce ---------------------------------------------------------------

@@ -178,3 +178,29 @@ def test_hash_across_promotion_and_coercion(x, y, e, k):
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
+
+
+def test_laurent_rejects_coefficient_outside_its_field():
+    zeta3 = Cyclotomic.root_power(3, 1)
+    with pytest.raises(ValueError):
+        Laurent(2, {0: zeta3})
+    with pytest.raises(ValueError):
+        Laurent(2, {1: Cyclotomic.root_power(4, 1)})
+    # a coefficient of a subfield is promoted
+    assert Laurent(6, {0: zeta3}).terms[0][1].order == 6
+
+
+def test_specialize_uses_the_lcm_of_the_orders():
+    q = Laurent.q(4) * Cyclotomic.root_power(4, 1)
+    z6 = Cyclotomic.root_power(6, 1)
+    v = specialize_q(RatFunc(q), z6)
+    assert v.order == 12 and len(v.coords) == 4
+    assert v == Cyclotomic.root_power(12, 5)
+
+
+def test_times_monomial():
+    x = RatFunc(Laurent(3, {-1: 2, 2: Cyclotomic.root_power(3, 1)}),
+                Laurent(3, {0: 1, 1: 1}))
+    z = Cyclotomic.root_power(3, 2)
+    for c, e in ((1, 0), (z, 0), (1, -3), (z, 2), (Fraction(1, 9), 1)):
+        assert x.times_monomial(c, e) == x * RatFunc.from_scalar(c, 3) * RatFunc.q_power(e, 3)

@@ -73,11 +73,12 @@ def test_nonintegral_exponent_fails_integrality(monkeypatch):
     import ytl.isomaps as iso
     from ytl.scalars import NonIntegralExponent
 
-    def raising(mu, x):
+    def raising(mu, coords):
         raise NonIntegralExponent("forced")
 
     passing = {c["name"]: c for c in run_suite(1, 2, "iso")["checks"]}
-    monkeypatch.setattr(iso, "psi_mu", raising)
+    # the per-block step under psi_mu, psi_n and the quotient maps
+    monkeypatch.setattr(iso, "_psi_block", raising)
     report = run_suite(1, 2, "iso")
     checks = {c["name"]: c for c in report["checks"]}
     assert not report["ok"]

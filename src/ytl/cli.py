@@ -30,7 +30,7 @@ from .reps import rep_e, rep_g, rep_module, rep_t
 from .tableaux import (dim_CTL, dim_FTL, dim_TL, dim_Y, enumerate_d_partitions,
                        jones_pairs, standard_tableaux)
 from . import __version__, isomaps as iso
-from .verify import run_suite
+from .verify import module_relations, run_suite
 
 CONVENTION_VERSION = 1
 
@@ -140,14 +140,20 @@ def cmd_enumerate(args):
                    "pairs": [p.to_json() for p in jones_pairs(n, args.mode)]}
         payload["count"] = len(payload["pairs"])
     else:  # cosets
-        mu = Composition(tuple(args.mu)) if args.mu else None
-        mus = [mu] if mu else compositions(d, n)
+        mus = [_parse_mu(args.mu, d, n)] if args.mu else compositions(d, n)
         payload = {"cosets": [
             {"mu": list(m.parts),
              "representatives": [w.to_json() for w in coset_system(m).reps]}
             for m in mus]}
     _emit(args, payload)
     return 0
+
+
+def _parse_mu(parts, d, n):
+    if len(parts) != d or any(p < 0 for p in parts) or sum(parts) != n:
+        raise ValueError("--mu must be %d non-negative integers summing to %d: %r"
+                         % (d, n, parts))
+    return Composition(tuple(parts))
 
 
 def _parse_shape(text, d, n):
@@ -184,8 +190,7 @@ def cmd_rep(args):
         "g": {str(i): render(rep_g(module, i)) for i in range(1, n)},
         "e": {str(i): render(rep_e(module, i)) for i in range(1, n)},
     }
-    from .verify import suite_relations
-    report = suite_relations(d, n)
+    report = module_relations(d, n, [shape])
     payload["relation_check"] = {"ok": report["ok"],
                                  "checks": report["checks"]}
     _emit(args, payload)

@@ -10,7 +10,9 @@ Grammar (whitespace insensitive, left-associative):
 Evaluation produces a YElement for a fixed session (d, n). Negative
 exponents are allowed on q, on t atoms (reduced mod d), and on g atoms
 (closed-form inverse); other bases require non-negative exponents. The
-atoms e, T and E are idempotents, so any positive power is the atom.
+atoms e, T and E are idempotents, so any positive power is the atom. Powers
+of g atoms and of compound expressions run one multiplication per unit of
+the exponent, so their magnitude is bounded by MAX_LOOP_EXPONENT.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from fractions import Fraction
 from .permutations import Composition, coset_system
 from .scalars import RatFunc
 from . import yokonuma as yk
+
+
+MAX_LOOP_EXPONENT = 64
 
 
 class ParseError(Exception):
@@ -206,12 +211,19 @@ def evaluate(node, d, n):
             return _eval_atom(node.base, d, n, node.exponent)
         if node.exponent < 0:
             raise EvalError("negative exponent on a compound expression")
+        _check_loop_exponent(node.exponent)
         out = yk.unit(d, n)
         base = evaluate(node.base, d, n)
         for _ in range(node.exponent):
             out = out * base
         return out
     raise TypeError("unknown node %r" % (node,))
+
+
+def _check_loop_exponent(power):
+    if abs(power) > MAX_LOOP_EXPONENT:
+        raise EvalError("exponent %d exceeds the bound %d on powers of g atoms "
+                        "and of compound expressions" % (power, MAX_LOOP_EXPONENT))
 
 
 def _eval_atom(atom, d, n, power):
@@ -224,6 +236,7 @@ def _eval_atom(atom, d, n, power):
         if kind == "g":
             i = atom.args[0]
             base = yk.gen_g(d, n, i) if power >= 0 else yk.gen_g_inv(d, n, i)
+            _check_loop_exponent(power)
             out = yk.unit(d, n)
             for _ in range(abs(power)):
                 out = out * base

@@ -16,6 +16,12 @@ these coordinates psi is a relabelling: the coordinate of (w, k-th
 character of mu) lands in cell (k, l) of the block of mu as q^s G_u, with
 u = pi_k^-1 w pi_l. phi gathers the coordinates of all its blocks into one
 dict and transforms back once.
+
+The Temperley-Lieb reduction straightens inside the Hecke algebra: the Jones
+basis of TL_m is G_w for w fully commutative (321-avoiding), and any other
+G_w = G_x G_{s_i s_{i+1} s_i} G_y becomes minus G_x (the other five terms of
+g_{i,i+1}) G_y, shorter terms with Laurent coefficients, until only Jones
+basis elements remain. No linear algebra is involved.
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Field, invert_matrix, matrix_rank
-from .permutations import (Perm, act_on_character, compositions, coset_system,
-                           embed_word, factor_in_young)
+from .permutations import (ConsistencyError, Perm, act_on_character,
+                           compositions, coset_system, embed_word,
+                           factor_in_young)
 from .scalars import (Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc,
                       specialize_q)
 from .reps import rep_element, rep_module, quotient_shapes
-from .tableaux import (enumerate_partitions, jones_pairs, jones_permutation,
-                       jones_word, two_column)
+from .tableaux import jones_pairs, jones_permutation, jones_word
 from .yokonuma import (YElement, _acc_term, character_exponents, chi_value,
-                       zero as y_zero)
+                       g_block, g_word, zero as y_zero)
 
 
 class SingularReduction(Exception):
@@ -279,72 +285,63 @@ def phi_n(blocks):
 
 
 # ---------------------------------------------------------------------------
-# Temperley-Lieb reduction in the Jones basis
-
-
-def _two_column_shapes(m):
-    return [(p,) for p in enumerate_partitions(m) if two_column(p)]
-
-
-def _vectorize_hecke(h, m):
-    """Flatten the matrices of h over all two-column irreducibles of H_m."""
-    vec = []
-    for shape in _two_column_shapes(m):
-        mat = rep_element(rep_module(1, shape), h)
-        for row in mat:
-            vec.extend(row)
-    return vec
+# Temperley-Lieb reduction in the Jones basis, by straightening
 
 
 @lru_cache(maxsize=None)
-def _jones_solver(m):
-    """Jones pairs of TL_m and the inverse of the vectorized basis matrix."""
-    pairs = jones_pairs(m, "TL")
-    field = Field(RatFunc.zero(1), RatFunc.one(1), is_zero=lambda x: x.is_zero())
-    columns = []
-    for p in pairs:
-        w = jones_permutation(m, p)
-        columns.append(_vectorize_hecke(hecke_term(m, w, RatFunc.one(1)), m))
-    size = len(pairs)
-    if any(len(col) != size for col in columns):
-        raise SingularReduction("vectorized dimension != Catalan number at m=%d" % m)
-    matrix = [[columns[j][i] for j in range(size)] for i in range(size)]
-    inverse = invert_matrix(matrix, field)
-    if inverse is None:
-        raise SingularReduction("Jones basis images are dependent at m=%d" % m)
-    return pairs, tuple(tuple(r) for r in inverse)
+def _jones_index(m):
+    """{jones_permutation(m, p): p}: the fully commutative permutations."""
+    return {jones_permutation(m, p): p for p in jones_pairs(m, "TL")}
 
 
-def rho_reduce(h, m=None):
-    """Image of a Hecke element in the Temperley-Lieb quotient, as Jones
-    coordinates {JonesPair: coeff}."""
-    if m is None:
-        m = h.n
-    pairs, inverse = _jones_solver(m)
-    return _coordinates(pairs, inverse, _vectorize_hecke(h, m))
-
-
-def _coordinates(pairs, inverse, vec):
-    """{pair: coeff}, the nonzero entries of the rows of inverse * vec that
-    belong to the Jones pairs."""
-    out = {}
-    for i, pair in enumerate(pairs):
-        c = None
-        for j, v in enumerate(vec):
-            if v.is_zero():
-                continue
-            term = inverse[i][j] * v
-            c = term if c is None else c + term
-        if c is not None and not c.is_zero():
-            out[pair] = c
-    return out
+@lru_cache(maxsize=None)
+def _braid_split(w):
+    """(x, i, y) with w = x * s_i s_{i+1} s_i * y and the lengths adding, or
+    None when w is fully commutative: either a braid factor starts w, or it
+    sits inside s_j w for a left descent j."""
+    n, pos = w.n, w.inv().images
+    for j in (j for j in range(1, n) if pos[j - 1] > pos[j]):
+        if j < n - 1 and pos[j] > pos[j + 1]:
+            return Perm.identity(n), j, Perm.from_word(n, (j, j + 1, j)) * w
+        split = _braid_split(Perm.transposition(n, j) * w)
+        if split is not None:
+            x, i, y = split
+            return Perm.transposition(n, j) * x, i, y
+    return None
 
 
 @lru_cache(maxsize=None)
 def _rho_perm(m, w):
-    """Jones coordinates of the basis element G_w of H_m (cached)."""
-    return tuple(sorted(rho_reduce(hecke_term(m, w, RatFunc.one(1)), m).items(),
-                        key=lambda kv: (kv[0].i, kv[0].k)))
+    """Jones coordinates of G_w in TL_m (cached), by straightening. A fully
+    commutative w is a Jones basis element. Otherwise w = x s_i s_{i+1} s_i y,
+    and as g_{i,i+1} lies in the ideal, G_w is congruent to minus G_x (the
+    other five terms of g_{i,i+1}) G_y, whose terms are all shorter than w."""
+    one = RatFunc.one(1)
+    split = _braid_split(w)
+    if split is None:
+        if w not in _jones_index(m):
+            raise ConsistencyError("fully commutative %r has no Jones pair" % (w,))
+        return ((_jones_index(m)[w], one),)
+    x, i, y = split
+    others = g_block(1, m, i) - g_word(1, m, (i, i + 1, i))
+    out = {}
+    for (_, z), c in (hecke_term(m, x, one) * others * hecke_term(m, y, one)).terms:
+        for pair, pc in _rho_perm(m, z):
+            _acc_term(out, pair, -c * pc)
+    return tuple(sorted(out.items(), key=lambda kv: (kv[0].i, kv[0].k)))
+
+
+def rho_reduce(h, m=None):
+    """Image of a Hecke element in the Temperley-Lieb quotient, as Jones
+    coordinates {JonesPair: coeff}: the linear extension of the
+    straightening _rho_perm over the terms of h."""
+    if m is None:
+        m = h.n
+    out = {}
+    for (_, w), c in h.terms:
+        for pair, pc in _rho_perm(m, w):
+            _acc_term(out, pair, c * pc)
+    return out
 
 
 def _flat_hecke(x, index):
@@ -391,7 +388,12 @@ def rho_bruteforce(h, m):
     """Oracle: reduce h modulo the span of {G_x * G_{1,2} * G_y}: express h
     as Jones combination + ideal element by solving the cached square system."""
     pairs, index, inverse = _bruteforce_solver(m)
-    return _coordinates(pairs, inverse, _flat_hecke(h, index))
+    vec = _flat_hecke(h, index)
+    out = {}
+    for pair, row in zip(pairs, inverse):
+        for r, v in zip(row, vec):
+            _acc_term(out, pair, r * v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +404,10 @@ def ftl_entry(mu, hecke):
     """Jones-coordinate tensor for one matrix entry: {(b_1..b_d): coeff}."""
     out = {}
     for (_, w), c in hecke.terms:
-        locals_ = factor_in_young(mu, w)
-        factors = []
-        for part, wloc in zip(mu.parts, locals_):
-            factors.append(_rho_perm(part, wloc))
         # outer product across tensor factors
         acc = {(): c}
-        for coords in factors:
+        for part, wloc in zip(mu.parts, factor_in_young(mu, w)):
+            coords = _rho_perm(part, wloc)
             nxt = {}
             for key, cv in acc.items():
                 for pair, pc in coords:

@@ -77,11 +77,16 @@ def _matrices_equal(a, b):
 
 def suite_relations(d, n, seed=0):
     """Defining relations as matrix identities on every irreducible."""
+    return module_relations(d, n, enumerate_d_partitions(d, n), seed)
+
+
+def module_relations(d, n, shapes, seed=0):
+    """The relations report over the irreducibles of the given shapes; the
+    instance counts are summed over those modules."""
     report = _new_report(d, n, "relations", seed)
     q = RatFunc.q(d)
     one = RatFunc.one(d)
     z = RatFunc.zero(d)
-    shapes = enumerate_d_partitions(d, n)
     braid = framing = quad = torsion = diag = hecke = 0
     ok_braid = ok_frame = ok_quad = ok_diag = ok_hecke = True
     for shape in shapes:

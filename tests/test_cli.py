@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import time
 
 import pytest
 
@@ -54,6 +55,33 @@ def test_rep_command(capsys):
     code, payload = run(capsys, "--no-cache", "rep", "-d", "2", "-n", "2",
                         "--shape", "[[3]]")
     assert code == 2 and "error" in payload
+
+
+def test_rep_checks_only_its_module(capsys):
+    # one module of S_3: one braid relation, 3 + 6 + 3 framing and torsion
+    # relations, 2 x 2 quadratic, 2 + 3 diagonal and 2 seminormal checks
+    code, payload = run(capsys, "--no-cache", "rep", "-d", "1", "-n", "3",
+                        "--shape", "[[2,1]]")
+    assert code == 0 and payload["relation_check"]["ok"]
+    counts = {c["name"]: c["instances"] for c in payload["relation_check"]["checks"]}
+    assert counts == {"braid_relations": 1, "framing_relations": 12,
+                      "quadratic_relation": 4, "diagonal_actions": 5,
+                      "hecke_seminormal_match": 2}
+
+
+@pytest.mark.parametrize("mu", [["5", "-1"], ["1", "1", "1"], ["1", "1"]])
+def test_bad_mu_is_a_usage_error(capsys, mu):
+    code, payload = run(capsys, "--no-cache", "enumerate", "cosets",
+                        "-d", "2", "-n", "3", "--mu", *mu)
+    assert code == 2 and "--mu" in payload["error"]
+
+
+@pytest.mark.parametrize("expr", ["g1^100000", "g1^-100000", "(g1*g2)^100000"])
+def test_unbounded_powers_are_usage_errors(capsys, expr):
+    start = time.monotonic()
+    code, payload = run(capsys, "--no-cache", "mul", "-d", "2", "-n", "3", expr)
+    assert code == 2 and "bound" in payload["error"]
+    assert time.monotonic() - start < 1.0
 
 
 def test_mul_command(capsys):

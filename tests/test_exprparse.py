@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ytl.exprparse import (Atom, BinOp, EvalError, ParseError, Power, Rational,
-                           parse, parse_and_evaluate)
+from ytl.exprparse import (MAX_LOOP_EXPONENT, Atom, BinOp, EvalError, ParseError,
+                           Power, Rational, parse, parse_and_evaluate)
 from ytl.scalars import RatFunc
 from ytl import yokonuma as yk
 
@@ -89,6 +89,24 @@ def test_idempotent_atoms_large_powers():
     assert parse_and_evaluate("T2^1000000", d, n) == yk.T(d, n, 2)
     assert parse_and_evaluate("e1^0", d, n) == yk.unit(d, n)
     assert time.monotonic() - start < 1.0
+
+
+def test_loop_exponents_are_bounded():
+    for text in ("g1^100000", "g1^-100000", "(g1*g2)^100000",
+                 "g1^%d" % (MAX_LOOP_EXPONENT + 1), "(1*g1)^%d" % (MAX_LOOP_EXPONENT + 1)):
+        start = time.monotonic()
+        with pytest.raises(EvalError, match="bound %d" % MAX_LOOP_EXPONENT):
+            parse_and_evaluate(text, 2, 3)
+        assert time.monotonic() - start < 1.0
+
+
+def test_power_at_the_bound_is_the_repeated_product():
+    d, n, k = 2, 2, MAX_LOOP_EXPONENT
+    want = parse_and_evaluate("*".join(["g1"] * k), d, n)
+    assert parse_and_evaluate("g1^%d" % k, d, n) == want
+    assert parse_and_evaluate("(1*g1)^%d" % k, d, n) == want
+    assert parse_and_evaluate("g1^-%d" % k, d, n) \
+        == parse_and_evaluate("*".join(["g1^-1"] * k), d, n)
 
 
 @pytest.mark.parametrize("text", [

@@ -5,13 +5,15 @@ import pytest
 
 from fractions import Fraction
 
-from ytl.permutations import (Composition, Perm, act_on_character, all_perms,
-                              compositions, coset_system)
+from ytl.permutations import (Composition, ConsistencyError, Perm,
+                              act_on_character, all_perms, compositions,
+                              coset_system)
 from ytl.scalars import Cyclotomic, Laurent, RatFunc, as_ratfunc
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
-from ytl.reps import ideal_membership
-from ytl.tableaux import dim_CTL, dim_FTL
+from ytl.reps import ideal_membership, rep_element, rep_module
+from ytl.tableaux import (dim_CTL, dim_FTL, enumerate_partitions, jones_pairs,
+                          jones_permutation, two_column)
 
 
 def basis_elem(d, n, a, w):
@@ -345,11 +347,7 @@ def test_rho_is_multiplicative_mod_kernel():
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_rho_against_bruteforce(m):
-    rng = random.Random(m)
-    perms = all_perms(m)
-    sample = [perms[rng.randrange(len(perms))] for _ in range(6)]
-    sample.append(Perm((tuple(range(m, 0, -1)))))  # longest element
-    for w in sample:
+    for w in all_perms(m):
         h = iso.hecke_term(m, w, RatFunc.one(1))
         assert iso.rho_reduce(h) == iso.rho_bruteforce(h, m)
     # and one non-basis combination
@@ -357,10 +355,64 @@ def test_rho_against_bruteforce(m):
     assert iso.rho_reduce(combo) == iso.rho_bruteforce(combo, m)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_braid_split(m):
+    """None exactly on the Jones permutations; otherwise a factorisation
+    x * s_i s_{i+1} s_i * y with the lengths adding."""
+    jones = {jones_permutation(m, p) for p in jones_pairs(m, "TL")}
+    for w in all_perms(m):
+        split = iso._braid_split(w)
+        assert (split is None) == (w in jones)
+        if split is not None:
+            x, i, y = split
+            assert x * Perm.from_word(m, (i, i + 1, i)) * y == w
+            assert x.length() + 3 + y.length() == w.length()
+
+
+def two_column_images(h, m):
+    return [rep_element(rep_module(1, (p,)), h)
+            for p in enumerate_partitions(m) if two_column(p)]
+
+
+def test_rho_against_seminormal_images():
+    # TL_5 acts faithfully on the two-column irreducibles, so G_w and its
+    # Jones combination must have the same matrices there
+    m = 5
+    perms = all_perms(m)
+    sample = random.Random(5).sample(perms, 10) + [perms[-1]]  # and w0
+    for w in sample:
+        g_w = iso.hecke_term(m, w, RatFunc.one(1))
+        combo = yk.zero(1, m)
+        for pair, c in iso.rho_reduce(g_w).items():
+            combo = combo + iso.hecke_term(m, jones_permutation(m, pair), c)
+        assert two_column_images(g_w, m) == two_column_images(combo, m)
+
+
+def test_rho_kills_the_ideal():
+    m = 5
+    rng = random.Random(11)
+    perms = all_perms(m)
+    for _ in range(6):
+        x, y = rng.choice(perms), rng.choice(perms)
+        h = iso.hecke_term(m, x, RatFunc.one(1)) * yk.g_block(1, m, rng.randint(1, m - 2)) \
+            * iso.hecke_term(m, y, RatFunc.one(1))
+        assert iso.rho_reduce(h) == {}
+
+
+def test_fully_commutative_without_jones_pair_is_inconsistent(monkeypatch):
+    full = iso._jones_index(3)
+    w = Perm.from_word(3, (1, 2))
+    monkeypatch.setattr(iso, "_jones_index",
+                        lambda m: {v: p for v, p in full.items() if v != w})
+    assert iso._rho_perm.__wrapped__(3, Perm.identity(3))
+    with pytest.raises(ConsistencyError):
+        iso._rho_perm.__wrapped__(3, w)
+
+
 # -- quotient maps -------------------------------------------------------------
 
 def test_quotient_maps_kill_generators():
-    for d, n in [(2, 3), (3, 3), (2, 4)]:
+    for d, n in [(2, 3), (3, 3), (2, 4), (2, 5)]:
         assert iso.blocks_is_zero(iso.ftl_psi(yk.ftl_generator(d, n)))
         assert iso.blocks_is_zero(iso.ctl_psi(yk.ctl_generator(d, n)))
     assert not iso.blocks_is_zero(iso.ctl_psi(yk.ftl_generator(2, 3)))
@@ -412,6 +464,18 @@ def test_basis_counts():
     for d, n in [(2, 3), (3, 3)]:
         assert len(iso.ftl_basis(d, n)) == dim_FTL(d, n)
         assert len(iso.ctl_basis(d, n)) == dim_CTL(d, n)
+
+
+@pytest.mark.parametrize("d,n,size", [(1, 5, None), (1, 6, None), (2, 5, 60)])
+def test_basis_round_trip_reach(d, n, size):
+    """psi(phi(B)) == B on every basis block family, or a seeded sample."""
+    rng = random.Random(10 * d + n)
+    for kind, psi, phi, basis in (("FTL", iso.ftl_psi, iso.ftl_phi, iso.ftl_basis),
+                                  ("CTL", iso.ctl_psi, iso.ctl_phi, iso.ctl_basis)):
+        descs = basis(d, n)
+        for desc in descs if size is None else rng.sample(descs, size):
+            blocks = iso.basis_blocks(desc, kind)
+            assert iso.blocks_equal(psi(phi(blocks)), blocks)
 
 
 def test_basis_round_trip_and_independence():

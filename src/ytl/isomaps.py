@@ -14,8 +14,10 @@ transform over (Z/d)^n, n passes of size d per permutation w, computes them;
 the same transform with inverse roots and the factor d^-n goes back. In
 these coordinates psi is a relabelling: the coordinate of (w, k-th
 character of mu) lands in cell (k, l) of the block of mu as q^s G_u, with
-u = pi_k^-1 w pi_l. phi gathers the coordinates of all its blocks into one
-dict and transforms back once.
+u = pi_k^-1 w pi_l. psi_mu needs only the m characters of its block and
+sums those coordinates directly instead of running the whole transform.
+phi gathers the coordinates of all its blocks into one dict and transforms
+back once.
 
 The Temperley-Lieb reduction straightens inside the Hecke algebra: the Jones
 basis of TL_m is G_w for w fully commutative (321-avoiding), and any other
@@ -35,7 +37,7 @@ from .permutations import (ConsistencyError, Perm, act_on_character,
                            factor_in_young)
 from .scalars import (Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc,
                       specialize_q)
-from .reps import rep_element, rep_module, quotient_shapes
+from .reps import character_sum, rep_element, rep_module, quotient_shapes
 from .tableaux import jones_pairs, jones_permutation, jones_word
 from .yokonuma import (YElement, _acc_term, character_exponents, chi_value,
                        g_block, g_word, zero as y_zero)
@@ -219,13 +221,30 @@ def _psi_block(mu, coords):
     return [[YElement(1, n, cell) for cell in row] for row in cells]
 
 
+def _block_coords(mu, x):
+    """The character coordinates of x on the m characters of mu's block
+    only, each summed directly: c_{w,chi} = sum_a x[t^a g_w] chi(t^a). Keys
+    as in _character_coords."""
+    by_w = {}
+    for (tmon, w), c in x.terms:
+        by_w.setdefault(w, []).append((tmon, c))
+    coords = {}
+    for w, terms in by_w.items():
+        cell = coords[w] = {}
+        for char in block_characters(mu):
+            c = character_sum(x.d, terms, char.exps)
+            if not c.is_zero():
+                cell[char.exps] = c
+    return coords
+
+
 def psi_mu(mu, x):
     """The block image of x (implicitly of E_mu * x): an m x m matrix of
     Hecke elements supported in the Young subgroup. Entries are integral in
     q; an odd half-step count raises NonIntegralExponent."""
     if x.d != mu.d or x.n != mu.n:
         raise ValueError("algebra parameter mismatch")
-    return _psi_block(mu, _character_coords(x))
+    return _psi_block(mu, _block_coords(mu, x))
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,9 @@ def mat_mul(a, b, zero):
                 continue
             brow = b[k]
             for j in range(cols):
-                orow[j] = orow[j] + aik * brow[j]
+                bkj = brow[j]
+                if bkj != zero:
+                    orow[j] = orow[j] + aik * bkj
     return out
 
 

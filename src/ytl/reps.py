@@ -2,15 +2,27 @@
 for t_j, g_i, e_i over the rational-function field, evaluation of algebra
 elements, quotient admissibility checks, and the representation-based
 ideal-membership oracle.
+
+Evaluation shares one accumulation, _entry_buckets. The terms of x are
+grouped by permutation w: t^a acts on the row of a tableau by a root of
+unity, so the coefficients of one w fold into one scalar s per (w, row),
+a character sum (character_sum, which psi_mu shares).
+Each entry is then a sum of s * g over w, g the cached entry of g_w; the
+products s.num * g.num are added in plain Laurent arithmetic, one sum per
+denominator s.den * g.den. rep_element normalises the few (denominator,
+numerator) buckets of an entry once; the zero tests behind ideal_membership
+and passes_to_quotient read a single bucket off its numerator and combine
+only entries with several buckets.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .linalg import identity_matrix, mat_mul
 from .permutations import ConsistencyError
-from .scalars import Cyclotomic, RatFunc, root_of_unity
+from .scalars import Cyclotomic, Laurent, RatFunc, root_of_unity
 from .tableaux import (ctl_admissible, enumerate_d_partitions, ftl_admissible,
                        standard_tableaux)
 from .yokonuma import ctl_generator, ftl_generator
@@ -118,27 +130,121 @@ def _rep_word_cached(d, shape, w):
     return tuple(tuple(r) for r in prod)
 
 
-def rep_element(module, x):
-    """Matrix of a general algebra element: sum of coeff * t-part * g-part."""
+@lru_cache(maxsize=None)
+def _row_components(d, shape):
+    """Per basis tableau, the component index minus one of entries 1..n:
+    t^a acts on that row by zeta_d^(a . components)."""
+    return tuple(tuple(tab.position(j) - 1 for j in range(1, tab.n + 1))
+                 for tab in rep_module(d, shape).basis)
+
+
+def _entry_buckets(module, x):
+    """{(row, col): {den: num}}: the matrix of x with each entry kept as
+    sum num / den over its buckets. A row scalar s of w meets the entry g of
+    g_w in the bucket of s.den * g.den (g.den when s is Laurent), whose
+    numerator sums s.num * g.num. A zero s is skipped unless it lies in a
+    larger field than Q(zeta_d): the entry keeps that field, as a sum of
+    RatFuncs would."""
     d = module.d
     if x.d != d or x.n != module.n:
         raise ValueError("algebra parameter mismatch")
-    dim = module.dim
-    out = _zero_matrix(dim, d)
+    by_w = {}
     for (tmon, w), c in x.terms:
+        by_w.setdefault(w, []).append((tmon, c))
+    components = _row_components(d, module.shape)
+    out = {}
+    for w, terms in by_w.items():
         gmat = _rep_word_cached(d, module.shape, w)
-        # t^tmon is diagonal: scale row of the output by the root at the
-        # row's tableau (t acts after g in the product t^a g_w)
-        for row in range(dim):
-            tab = module.basis[row]
-            phase = sum(tmon[j - 1] * (tab.position(j) - 1) for j in range(1, module.n + 1))
-            scale = c * RatFunc.from_scalar(Cyclotomic.root_power(d, phase % d), d)
-            grow = gmat[row]
-            orow = out[row]
-            for col in range(dim):
-                if not grow[col].is_zero():
-                    orow[col] = orow[col] + scale * grow[col]
+        scalars = {}  # rows with the same components share their scalar
+        for row, comps in enumerate(components):
+            s = scalars.get(comps)
+            if s is None:
+                s = scalars[comps] = character_sum(d, terms, comps)
+            if s.is_zero() and s.order == d:
+                continue
+            unit_den = s.den.is_one()
+            for col, g in enumerate(gmat[row]):
+                if g.is_zero():
+                    continue
+                den = g.den if unit_den else s.den * g.den
+                bucket = out.setdefault((row, col), {})
+                num = bucket.get(den)
+                if num is None:
+                    num = bucket[den] = {}
+                for e1, c1 in s.num.terms:
+                    for e2, c2 in g.num.terms:
+                        e = e1 + e2
+                        num[e] = num[e] + c1 * c2 if e in num else c1 * c2
+    return {key: {den: _laurent(d, num) for den, num in bucket.items()}
+            for key, bucket in out.items()}
+
+
+def character_sum(d, terms, exps):
+    """sum c * chi(t^a) over the terms (a, c), chi(t^a) = zeta_d^(a . exps),
+    as a RatFunc in a field holding Q(zeta_d) and every c. Numerators are
+    summed per (denominator, phase) and multiplied by their root once; each
+    denominator's sum is normalised once."""
+    parts = {}
+    for tmon, c in terms:
+        phase = sum(a * p for a, p in zip(tmon, exps)) % d
+        part = parts.setdefault((None if c.den.is_one() else c.den, phase), {})
+        for e, v in c.num.terms:
+            part[e] = part[e] + v if e in part else v
+    nums = {}
+    for (den, phase), part in parts.items():
+        num = nums.setdefault(den, {})
+        root = Cyclotomic.root_power(d, phase)
+        for e, v in part.items():
+            if phase:
+                v = v * root
+            num[e] = num[e] + v if e in num else v
+    return _bucket_sum({den: _laurent(d, num) for den, num in nums.items()})
+
+
+def _laurent(d, terms):
+    """The Laurent polynomial of {exponent: coefficient}, in the smallest
+    field holding Q(zeta_d) and every coefficient (zeros included)."""
+    return Laurent(lcm(d, *(c.order for c in terms.values())), terms)
+
+
+def _bucket_sum(bucket):
+    """sum num / den over the buckets {den: num}, each normalised once (a
+    den of None stands for 1)."""
+    out = None
+    for den, num in bucket.items():
+        part = RatFunc(num, den)
+        out = part if out is None else out + part
     return out
+
+
+def rep_element(module, x):
+    """Matrix of a general algebra element: sum of coeff * t-part * g-part.
+    Each entry is built once from its (denominator, numerator) buckets."""
+    out = _zero_matrix(module.dim, module.d)
+    for (row, col), bucket in _entry_buckets(module, x).items():
+        out[row][col] = _bucket_sum(bucket)
+    return out
+
+
+def _bucket_is_zero(bucket):
+    """Whether sum num/den over the buckets vanishes. A single nonzero
+    numerator decides it; several are brought to one denominator in
+    Laurent arithmetic, without any gcd."""
+    parts = [(num, den) for den, num in bucket.items() if not num.is_zero()]
+    if len(parts) < 2:
+        return not parts
+    total = None
+    for i, (num, _) in enumerate(parts):
+        for j, (_, den) in enumerate(parts):
+            if j != i:
+                num = num * den
+        total = num if total is None else total + num
+    return total.is_zero()
+
+
+def _annihilates(module, x):
+    """Whether x acts as zero on the module."""
+    return all(_bucket_is_zero(b) for b in _entry_buckets(module, x).values())
 
 
 def is_zero_matrix(mat):
@@ -162,8 +268,7 @@ def passes_to_quotient(d, shape, which):
         # the ideal is zero for n <= 2: every module passes
         annihilates = True
     else:
-        module = rep_module(d, shape)
-        annihilates = is_zero_matrix(rep_element(module, gen(d, n)))
+        annihilates = _annihilates(rep_module(d, shape), gen(d, n))
     if combinatorial != annihilates:
         raise ConsistencyError(
             "admissibility predicate disagrees with generator annihilation "
@@ -184,16 +289,6 @@ def quotient_shapes(d, n, which):
 def ideal_membership(x, which):
     """True iff x maps to zero in every irreducible that passes to the
     quotient; by semisimplicity this is membership in the defining ideal."""
-    for shape in quotient_shapes(x.d, x.n, which):
-        if not is_zero_matrix(rep_element(rep_module(x.d, shape), x)):
-            return False
-    return True
+    return all(_annihilates(rep_module(x.d, shape), x)
+               for shape in quotient_shapes(x.d, x.n, which))
 
-
-def element_is_zero(x):
-    """Faithfulness oracle: x = 0 iff all irreducibles kill it. (Terms are
-    canonical, so this is also just x.is_zero(); kept as a cross-check.)"""
-    for shape in enumerate_d_partitions(x.d, x.n):
-        if not is_zero_matrix(rep_element(rep_module(x.d, shape), x)):
-            return False
-    return True

@@ -85,7 +85,7 @@ class Cyclotomic:
 
     def __init__(self, order, coords):
         deg = len(cyclotomic_polynomial(order)) - 1
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(coords) != deg:
             raise ValueError("expected %d coordinates for order %d" % (deg, order))
         object.__setattr__(self, "order", order)
@@ -306,7 +306,7 @@ class Laurent:
     """Laurent polynomial in q with integer exponents over a cyclotomic
     field: sorted (exponent, coefficient) terms, no zero coefficients."""
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "terms", "_hash")
 
     def __init__(self, order, terms):
         clean = {}
@@ -433,10 +433,18 @@ class Laurent:
         return a.terms == b.terms
 
     def __hash__(self):
-        # a constant hashes as its coefficient, so it agrees with ints
+        # computed once: denominators are dict keys in the representation
+        # code. A constant hashes as its coefficient, so it agrees with ints
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         if all(e == 0 for e, _ in self.terms):
-            return hash(self.constant())
-        return hash(self.terms)
+            h = hash(self.constant())
+        else:
+            h = hash(self.terms)
+        object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return "Laurent(%s)" % self.pretty()

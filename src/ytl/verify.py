@@ -213,27 +213,38 @@ def suite_idempotents(d, n, seed=0):
     return report
 
 
+def _membership_check(report, name, cases):
+    """One check over (label, x, which, member) cases: x is expected in the
+    ideal of the quotient `which` exactly when member is True. The detail
+    names the first case that disagrees."""
+    detail = ""
+    for label, x, which, member in cases:
+        if ideal_membership(x, which) != member and not detail:
+            detail = "%s is %sin the %s ideal" % (label, "not " if member else "", which)
+    _check(report, name, len(cases), not detail, detail)
+
+
 def suite_quotients(d, n, seed=0):
     report = _new_report(d, n, "quotients", seed)
     shapes = enumerate_d_partitions(d, n)
-    ok = True
+    detail = ""
     for shape in shapes:
         try:
             passes_to_quotient(d, shape, "FTL")
             passes_to_quotient(d, shape, "CTL")
-        except ConsistencyError:
-            ok = False
-    _check(report, "two_column_vs_annihilation", 2 * len(shapes), ok)
+        except ConsistencyError as exc:
+            detail = detail or str(exc)
+    _check(report, "two_column_vs_annihilation", 2 * len(shapes), not detail, detail)
     if n >= 3:
-        _check(report, "ftl_generator_in_ideal", 1,
-               ideal_membership(yk.ftl_generator(d, n), "FTL"))
-        _check(report, "ctl_generator_in_ideal", 1,
-               ideal_membership(yk.ctl_generator(d, n), "CTL"))
-        _check(report, "ctl_ideal_contains_ftl_generator_image", 1,
-               ideal_membership(yk.ctl_generator(d, n), "FTL"))
-        _check(report, "unit_not_in_ideal", 2,
-               not ideal_membership(yk.unit(d, n), "FTL")
-               and not ideal_membership(yk.unit(d, n), "CTL"))
+        ftl = ("ftl_generator(%d, %d)" % (d, n), yk.ftl_generator(d, n))
+        ctl = ("ctl_generator(%d, %d)" % (d, n), yk.ctl_generator(d, n))
+        unit = ("unit(%d, %d)" % (d, n), yk.unit(d, n))
+        _membership_check(report, "ftl_generator_in_ideal", [ftl + ("FTL", True)])
+        _membership_check(report, "ctl_generator_in_ideal", [ctl + ("CTL", True)])
+        _membership_check(report, "ctl_ideal_contains_ftl_generator_image",
+                          [ctl + ("FTL", True)])
+        _membership_check(report, "unit_not_in_ideal",
+                          [unit + ("FTL", False), unit + ("CTL", False)])
     return report
 
 
@@ -319,15 +330,23 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
             blocks = images(psi, gen(d, n))
             kills[name] = blocks is not None and iso.blocks_is_zero(blocks)
         # quotient round trips on random standard-basis elements
-        ok_rt = True
+        rt_detail = ""
         rt_cnt = 0
         rounds = 10 if d ** n * factorial(n) > 100 else 20
         for _ in range(rounds):
             x = _random_basis_element(d, n, rng)
+            ((a, w), _), = x.terms
             for psi, phi, which in ((iso.ftl_psi, iso.ftl_phi, "FTL"),
                                     (iso.ctl_psi, iso.ctl_phi, "CTL")):
                 back = images(lambda: phi(psi(x)))
-                ok_rt &= back is not None and ideal_membership(back - x, which)
+                if back is None:
+                    failure = "raised NonIntegralExponent"
+                elif not ideal_membership(back - x, which):
+                    failure = "is not congruent to it modulo the ideal"
+                else:
+                    continue
+                rt_detail = rt_detail or "%s round trip of t^%s g_%s %s" % (
+                    which, list(a), list(w.images), failure)
             rt_cnt += 2
     # every psi image above has been computed before this check is reported
     _check(report, "integrality_of_images", hom_cnt, not nonintegral,
@@ -336,7 +355,7 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
     if n >= 3:
         _check(report, "ftl_psi_kills_generator", 1, kills["ftl"])
         _check(report, "ctl_psi_kills_generator", 1, kills["ctl"])
-        _check(report, "quotient_round_trips_mod_ideal", rt_cnt, ok_rt)
+        _check(report, "quotient_round_trips_mod_ideal", rt_cnt, not rt_detail, rt_detail)
     # basis counts
     _check(report, "ftl_basis_count", 1,
            len(iso.ftl_basis(d, n)) == dim_FTL(d, n))

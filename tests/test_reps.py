@@ -3,13 +3,14 @@ import random
 import pytest
 
 from ytl.linalg import mat_mul
-from ytl.permutations import all_perms
+from ytl.permutations import Perm, all_perms
 from ytl.scalars import Cyclotomic, RatFunc, root_of_unity
 from ytl.tableaux import enumerate_d_partitions
+from ytl import isomaps as iso
 from ytl import yokonuma as yk
-from ytl.reps import (element_is_zero, ideal_membership, is_zero_matrix,
-                      passes_to_quotient, rep_e, rep_element, rep_g,
-                      rep_module, rep_t)
+from ytl.reps import (_entry_buckets, _rep_word_cached, ideal_membership,
+                      is_zero_matrix, passes_to_quotient, quotient_shapes,
+                      rep_e, rep_element, rep_g, rep_module, rep_t)
 from ytl.verify import suite_relations
 
 
@@ -94,15 +95,21 @@ def test_ideal_membership():
 
 
 def test_faithfulness_on_random_elements():
+    # x = 0 iff every irreducible kills it
     rng = random.Random(11)
     d, n = 2, 3
     perms = all_perms(n)
+    shapes = enumerate_d_partitions(d, n)
+
+    def killed(x):
+        return all(is_zero_matrix(rep_element(rep_module(d, s), x)) for s in shapes)
+
     for _ in range(10):
         a = tuple(rng.randrange(d) for _ in range(n))
         w = perms[rng.randrange(len(perms))]
         x = yk.YElement(d, n, {(a, w): RatFunc.one(d)})
-        assert not element_is_zero(x)
-    assert element_is_zero(yk.zero(d, n))
+        assert not killed(x)
+    assert killed(yk.zero(d, n))
 
 
 def test_pairwise_distinct_characters():
@@ -131,3 +138,195 @@ def test_sum_rule():
     for d, n in [(2, 3), (3, 3), (2, 4)]:
         assert sum(rep_module(d, s).dim ** 2
                    for s in enumerate_d_partitions(d, n)) == d ** n * factorial(n)
+
+
+# -- the per-term evaluation as an oracle ------------------------------------
+
+
+def ref_rep_element(module, x):
+    """Reference evaluation: one RatFunc product and sum per (term, row,
+    col), the t-part scaling each row by its root of unity."""
+    d = module.d
+    dim = module.dim
+    out = [[RatFunc.zero(d) for _ in range(dim)] for _ in range(dim)]
+    for (tmon, w), c in x.terms:
+        gmat = _rep_word_cached(d, module.shape, w)
+        for row in range(dim):
+            tab = module.basis[row]
+            phase = sum(tmon[j - 1] * (tab.position(j) - 1)
+                        for j in range(1, module.n + 1))
+            scale = c * RatFunc.from_scalar(Cyclotomic.root_power(d, phase % d), d)
+            for col in range(dim):
+                if not gmat[row][col].is_zero():
+                    out[row][col] = out[row][col] + scale * gmat[row][col]
+    return out
+
+
+def ref_ideal_membership(x, which):
+    return all(is_zero_matrix(ref_rep_element(rep_module(x.d, shape), x))
+               for shape in quotient_shapes(x.d, x.n, which))
+
+
+def _coeff(rng, d):
+    """c q^e with e in -2..2, divided by 1 + q one time in three."""
+    c = RatFunc.from_scalar(rng.choice((-3, -2, -1, 1, 2, 5)), d) \
+        * RatFunc.q_power(rng.randint(-2, 2), d)
+    if rng.randrange(3) == 0:
+        c = c / (RatFunc.one(d) + RatFunc.q(d))
+    return c
+
+
+def _words(n):
+    """The permutations the oracle elements use: all of them up to n = 4,
+    at n = 5 a fixed handful (their seminormal matrices fill quickly)."""
+    if n < 5:
+        return all_perms(n)
+    return [Perm.identity(5), Perm.from_word(5, (2,)), Perm.from_word(5, (1, 3)),
+            Perm.from_word(5, (2, 3, 2)), Perm.from_word(5, (4, 3, 1, 2))]
+
+
+def _row_cancelling(d, n, w, c):
+    """c (1 + t_1 + ... + t_1^(d-1)) g_w: on every row whose entry 1 is not
+    in the first component the t-monomials of w sum to zero."""
+    return yk.YElement(d, n, {((a,) + (0,) * (n - 1), w): c for a in range(d)})
+
+
+def _two_bucket_cancelling(d, n, shape, words):
+    """(x, (row, col)) with x = k1 g_w1 + k2 g_w2 for Laurent k1 = A2 D1 and
+    k2 = -A1 D2, where entry (row, col) of g_wi is Ai / Di: the entry of x is
+    A1 A2 - A1 A2 = 0, summed from two buckets with the distinct
+    denominators D1 and D2. None if no entry has two denominators among the
+    words."""
+    module = rep_module(d, shape)
+    for row in range(module.dim):
+        for col in range(module.dim):
+            by_den = {}
+            for w in words:
+                g = _rep_word_cached(d, shape, w)[row][col]
+                if not g.is_zero():
+                    by_den.setdefault(g.den, (w, g))
+            if len(by_den) >= 2:
+                (w1, g1), (w2, g2) = list(by_den.values())[:2]
+                zero_t = (0,) * n
+                x = yk.YElement(d, n, {
+                    (zero_t, w1): RatFunc(g2.num * g1.den),
+                    (zero_t, w2): RatFunc(-(g1.num * g2.den))})
+                return x, (row, col)
+    return None
+
+
+def oracle_elements(rng, d, n):
+    words = _words(n)
+    out = []
+    for _ in range(3):
+        terms = {}
+        for _ in range(5):
+            a = tuple(rng.randrange(d) for _ in range(n))
+            terms[(a, rng.choice(words))] = _coeff(rng, d)
+        # several t-monomials on one permutation
+        w = rng.choice(words)
+        for a in range(d):
+            terms[((a,) * n, w)] = _coeff(rng, d)
+        out.append(yk.YElement(d, n, terms))
+    if d > 1:
+        out.append(_row_cancelling(d, n, rng.choice(words), _coeff(rng, d))
+                   + yk.YElement(d, n, {((1,) * n, rng.choice(words)): _coeff(rng, d)}))
+    return out
+
+
+REP_ORACLE_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (1, 5)]
+
+
+def same(a, b):
+    return a == b and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("d,n", REP_ORACLE_CELLS)
+def test_rep_element_against_reference(d, n):
+    rng = random.Random(10 * d + n)
+    elements = oracle_elements(rng, d, n)
+    two_buckets = 0
+    for shape in enumerate_d_partitions(d, n):
+        module = rep_module(d, shape)
+        for x in elements:
+            assert same(rep_element(module, x), ref_rep_element(module, x)), shape
+        found = _two_bucket_cancelling(d, n, shape, _words(n))
+        if found is not None:
+            x, (row, col) = found
+            buckets = _entry_buckets(module, x)[(row, col)]
+            assert sum(not num.is_zero() for num in buckets.values()) == 2
+            mat = rep_element(module, x)
+            assert mat[row][col].is_zero()
+            assert same(mat, ref_rep_element(module, x))
+            two_buckets += 1
+    # at n = 2 every seminormal entry is a Laurent polynomial
+    assert two_buckets or n == 2, "no entry with two denominators at (%d,%d)" % (d, n)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3)])
+def test_row_scalar_cancels(d, n):
+    # on rows whose entry 1 lies outside the first component the row vanishes
+    w = Perm.from_word(n, (1, 2))
+    x = _row_cancelling(d, n, w, RatFunc.from_scalar(3, d))
+    cancelled = 0
+    for shape in enumerate_d_partitions(d, n):
+        module = rep_module(d, shape)
+        mat = rep_element(module, x)
+        assert same(mat, ref_rep_element(module, x))
+        for row, tab in enumerate(module.basis):
+            if tab.position(1) != 1:
+                assert all(e.is_zero() for e in mat[row])
+                cancelled += 1
+    assert cancelled
+
+
+MEMBERSHIP_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (1, 5)]
+
+
+@pytest.mark.parametrize("d,n", MEMBERSHIP_CELLS)
+def test_ideal_membership_against_reference(d, n):
+    rng = random.Random(20 * d + n)
+    words = _words(n)
+    quotients = ("FTL",) if (d, n) == (3, 3) else ("FTL", "CTL")
+    several = 0
+
+    def basis(w):
+        a = tuple(rng.randrange(d) for _ in range(n))
+        return yk.YElement(d, n, {(a, w): _coeff(rng, d)})
+
+    for which in quotients:
+        gen = (yk.ftl_generator if which == "FTL" else yk.ctl_generator)(d, n) \
+            if n >= 3 else None
+        cases = []
+        if gen is not None:
+            for _ in range(1 if (d, n) == (3, 3) else 2):
+                cases.append((basis(rng.choice(words)) * gen * basis(rng.choice(words)), True))
+        for x in (yk.unit(d, n), yk.gen_g(d, n, 1), yk.gen_t(d, n, n)):
+            cases.append((x.scale(_coeff(rng, d)), None))
+        for x, member in cases:
+            got = ideal_membership(x, which)
+            assert got == ref_ideal_membership(x, which)
+            if member is not None:
+                assert got is member
+            for shape in quotient_shapes(d, n, which):
+                several += any(sum(not v.is_zero() for v in bucket.values()) > 1
+                               for bucket in _entry_buckets(rep_module(d, shape), x).values())
+    if n >= 3:
+        # members are zero through entries with several denominators
+        assert several
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (1, 4)])
+def test_round_trip_membership_against_reference(d, n):
+    rng = random.Random(30 * d + n)
+    perms = all_perms(n)
+    for _ in range(3):
+        a = tuple(rng.randrange(d) for _ in range(n))
+        x = yk.YElement(d, n, {(a, rng.choice(perms)): _coeff(rng, d)})
+        for psi, phi, which in ((iso.ftl_psi, iso.ftl_phi, "FTL"),
+                                (iso.ctl_psi, iso.ctl_phi, "CTL")):
+            diff = phi(psi(x)) - x
+            assert ideal_membership(diff, which)
+            assert ref_ideal_membership(diff, which)
+            # the non-member x itself stays outside
+            assert not ideal_membership(x, which)

@@ -90,3 +90,54 @@ def test_nonintegral_exponent_fails_integrality(monkeypatch):
         assert checks[name]["instances"] == passing[name]["instances"]
     assert checks["integrality_of_images"]["detail"] == \
         passing["integrality_of_images"]["detail"]
+
+
+def test_failed_membership_names_the_instance(monkeypatch):
+    import re
+    import ytl.verify as verify
+
+    drawn = []
+    original = verify._random_basis_element
+
+    def recording(d, n, rng):
+        x = original(d, n, rng)
+        drawn.append(x)
+        return x
+
+    monkeypatch.setattr(verify, "_random_basis_element", recording)
+    monkeypatch.setattr(verify, "ideal_membership", lambda x, which: False)
+    report = run_suite(1, 3, "iso")
+    checks = {c["name"]: c for c in report["checks"]}
+    trip = checks["quotient_round_trips_mod_ideal"]
+    assert trip["passed"] is False and trip["instances"] == 40
+    # the round trips draw the last 20 basis elements; the first fails first
+    ((a, w), _), = drawn[-20].terms
+    assert trip["detail"] == (
+        "FTL round trip of t^%s g_%s is not congruent to it modulo the ideal"
+        % (list(a), list(w.images)))
+    assert re.fullmatch(r"FTL round trip of t\^\[0, 0, 0\] g_\[[123], [123], [123]\] .*",
+                        trip["detail"])
+
+    checks = {c["name"]: c for c in run_suite(2, 3, "quotients")["checks"]}
+    assert checks["ftl_generator_in_ideal"]["detail"] == \
+        "ftl_generator(2, 3) is not in the FTL ideal"
+    assert checks["ctl_ideal_contains_ftl_generator_image"]["detail"] == \
+        "ctl_generator(2, 3) is not in the FTL ideal"
+    assert checks["unit_not_in_ideal"] == {
+        "name": "unit_not_in_ideal", "instances": 2, "passed": True, "detail": ""}
+    monkeypatch.setattr(verify, "ideal_membership", lambda x, which: which == "CTL")
+    checks = {c["name"]: c for c in run_suite(2, 3, "quotients")["checks"]}
+    assert checks["unit_not_in_ideal"]["passed"] is False
+    assert checks["unit_not_in_ideal"]["detail"] == "unit(2, 3) is in the CTL ideal"
+    assert checks["ctl_generator_in_ideal"]["passed"] is True
+
+
+def test_admissibility_mismatch_names_the_shape(monkeypatch):
+    import ytl.reps as reps
+
+    original = reps.ftl_admissible
+    monkeypatch.setattr(reps, "ftl_admissible", lambda shape: not original(shape))
+    check, = [c for c in run_suite(1, 3, "quotients")["checks"]
+              if c["name"] == "two_column_vs_annihilation"]
+    assert check["passed"] is False
+    assert "at shape ((3,),) (FTL)" in check["detail"]

@@ -7,12 +7,15 @@ Modules:
     permutations  symmetric group, compositions, coset representatives
     tableaux      partitions, standard d-tableaux, dimension formulas
     yokonuma      the algebra Y_{d,n}(q) in the standard basis
-    linalg        generic exact dense linear algebra
-    reps          seminormal irreducible representations and oracles
+    linalg        dense matrix product over any ring
+    reps          seminormal irreducible representations, ideal membership
     isomaps       block isomorphisms, Jones-basis reduction, quotient bases
     exprparse     expression parser for the CLI
     verify        machine-verification suites
     cli           command-line interface
+
+The slow reference oracles the tests check these against live in
+tests/oracles.py, outside the package.
 """
 
 __version__ = "1.0.0"

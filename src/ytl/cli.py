@@ -13,7 +13,8 @@ failure, 2 usage error. Results of verify and basis runs are cached on disk
 (override the directory with --cache-dir or the YTL_CACHE_DIR variable);
 cached entries are keyed by the command parameters, a convention version and
 the package version, so warm results are bit-identical to cold ones. Entries
-are written atomically, and an unreadable entry is recomputed.
+are written atomically, and an entry that is unreadable or does not answer
+its request is recomputed.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def _cache_path(args, kind, key):
     return os.path.join(_cache_dir(args), name)
 
 
-def _cache_load(args, kind, key):
-    """The cached payload, or None on a miss; an unreadable or corrupt entry
-    is a miss, and the store after the recomputation overwrites it."""
+def _cache_load(args, kind, key, answers):
+    """The cached payload, or None on a miss. An entry that cannot be read,
+    or for which answers(payload) is false, is a miss, and the store after
+    the recomputation overwrites it."""
     if getattr(args, "no_cache", False):
         return None
     try:
@@ -63,7 +65,13 @@ def _cache_load(args, kind, key):
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    return payload if isinstance(payload, dict) else None
+    return payload if isinstance(payload, dict) and answers(payload) else None
+
+
+def _has_fields(payload, **fields):
+    """Whether payload holds each field with the same type and value."""
+    return all(type(payload.get(k)) is type(v) and payload[k] == v
+               for k, v in fields.items())
 
 
 def _cache_store(args, kind, key, payload):
@@ -214,10 +222,12 @@ def cmd_basis(args):
     d, n = args.d, args.n
     kind = args.kind.upper()
     key = "%s-d%d-n%d" % (args.kind, d, n)
-    cached = _cache_load(args, "basis", key)
+    cached = _cache_load(args, "basis", key, lambda p: (
+        isinstance(p.get("elements"), list)
+        and _has_fields(p, kind=args.kind, d=d, n=n, count=len(p["elements"]))))
     if cached is not None:
         _emit(args, cached)
-        return 0
+        return 0 if cached["count"] == cached.get("expected") else 1
     descriptors = iso.ftl_basis(d, n) if kind == "FTL" else iso.ctl_basis(d, n)
     items = []
     for mu, bkey, k, l in descriptors:
@@ -241,8 +251,11 @@ def cmd_basis(args):
 def cmd_verify(args):
     d, n = args.d, args.n
     key = "%s-d%d-n%d-s%d" % (args.suite, d, n, args.seed)
-    cached = _cache_load(args, "verify", key)
-    if cached is not None and isinstance(cached.get("ok"), bool):
+    cached = _cache_load(args, "verify", key, lambda p: (
+        _has_fields(p, d=d, n=n, suite=args.suite, seed=args.seed)
+        and isinstance(p.get("ok"), bool)
+        and isinstance(p.get("checks"), list)))
+    if cached is not None:
         _emit(args, cached)
         return 0 if cached["ok"] else 1
     try:
@@ -321,8 +334,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.d < 1 or args.n < 1:
-        print(json.dumps({"error": "d and n must be positive"}), file=sys.stderr)
-        return 2
+        return _error(args, "d and n must be positive")
     try:
         return args.func(args)
     except (ParseError, EvalError, ValueError) as exc:

@@ -31,20 +31,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Field, invert_matrix, matrix_rank
 from .permutations import (ConsistencyError, Perm, act_on_character,
                            compositions, coset_system, embed_word,
                            factor_in_young)
-from .scalars import (Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc,
-                      specialize_q)
-from .reps import character_sum, rep_element, rep_module, quotient_shapes
+from .scalars import Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc
+from .reps import character_sum
 from .tableaux import jones_pairs, jones_permutation, jones_word
 from .yokonuma import (YElement, _acc_term, character_exponents, chi_value,
                        g_block, g_word, zero as y_zero)
-
-
-class SingularReduction(Exception):
-    """The Jones-basis linear system was singular (should never happen)."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,33 +165,18 @@ def _from_character_coords(d, n, coords):
 
 
 @lru_cache(maxsize=None)
-def _coset_step(mu, k, w):
-    """Where (k-th idempotent) * g_w lands: the character index l, the
-    element u = pi_k^-1 w pi_l of the Young subgroup, and the half-step
-    count h = l(w) - l(u)."""
+def _psi_step(mu, k, w):
+    """(l, u, s): the coordinate of (w, k-th character) lands in cell (k, l)
+    as q^s G_u, u = pi_k^-1 w pi_l in the Young subgroup, with the diagonal
+    rescaling by pi_k and pi_l applied. The character index l is the one
+    w^-1 sends the k-th character to. An odd half-step count raises
+    NonIntegralExponent (not cached)."""
     sys = coset_system(mu)
     target = act_on_character(w.inv(), block_characters(mu)[k - 1].exps)
     l = _character_lookup(mu)[target]
-    u = sys.rep(k).inv() * w * sys.rep(l)
-    return l, u, w.length() - u.length()
-
-
-def psi_tilde_mu(mu, k, w):
-    """Image data of the product (k-th idempotent) * g_w before the diagonal
-    rescaling: (l, h, G_u), where the scalar is q^(h/2) and h is the integer
-    half-step count."""
-    l, u, h = _coset_step(mu, k, w)
-    return l, h, hecke_term(w.n, u, RatFunc.one(mu.d))
-
-
-@lru_cache(maxsize=None)
-def _psi_step(mu, k, w):
-    """(l, u, s): the coordinate of (w, k-th character) lands in cell (k, l)
-    as q^s G_u, with the diagonal rescaling by pi_k and pi_l applied. An odd
-    half-step count raises NonIntegralExponent (not cached)."""
-    sys = coset_system(mu)
-    l, u, h = _coset_step(mu, k, w)
-    h += sys.rep(k).length() - sys.rep(l).length()
+    pi_k, pi_l = sys.rep(k), sys.rep(l)
+    u = pi_k.inv() * w * pi_l
+    h = w.length() - u.length() + pi_k.length() - pi_l.length()
     if h % 2 != 0:
         raise NonIntegralExponent(
             "odd half-power at mu=%r, k=%d, w=%r" % (mu.parts, k, w))
@@ -363,58 +342,6 @@ def rho_reduce(h, m=None):
     return out
 
 
-def _flat_hecke(x, index):
-    vec = [RatFunc.zero(1)] * len(index)
-    for (_, w), c in x.terms:
-        vec[index[w]] = c
-    return vec
-
-
-@lru_cache(maxsize=None)
-def _bruteforce_solver(m):
-    """Square system [Jones columns | ideal-span row basis] inverted once:
-    coordinates modulo the ideal read off the first Catalan-many rows."""
-    from .permutations import all_perms
-    from .yokonuma import g_block
-    from .linalg import row_echelon
-
-    field = Field(RatFunc.zero(1), RatFunc.one(1), is_zero=lambda x: x.is_zero())
-    perms = all_perms(m)
-    index = {w: i for i, w in enumerate(perms)}
-    gen = g_block(1, m, 1)
-    ideal_rows = []
-    for x in perms:
-        left = hecke_term(m, x, RatFunc.one(1)) * gen
-        for y in perms:
-            ideal_rows.append(_flat_hecke(
-                left * hecke_term(m, y, RatFunc.one(1)), index))
-    reduced, _, rank, _ = row_echelon(ideal_rows, field)
-    ideal_basis = reduced[:rank]
-    pairs = jones_pairs(m, "TL")
-    if rank + len(pairs) != len(perms):
-        raise SingularReduction("ideal rank + Catalan != m! at m=%d" % m)
-    basis_vecs = [_flat_hecke(hecke_term(m, jones_permutation(m, p), RatFunc.one(1)),
-                              index) for p in pairs]
-    cols = basis_vecs + ideal_basis
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(perms))]
-    inverse = invert_matrix(matrix, field)
-    if inverse is None:
-        raise SingularReduction("Jones basis not independent mod ideal at m=%d" % m)
-    return pairs, index, tuple(tuple(r) for r in inverse)
-
-
-def rho_bruteforce(h, m):
-    """Oracle: reduce h modulo the span of {G_x * G_{1,2} * G_y}: express h
-    as Jones combination + ideal element by solving the cached square system."""
-    pairs, index, inverse = _bruteforce_solver(m)
-    vec = _flat_hecke(h, index)
-    out = {}
-    for pair, row in zip(pairs, inverse):
-        for r, v in zip(row, vec):
-            _acc_term(out, pair, r * v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quotient isomorphisms
 
@@ -569,33 +496,3 @@ def basis_element(descriptor, kind):
     """The algebra-side representative of one basis descriptor."""
     phi = ftl_phi if kind == "FTL" else ctl_phi
     return phi(basis_blocks(descriptor, kind))
-
-
-# ---------------------------------------------------------------------------
-# rank checks by specialization
-
-
-def _cyclotomic_field(order):
-    return Field(Cyclotomic.zero(order), Cyclotomic.one(order),
-                 is_zero=lambda x: x.is_zero())
-
-
-def vectorize_mod_quotient(x, which, q_value=None):
-    """Flatten the representation matrices of x over all shapes that pass to
-    the quotient, specializing q to a rational value to keep entries in the
-    cyclotomic field."""
-    if q_value is None:
-        q_value = Cyclotomic.from_rational(5, x.d)
-    vec = []
-    for shape in quotient_shapes(x.d, x.n, which):
-        mat = rep_element(rep_module(x.d, shape), x)
-        for row in mat:
-            vec.extend(specialize_q(entry, q_value) for entry in row)
-    return vec
-
-
-def independent_mod_quotient(elements, which, d):
-    """Rank of the vectorized images equals the element count (full rank at
-    the specialization implies generic full rank)."""
-    rows = [vectorize_mod_quotient(x, which) for x in elements]
-    return matrix_rank(rows, _cyclotomic_field(d)) == len(rows)

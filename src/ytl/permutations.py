@@ -1,5 +1,6 @@
 """The symmetric group: permutations, lengths, reduced words, compositions,
-Young subgroups, distinguished coset representatives, and Deodhar's lemma.
+Young subgroups, distinguished coset representatives, and the action of
+permutations on character value vectors.
 
 Permutations are stored in one-line notation (1-based images) and compose
 right-to-left: (u * v)(x) = u(v(x)). Under this convention the coset
@@ -11,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 
 class ConsistencyError(Exception):
@@ -107,14 +107,6 @@ class Perm:
         return list(self.images)
 
 
-def simple_transposition_index(w):
-    """If w is some s_j, return j; otherwise None."""
-    diff = [j for j in range(1, w.n + 1) if w(j) != j]
-    if len(diff) == 2 and diff[1] == diff[0] + 1 and w(diff[0]) == diff[1]:
-        return diff[0]
-    return None
-
-
 @lru_cache(maxsize=None)
 def all_perms(n):
     """All of S_n, sorted by (length, one-line notation)."""
@@ -146,31 +138,6 @@ class Composition:
             out.append(acc)
             acc += p
         return tuple(out)
-
-    def j_set(self):
-        """J^mu: generator indices of the Young subgroup."""
-        cuts = set()
-        acc = 0
-        for p in self.parts[:-1]:
-            acc += p
-            cuts.add(acc)
-        return tuple(i for i in range(1, self.n) if i not in cuts)
-
-    def block_of(self, j):
-        """1-based block index containing position j."""
-        acc = 0
-        for i, p in enumerate(self.parts, start=1):
-            acc += p
-            if j <= acc:
-                return i
-        raise ValueError("position %d out of range" % j)
-
-    def m(self):
-        """Number of left cosets of the Young subgroup: the multinomial."""
-        out = factorial(self.n)
-        for p in self.parts:
-            out //= factorial(p)
-        return out
 
     def young_subgroup(self):
         """All elements of the Young subgroup S_mu, as permutations of S_n."""
@@ -220,26 +187,6 @@ class CosetSystem:
         """The k-th representative, 1-based."""
         return self.reps[k - 1]
 
-    def index_of(self, w):
-        """1-based index of a representative."""
-        return self._index()[w] + 1
-
-    def _index(self):
-        if not hasattr(self, "_index_cache"):
-            object.__setattr__(self, "_index_cache",
-                               {w: i for i, w in enumerate(self.reps)})
-        return self._index_cache
-
-    def coset_rep_of(self, w):
-        """The distinguished representative of the coset w S_mu: sort the
-        values of w within each block of positions."""
-        images = list(w.images)
-        acc = 0
-        for p in self.mu.parts:
-            images[acc:acc + p] = sorted(images[acc:acc + p])
-            acc += p
-        return Perm(tuple(images))
-
 
 @lru_cache(maxsize=None)
 def coset_system(mu):
@@ -262,24 +209,6 @@ def coset_system(mu):
         raise ConsistencyError("the first coset representative of %r is not "
                                "the identity" % (mu.parts,))
     return CosetSystem(mu, tuple(reps))
-
-
-def deodhar(sys, k, i):
-    """Deodhar's lemma data for (pi_k, s_i): returns (l, case) where case is
-    ("swap",) when k != l (then pi_k^-1 s_i pi_l = 1) or ("descend", j) when
-    k == l (then pi_k^-1 s_i pi_k = s_j with j in J^mu)."""
-    n = sys.mu.n
-    s_i = Perm.transposition(n, i)
-    pi_k = sys.rep(k)
-    target = sys.coset_rep_of(s_i * pi_k)
-    l = sys.index_of(target)
-    if l != k:
-        return l, ("swap",)
-    conj = pi_k.inv() * s_i * pi_k
-    j = simple_transposition_index(conj)
-    if j is None or j not in sys.mu.j_set():
-        raise ConsistencyError("Deodhar's lemma violated at k=%d, i=%d" % (k, i))
-    return l, ("descend", j)
 
 
 def act_on_character(w, values):

@@ -247,10 +247,6 @@ def _annihilates(module, x):
     return all(_bucket_is_zero(b) for b in _entry_buckets(module, x).values())
 
 
-def is_zero_matrix(mat):
-    return all(entry.is_zero() for row in mat for entry in row)
-
-
 def passes_to_quotient(d, shape, which):
     """Whether V_shape factors through the named quotient; computed both from
     the column-count predicate and from generator annihilation. Raises

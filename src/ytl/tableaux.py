@@ -112,13 +112,6 @@ class DTableau:
         swapped = DTableau(self.shape, tuple(placement))
         return swapped if swapped.is_standard() else None
 
-    def apply_permutation(self, sigma):
-        """The tableau T^sigma; may be non-standard."""
-        placement = [None] * self.n
-        for i in range(1, self.n + 1):
-            placement[sigma(i) - 1] = self.placement[i - 1]
-        return DTableau(self.shape, tuple(placement))
-
     def __repr__(self):
         return "DTableau(%r)" % (self.entry_grid(),)
 

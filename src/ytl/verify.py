@@ -71,10 +71,6 @@ def suite_dims(d, n, seed=0):
     return report
 
 
-def _matrices_equal(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def suite_relations(d, n, seed=0):
     """Defining relations as matrix identities on every irreducible."""
     return module_relations(d, n, enumerate_d_partitions(d, n), seed)
@@ -101,31 +97,31 @@ def module_relations(d, n, shapes, seed=0):
             return mat_mul(a, b, z)
         for i in range(n - 1):
             for j in range(i + 2, n - 1):
-                ok_braid &= _matrices_equal(mm(G[i], G[j]), mm(G[j], G[i])); braid += 1
+                ok_braid &= iso.block_equal(mm(G[i], G[j]), mm(G[j], G[i])); braid += 1
             if i + 1 < n - 1:
-                ok_braid &= _matrices_equal(mm(mm(G[i], G[i + 1]), G[i]),
+                ok_braid &= iso.block_equal(mm(mm(G[i], G[i + 1]), G[i]),
                                             mm(mm(G[i + 1], G[i]), G[i + 1])); braid += 1
         for a in range(n):
             for b in range(a + 1, n):
-                ok_frame &= _matrices_equal(mm(Tm[a], Tm[b]), mm(Tm[b], Tm[a])); framing += 1
+                ok_frame &= iso.block_equal(mm(Tm[a], Tm[b]), mm(Tm[b], Tm[a])); framing += 1
         for i in range(1, n):
             for j in range(1, n + 1):
                 sj = j + 1 if j == i else (j - 1 if j == i + 1 else j)
-                ok_frame &= _matrices_equal(mm(Tm[j - 1], G[i - 1]),
+                ok_frame &= iso.block_equal(mm(Tm[j - 1], G[i - 1]),
                                             mm(G[i - 1], Tm[sj - 1])); framing += 1
         for j in range(n):
             acc = ident
             for _ in range(d):
                 acc = mm(acc, Tm[j])
-            ok_frame &= _matrices_equal(acc, ident); torsion += 1
+            ok_frame &= iso.block_equal(acc, ident); torsion += 1
         for i in range(n - 1):
             eg = mm(E[i], G[i])
             rhs = [[(q if r == c else z) + (q - one) * eg[r][c]
                     for c in range(module.dim)] for r in range(module.dim)]
-            ok_quad &= _matrices_equal(mm(G[i], G[i]), rhs); quad += 1
-            ok_quad &= _matrices_equal(mm(E[i], G[i]), mm(G[i], E[i])); quad += 1
+            ok_quad &= iso.block_equal(mm(G[i], G[i]), rhs); quad += 1
+            ok_quad &= iso.block_equal(mm(E[i], G[i]), mm(G[i], E[i])); quad += 1
             # e_i through the framing generators matches the projector
-            ok_diag &= _matrices_equal(rep_element(module, yk.e(d, n, i + 1)), E[i]); diag += 1
+            ok_diag &= iso.block_equal(rep_element(module, yk.e(d, n, i + 1)), E[i]); diag += 1
         for j in range(n):
             ok_diag &= all(Tm[j][r][c].is_zero()
                            for r in range(module.dim) for c in range(module.dim)
@@ -134,7 +130,7 @@ def module_relations(d, n, shapes, seed=0):
             # the one-component action must equal the classical Hoefsmit form
             for i in range(n - 1):
                 want = _hoefsmit_matrix(module, i + 1)
-                ok_hecke &= _matrices_equal(G[i], want); hecke += 1
+                ok_hecke &= iso.block_equal(G[i], want); hecke += 1
     _check(report, "braid_relations", braid, ok_braid)
     _check(report, "framing_relations", framing + torsion, ok_frame)
     _check(report, "quadratic_relation", quad, ok_quad)

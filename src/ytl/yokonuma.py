@@ -54,9 +54,6 @@ class YElement:
     def is_zero(self):
         return not self.terms
 
-    def support_size(self):
-        return len(self.terms)
-
     def _check_compat(self, other):
         if not isinstance(other, YElement):
             raise TypeError("expected YElement")
@@ -315,26 +312,6 @@ def ctl_generator(d, n):
     if n <= 2:
         raise NTooSmall("ideal generator requires n >= 3")
     return T(d, n, 1) * ftl_generator(d, n)
-
-
-def conjugate_shift(x, i):
-    """Conjugate by (g_1 g_2 ... g_{n-1})^(i-1); shifts e_1e_2g_{1,2}-type
-    elements up by i-1 strand positions."""
-    d, n = x.d, x.n
-    if i < 1 or i - 1 > n - 1:
-        raise ValueError("shift %d out of range" % i)
-    if i == 1:
-        return x
-    fwd = unit(d, n)
-    bwd = unit(d, n)
-    for j in range(1, n):
-        fwd = fwd * gen_g(d, n, j)
-    for j in range(n - 1, 0, -1):
-        bwd = bwd * gen_g_inv(d, n, j)
-    out = x
-    for _ in range(i - 1):
-        out = fwd * out * bwd
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,12 @@ def test_basis_command(capsys, tmp_path):
     code, payload = run(capsys, "--cache-dir", str(tmp_path),
                         "basis", "ftl", "-d", "2", "-n", "3")
     assert code == 0 and payload["count"] == 46 == payload["expected"]
+    # a warm hit exits as the cold run that stored it would have
+    entry, = tmp_path.iterdir()
+    entry.write_text(json.dumps(dict(payload, expected=45)))
+    code, _ = run(capsys, "--cache-dir", str(tmp_path),
+                  "basis", "ftl", "-d", "2", "-n", "3")
+    assert code == 1
     code, payload = run(capsys, "--cache-dir", str(tmp_path),
                         "basis", "ctl", "-d", "2", "-n", "3")
     assert code == 0 and payload["count"] == 47
@@ -133,6 +139,14 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["dim"] == 5
 
 
+def test_positivity_error_goes_to_output_file(capsys, tmp_path):
+    target = tmp_path / "o.json"
+    code = main(["--no-cache", "-o", str(target), "dim", "y", "-d", "0", "-n", "2"])
+    assert code == 2
+    assert json.loads(target.read_text()) == {"error": "d and n must be positive"}
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("shape", ["[[1,2]]", "[[3,-1,1]]", "[[2,0,1]]",
                                    "[[2,1.0]]", "[[true,1,1]]", "3", "[3]"])
 def test_bad_shapes_are_usage_errors(capsys, shape):
@@ -155,7 +169,9 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
     path, = tmp_path.iterdir()
     assert ytl.__version__ in path.name
     text = path.read_text()
-    for bad in (text[: len(text) // 2], "", "[]"):
+    # an entry that parses but does not answer the request is a miss too
+    for bad in (text[: len(text) // 2], "", "[]", '{"count": 0}',
+                json.dumps(dict(json.loads(text), d=3))):
         path.write_text(bad)
         code, warm = run(capsys, *args)
         assert code == 0 and warm == cold
@@ -164,9 +180,12 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
              "--suite", "dims"]
     code, cold = run(capsys, *vargs)
     vpath, = [p for p in tmp_path.iterdir() if p != path]
-    vpath.write_text("{}")
-    code, warm = run(capsys, *vargs)
-    assert code == 0 and warm == cold
+    vtext = vpath.read_text()
+    for bad in ("{}", '{"ok": true}', json.dumps(dict(json.loads(vtext), seed=1))):
+        vpath.write_text(bad)
+        code, warm = run(capsys, *vargs)
+        assert code == 0 and warm == cold
+        assert vpath.read_text() == vtext
 
 
 def test_cache_store_is_atomic(tmp_path):

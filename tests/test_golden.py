@@ -1,0 +1,32 @@
+"""Golden CLI outputs: each command's stdout must match its file under
+tests/golden/ byte for byte. The files were written by
+
+    PYTHONPATH=src python -m ytl.cli --no-cache ARGS > tests/golden/NAME.json
+
+and change only with a deliberate change of output."""
+
+import pathlib
+
+import pytest
+
+from ytl.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "verify": ["verify", "-d", "2", "-n", "3", "--suite", "all", "--seed", "0"],
+    "basis_ftl": ["basis", "ftl", "-d", "2", "-n", "3"],
+    "basis_ctl": ["basis", "ctl", "-d", "2", "-n", "3"],
+    "rep": ["rep", "-d", "2", "-n", "3", "--shape", "[[2],[1]]"],
+    "mul": ["mul", "-d", "2", "-n", "3", "E(1; 2,1) * t1 + q * g1^-1"],
+    "enumerate_cosets": ["enumerate", "cosets", "-d", "2", "-n", "3"],
+    "dim_ctl": ["dim", "ctl", "-d", "3", "-n", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden(capsys, name):
+    code = main(["--no-cache"] + COMMANDS[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / ("%s.json" % name)).read_bytes()

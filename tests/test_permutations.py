@@ -1,14 +1,12 @@
-import itertools
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ytl.permutations import (Composition, CosetSystem, Perm, act_on_character,
-                              all_perms, compositions, coset_system, deodhar,
-                              embed_word, factor_in_young,
-                              simple_transposition_index)
+from ytl.permutations import (Composition, Perm, act_on_character, all_perms,
+                              compositions, coset_system, embed_word,
+                              factor_in_young)
 
 
 def test_one_line_convention():
@@ -47,12 +45,6 @@ def test_descends_right():
     assert not w.descends_right(2)
 
 
-def test_simple_transposition_index():
-    assert simple_transposition_index(Perm.transposition(4, 2)) == 2
-    assert simple_transposition_index(Perm.identity(4)) is None
-    assert simple_transposition_index(Perm((3, 2, 1))) is None
-
-
 def test_all_perms_sorted():
     perms = all_perms(3)
     assert len(perms) == 6
@@ -70,9 +62,7 @@ def test_compositions():
 
 def test_composition_structure():
     mu = Composition((1, 3))
-    assert mu.j_set() == (2, 3)
-    assert mu.m() == 4
-    assert mu.block_of(1) == 1 and mu.block_of(4) == 2
+    assert (mu.d, mu.n, mu.offsets) == (2, 4, (0, 1))
     assert len(mu.young_subgroup()) == 6
 
 
@@ -100,34 +90,38 @@ def test_unique_length_additive_factorization(parts):
             assert w not in seen
             seen.add(w)
             assert w.length() == pi.length() + x.length()
-            assert sys.coset_rep_of(w) == pi
     assert len(seen) == factorial(mu.n)
 
 
+def _deodhar_step(mu, k, i):
+    """(l, pi_k^-1 s_i pi_l) for the one l that puts it in the Young subgroup."""
+    sys, young = coset_system(mu), set(mu.young_subgroup())
+    left = sys.rep(k).inv() * Perm.transposition(mu.n, i)
+    (l, conj), = [(l, left * pi) for l, pi in enumerate(sys.reps, 1)
+                  if left * pi in young]
+    return l, conj
+
+
 def test_deodhar_cases():
-    sys = coset_system(Composition((1, 3)))
     # conjugating s_2 by pi_4 = s_3 s_2 s_1 descends to s_3 in the subgroup
-    l, case = deodhar(sys, 4, 2)
-    assert l == 4 and case == ("descend", 3)
-    sys22 = coset_system(Composition((2, 2)))
-    l, case = deodhar(sys22, 1, 2)
-    assert l != 1 and case == ("swap",)
+    assert _deodhar_step(Composition((1, 3)), 4, 2) == (4, Perm.transposition(4, 3))
+    l, conj = _deodhar_step(Composition((2, 2)), 1, 2)
+    assert l != 1 and conj.is_identity()
 
 
 def test_deodhar_exhaustive():
+    # Deodhar's lemma: s_i pi_k is either another representative pi_l, or
+    # pi_k s_j with s_j a generator of the Young subgroup
     for parts in [(1, 3), (2, 2), (3, 1), (1, 1, 2)]:
         mu = Composition(parts)
         sys = coset_system(mu)
         for k in range(1, sys.m + 1):
             for i in range(1, mu.n):
-                l, case = deodhar(sys, k, i)
-                pi_k, pi_l = sys.rep(k), sys.rep(l)
-                conj = pi_k.inv() * Perm.transposition(mu.n, i) * pi_l
-                if case == ("swap",):
-                    assert l != k and conj.is_identity()
+                l, conj = _deodhar_step(mu, k, i)
+                if l != k:
+                    assert conj.is_identity()
                 else:
-                    assert l == k and case[1] in mu.j_set()
-                    assert conj == Perm.transposition(mu.n, case[1])
+                    assert conj.length() == 1
 
 
 def test_act_on_character():

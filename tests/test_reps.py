@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import is_zero_matrix
 from ytl.linalg import mat_mul
 from ytl.permutations import Perm, all_perms
 from ytl.scalars import Cyclotomic, RatFunc, root_of_unity
@@ -9,8 +10,8 @@ from ytl.tableaux import enumerate_d_partitions
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
 from ytl.reps import (_entry_buckets, _rep_word_cached, ideal_membership,
-                      is_zero_matrix, passes_to_quotient, quotient_shapes,
-                      rep_e, rep_element, rep_g, rep_module, rep_t)
+                      passes_to_quotient, quotient_shapes, rep_e, rep_element,
+                      rep_g, rep_module, rep_t)
 from ytl.verify import suite_relations
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ytl.permutations import Perm
 from ytl.tableaux import (catalan, count_standard_tableaux, ctl_admissible,
                           dim_CTL, dim_CTL_bruteforce, dim_FTL,
                           dim_FTL_bruteforce, dim_TL, dim_Y,
@@ -49,14 +48,6 @@ def test_apply_transposition():
     swapped = first.apply_transposition(2)
     assert swapped is not None
     assert swapped.entry_grid() == [[[1, 3], [2]]]
-
-
-def test_apply_permutation_moves_entries():
-    tab = standard_tableaux(((1,), (2,)))[0]
-    sigma = Perm((2, 3, 1))
-    moved = tab.apply_permutation(sigma)
-    for i in range(1, 4):
-        assert moved.placement[sigma(i) - 1] == tab.placement[i - 1]
 
 
 def test_admissibility():

@@ -3,18 +3,20 @@ and the rational-function field they generate.
 
 All values are immutable. A ``Cyclotomic`` of order d lives in the field
 Q(zeta_d), stored in the reduced power basis 1, zeta, ..., zeta^(phi(d)-1)
-modulo the d-th cyclotomic polynomial. ``Laurent`` polynomials have integer
-exponents. ``RatFunc`` is the fraction field, kept in a canonical form so
-equality is a plain structural comparison. Equal values hash equally, also
-across field orders and across the int -> Cyclotomic -> Laurent -> RatFunc
-coercions.
+modulo the d-th cyclotomic polynomial, as integer numerators over one
+positive integer denominator in lowest terms; its ``coords`` (one Fraction
+per basis power) are derived from them for display. ``Laurent`` polynomials
+have integer exponents. ``RatFunc`` is the fraction field, kept in a
+canonical form so equality is a plain structural comparison. Equal values
+hash equally, also across field orders and across the int -> Cyclotomic ->
+Laurent -> RatFunc coercions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 
 class NonIntegralExponent(Exception):
@@ -32,75 +34,152 @@ class PoleAtValue(Exception):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d):
-    """Coefficient list (constant first) of the d-th cyclotomic polynomial."""
+    """Integer coefficients (constant first) of the d-th cyclotomic
+    polynomial."""
     if d < 1:
         raise ValueError("order must be positive")
-    # Phi_d = (x^d - 1) / prod of Phi_e over proper divisors e of d
-    poly = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+    # Phi_d = (x^d - 1) / prod of Phi_e over proper divisors e of d; each
+    # divisor is monic, so the long division stays in the integers
+    poly = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(e))
-            if rem[-1] != 0:
+            div = cyclotomic_polynomial(e)
+            k = len(div) - 1
+            quot = [0] * (len(poly) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = poly[i + k]
+                if c:
+                    for j, dj in enumerate(div):
+                        poly[i + j] -= c * dj
+            if any(poly):
                 raise ArithmeticError("inexact polynomial division")
+            poly = quot
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
+def _degree(d):
+    """phi(d), the number of coordinates of Q(zeta_d)."""
+    return len(cyclotomic_polynomial(d)) - 1
+
+
+@lru_cache(maxsize=None)
 def _trace_weights(d):
-    """Normalised trace to Q of each basis power zeta_d^i. That power is a
-    primitive m-th root of unity, m = d/gcd(i, d), and the mean of the
-    primitive m-th roots is minus the subleading coefficient of Phi_m over
-    its degree. The trace does not depend on the field a number lies in."""
-    out = []
-    for i in range(len(cyclotomic_polynomial(d)) - 1):
+    """Normalised trace to Q of each basis power zeta_d^i, as integer
+    weights over one common denominator. That power is a primitive m-th
+    root of unity, m = d/gcd(i, d), and the mean of the primitive m-th roots
+    is minus the subleading coefficient of Phi_m over its degree. The trace
+    does not depend on the field a number lies in."""
+    means = []
+    for i in range(_degree(d)):
         phi_m = cyclotomic_polynomial(d // int_gcd(i, d))
-        out.append(-phi_m[-2] / (len(phi_m) - 1))
-    return tuple(out)
+        means.append((-phi_m[-2], len(phi_m) - 1))
+    den = lcm(*(k for _, k in means))
+    return tuple(c * (den // k) for c, k in means), den
 
 
 @lru_cache(maxsize=None)
 def _power_table(d):
-    """Coords of zeta_d^k for k = 0..d-1 in the reduced power basis."""
+    """Integer coords of zeta_d^k for k = 0..d-1 in the reduced power
+    basis."""
     phi_poly = cyclotomic_polynomial(d)
     deg = len(phi_poly) - 1
     table = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
+    cur = [1] + [0] * (deg - 1)
     for _ in range(d):
         table.append(tuple(cur))
         # multiply by zeta: shift, then reduce the overflow via
         # zeta^deg = -(phi_0 + phi_1 zeta + ...)  (Phi_d is monic)
         top = cur[deg - 1]
-        cur = [Fraction(0)] + cur[: deg - 1]
-        if top != 0:
+        cur = [0] + cur[: deg - 1]
+        if top:
             for j in range(deg):
                 cur[j] -= top * phi_poly[j]
     return tuple(table)
 
 
-class Cyclotomic:
-    """An element of Q(zeta_d) in the reduced power basis mod Phi_d."""
+@lru_cache(maxsize=None)
+def _conjugating_units(d):
+    """The k in 2..d-1 prime to d: zeta -> zeta^k are the Galois
+    automorphisms of Q(zeta_d) other than the identity."""
+    return tuple(k for k in range(2, d) if int_gcd(k, d) == 1)
 
-    __slots__ = ("order", "coords")
+
+def _power_sum(order, nums, k):
+    """Integer coords in Q(zeta_order) of sum nums[i] zeta_order^(i*k): for
+    a number of a smaller field with k = order / its order, its promotion;
+    for one of this field with k prime to order, a Galois conjugate."""
+    table = _power_table(order)
+    out = [0] * _degree(order)
+    for i, c in enumerate(nums):
+        if c:
+            for j, r in enumerate(table[i * k % order]):
+                if r:
+                    out[j] += c * r
+    return out
+
+
+def _reduced(order, nums, den):
+    """The Cyclotomic nums/den (den > 0), brought to lowest terms by one
+    gcd."""
+    if den != 1:
+        g = int_gcd(den, *nums)
+        if g != 1:
+            return Cyclotomic._raw(order, tuple(n // g for n in nums), den // g)
+    return Cyclotomic._raw(order, tuple(nums), den)
+
+
+class Cyclotomic:
+    """An element of Q(zeta_d) in the reduced power basis mod Phi_d: integer
+    numerators ``nums`` over one positive denominator ``den``, with
+    gcd(den, *nums) == 1, so zero has den == 1. Equal numbers of one order
+    have equal (nums, den)."""
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order, coords):
-        deg = len(cyclotomic_polynomial(order)) - 1
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        """From one int or Fraction per basis power; anything else (a
+        float, a string) is a TypeError, never an inexact coordinate."""
+        deg = _degree(order)
+        coords = tuple(coords)
         if len(coords) != deg:
             raise ValueError("expected %d coordinates for order %d" % (deg, order))
+        for c in coords:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("a coordinate must be an int or a Fraction, not %r" % (c,))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in coords))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator)
+                                               for c in coords))
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _raw(order, nums, den):
+        """Trusted constructor: a tuple of ints over a positive int, already
+        in lowest terms."""
+        new = object.__new__(Cyclotomic)
+        object.__setattr__(new, "order", order)
+        object.__setattr__(new, "nums", nums)
+        object.__setattr__(new, "den", den)
+        return new
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
+
+    @property
+    def coords(self):
+        """One Fraction per basis power."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(r, order=1):
-        deg = len(cyclotomic_polynomial(order)) - 1
-        coords = [Fraction(r)] + [Fraction(0)] * (deg - 1)
-        return Cyclotomic(order, coords)
+        if not isinstance(r, (int, Fraction)):
+            raise TypeError("a rational must be an int or a Fraction, not %r" % (r,))
+        return Cyclotomic._raw(order, (r.numerator,) + (0,) * (_degree(order) - 1),
+                               r.denominator)
 
     @staticmethod
     def zero(order=1):
@@ -113,20 +192,20 @@ class Cyclotomic:
     @staticmethod
     def root_power(order, e):
         """zeta_order^e, reduced."""
-        return Cyclotomic(order, _power_table(order)[e % order])
+        return Cyclotomic._raw(order, _power_table(order)[e % order], 1)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("not a rational number: %r" % (self,))
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def promote(self, order):
         """Embed into Q(zeta_order); requires self.order | order."""
@@ -134,16 +213,7 @@ class Cyclotomic:
             return self
         if order % self.order != 0:
             raise ValueError("cannot promote order %d to %d" % (self.order, order))
-        step = order // self.order
-        table = _power_table(order)
-        deg = len(cyclotomic_polynomial(order)) - 1
-        out = [Fraction(0)] * deg
-        for i, c in enumerate(self.coords):
-            if c != 0:
-                root = table[(i * step) % order]
-                for j in range(deg):
-                    out[j] += c * root[j]
-        return Cyclotomic(order, out)
+        return _reduced(order, _power_sum(order, self.nums, order // self.order), self.den)
 
     @staticmethod
     def _common(a, b):
@@ -155,14 +225,20 @@ class Cyclotomic:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_cyclotomic(other, self.order)
+        if type(other) is not Cyclotomic:
+            other = _as_cyclotomic(other, self.order)
         a, b = Cyclotomic._common(self, other)
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coords, b.coords)])
+        if a.den == b.den:
+            return _reduced(a.order, [x + y for x, y in zip(a.nums, b.nums)], a.den)
+        g = int_gcd(a.den, b.den)
+        fa, fb = b.den // g, a.den // g
+        return _reduced(a.order, [x * fa + y * fb for x, y in zip(a.nums, b.nums)],
+                        a.den * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coords])
+        return Cyclotomic._raw(self.order, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-_as_cyclotomic(other, self.order))
@@ -171,49 +247,41 @@ class Cyclotomic:
         return _as_cyclotomic(other, self.order) - self
 
     def __mul__(self, other):
-        other = _as_cyclotomic(other, self.order)
+        if type(other) is not Cyclotomic:
+            other = _as_cyclotomic(other, self.order)
         a, b = Cyclotomic._common(self, other)
-        deg = len(a.coords)
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                if y != 0:
-                    prod[i + j] += x * y
-        # reduce mod Phi
-        phi_poly = cyclotomic_polynomial(a.order)
-        for k in range(len(prod) - 1, deg - 1, -1):
-            c = prod[k]
-            if c != 0:
-                prod[k] = Fraction(0)
-                for j in range(deg):
-                    prod[k - deg + j] -= c * phi_poly[j]
-        return Cyclotomic(a.order, prod[:deg])
+        order, xs, ys = a.order, a.nums, b.nums
+        deg = len(xs)
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys):
+                    if y:
+                        prod[i + j] += x * y
+        # reduce mod Phi: each power of zeta through its row of the table
+        return _reduced(order, _power_sum(order, prod, 1), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: with self = X/den, X integral, it is
+        den * P / N(X), P the product of the other Galois conjugates of X
+        and N(X) = X * P its norm, a nonzero integer."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
+        order, nums, den = self.order, self.nums, self.den
         if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.coords[0], self.order)
-        phi_poly = list(cyclotomic_polynomial(self.order))
-        a = list(self.coords)
-        # extended gcd of a and Phi in Q[x]; Phi irreducible so gcd is 1
-        r0, r1 = phi_poly, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r1 is a nonzero constant; s1 * a == r1 (mod Phi)
-        c = r1[0]
-        inv_coords = [x / c for x in s1]
-        deg = len(self.coords)
-        inv_coords += [Fraction(0)] * (deg - len(inv_coords))
-        return Cyclotomic(self.order, inv_coords[:deg])
+            n = nums[0]
+            return _reduced(order, (den if n > 0 else -den,) + nums[1:], abs(n))
+        x = Cyclotomic._raw(order, nums, 1)
+        p = Cyclotomic.one(order)
+        for k in _conjugating_units(order):
+            p = p * Cyclotomic._raw(order, tuple(_power_sum(order, nums, k)), 1)
+        norm = x * p
+        if not norm.is_rational() or norm.den != 1:
+            raise ArithmeticError("the norm of %r is not an integer" % (self,))
+        n = norm.nums[0]
+        return _reduced(order, [v * den if n > 0 else -v * den for v in p.nums], abs(n))
 
     def __truediv__(self, other):
         other = _as_cyclotomic(other, self.order)
@@ -223,18 +291,22 @@ class Cyclotomic:
         return _as_cyclotomic(other, self.order) * self.inv()
 
     def __eq__(self, other):
+        if type(other) is Cyclotomic:
+            if self.order != other.order:
+                self, other = Cyclotomic._common(self, other)
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        return a.coords == b.coords
+            # lowest terms: a rational is nums[0]/den with nothing to cancel
+            return (self.den == other.denominator and self.nums[0] == other.numerator
+                    and not any(self.nums[1:]))
+        return NotImplemented
 
     def __hash__(self):
         # the normalised trace: equal across promotions, and the number
         # itself for rationals
-        return hash(sum(c * w for c, w in zip(self.coords, _trace_weights(self.order))
-                        if c))
+        weights, wden = _trace_weights(self.order)
+        return hash(Fraction(sum(n * w for n, w in zip(self.nums, weights) if n),
+                             self.den * wden))
 
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.order, list(self.coords))
@@ -258,7 +330,7 @@ def root_of_unity(d, j):
     return Cyclotomic.root_power(d, j - 1)
 
 
-# polynomial helpers on coefficient lists (constant first) over Q or Q(zeta)
+# polynomial helpers on coefficient lists (constant first) over Q(zeta)
 
 def _trim(p):
     while len(p) > 1 and p[-1] == 0:
@@ -267,8 +339,8 @@ def _trim(p):
 
 
 def _poly_divmod(num, den):
-    """Long division of Fraction or Cyclotomic coefficient lists: returns
-    (quotient, remainder), the remainder without zero leading terms."""
+    """Long division of Cyclotomic coefficient lists: returns (quotient,
+    remainder), the remainder without zero leading terms."""
     num = list(num)
     den = _trim(den)
     zero = den[-1] - den[-1]
@@ -281,21 +353,6 @@ def _poly_divmod(num, den):
                 num[k + j] = num[k + j] - c * dj
     return quot, _trim(num[: len(den) - 1] or [zero])
 
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != 0:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +385,15 @@ class Laurent:
                     clean[e] = c
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", tuple(sorted(clean.items())))
+
+    @staticmethod
+    def _raw(order, terms):
+        """Trusted constructor: sorted terms whose coefficients are nonzero
+        and of this order."""
+        new = object.__new__(Laurent)
+        object.__setattr__(new, "order", order)
+        object.__setattr__(new, "terms", terms)
+        return new
 
     def __setattr__(self, *a):
         raise AttributeError("Laurent is immutable")
@@ -388,17 +454,25 @@ class Laurent:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_laurent(other, self.order)
+        if type(other) is not Laurent:
+            other = _as_laurent(other, self.order)
         a, b = Laurent._common(self, other)
         out = dict(a.terms)
         for e, c in b.terms:
-            out[e] = out.get(e, Cyclotomic.zero(a.order)) + c
-        return Laurent(a.order, out)
+            if e in out:
+                s = out[e] + c
+                if s.is_zero():
+                    del out[e]
+                else:
+                    out[e] = s
+            else:
+                out[e] = c
+        return Laurent._raw(a.order, tuple(sorted(out.items())))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent(self.order, {e: -c for e, c in self.terms})
+        return Laurent._raw(self.order, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         return self + (-_as_laurent(other, self.order))
@@ -407,7 +481,8 @@ class Laurent:
         return _as_laurent(other, self.order) - self
 
     def __mul__(self, other):
-        other = _as_laurent(other, self.order)
+        if type(other) is not Laurent:
+            other = _as_laurent(other, self.order)
         a, b = Laurent._common(self, other)
         out = {}
         for e1, c1 in a.terms:
@@ -418,7 +493,8 @@ class Laurent:
                     out[e] = out[e] + p
                 else:
                     out[e] = p
-        return Laurent(a.order, out)
+        return Laurent._raw(a.order, tuple(sorted(
+            (e, c) for e, c in out.items() if not c.is_zero())))
 
     __rmul__ = __mul__
 
@@ -529,7 +605,8 @@ class RatFunc:
 
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
-            den = Laurent.one(num.order)
+            # a numerator over 1 is already canonical
+            den, _normalized = Laurent.one(num.order), True
         if not _normalized:
             num, den = RatFunc._normalize(num, den)
         object.__setattr__(self, "num", num)
@@ -610,7 +687,10 @@ class RatFunc:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = as_ratfunc(other, self.order)
+        if type(other) is not RatFunc:
+            other = as_ratfunc(other, self.order)
+        if self.den.is_one() and other.den.is_one() and self.num.order == other.num.order:
+            return RatFunc(self.num + other.num, self.den, _normalized=True)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -627,9 +707,10 @@ class RatFunc:
         return as_ratfunc(other, self.order) - self
 
     def __mul__(self, other):
-        other = as_ratfunc(other, self.order)
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num * other.num)
+        if type(other) is not RatFunc:
+            other = as_ratfunc(other, self.order)
+        if self.den.is_one() and other.den.is_one() and self.num.order == other.num.order:
+            return RatFunc(self.num * other.num, self.den, _normalized=True)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

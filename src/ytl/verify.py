@@ -158,54 +158,75 @@ def _hoefsmit_matrix(module, i):
 
 
 def suite_idempotents(d, n, seed=0):
+    """Each check's detail names its first failing instance: the character,
+    the pair, the generator or the composition."""
     report = _new_report(d, n, "idempotents", seed)
     chars = list(itertools.product(range(d), repeat=n))
     Es = {c: yk.E_chi(d, n, c) for c in chars}
     total = yk.zero(d, n)
-    ok_idem = ok_orth = True
+    idem = orth = ""
     for c, Ec in Es.items():
         total = total + Ec
-        ok_idem &= (Ec * Ec == Ec)
+        if Ec * Ec != Ec and not idem:
+            idem = "E_chi^2 != E_chi for chi = %s" % (list(c),)
     pairs = 0
     for c1, c2 in itertools.combinations(chars, 2):
-        ok_orth &= (Es[c1] * Es[c2]).is_zero(); pairs += 1
-    _check(report, "character_idempotents", len(chars), ok_idem)
-    _check(report, "character_orthogonality", pairs, ok_orth)
-    _check(report, "character_completeness", 1, total == yk.unit(d, n))
-    gens = [yk.gen_g(d, n, i) for i in range(1, n)] + \
-           [yk.gen_t(d, n, j) for j in range(1, n + 1)]
-    ok_eig = ok_sel = True
+        if not (Es[c1] * Es[c2]).is_zero() and not orth:
+            orth = "E_chi E_psi != 0 for chi = %s, psi = %s" % (list(c1), list(c2))
+        pairs += 1
+    _check(report, "character_idempotents", len(chars), not idem, idem)
+    _check(report, "character_orthogonality", pairs, not orth, orth)
+    complete = total == yk.unit(d, n)
+    _check(report, "character_completeness", 1, complete,
+           "" if complete else "the E_chi do not sum to 1")
+    gens = [("g_%d" % i, yk.gen_g(d, n, i)) for i in range(1, n)] + \
+           [("t_%d" % j, yk.gen_t(d, n, j)) for j in range(1, n + 1)]
+    eig_detail = sel_detail = ""
     eig = sel = 0
     for c, Ec in Es.items():
         for j in range(1, n + 1):
             tmon = tuple(1 if m == j - 1 else 0 for m in range(n))
             val = RatFunc.from_scalar(yk.chi_value(d, c, tmon), d)
-            ok_eig &= (yk.gen_t(d, n, j) * Ec == Ec.scale(val)); eig += 1
+            if yk.gen_t(d, n, j) * Ec != Ec.scale(val) and not eig_detail:
+                eig_detail = "t_%d E_chi != chi(t_%d) E_chi for chi = %s" % (j, j, list(c))
+            eig += 1
         for i in range(1, n):
-            want = Ec if c[i - 1] == c[i] else yk.zero(d, n)
-            ok_sel &= (yk.e(d, n, i) * Ec == want); sel += 1
+            hit = c[i - 1] == c[i]
+            if yk.e(d, n, i) * Ec != (Ec if hit else yk.zero(d, n)) and not sel_detail:
+                sel_detail = "e_%d E_chi != %s for chi = %s" % (
+                    i, "E_chi" if hit else "0", list(c))
+            sel += 1
         for j in range(1, n + 1):
-            want = Ec if c[j - 1] % d == 0 else yk.zero(d, n)
-            ok_sel &= (yk.T(d, n, j) * Ec == want); sel += 1
-    _check(report, "framing_eigenvalues", eig, ok_eig)
-    _check(report, "projector_selection_rules", sel, ok_sel)
+            hit = c[j - 1] % d == 0
+            if yk.T(d, n, j) * Ec != (Ec if hit else yk.zero(d, n)) and not sel_detail:
+                sel_detail = "T_%d E_chi != %s for chi = %s" % (
+                    j, "E_chi" if hit else "0", list(c))
+            sel += 1
+    _check(report, "framing_eigenvalues", eig, not eig_detail, eig_detail)
+    _check(report, "projector_selection_rules", sel, not sel_detail, sel_detail)
     mus = compositions(d, n)
     Emus = {mu: yk.E_mu(d, n, mu) for mu in mus}
-    ok_central = True
+    central = ""
     cnt = 0
     for mu, Em in Emus.items():
-        for g in gens:
-            ok_central &= (Em * g == g * Em); cnt += 1
-    _check(report, "central_idempotents_commute", cnt, ok_central)
+        for label, g in gens:
+            if Em * g != g * Em and not central:
+                central = "E_mu %s != %s E_mu for mu = %s" % (label, label, list(mu.parts))
+            cnt += 1
+    _check(report, "central_idempotents_commute", cnt, not central, central)
     s = yk.zero(d, n)
     for Em in Emus.values():
         s = s + Em
-    _check(report, "central_idempotents_sum", 1, s == yk.unit(d, n))
-    ok_o = True
+    complete = s == yk.unit(d, n)
+    _check(report, "central_idempotents_sum", 1, complete,
+           "" if complete else "the E_mu do not sum to 1")
+    orth = ""
     cnt = 0
     for mu, nu in itertools.combinations(mus, 2):
-        ok_o &= (Emus[mu] * Emus[nu]).is_zero(); cnt += 1
-    _check(report, "central_idempotents_orthogonal", cnt, ok_o)
+        if not (Emus[mu] * Emus[nu]).is_zero() and not orth:
+            orth = "E_mu E_nu != 0 for mu = %s, nu = %s" % (list(mu.parts), list(nu.parts))
+        cnt += 1
+    _check(report, "central_idempotents_orthogonal", cnt, not orth, orth)
     return report
 
 

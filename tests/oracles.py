@@ -10,11 +10,15 @@ this module.
 - is_zero_matrix
 - Field, row_echelon, matrix_rank, invert_matrix: Gaussian elimination over
   any field, used by the first two
+- FractionCyclotomic: Q(zeta_d) with one Fraction per coordinate, the
+  arithmetic that the int-coordinate scalars.Cyclotomic replaced
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd as int_gcd
 
 from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
@@ -205,3 +209,270 @@ def conjugate_shift(x, i):
     for _ in range(i - 1):
         out = fwd * out * bwd
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction-coordinate cyclotomic numbers
+
+
+@lru_cache(maxsize=None)
+def _fraction_cyclotomic_polynomial(d):
+    """Coefficient list (constant first) of the d-th cyclotomic polynomial."""
+    if d < 1:
+        raise ValueError("order must be positive")
+    # Phi_d = (x^d - 1) / prod of Phi_e over proper divisors e of d
+    poly = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+    for e in range(1, d):
+        if d % e == 0:
+            poly, rem = _fraction_poly_divmod(poly, _fraction_cyclotomic_polynomial(e))
+            if rem[-1] != 0:
+                raise ArithmeticError("inexact polynomial division")
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _fraction_trace_weights(d):
+    """Normalised trace to Q of each basis power zeta_d^i. That power is a
+    primitive m-th root of unity, m = d/gcd(i, d), and the mean of the
+    primitive m-th roots is minus the subleading coefficient of Phi_m over
+    its degree. The trace does not depend on the field a number lies in."""
+    out = []
+    for i in range(len(_fraction_cyclotomic_polynomial(d)) - 1):
+        phi_m = _fraction_cyclotomic_polynomial(d // int_gcd(i, d))
+        out.append(-phi_m[-2] / (len(phi_m) - 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _fraction_power_table(d):
+    """Coords of zeta_d^k for k = 0..d-1 in the reduced power basis."""
+    phi_poly = _fraction_cyclotomic_polynomial(d)
+    deg = len(phi_poly) - 1
+    table = []
+    cur = [Fraction(0)] * deg
+    cur[0] = Fraction(1)
+    for _ in range(d):
+        table.append(tuple(cur))
+        # multiply by zeta: shift, then reduce the overflow via
+        # zeta^deg = -(phi_0 + phi_1 zeta + ...)  (Phi_d is monic)
+        top = cur[deg - 1]
+        cur = [Fraction(0)] + cur[: deg - 1]
+        if top != 0:
+            for j in range(deg):
+                cur[j] -= top * phi_poly[j]
+    return tuple(table)
+
+
+class FractionCyclotomic:
+    """An element of Q(zeta_d) in the reduced power basis mod Phi_d."""
+
+    __slots__ = ("order", "coords")
+
+    def __init__(self, order, coords):
+        deg = len(_fraction_cyclotomic_polynomial(order)) - 1
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        if len(coords) != deg:
+            raise ValueError("expected %d coordinates for order %d" % (deg, order))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FractionCyclotomic is immutable")
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_rational(r, order=1):
+        deg = len(_fraction_cyclotomic_polynomial(order)) - 1
+        coords = [Fraction(r)] + [Fraction(0)] * (deg - 1)
+        return FractionCyclotomic(order, coords)
+
+    @staticmethod
+    def zero(order=1):
+        return FractionCyclotomic.from_rational(0, order)
+
+    @staticmethod
+    def one(order=1):
+        return FractionCyclotomic.from_rational(1, order)
+
+    @staticmethod
+    def root_power(order, e):
+        """zeta_order^e, reduced."""
+        return FractionCyclotomic(order, _fraction_power_table(order)[e % order])
+
+    # -- structure ---------------------------------------------------------
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coords)
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coords[1:])
+
+    def as_rational(self):
+        if not self.is_rational():
+            raise ValueError("not a rational number: %r" % (self,))
+        return self.coords[0]
+
+    def promote(self, order):
+        """Embed into Q(zeta_order); requires self.order | order."""
+        if order == self.order:
+            return self
+        if order % self.order != 0:
+            raise ValueError("cannot promote order %d to %d" % (self.order, order))
+        step = order // self.order
+        table = _fraction_power_table(order)
+        deg = len(_fraction_cyclotomic_polynomial(order)) - 1
+        out = [Fraction(0)] * deg
+        for i, c in enumerate(self.coords):
+            if c != 0:
+                root = table[(i * step) % order]
+                for j in range(deg):
+                    out[j] += c * root[j]
+        return FractionCyclotomic(order, out)
+
+    @staticmethod
+    def _common(a, b):
+        if a.order == b.order:
+            return a, b
+        m = a.order * b.order // int_gcd(a.order, b.order)
+        return a.promote(m), b.promote(m)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        other = _as_fraction_cyclotomic(other, self.order)
+        a, b = FractionCyclotomic._common(self, other)
+        return FractionCyclotomic(a.order, [x + y for x, y in zip(a.coords, b.coords)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomic(self.order, [-c for c in self.coords])
+
+    def __sub__(self, other):
+        return self + (-_as_fraction_cyclotomic(other, self.order))
+
+    def __rsub__(self, other):
+        return _as_fraction_cyclotomic(other, self.order) - self
+
+    def __mul__(self, other):
+        other = _as_fraction_cyclotomic(other, self.order)
+        a, b = FractionCyclotomic._common(self, other)
+        deg = len(a.coords)
+        prod = [Fraction(0)] * (2 * deg - 1)
+        for i, x in enumerate(a.coords):
+            if x == 0:
+                continue
+            for j, y in enumerate(b.coords):
+                if y != 0:
+                    prod[i + j] += x * y
+        # reduce mod Phi
+        phi_poly = _fraction_cyclotomic_polynomial(a.order)
+        for k in range(len(prod) - 1, deg - 1, -1):
+            c = prod[k]
+            if c != 0:
+                prod[k] = Fraction(0)
+                for j in range(deg):
+                    prod[k - deg + j] -= c * phi_poly[j]
+        return FractionCyclotomic(a.order, prod[:deg])
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        """Multiplicative inverse via the extended Euclidean algorithm."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero cyclotomic element")
+        if self.is_rational():
+            return FractionCyclotomic.from_rational(1 / self.coords[0], self.order)
+        phi_poly = list(_fraction_cyclotomic_polynomial(self.order))
+        a = list(self.coords)
+        # extended gcd of a and Phi in Q[x]; Phi irreducible so gcd is 1
+        r0, r1 = phi_poly, _fraction_trim(a)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _fraction_poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _fraction_poly_sub(s0, _fraction_poly_mul(q, s1))
+        # r1 is a nonzero constant; s1 * a == r1 (mod Phi)
+        c = r1[0]
+        inv_coords = [x / c for x in s1]
+        deg = len(self.coords)
+        inv_coords += [Fraction(0)] * (deg - len(inv_coords))
+        return FractionCyclotomic(self.order, inv_coords[:deg])
+
+    def __truediv__(self, other):
+        other = _as_fraction_cyclotomic(other, self.order)
+        return self * other.inv()
+
+    def __rtruediv__(self, other):
+        return _as_fraction_cyclotomic(other, self.order) * self.inv()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coords[0] == other
+        if not isinstance(other, FractionCyclotomic):
+            return NotImplemented
+        a, b = FractionCyclotomic._common(self, other)
+        return a.coords == b.coords
+
+    def __hash__(self):
+        # the normalised trace: equal across promotions, and the number
+        # itself for rationals
+        return hash(sum(c * w for c, w in zip(self.coords, _fraction_trace_weights(self.order))
+                        if c))
+
+    def __repr__(self):
+        # the library's repr, so the two compare as strings
+        return "Cyclotomic(%d, %s)" % (self.order, list(self.coords))
+
+    def to_json(self):
+        return [str(c) for c in self.coords]
+
+
+def _as_fraction_cyclotomic(x, order):
+    if isinstance(x, FractionCyclotomic):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FractionCyclotomic.from_rational(x, order)
+    raise TypeError("cannot coerce %r to FractionCyclotomic" % (x,))
+
+
+# polynomial helpers on coefficient lists (constant first) over Q or Q(zeta)
+
+def _fraction_trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return list(p)
+
+
+def _fraction_poly_divmod(num, den):
+    """Long division of Fraction or FractionCyclotomic coefficient lists:
+    returns (quotient, remainder), the remainder without zero leading
+    terms."""
+    num = list(num)
+    den = _fraction_trim(den)
+    zero = den[-1] - den[-1]
+    quot = [zero] * max(len(num) - len(den) + 1, 1)
+    for k in range(len(num) - len(den), -1, -1):
+        c = num[k + len(den) - 1] / den[-1]
+        quot[k] = c
+        if c != 0:
+            for j, dj in enumerate(den):
+                num[k + j] = num[k + j] - c * dj
+    return quot, _fraction_trim(num[: len(den) - 1] or [zero])
+
+
+def _fraction_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x != 0:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _fraction_poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]

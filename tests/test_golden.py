@@ -21,6 +21,9 @@ COMMANDS = {
     "mul": ["mul", "-d", "2", "-n", "3", "E(1; 2,1) * t1 + q * g1^-1"],
     "enumerate_cosets": ["enumerate", "cosets", "-d", "2", "-n", "3"],
     "dim_ctl": ["dim", "ctl", "-d", "3", "-n", "4"],
+    # d = 3: scalars with several coordinates, such as 1/3 + 1/9 zeta
+    "mul_d3": ["mul", "-d", "3", "-n", "2", "E(2; 1,1,0) * t1 + q * g1^-1"],
+    "rep_d3": ["rep", "-d", "3", "-n", "3", "--shape", "[[2],[1],[]]"],
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, as_ratfunc,
                          cyclotomic_polynomial, root_of_unity, specialize_q)
+
+from oracles import FractionCyclotomic
 
 
 def test_cyclotomic_polynomials():
@@ -204,3 +207,118 @@ def test_times_monomial():
     z = Cyclotomic.root_power(3, 2)
     for c, e in ((1, 0), (z, 0), (1, -3), (z, 2), (Fraction(1, 9), 1)):
         assert x.times_monomial(c, e) == x * RatFunc.from_scalar(c, 3) * RatFunc.q_power(e, 3)
+
+
+# -- int coordinates against the Fraction-coordinate reference -----------------
+
+_coord = st.one_of(st.just(0), st.integers(-5, 5),
+                   st.fractions(-4, 4, max_denominator=27))
+# pairs of orders in 1..12 whose common field has at most 8 coordinates
+_order_pairs = st.sampled_from([(a, b) for a in range(1, 13) for b in range(1, 13)
+                                if len(cyclotomic_polynomial(lcm(a, b))) <= 9])
+
+
+def _both(draw, order):
+    coords = draw(st.lists(_coord, min_size=len(cyclotomic_polynomial(order)) - 1,
+                           max_size=len(cyclotomic_polynomial(order)) - 1))
+    return Cyclotomic(order, coords), FractionCyclotomic(order, coords)
+
+
+@st.composite
+def cyclotomic_with_reference(draw, orders=st.integers(1, 12)):
+    return _both(draw, draw(orders))
+
+
+def _assert_matches(x, ref):
+    assert x.order == ref.order
+    assert x.coords == ref.coords
+    assert all(type(c) is Fraction for c in x.coords)
+    assert repr(x) == repr(ref)
+    assert x.to_json() == ref.to_json()
+    assert hash(x) == hash(ref)
+    _assert_lowest_terms(x)
+
+
+def _assert_lowest_terms(x):
+    assert len(x.nums) == len(cyclotomic_polynomial(x.order)) - 1
+    assert all(type(v) is int for v in x.nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+@given(st.data(), _order_pairs)
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_fraction_reference(data, orders):
+    x, rx = _both(data.draw, orders[0])
+    y, ry = _both(data.draw, orders[1])
+    _assert_matches(x, rx)
+    _assert_matches(x + y, rx + ry)
+    _assert_matches(x - y, rx - ry)
+    _assert_matches(x * y, rx * ry)
+    _assert_matches(-x, -rx)
+    if not y.is_zero():
+        _assert_matches(y.inv(), ry.inv())
+        _assert_matches(x / y, rx / ry)
+    assert (x == y) == (rx == ry)
+
+
+@given(cyclotomic_with_reference(), st.integers(1, 3),
+       st.fractions(-3, 3, max_denominator=9))
+@settings(max_examples=100, deadline=None)
+def test_promote_and_rationals_match_fraction_reference(pair, k, r):
+    x, rx = pair
+    _assert_matches(x.promote(k * x.order), rx.promote(k * x.order))
+    _assert_matches(x * r, rx * r)
+    _assert_matches(x + r, rx + r)
+    _assert_matches(r - x, r - rx)
+    _assert_matches(Cyclotomic.from_rational(r, x.order),
+                    FractionCyclotomic.from_rational(r, x.order))
+    assert (x == r) == (rx == r)
+    assert (x == r.numerator) == (rx == r.numerator)
+
+
+@given(st.data(), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_ring_axioms(data, order):
+    (x, _), (y, _), (z, _) = (_both(data.draw, order) for _ in range(3))
+    zero, one = Cyclotomic.zero(order), Cyclotomic.one(order)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and (x * zero).is_zero()
+    assert (x - x).is_zero() and (x - x).den == 1
+    assert (x * Fraction(1, 2) == x) == x.is_zero() and x + 1 != x
+    if not x.is_zero():
+        assert x * x.inv() == one and x.inv().inv() == x
+    for v in (x + y, x * y, x - z, x * y * z):
+        _assert_lowest_terms(v)
+
+
+def test_coordinates_must_be_exact():
+    for bad in (0.1, "1/3", 1.0, None):
+        with pytest.raises(TypeError):
+            Cyclotomic(1, [bad])
+        with pytest.raises(TypeError):
+            Cyclotomic(3, [0, bad])
+        with pytest.raises(TypeError):
+            Cyclotomic.from_rational(bad, 3)
+    x = Cyclotomic(3, [Fraction(2, 6), 2])
+    assert (x.nums, x.den) == ((1, 6), 3)
+    assert x.coords == (Fraction(1, 3), Fraction(2))
+    assert Cyclotomic.zero(12).den == 1 and Cyclotomic(4, [Fraction(0, 7), 0]).den == 1
+
+
+def test_polynomial_fast_paths_keep_one_field():
+    z3, z4 = Cyclotomic.root_power(3, 1), Cyclotomic.root_power(4, 1)
+    a = RatFunc(Laurent(3, {1: z3, 0: 2}))
+    b = RatFunc(Laurent(4, {-1: z4}))
+    for r in (a + b, a * b, b + a, b * a):
+        assert r.num.order == r.den.order == 12 and r.den.is_one()
+    assert a * b == RatFunc(Laurent(12, {0: z3 * z4, -1: z4 * 2}))
+    assert a + b == RatFunc(Laurent(12, {1: z3, 0: 2, -1: z4}))
+    # sums that cancel leave no zero terms behind
+    assert (a - a).num.terms == () and (a + (-a)).is_zero()
+    p = Laurent(3, {0: 1, 1: z3})
+    assert (p + -p).terms == () and (p * p - p * p).terms == ()

@@ -141,3 +141,53 @@ def test_admissibility_mismatch_names_the_shape(monkeypatch):
               if c["name"] == "two_column_vs_annihilation"]
     assert check["passed"] is False
     assert "at shape ((3,),) (FTL)" in check["detail"]
+
+
+def test_wrong_character_idempotent_is_named(monkeypatch):
+    import ytl.yokonuma as yk
+    from ytl.verify import suite_idempotents
+
+    original = yk.E_chi
+
+    def doubled(d, n, chi):
+        e = original(d, n, chi)
+        return e.scale(2) if tuple(chi) == (1, 0) else e
+
+    monkeypatch.setattr(yk, "E_chi", doubled)
+    report = suite_idempotents(2, 2)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert report["ok"] is False
+    assert checks["character_idempotents"] == {
+        "name": "character_idempotents", "instances": 4, "passed": False,
+        "detail": "E_chi^2 != E_chi for chi = [1, 0]"}
+    assert checks["character_completeness"]["detail"] == "the E_chi do not sum to 1"
+    assert checks["central_idempotents_commute"]["detail"] == \
+        "E_mu g_1 != g_1 E_mu for mu = [1, 1]"
+    assert checks["central_idempotents_sum"]["detail"] == "the E_mu do not sum to 1"
+    for name in ("character_orthogonality", "framing_eigenvalues",
+                 "projector_selection_rules", "central_idempotents_orthogonal"):
+        assert checks[name]["passed"] is True and checks[name]["detail"] == ""
+
+
+def test_overlapping_character_idempotents_name_the_pair(monkeypatch):
+    import ytl.yokonuma as yk
+    from ytl.verify import suite_idempotents
+
+    original = yk.E_chi
+
+    def merged(d, n, chi):
+        e = original(d, n, chi)
+        return e + original(d, n, (0, 0)) if tuple(chi) == (1, 1) else e
+
+    monkeypatch.setattr(yk, "E_chi", merged)
+    checks = {c["name"]: c for c in suite_idempotents(2, 2)["checks"]}
+    # a sum of orthogonal idempotents is idempotent: only the pairs fail
+    assert checks["character_idempotents"]["passed"] is True
+    assert checks["character_orthogonality"]["detail"] == \
+        "E_chi E_psi != 0 for chi = [0, 0], psi = [1, 1]"
+    assert checks["framing_eigenvalues"]["detail"] == \
+        "t_1 E_chi != chi(t_1) E_chi for chi = [1, 1]"
+    assert checks["projector_selection_rules"]["detail"] == \
+        "T_1 E_chi != 0 for chi = [1, 1]"
+    assert checks["central_idempotents_orthogonal"]["detail"] == \
+        "E_mu E_nu != 0 for mu = [2, 0], nu = [0, 2]"

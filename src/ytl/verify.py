@@ -78,13 +78,14 @@ def suite_relations(d, n, seed=0):
 
 def module_relations(d, n, shapes, seed=0):
     """The relations report over the irreducibles of the given shapes; the
-    instance counts are summed over those modules."""
+    instance counts are summed over those modules, and each check's detail
+    names its first failing instance: the relation and the shape."""
     report = _new_report(d, n, "relations", seed)
     q = RatFunc.q(d)
     one = RatFunc.one(d)
     z = RatFunc.zero(d)
     braid = framing = quad = torsion = diag = hecke = 0
-    ok_braid = ok_frame = ok_quad = ok_diag = ok_hecke = True
+    failed = dict.fromkeys(("braid", "frame", "quad", "diag", "hecke"), "")
     for shape in shapes:
         module = rep_module(d, shape)
         if module.dim == 0:
@@ -95,48 +96,63 @@ def module_relations(d, n, shapes, seed=0):
         E = [rep_e(module, i) for i in range(1, n)]
         def mm(a, b):
             return mat_mul(a, b, z)
+        def note(check, holds, relation, *indices):
+            if not holds and not failed[check]:
+                failed[check] = (relation % indices) + " at shape %r" % (shape,)
         for i in range(n - 1):
             for j in range(i + 2, n - 1):
-                ok_braid &= iso.block_equal(mm(G[i], G[j]), mm(G[j], G[i])); braid += 1
+                note("braid", iso.block_equal(mm(G[i], G[j]), mm(G[j], G[i])),
+                     "g_%d g_%d != g_%d g_%d", i + 1, j + 1, j + 1, i + 1); braid += 1
             if i + 1 < n - 1:
-                ok_braid &= iso.block_equal(mm(mm(G[i], G[i + 1]), G[i]),
-                                            mm(mm(G[i + 1], G[i]), G[i + 1])); braid += 1
+                note("braid", iso.block_equal(mm(mm(G[i], G[i + 1]), G[i]),
+                                              mm(mm(G[i + 1], G[i]), G[i + 1])),
+                     "g_%d g_%d g_%d != g_%d g_%d g_%d",
+                     i + 1, i + 2, i + 1, i + 2, i + 1, i + 2); braid += 1
         for a in range(n):
             for b in range(a + 1, n):
-                ok_frame &= iso.block_equal(mm(Tm[a], Tm[b]), mm(Tm[b], Tm[a])); framing += 1
+                note("frame", iso.block_equal(mm(Tm[a], Tm[b]), mm(Tm[b], Tm[a])),
+                     "t_%d t_%d != t_%d t_%d", a + 1, b + 1, b + 1, a + 1); framing += 1
         for i in range(1, n):
             for j in range(1, n + 1):
                 sj = j + 1 if j == i else (j - 1 if j == i + 1 else j)
-                ok_frame &= iso.block_equal(mm(Tm[j - 1], G[i - 1]),
-                                            mm(G[i - 1], Tm[sj - 1])); framing += 1
+                note("frame", iso.block_equal(mm(Tm[j - 1], G[i - 1]),
+                                              mm(G[i - 1], Tm[sj - 1])),
+                     "t_%d g_%d != g_%d t_%d", j, i, i, sj); framing += 1
         for j in range(n):
             acc = ident
             for _ in range(d):
                 acc = mm(acc, Tm[j])
-            ok_frame &= iso.block_equal(acc, ident); torsion += 1
+            note("frame", iso.block_equal(acc, ident), "t_%d^%d != 1", j + 1, d); torsion += 1
         for i in range(n - 1):
             eg = mm(E[i], G[i])
             rhs = [[(q if r == c else z) + (q - one) * eg[r][c]
                     for c in range(module.dim)] for r in range(module.dim)]
-            ok_quad &= iso.block_equal(mm(G[i], G[i]), rhs); quad += 1
-            ok_quad &= iso.block_equal(mm(E[i], G[i]), mm(G[i], E[i])); quad += 1
+            note("quad", iso.block_equal(mm(G[i], G[i]), rhs),
+                 "g_%d^2 != q + (q - 1) e_%d g_%d", i + 1, i + 1, i + 1); quad += 1
+            note("quad", iso.block_equal(mm(E[i], G[i]), mm(G[i], E[i])),
+                 "e_%d g_%d != g_%d e_%d", i + 1, i + 1, i + 1, i + 1); quad += 1
             # e_i through the framing generators matches the projector
-            ok_diag &= iso.block_equal(rep_element(module, yk.e(d, n, i + 1)), E[i]); diag += 1
+            note("diag", iso.block_equal(rep_element(module, yk.e(d, n, i + 1)), E[i]),
+                 "rep(e_%d) != the projector E_%d", i + 1, i + 1); diag += 1
         for j in range(n):
-            ok_diag &= all(Tm[j][r][c].is_zero()
-                           for r in range(module.dim) for c in range(module.dim)
-                           if r != c); diag += 1
+            note("diag", all(Tm[j][r][c].is_zero()
+                             for r in range(module.dim) for c in range(module.dim)
+                             if r != c),
+                 "t_%d is not diagonal", j + 1); diag += 1
         if d == 1:
             # the one-component action must equal the classical Hoefsmit form
             for i in range(n - 1):
                 want = _hoefsmit_matrix(module, i + 1)
-                ok_hecke &= iso.block_equal(G[i], want); hecke += 1
-    _check(report, "braid_relations", braid, ok_braid)
-    _check(report, "framing_relations", framing + torsion, ok_frame)
-    _check(report, "quadratic_relation", quad, ok_quad)
-    _check(report, "diagonal_actions", diag, ok_diag)
+                note("hecke", iso.block_equal(G[i], want),
+                     "g_%d != the Hoefsmit matrix", i + 1); hecke += 1
+    _check(report, "braid_relations", braid, not failed["braid"], failed["braid"])
+    _check(report, "framing_relations", framing + torsion, not failed["frame"],
+           failed["frame"])
+    _check(report, "quadratic_relation", quad, not failed["quad"], failed["quad"])
+    _check(report, "diagonal_actions", diag, not failed["diag"], failed["diag"])
     if d == 1:
-        _check(report, "hecke_seminormal_match", hecke, ok_hecke)
+        _check(report, "hecke_seminormal_match", hecke, not failed["hecke"],
+               failed["hecke"])
     return report
 
 

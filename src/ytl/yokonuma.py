@@ -7,14 +7,29 @@ Elements are immutable; multiplication rewrites to normal form using
   g_w g_i  = g_{w s_i}                                   if l(w s_i) > l(w),
   g_w g_i  = q g_{w s_i} + (q-1) e_{w(i), w(i+1)} g_w    otherwise,
 where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
+
+The product works on integer tables. Each operand's terms are grouped by
+the denominator of their RatFunc coefficient (a Laurent-only element is one
+group). A group becomes a table of ints keyed by (t-monomial, permutation,
+q-exponent, zeta power) over one common integer denominator, in the group
+ring Z[Z/L] with L the lcm of d and every coefficient order. For each
+permutation v of the right operand, the left table times sum_b c_b t^b is
+folded through the reduced word of v once; the 1/d of an e-term becomes a
+power of d in the common denominator. Each output coefficient is reduced
+mod Phi_L and tested for zero only then, and a RatFunc is built once per
+output term; the products of different denominator pairs are added as
+RatFuncs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .permutations import Perm, act_on_character, coset_system
-from .scalars import Cyclotomic, RatFunc, as_ratfunc, specialize_q
+from .scalars import (Cyclotomic, Laurent, RatFunc, _power_sum, _reduced, as_ratfunc,
+                      specialize_q)
 
 
 class NTooSmall(Exception):
@@ -84,15 +99,19 @@ class YElement:
             return self.scale(other)
         self._check_compat(other)
         d, n = self.d, self.n
-        q = RatFunc.q(d)
-        qm1_over_d = (q - RatFunc.one(d)) * RatFunc.from_scalar(Fraction(1, d), d)
+        order = lcm(d, *(c.order for _, c in self.terms), *(c.order for _, c in other.terms))
+        one = Laurent.one(order)
         acc = {}
-        for (a, u), c1 in self.terms:
-            for (b, v), c2 in other.terms:
-                uinv = u.inv()
-                tmon = tuple((a[j] + b[uinv(j + 1) - 1]) % d for j in range(n))
-                _fold_braid_word(d, n, acc, tmon, u, v.reduced_word(),
-                                 c1 * c2, q, qm1_over_d)
+        for lden, left in _int_groups(self.terms, order):
+            for rden, right in _int_groups(other.terms, order):
+                den = one if lden.is_one() and rden.is_one() else lden * rden
+                part = _int_product(d, n, order, left, right, den)
+                if not acc:
+                    acc = part
+                    continue
+                # RatFunc sums only on keys that several pairs of groups reach
+                for key, c in part.items():
+                    _acc_term(acc, key, c)
         return YElement(d, n, acc)
 
     def __rmul__(self, other):
@@ -134,27 +153,134 @@ def _acc_term(acc, key, c):
         acc[key] = c
 
 
-def _fold_braid_word(d, n, acc, tmon, u, word, coeff, q, qm1_over_d):
-    """Accumulate coeff * t^tmon g_u g_{word} into acc, in normal form."""
-    work = {(tmon, u): coeff}
-    for i in word:
-        s_i = Perm.transposition(n, i)
-        new = {}
-        for (m, w), c in work.items():
-            if not w.descends_right(i):
-                _acc_term(new, (m, w * s_i), c)
-            else:
-                _acc_term(new, (m, w * s_i), q * c)
-                jj, kk = w(i), w(i + 1)
-                ce = qm1_over_d * c
-                for s in range(d):
-                    m2 = list(m)
-                    m2[jj - 1] = (m2[jj - 1] + s) % d
-                    m2[kk - 1] = (m2[kk - 1] - s) % d
-                    _acc_term(new, (tuple(m2), w), ce)
-        work = new
-    for key, c in work.items():
-        _acc_term(acc, key, c)
+def _int_groups(terms, order):
+    """The terms grouped by the denominator of their coefficient, as
+    (den, (D, rows)): each row (tmon, images, monomials) carries its
+    numerator as (q-exponent, zeta_order power, int) triples over the
+    group's common int denominator D."""
+    groups = {}
+    for (tmon, w), c in terms:
+        groups.setdefault(c.den, []).append((tmon, w.images, c.num))
+    out = []
+    for den, rows in groups.items():
+        common = lcm(*(v.den for _, _, num in rows for _, v in num.terms))
+        out.append((den, (common, [
+            (tmon, w, tuple((e, i * (order // v.order), x * (common // v.den))
+                            for e, v in num.terms for i, x in enumerate(v.nums) if x))
+            for tmon, w, num in rows])))
+    return out
+
+
+def _int_product(d, n, order, left, right, den):
+    """The product of two denominator groups, {(tmon, Perm): RatFunc} over
+    den. The numerators multiply as ints in Z[Z/order][q^+-1]; the terms of
+    the right group that share a permutation v are folded through its
+    reduced word together, and each fold step carries the 1/d of the
+    e-term as one more factor d of the common denominator."""
+    lcommon, lrows = left
+    rcommon, rrows = right
+    by_u = {}
+    for a, u, mono in lrows:
+        by_u.setdefault(u, []).append((a, mono))
+    lterms = []
+    for u, rows in by_u.items():
+        uinv = [0] * n
+        for j, x in enumerate(u):
+            uinv[x - 1] = j
+        lterms.append((u, uinv, rows))
+    by_v = {}
+    for b, v, mono in rrows:
+        by_v.setdefault(v, []).append((b, mono))
+    top = max(len(_reduced_word(v)) for v in by_v)
+    acc = {}
+    for v, rights in by_v.items():
+        # the left group times sum_b c_b t^b, all still left of g_v
+        work = {}
+        for b, rmono in rights:
+            for u, uinv, rows in lterms:
+                # g_u t^b = t^{u(b)} g_u
+                ub = [b[j] for j in uinv]
+                for a, lmono in rows:
+                    m = tuple([(x + y) % d for x, y in zip(a, ub)])
+                    for e1, z1, c1 in lmono:
+                        for e2, z2, c2 in rmono:
+                            key = (m, u, e1 + e2, (z1 + z2) % order)
+                            work[key] = work.get(key, 0) + c1 * c2
+        word = _reduced_word(v)
+        for i in word:
+            new = {}
+            for (m, w, e, z), c in work.items():
+                ws, j, k = _right_steps(w)[i]
+                key = (m, ws, e + 1, z) if j else (m, ws, e, z)
+                new[key] = new.get(key, 0) + c * d
+                if j:
+                    # (q - 1) e_{j,k}: d terms t_j^s t_k^-s, each over d
+                    for m2 in _e_shifts(m, j, k, d):
+                        key = (m2, w, e + 1, z)
+                        new[key] = new.get(key, 0) + c
+                        key = (m2, w, e, z)
+                        new[key] = new.get(key, 0) - c
+            work = new
+        scale = d ** (top - len(word))
+        for key, c in work.items():
+            acc[key] = acc.get(key, 0) + c * scale
+    common = lcommon * rcommon * d ** top
+    coeffs = {}
+    for (m, w, e, z), c in acc.items():
+        if c:
+            coeffs.setdefault((m, w), {}).setdefault(e, [0] * order)[z] += c
+    trusted = den.is_one()
+    out = {}
+    for (m, w), by_e in coeffs.items():
+        # 1 + zeta + zeta^2 and the like vanish only after reduction mod Phi
+        terms = []
+        for e in sorted(by_e):
+            nums = _power_sum(order, by_e[e], 1)
+            if any(nums):
+                terms.append((e, _reduced(order, nums, common)))
+        if terms:
+            out[(m, _perm(w))] = RatFunc(Laurent._raw(order, tuple(terms)), den,
+                                         _normalized=trusted)
+    return out
+
+
+# Tables per permutation or t-exponent vector, so bounded by the size of the
+# algebra: a product creates no Perm and no reduced word once they are filled.
+
+
+@lru_cache(maxsize=None)
+def _perm(images):
+    return Perm(images)
+
+
+@lru_cache(maxsize=None)
+def _reduced_word(images):
+    return _perm(images).reduced_word()
+
+
+@lru_cache(maxsize=None)
+def _right_steps(images):
+    """Indexed by i = 1..n-1 (entry 0 unused): (images of w s_i, j, k), with
+    (j, k) = (w(i), w(i+1)) where l(w s_i) < l(w) and (0, 0) otherwise."""
+    w = _perm(images)
+    out = [None]
+    for i in range(1, len(images)):
+        j, k = images[i - 1], images[i]
+        ws = images[:i - 1] + (k, j) + images[i + 1:]
+        out.append((ws, j, k) if w.descends_right(i) else (ws, 0, 0))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _e_shifts(m, j, k, d):
+    """The t-exponent vectors m + s (e_j - e_k), s = 0..d-1."""
+    out = []
+    for s in range(d):
+        m2 = list(m)
+        m2[j - 1] = (m2[j - 1] + s) % d
+        m2[k - 1] = (m2[k - 1] - s) % d
+        out.append(tuple(m2))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

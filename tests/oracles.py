@@ -12,6 +12,9 @@ this module.
   any field, used by the first two
 - FractionCyclotomic: Q(zeta_d) with one Fraction per coordinate, the
   arithmetic that the int-coordinate scalars.Cyclotomic replaced
+- ref_mul: the standard-basis product term by term, each pair of terms
+  folded through the braid word of its right permutation with RatFunc
+  coefficients, against the integer-table YElement.__mul__
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from math import gcd as int_gcd
 
 from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
-from ytl.permutations import all_perms
+from ytl.permutations import Perm, all_perms
 from ytl.reps import quotient_shapes, rep_element, rep_module
 from ytl.scalars import Cyclotomic, RatFunc, specialize_q
 from ytl.tableaux import jones_pairs, jones_permutation
-from ytl.yokonuma import _acc_term, g_block, gen_g, gen_g_inv, unit
+from ytl.yokonuma import YElement, _acc_term, g_block, gen_g, gen_g_inv, unit
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +479,48 @@ def _fraction_poly_sub(a, b):
     a = list(a) + [Fraction(0)] * (n - len(a))
     b = list(b) + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
+
+
+# ---------------------------------------------------------------------------
+# term-by-term standard-basis product
+
+
+def ref_mul(x, y):
+    """x * y in the standard basis, one pair of terms at a time: the
+    t-part of the right term moves through g_u, and g_u is multiplied by
+    the generators of the right permutation's reduced word one by one."""
+    x._check_compat(y)
+    d, n = x.d, x.n
+    q = RatFunc.q(d)
+    qm1_over_d = (q - RatFunc.one(d)) * RatFunc.from_scalar(Fraction(1, d), d)
+    acc = {}
+    for (a, u), c1 in x.terms:
+        for (b, v), c2 in y.terms:
+            uinv = u.inv()
+            tmon = tuple((a[j] + b[uinv(j + 1) - 1]) % d for j in range(n))
+            _fold_braid_word(d, n, acc, tmon, u, v.reduced_word(),
+                             c1 * c2, q, qm1_over_d)
+    return YElement(d, n, acc)
+
+
+def _fold_braid_word(d, n, acc, tmon, u, word, coeff, q, qm1_over_d):
+    """Accumulate coeff * t^tmon g_u g_{word} into acc, in normal form."""
+    work = {(tmon, u): coeff}
+    for i in word:
+        s_i = Perm.transposition(n, i)
+        new = {}
+        for (m, w), c in work.items():
+            if not w.descends_right(i):
+                _acc_term(new, (m, w * s_i), c)
+            else:
+                _acc_term(new, (m, w * s_i), q * c)
+                jj, kk = w(i), w(i + 1)
+                ce = qm1_over_d * c
+                for s in range(d):
+                    m2 = list(m)
+                    m2[jj - 1] = (m2[jj - 1] + s) % d
+                    m2[kk - 1] = (m2[kk - 1] - s) % d
+                    _acc_term(new, (tuple(m2), w), ce)
+        work = new
+    for key, c in work.items():
+        _acc_term(acc, key, c)

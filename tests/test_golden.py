@@ -24,6 +24,13 @@ COMMANDS = {
     # d = 3: scalars with several coordinates, such as 1/3 + 1/9 zeta
     "mul_d3": ["mul", "-d", "3", "-n", "2", "E(2; 1,1,0) * t1 + q * g1^-1"],
     "rep_d3": ["rep", "-d", "3", "-n", "3", "--shape", "[[2],[1],[]]"],
+    # products of long braid words, and about 730 dense d = 3 products
+    "mul_long_d2n4": ["mul", "-d", "2", "-n", "4",
+                      "(g1*g2*g3*g1*g2 + q^-1*t2*g3*g2*g1) * (g3*g2*g1*g3 - 2/3*t4*g2^-1)"],
+    "mul_long_d3n3": ["mul", "-d", "3", "-n", "3",
+                      "(g1*g2*g1 + t1*t2^2*g2) * (E(1; 1,1,1) - q*g2*g1*t3)"],
+    "verify_idempotents_d3": ["verify", "-d", "3", "-n", "3", "--suite", "idempotents",
+                              "--seed", "0"],
 }
 
 

@@ -191,3 +191,36 @@ def test_overlapping_character_idempotents_name_the_pair(monkeypatch):
         "T_1 E_chi != 0 for chi = [1, 1]"
     assert checks["central_idempotents_orthogonal"]["detail"] == \
         "E_mu E_nu != 0 for mu = [2, 0], nu = [0, 2]"
+
+
+def test_module_relations_name_the_failing_instance(monkeypatch):
+    import ytl.verify as verify
+
+    rep_g, rep_t = verify.rep_g, verify.rep_t
+
+    def doubled_g2(module, i):
+        g = rep_g(module, i)
+        return [[2 * x for x in row] for row in g] if i == 2 else g
+
+    monkeypatch.setattr(verify, "rep_g", doubled_g2)
+    checks = {c["name"]: c for c in verify.suite_relations(1, 3)["checks"]}
+    assert checks["braid_relations"]["detail"] == \
+        "g_1 g_2 g_1 != g_2 g_1 g_2 at shape ((3,),)"
+    assert checks["quadratic_relation"]["detail"] == \
+        "g_2^2 != q + (q - 1) e_2 g_2 at shape ((3,),)"
+    assert checks["hecke_seminormal_match"] == {
+        "name": "hecke_seminormal_match", "instances": 6, "passed": False,
+        "detail": "g_2 != the Hoefsmit matrix at shape ((3,),)"}
+    for name in ("framing_relations", "diagonal_actions"):
+        assert checks[name]["passed"] is True and checks[name]["detail"] == ""
+
+    def doubled_t3(module, j):
+        t = rep_t(module, j)
+        return [[2 * x for x in row] for row in t] if j == 3 else t
+
+    monkeypatch.setattr(verify, "rep_g", rep_g)
+    monkeypatch.setattr(verify, "rep_t", doubled_t3)
+    checks = {c["name"]: c for c in verify.suite_relations(2, 3)["checks"]}
+    assert checks["framing_relations"]["detail"] == "t_2 g_2 != g_2 t_3 at shape ((3,), ())"
+    # t_3 doubled stays diagonal, and rep(e_2) does not read rep_t
+    assert checks["diagonal_actions"]["passed"] is True

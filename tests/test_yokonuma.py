@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from ytl.permutations import Perm, all_perms, compositions
-from ytl.scalars import RatFunc
+from ytl.scalars import Cyclotomic, RatFunc
 from ytl import yokonuma as yk
 
 
@@ -117,6 +117,111 @@ def test_associativity_random(d, n):
         return x
     for _ in range(50):
         x, y, z = rand(), rand(), rand()
+        assert (x * y) * z == x * (y * z)
+
+
+def _random_coeff(rng, order, dens=()):
+    """c zeta^k q^e with a small rational c, a random root of unity and a
+    q-exponent that may be negative, over one of dens (or over 1)."""
+    c = Cyclotomic.root_power(order, rng.randrange(order)) * Fraction(
+        rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+    out = RatFunc.from_scalar(c, order) * RatFunc.q_power(rng.randint(-3, 2), order)
+    den = rng.choice((None,) + tuple(dens))
+    return out if den is None else out / den
+
+
+def _random_element(rng, d, n, terms, order=None, dens=()):
+    """terms terms on few permutations, so that several t-monomials share
+    one permutation; order is the coefficients' field (d by default)."""
+    order = order or d
+    perms = rng.sample(all_perms(n), min(3, factorial(n)))
+    return yk.YElement(d, n, [
+        ((tuple(rng.randrange(d) for _ in range(n)), rng.choice(perms)),
+         _random_coeff(rng, order, dens))
+        for _ in range(terms)])
+
+
+def _same_as_reference(x, y):
+    got, want = x * y, oracles.ref_mul(x, y)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    return got
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (1, 4), (2, 3), (3, 3), (2, 4), (4, 2), (1, 5)])
+def test_product_against_reference(d, n):
+    rng = random.Random(1000 * d + n)
+    terms = 8 - n if n > 3 else 5
+    one_q = RatFunc.one(d) + RatFunc.q(d)
+    # two denominator groups per side, besides the Laurent terms
+    dens = (one_q, one_q + RatFunc.q_power(2, d))
+    for _ in range(4):
+        _same_as_reference(_random_element(rng, d, n, terms),
+                           _random_element(rng, d, n, terms))
+        _same_as_reference(_random_element(rng, d, n, terms, dens=dens),
+                           _random_element(rng, d, n, terms, dens=dens))
+    # a long word on each side
+    longest = all_perms(n)[-1]
+    x = yk.YElement(d, n, {((0,) * n, longest): _random_coeff(rng, d, dens)})
+    _same_as_reference(x + _random_element(rng, d, n, 2), x)
+    # vanishing products: E_chi(a) E_chi(b) = 0 for a != b
+    chars = list(itertools.product(range(d), repeat=n))
+    a, b = rng.sample(chars, 2) if len(chars) > 1 else (chars[0], chars[0])
+    ea, eb = yk.E_chi(d, n, a), yk.E_chi(d, n, b)
+    assert _same_as_reference(ea, eb).is_zero() == (a != b)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_product_against_reference_hecke_cells(order):
+    # the d = 1 cells that isomaps builds carry coefficients of the block's
+    # order, through hecke_term(n, w, c, order)
+    rng = random.Random(order)
+    for n in (3, 4):
+        for _ in range(3):
+            _same_as_reference(_random_element(rng, 1, n, 4, order=order),
+                               _random_element(rng, 1, n, 4, order=order))
+    # d divides the coefficients' order: d = 2 over Q(zeta_4)
+    if order == 4:
+        _same_as_reference(_random_element(rng, 2, 3, 4, order=4),
+                           _random_element(rng, 2, 3, 4, order=4))
+
+
+def test_product_against_reference_mixed_orders():
+    # coefficients of several orders: equal values and hashes, whatever field
+    # each output coefficient is printed in
+    rng = random.Random(5)
+    for d, n, orders in [(1, 3, (3, 4)), (2, 3, (1, 3)), (3, 3, (1, 6))]:
+        for _ in range(3):
+            x = _random_element(rng, d, n, 3, order=orders[0]) + \
+                _random_element(rng, d, n, 2, order=orders[1])
+            y = _random_element(rng, d, n, 3, order=orders[1])
+            got, want = x * y, oracles.ref_mul(x, y)
+            assert got == want and hash(got) == hash(want)
+
+
+def test_product_cancels_only_mod_phi3():
+    # (1 + zeta t1 + zeta^2 t1^2)(1 + t1 + t1^2): every coefficient of the
+    # product is 1 + zeta + zeta^2, which is zero only modulo Phi_3
+    d, n = 3, 3
+    x = yk.YElement(d, n, [(((k, 0, 0), Perm.identity(n)),
+                            RatFunc.from_scalar(Cyclotomic.root_power(d, k), d))
+                           for k in range(d)])
+    y = yk.YElement(d, n, [(((k, 0, 0), Perm.identity(n)), RatFunc.one(d))
+                           for k in range(d)])
+    assert _same_as_reference(x, y).is_zero()
+    # the same sum, folded through a braid word first
+    assert _same_as_reference(x, y * yk.g_word(d, n, (1, 2, 1))).is_zero()
+    assert not _same_as_reference(x, x).is_zero()
+
+
+def test_associativity_with_denominators():
+    d, n = 2, 3
+    rng = random.Random(7)
+    one_q = RatFunc.one(d) + RatFunc.q(d)
+    dens = (one_q, one_q + RatFunc.q_power(2, d))
+    for _ in range(6):
+        x, y, z = (_random_element(rng, d, n, 3, dens=dens) for _ in range(3))
         assert (x * y) * z == x * (y * z)
 
 

@@ -12,11 +12,14 @@ exponents are allowed on q, on t atoms (reduced mod d), and on g atoms
 (closed-form inverse); other bases require non-negative exponents. The
 atoms e, T and E are idempotents, so any positive power is the atom. Powers
 of g atoms and of compound expressions run one multiplication per unit of
-the exponent, so their magnitude is bounded by MAX_LOOP_EXPONENT.
+the exponent, so their magnitude is bounded by MAX_LOOP_EXPONENT. Chains of
+'+', '-' and '*' are evaluated in a loop, whatever their length; only
+parentheses nest, and their depth is bounded by MAX_PAREN_DEPTH.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .permutations import Composition, coset_system
@@ -25,6 +28,7 @@ from . import yokonuma as yk
 
 
 MAX_LOOP_EXPONENT = 64
+MAX_PAREN_DEPTH = 100
 
 
 class ParseError(Exception):
@@ -91,6 +95,7 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -145,9 +150,14 @@ class _Parser:
     def factor(self):
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError("parentheses nested deeper than %d" % MAX_PAREN_DEPTH,
+                                 self.pos)
+            self.depth += 1
             self.pos += 1
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return self._maybe_power(node)
         if ch.isdigit():
             num = self._integer(signed=False)
@@ -192,20 +202,26 @@ def parse(text):
 
 # -- evaluation ---------------------------------------------------------------
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def evaluate(node, d, n):
-    """Evaluate an AST to a YElement for the session (d, n)."""
+    """Evaluate an AST to a YElement for the session (d, n). A left-
+    associative chain of operations is folded from its left end in a loop,
+    so only parentheses nest the calls."""
     if isinstance(node, Rational):
         return yk.unit(d, n).scale(RatFunc.from_scalar(node.value, d))
     if isinstance(node, Atom):
         return _eval_atom(node, d, n, 1)
     if isinstance(node, BinOp):
-        left = evaluate(node.left, d, n)
-        right = evaluate(node.right, d, n)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        out = evaluate(node, d, n)
+        for op in reversed(chain):
+            out = _BINARY[op.op](out, evaluate(op.right, d, n))
+        return out
     if isinstance(node, Power):
         if isinstance(node.base, Atom):
             return _eval_atom(node.base, d, n, node.exponent)

@@ -28,12 +28,12 @@ basis elements remain. No linear algebra is involved.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .permutations import (ConsistencyError, Perm, act_on_character,
-                           compositions, coset_system, embed_word,
-                           factor_in_young)
+from .permutations import (ConsistencyError, Perm, act_on_character, all_perms,
+                           compositions, coset_system, embed_word, factor_in_young)
 from .scalars import Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc
 from .reps import character_sum
 from .tableaux import jones_pairs, jones_permutation, jones_word
@@ -428,18 +428,14 @@ def ctl_phi(blocks):
 
 
 def blocks_equal(a, b):
-    keys = set(a) | set(b)
-    for mu in keys:
+    """Equality of block families; a block missing on one side is zero."""
+    for mu in set(a) | set(b):
         ba, bb = a.get(mu), b.get(mu)
         if ba is None or bb is None:
-            other = bb if ba is None else ba
-            if any(cell for row in other for cell in row):
+            if any(cell for row in (bb if ba is None else ba) for cell in row):
                 return False
-            continue
-        for ra, rb in zip(ba, bb):
-            for x, y in zip(ra, rb):
-                if x != y:
-                    return False
+        elif not all(x == y for ra, rb in zip(ba, bb) for x, y in zip(ra, rb)):
+            return False
     return True
 
 
@@ -454,31 +450,21 @@ def blocks_is_zero(a):
 def ftl_basis(d, n):
     """Basis descriptors of the framed Temperley-Lieb quotient: one block
     family per (mu, jones-coordinate tuple, k, l)."""
-    import itertools
     out = []
     for mu in compositions(d, n):
-        m = coset_system(mu).m
-        pair_sets = [jones_pairs(p, "TL") for p in mu.parts]
-        for combo in itertools.product(*pair_sets):
-            for k in range(1, m + 1):
-                for l in range(1, m + 1):
-                    out.append((mu, combo, k, l))
+        cells = list(itertools.product(range(1, coset_system(mu).m + 1), repeat=2))
+        for combo in itertools.product(*(jones_pairs(p, "TL") for p in mu.parts)):
+            out.extend((mu, combo, k, l) for k, l in cells)
     return out
 
 
 def ctl_basis(d, n):
-    import itertools
-    from .permutations import all_perms
     out = []
     for mu in compositions(d, n):
-        m = coset_system(mu).m
-        first = jones_pairs(mu.parts[0], "TL")
-        rest_sets = [all_perms(p) for p in mu.parts[1:]]
-        for b1 in first:
-            for rest in itertools.product(*rest_sets):
-                for k in range(1, m + 1):
-                    for l in range(1, m + 1):
-                        out.append((mu, (b1, tuple(rest)), k, l))
+        cells = list(itertools.product(range(1, coset_system(mu).m + 1), repeat=2))
+        for b1 in jones_pairs(mu.parts[0], "TL"):
+            for rest in itertools.product(*(all_perms(p) for p in mu.parts[1:])):
+                out.extend((mu, (b1, rest), k, l) for k, l in cells)
     return out
 
 

@@ -9,10 +9,10 @@ unity, so the coefficients of one w fold into one scalar s per (w, row),
 a character sum (character_sum, which psi_mu shares).
 Each entry is then a sum of s * g over w, g the cached entry of g_w; the
 products s.num * g.num are added in plain Laurent arithmetic, one sum per
-denominator s.den * g.den. rep_element normalises the few (denominator,
-numerator) buckets of an entry once; the zero tests behind ideal_membership
-and passes_to_quotient read a single bucket off its numerator and combine
-only entries with several buckets.
+denominator s.den * g.den. An entry with several such buckets is brought
+over their product by over_one_denominator: rep_element normalises the sum
+once, and the zero tests behind ideal_membership and passes_to_quotient add
+the numerators without a gcd (a single bucket is read off its numerator).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import lcm
 
 from .linalg import identity_matrix, mat_mul
 from .permutations import ConsistencyError
-from .scalars import Cyclotomic, Laurent, RatFunc, root_of_unity
+from .scalars import Cyclotomic, Laurent, RatFunc, over_one_denominator, root_of_unity
 from .tableaux import (ctl_admissible, enumerate_d_partitions, ftl_admissible,
                        standard_tableaux)
 from .yokonuma import ctl_generator, ftl_generator
@@ -208,13 +208,13 @@ def _laurent(d, terms):
 
 
 def _bucket_sum(bucket):
-    """sum num / den over the buckets {den: num}, each normalised once (a
-    den of None stands for 1)."""
-    out = None
-    for den, num in bucket.items():
-        part = RatFunc(num, den)
-        out = part if out is None else out + part
-    return out
+    """sum num / den over the buckets {den: num} (a den of None stands for
+    1), normalised once over their common denominator."""
+    if len(bucket) == 1:
+        (den, num), = bucket.items()
+        return RatFunc(num, den)
+    nums, den = over_one_denominator([(num, den) for den, num in bucket.items()])
+    return RatFunc(sum(nums[1:], nums[0]), den)
 
 
 def rep_element(module, x):
@@ -228,18 +228,13 @@ def rep_element(module, x):
 
 def _bucket_is_zero(bucket):
     """Whether sum num/den over the buckets vanishes. A single nonzero
-    numerator decides it; several are brought to one denominator in
-    Laurent arithmetic, without any gcd."""
+    numerator decides it; several are brought to one denominator, without
+    any gcd."""
     parts = [(num, den) for den, num in bucket.items() if not num.is_zero()]
     if len(parts) < 2:
         return not parts
-    total = None
-    for i, (num, _) in enumerate(parts):
-        for j, (_, den) in enumerate(parts):
-            if j != i:
-                num = num * den
-        total = num if total is None else total + num
-    return total.is_zero()
+    nums, _ = over_one_denominator(parts)
+    return sum(nums[1:], nums[0]).is_zero()
 
 
 def _annihilates(module, x):

@@ -15,8 +15,9 @@ Laurent -> RatFunc coercions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd as int_gcd, lcm
+from operator import mul
 
 
 class NonIntegralExponent(Exception):
@@ -781,6 +782,25 @@ def as_ratfunc(x, order=1):
     if isinstance(x, (int, Fraction, Cyclotomic)):
         return RatFunc.from_scalar(x, order)
     raise TypeError("cannot coerce %r to RatFunc" % (x,))
+
+
+def over_one_denominator(fractions):
+    """The fractions [(num, den)] of Laurent polynomials over one
+    denominator, as (nums, den): den is the product of the distinct
+    denominators and each num is multiplied by the denominators other than
+    its own. No gcd is taken. A den of None stands for 1. With one distinct
+    denominator the numerators and it come back as they are."""
+    first = fractions[0][1] if fractions else None
+    if all(den is first or den == first for _, den in fractions):
+        return [num for num, _ in fractions], first
+    dens = list(dict.fromkeys(den for _, den in fractions if den is not None))
+    nums = []
+    for num, own in fractions:
+        for den in dens:
+            if den != own:
+                num = num * den
+        nums.append(num)
+    return nums, reduce(mul, dens)
 
 
 def specialize_q(rf, value):

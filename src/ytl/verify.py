@@ -298,16 +298,19 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
             return None
 
     # inverse pair on the full standard basis
-    ok_inv = True
+    inv_detail = ""
     cnt = 0
     for a in itertools.product(range(d), repeat=n):
         for w in all_perms(n):
             x = yk.YElement(d, n, {(a, w): RatFunc.one(d)})
             blocks = images(iso.psi_n, x)
-            ok_inv &= blocks is not None and iso.phi_n(blocks) == x; cnt += 1
-    _check(report, "phi_after_psi_identity", cnt, ok_inv)
+            if (blocks is None or iso.phi_n(blocks) != x) and not inv_detail:
+                inv_detail = "phi_n(psi_n(x)) != x for x = t^%s g_%s" % (
+                    list(a), list(w.images))
+            cnt += 1
+    _check(report, "phi_after_psi_identity", cnt, not inv_detail, inv_detail)
     # inverse on the matrix side, sampled per block
-    ok_mat = True
+    mat_detail = ""
     cnt = 0
     for mu in mus:
         m = coset_system(mu).m
@@ -320,24 +323,29 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
             hmat = [[hterm if (i, j) == (k, l) else yk.zero(1, n)
                      for j in range(m)] for i in range(m)]
             back = images(lambda: iso.psi_mu(mu, iso.phi_mu(mu, hmat)))
-            ok_mat &= back is not None and iso.block_equal(back, hmat)
+            if (back is None or not iso.block_equal(back, hmat)) and not mat_detail:
+                mat_detail = "psi_mu(phi_mu(h)) != h for mu = %s, h = g_%s in cell (%d, %d)" \
+                    % (list(mu.parts), list(w.images), k, l)
             cnt += 1
-    _check(report, "psi_after_phi_identity", cnt, ok_mat)
+    _check(report, "psi_after_phi_identity", cnt, not mat_detail, mat_detail)
     # homomorphism property on random pairs
-    ok_hom = True
+    hom_detail = ""
     cnt = 0
     for mu in mus:
-        for _ in range(hom_pairs):
+        for pair in range(hom_pairs):
             x = _random_element(d, n, rng)
             y = _random_element(d, n, rng)
             lhs = images(iso.psi_mu, mu, x * y)
             px, py = images(iso.psi_mu, mu, x), images(iso.psi_mu, mu, y)
-            ok_hom &= None not in (lhs, px, py) and \
-                iso.block_equal(lhs, iso.block_mat_mul(px, py)); cnt += 1
-    _check(report, "homomorphism_property", cnt, ok_hom)
+            if (None in (lhs, px, py) or not iso.block_equal(lhs, iso.block_mat_mul(px, py))) \
+                    and not hom_detail:
+                hom_detail = "psi_mu(x y) != psi_mu(x) psi_mu(y) for mu = %s, pair %d" % (
+                    list(mu.parts), pair)
+            cnt += 1
+    _check(report, "homomorphism_property", cnt, not hom_detail, hom_detail)
     hom_cnt = cnt
     # diagonal action of the framing generators on each block
-    ok_diag = True
+    diag_detail = ""
     diag_cnt = 0
     for mu in mus:
         m = coset_system(mu).m
@@ -345,17 +353,16 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
         for j in range(1, n + 1):
             mat = images(iso.psi_mu, mu, yk.gen_t(d, n, j))
             diag_cnt += 1
-            if mat is None:
-                ok_diag = False
-                continue
             tmon = tuple(1 if jj == j - 1 else 0 for jj in range(n))
-            for k in range(m):
-                for l in range(m):
-                    if k != l:
-                        ok_diag &= mat[k][l].is_zero()
-                want = iso.hecke_term(n, Perm.identity(n),
-                                      RatFunc.from_scalar(chars[k].value(d, tmon), d))
-                ok_diag &= (mat[k][k] == want)
+            want = [iso.hecke_term(n, Perm.identity(n),
+                                   RatFunc.from_scalar(chars[k].value(d, tmon), d))
+                    for k in range(m)]
+            diagonal = mat is not None and all(
+                mat[k][l] == want[k] if k == l else mat[k][l].is_zero()
+                for k in range(m) for l in range(m))
+            if not diagonal and not diag_detail:
+                diag_detail = "psi_mu(t_%d) != diag(chi(t_%d)) for mu = %s" % (
+                    j, j, list(mu.parts))
     if n >= 3:
         kills = {}
         for name, psi, gen in (("ftl", iso.ftl_psi, yk.ftl_generator),
@@ -384,7 +391,7 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
     # every psi image above has been computed before this check is reported
     _check(report, "integrality_of_images", hom_cnt, not nonintegral,
            "integer q-exponents asserted during every psi computation")
-    _check(report, "framing_images_diagonal", diag_cnt, ok_diag)
+    _check(report, "framing_images_diagonal", diag_cnt, not diag_detail, diag_detail)
     if n >= 3:
         _check(report, "ftl_psi_kills_generator", 1, kills["ftl"])
         _check(report, "ctl_psi_kills_generator", 1, kills["ctl"])
@@ -401,13 +408,16 @@ def suite_basis(d, n, seed=0):
     report = _new_report(d, n, "basis", seed)
     _check(report, "jones_tl_count", n,
            all(len(jones_pairs(m, "TL")) == catalan(m) for m in range(n + 1)))
-    ok_bij = True
+    bij_detail = ""
     for m in range(1, n + 1):
-        perms = {jones_permutation(m, p) for p in jones_pairs(m, "All")}
-        ok_bij &= len(perms) == factorial(m)
-        ok_bij &= all(jones_permutation(m, p).length() == len(p.word())
-                      for p in jones_pairs(m, "All"))
-    _check(report, "jones_words_reduced_bijection", n, ok_bij)
+        pairs = jones_pairs(m, "All")
+        if len({jones_permutation(m, p) for p in pairs}) != factorial(m):
+            bij_detail = "the Jones words for m = %d do not biject onto S_%d" % (m, m)
+        elif not all(jones_permutation(m, p).length() == len(p.word()) for p in pairs):
+            bij_detail = "a Jones word for m = %d is not reduced" % m
+        if bij_detail:
+            break
+    _check(report, "jones_words_reduced_bijection", n, not bij_detail, bij_detail)
     _check(report, "ftl_basis_count", 1, len(iso.ftl_basis(d, n)) == dim_FTL(d, n))
     _check(report, "ctl_basis_count", 1, len(iso.ctl_basis(d, n)) == dim_CTL(d, n))
     return report

@@ -8,28 +8,29 @@ Elements are immutable; multiplication rewrites to normal form using
   g_w g_i  = q g_{w s_i} + (q-1) e_{w(i), w(i+1)} g_w    otherwise,
 where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
 
-The product works on integer tables. Each operand's terms are grouped by
-the denominator of their RatFunc coefficient (a Laurent-only element is one
-group). A group becomes a table of ints keyed by (t-monomial, permutation,
-q-exponent, zeta power) over one common integer denominator, in the group
-ring Z[Z/L] with L the lcm of d and every coefficient order. For each
-permutation v of the right operand, the left table times sum_b c_b t^b is
-folded through the reduced word of v once; the 1/d of an e-term becomes a
-power of d in the common denominator. Each output coefficient is reduced
-mod Phi_L and tested for zero only then, and a RatFunc is built once per
-output term; the products of different denominator pairs are added as
-RatFuncs.
+The product works on integer tables. Each operand's terms are brought
+over one common denominator (over_one_denominator; a Laurent-only element
+is over 1), and the operand becomes one table of ints keyed by (t-monomial,
+permutation, q-exponent, zeta power) over one common integer denominator,
+in the group ring Z[Z/L] with L the lcm of d and every coefficient order.
+For each permutation v of the right operand, the left table times
+sum_b c_b t^b is folded through the reduced word of v once; the 1/d of an
+e-term becomes a power of d in the common denominator. Each output
+coefficient is reduced mod Phi_L and tested for zero only then, and a
+RatFunc is built once per output term, over the product of the operands'
+denominators.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .permutations import Perm, act_on_character, coset_system
 from .scalars import (Cyclotomic, Laurent, RatFunc, _power_sum, _reduced, as_ratfunc,
-                      specialize_q)
+                      over_one_denominator, specialize_q)
 
 
 class NTooSmall(Exception):
@@ -99,20 +100,12 @@ class YElement:
             return self.scale(other)
         self._check_compat(other)
         d, n = self.d, self.n
+        if not self.terms or not other.terms:
+            return zero(d, n)
         order = lcm(d, *(c.order for _, c in self.terms), *(c.order for _, c in other.terms))
-        one = Laurent.one(order)
-        acc = {}
-        for lden, left in _int_groups(self.terms, order):
-            for rden, right in _int_groups(other.terms, order):
-                den = one if lden.is_one() and rden.is_one() else lden * rden
-                part = _int_product(d, n, order, left, right, den)
-                if not acc:
-                    acc = part
-                    continue
-                # RatFunc sums only on keys that several pairs of groups reach
-                for key, c in part.items():
-                    _acc_term(acc, key, c)
-        return YElement(d, n, acc)
+        lden, left = _int_table(self.terms, order)
+        rden, right = _int_table(other.terms, order)
+        return YElement(d, n, _int_product(d, n, order, left, right, lden * rden))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -153,28 +146,23 @@ def _acc_term(acc, key, c):
         acc[key] = c
 
 
-def _int_groups(terms, order):
-    """The terms grouped by the denominator of their coefficient, as
-    (den, (D, rows)): each row (tmon, images, monomials) carries its
-    numerator as (q-exponent, zeta_order power, int) triples over the
-    group's common int denominator D."""
-    groups = {}
-    for (tmon, w), c in terms:
-        groups.setdefault(c.den, []).append((tmon, w.images, c.num))
-    out = []
-    for den, rows in groups.items():
-        common = lcm(*(v.den for _, _, num in rows for _, v in num.terms))
-        out.append((den, (common, [
-            (tmon, w, tuple((e, i * (order // v.order), x * (common // v.den))
-                            for e, v in num.terms for i, x in enumerate(v.nums) if x))
-            for tmon, w, num in rows])))
-    return out
+def _int_table(terms, order):
+    """The terms over one denominator, as (den, (D, rows)): den is the
+    product of their distinct RatFunc denominators, and each row
+    (tmon, images, monomials) carries its numerator as (q-exponent,
+    zeta_order power, int) triples over the common int denominator D."""
+    nums, den = over_one_denominator([(c.num, c.den) for _, c in terms])
+    common = lcm(*(v.den for num in nums for _, v in num.terms))
+    return den, (common, [
+        (tmon, w.images, tuple((e, i * (order // v.order), x * (common // v.den))
+                               for e, v in num.terms for i, x in enumerate(v.nums) if x))
+        for ((tmon, w), _), num in zip(terms, nums)])
 
 
 def _int_product(d, n, order, left, right, den):
-    """The product of two denominator groups, {(tmon, Perm): RatFunc} over
-    den. The numerators multiply as ints in Z[Z/order][q^+-1]; the terms of
-    the right group that share a permutation v are folded through its
+    """The product of two operand tables, {(tmon, Perm): RatFunc} over den.
+    The numerators multiply as ints in Z[Z/order][q^+-1]; the terms of the
+    right operand that share a permutation v are folded through its
     reduced word together, and each fold step carries the 1/d of the
     e-term as one more factor d of the common denominator."""
     lcommon, lrows = left
@@ -229,6 +217,7 @@ def _int_product(d, n, order, left, right, den):
     for (m, w, e, z), c in acc.items():
         if c:
             coeffs.setdefault((m, w), {}).setdefault(e, [0] * order)[z] += c
+    den = Laurent(order, den.terms)  # the output field, for the denominator too
     trusted = den.is_one()
     out = {}
     for (m, w), by_e in coeffs.items():
@@ -326,15 +315,8 @@ def e_pair(d, n, j, k):
     """e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}."""
     if not (1 <= j <= n and 1 <= k <= n and j != k):
         raise ValueError("bad index pair (%d, %d)" % (j, k))
-    terms = {}
-    ident = Perm.identity(n)
     c = RatFunc.from_scalar(Fraction(1, d), d)
-    for s in range(d):
-        tmon = [0] * n
-        tmon[j - 1] = s % d
-        tmon[k - 1] = (-s) % d
-        _acc_term(terms, (tuple(tmon), ident), c)
-    return YElement(d, n, terms)
+    return YElement(d, n, [((m, Perm.identity(n)), c) for m in _e_shifts((0,) * n, j, k, d)])
 
 
 def e(d, n, i):
@@ -347,14 +329,10 @@ def T(d, n, j):
     """T_j = (1/d) sum_s t_j^s."""
     if not 1 <= j <= n:
         raise ValueError("T index %d out of range 1..%d" % (j, n))
-    terms = {}
-    ident = Perm.identity(n)
     c = RatFunc.from_scalar(Fraction(1, d), d)
-    for s in range(d):
-        tmon = [0] * n
-        tmon[j - 1] = s
-        _acc_term(terms, (tuple(tmon), ident), c)
-    return YElement(d, n, terms)
+    zeros = (0,) * n
+    return YElement(d, n, [((zeros[:j - 1] + (s,) + zeros[j:], Perm.identity(n)), c)
+                           for s in range(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +349,11 @@ def E_chi(d, n, exps):
     where chi(t_j) = zeta_d^{exps_j}."""
     if len(exps) != n:
         raise ValueError("character needs %d values" % n)
-    terms = {}
-    scale = RatFunc.from_scalar(Fraction(1, d ** n), d)
-    def build(j, tmon, phase):
-        if j == n:
-            _acc_term(terms, (tuple(tmon), Perm.identity(n)),
-                      scale * RatFunc.from_scalar(Cyclotomic.root_power(d, phase), d))
-            return
-        for s in range(d):
-            build(j + 1, tmon + [(-s) % d], (phase + exps[j] * s) % d)
-    build(0, [], 0)
-    return YElement(d, n, terms)
+    scale = Fraction(1, d ** n)
+    return YElement(d, n, [
+        ((tuple(-s % d for s in ss), Perm.identity(n)), RatFunc.from_scalar(
+            Cyclotomic.root_power(d, sum(e * s for e, s in zip(exps, ss))) * scale, d))
+        for ss in itertools.product(range(d), repeat=n)])
 
 
 def staircase_exponents(mu):

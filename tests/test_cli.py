@@ -84,6 +84,19 @@ def test_unbounded_powers_are_usage_errors(capsys, expr):
     assert time.monotonic() - start < 1.0
 
 
+def test_long_and_deep_expressions(capsys):
+    from ytl.exprparse import MAX_PAREN_DEPTH
+
+    code, payload = run(capsys, "--no-cache", "mul", "-d", "1", "-n", "2",
+                        "+".join(["g1"] * 1000))
+    assert code == 0 and payload["pretty"] == "YElement<d=1,n=2>((1000)*g1)"
+    code, payload = run(capsys, "--no-cache", "mul", "-d", "1", "-n", "2",
+                        "(" * 400 + "g1" + ")" * 400)
+    assert code == 2
+    assert payload["error"] == "parentheses nested deeper than %d at position %d" % (
+        MAX_PAREN_DEPTH, MAX_PAREN_DEPTH)
+
+
 def test_mul_command(capsys):
     code, payload = run(capsys, "--no-cache", "mul", "-d", "1", "-n", "2",
                         "g1*g1 - (q-1)*g1")

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ytl.exprparse import (MAX_LOOP_EXPONENT, Atom, BinOp, EvalError, ParseError,
-                           Power, Rational, parse, parse_and_evaluate)
+from ytl.exprparse import (MAX_LOOP_EXPONENT, MAX_PAREN_DEPTH, Atom, BinOp, EvalError,
+                           ParseError, Power, Rational, parse, parse_and_evaluate)
 from ytl.scalars import RatFunc
 from ytl import yokonuma as yk
 
@@ -107,6 +107,32 @@ def test_power_at_the_bound_is_the_repeated_product():
     assert parse_and_evaluate("(1*g1)^%d" % k, d, n) == want
     assert parse_and_evaluate("g1^-%d" % k, d, n) \
         == parse_and_evaluate("*".join(["g1^-1"] * k), d, n)
+
+
+def test_long_chains_do_not_recurse():
+    # chains far longer than the interpreter's recursion limit
+    d, n = 1, 2
+    assert parse_and_evaluate(" + ".join(["g1"] * 3000), d, n) \
+        == yk.gen_g(d, n, 1).scale(3000)
+    assert parse_and_evaluate("-".join(["g1"] * 3001), d, n) \
+        == yk.gen_g(d, n, 1).scale(-2999)
+    assert parse_and_evaluate("*".join(["t1"] * 3000), 2, 2) == yk.unit(2, 2)
+    assert parse_and_evaluate("g1 + " + "*".join(["q"] * 3000), d, n) \
+        == yk.gen_g(d, n, 1) + yk.unit(d, n).scale(RatFunc.q_power(3000, d))
+
+
+def test_paren_depth_is_bounded():
+    d, n = 1, 2
+    deepest = "(" * MAX_PAREN_DEPTH + "g1 + 1" + ")" * MAX_PAREN_DEPTH
+    assert parse_and_evaluate(deepest + "^2", d, n) \
+        == parse_and_evaluate("(g1 + 1)^2", d, n)
+    for depth in (MAX_PAREN_DEPTH + 1, 400, 5000):
+        with pytest.raises(ParseError, match="deeper than %d" % MAX_PAREN_DEPTH) as info:
+            parse("g1 * " + "(" * depth + "g1" + ")" * depth)
+        assert info.value.position == 5 + MAX_PAREN_DEPTH
+    # sibling groups do not add up
+    assert parse_and_evaluate("*".join([deepest] * 3), d, n) \
+        == parse_and_evaluate("(g1 + 1)^3", d, n)
 
 
 @pytest.mark.parametrize("text", [

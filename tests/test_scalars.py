@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, as_ratfunc,
-                         cyclotomic_polynomial, root_of_unity, specialize_q)
+                         cyclotomic_polynomial, over_one_denominator, root_of_unity,
+                         specialize_q)
 
 from oracles import FractionCyclotomic
 
@@ -322,3 +323,76 @@ def test_polynomial_fast_paths_keep_one_field():
     assert (a - a).num.terms == () and (a + (-a)).is_zero()
     p = Laurent(3, {0: 1, 1: z3})
     assert (p + -p).terms == () and (p * p - p * p).terms == ()
+
+
+# -- over_one_denominator ------------------------------------------------------
+
+_DENS = [None,
+         Laurent(1, {0: 1, 1: 1}),
+         Laurent(2, {0: 1, 1: 1}),  # 1 + q again, in a larger field
+         Laurent(1, {0: 1, 1: 1, 2: 1}),
+         Laurent(3, {0: 1, 1: Cyclotomic.root_power(3, 1)}),
+         Laurent(4, {0: 1, 2: -Cyclotomic.root_power(4, 1)})]
+
+
+@st.composite
+def laurents(draw):
+    """Laurent polynomials of orders 1 to 4 with up to three terms, zero
+    included."""
+    order = draw(st.sampled_from([1, 2, 3, 4]))
+    exps = draw(st.lists(st.integers(-2, 3), max_size=3, unique=True))
+    return Laurent(order, {e: Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
+                           * draw(st.fractions(-3, 3, max_denominator=3)) for e in exps})
+
+
+def _fresh(den):
+    """An equal denominator that is not the same object."""
+    return None if den is None else Laurent(den.order, den.terms)
+
+
+@given(st.lists(st.tuples(laurents(), st.integers(0, len(_DENS) - 1)), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_over_one_denominator_sums_like_ratfuncs(drawn):
+    fractions = [(num, _fresh(_DENS[i])) for num, i in drawn]
+    nums, den = over_one_denominator(fractions)
+    want = RatFunc.zero()
+    for num, d in fractions:
+        want = want + RatFunc(num, d)
+    assert RatFunc(sum(nums[1:], nums[0]), den) == want
+    distinct = []
+    for _, d in fractions:
+        if d is not None and d not in distinct:
+            distinct.append(d)
+    product = Laurent.one()
+    for d in distinct:
+        product = product * d
+    assert (den is None) == (not distinct) and (den is None or den == product)
+    if len(set(d for _, d in fractions)) == 1:
+        # one distinct denominator: nothing is multiplied
+        assert all(a is b for a, (b, _) in zip(nums, fractions))
+        assert den is fractions[0][1]
+
+
+def test_over_one_denominator_examples():
+    one_q = Laurent(1, {0: 1, 1: 1})
+    x, y = Laurent(1, {0: 2}), Laurent(1, {1: -1})
+    assert over_one_denominator([]) == ([], None)
+    nums, den = over_one_denominator([(x, one_q), (y, _fresh(one_q))])
+    assert nums[0] is x and nums[1] is y and den is one_q
+    nums, den = over_one_denominator([(x, None), (y, None)])
+    assert nums[0] is x and nums[1] is y and den is None
+    # None stands for 1: only the other denominator multiplies
+    nums, den = over_one_denominator([(x, None), (y, one_q), (x, _fresh(one_q))])
+    assert nums == [x * one_q, y, x] and den == one_q
+
+
+def test_bucket_is_zero_on_a_cancelling_bucket():
+    from ytl.reps import _bucket_is_zero, _bucket_sum
+
+    one_q = Laurent(1, {0: 1, 1: 1})
+    phi3 = Laurent(1, {0: 1, 1: 1, 2: 1})
+    bucket = {one_q: Laurent.one(), one_q * phi3: -phi3}
+    assert _bucket_is_zero(bucket) and _bucket_sum(bucket).is_zero()
+    bucket[one_q * phi3] = phi3
+    assert not _bucket_is_zero(bucket)
+    assert _bucket_sum(bucket) == RatFunc(Laurent(1, {0: 2}), one_q)

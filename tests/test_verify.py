@@ -224,3 +224,133 @@ def test_module_relations_name_the_failing_instance(monkeypatch):
     assert checks["framing_relations"]["detail"] == "t_2 g_2 != g_2 t_3 at shape ((3,), ())"
     # t_3 doubled stays diagonal, and rep(e_2) does not read rep_t
     assert checks["diagonal_actions"]["passed"] is True
+
+
+def _iso_with(monkeypatch, **fakes):
+    """suite_iso's view of isomaps, with some functions replaced; isomaps
+    itself, and every call inside it, keeps the originals."""
+    import types
+
+    import ytl.isomaps as iso
+    import ytl.verify as verify
+
+    view = types.ModuleType("isomaps_view")
+    view.__dict__.update(vars(iso))
+    view.__dict__.update(fakes)
+    monkeypatch.setattr(verify, "iso", view)
+
+
+def _iso_checks():
+    from ytl.verify import suite_iso
+
+    report = suite_iso(2, 2, hom_pairs=4)
+    assert report["ok"] is False
+    return {c["name"]: c for c in report["checks"]}
+
+
+def test_phi_after_psi_names_the_basis_element(monkeypatch):
+    import ytl.isomaps as iso
+
+    def phi_n(blocks):
+        x = iso.phi_n(blocks)
+        ((a, _), _), = x.terms
+        return x.scale(2) if a == (1, 0) else x
+
+    _iso_with(monkeypatch, phi_n=phi_n)
+    checks = _iso_checks()
+    assert checks["phi_after_psi_identity"] == {
+        "name": "phi_after_psi_identity", "instances": 8, "passed": False,
+        "detail": "phi_n(psi_n(x)) != x for x = t^[1, 0] g_[1, 2]"}
+    assert checks["psi_after_phi_identity"]["detail"] == ""
+
+
+def test_psi_after_phi_names_the_block_and_cell(monkeypatch):
+    import ytl.isomaps as iso
+
+    calls = []
+
+    def phi_mu(mu, matrix):
+        calls.append((mu, matrix))
+        return iso.phi_mu(mu, matrix).scale(2)
+
+    _iso_with(monkeypatch, phi_mu=phi_mu)
+    checks = _iso_checks()
+    mu, matrix = calls[0]
+    (k, l), = [(k, l) for k, row in enumerate(matrix) for l, h in enumerate(row)
+               if not h.is_zero()]
+    ((_, w), _), = matrix[k][l].terms
+    assert checks["psi_after_phi_identity"]["detail"] == \
+        "psi_mu(phi_mu(h)) != h for mu = %s, h = g_%s in cell (%d, %d)" % (
+            list(mu.parts), list(w.images), k, l)
+    assert checks["phi_after_psi_identity"]["detail"] == ""
+
+
+def test_homomorphism_property_names_the_pair(monkeypatch):
+    import ytl.isomaps as iso
+    from ytl.permutations import compositions
+
+    calls = []
+
+    def block_mat_mul(a, b):
+        # wrong from the third product on: the first block's pair 2
+        calls.append(None)
+        out = iso.block_mat_mul(a, b)
+        if len(calls) >= 3:
+            out[0][0] = out[0][0] + iso.hecke_unit(2)
+        return out
+
+    _iso_with(monkeypatch, block_mat_mul=block_mat_mul)
+    checks = _iso_checks()
+    assert checks["homomorphism_property"]["detail"] == \
+        "psi_mu(x y) != psi_mu(x) psi_mu(y) for mu = %s, pair 2" % (
+            list(compositions(2, 2)[0].parts),)
+    assert checks["framing_images_diagonal"]["detail"] == ""
+
+
+def test_framing_images_diagonal_names_the_block_and_generator(monkeypatch):
+    import ytl.isomaps as iso
+    import ytl.yokonuma as yk
+    from ytl.permutations import compositions
+
+    second = compositions(2, 2)[1]
+
+    def psi_mu(mu, x):
+        out = iso.psi_mu(mu, x)
+        if mu == second and x == yk.gen_t(2, 2, 2):
+            out[0][0] = out[0][0] + out[0][0]
+        return out
+
+    _iso_with(monkeypatch, psi_mu=psi_mu)
+    checks = _iso_checks()
+    assert checks["framing_images_diagonal"] == {
+        "name": "framing_images_diagonal", "instances": 6, "passed": False,
+        "detail": "psi_mu(t_2) != diag(chi(t_2)) for mu = %s" % (list(second.parts),)}
+    assert checks["homomorphism_property"]["detail"] == ""
+
+
+def test_jones_bijection_names_the_size(monkeypatch):
+    import ytl.verify as verify
+    from ytl.permutations import Perm, all_perms
+
+    original = verify.jones_permutation
+
+    def collapsed(m, pair):
+        return Perm.identity(m) if m == 3 else original(m, pair)
+
+    monkeypatch.setattr(verify, "jones_permutation", collapsed)
+    report = verify.suite_basis(1, 4)
+    check, = [c for c in report["checks"] if c["name"] == "jones_words_reduced_bijection"]
+    assert report["ok"] is False
+    assert check == {"name": "jones_words_reduced_bijection", "instances": 4,
+                     "passed": False,
+                     "detail": "the Jones words for m = 3 do not biject onto S_3"}
+
+    def unreduced(m, pair):
+        # still a bijection, but w0 w has length l(w0) - l(w)
+        w = original(m, pair)
+        return all_perms(m)[-1] * w if m == 3 else w
+
+    monkeypatch.setattr(verify, "jones_permutation", unreduced)
+    check, = [c for c in verify.suite_basis(1, 4)["checks"]
+              if c["name"] == "jones_words_reduced_bijection"]
+    assert check["detail"] == "a Jones word for m = 3 is not reduced"

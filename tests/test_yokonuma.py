@@ -161,6 +161,21 @@ def test_product_against_reference(d, n):
                            _random_element(rng, d, n, terms))
         _same_as_reference(_random_element(rng, d, n, terms, dens=dens),
                            _random_element(rng, d, n, terms, dens=dens))
+    # a zero operand on either side
+    x = _random_element(rng, d, n, terms, dens=dens)
+    assert _same_as_reference(yk.zero(d, n), x).is_zero()
+    assert _same_as_reference(x, yk.zero(d, n)).is_zero()
+    # terms that share one non-unit denominator
+    shared = _random_element(rng, d, n, terms).scale(dens[0].inv())
+    assert len({c.den for _, c in shared.terms}) == 1
+    _same_as_reference(shared, _random_element(rng, d, n, terms))
+    _same_as_reference(shared, shared)
+    # a Laurent operand and one with two denominators, on either side
+    two = shared + _random_element(rng, d, n, terms).scale(dens[1].inv())
+    assert len({c.den for _, c in two.terms}) >= 2
+    laurent = _random_element(rng, d, n, terms)
+    _same_as_reference(laurent, two)
+    _same_as_reference(two, laurent)
     # a long word on each side
     longest = all_perms(n)[-1]
     x = yk.YElement(d, n, {((0,) * n, longest): _random_coeff(rng, d, dens)})

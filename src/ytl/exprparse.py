@@ -77,7 +77,19 @@ class BinOp(Node):
         self.right = right
 
     def __repr__(self):
-        return "BinOp(%r, %r, %r)" % (self.op, self.left, self.right)
+        # a loop, not recursion: a chain of thousands of operators is a
+        # left-leaning tree that deep
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, BinOp):
+                stack.extend((")", item.right, ", ", item.left, "BinOp(%r, " % (item.op,)))
+            else:
+                out.append(repr(item))
+        return "".join(out)
 
 
 class Power(Node):

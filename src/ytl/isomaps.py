@@ -35,7 +35,7 @@ from functools import lru_cache
 from .permutations import (ConsistencyError, Perm, act_on_character, all_perms,
                            compositions, coset_system, embed_word, factor_in_young)
 from .scalars import Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc
-from .reps import character_sum
+from .reps import character_sum, encode_element
 from .tableaux import jones_pairs, jones_permutation, jones_word
 from .yokonuma import (YElement, _acc_term, character_exponents, chi_value,
                        g_block, g_word, zero as y_zero)
@@ -203,15 +203,13 @@ def _psi_block(mu, coords):
 def _block_coords(mu, x):
     """The character coordinates of x on the m characters of mu's block
     only, each summed directly: c_{w,chi} = sum_a x[t^a g_w] chi(t^a). Keys
-    as in _character_coords."""
-    by_w = {}
-    for (tmon, w), c in x.terms:
-        by_w.setdefault(w, []).append((tmon, c))
+    as in _character_coords. The terms of each permutation are encoded once
+    for its m characters."""
     coords = {}
-    for w, terms in by_w.items():
+    for w, encoded in encode_element(x).items():
         cell = coords[w] = {}
         for char in block_characters(mu):
-            c = character_sum(x.d, terms, char.exps)
+            c = character_sum(x.d, encoded, char.exps)
             if not c.is_zero():
                 cell[char.exps] = c
     return coords
@@ -439,8 +437,11 @@ def blocks_equal(a, b):
     return True
 
 
-def blocks_is_zero(a):
-    return all(not cell for block in a.values() for row in block for cell in row)
+def nonzero_block(a):
+    """The first mu whose block in the family a has a nonzero cell, or
+    None."""
+    return next((mu for mu, block in a.items() if any(cell for row in block for cell in row)),
+                None)
 
 
 # ---------------------------------------------------------------------------

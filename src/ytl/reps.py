@@ -3,10 +3,17 @@ for t_j, g_i, e_i over the rational-function field, evaluation of algebra
 elements, quotient admissibility checks, and the representation-based
 ideal-membership oracle.
 
-Evaluation shares one accumulation, _entry_buckets. The terms of x are
-grouped by permutation w: t^a acts on the row of a tableau by a root of
-unity, so the coefficients of one w fold into one scalar s per (w, row),
-a character sum (character_sum, which psi_mu shares).
+Evaluation shares one accumulation, _entry_buckets. Each call that
+evaluates x (rep_element, ideal_membership, passes_to_quotient) encodes it
+once, for every shape it visits: the terms are grouped by permutation w,
+and their coefficients become int rows (q-exponent, zeta_L power, int) over
+one int denominator per RatFunc denominator, L the lcm of d and every
+coefficient order (encode_element). t^a acts on the row of a tableau by a
+root of unity, so the coefficients of one w fold into one scalar s per
+(w, row), a character sum (character_sum, which psi_mu shares): each root
+shifts the zeta_L powers of its rows, the ints are added, and each
+denominator's sum is reduced mod Phi_L and decoded once. The encoding is
+dropped when the call returns; nothing is memoised per element.
 Each entry is then a sum of s * g over w, g the cached entry of g_w; the
 products s.num * g.num are added in plain Laurent arithmetic, one sum per
 denominator s.den * g.den. An entry with several such buckets is brought
@@ -22,7 +29,8 @@ from math import lcm
 
 from .linalg import identity_matrix, mat_mul
 from .permutations import ConsistencyError
-from .scalars import Cyclotomic, Laurent, RatFunc, over_one_denominator, root_of_unity
+from .scalars import (Laurent, RatFunc, int_rows, laurent_from_ints, over_one_denominator,
+                      root_of_unity)
 from .tableaux import (ctl_admissible, enumerate_d_partitions, ftl_admissible,
                        standard_tableaux)
 from .yokonuma import ctl_generator, ftl_generator
@@ -138,22 +146,66 @@ def _row_components(d, shape):
                  for tab in rep_module(d, shape).basis)
 
 
-def _entry_buckets(module, x):
-    """{(row, col): {den: num}}: the matrix of x with each entry kept as
-    sum num / den over its buckets. A row scalar s of w meets the entry g of
-    g_w in the bucket of s.den * g.den (g.den when s is Laurent), whose
-    numerator sums s.num * g.num. A zero s is skipped unless it lies in a
-    larger field than Q(zeta_d): the entry keeps that field, as a sum of
-    RatFuncs would."""
-    d = module.d
-    if x.d != d or x.n != module.n:
-        raise ValueError("algebra parameter mismatch")
+def encode_terms(d, terms):
+    """The terms [(tmon, c)] of one permutation in int coordinates, as
+    (order, groups): order is the lcm of d and every coefficient order, and
+    each RatFunc denominator den of the coefficients (None for 1) has one
+    group (den, common, rows), whose rows [(tmon, monomials)] carry their
+    numerators as (q-exponent, zeta_order power, int) triples over the int
+    denominator common (scalars.int_rows)."""
+    order = lcm(d, *(c.order for _, c in terms))
+    by_den = {}
+    for tmon, c in terms:
+        by_den.setdefault(None if c.den.is_one() else c.den, []).append((tmon, c.num))
+    groups = []
+    for den, rows in by_den.items():
+        common, monos = int_rows([num for _, num in rows], order)
+        groups.append((den, common, [(tmon, mono) for (tmon, _), mono in zip(rows, monos)]))
+    return order, groups
+
+
+def encode_element(x):
+    """{w: encode_terms of the terms of x on g_w}, in order of first
+    appearance."""
     by_w = {}
     for (tmon, w), c in x.terms:
         by_w.setdefault(w, []).append((tmon, c))
+    return {w: encode_terms(x.d, terms) for w, terms in by_w.items()}
+
+
+def character_sum(d, encoded, exps):
+    """sum c * chi(t^a) over the encoded terms (a, c) (encode_terms), with
+    chi(t^a) = zeta_d^(a . exps), as a RatFunc over the encoding's order.
+    The root of unity of a row shifts its zeta powers by (a . exps mod d)
+    order/d; the ints are added per denominator and decoded once."""
+    order, groups = encoded
+    step = order // d
+    bucket = {}
+    for den, common, rows in groups:
+        by_e = {}
+        for tmon, mono in rows:
+            shift = sum(a * p for a, p in zip(tmon, exps)) % d * step
+            for e, z, v in mono:
+                coeffs = by_e.get(e)
+                if coeffs is None:
+                    coeffs = by_e[e] = [0] * order
+                coeffs[(z + shift) % order] += v
+        bucket[den] = laurent_from_ints(order, by_e, common)
+    return _bucket_sum(bucket)
+
+
+def _entry_buckets(module, encoded):
+    """{(row, col): {den: num}}: the matrix of the element encoded as
+    encode_element gives it, each entry kept as sum num / den over its
+    buckets. A row scalar s of w meets the entry g of g_w in the bucket of
+    s.den * g.den (g.den when s is Laurent), whose numerator sums
+    s.num * g.num. A zero s is skipped unless it lies in a larger field
+    than Q(zeta_d): the entry keeps that field, as a sum of RatFuncs
+    would."""
+    d = module.d
     components = _row_components(d, module.shape)
     out = {}
-    for w, terms in by_w.items():
+    for w, terms in encoded.items():
         gmat = _rep_word_cached(d, module.shape, w)
         scalars = {}  # rows with the same components share their scalar
         for row, comps in enumerate(components):
@@ -179,28 +231,6 @@ def _entry_buckets(module, x):
             for key, bucket in out.items()}
 
 
-def character_sum(d, terms, exps):
-    """sum c * chi(t^a) over the terms (a, c), chi(t^a) = zeta_d^(a . exps),
-    as a RatFunc in a field holding Q(zeta_d) and every c. Numerators are
-    summed per (denominator, phase) and multiplied by their root once; each
-    denominator's sum is normalised once."""
-    parts = {}
-    for tmon, c in terms:
-        phase = sum(a * p for a, p in zip(tmon, exps)) % d
-        part = parts.setdefault((None if c.den.is_one() else c.den, phase), {})
-        for e, v in c.num.terms:
-            part[e] = part[e] + v if e in part else v
-    nums = {}
-    for (den, phase), part in parts.items():
-        num = nums.setdefault(den, {})
-        root = Cyclotomic.root_power(d, phase)
-        for e, v in part.items():
-            if phase:
-                v = v * root
-            num[e] = num[e] + v if e in num else v
-    return _bucket_sum({den: _laurent(d, num) for den, num in nums.items()})
-
-
 def _laurent(d, terms):
     """The Laurent polynomial of {exponent: coefficient}, in the smallest
     field holding Q(zeta_d) and every coefficient (zeros included)."""
@@ -220,8 +250,10 @@ def _bucket_sum(bucket):
 def rep_element(module, x):
     """Matrix of a general algebra element: sum of coeff * t-part * g-part.
     Each entry is built once from its (denominator, numerator) buckets."""
+    if x.d != module.d or x.n != module.n:
+        raise ValueError("algebra parameter mismatch")
     out = _zero_matrix(module.dim, module.d)
-    for (row, col), bucket in _entry_buckets(module, x).items():
+    for (row, col), bucket in _entry_buckets(module, encode_element(x)).items():
         out[row][col] = _bucket_sum(bucket)
     return out
 
@@ -237,9 +269,10 @@ def _bucket_is_zero(bucket):
     return sum(nums[1:], nums[0]).is_zero()
 
 
-def _annihilates(module, x):
-    """Whether x acts as zero on the module."""
-    return all(_bucket_is_zero(b) for b in _entry_buckets(module, x).values())
+def _annihilates(module, encoded):
+    """Whether the element encoded by encode_element acts as zero on the
+    module."""
+    return all(_bucket_is_zero(b) for b in _entry_buckets(module, encoded).values())
 
 
 def passes_to_quotient(d, shape, which):
@@ -259,7 +292,7 @@ def passes_to_quotient(d, shape, which):
         # the ideal is zero for n <= 2: every module passes
         annihilates = True
     else:
-        annihilates = _annihilates(rep_module(d, shape), gen(d, n))
+        annihilates = _annihilates(rep_module(d, shape), encode_element(gen(d, n)))
     if combinatorial != annihilates:
         raise ConsistencyError(
             "admissibility predicate disagrees with generator annihilation "
@@ -279,7 +312,9 @@ def quotient_shapes(d, n, which):
 
 def ideal_membership(x, which):
     """True iff x maps to zero in every irreducible that passes to the
-    quotient; by semisimplicity this is membership in the defining ideal."""
-    return all(_annihilates(rep_module(x.d, shape), x)
+    quotient; by semisimplicity this is membership in the defining ideal.
+    x is encoded once for all the shapes."""
+    encoded = encode_element(x)
+    return all(_annihilates(rep_module(x.d, shape), encoded)
                for shape in quotient_shapes(x.d, x.n, which))
 

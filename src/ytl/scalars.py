@@ -406,8 +406,10 @@ class Laurent:
         return Laurent(order, {})
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one(order=1):
-        return Laurent(order, {0: Cyclotomic.one(order)})
+        """1, one shared instance per order."""
+        return Laurent._raw(order, ((0, Cyclotomic.one(order)),))
 
     @staticmethod
     def q(order=1):
@@ -564,6 +566,34 @@ def _as_laurent(x, order):
     raise TypeError("cannot coerce %r to Laurent" % (x,))
 
 
+# Laurent polynomials in int coordinates: the products in yokonuma and the
+# character sums in reps add and shift ints, and build Laurents only at the end
+
+
+def int_rows(nums, order):
+    """Laurent polynomials over subfields of Q(zeta_order) in int
+    coordinates, as (common, rows): common is one int denominator for all of
+    them, and each row lists a polynomial's terms as (q-exponent,
+    zeta_order power, int numerator) triples. laurent_from_ints reverses it."""
+    common = lcm(*(v.den for num in nums for _, v in num.terms))
+    return common, [tuple((e, i * (order // v.order), x * (common // v.den))
+                          for e, v in num.terms for i, x in enumerate(v.nums) if x)
+                    for num in nums]
+
+
+def laurent_from_ints(order, by_e, common):
+    """The Laurent polynomial of {q-exponent: ints}, sum over e and z of
+    by_e[e][z] zeta_order^z q^e / common. Each coefficient is reduced mod
+    Phi_order and tested for zero only then: 1 + zeta_3 + zeta_3^2 and the
+    like vanish only after the reduction."""
+    terms = []
+    for e in sorted(by_e):
+        nums = _power_sum(order, by_e[e], 1)
+        if any(nums):
+            terms.append((e, _reduced(order, nums, common)))
+    return Laurent._raw(order, tuple(terms))
+
+
 def _laurent_gcd(a, b):
     """Monic gcd of two Laurent polynomials, not both zero, as an ordinary
     polynomial (minimal exponent 0)."""
@@ -606,7 +636,7 @@ class RatFunc:
 
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
-            # a numerator over 1 is already canonical
+            # a numerator over the shared 1 is already canonical
             den, _normalized = Laurent.one(num.order), True
         if not _normalized:
             num, den = RatFunc._normalize(num, den)

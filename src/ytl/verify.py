@@ -364,11 +364,17 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
                 diag_detail = "psi_mu(t_%d) != diag(chi(t_%d)) for mu = %s" % (
                     j, j, list(mu.parts))
     if n >= 3:
-        kills = {}
+        kills = {}  # the failure detail of each check, "" when it passes
         for name, psi, gen in (("ftl", iso.ftl_psi, yk.ftl_generator),
                                ("ctl", iso.ctl_psi, yk.ctl_generator)):
             blocks = images(psi, gen(d, n))
-            kills[name] = blocks is not None and iso.blocks_is_zero(blocks)
+            image = "%s_psi(%s_generator(%d, %d))" % (name, name, d, n)
+            if blocks is None:
+                kills[name] = image + " raised NonIntegralExponent"
+            else:
+                mu = iso.nonzero_block(blocks)
+                kills[name] = "" if mu is None else "%s is nonzero in the block of mu = %s" % (
+                    image, list(mu.parts))
         # quotient round trips on random standard-basis elements
         rt_detail = ""
         rt_cnt = 0
@@ -393,8 +399,8 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
            "integer q-exponents asserted during every psi computation")
     _check(report, "framing_images_diagonal", diag_cnt, not diag_detail, diag_detail)
     if n >= 3:
-        _check(report, "ftl_psi_kills_generator", 1, kills["ftl"])
-        _check(report, "ctl_psi_kills_generator", 1, kills["ctl"])
+        _check(report, "ftl_psi_kills_generator", 1, not kills["ftl"], kills["ftl"])
+        _check(report, "ctl_psi_kills_generator", 1, not kills["ctl"], kills["ctl"])
         _check(report, "quotient_round_trips_mod_ideal", rt_cnt, not rt_detail, rt_detail)
     # basis counts
     _check(report, "ftl_basis_count", 1,

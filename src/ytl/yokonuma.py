@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 
 from .permutations import Perm, act_on_character, coset_system
-from .scalars import (Cyclotomic, Laurent, RatFunc, _power_sum, _reduced, as_ratfunc,
+from .scalars import (Cyclotomic, Laurent, RatFunc, as_ratfunc, int_rows, laurent_from_ints,
                       over_one_denominator, specialize_q)
 
 
@@ -150,13 +150,12 @@ def _int_table(terms, order):
     """The terms over one denominator, as (den, (D, rows)): den is the
     product of their distinct RatFunc denominators, and each row
     (tmon, images, monomials) carries its numerator as (q-exponent,
-    zeta_order power, int) triples over the common int denominator D."""
+    zeta_order power, int) triples over the common int denominator D
+    (scalars.int_rows)."""
     nums, den = over_one_denominator([(c.num, c.den) for _, c in terms])
-    common = lcm(*(v.den for num in nums for _, v in num.terms))
-    return den, (common, [
-        (tmon, w.images, tuple((e, i * (order // v.order), x * (common // v.den))
-                               for e, v in num.terms for i, x in enumerate(v.nums) if x))
-        for ((tmon, w), _), num in zip(terms, nums)])
+    common, monos = int_rows(nums, order)
+    return den, (common, [(tmon, w.images, mono)
+                          for ((tmon, w), _), mono in zip(terms, monos)])
 
 
 def _int_product(d, n, order, left, right, den):
@@ -221,15 +220,9 @@ def _int_product(d, n, order, left, right, den):
     trusted = den.is_one()
     out = {}
     for (m, w), by_e in coeffs.items():
-        # 1 + zeta + zeta^2 and the like vanish only after reduction mod Phi
-        terms = []
-        for e in sorted(by_e):
-            nums = _power_sum(order, by_e[e], 1)
-            if any(nums):
-                terms.append((e, _reduced(order, nums, common)))
-        if terms:
-            out[(m, _perm(w))] = RatFunc(Laurent._raw(order, tuple(terms)), den,
-                                         _normalized=trusted)
+        num = laurent_from_ints(order, by_e, common)
+        if num.terms:
+            out[(m, _perm(w))] = RatFunc(num, den, _normalized=trusted)
     return out
 
 

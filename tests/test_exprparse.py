@@ -121,6 +121,18 @@ def test_long_chains_do_not_recurse():
         == yk.gen_g(d, n, 1) + yk.unit(d, n).scale(RatFunc.q_power(3000, d))
 
 
+def test_repr_of_long_chains():
+    atom = "Atom('g', (1,))"
+    want = atom
+    for _ in range(2999):
+        want = "BinOp('+', %s, %s)" % (want, atom)
+    assert repr(parse("+".join(["g1"] * 3000))) == want
+    # the loop prints what the recursive form printed
+    assert repr(parse("(g1 - 2*t2^3) * q")) == \
+        "BinOp('*', BinOp('-', Atom('g', (1,)), BinOp('*', Rational(Fraction(2, 1)), " \
+        "Power(Atom('t', (2,)), 3))), Atom('q', ()))"
+
+
 def test_paren_depth_is_bounded():
     d, n = 1, 2
     deepest = "(" * MAX_PAREN_DEPTH + "g1 + 1" + ")" * MAX_PAREN_DEPTH

@@ -31,6 +31,10 @@ COMMANDS = {
                       "(g1*g2*g1 + t1*t2^2*g2) * (E(1; 1,1,1) - q*g2*g1*t3)"],
     "verify_idempotents_d3": ["verify", "-d", "3", "-n", "3", "--suite", "idempotents",
                               "--seed", "0"],
+    # passes_to_quotient and ideal membership at d = 4, where reduction mod
+    # Phi_4 does real work
+    "verify_quotients_d4": ["verify", "-d", "4", "-n", "3", "--suite", "quotients",
+                            "--seed", "0"],
 }
 
 

@@ -1,17 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import is_zero_matrix
+from oracles import is_zero_matrix, ref_character_sum
 from ytl.linalg import mat_mul
 from ytl.permutations import Perm, all_perms
-from ytl.scalars import Cyclotomic, RatFunc, root_of_unity
+from ytl.scalars import Cyclotomic, Laurent, RatFunc, root_of_unity
 from ytl.tableaux import enumerate_d_partitions
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
-from ytl.reps import (_entry_buckets, _rep_word_cached, ideal_membership,
-                      passes_to_quotient, quotient_shapes, rep_e, rep_element,
-                      rep_g, rep_module, rep_t)
+from ytl.reps import (_entry_buckets, _rep_word_cached, character_sum, encode_element,
+                      encode_terms, ideal_membership, passes_to_quotient, quotient_shapes,
+                      rep_e, rep_element, rep_g, rep_module, rep_t)
 from ytl.verify import suite_relations
 
 
@@ -141,6 +144,66 @@ def test_sum_rule():
                    for s in enumerate_d_partitions(d, n)) == d ** n * factorial(n)
 
 
+# -- the int-coordinate character sum against the Cyclotomic one -------------
+
+
+def same_scalar(a, b):
+    return same(a, b) and a.order == b.order and hash(a) == hash(b)
+
+
+# RatFunc denominators of the coefficients: 1, 1 + q, 1 + q + q^2, 1 - q^2
+CHARACTER_DENS = ({0: 1}, {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {0: 1, 2: -1})
+
+
+@st.composite
+def character_terms(draw):
+    """(d, terms, exps): terms [(a, c)] with c over Q(zeta_k), k in d, 4, 6
+    or 12, and over one of CHARACTER_DENS; with cancel, each coefficient
+    also sits on a_1 + 1, ..., a_1 + d - 1, so that sums over the roots of
+    unity vanish."""
+    d = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    n = draw(st.integers(1, 3))
+    cancel = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.sampled_from((d, 4, 6, 12)))
+        nums = {}
+        for e in draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)):
+            k = draw(st.integers(0, order - 1))
+            scale = draw(st.sampled_from((1, -1, 2, Fraction(1, 3), Fraction(-5, 2))))
+            nums[e] = Cyclotomic.root_power(order, k) * scale
+        c = RatFunc(Laurent(order, nums), Laurent(order, draw(st.sampled_from(CHARACTER_DENS))))
+        a = tuple(draw(st.integers(0, d - 1)) for _ in range(n))
+        terms.extend((((a[0] + s) % d,) + a[1:], c) for s in range(d if cancel else 1))
+    exps = tuple(draw(st.integers(0, d - 1)) for _ in range(n))
+    return d, terms, exps
+
+
+@given(character_terms())
+@settings(max_examples=300, deadline=None)
+def test_character_sum_against_reference(case):
+    d, terms, exps = case
+    assert same_scalar(character_sum(d, encode_terms(d, terms), exps),
+                       ref_character_sum(d, terms, exps))
+
+
+def test_character_sum_vanishes_only_mod_phi():
+    # 1 + zeta_3 + zeta_3^2 from the phases at d = 3, and from the
+    # coefficients at d = 1 and d = 2 (in Q(zeta_6)); 1 - 1 + 1 - 1 from the
+    # phases at d = 4, over 1 + q
+    one = RatFunc.one(3)
+    cases = [(3, [((a,), one) for a in range(3)], (1,)),
+             (1, [((0,), RatFunc.from_scalar(root_of_unity(3, j), 3)) for j in (1, 2, 3)],
+              (0,)),
+             (2, [((j % 2,), RatFunc.from_scalar(root_of_unity(3, j), 3))
+                  for j in (1, 2, 3)], (0,)),
+             (4, [((a,), RatFunc.q(4) / (RatFunc.one(4) + RatFunc.q(4))) for a in range(4)],
+              (2,))]
+    for d, terms, exps in cases:
+        got = character_sum(d, encode_terms(d, terms), exps)
+        assert got.is_zero() and same_scalar(got, ref_character_sum(d, terms, exps))
+
+
 # -- the per-term evaluation as an oracle ------------------------------------
 
 
@@ -235,7 +298,7 @@ def oracle_elements(rng, d, n):
     return out
 
 
-REP_ORACLE_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (1, 5)]
+REP_ORACLE_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (1, 5), (4, 3), (6, 2)]
 
 
 def same(a, b):
@@ -254,7 +317,7 @@ def test_rep_element_against_reference(d, n):
         found = _two_bucket_cancelling(d, n, shape, _words(n))
         if found is not None:
             x, (row, col) = found
-            buckets = _entry_buckets(module, x)[(row, col)]
+            buckets = _entry_buckets(module, encode_element(x))[(row, col)]
             assert sum(not num.is_zero() for num in buckets.values()) == 2
             mat = rep_element(module, x)
             assert mat[row][col].is_zero()
@@ -281,26 +344,34 @@ def test_row_scalar_cancels(d, n):
     assert cancelled
 
 
-MEMBERSHIP_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (1, 5)]
+MEMBERSHIP_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (1, 5), (4, 3), (6, 2)]
+# cells whose members are large enough that the oracle checks one, in the
+# FTL ideal only; at (4, 3) the member's factors keep only the numerators of
+# their coefficients (one factor over 1 + q costs the oracle 4-5 s there)
+ONE_MEMBER_CELLS = ((3, 3), (4, 3))
+LAURENT_MEMBER_CELLS = ((4, 3),)
 
 
 @pytest.mark.parametrize("d,n", MEMBERSHIP_CELLS)
 def test_ideal_membership_against_reference(d, n):
     rng = random.Random(20 * d + n)
     words = _words(n)
-    quotients = ("FTL",) if (d, n) == (3, 3) else ("FTL", "CTL")
+    quotients = ("FTL",) if (d, n) in ONE_MEMBER_CELLS else ("FTL", "CTL")
     several = 0
 
     def basis(w):
         a = tuple(rng.randrange(d) for _ in range(n))
-        return yk.YElement(d, n, {(a, w): _coeff(rng, d)})
+        c = _coeff(rng, d)
+        if (d, n) in LAURENT_MEMBER_CELLS:
+            c = RatFunc(c.num)
+        return yk.YElement(d, n, {(a, w): c})
 
     for which in quotients:
         gen = (yk.ftl_generator if which == "FTL" else yk.ctl_generator)(d, n) \
             if n >= 3 else None
         cases = []
         if gen is not None:
-            for _ in range(1 if (d, n) == (3, 3) else 2):
+            for _ in range(1 if (d, n) in ONE_MEMBER_CELLS else 2):
                 cases.append((basis(rng.choice(words)) * gen * basis(rng.choice(words)), True))
         for x in (yk.unit(d, n), yk.gen_g(d, n, 1), yk.gen_t(d, n, n)):
             cases.append((x.scale(_coeff(rng, d)), None))
@@ -309,9 +380,11 @@ def test_ideal_membership_against_reference(d, n):
             assert got == ref_ideal_membership(x, which)
             if member is not None:
                 assert got is member
+            encoded = encode_element(x)
             for shape in quotient_shapes(d, n, which):
                 several += any(sum(not v.is_zero() for v in bucket.values()) > 1
-                               for bucket in _entry_buckets(rep_module(d, shape), x).values())
+                               for bucket in _entry_buckets(rep_module(d, shape),
+                                                            encoded).values())
     if n >= 3:
         # members are zero through entries with several denominators
         assert several

@@ -248,6 +248,42 @@ def _iso_checks():
     return {c["name"]: c for c in report["checks"]}
 
 
+def test_kill_checks_name_the_block(monkeypatch):
+    import ytl.isomaps as iso
+    import ytl.yokonuma as yk
+    from ytl.permutations import compositions
+    from ytl.scalars import NonIntegralExponent
+    from ytl.verify import suite_iso
+
+    d, n = 2, 3
+    mu = compositions(d, n)[-1]
+
+    def ftl_psi(x):
+        # the generator's image gets one nonzero cell, in the last block
+        blocks = iso.ftl_psi(x)
+        if x == yk.ftl_generator(d, n):
+            blocks[mu][0][0] = {"nonzero": 1}
+        return blocks
+
+    def ctl_psi(x):
+        if x == yk.ctl_generator(d, n):
+            raise NonIntegralExponent("forced")
+        return iso.ctl_psi(x)
+
+    passing = {c["name"]: c for c in suite_iso(d, n, hom_pairs=1)["checks"]}
+    assert passing["ftl_psi_kills_generator"]["detail"] == ""
+    _iso_with(monkeypatch, ftl_psi=ftl_psi, ctl_psi=ctl_psi)
+    checks = {c["name"]: c for c in suite_iso(d, n, hom_pairs=1)["checks"]}
+    assert checks["ftl_psi_kills_generator"] == {
+        "name": "ftl_psi_kills_generator", "instances": 1, "passed": False,
+        "detail": "ftl_psi(ftl_generator(2, 3)) is nonzero in the block of mu = %s"
+                  % list(mu.parts)}
+    assert checks["ctl_psi_kills_generator"] == {
+        "name": "ctl_psi_kills_generator", "instances": 1, "passed": False,
+        "detail": "ctl_psi(ctl_generator(2, 3)) raised NonIntegralExponent"}
+    assert checks["quotient_round_trips_mod_ideal"]["passed"] is True
+
+
 def test_phi_after_psi_names_the_basis_element(monkeypatch):
     import ytl.isomaps as iso
 

@@ -15,6 +15,9 @@ cached entries are keyed by the command parameters, a convention version and
 the package version, so warm results are bit-identical to cold ones. Entries
 are written atomically, and an entry that is unreadable or does not answer
 its request is recomputed.
+
+Each command imports only the modules it runs, so a dimension formula or a
+cache hit does not pay for loading the algebra.
 """
 
 from __future__ import annotations
@@ -25,13 +28,7 @@ import os
 import sys
 import tempfile
 
-from .exprparse import EvalError, ParseError, parse_and_evaluate
-from .permutations import Composition, compositions, coset_system
-from .reps import rep_e, rep_g, rep_module, rep_t
-from .tableaux import (dim_CTL, dim_FTL, dim_TL, dim_Y, enumerate_d_partitions,
-                       jones_pairs, standard_tableaux)
-from . import __version__, isomaps as iso
-from .verify import module_relations, run_suite
+from . import __version__
 
 CONVENTION_VERSION = 1
 
@@ -76,19 +73,23 @@ def _has_fields(payload, **fields):
 
 def _cache_store(args, kind, key, payload):
     """Write the entry to a temporary file and rename it into place, so a
-    reader never sees a partial entry."""
+    reader never sees a partial entry. A store that the file system refuses
+    only warns on stderr: the result is printed all the same."""
     if getattr(args, "no_cache", False):
         return
     directory = _cache_dir(args)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, _cache_path(args, kind, key))
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp, _cache_path(args, kind, key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        print("ytl: warning: result not cached: %s" % exc, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,7 @@ def _error(args, message, code=2):
 
 
 def cmd_dim(args):
+    from .tableaux import dim_CTL, dim_FTL, dim_TL, dim_Y
     kind = args.kind
     d, n = args.d, args.n
     if kind == "y":
@@ -129,6 +131,8 @@ def cmd_dim(args):
 
 
 def cmd_enumerate(args):
+    from .permutations import compositions, coset_system
+    from .tableaux import enumerate_d_partitions, jones_pairs, standard_tableaux
     d, n = args.d, args.n
     what = args.what
     if what == "dpartitions":
@@ -158,6 +162,7 @@ def cmd_enumerate(args):
 
 
 def _parse_mu(parts, d, n):
+    from .permutations import Composition
     if len(parts) != d or any(p < 0 for p in parts) or sum(parts) != n:
         raise ValueError("--mu must be %d non-negative integers summing to %d: %r"
                          % (d, n, parts))
@@ -187,6 +192,8 @@ def cmd_rep(args):
         shape = _parse_shape(args.shape, d, n)
     except ValueError as exc:
         return _error(args, "bad shape: %s" % exc)
+    from .reps import rep_e, rep_g, rep_module, rep_t
+    from .verify import module_relations
     module = rep_module(d, shape)
     def render(mat):
         return [[entry.pretty() for entry in row] for row in mat]
@@ -206,6 +213,7 @@ def cmd_rep(args):
 
 
 def cmd_mul(args):
+    from .exprparse import EvalError, ParseError, parse_and_evaluate
     d, n = args.d, args.n
     try:
         element = parse_and_evaluate(args.expr, d, n)
@@ -228,6 +236,8 @@ def cmd_basis(args):
     if cached is not None:
         _emit(args, cached)
         return 0 if cached["count"] == cached.get("expected") else 1
+    from . import isomaps as iso
+    from .tableaux import dim_CTL, dim_FTL, dim_Y
     descriptors = iso.ftl_basis(d, n) if kind == "FTL" else iso.ctl_basis(d, n)
     items = []
     for mu, bkey, k, l in descriptors:
@@ -258,6 +268,7 @@ def cmd_verify(args):
     if cached is not None:
         _emit(args, cached)
         return 0 if cached["ok"] else 1
+    from .verify import run_suite
     try:
         report = run_suite(d, n, args.suite, seed=args.seed)
     except ValueError as exc:
@@ -333,11 +344,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.output:
+        # fail before the work, not after it
+        try:
+            open(args.output, "a").close()
+        except OSError as exc:
+            path, args.output = args.output, None
+            return _error(args, "cannot write --output %s: %s" % (path, exc.strerror))
     if args.d < 1 or args.n < 1:
         return _error(args, "d and n must be positive")
     try:
         return args.func(args)
-    except (ParseError, EvalError, ValueError) as exc:
+    except ValueError as exc:
         return _error(args, str(exc))
 
 

@@ -59,6 +59,9 @@ class CharacterLabel:
     def __setattr__(self, *a):
         raise AttributeError("CharacterLabel is immutable")
 
+    def __reduce__(self):
+        return CharacterLabel, (self.mu, self.k)
+
     def value(self, d, tmon):
         return chi_value(d, self.exps, tmon)
 

@@ -10,7 +10,6 @@ representative written s_3 s_2 s_1 has one-line notation (4, 1, 2, 3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -18,11 +17,63 @@ class ConsistencyError(Exception):
     """Two independent computations of the same quantity disagree."""
 
 
-@dataclass(frozen=True)
-class Perm:
+class Record:
+    """An immutable record whose fields are its class's __slots__, set
+    positionally by __init__ and then checked by __post_init__. Records are
+    equal only to records of the same class with equal fields, and hash as
+    the tuple of their fields, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # compiled per class, as dataclasses does: generic methods reading
+        # the fields through getattr or attrgetter made a dict lookup of an
+        # equal Perm twice as slow
+        names = cls.__slots__
+        values = "(%s)" % "".join("self.%s, " % name for name in names)
+        source = _RECORD_METHODS.format(
+            args=", ".join(names), values=values,
+            others=values.replace("self.", "other."),
+            sets="".join("    _set(self, %r, %s)\n" % (name, name) for name in names))
+        methods = {}
+        exec(source, {"_set": object.__setattr__}, methods)
+        for name, method in methods.items():
+            setattr(cls, name, method)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+_RECORD_METHODS = """
+def __init__(self, {args}):
+{sets}    self.__post_init__()
+
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {values} == {others}
+    return NotImplemented
+
+def __hash__(self):
+    return hash({values})
+"""
+
+
+class Perm(Record):
     """A permutation of {1, ..., n} in one-line notation."""
 
-    images: tuple
+    __slots__ = ("images",)
 
     def __post_init__(self):
         n = len(self.images)
@@ -115,11 +166,10 @@ def all_perms(n):
     return tuple(perms)
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Record):
     """A composition of n with d parts (non-negative, ordered)."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
     @property
     def d(self):
@@ -171,13 +221,11 @@ def compositions(d, n):
     return out
 
 
-@dataclass(frozen=True)
-class CosetSystem:
+class CosetSystem(Record):
     """Distinguished (minimal length) left coset representatives of S_n/S_mu,
     sorted by (length, one-line notation), so reps[0] is the identity."""
 
-    mu: Composition
-    reps: tuple
+    __slots__ = ("mu", "reps")
 
     @property
     def m(self):

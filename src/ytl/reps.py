@@ -37,7 +37,8 @@ from .yokonuma import ctl_generator, ftl_generator
 
 
 class RepModule:
-    """The module V_lambda for a d-partition: basis = standard d-tableaux."""
+    """The module V_lambda for a d-partition: basis = standard d-tableaux.
+    Build it with rep_module, which keeps one instance per (d, shape)."""
 
     __slots__ = ("d", "shape", "basis", "index")
 
@@ -49,6 +50,9 @@ class RepModule:
 
     def __setattr__(self, *a):
         raise AttributeError("RepModule is immutable")
+
+    def __reduce__(self):
+        return rep_module, (self.d, self.shape)
 
     @property
     def dim(self):

@@ -168,6 +168,9 @@ class Cyclotomic:
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
 
+    def __reduce__(self):
+        return Cyclotomic._raw, (self.order, self.nums, self.den)
+
     @property
     def coords(self):
         """One Fraction per basis power."""
@@ -398,6 +401,9 @@ class Laurent:
 
     def __setattr__(self, *a):
         raise AttributeError("Laurent is immutable")
+
+    def __reduce__(self):
+        return Laurent._raw, (self.order, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -645,6 +651,9 @@ class RatFunc:
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den, True)
 
     @staticmethod
     def _normalize(num, den):

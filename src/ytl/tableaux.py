@@ -9,11 +9,10 @@ is a tuple of d partitions. A tableau stores, for each entry i, the node
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
-from .permutations import ConsistencyError, Perm, compositions
+from .permutations import ConsistencyError, Perm, Record, compositions
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +66,10 @@ def ctl_admissible(shape):
 # standard d-tableaux
 
 
-@dataclass(frozen=True)
-class DTableau:
+class DTableau(Record):
     """A d-tableau: placement[i-1] = (row, col, component) of entry i."""
 
-    shape: tuple
-    placement: tuple
+    __slots__ = ("shape", "placement")
 
     @property
     def n(self):
@@ -221,13 +218,11 @@ def dim_CTL_bruteforce(d, n):
 # Jones index sets
 
 
-@dataclass(frozen=True)
-class JonesPair:
+class JonesPair(Record):
     """A pair of tuples (i_1<...<i_p; k_1,...,k_p) indexing a product of
     descending generator runs."""
 
-    i: tuple
-    k: tuple
+    __slots__ = ("i", "k")
 
     def word(self):
         """Concatenated descending runs (i_j, i_j - 1, ..., i_j - k_j)."""

@@ -65,6 +65,9 @@ class YElement:
     def __setattr__(self, *a):
         raise AttributeError("YElement is immutable")
 
+    def __reduce__(self):
+        return YElement, (self.d, self.n, self.terms)
+
     # -- structure ----------------------------------------------------------
 
     def is_zero(self):

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -152,6 +154,29 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["dim"] == 5
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, payload = run(capsys, "-o", str(target), "dim", "y", "-d", "2", "-n", "2")
+    assert code == 2 and str(target) in payload["error"]
+    assert not target.parent.exists()
+
+
+def test_failed_cache_store_keeps_the_result(capsys, tmp_path):
+    # the cache directory cannot be made below a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache = str(blocker / "cache")
+    for argv in (["verify", "-d", "2", "-n", "2", "--suite", "relations"],
+                 ["basis", "ctl", "-d", "2", "-n", "3"]):
+        assert main(["--no-cache"] + argv) == 0
+        want = capsys.readouterr().out
+        assert main(["--cache-dir", cache] + argv) == 0
+        out, err = capsys.readouterr()
+        assert out == want
+        assert len(err.splitlines()) == 1 and "not cached" in err and cache in err
+    assert blocker.read_text() == ""
+
+
 def test_positivity_error_goes_to_output_file(capsys, tmp_path):
     target = tmp_path / "o.json"
     code = main(["--no-cache", "-o", str(target), "dim", "y", "-d", "0", "-n", "2"])
@@ -213,3 +238,48 @@ def test_cache_store_is_atomic(tmp_path):
     with open(path) as fh:
         assert fh.read() == before
     assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+
+# ---------------------------------------------------------------------------
+# which modules each command loads; the test process has imported them all,
+# so each command runs in a fresh interpreter
+
+def loaded_modules(*argv):
+    """The ytl submodules besides ytl.cli that a fresh interpreter loads to
+    import ytl.cli and, given arguments, run that command (pass --output to
+    keep its JSON off the result). The command must exit 0 without loading
+    dataclasses."""
+    code = ("import json, sys\n"
+            "import ytl.cli\n"
+            "argv = sys.argv[1:]\n"
+            "code = ytl.cli.main(argv) if argv else 0\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('ytl.')),"
+            " 'dataclasses' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ytl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code] + list(argv),
+                          capture_output=True, text=True, env=env, check=True)
+    exit_code, modules, dataclasses = json.loads(proc.stdout)
+    assert exit_code == 0 and not dataclasses, proc.stdout
+    return {m[len("ytl."):] for m in modules} - {"cli"}
+
+
+def test_import_cli_loads_no_submodule():
+    assert loaded_modules() == set()
+
+
+def test_each_command_loads_what_it_runs(tmp_path):
+    out = ["--no-cache", "-o", str(tmp_path / "out.json")]
+    assert loaded_modules(*out, "dim", "ctl", "-d", "3", "-n", "4") == {
+        "tableaux", "permutations"}
+    assert loaded_modules(*out, "enumerate", "cosets", "-d", "2", "-n", "3") == {
+        "tableaux", "permutations"}
+    mul = loaded_modules(*out, "mul", "-d", "2", "-n", "3", "g1*t2")
+    assert "exprparse" in mul and not mul & {"reps", "isomaps", "verify"}
+
+
+def test_a_cache_hit_loads_no_algebra_module(tmp_path):
+    cache = ["--cache-dir", str(tmp_path / "cache"), "-o", str(tmp_path / "out.json")]
+    for argv in (["verify", "-d", "2", "-n", "2", "--suite", "relations"],
+                 ["basis", "ftl", "-d", "2", "-n", "3"]):
+        assert main(cache + argv) == 0
+        assert loaded_modules(*cache, *argv) == set()

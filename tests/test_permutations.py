@@ -1,9 +1,15 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ytl
 from ytl.permutations import (Composition, Perm, act_on_character, all_perms,
                               compositions, coset_system, embed_word,
                               factor_in_young)
@@ -145,3 +151,48 @@ def test_factor_in_young():
 
 def test_embed_word():
     assert embed_word((1, 2), 2) == (3, 4)
+
+
+def test_record_semantics():
+    t = (2, 1, 3)
+    # records of different classes with equal fields differ, as dataclasses do
+    assert Perm((1, 2)) != Composition((1, 2))
+    assert hash(Perm(t)) == hash((t,))
+    mu = Composition((1, 2))
+    system = coset_system(mu)
+    assert hash(system) == hash((mu, system.reps))
+    with pytest.raises(AttributeError):
+        Perm(t).images = (1, 2, 3)
+    with pytest.raises(AttributeError):
+        mu.extra = 1
+    with pytest.raises(AttributeError):
+        del mu.parts
+    with pytest.raises(TypeError):
+        Composition((1, 2), (3,))
+    with pytest.raises(ValueError):
+        Perm((1, 1))
+    assert repr(Perm(t)) == "Perm(2, 1, 3)"
+    assert repr(mu) == "Composition(parts=(1, 2))"
+    assert repr(system) == ("CosetSystem(mu=Composition(parts=(1, 2)), "
+                            "reps=(Perm(1, 2, 3), Perm(2, 1, 3), Perm(3, 1, 2)))")
+
+
+def test_records_survive_pickle_and_copy():
+    from ytl.tableaux import jones_pairs, standard_tableaux
+
+    mu = Composition((1, 2))
+    for x in (Perm((2, 1, 3)), mu, coset_system(mu),
+              standard_tableaux(((2,), (1,)))[0], jones_pairs(4)[3]):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x
+            assert hash(y) == hash(x) and repr(y) == repr(x)
+
+
+def test_no_dataclasses_import():
+    # a fresh interpreter: the test process may have imported it already
+    code = ("import sys, ytl.isomaps, ytl.verify, ytl.exprparse, ytl.cli; "
+            "print('dataclasses' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ytl.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "False\n"

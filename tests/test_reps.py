@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import is_zero_matrix, ref_character_sum
 from ytl.linalg import mat_mul
-from ytl.permutations import Perm, all_perms
+from ytl.permutations import Composition, Perm, all_perms
 from ytl.scalars import Cyclotomic, Laurent, RatFunc, root_of_unity
 from ytl.tableaux import enumerate_d_partitions
 from ytl import isomaps as iso
@@ -404,3 +406,15 @@ def test_round_trip_membership_against_reference(d, n):
             assert ref_ideal_membership(diff, which)
             # the non-member x itself stays outside
             assert not ideal_membership(x, which)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_modules_survive_pickle_and_copy(d):
+    # rep_module keeps one module per (d, shape), and a copy is that module
+    module = rep_module(d, enumerate_d_partitions(d, 3)[1])
+    label = iso.block_characters(Composition((3,) if d == 1 else (2, 1, 0)))[-1]
+    for x in (module, label):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert repr(y) == repr(x)
+    for y in (pickle.loads(pickle.dumps(module)), copy.copy(module), copy.deepcopy(module)):
+        assert y is module

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -396,3 +398,22 @@ def test_bucket_is_zero_on_a_cancelling_bucket():
     bucket[one_q * phi3] = phi3
     assert not _bucket_is_zero(bucket)
     assert _bucket_sum(bucket) == RatFunc(Laurent(1, {0: 2}), one_q)
+
+
+def round_trips(x):
+    """x through pickle (every protocol), copy and deepcopy."""
+    return ([pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+            + [copy.copy(x), copy.deepcopy(x)])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_scalars_survive_pickle_and_copy(d):
+    deg = len(Cyclotomic.one(d).nums)
+    c = Cyclotomic(d, [Fraction(1, 3)] + [Fraction(2, 9)] * (deg - 1))
+    num = Laurent(d, {-1: c, 2: Cyclotomic.one(d)})
+    r = RatFunc(num, Laurent(d, {0: 1, 1: 1}))
+    assert c.den > 1 and not r.den.is_one()
+    for x in (c, num, r):
+        for y in round_trips(x):
+            assert type(y) is type(x) and y == x
+            assert hash(y) == hash(x) and repr(y) == repr(x)

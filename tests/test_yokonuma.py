@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,7 +9,7 @@ import pytest
 
 import oracles
 from ytl.permutations import Perm, all_perms, compositions
-from ytl.scalars import Cyclotomic, RatFunc
+from ytl.scalars import Cyclotomic, Laurent, RatFunc
 from ytl import yokonuma as yk
 
 
@@ -352,3 +354,13 @@ def test_json_roundtrip_shape():
     data = x.to_json()
     assert all(set(rec) == {"t", "w", "coeff"} for rec in data)
     assert len(data) == len(x.terms)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_elements_survive_pickle_and_copy(d):
+    c = RatFunc(Laurent(d, {0: Fraction(2, 3), 1: Cyclotomic.root_power(d, 1)}),
+                Laurent(d, {0: 1, 1: 1}))
+    x = (yk.gen_t(d, 3, 1) * yk.gen_g(d, 3, 2)).scale(c) + yk.gen_g(d, 3, 1)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is yk.YElement and y == x
+        assert hash(y) == hash(x) and repr(y) == repr(x)

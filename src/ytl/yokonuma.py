@@ -29,8 +29,8 @@ from functools import lru_cache
 from math import lcm
 
 from .permutations import Perm, act_on_character, coset_system
-from .scalars import (Cyclotomic, Laurent, RatFunc, as_ratfunc, int_rows, laurent_from_ints,
-                      over_one_denominator, specialize_q)
+from .scalars import (Cyclotomic, RatFunc, as_ratfunc, int_rows, laurent_from_ints,
+                      multiply_dens, over_one_denominator, specialize_q)
 
 
 class NTooSmall(Exception):
@@ -59,8 +59,18 @@ class YElement:
                 clean[key] = c
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple(
-            sorted(clean.items(), key=lambda kv: (kv[0][0], kv[0][1].images))))
+        object.__setattr__(self, "terms", tuple(sorted(clean.items(), key=_term_order)))
+
+    @staticmethod
+    def _trusted(d, n, terms):
+        """Trusted constructor from terms [((tmon, w), c)] in normal form:
+        distinct keys, tmon of length n reduced mod d, w of degree n and c a
+        nonzero RatFunc."""
+        new = object.__new__(YElement)
+        object.__setattr__(new, "d", d)
+        object.__setattr__(new, "n", n)
+        object.__setattr__(new, "terms", tuple(sorted(terms, key=_term_order)))
+        return new
 
     def __setattr__(self, *a):
         raise AttributeError("YElement is immutable")
@@ -108,7 +118,8 @@ class YElement:
         order = lcm(d, *(c.order for _, c in self.terms), *(c.order for _, c in other.terms))
         lden, left = _int_table(self.terms, order)
         rden, right = _int_table(other.terms, order)
-        return YElement(d, n, _int_product(d, n, order, left, right, lden * rden))
+        return YElement._trusted(d, n, _int_product(d, n, order, left, right,
+                                                    multiply_dens(lden, rden)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -140,6 +151,11 @@ class YElement:
                 for (tmon, w), c in self.terms]
 
 
+def _term_order(term):
+    (tmon, w), _ = term
+    return tmon, w.images
+
+
 def _acc_term(acc, key, c):
     if key in acc:
         c = acc[key] + c
@@ -151,18 +167,20 @@ def _acc_term(acc, key, c):
 
 def _int_table(terms, order):
     """The terms over one denominator, as (den, (D, rows)): den is the
-    product of their distinct RatFunc denominators, and each row
+    least common multiple of their RatFunc denominators (an exponent
+    vector), and each row
     (tmon, images, monomials) carries its numerator as (q-exponent,
     zeta_order power, int) triples over the common int denominator D
     (scalars.int_rows)."""
-    nums, den = over_one_denominator([(c.num, c.den) for _, c in terms])
+    nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in terms])
     common, monos = int_rows(nums, order)
     return den, (common, [(tmon, w.images, mono)
                           for ((tmon, w), _), mono in zip(terms, monos)])
 
 
 def _int_product(d, n, order, left, right, den):
-    """The product of two operand tables, {(tmon, Perm): RatFunc} over den.
+    """The product of two operand tables, as terms [((tmon, Perm), RatFunc)]
+    over den, in normal form but unsorted.
     The numerators multiply as ints in Z[Z/order][q^+-1]; the terms of the
     right operand that share a permutation v are folded through its
     reduced word together, and each fold step carries the 1/d of the
@@ -219,13 +237,11 @@ def _int_product(d, n, order, left, right, den):
     for (m, w, e, z), c in acc.items():
         if c:
             coeffs.setdefault((m, w), {}).setdefault(e, [0] * order)[z] += c
-    den = Laurent(order, den.terms)  # the output field, for the denominator too
-    trusted = den.is_one()
-    out = {}
+    out = []
     for (m, w), by_e in coeffs.items():
         num = laurent_from_ints(order, by_e, common)
         if num.terms:
-            out[(m, _perm(w))] = RatFunc(num, den, _normalized=trusted)
+            out.append(((m, _perm(w)), RatFunc.over(num, den)))
     return out
 
 

@@ -12,6 +12,9 @@ this module.
   any field, used by the first two
 - FractionCyclotomic: Q(zeta_d) with one Fraction per coordinate, the
   arithmetic that the int-coordinate scalars.Cyclotomic replaced
+- GcdRatFunc: the rational-function field normalised by a polynomial gcd,
+  which the Phi-factored scalars.RatFunc replaced; rho_bruteforce pivots on
+  arbitrary Laurent polynomials, so it needs this field
 - ref_mul: the standard-basis product term by term, each pair of terms
   folded through the braid word of its right permutation with RatFunc
   coefficients, against the integer-table YElement.__mul__
@@ -30,7 +33,7 @@ from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
 from ytl.permutations import Perm, all_perms
 from ytl.reps import _bucket_sum, _laurent, quotient_shapes, rep_element, rep_module
-from ytl.scalars import Cyclotomic, RatFunc, specialize_q
+from ytl.scalars import Cyclotomic, Laurent, RatFunc, specialize_q
 from ytl.tableaux import jones_pairs, jones_permutation
 from ytl.yokonuma import YElement, _acc_term, g_block, gen_g, gen_g_inv, unit
 
@@ -116,9 +119,9 @@ class SingularReduction(Exception):
 
 
 def _flat_hecke(x, index):
-    vec = [RatFunc.zero(1)] * len(index)
+    vec = [GcdRatFunc.zero(1)] * len(index)
     for (_, w), c in x.terms:
-        vec[index[w]] = c
+        vec[index[w]] = GcdRatFunc(c.num, c.den)
     return vec
 
 
@@ -126,7 +129,7 @@ def _flat_hecke(x, index):
 def _bruteforce_solver(m):
     """Square system [Jones columns | ideal-span row basis] inverted once:
     coordinates modulo the ideal read off the first Catalan-many rows."""
-    field = Field(RatFunc.zero(1), RatFunc.one(1), is_zero=lambda x: x.is_zero())
+    field = Field(GcdRatFunc.zero(1), GcdRatFunc.one(1), is_zero=lambda x: x.is_zero())
     perms = all_perms(m)
     index = {w: i for i, w in enumerate(perms)}
     gen = g_block(1, m, 1)
@@ -159,7 +162,8 @@ def rho_bruteforce(h, m):
     out = {}
     for pair, row in zip(pairs, inverse):
         for r, v in zip(row, vec):
-            _acc_term(out, pair, r * v)
+            c = r * v
+            _acc_term(out, pair, RatFunc(c.num, c.den))
     return out
 
 
@@ -541,7 +545,7 @@ def ref_character_sum(d, terms, exps):
     parts = {}
     for tmon, c in terms:
         phase = sum(a * p for a, p in zip(tmon, exps)) % d
-        part = parts.setdefault((None if c.den.is_one() else c.den, phase), {})
+        part = parts.setdefault((c.den_exps, phase), {})
         for e, v in c.num.terms:
             part[e] = part[e] + v if e in part else v
     nums = {}
@@ -553,3 +557,252 @@ def ref_character_sum(d, terms, exps):
                 v = v * root
             num[e] = num[e] + v if e in num else v
     return _bucket_sum({den: _laurent(d, num) for den, num in nums.items()})
+
+
+# ---------------------------------------------------------------------------
+# the rational-function field normalised by a polynomial gcd
+
+
+def _is_one(p):
+    return len(p.terms) == 1 and p.terms[0][0] == 0 and p.terms[0][1] == 1
+
+
+def _trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return list(p)
+
+
+def _poly_divmod(num, den):
+    """Long division of Cyclotomic coefficient lists: returns (quotient,
+    remainder), the remainder without zero leading terms."""
+    num = list(num)
+    den = _trim(den)
+    zero = den[-1] - den[-1]
+    quot = [zero] * max(len(num) - len(den) + 1, 1)
+    for k in range(len(num) - len(den), -1, -1):
+        c = num[k + len(den) - 1] / den[-1]
+        quot[k] = c
+        if c != 0:
+            for j, dj in enumerate(den):
+                num[k + j] = num[k + j] - c * dj
+    return quot, _trim(num[: len(den) - 1] or [zero])
+
+
+def _laurent_gcd(a, b):
+    """Monic gcd of two Laurent polynomials, not both zero, as an ordinary
+    polynomial (minimal exponent 0)."""
+    pa = _to_dense(_shift_to_zero(a))
+    pb = _to_dense(_shift_to_zero(b))
+    while len(pb) > 1 or not pb[0].is_zero():
+        pa, pb = pb, _poly_divmod(pa, pb)[1]
+    lead = pa[-1]
+    return Laurent(a.order, {i: c / lead for i, c in enumerate(pa)})
+
+
+def _shift_to_zero(p):
+    if p.is_zero():
+        return p
+    m = p.min_exp()
+    return Laurent(p.order, {e - m: c for e, c in p.terms})
+
+
+def _to_dense(p):
+    order = p.order
+    n = p.terms[-1][0] + 1 if not p.is_zero() else 1
+    out = [Cyclotomic.zero(order)] * n
+    for e, c in p.terms:
+        out[e] = c
+    return out
+
+
+class GcdRatFunc:
+    """Element of the rational-function field over Q(zeta_d).
+
+    Canonical form: num/den coprime, den with minimal exponent 0 and its
+    lowest-degree coefficient equal to 1. Equality is structural.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None, _normalized=False):
+        if den is None:
+            # a numerator over the shared 1 is already canonical
+            den, _normalized = Laurent.one(num.order), True
+        if not _normalized:
+            num, den = GcdRatFunc._normalize(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GcdRatFunc is immutable")
+
+    def __reduce__(self):
+        return GcdRatFunc, (self.num, self.den, True)
+
+    @staticmethod
+    def _normalize(num, den):
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        num, den = Laurent._common(num, den)
+        order = num.order
+        if _is_one(den):
+            return num, den
+        if num.is_zero():
+            return Laurent.zero(order), Laurent.one(order)
+        sn, sd = num.min_exp(), den.min_exp()
+        num0, den0 = _shift_to_zero(num), _shift_to_zero(den)
+        g = _laurent_gcd(num0, den0)
+        if not _is_one(g):
+            gd = _to_dense(g)
+            reduced = []
+            for p in (num0, den0):
+                quot, rem = _poly_divmod(_to_dense(p), gd)
+                if not rem[-1].is_zero():
+                    raise ArithmeticError("inexact Laurent division")
+                reduced.append(Laurent(order, dict(enumerate(quot))))
+            num0, den0 = reduced
+        cinv = den0.terms[0][1].inv()  # constant coefficient, nonzero by construction
+        num0 = Laurent(order, {e + sn - sd: v * cinv for e, v in num0.terms})
+        den0 = Laurent(order, {e: v * cinv for e, v in den0.terms})
+        return num0, den0
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def zero(order=1):
+        return GcdRatFunc(Laurent.zero(order), Laurent.one(order), _normalized=True)
+
+    @staticmethod
+    def one(order=1):
+        return GcdRatFunc(Laurent.one(order), Laurent.one(order), _normalized=True)
+
+    @staticmethod
+    def q(order=1):
+        return GcdRatFunc(Laurent.q(order), Laurent.one(order), _normalized=True)
+
+    @staticmethod
+    def q_power(e, order=1):
+        return GcdRatFunc(Laurent.q_power(e, order))
+
+    @staticmethod
+    def from_scalar(c, order=1):
+        return GcdRatFunc(Laurent.from_scalar(c, order))
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def order(self):
+        return self.num.order
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def is_one(self):
+        return _is_one(self.num) and _is_one(self.den)
+
+    def is_laurent(self):
+        return _is_one(self.den)
+
+    def as_laurent(self):
+        if not self.is_laurent():
+            raise ValueError("denominator is not a unit: %r" % (self,))
+        return self.num
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not GcdRatFunc:
+            other = _as_gcd_ratfunc(other, self.order)
+        if _is_one(self.den) and _is_one(other.den) and self.num.order == other.num.order:
+            return GcdRatFunc(self.num + other.num, self.den, _normalized=True)
+        if self.den == other.den:
+            return GcdRatFunc(self.num + other.num, self.den)
+        return GcdRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GcdRatFunc(-self.num, self.den, _normalized=True)
+
+    def __sub__(self, other):
+        return self + (-_as_gcd_ratfunc(other, self.order))
+
+    def __rsub__(self, other):
+        return _as_gcd_ratfunc(other, self.order) - self
+
+    def __mul__(self, other):
+        if type(other) is not GcdRatFunc:
+            other = _as_gcd_ratfunc(other, self.order)
+        if _is_one(self.den) and _is_one(other.den) and self.num.order == other.num.order:
+            return GcdRatFunc(self.num * other.num, self.den, _normalized=True)
+        return GcdRatFunc(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def times_monomial(self, c, e=0):
+        """self * c * q^e for a nonzero scalar c of self's field. The factor
+        is a unit, so only the numerator changes and no renormalisation is
+        needed."""
+        unit = c == 1
+        if unit and e == 0:
+            return self
+        num = Laurent(self.order, [(k + e, v if unit else v * c)
+                                   for k, v in self.num.terms])
+        return GcdRatFunc(num, self.den, _normalized=True)
+
+    def inv(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero rational function")
+        return GcdRatFunc(self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * _as_gcd_ratfunc(other, self.order).inv()
+
+    def __rtruediv__(self, other):
+        return _as_gcd_ratfunc(other, self.order) * self.inv()
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inv() ** (-e)
+        out = GcdRatFunc.one(self.order)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, Cyclotomic, Laurent)):
+            other = _as_gcd_ratfunc(other, self.order)
+        if not isinstance(other, GcdRatFunc):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        # with denominator 1, hash as the numerator, so a GcdRatFunc agrees with
+        # the Laurent, Cyclotomic or int it equals
+        if _is_one(self.den):
+            return hash(self.num)
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        if _is_one(self.den):
+            return "RatFunc(%s)" % self.num.pretty()
+        return "RatFunc((%s)/(%s))" % (self.num.pretty(), self.den.pretty())
+
+    def pretty(self):
+        if _is_one(self.den):
+            return self.num.pretty()
+        return "(%s)/(%s)" % (self.num.pretty(), self.den.pretty())
+
+    def to_json(self):
+        return {"num": self.num.to_json(), "den": self.den.to_json()}
+
+
+def _as_gcd_ratfunc(x, order=1):
+    if isinstance(x, GcdRatFunc):
+        return x
+    if isinstance(x, Laurent):
+        return GcdRatFunc(x)
+    if isinstance(x, (int, Fraction, Cyclotomic)):
+        return GcdRatFunc.from_scalar(x, order)
+    raise TypeError("cannot coerce %r to GcdRatFunc" % (x,))

@@ -32,6 +32,24 @@ def test_dim_commands(capsys):
     assert code == 0 and payload["dim"] == 8
 
 
+def test_dim_past_its_input_bounds_is_a_usage_error(capsys):
+    # d^n n! bounds every dimension; its digits are estimated before any work
+    for argv in (("y", "-d", "2", "-n", "1000000"), ("ctl", "-d", "3", "-n", "3000"),
+                 ("tl", "-n", "1600")):
+        code, payload = run(capsys, "--no-cache", "dim", *argv)
+        assert code == 2 and "digits" in payload["error"]
+    # 1500! has 4,115 digits: within the limit
+    code, payload = run(capsys, "--no-cache", "dim", "y", "-n", "1500")
+    assert code == 0 and len(str(payload["dim"])) == 4115
+    # the quotient formulas enumerate compositions: 167,167,000 at d = 1000,
+    # where the enumeration also recursed past Python's limit
+    for argv in (("ctl", "-d", "1000", "-n", "3"), ("ftl", "-d", "3", "-n", "1000")):
+        code, payload = run(capsys, "--no-cache", "dim", *argv)
+        assert code == 2 and "compositions" in payload["error"]
+    code, payload = run(capsys, "--no-cache", "dim", "ctl", "-d", "1000", "-n", "2")
+    assert code == 0 and payload["dim"] == 2 * 1000 ** 2
+
+
 def test_enumerate_commands(capsys):
     code, payload = run(capsys, "--no-cache", "enumerate", "dpartitions",
                         "-d", "2", "-n", "2")

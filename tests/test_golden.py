@@ -35,6 +35,11 @@ COMMANDS = {
     # Phi_4 does real work
     "verify_quotients_d4": ["verify", "-d", "4", "-n", "3", "--suite", "quotients",
                             "--seed", "0"],
+    # seminormal entries over Phi_2, Phi_3 and Phi_2 Phi_4, and Phi_3 over Q(i)
+    "rep_d1n5": ["rep", "-d", "1", "-n", "5", "--shape", "[[3,1,1]]"],
+    "rep_d4n4": ["rep", "-d", "4", "-n", "4", "--shape", "[[3,1],[],[],[]]"],
+    # the isomorphism suite at a composite order, where Phi_6 has degree 2
+    "verify_iso_d6": ["verify", "-d", "6", "-n", "2", "--suite", "iso", "--seed", "0"],
 }
 
 

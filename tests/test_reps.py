@@ -418,3 +418,28 @@ def test_modules_survive_pickle_and_copy(d):
             assert repr(y) == repr(x)
     for y in (pickle.loads(pickle.dumps(module)), copy.copy(module), copy.deepcopy(module)):
         assert y is module
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (1, 4)])
+def test_membership_against_quotient_maps(d, n):
+    # a third oracle, in Laurent arithmetic only: x lies in the FTL (CTL)
+    # ideal exactly when ftl_psi(x) (ctl_psi(x)) has no nonzero block
+    rng = random.Random(50 * d + n)
+    perms = all_perms(n)
+
+    def basis():
+        a = tuple(rng.randrange(d) for _ in range(n))
+        c = RatFunc.from_scalar(rng.choice((-2, 1, 3)), d) \
+            * RatFunc.q_power(rng.randint(-1, 1), d)
+        return yk.YElement(d, n, {(a, rng.choice(perms)): c})
+
+    for which, gen, psi in (("FTL", yk.ftl_generator, iso.ftl_psi),
+                            ("CTL", yk.ctl_generator, iso.ctl_psi)):
+        cases = [(basis() * gen(d, n) * basis(), True) for _ in range(2)]
+        c = RatFunc.from_scalar(rng.choice((-3, 2, 5)), d)
+        cases += [(x.scale(c), False)
+                  for x in (yk.unit(d, n), yk.gen_g(d, n, rng.randint(1, n - 1)),
+                            yk.gen_t(d, n, rng.randint(1, n)))]
+        for x, member in cases:
+            assert ideal_membership(x, which) is member
+            assert (iso.nonzero_block(psi(x)) is None) is member

@@ -11,7 +11,7 @@ from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, as_ratfunc,
                          cyclotomic_polynomial, over_one_denominator, root_of_unity,
                          specialize_q)
 
-from oracles import FractionCyclotomic
+from oracles import FractionCyclotomic, GcdRatFunc
 
 
 def test_cyclotomic_polynomials():
@@ -53,7 +53,7 @@ def test_laurent_basics():
     q = Laurent.q()
     p = q * q + Laurent.one() - Laurent.q_power(-1)
     assert p.pretty() == "q^2 + 1 - q^-1"
-    assert p.min_exp() == -1 and p.max_exp() == 2
+    assert p.min_exp() == -1 and p.terms[-1][0] == 2
 
 
 def test_ratfunc_canonical_form():
@@ -67,6 +67,8 @@ def test_ratfunc_canonical_form():
 
 
 def test_ratfunc_field_axioms_random():
+    # denominators 1 + 2q and divisions by arbitrary numerators lie outside
+    # the Phi-factored RatFunc, so the field laws run in the gcd field
     import random
     rng = random.Random(0)
     def rand():
@@ -74,13 +76,13 @@ def test_ratfunc_field_axioms_random():
         if num.is_zero():
             num = Laurent.one(1)
         den = Laurent(1, {0: Fraction(1), 1: Fraction(rng.randint(0, 2))})
-        return RatFunc(num, den)
+        return GcdRatFunc(num, den)
     for _ in range(50):
         a, b, c = rand(), rand(), rand()
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
         assert (a / b) * b == a
-        assert a - a == RatFunc.zero()
+        assert a - a == GcdRatFunc.zero()
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6))
@@ -170,7 +172,9 @@ def test_cyclotomic_hash_across_fields(order, k, coeffs):
 @settings(max_examples=40, deadline=None)
 def test_hash_across_promotion_and_coercion(x, y, e, k):
     p = Laurent(x.order, {e: x}) + Laurent(y.order, {0: y})
-    den = Laurent(y.order, {0: 1, 1: y})
+    den = Laurent(y.order, {0: y, 2: -y})  # y (1 - q)(1 + q) when y is not 0
+    if y.is_zero():
+        den = Laurent(y.order, {0: 1, 1: 1})
     m = p.order * k
     pairs = [
         (RatFunc.from_scalar(x, x.order), x),
@@ -318,7 +322,7 @@ def test_polynomial_fast_paths_keep_one_field():
     a = RatFunc(Laurent(3, {1: z3, 0: 2}))
     b = RatFunc(Laurent(4, {-1: z4}))
     for r in (a + b, a * b, b + a, b * a):
-        assert r.num.order == r.den.order == 12 and r.den.is_one()
+        assert r.num.order == r.den.order == 12 and r.den == 1
     assert a * b == RatFunc(Laurent(12, {0: z3 * z4, -1: z4 * 2}))
     assert a + b == RatFunc(Laurent(12, {1: z3, 0: 2, -1: z4}))
     # sums that cancel leave no zero terms behind
@@ -329,12 +333,9 @@ def test_polynomial_fast_paths_keep_one_field():
 
 # -- over_one_denominator ------------------------------------------------------
 
-_DENS = [None,
-         Laurent(1, {0: 1, 1: 1}),
-         Laurent(2, {0: 1, 1: 1}),  # 1 + q again, in a larger field
-         Laurent(1, {0: 1, 1: 1, 2: 1}),
-         Laurent(3, {0: 1, 1: Cyclotomic.root_power(3, 1)}),
-         Laurent(4, {0: 1, 2: -Cyclotomic.root_power(4, 1)})]
+# denominators as exponent vectors of F_1 = 1 - q and F_j = Phi_j: 1, 1 + q,
+# 1 + q + q^2, 1 - q^2, (1 + q)^2 (1 + q^2)
+_DENS = [(), ((2, 1),), ((3, 1),), ((1, 1), (2, 1)), ((2, 2), (4, 1))]
 
 
 @st.composite
@@ -349,7 +350,7 @@ def laurents(draw):
 
 def _fresh(den):
     """An equal denominator that is not the same object."""
-    return None if den is None else Laurent(den.order, den.terms)
+    return tuple(list(den))
 
 
 @given(st.lists(st.tuples(laurents(), st.integers(0, len(_DENS) - 1)), min_size=1, max_size=5))
@@ -359,16 +360,14 @@ def test_over_one_denominator_sums_like_ratfuncs(drawn):
     nums, den = over_one_denominator(fractions)
     want = RatFunc.zero()
     for num, d in fractions:
-        want = want + RatFunc(num, d)
-    assert RatFunc(sum(nums[1:], nums[0]), den) == want
-    distinct = []
+        want = want + RatFunc.over(num, d)
+    assert RatFunc.over(sum(nums[1:], nums[0]), den) == want
+    # the least common multiple: the largest exponent of each factor
+    top = {}
     for _, d in fractions:
-        if d is not None and d not in distinct:
-            distinct.append(d)
-    product = Laurent.one()
-    for d in distinct:
-        product = product * d
-    assert (den is None) == (not distinct) and (den is None or den == product)
+        for j, e in d:
+            top[j] = max(top.get(j, 0), e)
+    assert den == tuple(sorted(top.items()))
     if len(set(d for _, d in fractions)) == 1:
         # one distinct denominator: nothing is multiplied
         assert all(a is b for a, (b, _) in zip(nums, fractions))
@@ -376,28 +375,31 @@ def test_over_one_denominator_sums_like_ratfuncs(drawn):
 
 
 def test_over_one_denominator_examples():
-    one_q = Laurent(1, {0: 1, 1: 1})
+    one_q = ((2, 1),)
     x, y = Laurent(1, {0: 2}), Laurent(1, {1: -1})
-    assert over_one_denominator([]) == ([], None)
+    assert over_one_denominator([]) == ([], ())
     nums, den = over_one_denominator([(x, one_q), (y, _fresh(one_q))])
     assert nums[0] is x and nums[1] is y and den is one_q
-    nums, den = over_one_denominator([(x, None), (y, None)])
-    assert nums[0] is x and nums[1] is y and den is None
-    # None stands for 1: only the other denominator multiplies
-    nums, den = over_one_denominator([(x, None), (y, one_q), (x, _fresh(one_q))])
-    assert nums == [x * one_q, y, x] and den == one_q
+    nums, den = over_one_denominator([(x, ()), (y, ())])
+    assert nums[0] is x and nums[1] is y and den == ()
+    # () stands for 1: only the other denominator multiplies
+    nums, den = over_one_denominator([(x, ()), (y, one_q), (x, _fresh(one_q))])
+    assert nums == [x * Laurent(1, {0: 1, 1: 1}), y, x] and den == one_q
+    # the lcm, not the product: (1 + q) and (1 - q)(1 + q) meet over the latter
+    nums, den = over_one_denominator([(x, one_q), (y, ((1, 1), (2, 1)))])
+    assert nums == [x * Laurent(1, {0: 1, 1: -1}), y] and den == ((1, 1), (2, 1))
 
 
 def test_bucket_is_zero_on_a_cancelling_bucket():
     from ytl.reps import _bucket_is_zero, _bucket_sum
 
-    one_q = Laurent(1, {0: 1, 1: 1})
+    one_q = ((2, 1),)
     phi3 = Laurent(1, {0: 1, 1: 1, 2: 1})
-    bucket = {one_q: Laurent.one(), one_q * phi3: -phi3}
+    bucket = {one_q: Laurent.one(), ((2, 1), (3, 1)): -phi3}
     assert _bucket_is_zero(bucket) and _bucket_sum(bucket).is_zero()
-    bucket[one_q * phi3] = phi3
+    bucket[((2, 1), (3, 1))] = phi3
     assert not _bucket_is_zero(bucket)
-    assert _bucket_sum(bucket) == RatFunc(Laurent(1, {0: 2}), one_q)
+    assert _bucket_sum(bucket) == RatFunc(Laurent(1, {0: 2}), Laurent(1, {0: 1, 1: 1}))
 
 
 def round_trips(x):
@@ -412,8 +414,104 @@ def test_scalars_survive_pickle_and_copy(d):
     c = Cyclotomic(d, [Fraction(1, 3)] + [Fraction(2, 9)] * (deg - 1))
     num = Laurent(d, {-1: c, 2: Cyclotomic.one(d)})
     r = RatFunc(num, Laurent(d, {0: 1, 1: 1}))
-    assert c.den > 1 and not r.den.is_one()
+    assert c.den > 1 and not r.is_laurent()
     for x in (c, num, r):
         for y in round_trips(x):
             assert type(y) is type(x) and y == x
             assert hash(y) == hash(x) and repr(y) == repr(x)
+
+
+# -- the Phi-factored RatFunc against the gcd field -----------------------------
+
+# F_1 = 1 - q and F_j = Phi_j, the factors a denominator is made of
+_FACTOR_JS = (1, 2, 3, 4, 6)
+
+
+def _factor(j, order):
+    return Laurent(order, {0: 1, 1: -1}) if j == 1 else \
+        Laurent(order, dict(enumerate(cyclotomic_polynomial(j))))
+
+
+@st.composite
+def phi_fractions(draw):
+    """(x, X): a RatFunc num / prod F_j^e_j and the same value in the gcd
+    field. The numerator is either random over Q(zeta_k), or a unit times a
+    product of F_j (so that it can be inverted), in which case it shares
+    factors with the denominator one time in two."""
+    order = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    den = Laurent.one(order)
+    for j in draw(st.lists(st.sampled_from(_FACTOR_JS), max_size=3)):
+        den = den * _factor(j, order)
+    if draw(st.booleans()):
+        num = Laurent(order, {e: Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
+                              * draw(st.sampled_from((1, -1, 2, Fraction(1, 3))))
+                              for e in draw(st.lists(st.integers(-2, 3), min_size=1,
+                                                     max_size=3, unique=True))})
+    else:
+        num = Laurent(order, {draw(st.integers(-2, 2)): Cyclotomic.root_power(
+            order, draw(st.integers(0, order - 1))) * draw(st.sampled_from((1, -3)))})
+        for j in draw(st.lists(st.sampled_from(_FACTOR_JS), max_size=2)):
+            num = num * _factor(j, order)
+    return RatFunc(num, den), GcdRatFunc(num, den)
+
+
+def _matches(x, ref):
+    """x and the gcd-field value ref are the same number. Where the two
+    canonical forms coincide, so do repr and hash."""
+    assert GcdRatFunc(x.num, x.den) == ref
+    assert x.num * ref.den == ref.num * x.den
+    if x.den == ref.den:
+        assert x.num == ref.num
+        assert repr(x) == repr(ref) and hash(x) == hash(ref)
+
+
+@given(phi_fractions(), phi_fractions())
+@settings(max_examples=150, deadline=None)
+def test_ratfunc_against_gcd_field(a, b):
+    (x, rx), (y, ry) = a, b
+    _matches(x, rx)
+    _matches(x + y, rx + ry)
+    _matches(x - y, rx - ry)
+    _matches(x * y, rx * ry)
+    assert (x == y) == (rx == ry)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert x * y == y * x and (x + y) - y == x
+    for v, rv in ((x, rx), (y, ry)):
+        if not v.is_zero():
+            try:
+                inv = v.inv()
+            except ValueError:
+                continue
+            _matches(inv, rv.inv())
+            assert inv * v == 1 and inv.inv() == v
+
+
+def test_split_factor_cancels_only_in_the_gcd_field():
+    # q - zeta_3 divides Phi_3 = (q - zeta_3)(q - zeta_3^2) over Q(zeta_3):
+    # the gcd field cancels it, the Phi-factored form keeps Phi_3
+    z = Cyclotomic.root_power(3, 1)
+    num = Laurent(3, {1: 1, 0: -z})
+    phi3 = _factor(3, 3)
+    x, ref = RatFunc(num, phi3), GcdRatFunc(num, phi3)
+    assert x.den_exps == ((3, 1),) and x.num == num
+    # 1 / (q - zeta^2) = -zeta / (1 - zeta q)
+    assert ref.num == Laurent(3, {0: -z}) and ref.den == Laurent(3, {0: 1, 1: -z})
+    assert x.num * ref.den == ref.num * x.den
+    assert GcdRatFunc(x.num, x.den) == ref
+    # sums and products that meet the other factor cancel all of Phi_3
+    other = RatFunc(Laurent(3, {1: 1, 0: -z * z}))
+    assert x * other == RatFunc.one(3)
+    assert (x * other).den_exps == ()
+
+
+def test_inverse_needs_a_phi_product():
+    q, one = RatFunc.q(), RatFunc.one()
+    with pytest.raises(ValueError, match=r"RatFunc\(q - 2\)"):
+        one / (q - 2 * one)
+    with pytest.raises(ValueError, match=r"q \+ 2"):
+        RatFunc(Laurent.one(1), Laurent(1, {0: 2, 1: 1}))
+    # a unit times powers of q and of Phi_j inverts
+    x = (q * q - one) * (q * q + one) * RatFunc.from_scalar(Fraction(-2, 3)) * q
+    assert x.inv() * x == one
+    assert x.inv().den_exps == ((1, 1), (2, 1), (4, 1))

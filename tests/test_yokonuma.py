@@ -364,3 +364,32 @@ def test_elements_survive_pickle_and_copy(d):
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(y) is yk.YElement and y == x
         assert hash(y) == hash(x) and repr(y) == repr(x)
+
+
+@pytest.mark.parametrize("d,n", [(4, 2), (4, 3), (6, 2)])
+def test_trusted_outputs_equal_validated(d, n):
+    # products, psi blocks and the inverse character transform build their
+    # output through YElement._trusted; the validating constructor must give
+    # the same element
+    from ytl import isomaps as iso
+
+    def validated(x):
+        return yk.YElement(x.d, x.n, list(x.terms))
+
+    def same(x):
+        y = validated(x)
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+    rng = random.Random(40 * d + n)
+    one_q = RatFunc.one(d) + RatFunc.q(d)
+    for _ in range(3):
+        x, y = (_random_element(rng, d, n, 4, dens=(one_q,)) for _ in range(2))
+        same(x * y)
+        blocks = iso.psi_n(x)
+        for block in blocks.values():
+            for row in block:
+                for cell in row:
+                    same(cell)
+        back = iso.phi_n(blocks)
+        same(back)
+        assert back == x

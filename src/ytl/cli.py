@@ -32,9 +32,10 @@ import tempfile
 from . import __version__
 
 CONVENTION_VERSION = 1
-# dim ftl and dim ctl sum over the compositions of n into d parts; 10^5 of
-# them take a few seconds
-MAX_DIM_COMPOSITIONS = 100_000
+# dim ftl and dim ctl sum over the compositions of n into d parts, and basis
+# and enumerate jonespairs|cosets list items: 10^5 of either take a few
+# seconds, and a listing of 10^5 items up to about 230 MB
+MAX_ITEMS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +135,9 @@ def cmd_dim(args):
         return _error(args, "dim %s at d=%d, n=%d has up to %d digits, more than the %d "
                             "an output number may have" % (kind, d, n, digits, limit))
     count = math.comb(n + d - 1, d - 1)
-    if kind in ("ftl", "ctl") and n >= 3 and count > MAX_DIM_COMPOSITIONS:
+    if kind in ("ftl", "ctl") and n >= 3 and count > MAX_ITEMS:
         return _error(args, "dim %s at d=%d, n=%d sums over %d compositions, more than %d"
-                            % (kind, d, n, count, MAX_DIM_COMPOSITIONS))
+                            % (kind, d, n, count, MAX_ITEMS))
     from .tableaux import dim_CTL, dim_FTL, dim_TL, dim_Y
     if kind == "y":
         value = dim_Y(d, n)
@@ -150,9 +151,25 @@ def cmd_dim(args):
     return 0
 
 
+def _item_count(what, log_lower, count):
+    """count(), the number of items a command is about to list, or a
+    ValueError (exit 2) that names it past MAX_ITEMS. log_lower, the natural
+    log of a lower bound of the count, is checked first: a count past the
+    bound by more than a factor e is not computed, since its closed form
+    alone takes seconds or more at large n."""
+    if log_lower > math.log(MAX_ITEMS) + 1:
+        raise ValueError("%s lists at least 10^%.1f items, more than %d"
+                         % (what, log_lower / math.log(10), MAX_ITEMS))
+    value = count()
+    if value > MAX_ITEMS:
+        raise ValueError("%s lists %d items, more than %d" % (what, value, MAX_ITEMS))
+    return value
+
+
 def cmd_enumerate(args):
     from .permutations import compositions, coset_system
-    from .tableaux import enumerate_d_partitions, jones_pairs, standard_tableaux
+    from .tableaux import (catalan, enumerate_d_partitions, jones_pairs, multinomial,
+                           standard_tableaux)
     d, n = args.d, args.n
     what = args.what
     if what == "dpartitions":
@@ -168,11 +185,21 @@ def cmd_enumerate(args):
              "standard": [t.to_json() for t in standard_tableaux(s)]}
             for s in shapes]}
     elif what == "jonespairs":
+        # catalan(n) and n! are at least 2^(n-1)
+        _item_count("enumerate jonespairs at n=%d" % n, (n - 1) * math.log(2),
+                    lambda: catalan(n) if args.mode == "TL" else math.factorial(n))
         payload = {"mode": args.mode, "count": None,
                    "pairs": [p.to_json() for p in jones_pairs(n, args.mode)]}
         payload["count"] = len(payload["pairs"])
     else:  # cosets
-        mus = [_parse_mu(args.mu, d, n)] if args.mu else compositions(d, n)
+        what = "enumerate cosets at d=%d, n=%d" % (d, n)
+        if args.mu:
+            mus = [_parse_mu(args.mu, d, n)]
+            _item_count(what, math.lgamma(n + 1) - sum(math.lgamma(p + 1) for p in args.mu),
+                        lambda: multinomial(args.mu))
+        else:
+            _item_count(what, n * math.log(d), lambda: d ** n)
+            mus = compositions(d, n)
         payload = {"cosets": [
             {"mu": list(m.parts),
              "representatives": [w.to_json() for w in coset_system(m).reps]}
@@ -256,8 +283,13 @@ def cmd_basis(args):
     if cached is not None:
         _emit(args, cached)
         return 0 if cached["count"] == cached.get("expected") else 1
-    from . import isomaps as iso
     from .tableaux import dim_CTL, dim_FTL, dim_Y
+    # a basis has at least d^n elements (the E_chi) and at least
+    # catalan(n) >= 2^(n-1) (the block of (n, 0, ..., 0))
+    expected = _item_count(
+        "basis %s at d=%d, n=%d" % (args.kind, d, n), max(n * math.log(d), (n - 1) * math.log(2)),
+        lambda: (dim_FTL(d, n) if kind == "FTL" else dim_CTL(d, n)) if n >= 3 else dim_Y(d, n))
+    from . import isomaps as iso
     descriptors = iso.ftl_basis(d, n) if kind == "FTL" else iso.ctl_basis(d, n)
     items = []
     for mu, bkey, k, l in descriptors:
@@ -268,8 +300,6 @@ def cmd_basis(args):
             rendered = {"first": b1.to_json(),
                         "rest": [w.to_json() for w in rest]}
         items.append({"mu": list(mu.parts), "key": rendered, "k": k, "l": l})
-    expected = (dim_FTL(d, n) if kind == "FTL" else dim_CTL(d, n)) \
-        if n >= 3 else dim_Y(d, n)
     payload = {"kind": args.kind, "d": d, "n": n,
                "count": len(items), "expected": expected,
                "elements": items}

@@ -35,9 +35,8 @@ from functools import lru_cache
 from .permutations import (ConsistencyError, Perm, act_on_character, all_perms,
                            compositions, coset_system, embed_word, factor_in_young)
 from .scalars import Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc
-from .reps import character_sum, encode_element
 from .tableaux import jones_pairs, jones_permutation, jones_word
-from .yokonuma import (YElement, _acc_term, character_exponents, chi_value,
+from .yokonuma import (YElement, _acc_term, character_exponents, character_sum, encode,
                        g_block, g_word, zero as y_zero)
 
 
@@ -45,38 +44,17 @@ from .yokonuma import (YElement, _acc_term, character_exponents, chi_value,
 # characters of a block
 
 
-class CharacterLabel:
-    """The k-th character in the block of mu: exps[j-1] is the root index of
-    the value at t_j (value = zeta_d ** exps[j-1])."""
-
-    __slots__ = ("mu", "k", "exps")
-
-    def __init__(self, mu, k):
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "exps", character_exponents(mu, k))
-
-    def __setattr__(self, *a):
-        raise AttributeError("CharacterLabel is immutable")
-
-    def __reduce__(self):
-        return CharacterLabel, (self.mu, self.k)
-
-    def value(self, d, tmon):
-        return chi_value(d, self.exps, tmon)
-
-    def __repr__(self):
-        return "CharacterLabel(mu=%r, k=%d, exps=%r)" % (self.mu.parts, self.k, self.exps)
-
-
 @lru_cache(maxsize=None)
 def block_characters(mu):
-    return tuple(CharacterLabel(mu, k) for k in range(1, coset_system(mu).m + 1))
+    """The m characters of the block of mu, as exponent vectors: the k-th
+    takes t_j to zeta_d ** exps[j-1]."""
+    return tuple(character_exponents(mu, k) for k in range(1, coset_system(mu).m + 1))
 
 
 @lru_cache(maxsize=None)
 def _character_lookup(mu):
-    return {c.exps: c.k for c in block_characters(mu)}
+    """{exponent vector: its 1-based index in block_characters(mu)}."""
+    return {exps: k for k, exps in enumerate(block_characters(mu), 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +153,7 @@ def _psi_step(mu, k, w):
     w^-1 sends the k-th character to. An odd half-step count raises
     NonIntegralExponent (not cached)."""
     sys = coset_system(mu)
-    target = act_on_character(w.inv(), block_characters(mu)[k - 1].exps)
+    target = act_on_character(w.inv(), block_characters(mu)[k - 1])
     l = _character_lookup(mu)[target]
     pi_k, pi_l = sys.rep(k), sys.rep(l)
     u = pi_k.inv() * w * pi_l
@@ -197,7 +175,7 @@ def _psi_block(mu, coords):
     for w, chis in coords.items():
         for k in range(1, m + 1):
             l, u, s = _psi_step(mu, k, w)
-            c = chis.get(chars[k - 1].exps)
+            c = chis.get(chars[k - 1])
             if c is not None:
                 cells[k - 1][l - 1].append(((ident, u), c.times_monomial(1, s)))
     return [[YElement._trusted(1, n, cell) for cell in row] for row in cells]
@@ -206,15 +184,16 @@ def _psi_block(mu, coords):
 def _block_coords(mu, x):
     """The character coordinates of x on the m characters of mu's block
     only, each summed directly: c_{w,chi} = sum_a x[t^a g_w] chi(t^a). Keys
-    as in _character_coords. The terms of each permutation are encoded once
-    for its m characters."""
+    as in _character_coords. x is encoded once for the m characters."""
+    order = x.order
+    den, common, groups = encode(x, order)
     coords = {}
-    for w, encoded in encode_element(x).items():
+    for w, rows in groups.items():
         cell = coords[w] = {}
-        for char in block_characters(mu):
-            c = character_sum(x.d, encoded, char.exps)
+        for exps in block_characters(mu):
+            c = character_sum(x.d, order, den, common, rows, exps)
             if not c.is_zero():
-                cell[char.exps] = c
+                cell[exps] = c
     return coords
 
 
@@ -256,7 +235,7 @@ def _phi_blocks(blocks, cell_terms):
                     if c.is_zero():
                         continue
                     v, s = _phi_step(mu, k, l, w)
-                    _acc_term(coords.setdefault(v, {}), chars[k - 1].exps,
+                    _acc_term(coords.setdefault(v, {}), chars[k - 1],
                               c.times_monomial(1, s))
     mu = next(iter(blocks))
     return _from_character_coords(mu.d, mu.n, coords)

@@ -3,24 +3,15 @@ for t_j, g_i, e_i over the rational-function field, evaluation of algebra
 elements, quotient admissibility checks, and the representation-based
 ideal-membership oracle.
 
-Evaluation shares one accumulation, _entry_buckets. Each call that
-evaluates x (rep_element, ideal_membership, passes_to_quotient) encodes it
-once, for every shape it visits: the terms are grouped by permutation w,
-and their coefficients become int rows (q-exponent, zeta_L power, int) over
-one int denominator per RatFunc denominator, L the lcm of d and every
-coefficient order (encode_element). t^a acts on the row of a tableau by a
-root of unity, so the coefficients of one w fold into one scalar s per
-(w, row), a character sum (character_sum, which psi_mu shares): each root
-shifts the zeta_L powers of its rows, the ints are added, and each
-denominator's sum is reduced mod Phi_L and decoded once. The encoding is
-dropped when the call returns; nothing is memoised per element.
-Each entry is then a sum of s * g over w, g the cached entry of g_w; the
-products s.num * g.num are added in plain Laurent arithmetic, one sum per
-product of denominators (exponent vectors of Phi_j, see scalars.RatFunc).
-An entry with several such buckets is brought over their lcm by
-over_one_denominator: rep_element normalises the sum once, and the zero
-tests behind ideal_membership and passes_to_quotient add the numerators
-and divide nothing (a single bucket is read off its numerator).
+Each call that evaluates x (rep_element, ideal_membership,
+passes_to_quotient) reads the one int encoding of x (yokonuma.encode),
+made once for every shape it visits and dropped when it returns. t^a acts
+on the row of a tableau by a root of unity, so the terms of one
+permutation w fold into one scalar per (w, row), a character sum
+(yokonuma.character_sum, which psi_mu shares). Each entry of the matrix is
+then the sum over w of that scalar times the entry of g_w, one
+sum_of_products: the products are brought over their least common
+denominator, added, and normalised once, and a zero test divides nothing.
 
 The matrices of g_w are filled once per (shape, w), from g_w' and g_i for
 w = w' s_i: a column of g_i has at most two nonzero entries, so each entry
@@ -30,15 +21,13 @@ of the product is a sum of at most two products, normalised once.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
 from .linalg import identity_matrix
 from .permutations import ConsistencyError, Perm
-from .scalars import (Laurent, RatFunc, int_rows, laurent_from_ints, multiply_dens,
-                      over_one_denominator, root_of_unity, sum_of_products)
+from .scalars import RatFunc, root_of_unity, sum_of_products
 from .tableaux import (ctl_admissible, enumerate_d_partitions, ftl_admissible,
                        standard_tableaux)
-from .yokonuma import ctl_generator, ftl_generator
+from .yokonuma import character_sum, ctl_generator, encode, ftl_generator
 
 
 class RepModule:
@@ -172,129 +161,49 @@ def _row_components(d, shape):
                  for tab in rep_module(d, shape).basis)
 
 
-def encode_terms(d, terms):
-    """The terms [(tmon, c)] of one permutation in int coordinates, as
-    (order, groups): order is the lcm of d and every coefficient order, and
-    each RatFunc denominator of the coefficients (an exponent vector, ()
-    for 1) has one group (den, common, rows), whose rows [(tmon, monomials)]
-    carry their numerators as (q-exponent, zeta_order power, int) triples
-    over the int denominator common (scalars.int_rows)."""
-    order = lcm(d, *(c.order for _, c in terms))
-    by_den = {}
-    for tmon, c in terms:
-        by_den.setdefault(c.den_exps, []).append((tmon, c.num))
-    groups = []
-    for den, rows in by_den.items():
-        common, monos = int_rows([num for _, num in rows], order)
-        groups.append((den, common, [(tmon, mono) for (tmon, _), mono in zip(rows, monos)]))
-    return order, groups
-
-
-def encode_element(x):
-    """{w: encode_terms of the terms of x on g_w}, in order of first
-    appearance."""
-    by_w = {}
-    for (tmon, w), c in x.terms:
-        by_w.setdefault(w, []).append((tmon, c))
-    return {w: encode_terms(x.d, terms) for w, terms in by_w.items()}
-
-
-def character_sum(d, encoded, exps):
-    """sum c * chi(t^a) over the encoded terms (a, c) (encode_terms), with
-    chi(t^a) = zeta_d^(a . exps), as a RatFunc over the encoding's order.
-    The root of unity of a row shifts its zeta powers by (a . exps mod d)
-    order/d; the ints are added per denominator and decoded once."""
-    order, groups = encoded
-    step = order // d
-    bucket = {}
-    for den, common, rows in groups:
-        by_e = {}
-        for tmon, mono in rows:
-            shift = sum(a * p for a, p in zip(tmon, exps)) % d * step
-            for e, z, v in mono:
-                coeffs = by_e.get(e)
-                if coeffs is None:
-                    coeffs = by_e[e] = [0] * order
-                coeffs[(z + shift) % order] += v
-        bucket[den] = laurent_from_ints(order, by_e, common)
-    return _bucket_sum(bucket)
-
-
-def _entry_buckets(module, encoded):
-    """{(row, col): {den: num}}: the matrix of the element encoded as
-    encode_element gives it, each entry kept as sum num / den over its
-    buckets, each keyed by its denominator's exponent vector. A row scalar s
-    of w meets the entry g of g_w in the bucket of the product of their
-    denominators, whose numerator sums s.num * g.num. A zero s is skipped
-    unless it lies in a larger field than Q(zeta_d): the entry keeps that
-    field, as a sum of RatFuncs would."""
+def _entries(module, order, encoded):
+    """{(row, col): [(s, g)]}: the pairs whose products sum to each entry of
+    the matrix of the element encoded at the given order (yokonuma.encode),
+    one per permutation w with both factors nonzero. g is the entry of g_w,
+    and s the row scalar of w, the character sum of w's terms at the row's
+    components (rows with the same components share it)."""
     d = module.d
+    den, common, groups = encoded
     components = _row_components(d, module.shape)
     out = {}
-    for w, terms in encoded.items():
+    for w, rows in groups.items():
         gmat = _rep_word_cached(d, module.shape, w)
-        scalars = {}  # rows with the same components share their scalar
+        sums = {}
         for row, comps in enumerate(components):
-            s = scalars.get(comps)
+            s = sums.get(comps)
             if s is None:
-                s = scalars[comps] = character_sum(d, terms, comps)
-            if s.is_zero() and s.order == d:
+                s = sums[comps] = character_sum(d, order, den, common, rows, comps)
+            if s.is_zero():
                 continue
             for col, g in enumerate(gmat[row]):
-                if g.is_zero():
-                    continue
-                den = multiply_dens(s.den_exps, g.den_exps)
-                bucket = out.setdefault((row, col), {})
-                num = bucket.get(den)
-                if num is None:
-                    num = bucket[den] = {}
-                for e1, c1 in s.num.terms:
-                    for e2, c2 in g.num.terms:
-                        e = e1 + e2
-                        num[e] = num[e] + c1 * c2 if e in num else c1 * c2
-    return {key: {den: _laurent(d, num) for den, num in bucket.items()}
-            for key, bucket in out.items()}
-
-
-def _laurent(d, terms):
-    """The Laurent polynomial of {exponent: coefficient}, in the smallest
-    field holding Q(zeta_d) and every coefficient (zeros included)."""
-    return Laurent(lcm(d, *(c.order for c in terms.values())), terms)
-
-
-def _bucket_sum(bucket):
-    """sum num / den over the buckets {den: num}, normalised once over their
-    least common denominator."""
-    nums, den = over_one_denominator([(num, den) for den, num in bucket.items()])
-    return RatFunc.over(sum(nums[1:], nums[0]), den)
+                if not g.is_zero():
+                    out.setdefault((row, col), []).append((s, g))
+    return out
 
 
 def rep_element(module, x):
     """Matrix of a general algebra element: sum of coeff * t-part * g-part.
-    Each entry is built once from its (denominator, numerator) buckets."""
+    Each entry is one sum_of_products."""
     if x.d != module.d or x.n != module.n:
         raise ValueError("algebra parameter mismatch")
     out = _zero_matrix(module.dim, module.d)
-    for (row, col), bucket in _entry_buckets(module, encode_element(x)).items():
-        out[row][col] = _bucket_sum(bucket)
+    order = x.order
+    for (row, col), pairs in _entries(module, order, encode(x, order)).items():
+        out[row][col] = sum_of_products(pairs, out[row][col])
     return out
 
 
-def _bucket_is_zero(bucket):
-    """Whether sum num/den over the buckets vanishes. A single nonzero
-    numerator decides it; several are brought over their least common
-    denominator, and nothing is divided."""
-    parts = [(num, den) for den, num in bucket.items() if not num.is_zero()]
-    if len(parts) < 2:
-        return not parts
-    nums, _ = over_one_denominator(parts)
-    return sum(nums[1:], nums[0]).is_zero()
-
-
-def _annihilates(module, encoded):
-    """Whether the element encoded by encode_element acts as zero on the
+def _annihilates(module, order, encoded):
+    """Whether the element encoded at the given order acts as zero on the
     module."""
-    return all(_bucket_is_zero(b) for b in _entry_buckets(module, encoded).values())
+    zero = RatFunc.zero(module.d)
+    return all(sum_of_products(pairs, zero).is_zero()
+               for pairs in _entries(module, order, encoded).values())
 
 
 def passes_to_quotient(d, shape, which):
@@ -314,7 +223,8 @@ def passes_to_quotient(d, shape, which):
         # the ideal is zero for n <= 2: every module passes
         annihilates = True
     else:
-        annihilates = _annihilates(rep_module(d, shape), encode_element(gen(d, n)))
+        x = gen(d, n)
+        annihilates = _annihilates(rep_module(d, shape), x.order, encode(x, x.order))
     if combinatorial != annihilates:
         raise ConsistencyError(
             "admissibility predicate disagrees with generator annihilation "
@@ -338,7 +248,8 @@ def ideal_membership(x, which):
     """True iff x maps to zero in every irreducible that passes to the
     quotient; by semisimplicity this is membership in the defining ideal.
     x is encoded once for all the shapes."""
-    encoded = encode_element(x)
-    return all(_annihilates(rep_module(x.d, shape), encoded)
+    order = x.order
+    encoded = encode(x, order)
+    return all(_annihilates(rep_module(x.d, shape), order, encoded)
                for shape in quotient_shapes(x.d, x.n, which))
 

@@ -707,11 +707,6 @@ def _factor_den(p):
     return c, a, tuple(exps)
 
 
-def _times_monomial(num, c, e):
-    """num * c * q^e for a nonzero scalar c of num's field."""
-    return Laurent._raw(num.order, tuple((k + e, v * c) for k, v in num.terms))
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -748,7 +743,7 @@ class RatFunc:
                 raise ValueError("a denominator must be c q^a prod Phi_j(q)^k, not %s"
                                  % den.pretty())
             c, a, exps = factors
-            num = _times_monomial(num, c.inv(), -a)
+            num = RatFunc._raw(num, ()).times_monomial(c.inv(), -a).num
             if exps:
                 num, exps = RatFunc._normalize(num, exps)
         object.__setattr__(self, "num", num)
@@ -881,15 +876,18 @@ class RatFunc:
     __rmul__ = __mul__
 
     def times_monomial(self, c, e=0):
-        """self * c * q^e for a nonzero scalar c of self's field. The factor
-        is a unit, so only the numerator changes and no renormalisation is
-        needed."""
-        unit = c == 1
+        """self * c * q^e for a nonzero scalar c of self's field: an int, a
+        Fraction, or a Cyclotomic whose order divides self.order (any other
+        is a ValueError). The factor is a unit, so only the numerator
+        changes and no renormalisation is needed."""
+        order, unit = self.order, c == 1
         if unit and e == 0:
             return self
-        num = Laurent(self.order, [(k + e, v if unit else v * c)
-                                   for k, v in self.num.terms])
-        return RatFunc._raw(num, self.den_exps)
+        if not unit and type(c) is Cyclotomic and order % c.order:
+            raise ValueError("a coefficient of order %d does not lie in Q(zeta_%d)"
+                             % (lcm(order, c.order), order))
+        return RatFunc._raw(Laurent._raw(order, tuple(
+            (k + e, v if unit else v * c) for k, v in self.num.terms)), self.den_exps)
 
     def inv(self):
         """1 / self. The numerator must have the form c q^a prod Phi_j(q)^k,
@@ -904,7 +902,7 @@ class RatFunc:
         c, a, exps = factors
         # the F_j of the old numerator and denominator are distinct, so the
         # inverse is canonical as it stands
-        return RatFunc._raw(_times_monomial(self.den, c.inv(), -a), exps)
+        return RatFunc._raw(self.den, exps).times_monomial(c.inv(), -a)
 
     def __truediv__(self, other):
         return self * as_ratfunc(other, self.order).inv()

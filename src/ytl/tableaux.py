@@ -170,9 +170,12 @@ def dim_Y(d, n):
 
 
 def multinomial(mu):
-    out = factorial(sum(mu))
+    """n! / prod p! for the parts p of mu, as a product of binomials: each
+    costs the smaller of its two parts, so (n, 0, ...) is immediate."""
+    out, total = 1, 0
     for p in mu:
-        out //= factorial(p)
+        total += p
+        out *= comb(total, p)
     return out
 
 

@@ -355,7 +355,7 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
             diag_cnt += 1
             tmon = tuple(1 if jj == j - 1 else 0 for jj in range(n))
             want = [iso.hecke_term(n, Perm.identity(n),
-                                   RatFunc.from_scalar(chars[k].value(d, tmon), d))
+                                   RatFunc.from_scalar(yk.chi_value(d, chars[k], tmon), d))
                     for k in range(m)]
             diagonal = mat is not None and all(
                 mat[k][l] == want[k] if k == l else mat[k][l].is_zero()

@@ -8,17 +8,16 @@ Elements are immutable; multiplication rewrites to normal form using
   g_w g_i  = q g_{w s_i} + (q-1) e_{w(i), w(i+1)} g_w    otherwise,
 where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
 
-The product works on integer tables. Each operand's terms are brought
-over one common denominator (over_one_denominator; a Laurent-only element
-is over 1), and the operand becomes one table of ints keyed by (t-monomial,
-permutation, q-exponent, zeta power) over one common integer denominator,
-in the group ring Z[Z/L] with L the lcm of d and every coefficient order.
-For each permutation v of the right operand, the left table times
-sum_b c_b t^b is folded through the reduced word of v once; the 1/d of an
-e-term becomes a power of d in the common denominator. Each output
-coefficient is reduced mod Phi_L and tested for zero only then, and a
-RatFunc is built once per output term, over the product of the operands'
-denominators.
+An element has one int encoding (encode), read by the product here, by
+psi_mu and by the seminormal evaluation: its coefficients over one
+denominator (a Laurent-only element is over 1), their numerators as ints
+in the group ring Z[Z/L] over one integer denominator, L a multiple of d
+and of every coefficient order, grouped by permutation. For each
+permutation v of the right operand, the product folds the left operand
+times sum_b c_b t^b through the reduced word of v once; the 1/d of an
+e-term becomes a power of d in the common denominator. A character sum
+(character_sum) shifts the zeta powers of each row by its root of unity.
+Each output is reduced mod Phi_L and tested for zero only then.
 """
 
 from __future__ import annotations
@@ -83,6 +82,12 @@ class YElement:
     def is_zero(self):
         return not self.terms
 
+    @property
+    def order(self):
+        """The order of the smallest cyclotomic field holding Q(zeta_d) and
+        every coefficient."""
+        return lcm(self.d, *(c.order for _, c in self.terms))
+
     def _check_compat(self, other):
         if not isinstance(other, YElement):
             raise TypeError("expected YElement")
@@ -115,11 +120,9 @@ class YElement:
         d, n = self.d, self.n
         if not self.terms or not other.terms:
             return zero(d, n)
-        order = lcm(d, *(c.order for _, c in self.terms), *(c.order for _, c in other.terms))
-        lden, left = _int_table(self.terms, order)
-        rden, right = _int_table(other.terms, order)
-        return YElement._trusted(d, n, _int_product(d, n, order, left, right,
-                                                    multiply_dens(lden, rden)))
+        order = lcm(self.order, other.order)
+        return YElement._trusted(d, n, _int_product(d, n, order, encode(self, order),
+                                                    encode(other, order)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -165,43 +168,41 @@ def _acc_term(acc, key, c):
         acc[key] = c
 
 
-def _int_table(terms, order):
-    """The terms over one denominator, as (den, (D, rows)): den is the
-    least common multiple of their RatFunc denominators (an exponent
-    vector), and each row
-    (tmon, images, monomials) carries its numerator as (q-exponent,
-    zeta_order power, int) triples over the common int denominator D
-    (scalars.int_rows)."""
-    nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in terms])
+def encode(x, order):
+    """x in int coordinates, as (den, common, groups), for order a multiple
+    of x.order. The coefficients are brought over den, the lcm of their
+    denominators (scalars.over_one_denominator), and each numerator becomes
+    (q-exponent, zeta_order power, int) triples over the one int
+    denominator common (scalars.int_rows). groups maps each permutation of
+    x, in order of first appearance, to the rows [(tmon, triples)] of its
+    terms. A row decodes as RatFunc.over(laurent_from_ints(order, by_e,
+    common), den), by_e its ints by q-exponent and zeta power."""
+    nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in x.terms])
     common, monos = int_rows(nums, order)
-    return den, (common, [(tmon, w.images, mono)
-                          for ((tmon, w), _), mono in zip(terms, monos)])
+    groups = {}
+    for ((tmon, w), _), mono in zip(x.terms, monos):
+        groups.setdefault(w, []).append((tmon, mono))
+    return den, common, groups
 
 
-def _int_product(d, n, order, left, right, den):
-    """The product of two operand tables, as terms [((tmon, Perm), RatFunc)]
-    over den, in normal form but unsorted.
+def _int_product(d, n, order, left, right):
+    """The product of two elements encoded at one order (encode), as terms
+    [((tmon, Perm), RatFunc)] in normal form but unsorted.
     The numerators multiply as ints in Z[Z/order][q^+-1]; the terms of the
     right operand that share a permutation v are folded through its
     reduced word together, and each fold step carries the 1/d of the
     e-term as one more factor d of the common denominator."""
-    lcommon, lrows = left
-    rcommon, rrows = right
-    by_u = {}
-    for a, u, mono in lrows:
-        by_u.setdefault(u, []).append((a, mono))
+    lden, lcommon, lgroups = left
+    rden, rcommon, rgroups = right
     lterms = []
-    for u, rows in by_u.items():
+    for u, rows in lgroups.items():
         uinv = [0] * n
-        for j, x in enumerate(u):
+        for j, x in enumerate(u.images):
             uinv[x - 1] = j
-        lterms.append((u, uinv, rows))
-    by_v = {}
-    for b, v, mono in rrows:
-        by_v.setdefault(v, []).append((b, mono))
-    top = max(len(_reduced_word(v)) for v in by_v)
+        lterms.append((u.images, uinv, rows))
+    top = max(len(_reduced_word(v.images)) for v in rgroups)
     acc = {}
-    for v, rights in by_v.items():
+    for v, rights in rgroups.items():
         # the left group times sum_b c_b t^b, all still left of g_v
         work = {}
         for b, rmono in rights:
@@ -214,7 +215,7 @@ def _int_product(d, n, order, left, right, den):
                         for e2, z2, c2 in rmono:
                             key = (m, u, e1 + e2, (z1 + z2) % order)
                             work[key] = work.get(key, 0) + c1 * c2
-        word = _reduced_word(v)
+        word = _reduced_word(v.images)
         for i in word:
             new = {}
             for (m, w, e, z), c in work.items():
@@ -233,6 +234,7 @@ def _int_product(d, n, order, left, right, den):
         for key, c in work.items():
             acc[key] = acc.get(key, 0) + c * scale
     common = lcommon * rcommon * d ** top
+    den = multiply_dens(lden, rden)
     coeffs = {}
     for (m, w, e, z), c in acc.items():
         if c:
@@ -354,6 +356,24 @@ def T(d, n, j):
 def chi_value(d, exps, tmon):
     """chi(t^tmon) for the character with chi(t_j) = zeta_d^{exps_j}."""
     return Cyclotomic.root_power(d, sum(c * a for c, a in zip(exps, tmon)) % d)
+
+
+def character_sum(d, order, den, common, rows, exps):
+    """sum c * chi(t^a) over the terms (a, c) of one permutation, given as
+    its rows of an encoding at the given order (encode: den, common and
+    groups[w]), with chi(t^a) = zeta_d^(a . exps), as a RatFunc over
+    Q(zeta_order). The root of unity of a row shifts its zeta powers by
+    (a . exps mod d) order/d; the ints are added and decoded once."""
+    step = order // d
+    by_e = {}
+    for tmon, mono in rows:
+        shift = sum(a * p for a, p in zip(tmon, exps)) % d * step
+        for e, z, v in mono:
+            coeffs = by_e.get(e)
+            if coeffs is None:
+                coeffs = by_e[e] = [0] * order
+            coeffs[(z + shift) % order] += v
+    return RatFunc.over(laurent_from_ints(order, by_e, common), den)
 
 
 def E_chi(d, n, exps):

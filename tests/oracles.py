@@ -18,9 +18,9 @@ this module.
 - ref_mul: the standard-basis product term by term, each pair of terms
   folded through the braid word of its right permutation with RatFunc
   coefficients, against the integer-table YElement.__mul__
-- ref_character_sum: the character sum of the seminormal evaluation in
-  Cyclotomic arithmetic, one multiplication by a root of unity per phase,
-  against the int-coordinate reps.character_sum
+- ref_character_sum: the character sum behind the seminormal row scalars
+  and psi_mu in plain RatFunc arithmetic, one multiplication by a root of
+  unity per term, against the int-coordinate yokonuma.character_sum
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import gcd as int_gcd
 from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
 from ytl.permutations import Perm, all_perms
-from ytl.reps import _bucket_sum, _laurent, quotient_shapes, rep_element, rep_module
+from ytl.reps import quotient_shapes, rep_element, rep_module
 from ytl.scalars import Cyclotomic, Laurent, RatFunc, specialize_q
 from ytl.tableaux import jones_pairs, jones_permutation
 from ytl.yokonuma import YElement, _acc_term, g_block, gen_g, gen_g_inv, unit
@@ -539,24 +539,13 @@ def _fold_braid_word(d, n, acc, tmon, u, word, coeff, q, qm1_over_d):
 
 def ref_character_sum(d, terms, exps):
     """sum c * chi(t^a) over the terms (a, c), chi(t^a) = zeta_d^(a . exps),
-    as a RatFunc in a field holding Q(zeta_d) and every c. Numerators are
-    summed per (denominator, phase) and multiplied by their root once; each
-    denominator's sum is normalised once."""
-    parts = {}
+    in plain RatFunc arithmetic: one multiplication by a root of unity and
+    one normalised sum per term."""
+    out = RatFunc.zero(d)
     for tmon, c in terms:
         phase = sum(a * p for a, p in zip(tmon, exps)) % d
-        part = parts.setdefault((c.den_exps, phase), {})
-        for e, v in c.num.terms:
-            part[e] = part[e] + v if e in part else v
-    nums = {}
-    for (den, phase), part in parts.items():
-        num = nums.setdefault(den, {})
-        root = Cyclotomic.root_power(d, phase)
-        for e, v in part.items():
-            if phase:
-                v = v * root
-            num[e] = num[e] + v if e in num else v
-    return _bucket_sum({den: _laurent(d, num) for den, num in nums.items()})
+        out = out + c * RatFunc.from_scalar(Cyclotomic.root_power(d, phase), d)
+    return out
 
 
 # ---------------------------------------------------------------------------

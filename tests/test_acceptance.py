@@ -156,7 +156,7 @@ def test_criterion_4_isomorphism_suite(capsys):
                             assert mat[k][l].is_zero()
                     want = iso.hecke_term(
                         n, Perm.identity(n),
-                        RatFunc.from_scalar(chars[k].value(d, tmon), d))
+                        RatFunc.from_scalar(yk.chi_value(d, chars[k], tmon), d))
                     assert mat[k][k] == want
         assert time.monotonic() - start < 120.0
     _check(capsys, 4, "isomorphism suite", body)

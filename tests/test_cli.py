@@ -301,3 +301,35 @@ def test_a_cache_hit_loads_no_algebra_module(tmp_path):
                  ["basis", "ftl", "-d", "2", "-n", "3"]):
         assert main(cache + argv) == 0
         assert loaded_modules(*cache, *argv) == set()
+
+
+def test_listings_past_the_item_bound_are_usage_errors(capsys):
+    # each count is known in closed form before any work: basis ftl -d 2
+    # -n 7 would write 259,382 items (86 MB of JSON, near 1 GB resident)
+    for argv, count in ((("basis", "ftl", "-d", "2", "-n", "7"), 259382),
+                        (("enumerate", "jonespairs", "-n", "12"), 208012),
+                        (("enumerate", "jonespairs", "-n", "9", "--mode", "All"), 362880),
+                        (("enumerate", "cosets", "-d", "2", "-n", "17"), 131072),
+                        (("enumerate", "cosets", "-d", "2", "-n", "20", "--mu", "10", "10"),
+                         184756)):
+        code, payload = run(capsys, "--no-cache", *argv)
+        assert code == 2, argv
+        assert payload["error"].endswith("lists %d items, more than %d"
+                                         % (count, cli.MAX_ITEMS)), payload
+    # far past the bound only a lower bound is computed, so the refusal is
+    # immediate where the closed form alone would take minutes
+    for argv in (("basis", "ctl", "-d", "1", "-n", "1000000"),
+                 ("basis", "ftl", "-d", "1000", "-n", "3"),
+                 ("enumerate", "jonespairs", "-n", "100000000"),
+                 ("enumerate", "cosets", "-d", "3", "-n", "15", "--mu", "5", "5", "5")):
+        start = time.monotonic()
+        code, payload = run(capsys, "--no-cache", *argv)
+        assert code == 2 and "lists at least 10^" in payload["error"], argv
+        assert time.monotonic() - start < 5.0
+    # a small count runs at any n
+    code, payload = run(capsys, "--no-cache", "enumerate", "cosets", "-d", "2", "-n", "40",
+                        "--mu", "40", "0")
+    assert code == 0 and len(payload["cosets"][0]["representatives"]) == 1
+    code, payload = run(capsys, "--no-cache", "enumerate", "jonespairs", "-n", "7",
+                        "--mode", "All")
+    assert code == 0 and payload["count"] == 5040

@@ -107,7 +107,7 @@ def test_framing_images_diagonal():
                         assert mat[k][l].is_zero()
                 want = iso.hecke_term(
                     n, Perm.identity(n),
-                    RatFunc.from_scalar(chars[k].value(d, tmon), d))
+                    RatFunc.from_scalar(yk.chi_value(d, chars[k], tmon), d))
                 assert mat[k][k] == want
 
 
@@ -153,7 +153,7 @@ def test_phi_on_first_column_has_no_length_correction():
     for mu in compositions(d, n):
         m = coset_system(mu).m
         chars = iso.block_characters(mu)
-        E1 = yk.E_chi(d, n, chars[0].exps)
+        E1 = yk.E_chi(d, n, chars[0])
         for w in mu.young_subgroup():
             hmat = single_entry(mu, m, n, 1, 1, iso.hecke_term(n, w, RatFunc.one(d)))
             lhs = iso.phi_mu(mu, hmat)
@@ -170,16 +170,16 @@ def ref_psi_mu(mu, x):
     sys = coset_system(mu)
     m = sys.m
     chars = iso.block_characters(mu)
-    index = {c.exps: c.k for c in chars}
+    index = {exps: k for k, exps in enumerate(chars, 1)}
     out = [[yk.zero(1, n) for _ in range(m)] for _ in range(m)]
     for (tmon, w), c in x.terms:
         for k in range(1, m + 1):
-            l = index[act_on_character(w.inv(), chars[k - 1].exps)]
+            l = index[act_on_character(w.inv(), chars[k - 1])]
             pi_k, pi_l = sys.rep(k), sys.rep(l)
             u = pi_k.inv() * w * pi_l
             h = w.length() - u.length() + pi_k.length() - pi_l.length()
             assert h % 2 == 0
-            coeff = c * RatFunc.from_scalar(chars[k - 1].value(d, tmon), d) \
+            coeff = c * RatFunc.from_scalar(yk.chi_value(d, chars[k - 1], tmon), d) \
                 * RatFunc.q_power(h // 2, d)
             out[k - 1][l - 1] = out[k - 1][l - 1] + iso.hecke_term(n, u, coeff)
     return out
@@ -198,7 +198,7 @@ def ref_phi_mu(mu, matrix):
                 h = w.length() - v.length() + pi_l.length() - pi_k.length()
                 assert h % 2 == 0
                 coeff = as_ratfunc(c, d) * RatFunc.q_power(h // 2, d)
-                idem = yk.E_chi(d, n, chars[k - 1].exps)
+                idem = yk.E_chi(d, n, chars[k - 1])
                 out = out + yk.YElement(d, n, [((tmon, v), e * coeff)
                                                for (tmon, _), e in idem.terms])
     return out

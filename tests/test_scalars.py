@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, as_ratfunc,
                          cyclotomic_polynomial, over_one_denominator, root_of_unity,
-                         specialize_q)
+                         specialize_q, sum_of_products)
 
 from oracles import FractionCyclotomic, GcdRatFunc
 
@@ -213,7 +213,14 @@ def test_times_monomial():
                 Laurent(3, {0: 1, 1: 1}))
     z = Cyclotomic.root_power(3, 2)
     for c, e in ((1, 0), (z, 0), (1, -3), (z, 2), (Fraction(1, 9), 1)):
-        assert x.times_monomial(c, e) == x * RatFunc.from_scalar(c, 3) * RatFunc.q_power(e, 3)
+        got = x.times_monomial(c, e)
+        want = x * RatFunc.from_scalar(c, 3) * RatFunc.q_power(e, 3)
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+    # a factor from a larger field than x's is refused, not promoted
+    with pytest.raises(ValueError, match="order 12 does not lie in Q\\(zeta_3\\)"):
+        x.times_monomial(Cyclotomic.root_power(4, 1))
+    # from a subfield it is promoted
+    assert x.times_monomial(Cyclotomic.from_rational(-1, 1), 1) == -x * RatFunc.q(3)
 
 
 # -- int coordinates against the Fraction-coordinate reference -----------------
@@ -390,16 +397,20 @@ def test_over_one_denominator_examples():
     assert nums == [x * Laurent(1, {0: 1, 1: -1}), y] and den == ((1, 1), (2, 1))
 
 
-def test_bucket_is_zero_on_a_cancelling_bucket():
-    from ytl.reps import _bucket_is_zero, _bucket_sum
-
-    one_q = ((2, 1),)
+def test_sum_of_products_cancels_across_denominators():
+    # 1/(1 + q) * q - q Phi_3 / ((1 + q) Phi_3): two products over distinct
+    # denominators, lifted to their lcm and added before any division
+    one_q = Laurent(1, {0: 1, 1: 1})
     phi3 = Laurent(1, {0: 1, 1: 1, 2: 1})
-    bucket = {one_q: Laurent.one(), ((2, 1), (3, 1)): -phi3}
-    assert _bucket_is_zero(bucket) and _bucket_sum(bucket).is_zero()
-    bucket[((2, 1), (3, 1))] = phi3
-    assert not _bucket_is_zero(bucket)
-    assert _bucket_sum(bucket) == RatFunc(Laurent(1, {0: 2}), Laurent(1, {0: 1, 1: 1}))
+    q = RatFunc.q()
+    left = (RatFunc(Laurent.one(), one_q), q)
+    right = RatFunc(Laurent.one(), one_q * phi3), RatFunc(Laurent(1, {1: 1}) * phi3)
+    zero = RatFunc.zero()
+    got = sum_of_products([left, (right[0], -right[1])], zero)
+    assert got.is_zero() and got == zero
+    assert sum_of_products([(q, zero), (zero, q)], zero) is zero
+    got = sum_of_products([left, right], zero)
+    assert got == RatFunc(Laurent(1, {1: 2}), one_q) and got.den_exps == ((2, 1),)
 
 
 def round_trips(x):

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from ytl.permutations import Perm, all_perms, compositions
-from ytl.scalars import Cyclotomic, Laurent, RatFunc
+from ytl.scalars import Cyclotomic, Laurent, RatFunc, laurent_from_ints
 from ytl import yokonuma as yk
 
 
@@ -393,3 +393,42 @@ def test_trusted_outputs_equal_validated(d, n):
         back = iso.phi_n(blocks)
         same(back)
         assert back == x
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_encode_decodes_to_the_coefficients(d):
+    # coefficients over 1, 1 + q, Phi_3 and 1 - q^2, in Q(zeta_d) and in
+    # Q(zeta_3); each row decodes to its coefficient, at the element's order
+    # and at a multiple of it
+    rng = random.Random(60 + d)
+    n = 3
+    dens = (Laurent(d, {0: 1}), Laurent(d, {0: 1, 1: 1}), Laurent(d, {0: 1, 1: 1, 2: 1}),
+            Laurent(d, {0: 1, 2: -1}))
+    perms = all_perms(n)
+    terms = {}
+    for _ in range(12):
+        order = rng.choice((d, 3))
+        c = Cyclotomic.root_power(order, rng.randrange(order)) \
+            * Fraction(rng.choice((1, -2, 3)), rng.choice((1, 2, 5)))
+        num = Laurent(order, {rng.randint(-2, 2): c})
+        key = (tuple(rng.randrange(d) for _ in range(n)), rng.choice(perms))
+        terms[key] = RatFunc(num) / RatFunc(rng.choice(dens))
+    x = yk.YElement(d, n, terms)
+    assert x.order == (12 if d == 4 else 6)
+    assert len({c.den_exps for _, c in x.terms}) > 2
+    for order in (x.order, 2 * x.order):
+        den, common, groups = yk.encode(x, order)
+        assert list(groups) == list(dict.fromkeys(w for (_, w), _ in x.terms))
+        decoded = {}
+        for w, rows in groups.items():
+            for tmon, mono in rows:
+                by_e = {}
+                for e, z, v in mono:
+                    by_e.setdefault(e, [0] * order)[z] += v
+                decoded[(tmon, w)] = RatFunc.over(laurent_from_ints(order, by_e, common), den)
+        assert list(decoded) == [key for key, _ in sorted(
+            x.terms, key=lambda t: list(groups).index(t[0][1]))]
+        for key, c in x.terms:
+            got, want = decoded[key], c * RatFunc.one(order)
+            assert got == c and hash(got) == hash(c)
+            assert got.order == order and repr(got) == repr(want)

@@ -32,9 +32,9 @@ import tempfile
 from . import __version__
 
 CONVENTION_VERSION = 1
-# dim ftl and dim ctl sum over the compositions of n into d parts, and basis
-# and enumerate jonespairs|cosets list items: 10^5 of either take a few
-# seconds, and a listing of 10^5 items up to about 230 MB
+# dim ftl and dim ctl sum over the compositions of n into d parts; basis and
+# enumerate list items, and rep prints matrix entries: 10^5 of either take a
+# few seconds, and a listing of 10^5 items up to about 230 MB
 MAX_ITEMS = 100_000
 
 
@@ -166,19 +166,37 @@ def _item_count(what, log_lower, count):
     return value
 
 
+def _log_d_partitions_lower(d, n):
+    """The natural log of a lower bound of the number of d-partitions of n:
+    the compositions of n into d parts, and the 2^k partitions of n into
+    distinct parts from 1..k, padded with ones, for k(k+1)/2 <= n."""
+    k = (math.isqrt(8 * n + 1) - 1) // 2
+    return max(math.lgamma(n + d) - math.lgamma(d) - math.lgamma(n + 1), k * math.log(2))
+
+
 def cmd_enumerate(args):
     from .permutations import compositions, coset_system
-    from .tableaux import (catalan, enumerate_d_partitions, jones_pairs, multinomial,
+    from .tableaux import (catalan, count_d_partitions, count_standard_tableaux,
+                           enumerate_d_partitions, jones_pairs, multinomial,
                            standard_tableaux)
     d, n = args.d, args.n
     what = args.what
     if what == "dpartitions":
+        _item_count("enumerate dpartitions at d=%d, n=%d" % (d, n),
+                    _log_d_partitions_lower(d, n), lambda: count_d_partitions(d, n))
         payload = {"dpartitions": [[list(comp) for comp in s]
                                    for s in enumerate_d_partitions(d, n)]}
     elif what == "tableaux":
+        what = "enumerate tableaux at d=%d, n=%d" % (d, n)
         if args.shape:
             shapes = [_parse_shape(args.shape, d, n)]
+            _item_count(what, 0, lambda: count_standard_tableaux(shapes[0]))
         else:
+            # at least d^n (one row per component) and at least the 2^(n-1)
+            # tableaux of one partition of n, as many as involutions of n
+            _item_count(what, max(n * math.log(d), (n - 1) * math.log(2)),
+                        lambda: sum(count_standard_tableaux(s)
+                                    for s in enumerate_d_partitions(d, n)))
             shapes = enumerate_d_partitions(d, n)
         payload = {"tableaux": [
             {"shape": [list(c) for c in s],
@@ -239,6 +257,11 @@ def cmd_rep(args):
         shape = _parse_shape(args.shape, d, n)
     except ValueError as exc:
         return _error(args, "bad shape: %s" % exc)
+    from .tableaux import count_standard_tableaux
+    # dim^2 entries for each of the n matrices t_j and the 2(n-1) matrices
+    # g_i and e_i
+    _item_count("rep at d=%d, n=%d" % (d, n), 0,
+                lambda: count_standard_tableaux(shape) ** 2 * (3 * n - 2))
     from .reps import rep_e, rep_g, rep_module, rep_t
     from .verify import module_relations
     module = rep_module(d, shape)
@@ -323,7 +346,10 @@ def cmd_verify(args):
         report = run_suite(d, n, args.suite, seed=args.seed)
     except ValueError as exc:
         return _error(args, str(exc))
-    _cache_store(args, "verify", key, report)
+    # an exception inside a suite may come from the run (memory, recursion
+    # depth), not from (d, n, seed): its report is not kept
+    if not any(chk["name"].endswith(".raised") for chk in report["checks"]):
+        _cache_store(args, "verify", key, report)
     _emit(args, report)
     return 0 if report["ok"] else 1
 

@@ -150,7 +150,31 @@ def standard_tableaux(shape):
 
 
 def count_standard_tableaux(shape):
-    return len(standard_tableaux(shape))
+    """The number of standard d-tableaux of a shape, without listing them:
+    the multinomial of the component sizes times the hook length formula of
+    each component."""
+    out = multinomial([sum(comp) for comp in shape])
+    for comp in shape:
+        heights = [sum(1 for p in comp if p > c) for c in range(comp[0])] if comp else []
+        hooks = 1
+        for r, p in enumerate(comp):
+            for c in range(p):
+                hooks *= p - c + heights[c] - r - 1
+        out *= factorial(sum(comp)) // hooks
+    return out
+
+
+def count_d_partitions(d, n):
+    """The number of d-partitions of n, without listing them: the
+    coefficient of x^n in P(x)^d, P the generating function of partitions."""
+    parts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            parts[m] += parts[m - part]
+    out = [1] + [0] * n
+    for _ in range(d):
+        out = [sum(out[j] * parts[m - j] for j in range(m + 1)) for m in range(n + 1)]
+    return out[n]
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +231,14 @@ def dim_CTL(d, n):
 
 
 def dim_FTL_bruteforce(d, n):
-    """Sum of squared standard-tableau counts over admissible shapes."""
-    return sum(count_standard_tableaux(s) ** 2
+    """Sum of squared numbers of listed standard tableaux over admissible
+    shapes."""
+    return sum(len(standard_tableaux(s)) ** 2
                for s in enumerate_d_partitions(d, n) if ftl_admissible(s))
 
 
 def dim_CTL_bruteforce(d, n):
-    return sum(count_standard_tableaux(s) ** 2
+    return sum(len(standard_tableaux(s)) ** 2
                for s in enumerate_d_partitions(d, n) if ctl_admissible(s))
 
 

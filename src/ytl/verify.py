@@ -13,10 +13,10 @@ from .linalg import identity_matrix, mat_mul
 from .permutations import (ConsistencyError, Perm, all_perms, compositions,
                            coset_system)
 from .scalars import NonIntegralExponent, RatFunc
-from .tableaux import (catalan, count_standard_tableaux, dim_CTL, dim_FTL,
-                       dim_FTL_bruteforce, dim_CTL_bruteforce, dim_TL, dim_Y,
-                       enumerate_d_partitions, enumerate_partitions,
-                       jones_pairs, jones_permutation, two_column)
+from .tableaux import (catalan, dim_CTL, dim_FTL, dim_FTL_bruteforce,
+                       dim_CTL_bruteforce, dim_TL, dim_Y, enumerate_d_partitions,
+                       enumerate_partitions, jones_pairs, jones_permutation,
+                       standard_tableaux, two_column)
 from . import yokonuma as yk
 from .reps import (ideal_membership, passes_to_quotient, rep_e, rep_element,
                    rep_g, rep_module, rep_t)
@@ -58,11 +58,11 @@ def _random_element(d, n, rng, terms=2):
 def suite_dims(d, n, seed=0):
     report = _new_report(d, n, "dims", seed)
     _check(report, "catalan_two_column_sum", n,
-           all(dim_TL(m) == sum(count_standard_tableaux((p,)) ** 2
+           all(dim_TL(m) == sum(len(standard_tableaux((p,))) ** 2
                                 for p in enumerate_partitions(m) if two_column(p))
                for m in range(1, n + 1)))
     _check(report, "squared_tableaux_sum", 1,
-           sum(count_standard_tableaux(s) ** 2
+           sum(len(standard_tableaux(s)) ** 2
                for s in enumerate_d_partitions(d, n)) == dim_Y(d, n))
     _check(report, "ftl_formula_vs_bruteforce", 1,
            dim_FTL(d, n) == dim_FTL_bruteforce(d, n))
@@ -439,11 +439,26 @@ SUITES = {
 }
 
 
+def _guarded(name, d, n, seed, raised):
+    """The report of one suite; an exception it raises becomes its one
+    failed check, named raised, whose detail is the exception's type and
+    text."""
+    try:
+        return SUITES[name](d, n, seed=seed)
+    except Exception as exc:
+        report = _new_report(d, n, name, seed)
+        _check(report, raised, 1, False, "%s: %s" % (type(exc).__name__, exc))
+        return report
+
+
 def run_suite(d, n, suite, seed=0):
+    """The report of a suite, or of every suite for "all", with each check
+    of a sub-suite named <suite>.<check>. A suite that raises an Exception
+    reports the failed check <suite>.raised in place of its checks."""
     if suite == "all":
         combined = _new_report(d, n, "all", seed)
-        for name, fn in SUITES.items():
-            sub = fn(d, n, seed=seed)
+        for name in SUITES:
+            sub = _guarded(name, d, n, seed, "raised")
             for chk in sub["checks"]:
                 chk = dict(chk, name="%s.%s" % (name, chk["name"]))
                 combined["checks"].append(chk)
@@ -454,4 +469,4 @@ def run_suite(d, n, suite, seed=0):
         return combined
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
-    return SUITES[suite](d, n, seed=seed)
+    return _guarded(suite, d, n, seed, "%s.raised" % suite)

@@ -12,12 +12,15 @@ An element has one int encoding (encode), read by the product here, by
 psi_mu and by the seminormal evaluation: its coefficients over one
 denominator (a Laurent-only element is over 1), their numerators as ints
 in the group ring Z[Z/L] over one integer denominator, L a multiple of d
-and of every coefficient order, grouped by permutation. For each
-permutation v of the right operand, the product folds the left operand
-times sum_b c_b t^b through the reduced word of v once; the 1/d of an
-e-term becomes a power of d in the common denominator. A character sum
-(character_sum) shifts the zeta powers of each row by its root of unity.
-Each output is reduced mod Phi_L and tested for zero only then.
+and of every coefficient order, grouped by permutation. The product packs
+each numerator into one int by Kronecker substitution in (q, zeta_L), so
+a pair of terms is one int multiplication; for each permutation v of the
+right operand it folds the left operand times sum_b c_b t^b through the
+reduced word of v once, keyed by (permutation, t-monomial id); the 1/d of
+an e-term becomes a power of d in the common denominator. Each distinct
+packed output is unpacked and reduced mod Phi_L once, and tested for zero
+only then. A character sum (character_sum) shifts the zeta powers of each
+row by its root of unity.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class YElement:
         d, n = self.d, self.n
         if not self.terms or not other.terms:
             return zero(d, n)
-        order = lcm(self.order, other.order)
+        order = lcm(d, *[c.num.order for _, c in self.terms + other.terms])
         return YElement._trusted(d, n, _int_product(d, n, order, encode(self, order),
                                                     encode(other, order)))
 
@@ -188,63 +191,149 @@ def encode(x, order):
 def _int_product(d, n, order, left, right):
     """The product of two elements encoded at one order (encode), as terms
     [((tmon, Perm), RatFunc)] in normal form but unsorted.
-    The numerators multiply as ints in Z[Z/order][q^+-1]; the terms of the
-    right operand that share a permutation v are folded through its
-    reduced word together, and each fold step carries the 1/d of the
-    e-term as one more factor d of the common denominator."""
+
+    Each row (one term's numerator) is packed into one int by Kronecker
+    substitution in (q, zeta): the digit of zeta^z q^e sits at index
+    (e - e_min) Z + z, Z = 2 order - 1, and each digit is B bits wide,
+    signed. A product of two rows is one int multiplication, and z1 + z2 <
+    Z never carries into the next power of q. The terms of the right
+    operand that share a permutation v are folded through its reduced word
+    together, keyed by (permutation, t-monomial) only: a step that
+    descends sends P to d q P on w s_i and to (q - 1) P on each of the d
+    shifted monomials of the e-term (q is a shift by B Z bits); any other
+    step sends P to d P on w s_i. The factor d there is the 1/d of the
+    e-term, carried as one more factor d of the common denominator.
+
+    The digit width B is the bit length of sum|c_left| sum|c_right|
+    (3d)^top, plus a sign bit and one spare, top being the longest reduced
+    word on the right. The bound is exact: the products of the rows have
+    total mass sum|c_left| sum|c_right|, one fold step sends mass m to at
+    most d m + 2 d m, and the operands with shorter words are scaled by d
+    per missing step, so no digit reaches 2^(B-2) in absolute value.
+
+    Each distinct packed output is unpacked once per call: outputs repeat
+    (on products of idempotents many terms share a coefficient), so a dict
+    local to the call maps each to its RatFunc."""
     lden, lcommon, lgroups = left
     rden, rcommon, rgroups = right
+    ids, tmons, add, shifts = _tmon_tables(d, n)
+    top = max(len(_reduced_word(v.images)) for v in rgroups)
+    lmass, lmin = _mass_and_low(lgroups)
+    rmass, rmin = _mass_and_low(rgroups)
+    zdigits = 2 * order - 1
+    width = (lmass * rmass * (3 * d) ** top).bit_length() + 2
+    qshift = width * zdigits
     lterms = []
     for u, rows in lgroups.items():
-        uinv = [0] * n
-        for j, x in enumerate(u.images):
-            uinv[x - 1] = j
-        lterms.append((u.images, uinv, rows))
-    top = max(len(_reduced_word(v.images)) for v in rgroups)
+        packed = []
+        for a, mono in rows:
+            p = 0
+            for e, z, c in mono:
+                p += c << ((e - lmin) * zdigits + z) * width
+            packed.append((ids[a], p))
+        lterms.append((u.images, _tmon_action(d, n, u.images), packed))
     acc = {}
     for v, rights in rgroups.items():
-        # the left group times sum_b c_b t^b, all still left of g_v
+        # the left group times sum_b c_b t^b, all still left of g_v:
+        # g_u t^b = t^{u(b)} g_u
         work = {}
-        for b, rmono in rights:
-            for u, uinv, rows in lterms:
-                # g_u t^b = t^{u(b)} g_u
-                ub = [b[j] for j in uinv]
-                for a, lmono in rows:
-                    m = tuple([(x + y) % d for x, y in zip(a, ub)])
-                    for e1, z1, c1 in lmono:
-                        for e2, z2, c2 in rmono:
-                            key = (m, u, e1 + e2, (z1 + z2) % order)
-                            work[key] = work.get(key, 0) + c1 * c2
         word = _reduced_word(v.images)
-        for i in word:
-            new = {}
-            for (m, w, e, z), c in work.items():
-                ws, j, k = _right_steps(w)[i]
-                key = (m, ws, e + 1, z) if j else (m, ws, e, z)
-                new[key] = new.get(key, 0) + c * d
-                if j:
-                    # (q - 1) e_{j,k}: d terms t_j^s t_k^-s, each over d
-                    for m2 in _e_shifts(m, j, k, d):
-                        key = (m2, w, e + 1, z)
-                        new[key] = new.get(key, 0) + c
-                        key = (m2, w, e, z)
-                        new[key] = new.get(key, 0) - c
-            work = new
+        # the words shorter than top make up for their missing factors d
         scale = d ** (top - len(word))
-        for key, c in work.items():
-            acc[key] = acc.get(key, 0) + c * scale
+        for b, rmono in rights:
+            bid = ids[b]
+            pr = 0
+            for e, z, c in rmono:
+                pr += c * scale << ((e - rmin) * zdigits + z) * width
+            for u, act, rows in lterms:
+                sums = add[act[bid]]
+                into = work.setdefault(u, {})
+                for a, pl in rows:
+                    m = sums[a]
+                    into[m] = into.get(m, 0) + pl * pr
+        for i in word:
+            work = _fold_step(work, i, d, qshift, shifts)
+        for w, terms in work.items():
+            into = acc.get(w)
+            if into is None:
+                acc[w] = terms
+            else:
+                for m, p in terms.items():
+                    into[m] = into.get(m, 0) + p
     common = lcommon * rcommon * d ** top
     den = multiply_dens(lden, rden)
-    coeffs = {}
-    for (m, w, e, z), c in acc.items():
-        if c:
-            coeffs.setdefault((m, w), {}).setdefault(e, [0] * order)[z] += c
+    low = lmin + rmin
+    decoded = {0: None}
     out = []
-    for (m, w), by_e in coeffs.items():
-        num = laurent_from_ints(order, by_e, common)
-        if num.terms:
-            out.append(((m, _perm(w)), RatFunc.over(num, den)))
+    for w, terms in acc.items():
+        perm = _perm(w)
+        for m, p in terms.items():
+            c = decoded.get(p, decoded)
+            if c is decoded:
+                num = laurent_from_ints(order, _unpack(p, low, width, qshift), common)
+                c = decoded[p] = RatFunc.over(num, den) if num.terms else None
+            if c is not None:
+                out.append(((tmons[m], perm), c))
     return out
+
+
+def _mass_and_low(groups):
+    """(sum of |c|, lowest q-exponent) over the triples of every row."""
+    mass, low = 0, None
+    for rows in groups.values():
+        for _, mono in rows:
+            for e, _, c in mono:
+                mass += abs(c)
+                if low is None or e < low:
+                    low = e
+    return mass, low
+
+
+def _fold_step(work, i, d, qshift, shifts):
+    """work {w: {m: packed}} times g_i on the right."""
+    new = {}
+    for w, terms in work.items():
+        ws, j, k = _right_steps(w)[i]
+        into = new.setdefault(ws, {})
+        if j:
+            stay = new.setdefault(w, {})
+            shifted = shifts[j, k]
+            for m, p in terms.items():
+                pq = p << qshift
+                into[m] = into.get(m, 0) + pq * d
+                # (q - 1) e_{j,k}: d terms t_j^s t_k^-s, each over d
+                pq -= p
+                for m2 in shifted[m]:
+                    stay[m2] = stay.get(m2, 0) + pq
+        else:
+            for m, p in terms.items():
+                into[m] = into.get(m, 0) + p * d
+    return new
+
+
+def _unpack(packed, low, width, qshift):
+    """{q-exponent: ints by zeta power} of a packed sum of products of rows,
+    its lowest digit at q^low: signed digits of B bits, Z to a power of q."""
+    by_e = {}
+    qbase, base = 1 << qshift, 1 << width
+    qmask, mask = qbase - 1, base - 1
+    e = low
+    while packed:
+        chunk = packed & qmask
+        if chunk >> (qshift - 1):
+            chunk -= qbase
+        packed = (packed - chunk) >> qshift
+        if chunk:
+            row = []
+            while chunk:
+                digit = chunk & mask
+                if digit >> (width - 1):
+                    digit -= base
+                row.append(digit)
+                chunk = (chunk - digit) >> width
+            by_e[e] = row
+        e += 1
+    return by_e
 
 
 # Tables per permutation or t-exponent vector, so bounded by the size of the
@@ -275,6 +364,38 @@ def _right_steps(images):
 
 
 @lru_cache(maxsize=None)
+def _tmon_tables(d, n):
+    """The t-exponent vectors of (d, n) by int id, as (ids, tmons, add,
+    shifts): ids maps a vector to its id, tmons lists them by id (in the
+    order of itertools.product), add[x][y] is the id of tmons[x] + tmons[y]
+    (d^(2n) entries: 262,144 at d = 8, n = 3), and shifts[j, k][x] lists the
+    ids of _e_shifts(tmons[x], j, k, d)."""
+    tmons = list(itertools.product(range(d), repeat=n))
+    ids = {m: x for x, m in enumerate(tmons)}
+    # one int object per id, shared by every row of the tables
+    same = list(ids.values())
+    add = []
+    for a in tmons:
+        row = [0]
+        for p in a:
+            row = [x * d + (p + r) % d for x in row for r in range(d)]
+        add.append(tuple([same[x] for x in row]))
+    shifts = {(j, k): tuple(tuple(ids[m2] for m2 in _e_shifts(m, j, k, d)) for m in tmons)
+              for j in range(1, n + 1) for k in range(1, n + 1) if j != k}
+    return ids, tmons, tuple(add), shifts
+
+
+@lru_cache(maxsize=None)
+def _tmon_action(d, n, images):
+    """The id of u(b) = (b_{u^-1(1)}, ..., b_{u^-1(n)}) for each id of b, u
+    the permutation of the given images: g_u t^b = t^{u(b)} g_u."""
+    ids, tmons = _tmon_tables(d, n)[:2]
+    where = [0] * n
+    for j, x in enumerate(images):
+        where[x - 1] = j
+    return tuple([ids[tuple([b[j] for j in where])] for b in tmons])
+
+
 def _e_shifts(m, j, k, d):
     """The t-exponent vectors m + s (e_j - e_k), s = 0..d-1."""
     out = []

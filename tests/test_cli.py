@@ -333,3 +333,36 @@ def test_listings_past_the_item_bound_are_usage_errors(capsys):
     code, payload = run(capsys, "--no-cache", "enumerate", "jonespairs", "-n", "7",
                         "--mode", "All")
     assert code == 0 and payload["count"] == 5040
+
+
+def test_tableaux_partitions_and_rep_past_the_item_bound_are_usage_errors(capsys):
+    # counted by the hook length formula and a partition-number recurrence
+    # before any listing: enumerate tableaux -d 1 -n 12 would list 140,152
+    # tableaux in about 13 s and 1 GB
+    start = time.monotonic()
+    code, payload = run(capsys, "--no-cache", "enumerate", "tableaux", "-d", "1", "-n", "12")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and payload["error"] == (
+        "enumerate tableaux at d=1, n=12 lists 140152 items, more than %d" % cli.MAX_ITEMS)
+    for argv, count in ((("enumerate", "tableaux", "-d", "2", "-n", "9"), 168992),
+                        (("enumerate", "tableaux", "-d", "1", "-n", "16", "--shape",
+                          "[[6,5,3,2]]"), 500500),
+                        (("enumerate", "dpartitions", "-d", "3", "-n", "40"), 481225800),
+                        # 168 tableaux: 168^2 entries in each of 25 matrices
+                        (("rep", "-d", "1", "-n", "9", "--shape", "[[4,3,2]]"), 705600)):
+        code, payload = run(capsys, "--no-cache", *argv)
+        assert code == 2, argv
+        assert payload["error"].endswith("lists %d items, more than %d"
+                                         % (count, cli.MAX_ITEMS)), payload
+    for argv in (("enumerate", "dpartitions", "-d", "300", "-n", "3"),
+                 ("enumerate", "dpartitions", "-d", "1", "-n", "1000000"),
+                 ("enumerate", "tableaux", "-d", "5", "-n", "100")):
+        start = time.monotonic()
+        code, payload = run(capsys, "--no-cache", *argv)
+        assert code == 2 and "lists at least 10^" in payload["error"], argv
+        assert time.monotonic() - start < 5.0
+    # under the bound the listings agree with the counts
+    code, payload = run(capsys, "--no-cache", "enumerate", "tableaux", "-d", "1", "-n", "9")
+    assert code == 0 and sum(len(item["standard"]) for item in payload["tableaux"]) == 2620
+    code, payload = run(capsys, "--no-cache", "enumerate", "dpartitions", "-d", "3", "-n", "6")
+    assert code == 0 and len(payload["dpartitions"]) == 221

@@ -29,6 +29,10 @@ COMMANDS = {
                       "(g1*g2*g3*g1*g2 + q^-1*t2*g3*g2*g1) * (g3*g2*g1*g3 - 2/3*t4*g2^-1)"],
     "mul_long_d3n3": ["mul", "-d", "3", "-n", "3",
                       "(g1*g2*g1 + t1*t2^2*g2) * (E(1; 1,1,1) - q*g2*g1*t3)"],
+    # d = 4: a character idempotent between the longest words, reduced mod
+    # Phi_4; written before the packed product kernel
+    "mul_long_d4n3": ["mul", "-d", "4", "-n", "3",
+                      "(g1*g2*g1 + q^-2*t1^3*t3*g2) * (E(2; 1,1,1,0)*g2*g1*g2 - 3/5*q*g1^-1)"],
     "verify_idempotents_d3": ["verify", "-d", "3", "-n", "3", "--suite", "idempotents",
                               "--seed", "0"],
     # passes_to_quotient and ideal membership at d = 4, where reduction mod

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ytl.tableaux import (catalan, count_standard_tableaux, ctl_admissible,
+from ytl.tableaux import (catalan, count_d_partitions, count_standard_tableaux,
+                          ctl_admissible,
                           dim_CTL, dim_CTL_bruteforce, dim_FTL,
                           dim_FTL_bruteforce, dim_TL, dim_Y,
                           enumerate_d_partitions, enumerate_partitions,
@@ -29,6 +30,14 @@ def test_standard_tableaux_counts():
     assert count_standard_tableaux(((2, 2),)) == 2
     assert count_standard_tableaux(((3, 2),)) == 5
     assert count_standard_tableaux(((1,), (1,), (1,))) == 6
+
+
+@pytest.mark.parametrize("d,n", [(1, 0), (1, 7), (2, 5), (3, 4), (4, 3), (6, 2)])
+def test_closed_form_counts_match_the_listings(d, n):
+    shapes = enumerate_d_partitions(d, n)
+    assert count_d_partitions(d, n) == len(shapes)
+    for shape in shapes:
+        assert count_standard_tableaux(shape) == len(standard_tableaux(shape)), shape
 
 
 def test_tableau_structure():

@@ -31,6 +31,33 @@ def test_unknown_suite():
         run_suite(2, 2, "nope")
 
 
+def test_an_exception_in_a_suite_is_a_failed_check(monkeypatch, capsys, tmp_path):
+    from ytl import cli, verify
+
+    def raising(d, n, seed=0):
+        raise ZeroDivisionError("forced at n=%d" % n)
+
+    monkeypatch.setitem(verify.SUITES, "dims", raising)
+    failed = {"name": "dims.raised", "instances": 1, "passed": False,
+              "detail": "ZeroDivisionError: forced at n=2"}
+    report = run_suite(2, 2, "dims")
+    assert report["ok"] is False and report["checks"] == [failed]
+    # under all, the other suites still run and report their checks
+    report = run_suite(2, 2, "all")
+    assert report["ok"] is False and failed in report["checks"]
+    others = [c for c in report["checks"] if c != failed]
+    assert others and all(c["passed"] for c in others)
+    assert {c["name"].split(".")[0] for c in others} == set(SUITES) - {"dims"}
+    # the command prints the report and exits 1, with no traceback, and does
+    # not cache it
+    code = cli.main(["--cache-dir", str(tmp_path), "verify", "-d", "2", "-n", "2",
+                     "--suite", "dims"])
+    out = capsys.readouterr()
+    assert code == 1 and json.loads(out.out)["checks"] == [failed]
+    assert "Traceback" not in out.err
+    assert not os.listdir(tmp_path)
+
+
 def test_seed_determinism():
     a = run_suite(2, 2, "iso", seed=7)
     b = run_suite(2, 2, "iso", seed=7)

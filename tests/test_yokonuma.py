@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ytl.permutations import Perm, all_perms, compositions
@@ -230,6 +232,75 @@ def test_product_cancels_only_mod_phi3():
     # the same sum, folded through a braid word first
     assert _same_as_reference(x, y * yk.g_word(d, n, (1, 2, 1))).is_zero()
     assert not _same_as_reference(x, x).is_zero()
+
+
+# (d, n) cells of the packed product, with n = 5 at d = 1, and the orders of
+# the coefficient fields drawn in each: a proper multiple of d where it
+# matters (zeta_4 in Y(2, n), zeta_12 in Y(3, n)). Over Q(zeta_5) two zeta
+# powers of the basis add up past 5, which no other order here reaches.
+_KERNEL_CELLS = [(1, 3), (1, 5), (2, 3), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2)]
+_KERNEL_ORDERS = {1: (1, 3, 5), 2: (2, 4), 3: (3, 12), 4: (4,), 5: (5,), 6: (6,)}
+
+
+@st.composite
+def _kernel_coefficient(draw, order):
+    """A sum of one or two terms c zeta^k q^e, c a rational with a numerator
+    up to 10^40 of either sign and e in -40..40, over 1, 1 + q or Phi_3."""
+    out = RatFunc.zero(order)
+    for _ in range(draw(st.integers(1, 2))):
+        c = Fraction(draw(st.integers(-10 ** 40, 10 ** 40).filter(bool)),
+                     draw(st.integers(1, 10 ** 6)))
+        zeta = Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
+        out = out + RatFunc.from_scalar(zeta * c, order) * RatFunc.q_power(
+            draw(st.integers(-40, 40)), order)
+    one, q = RatFunc.one(order), RatFunc.q(order)
+    den = draw(st.sampled_from((None, one + q, one + q + q * q)))
+    return out if den is None or out.is_zero() else out / den
+
+
+@st.composite
+def _kernel_operands(draw, cells=_KERNEL_CELLS):
+    """Two elements of one cell; the right one carries the longest word."""
+    d, n = draw(st.sampled_from(cells))
+    orders = _KERNEL_ORDERS[d]
+    perms = all_perms(n)
+    def element(terms, extra=()):
+        return yk.YElement(d, n, [
+            ((tuple(draw(st.integers(0, d - 1)) for _ in range(n)), w),
+             draw(_kernel_coefficient(draw(st.sampled_from(orders)))))
+            for w in [draw(st.sampled_from(perms)) for _ in range(terms)] + list(extra)])
+    x = element(draw(st.integers(1, 3)))
+    y = element(draw(st.integers(0, 2)), extra=(perms[-1],))
+    return x, y
+
+
+@given(_kernel_operands())
+@settings(max_examples=60, deadline=None)
+def test_packed_product_against_reference(operands):
+    x, y = operands
+    if len({c.order for _, c in x.terms + y.terms}) == 1:
+        _same_as_reference(x, y)
+    else:
+        # the field each output coefficient is printed in may differ
+        got, want = x * y, oracles.ref_mul(x, y)
+        assert got == want and hash(got) == hash(want)
+
+
+@given(_kernel_operands(cells=[(3, 2), (3, 3)]))
+@settings(max_examples=15, deadline=None)
+def test_packed_product_vanishes_only_mod_phi3(operands):
+    # x (sum_k zeta_3^k t_1^k) times (sum_k t_1^k) y is zero, although no
+    # coefficient of the product vanishes before the reduction mod Phi_3
+    x, y = operands
+    d, n = x.d, x.n
+    a = yk.YElement(d, n, [(((k,) + (0,) * (n - 1), Perm.identity(n)),
+                            RatFunc.from_scalar(Cyclotomic.root_power(3, k), 3))
+                           for k in range(3)])
+    b = yk.YElement(d, n, [(((k,) + (0,) * (n - 1), Perm.identity(n)), RatFunc.one(3))
+                           for k in range(3)])
+    left, right = x * a, b * y
+    got, want = left * right, oracles.ref_mul(left, right)
+    assert got.is_zero() and want.is_zero()
 
 
 def test_associativity_with_denominators():

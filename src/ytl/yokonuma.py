@@ -315,23 +315,29 @@ def _unpack(packed, low, width, qshift):
     """{q-exponent: ints by zeta power} of a packed sum of products of rows,
     its lowest digit at q^low: signed digits of B bits, Z to a power of q."""
     by_e = {}
-    qbase, base = 1 << qshift, 1 << width
-    qmask, mask = qbase - 1, base - 1
+    qmask, mask = (1 << qshift) - 1, (1 << width) - 1
+    qhalf, half = 1 << (qshift - 1), 1 << (width - 1)
     e = low
     while packed:
         chunk = packed & qmask
-        if chunk >> (qshift - 1):
-            chunk -= qbase
-        packed = (packed - chunk) >> qshift
+        packed >>= qshift
+        if chunk >= qhalf:
+            chunk -= qmask + 1
+            packed += 1
         if chunk:
-            row = []
-            while chunk:
-                digit = chunk & mask
-                if digit >> (width - 1):
-                    digit -= base
-                row.append(digit)
-                chunk = (chunk - digit) >> width
-            by_e[e] = row
+            if -half < chunk < half:
+                # the power of zeta 0 alone
+                by_e[e] = [chunk]
+            else:
+                row = []
+                while chunk:
+                    digit = chunk & mask
+                    chunk >>= width
+                    if digit >= half:
+                        digit -= mask + 1
+                        chunk += 1
+                    row.append(digit)
+                by_e[e] = row
         e += 1
     return by_e
 

@@ -244,12 +244,14 @@ _KERNEL_ORDERS = {1: (1, 3, 5), 2: (2, 4), 3: (3, 12), 4: (4,), 5: (5,), 6: (6,)
 
 @st.composite
 def _kernel_coefficient(draw, order):
-    """A sum of one or two terms c zeta^k q^e, c a rational with a numerator
-    up to 10^40 of either sign and e in -40..40, over 1, 1 + q or Phi_3."""
+    """A sum of one or two terms c zeta^k q^e, c a rational with a small
+    numerator or one up to 10^40, of either sign, and e in -40..40, over 1,
+    1 + q or Phi_3."""
     out = RatFunc.zero(order)
     for _ in range(draw(st.integers(1, 2))):
-        c = Fraction(draw(st.integers(-10 ** 40, 10 ** 40).filter(bool)),
-                     draw(st.integers(1, 10 ** 6)))
+        c = Fraction(draw(st.one_of(st.integers(-3, 3), st.integers(-10 ** 40, 10 ** 40))
+                          .filter(bool)),
+                     draw(st.one_of(st.just(1), st.integers(1, 10 ** 6))))
         zeta = Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
         out = out + RatFunc.from_scalar(zeta * c, order) * RatFunc.q_power(
             draw(st.integers(-40, 40)), order)
@@ -284,6 +286,34 @@ def test_packed_product_against_reference(operands):
         # the field each output coefficient is printed in may differ
         got, want = x * y, oracles.ref_mul(x, y)
         assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("order", [5, 7])
+def test_packed_product_carries_no_zeta_power_into_q(order):
+    # in Q(zeta_5) and Q(zeta_7) two basis powers of zeta add up past the
+    # order; their product must stay at its own power of q
+    c = RatFunc.zero(order)
+    for i in range(order):
+        c = c + RatFunc.from_scalar(Cyclotomic.root_power(order, i), order) \
+            * RatFunc.q_power(i, order)
+    x = yk.YElement(1, 3, {((0, 0, 0), Perm.transposition(3, 1)): c})
+    y = yk.YElement(1, 3, {((0, 0, 0), Perm.transposition(3, 2)): c})
+    _same_as_reference(x, y)
+    _same_as_reference(y, x)
+
+
+@pytest.mark.parametrize("d,n", [(3, 3), (5, 2)])
+def test_packed_product_small_digit_patterns(d, n):
+    # coefficients a + b zeta^k, a and b in -2..2: every sign pattern of
+    # small signed digits, such as zeta - 2 whose packed form lies just
+    # below a power of two, comes back through products with 1 and g_1
+    values = [Cyclotomic.root_power(d, k) * b + a
+              for k in range(1, d) for a in range(-2, 3) for b in range(-2, 3)]
+    keys = [(m, w) for w in all_perms(n) for m in itertools.product(range(d), repeat=n)]
+    x = yk.YElement(d, n, [(key, RatFunc.from_scalar(v, d)) for key, v in zip(keys, values)])
+    for y in (yk.unit(d, n), yk.gen_g(d, n, 1)):
+        _same_as_reference(x, y)
+        _same_as_reference(y, x)
 
 
 @given(_kernel_operands(cells=[(3, 2), (3, 3)]))

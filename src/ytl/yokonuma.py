@@ -89,7 +89,7 @@ class YElement:
     def order(self):
         """The order of the smallest cyclotomic field holding Q(zeta_d) and
         every coefficient."""
-        return lcm(self.d, *(c.order for _, c in self.terms))
+        return lcm(self.d, *[c.num.order for _, c in self.terms])
 
     def _check_compat(self, other):
         if not isinstance(other, YElement):
@@ -123,7 +123,7 @@ class YElement:
         d, n = self.d, self.n
         if not self.terms or not other.terms:
             return zero(d, n)
-        order = lcm(d, *[c.num.order for _, c in self.terms + other.terms])
+        order = lcm(self.order, other.order)
         return YElement._trusted(d, n, _int_product(d, n, order, encode(self, order),
                                                     encode(other, order)))
 
@@ -246,10 +246,14 @@ def _int_product(d, n, order, left, right):
             for e, z, c in rmono:
                 pr += c * scale << ((e - rmin) * zdigits + z) * width
             for u, act, rows in lterms:
-                sums = add[act[bid]]
+                y = act[bid]
+                sums = add[y]
                 into = work.setdefault(u, {})
                 for a, pl in rows:
-                    m = sums[a]
+                    try:
+                        m = sums[a]
+                    except KeyError:
+                        m = sums[a] = _tmon_sum(d, n, a, y)
                     into[m] = into.get(m, 0) + pl * pr
         for i in word:
             work = _fold_step(work, i, d, qshift, shifts)
@@ -369,37 +373,74 @@ def _right_steps(images):
     return tuple(out)
 
 
+class _Table(dict):
+    """A dict that computes a missing value as fill(key) and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 @lru_cache(maxsize=None)
 def _tmon_tables(d, n):
     """The t-exponent vectors of (d, n) by int id, as (ids, tmons, add,
-    shifts): ids maps a vector to its id, tmons lists them by id (in the
-    order of itertools.product), add[x][y] is the id of tmons[x] + tmons[y]
-    (d^(2n) entries: 262,144 at d = 8, n = 3), and shifts[j, k][x] lists the
-    ids of _e_shifts(tmons[x], j, k, d)."""
-    tmons = list(itertools.product(range(d), repeat=n))
-    ids = {m: x for x, m in enumerate(tmons)}
-    # one int object per id, shared by every row of the tables
-    same = list(ids.values())
-    add = []
-    for a in tmons:
-        row = [0]
-        for p in a:
-            row = [x * d + (p + r) % d for x in row for r in range(d)]
-        add.append(tuple([same[x] for x in row]))
-    shifts = {(j, k): tuple(tuple(ids[m2] for m2 in _e_shifts(m, j, k, d)) for m in tmons)
-              for j in range(1, n + 1) for k in range(1, n + 1) if j != k}
-    return ids, tmons, tuple(add), shifts
+    shifts): the id of a vector is its number in base d (its place in the
+    order of itertools.product), ids maps a vector to its id and tmons an
+    id to its vector, add[y][x] is the id of tmons[x] + tmons[y], and
+    shifts[j, k][x] lists the ids of _e_shifts(tmons[x], j, k, d). Each is
+    filled on demand, so it holds the monomials and sums that have occurred,
+    not all d^n vectors or d^(2n) sums: a product at large d^n costs what
+    its terms cost."""
+    def number(m):
+        x = 0
+        for a in m:
+            x = x * d + a
+        return x
+
+    def vector(x):
+        m = [0] * n
+        for j in range(n - 1, -1, -1):
+            x, m[j] = divmod(x, d)
+        return tuple(m)
+
+    def shifted(pair):
+        j, k = pair
+        return _Table(lambda x: tuple([ids[m] for m in _e_shifts(tmons[x], j, k, d)]))
+
+    ids, tmons = _Table(number), _Table(vector)
+    # add[y] is a plain dict, filled by the product through _tmon_sum: a
+    # lookup in a dict subclass costs more, and this one is made per pair
+    # of terms
+    return ids, tmons, _Table(lambda y: {}), _Table(shifted)
+
+
+def _tmon_sum(d, n, x, y):
+    """The id of tmons[x] + tmons[y] in the tables of (d, n)."""
+    ids, tmons = _tmon_tables(d, n)[:2]
+    return ids[tuple([(a + b) % d for a, b in zip(tmons[x], tmons[y])])]
 
 
 @lru_cache(maxsize=None)
 def _tmon_action(d, n, images):
     """The id of u(b) = (b_{u^-1(1)}, ..., b_{u^-1(n)}) for each id of b, u
-    the permutation of the given images: g_u t^b = t^{u(b)} g_u."""
+    the permutation of the given images, filled on demand: g_u t^b =
+    t^{u(b)} g_u."""
     ids, tmons = _tmon_tables(d, n)[:2]
     where = [0] * n
     for j, x in enumerate(images):
         where[x - 1] = j
-    return tuple([ids[tuple([b[j] for j in where])] for b in tmons])
+
+    def act(b):
+        m = tmons[b]
+        return ids[tuple([m[j] for j in where])]
+
+    return _Table(act)
 
 
 def _e_shifts(m, j, k, d):

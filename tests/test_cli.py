@@ -104,6 +104,19 @@ def test_unbounded_powers_are_usage_errors(capsys, expr):
     assert time.monotonic() - start < 1.0
 
 
+@pytest.mark.parametrize("d, n, count", [(2, 14, 6), (10, 6, 22)])
+def test_products_at_large_d_to_the_n_are_quick(capsys, d, n, count):
+    # the t-monomial tables of the product fill as monomials occur: tables
+    # of all d^(2n) sums would hold 2^28 and 10^12 entries here
+    start = time.monotonic()
+    code, payload = run(capsys, "--no-cache", "mul", "-d", str(d), "-n", str(n), "g1*g2")
+    assert code == 0 and len(payload["element"]) == 1
+    code, payload = run(capsys, "--no-cache", "mul", "-d", str(d), "-n", str(n),
+                        "(t1 + t2)*g1*g2*g1*g1")
+    assert code == 0 and len(payload["element"]) == count
+    assert time.monotonic() - start < 1.0
+
+
 def test_long_and_deep_expressions(capsys):
     from ytl.exprparse import MAX_PAREN_DEPTH
 

@@ -89,10 +89,6 @@ def block_mat_mul(a, b):
     return out
 
 
-def block_equal(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 # ---------------------------------------------------------------------------
 # character coordinates
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .linalg import identity_matrix
 from .permutations import ConsistencyError, Perm
-from .scalars import RatFunc, root_of_unity, sum_of_products
+from .scalars import Laurent, RatFunc, root_of_unity, sum_of_products
 from .tableaux import (ctl_admissible, enumerate_d_partitions, ftl_admissible,
                        standard_tableaux)
 from .yokonuma import character_sum, ctl_generator, encode, ftl_generator
@@ -89,8 +89,16 @@ def rep_e(module, i):
     return out
 
 
-def _quantum_content(d, tab, i):
-    return RatFunc.q_power(tab.content_exponent(i), d)
+def _content_gap_inverse(d, a, b):
+    """1 / (q^b - q^a) for a != b, in closed form: with k = |b - a| and
+    1 - q^k = prod_{j | k} F_j, q^b - q^a is -q^a prod F_j for b > a and
+    q^b prod F_j for b < a. No F_j divides a monomial, so the quotient is
+    canonical as built and no trial division runs."""
+    k = abs(b - a)
+    exps = tuple((j, 1) for j in range(1, k + 1) if k % j == 0)
+    if b > a:
+        return RatFunc._raw(-Laurent.q_power(-a, d), exps)
+    return RatFunc._raw(Laurent.q_power(-b, d), exps)
 
 
 # The entries of the cached matrices of g_i and g_w take few distinct values
@@ -121,9 +129,9 @@ def rep_g_cached(d, shape, i):
             row = module.index[swapped]
             out[row][col] = RatFunc.one(d) if p_i > p_next else q
         else:
-            c_i = _quantum_content(d, tab, i)
-            c_next = _quantum_content(d, tab, i + 1)
-            denom = (c_next - c_i).inv()
+            a, b = tab.content_exponent(i), tab.content_exponent(i + 1)
+            c_i, c_next = RatFunc.q_power(a, d), RatFunc.q_power(b, d)
+            denom = _content_gap_inverse(d, a, b)
             out[col][col] = (q * c_next - c_next) * denom
             if swapped is not None:
                 out[module.index[swapped]][col] = (q * c_next - c_i) * denom

@@ -343,7 +343,7 @@ class Laurent:
     """Laurent polynomial in q with integer exponents over a cyclotomic
     field: sorted (exponent, coefficient) terms, no zero coefficients."""
 
-    __slots__ = ("order", "terms", "_hash")
+    __slots__ = ("order", "terms")
 
     def __init__(self, order, terms):
         clean = {}
@@ -486,18 +486,10 @@ class Laurent:
         return a.terms == b.terms
 
     def __hash__(self):
-        # computed once: denominators are dict keys in the representation
-        # code. A constant hashes as its coefficient, so it agrees with ints
-        try:
-            return self._hash
-        except AttributeError:
-            pass
+        # a constant hashes as its coefficient, so it agrees with ints
         if all(e == 0 for e, _ in self.terms):
-            h = hash(self.constant())
-        else:
-            h = hash(self.terms)
-        object.__setattr__(self, "_hash", h)
-        return h
+            return hash(self.constant())
+        return hash(self.terms)
 
     def __repr__(self):
         return "Laurent(%s)" % self.pretty()

@@ -3,9 +3,18 @@ tests/golden/ byte for byte. The files were written by
 
     PYTHONPATH=src python -m ytl.cli --no-cache ARGS > tests/golden/NAME.json
 
-and change only with a deliberate change of output."""
+and change only with a deliberate change of output.
+
+Run as a script, this module runs every command in a fresh
+`python -O -m ytl.cli --no-cache` process, which strips `assert` statements
+and imports only what the command loads, and exits 1 on any mismatch:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
 
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +53,8 @@ COMMANDS = {
     "rep_d4n4": ["rep", "-d", "4", "-n", "4", "--shape", "[[3,1],[],[],[]]"],
     # the isomorphism suite at a composite order, where Phi_6 has degree 2
     "verify_iso_d6": ["verify", "-d", "6", "-n", "2", "--suite", "iso", "--seed", "0"],
+    # every suite at d = 1, the only such report with hecke_seminormal_match
+    "verify_d1n4": ["verify", "-d", "1", "-n", "4", "--suite", "all", "--seed", "0"],
 }
 
 
@@ -53,3 +64,21 @@ def test_cli_output_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / ("%s.json" % name)).read_bytes()
+
+
+def check_fresh_processes():
+    """Compare each command's stdout from a fresh `python -O` process with
+    its golden file; print one line per mismatch and return 1 if any."""
+    failed = 0
+    for name in sorted(COMMANDS):
+        run = subprocess.run([sys.executable, "-O", "-m", "ytl.cli", "--no-cache"]
+                             + COMMANDS[name], stdout=subprocess.PIPE)
+        if run.returncode != 0 or run.stdout != (GOLDEN / ("%s.json" % name)).read_bytes():
+            print("golden mismatch: %s (exit code %d)" % (name, run.returncode))
+            failed = 1
+    print("%d golden commands, %s" % (len(COMMANDS), "mismatches above" if failed else "all match"))
+    return failed
+
+
+if __name__ == "__main__":
+    sys.exit(check_fresh_processes())

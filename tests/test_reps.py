@@ -14,13 +14,10 @@ from ytl.scalars import Cyclotomic, Laurent, RatFunc, multiply_dens, root_of_uni
 from ytl.tableaux import enumerate_d_partitions
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
-from ytl.reps import (_entries, _rep_word_cached, ideal_membership, passes_to_quotient,
-                      quotient_shapes, rep_e, rep_element, rep_g, rep_module, rep_t)
+from ytl.reps import (_content_gap_inverse, _entries, _rep_word_cached, ideal_membership,
+                      passes_to_quotient, quotient_shapes, rep_e, rep_element, rep_g,
+                      rep_module, rep_t)
 from ytl.verify import suite_relations
-
-
-def _eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def test_one_dimensional_hecke_modules():
@@ -50,6 +47,17 @@ def test_rep_t_diagonal_roots():
     diag = sorted((t1[0][0], t1[1][1]), key=lambda r: r.pretty())
     values = {t1[0][0].as_laurent().constant(), t1[1][1].as_laurent().constant()}
     assert values == {root_of_unity(2, 1), root_of_unity(2, 2)}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+def test_content_gap_inverse_matches_inv(order):
+    # the closed form against trial division, on both signs of b - a
+    for a in range(-8, 9):
+        for b in range(-8, 9):
+            if a != b:
+                want = (RatFunc.q_power(b, order) - RatFunc.q_power(a, order)).inv()
+                got = _content_gap_inverse(order, a, b)
+                assert got == want and repr(got) == repr(want), (a, b)
 
 
 @pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 3)])

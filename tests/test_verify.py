@@ -253,6 +253,64 @@ def test_module_relations_name_the_failing_instance(monkeypatch):
     assert checks["diagonal_actions"]["passed"] is True
 
 
+def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
+    # the seminormal fill inverts content differences in closed form, and the
+    # Hoefsmit matrix through RatFunc.inv, so one dropped divisor shows
+    import ytl.reps as reps
+    from ytl.scalars import RatFunc
+    from ytl.verify import suite_relations
+
+    original = reps._content_gap_inverse
+
+    def one_divisor_short(d, a, b):
+        x = original(d, a, b)
+        return RatFunc._raw(x.num, x.den_exps[:-1])
+
+    def clear():
+        reps.rep_g_cached.cache_clear()
+        reps._rep_word_cached.cache_clear()
+        reps._ENTRIES.clear()
+
+    clear()
+    monkeypatch.setattr(reps, "_content_gap_inverse", one_divisor_short)
+    try:
+        checks = {c["name"]: c for c in suite_relations(1, 4)["checks"]}
+    finally:
+        monkeypatch.undo()
+        clear()
+    hecke = checks["hecke_seminormal_match"]
+    assert hecke["passed"] is False
+    assert hecke["detail"].startswith("g_1 != the Hoefsmit matrix at shape ((")
+    assert suite_relations(1, 4)["ok"] is True
+
+
+def test_wrong_shaped_images_fail(monkeypatch):
+    # a block with a row too many, or one too few, is not equal to the block
+    import ytl.isomaps as iso
+
+    preimages = []
+
+    def phi_mu(mu, matrix):
+        preimages.append(iso.phi_mu(mu, matrix))
+        return preimages[-1]
+
+    def psi_mu(mu, x):
+        out = iso.psi_mu(mu, x)
+        return out + [out[0]] if any(x is p for p in preimages) else out
+
+    def block_mat_mul(a, b):
+        return iso.block_mat_mul(a, b)[:-1]
+
+    _iso_with(monkeypatch, psi_mu=psi_mu, phi_mu=phi_mu)
+    checks = _iso_checks()
+    assert checks["psi_after_phi_identity"]["passed"] is False
+    assert checks["homomorphism_property"]["passed"] is True
+    _iso_with(monkeypatch, block_mat_mul=block_mat_mul)
+    checks = _iso_checks()
+    assert checks["homomorphism_property"]["passed"] is False
+    assert checks["psi_after_phi_identity"]["passed"] is True
+
+
 def _iso_with(monkeypatch, **fakes):
     """suite_iso's view of isomaps, with some functions replaced; isomaps
     itself, and every call inside it, keeps the originals."""

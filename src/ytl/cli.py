@@ -319,9 +319,8 @@ def cmd_basis(args):
         if kind == "FTL":
             rendered = [p.to_json() for p in bkey]
         else:
-            b1, rest = bkey
-            rendered = {"first": b1.to_json(),
-                        "rest": [w.to_json() for w in rest]}
+            rendered = {"first": bkey[0].to_json(),
+                        "rest": [w.to_json() for w in bkey[1:]]}
         items.append({"mu": list(mu.parts), "key": rendered, "k": k, "l": l})
     payload = {"kind": args.kind, "d": d, "n": n,
                "count": len(items), "expected": expected,

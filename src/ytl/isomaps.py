@@ -4,6 +4,12 @@ Hecke algebras, the Temperley-Lieb reduction rho_reduce in the Jones basis,
 the induced quotient isomorphisms ftl_psi/ftl_phi and ctl_psi/ctl_phi, and
 the explicit quotient bases.
 
+Both quotients are one construction: a block entry lies in a tensor product
+of d factors over the parts of mu, the first r of them Temperley-Lieb and
+the others Hecke algebras, with r = tableaux.tl_factors(which, d) (d for
+FTL, 1 for CTL). Its coordinate keys are flat tuples (b_1, ..., b_r,
+w_{r+1}, ..., w_d) of Jones pairs and local permutations.
+
 Matrix blocks are indexed by compositions mu; row/column indices follow the
 canonical coset-representative order. Entries of psi images are Hecke
 elements, stored as d=1 YElements supported inside the Young subgroup.
@@ -35,9 +41,19 @@ from functools import lru_cache
 from .permutations import (ConsistencyError, Perm, act_on_character, all_perms,
                            compositions, coset_system, embed_word, factor_in_young)
 from .scalars import Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc
-from .tableaux import jones_pairs, jones_permutation, jones_word
-from .yokonuma import (YElement, _acc_term, character_exponents, character_sum, encode,
-                       g_block, g_word, zero as y_zero)
+from .tableaux import jones_pairs, jones_permutation, tl_factors
+from .yokonuma import (YElement, character_exponents, character_sum, encode, g_block,
+                       g_word, zero as y_zero)
+
+
+def _acc_term(acc, key, c):
+    """Add c to acc[key], dropping the key when the sum is zero."""
+    if key in acc:
+        c = acc[key] + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
 
 
 # ---------------------------------------------------------------------------
@@ -322,85 +338,70 @@ def rho_reduce(h, m=None):
 # quotient isomorphisms
 
 
-def ftl_entry(mu, hecke):
-    """Jones-coordinate tensor for one matrix entry: {(b_1..b_d): coeff}."""
-    out = {}
-    for (_, w), c in hecke.terms:
-        # outer product across tensor factors
-        acc = {(): c}
-        for part, wloc in zip(mu.parts, factor_in_young(mu, w)):
-            coords = _rho_perm(part, wloc)
-            nxt = {}
-            for key, cv in acc.items():
-                for pair, pc in coords:
-                    _acc_term(nxt, key + (pair,), cv * pc)
-            acc = nxt
-        for key, v in acc.items():
-            _acc_term(out, key, v)
-    return out
-
-
-def ctl_entry(mu, hecke):
-    """Mixed tensor for one entry: {(b_1, w_2..w_d): coeff} with only the
-    first factor Jones-reduced."""
+def quotient_entry(mu, hecke, r):
+    """Coordinates of one matrix entry in the tensor product of the first r
+    factors reduced to Temperley-Lieb and the rest kept Hecke:
+    {(b_1..b_r, w_{r+1}..w_d): coeff}, the outer product of the Jones
+    coordinates of the first r local permutations with the others
+    appended."""
     out = {}
     for (_, w), c in hecke.terms:
         locals_ = factor_in_young(mu, w)
-        rest = tuple(locals_[1:])
-        for pair, pc in _rho_perm(mu.parts[0], locals_[0]):
-            _acc_term(out, (pair, rest), c * pc)
+        rest = tuple(locals_[r:])
+        acc = {(): c}
+        for part, wloc in zip(mu.parts[:r], locals_):
+            nxt = {}
+            for key, cv in acc.items():
+                for pair, pc in _rho_perm(part, wloc):
+                    _acc_term(nxt, key + (pair,), cv * pc)
+            acc = nxt
+        for key, v in acc.items():
+            _acc_term(out, key + rest, v)
     return out
 
 
-def _quotient_psi(x, entry_map):
+def _quotient_psi(x, which):
+    r = tl_factors(which, x.d)
     coords = _character_coords(x)
     # zero blocks are kept too, so every family has the same shape
-    return {mu: [[entry_map(mu, e) for e in row] for row in _psi_block(mu, coords)]
+    return {mu: [[quotient_entry(mu, e, r) for e in row] for row in _psi_block(mu, coords)]
             for mu in compositions(x.d, x.n)}
 
 
 def ftl_psi(x):
     """Canonical form of x in the framed Temperley-Lieb quotient."""
-    return _quotient_psi(x, ftl_entry)
+    return _quotient_psi(x, "FTL")
 
 
 def ctl_psi(x):
-    return _quotient_psi(x, ctl_entry)
+    return _quotient_psi(x, "CTL")
 
 
 @lru_cache(maxsize=None)
-def ftl_coord_perm(mu, key):
-    """The permutation whose Hecke basis element has the given per-factor
-    Jones coordinates: concatenated embedded Jones words form one reduced
-    word."""
+def quotient_coord_perm(mu, key, r):
+    """The permutation whose Hecke basis element has the given coordinates:
+    the embedded Jones words of the first r factors and the reduced words of
+    the others, concatenated, form one reduced word."""
     word = []
-    for pair, offset in zip(key, mu.offsets):
-        word.extend(embed_word(jones_word(pair), offset))
+    for i, (local, offset) in enumerate(zip(key, mu.offsets)):
+        word.extend(embed_word(local.word() if i < r else local.reduced_word(), offset))
     return Perm.from_word(mu.n, tuple(word))
 
 
-@lru_cache(maxsize=None)
-def ctl_coord_perm(mu, key):
-    pair, rest = key
-    word = list(jones_word(pair))
-    for wloc, offset in zip(rest, mu.offsets[1:]):
-        word.extend(embed_word(wloc.reduced_word(), offset))
-    return Perm.from_word(mu.n, tuple(word))
-
-
-def _quotient_phi(blocks, coord_perm):
+def _quotient_phi(blocks, which):
+    r = tl_factors(which, next(iter(blocks)).d)
     return _phi_blocks(blocks, lambda mu, cell: (
-        (coord_perm(mu, key), c) for key, c in cell.items()))
+        (quotient_coord_perm(mu, key, r), c) for key, c in cell.items()))
 
 
 def ftl_phi(blocks):
     """A preimage in the algebra whose ftl_psi image is the given block
     family (well-defined modulo the defining ideal)."""
-    return _quotient_phi(blocks, ftl_coord_perm)
+    return _quotient_phi(blocks, "FTL")
 
 
 def ctl_phi(blocks):
-    return _quotient_phi(blocks, ctl_coord_perm)
+    return _quotient_phi(blocks, "CTL")
 
 
 def blocks_equal(a, b):
@@ -410,7 +411,7 @@ def blocks_equal(a, b):
         if ba is None or bb is None:
             if any(cell for row in (bb if ba is None else ba) for cell in row):
                 return False
-        elif not all(x == y for ra, rb in zip(ba, bb) for x, y in zip(ra, rb)):
+        elif ba != bb:
             return False
     return True
 
@@ -426,25 +427,28 @@ def nonzero_block(a):
 # quotient bases
 
 
-def ftl_basis(d, n):
-    """Basis descriptors of the framed Temperley-Lieb quotient: one block
-    family per (mu, jones-coordinate tuple, k, l)."""
+def _quotient_basis(d, n, which):
+    """Basis descriptors of the named quotient: one block family per (mu,
+    coordinate key, k, l), the key running over the Jones pairs of the first
+    r parts of mu and the permutations of the others."""
+    r = tl_factors(which, d)
     out = []
     for mu in compositions(d, n):
         cells = list(itertools.product(range(1, coset_system(mu).m + 1), repeat=2))
-        for combo in itertools.product(*(jones_pairs(p, "TL") for p in mu.parts)):
-            out.extend((mu, combo, k, l) for k, l in cells)
+        factors = [jones_pairs(p, "TL") if i < r else all_perms(p)
+                   for i, p in enumerate(mu.parts)]
+        for key in itertools.product(*factors):
+            out.extend((mu, key, k, l) for k, l in cells)
     return out
+
+
+def ftl_basis(d, n):
+    """Basis descriptors of the framed Temperley-Lieb quotient."""
+    return _quotient_basis(d, n, "FTL")
 
 
 def ctl_basis(d, n):
-    out = []
-    for mu in compositions(d, n):
-        cells = list(itertools.product(range(1, coset_system(mu).m + 1), repeat=2))
-        for b1 in jones_pairs(mu.parts[0], "TL"):
-            for rest in itertools.product(*(all_perms(p) for p in mu.parts[1:])):
-                out.extend((mu, (b1, rest), k, l) for k, l in cells)
-    return out
+    return _quotient_basis(d, n, "CTL")
 
 
 def basis_blocks(descriptor, kind):
@@ -459,5 +463,4 @@ def basis_blocks(descriptor, kind):
 
 def basis_element(descriptor, kind):
     """The algebra-side representative of one basis descriptor."""
-    phi = ftl_phi if kind == "FTL" else ctl_phi
-    return phi(basis_blocks(descriptor, kind))
+    return _quotient_phi(basis_blocks(descriptor, kind), kind)

@@ -25,9 +25,12 @@ from functools import lru_cache
 from .linalg import identity_matrix
 from .permutations import ConsistencyError, Perm
 from .scalars import Laurent, RatFunc, root_of_unity, sum_of_products
-from .tableaux import (ctl_admissible, enumerate_d_partitions, ftl_admissible,
-                       standard_tableaux)
+from .tableaux import (enumerate_d_partitions, quotient_admissible, standard_tableaux,
+                       tl_factors)
 from .yokonuma import character_sum, ctl_generator, encode, ftl_generator
+
+# the generator of each quotient's defining ideal
+_GENERATORS = {"FTL": ftl_generator, "CTL": ctl_generator}
 
 
 class RepModule:
@@ -219,19 +222,12 @@ def passes_to_quotient(d, shape, which):
     the column-count predicate and from generator annihilation. Raises
     ConsistencyError when the two disagree."""
     n = sum(sum(comp) for comp in shape)
-    if which == "FTL":
-        combinatorial = ftl_admissible(shape)
-        gen = ftl_generator if n >= 3 else None
-    elif which == "CTL":
-        combinatorial = ctl_admissible(shape)
-        gen = ctl_generator if n >= 3 else None
-    else:
-        raise ValueError("which must be 'FTL' or 'CTL'")
-    if gen is None:
+    combinatorial = quotient_admissible(shape, tl_factors(which, d))
+    if n <= 2:
         # the ideal is zero for n <= 2: every module passes
         annihilates = True
     else:
-        x = gen(d, n)
+        x = _GENERATORS[which](d, n)
         annihilates = _annihilates(rep_module(d, shape), x.order, encode(x, x.order))
     if combinatorial != annihilates:
         raise ConsistencyError(
@@ -243,13 +239,8 @@ def passes_to_quotient(d, shape, which):
 @lru_cache(maxsize=None)
 def quotient_shapes(d, n, which):
     """The shapes whose modules pass to the named quotient, as a tuple."""
-    if which == "FTL":
-        keep = ftl_admissible
-    elif which == "CTL":
-        keep = ctl_admissible
-    else:
-        raise ValueError("which must be 'FTL' or 'CTL'")
-    return tuple(s for s in enumerate_d_partitions(d, n) if keep(s))
+    r = tl_factors(which, d)
+    return tuple(s for s in enumerate_d_partitions(d, n) if quotient_admissible(s, r))
 
 
 def ideal_membership(x, which):

@@ -1,4 +1,5 @@
-"""Partitions, d-partitions, standard d-tableaux, admissibility predicates,
+"""Partitions, d-partitions, standard d-tableaux, the number of
+Temperley-Lieb factors of a quotient and its admissibility predicate,
 Catalan numbers, dimension formulas, and the Jones index sets.
 
 Partitions are tuples of weakly decreasing positive integers; a d-partition
@@ -52,14 +53,22 @@ def two_column(partition):
     return not partition or partition[0] <= 2
 
 
-def ftl_admissible(shape):
-    """Every component has at most two columns."""
-    return all(two_column(comp) for comp in shape)
+def tl_factors(which, d):
+    """The number r of leading tensor factors of the named quotient that are
+    Temperley-Lieb algebras: all d for 'FTL', the first only for 'CTL'. The
+    other d - r factors stay Hecke algebras, so at d = 1 the two quotients
+    are the same algebra, TL_n."""
+    if which == "FTL":
+        return d
+    if which == "CTL":
+        return 1
+    raise ValueError("which must be 'FTL' or 'CTL'")
 
 
-def ctl_admissible(shape):
-    """The first component has at most two columns."""
-    return two_column(shape[0])
+def quotient_admissible(shape, r):
+    """Every one of the first r components (the Temperley-Lieb factors) has
+    at most two columns."""
+    return all(two_column(comp) for comp in shape[:r])
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +212,21 @@ def multinomial(mu):
     return out
 
 
-def dim_FTL(d, n):
+def _dim_by_compositions(d, n, r):
+    """The sum over the compositions mu of n of multinomial(mu)^2 times the
+    dimension of the tensor product: catalan(p) for each of the first r
+    (Temperley-Lieb) parts and p! for each other (Hecke) part."""
     total = 0
     for mu in compositions(d, n):
         prod = 1
-        for p in mu.parts:
-            prod *= catalan(p)
+        for i, p in enumerate(mu.parts):
+            prod *= catalan(p) if i < r else factorial(p)
         total += multinomial(mu.parts) ** 2 * prod
     return total
+
+
+def dim_FTL(d, n):
+    return _dim_by_compositions(d, n, tl_factors("FTL", d))
 
 
 def dim_CTL(d, n):
@@ -218,28 +234,17 @@ def dim_CTL(d, n):
     which must agree."""
     by_k = sum(comb(n, k) ** 2 * catalan(k) * (d - 1) ** (n - k) * factorial(n - k)
                for k in range(n + 1))
-    by_comp = 0
-    for mu in compositions(d, n):
-        rest = 1
-        for p in mu.parts[1:]:
-            rest *= factorial(p)
-        by_comp += multinomial(mu.parts) ** 2 * catalan(mu.parts[0]) * rest
-    if by_k != by_comp:
+    if by_k != _dim_by_compositions(d, n, tl_factors("CTL", d)):
         raise ConsistencyError("the two CTL dimension formulas disagree at "
                                "d=%d, n=%d" % (d, n))
     return by_k
 
 
-def dim_FTL_bruteforce(d, n):
-    """Sum of squared numbers of listed standard tableaux over admissible
-    shapes."""
+def dim_bruteforce(d, n, r):
+    """Sum of squared numbers of listed standard tableaux over the shapes
+    admissible for r Temperley-Lieb factors."""
     return sum(len(standard_tableaux(s)) ** 2
-               for s in enumerate_d_partitions(d, n) if ftl_admissible(s))
-
-
-def dim_CTL_bruteforce(d, n):
-    return sum(len(standard_tableaux(s)) ** 2
-               for s in enumerate_d_partitions(d, n) if ctl_admissible(s))
+               for s in enumerate_d_partitions(d, n) if quotient_admissible(s, r))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +288,6 @@ def jones_pairs(n, mode="TL"):
     build(1, 0, (), ())
     out.sort(key=lambda p: (len(p.i), p.i, p.k))
     return out
-
-
-def jones_word(pair):
-    return pair.word()
 
 
 def jones_permutation(n, pair):

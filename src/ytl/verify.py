@@ -16,10 +16,9 @@ from .linalg import identity_matrix, mat_mul
 from .permutations import (ConsistencyError, Perm, all_perms, compositions,
                            coset_system)
 from .scalars import NonIntegralExponent, RatFunc
-from .tableaux import (catalan, dim_CTL, dim_FTL, dim_FTL_bruteforce,
-                       dim_CTL_bruteforce, dim_TL, dim_Y, enumerate_d_partitions,
-                       enumerate_partitions, jones_pairs, jones_permutation,
-                       standard_tableaux, two_column)
+from .tableaux import (catalan, dim_bruteforce, dim_CTL, dim_FTL, dim_TL, dim_Y,
+                       enumerate_d_partitions, enumerate_partitions, jones_pairs,
+                       jones_permutation, standard_tableaux, tl_factors, two_column)
 from . import yokonuma as yk
 from .reps import (ideal_membership, passes_to_quotient, rep_e, rep_element,
                    rep_g, rep_module, rep_t)
@@ -88,9 +87,9 @@ def suite_dims(d, n, seed=0):
            sum(len(standard_tableaux(s)) ** 2
                for s in enumerate_d_partitions(d, n)) == dim_Y(d, n))
     _check(report, "ftl_formula_vs_bruteforce", 1,
-           dim_FTL(d, n) == dim_FTL_bruteforce(d, n))
+           dim_FTL(d, n) == dim_bruteforce(d, n, tl_factors("FTL", d)))
     _check(report, "ctl_formulas_agree_and_match_bruteforce", 1,
-           dim_CTL(d, n) == dim_CTL_bruteforce(d, n))
+           dim_CTL(d, n) == dim_bruteforce(d, n, tl_factors("CTL", d)))
     return report
 
 

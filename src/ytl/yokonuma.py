@@ -162,15 +162,6 @@ def _term_order(term):
     return tmon, w.images
 
 
-def _acc_term(acc, key, c):
-    if key in acc:
-        c = acc[key] + c
-    if c.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = c
-
-
 def encode(x, order):
     """x in int coordinates, as (den, common, groups), for order a multiple
     of x.order. The coefficients are brought over den, the lcm of their

@@ -35,7 +35,19 @@ from ytl.permutations import Perm, all_perms
 from ytl.reps import quotient_shapes, rep_element, rep_module
 from ytl.scalars import Cyclotomic, Laurent, RatFunc, specialize_q
 from ytl.tableaux import jones_pairs, jones_permutation
-from ytl.yokonuma import YElement, _acc_term, g_block, gen_g, gen_g_inv, unit
+from ytl.yokonuma import YElement, g_block, gen_g, gen_g_inv, unit
+
+
+def _acc_term(acc, key, c):
+    """Add c to acc[key], dropping the key when the sum is zero: a copy of
+    the library's accumulator, so the oracles share no code with what they
+    check."""
+    if key in acc:
+        c = acc[key] + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
 
 
 # ---------------------------------------------------------------------------

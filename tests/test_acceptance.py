@@ -9,9 +9,8 @@ from math import factorial
 import oracles
 from ytl.permutations import Composition, Perm, all_perms, compositions, coset_system
 from ytl.scalars import RatFunc
-from ytl.tableaux import (catalan, count_standard_tableaux, dim_CTL,
-                          dim_CTL_bruteforce, dim_FTL, dim_FTL_bruteforce,
-                          dim_TL, dim_Y, enumerate_d_partitions,
+from ytl.tableaux import (catalan, count_standard_tableaux, dim_bruteforce,
+                          dim_CTL, dim_FTL, dim_TL, dim_Y, enumerate_d_partitions,
                           enumerate_partitions, jones_pairs, jones_permutation,
                           two_column)
 from ytl import isomaps as iso
@@ -73,9 +72,9 @@ def test_criterion_1_dimensions(capsys):
         assert dim_FTL(2, 3) == 46
         assert dim_Y(2, 2) == 8
         # n <= 2: the quotient ideal vanishes, so FTL = full algebra
-        assert dim_FTL_bruteforce(2, 2) == 8
+        assert dim_bruteforce(2, 2, 2) == 8
         # both closed-form counts for the crossed quotient agree
-        assert dim_CTL(2, 3) == 47 == dim_CTL_bruteforce(2, 3)
+        assert dim_CTL(2, 3) == 47 == dim_bruteforce(2, 3, 1)
     _check(capsys, 1, "dimension identities", body)
 
 

@@ -26,6 +26,9 @@ COMMANDS = {
     "verify": ["verify", "-d", "2", "-n", "3", "--suite", "all", "--seed", "0"],
     "basis_ftl": ["basis", "ftl", "-d", "2", "-n", "3"],
     "basis_ctl": ["basis", "ctl", "-d", "2", "-n", "3"],
+    # the only CTL listing whose keys carry two Hecke factors: it pins the
+    # order of the flat keys (pair, w_2, w_3)
+    "basis_ctl_d3": ["basis", "ctl", "-d", "3", "-n", "3"],
     "rep": ["rep", "-d", "2", "-n", "3", "--shape", "[[2],[1]]"],
     "mul": ["mul", "-d", "2", "-n", "3", "E(1; 2,1) * t1 + q * g1^-1"],
     "enumerate_cosets": ["enumerate", "cosets", "-d", "2", "-n", "3"],

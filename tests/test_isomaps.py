@@ -12,9 +12,9 @@ from ytl.permutations import (Composition, ConsistencyError, Perm,
 from ytl.scalars import Cyclotomic, Laurent, RatFunc, as_ratfunc
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
-from ytl.reps import ideal_membership, rep_element, rep_module
+from ytl.reps import ideal_membership, quotient_shapes, rep_element, rep_module
 from ytl.tableaux import (dim_CTL, dim_FTL, enumerate_partitions, jones_pairs,
-                          jones_permutation, two_column)
+                          jones_permutation, tl_factors, two_column)
 
 
 def basis_elem(d, n, a, w):
@@ -212,12 +212,12 @@ def ref_phi_n(blocks):
     return out
 
 
-def ref_quotient_psi(x, entry_map):
-    return {mu: [[entry_map(mu, e) for e in row] for row in ref_psi_mu(mu, x)]
+def ref_quotient_psi(x, r):
+    return {mu: [[iso.quotient_entry(mu, e, r) for e in row] for row in ref_psi_mu(mu, x)]
             for mu in compositions(x.d, x.n)}
 
 
-def ref_quotient_phi(blocks, coord_perm):
+def ref_quotient_phi(blocks, r):
     out = None
     for mu, block in blocks.items():
         hmat = [[yk.zero(1, mu.n) for _ in row] for row in block]
@@ -225,7 +225,7 @@ def ref_quotient_phi(blocks, coord_perm):
             for j, cell in enumerate(row):
                 for key, c in cell.items():
                     hmat[i][j] = hmat[i][j] + iso.hecke_term(
-                        mu.n, coord_perm(mu, key), c)
+                        mu.n, iso.quotient_coord_perm(mu, key, r), c)
         y = ref_phi_mu(mu, hmat)
         out = y if out is None else out + y
     return out
@@ -323,12 +323,11 @@ def test_psi_phi_against_reference(d, n):
 def test_quotient_maps_against_reference(d, n):
     rng = random.Random(100 * d + n + 1)
     for x in random_elements(rng, d, n):
-        assert same(iso.ftl_psi(x), ref_quotient_psi(x, iso.ftl_entry))
-        assert same(iso.ctl_psi(x), ref_quotient_psi(x, iso.ctl_entry))
-    for kind, phi, coord_perm in (("FTL", iso.ftl_phi, iso.ftl_coord_perm),
-                                  ("CTL", iso.ctl_phi, iso.ctl_coord_perm)):
+        assert same(iso.ftl_psi(x), ref_quotient_psi(x, tl_factors("FTL", d)))
+        assert same(iso.ctl_psi(x), ref_quotient_psi(x, tl_factors("CTL", d)))
+    for kind, phi in (("FTL", iso.ftl_phi), ("CTL", iso.ctl_phi)):
         blocks = random_quotient_blocks(rng, d, n, kind)
-        assert same(phi(blocks), ref_quotient_phi(blocks, coord_perm))
+        assert same(phi(blocks), ref_quotient_phi(blocks, tl_factors(kind, d)))
 
 
 # -- rho_reduce ---------------------------------------------------------------
@@ -431,9 +430,19 @@ def test_d1_quotient_map_is_rho():
         blocks = iso.ftl_psi(x)
         entry = {p: c for (p,), c in blocks[mu][0][0].items()}
         assert entry == iso.rho_reduce(iso.hecke_term(n, w, RatFunc.one(1)))
-        blocks_c = iso.ctl_psi(x)
-        entry_c = blocks_c[mu][0][0]
-        assert {p: c for (p, _), c in entry_c.items()} == entry
+        assert iso.ctl_psi(x) == blocks
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_quotients_coincide_at_d1(n):
+    """At d = 1 the one factor is Temperley-Lieb in both quotients, so FTL
+    and CTL are the same algebra TL_n, with the same keys."""
+    assert iso.ftl_basis(1, n) == iso.ctl_basis(1, n)
+    for w in all_perms(n):
+        x = basis_elem(1, n, (0,) * n, w)
+        assert iso.ftl_psi(x) == iso.ctl_psi(x)
+    assert quotient_shapes(1, n, "FTL") == quotient_shapes(1, n, "CTL")
+    assert dim_FTL(1, n) == dim_CTL(1, n)
 
 
 def test_quotient_round_trips():
@@ -457,9 +466,21 @@ def test_commuting_square():
             blocks = iso.ftl_psi(x)
             mats = iso.psi_n(x)
             for mu, mat in mats.items():
-                reduced = [[iso.ftl_entry(mu, e) for e in row] for row in mat]
+                reduced = [[iso.quotient_entry(mu, e, d) for e in row] for row in mat]
                 for ra, rb in zip(reduced, blocks[mu]):
                     assert ra == rb
+
+
+def test_blocks_equal_compares_whole_blocks():
+    mu = Composition((2, 1))
+    x = {"key": RatFunc.one(2)}
+    assert iso.blocks_equal({mu: [[x]]}, {mu: [[x]]})
+    assert not iso.blocks_equal({mu: [[x]]}, {mu: [[x, x]]})
+    assert not iso.blocks_equal({mu: [[x], [x]]}, {mu: [[x]]})
+    assert not iso.blocks_equal({mu: []}, {mu: [[x]]})
+    # a block missing on one side is zero
+    assert iso.blocks_equal({mu: [[{}]]}, {})
+    assert not iso.blocks_equal({}, {mu: [[x]]})
 
 
 # -- bases ----------------------------------------------------------------------

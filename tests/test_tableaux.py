@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ytl.tableaux import (catalan, count_d_partitions, count_standard_tableaux,
-                          ctl_admissible,
-                          dim_CTL, dim_CTL_bruteforce, dim_FTL,
-                          dim_FTL_bruteforce, dim_TL, dim_Y,
+                          dim_bruteforce, dim_CTL, dim_FTL, dim_TL, dim_Y,
                           enumerate_d_partitions, enumerate_partitions,
-                          ftl_admissible, jones_pairs, jones_permutation,
-                          jones_word, standard_tableaux, two_column)
+                          jones_pairs, jones_permutation, quotient_admissible,
+                          standard_tableaux, tl_factors, two_column)
 
 
 def test_partitions():
@@ -62,10 +60,20 @@ def test_apply_transposition():
 def test_admissibility():
     assert two_column((2, 2, 1))
     assert not two_column((3,))
-    assert ftl_admissible(((2, 1), (1, 1)))
-    assert not ftl_admissible(((1,), (3,)))
-    assert ctl_admissible(((1,), (3,)))
-    assert not ctl_admissible(((3,), (1,)))
+    assert quotient_admissible(((2, 1), (1, 1)), 2)
+    assert not quotient_admissible(((1,), (3,)), 2)
+    assert quotient_admissible(((1,), (3,)), 1)
+    assert not quotient_admissible(((3,), (1,)), 1)
+
+
+def test_tl_factors():
+    assert tl_factors("FTL", 3) == 3
+    assert tl_factors("CTL", 3) == 1
+    # at d = 1 both quotients are TL_n
+    assert tl_factors("FTL", 1) == tl_factors("CTL", 1) == 1
+    for bad in ("ftl", "TL", None):
+        with pytest.raises(ValueError):
+            tl_factors(bad, 2)
 
 
 def test_catalan_and_dimensions():
@@ -81,8 +89,8 @@ def test_catalan_and_dimensions():
 
 @pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (2, 4), (3, 3)])
 def test_dimension_formulas_vs_bruteforce(d, n):
-    assert dim_FTL(d, n) == dim_FTL_bruteforce(d, n)
-    assert dim_CTL(d, n) == dim_CTL_bruteforce(d, n)
+    assert dim_FTL(d, n) == dim_bruteforce(d, n, d)
+    assert dim_CTL(d, n) == dim_bruteforce(d, n, 1)
     assert sum(count_standard_tableaux(s) ** 2
                for s in enumerate_d_partitions(d, n)) == dim_Y(d, n)
 
@@ -99,7 +107,7 @@ def test_jones_words_are_reduced_and_bijective():
         seen = set()
         for p in jones_pairs(m, "All"):
             w = jones_permutation(m, p)
-            assert w.length() == len(jones_word(p))
+            assert w.length() == len(p.word())
             seen.add(w)
         assert len(seen) == factorial(m)
 

@@ -64,13 +64,25 @@ def test_seed_determinism():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_admissibility_mismatch_fails_the_check(monkeypatch):
+@pytest.fixture
+def inverted_admissibility(monkeypatch):
+    """The admissibility predicate of reps negated, for both quotients; the
+    quotient_shapes read under it are dropped from its cache afterwards."""
     import ytl.reps as reps
+
+    original = reps.quotient_admissible
+    monkeypatch.setattr(reps, "quotient_admissible",
+                        lambda shape, r: not original(shape, r))
+    reps.quotient_shapes.cache_clear()
+    yield reps
+    reps.quotient_shapes.cache_clear()
+
+
+def test_admissibility_mismatch_fails_the_check(inverted_admissibility):
     from ytl.permutations import ConsistencyError
     from ytl.verify import suite_quotients
 
-    original = reps.ftl_admissible
-    monkeypatch.setattr(reps, "ftl_admissible", lambda shape: not original(shape))
+    reps = inverted_admissibility
     with pytest.raises(ConsistencyError):
         reps.passes_to_quotient(1, ((2, 1),), "FTL")
     report = suite_quotients(1, 3)
@@ -84,8 +96,8 @@ def test_admissibility_mismatch_fails_under_optimize():
     script = (
         "import ytl.reps as reps\n"
         "from ytl.verify import suite_quotients\n"
-        "original = reps.ftl_admissible\n"
-        "reps.ftl_admissible = lambda shape: not original(shape)\n"
+        "original = reps.quotient_admissible\n"
+        "reps.quotient_admissible = lambda shape, r: not original(shape, r)\n"
         "report = suite_quotients(1, 3)\n"
         "print([c['passed'] for c in report['checks']"
         " if c['name'] == 'two_column_vs_annihilation'])\n")
@@ -159,11 +171,7 @@ def test_failed_membership_names_the_instance(monkeypatch):
     assert checks["ctl_generator_in_ideal"]["passed"] is True
 
 
-def test_admissibility_mismatch_names_the_shape(monkeypatch):
-    import ytl.reps as reps
-
-    original = reps.ftl_admissible
-    monkeypatch.setattr(reps, "ftl_admissible", lambda shape: not original(shape))
+def test_admissibility_mismatch_names_the_shape(inverted_admissibility):
     check, = [c for c in run_suite(1, 3, "quotients")["checks"]
               if c["name"] == "two_column_vs_annihilation"]
     assert check["passed"] is False

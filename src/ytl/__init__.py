@@ -10,7 +10,7 @@ Modules:
     linalg        dense matrix product over any ring
     reps          seminormal irreducible representations, ideal membership
     isomaps       block isomorphisms, Jones-basis reduction, quotient bases
-    exprparse     expression parser for the CLI
+    exprparse     expression evaluator for the CLI
     verify        machine-verification suites
     cli           command-line interface
 

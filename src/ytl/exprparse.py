@@ -1,4 +1,4 @@
-"""Recursive-descent parser for algebra-element expressions.
+"""Recursive-descent evaluator for algebra-element expressions.
 
 Grammar (whitespace insensitive, left-associative):
     expr   := term (('+' | '-') term)*
@@ -7,19 +7,24 @@ Grammar (whitespace insensitive, left-associative):
     atom   := g<i> | t<j> | e<i> | T<j> | E(<k>; <mu_1>,...,<mu_d>) | q
     rational := int ( '/' int )?
 
-Evaluation produces a YElement for a fixed session (d, n). Negative
-exponents are allowed on q, on t atoms (reduced mod d), and on g atoms
-(closed-form inverse); other bases require non-negative exponents. The
+The text is read in one pass for a fixed session (d, n): each rule returns
+the YElement it denotes, and no tree is built. `expr` and `term` fold their
+chains of '+', '-' and '*' left to right in a loop, whatever their length;
+only parentheses nest the calls, and their depth is bounded by
+MAX_PAREN_DEPTH. The first error in reading order is the one reported: an
+atom that is invalid for the session raises EvalError before a syntax error
+after it raises ParseError.
+
+Negative exponents are allowed on q, on t atoms (reduced mod d), and on g
+atoms (closed-form inverse); other bases require non-negative exponents. An
+exponent after a parenthesised atom, as in `(q)^-1`, is the atom's. The
 atoms e, T and E are idempotents, so any positive power is the atom. Powers
 of g atoms and of compound expressions run one multiplication per unit of
-the exponent, so their magnitude is bounded by MAX_LOOP_EXPONENT. Chains of
-'+', '-' and '*' are evaluated in a loop, whatever their length; only
-parentheses nest, and their depth is bounded by MAX_PAREN_DEPTH.
+the exponent, so their magnitude is bounded by MAX_LOOP_EXPONENT.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .permutations import Composition, coset_system
@@ -44,68 +49,16 @@ class EvalError(Exception):
     """Index out of range or unsupported operation for the session."""
 
 
-# -- AST ---------------------------------------------------------------------
+class _Reader:
+    """Reads one expression and evaluates each rule as it completes. The
+    rules return (element, atom): atom is the atom's (kind, *args) when the
+    text read is one atom without an exponent, possibly in parentheses, and
+    None otherwise, so that an exponent after the parentheses is the atom's
+    (`(q)^-1` is q^-1, not a power of a compound expression)."""
 
-class Node:
-    pass
-
-
-class Atom(Node):
-    def __init__(self, kind, *args):
-        self.kind = kind   # 'g' 't' 'e' 'T' 'E' 'q'
-        self.args = args
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and (self.kind, self.args) == (other.kind, other.args)
-
-    def __repr__(self):
-        return "Atom(%r, %r)" % (self.kind, self.args)
-
-
-class Rational(Node):
-    def __init__(self, value):
-        self.value = value
-
-    def __repr__(self):
-        return "Rational(%r)" % (self.value,)
-
-
-class BinOp(Node):
-    def __init__(self, op, left, right):
-        self.op = op       # '+', '-', '*'
-        self.left = left
-        self.right = right
-
-    def __repr__(self):
-        # a loop, not recursion: a chain of thousands of operators is a
-        # left-leaning tree that deep
-        out = []
-        stack = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif isinstance(item, BinOp):
-                stack.extend((")", item.right, ", ", item.left, "BinOp(%r, " % (item.op,)))
-            else:
-                out.append(repr(item))
-        return "".join(out)
-
-
-class Power(Node):
-    def __init__(self, base, exponent):
-        self.base = base
-        self.exponent = exponent
-
-    def __repr__(self):
-        return "Power(%r, %d)" % (self.base, self.exponent)
-
-
-# -- parser ------------------------------------------------------------------
-
-class _Parser:
-    def __init__(self, text):
+    def __init__(self, text, d, n):
         self.text = text
+        self.d, self.n = d, n
         self.pos = 0
         self.depth = 0
 
@@ -136,28 +89,29 @@ class _Parser:
             raise ParseError("expected integer", start, expected=("integer",))
         return int(self.text[start:self.pos])
 
-    def parse(self):
-        node = self.expr()
+    def read(self):
+        out = self.expr()[0]
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("trailing input %r" % self.text[self.pos:],
                              self.pos, expected=("+", "-", "*", "^", "end of input"))
-        return node
+        return out
 
     def expr(self):
-        node = self.term()
+        out, atom = self.term()
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
+            right = self.term()[0]
+            out, atom = out + right if op == "+" else out - right, None
+        return out, atom
 
     def term(self):
-        node = self.factor()
+        out, atom = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            node = BinOp("*", node, self.factor())
-        return node
+            out, atom = out * self.factor()[0], None
+        return out, atom
 
     def factor(self):
         ch = self.peek()
@@ -167,24 +121,30 @@ class _Parser:
                                  self.pos)
             self.depth += 1
             self.pos += 1
-            node = self.expr()
+            base, atom = self.expr()
             self.expect(")")
             self.depth -= 1
-            return self._maybe_power(node)
+            power = self._exponent()
+            if power is None:
+                return base, atom
+            if atom is not None:
+                return _eval_atom(atom, self.d, self.n, power), None
+            if power < 0:
+                raise EvalError("negative exponent on a compound expression")
+            return _power(base, power, self.d, self.n), None
         if ch.isdigit():
-            num = self._integer(signed=False)
+            value = Fraction(self._integer(signed=False))
             if self.peek() == "/":
                 self.pos += 1
                 den = self._integer(signed=False)
                 if den == 0:
                     raise ParseError("zero denominator", self.pos)
-                return Rational(Fraction(num, den))
-            return Rational(Fraction(num))
+                value /= den
+            return yk.unit(self.d, self.n).scale(RatFunc.from_scalar(value, self.d)), None
         if ch in ("g", "t", "e", "T"):
             self.pos += 1
-            idx = self._integer(signed=False)
-            return self._maybe_power(Atom(ch, idx))
-        if ch == "E":
+            atom = (ch, self._integer(signed=False))
+        elif ch == "E":
             self.pos += 1
             self.expect("(")
             k = self._integer(signed=False)
@@ -194,104 +154,71 @@ class _Parser:
                 self.pos += 1
                 parts.append(self._integer(signed=False))
             self.expect(")")
-            return self._maybe_power(Atom("E", k, tuple(parts)))
-        if ch == "q":
+            atom = ("E", k, tuple(parts))
+        elif ch == "q":
             self.pos += 1
-            return self._maybe_power(Atom("q"))
-        raise ParseError("unexpected %r" % (ch or "end of input"), self.pos,
-                         expected=("g", "t", "e", "T", "E", "q", "(", "rational"))
+            atom = ("q",)
+        else:
+            raise ParseError("unexpected %r" % (ch or "end of input"), self.pos,
+                             expected=("g", "t", "e", "T", "E", "q", "(", "rational"))
+        power = self._exponent()
+        if power is None:
+            return _eval_atom(atom, self.d, self.n, 1), atom
+        return _eval_atom(atom, self.d, self.n, power), None
 
-    def _maybe_power(self, node):
-        if self.peek() == "^":
-            self.pos += 1
-            return Power(node, self._integer(signed=True))
-        return node
-
-
-def parse(text):
-    return _Parser(text).parse()
-
-
-# -- evaluation ---------------------------------------------------------------
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+    def _exponent(self):
+        """The signed integer after a '^', or None when no '^' follows."""
+        if self.peek() != "^":
+            return None
+        self.pos += 1
+        return self._integer(signed=True)
 
 
-def evaluate(node, d, n):
-    """Evaluate an AST to a YElement for the session (d, n). A left-
-    associative chain of operations is folded from its left end in a loop,
-    so only parentheses nest the calls."""
-    if isinstance(node, Rational):
-        return yk.unit(d, n).scale(RatFunc.from_scalar(node.value, d))
-    if isinstance(node, Atom):
-        return _eval_atom(node, d, n, 1)
-    if isinstance(node, BinOp):
-        chain = []
-        while isinstance(node, BinOp):
-            chain.append(node)
-            node = node.left
-        out = evaluate(node, d, n)
-        for op in reversed(chain):
-            out = _BINARY[op.op](out, evaluate(op.right, d, n))
-        return out
-    if isinstance(node, Power):
-        if isinstance(node.base, Atom):
-            return _eval_atom(node.base, d, n, node.exponent)
-        if node.exponent < 0:
-            raise EvalError("negative exponent on a compound expression")
-        _check_loop_exponent(node.exponent)
-        out = yk.unit(d, n)
-        base = evaluate(node.base, d, n)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
-    raise TypeError("unknown node %r" % (node,))
-
-
-def _check_loop_exponent(power):
+def _power(base, power, d, n):
+    """base^|power|, one product per unit of the exponent."""
     if abs(power) > MAX_LOOP_EXPONENT:
         raise EvalError("exponent %d exceeds the bound %d on powers of g atoms "
                         "and of compound expressions" % (power, MAX_LOOP_EXPONENT))
+    out = yk.unit(d, n)
+    for _ in range(abs(power)):
+        out = out * base
+    return out
 
 
 def _eval_atom(atom, d, n, power):
-    kind = atom.kind
+    kind, *args = atom
     try:
         if kind == "q":
             return yk.unit(d, n).scale(RatFunc.q_power(power, d))
         if kind == "t":
-            return yk.gen_t(d, n, atom.args[0], power=power)
+            return yk.gen_t(d, n, args[0], power=power)
         if kind == "g":
-            i = atom.args[0]
-            base = yk.gen_g(d, n, i) if power >= 0 else yk.gen_g_inv(d, n, i)
-            _check_loop_exponent(power)
-            out = yk.unit(d, n)
-            for _ in range(abs(power)):
-                out = out * base
-            return out
-        if kind in ("e", "T", "E"):
-            # idempotents: every positive power is the atom itself
-            if power < 0:
-                raise EvalError("%s atoms are not invertible" % kind)
-            if kind == "e":
-                base = yk.e(d, n, atom.args[0])
-            elif kind == "T":
-                base = yk.T(d, n, atom.args[0])
-            else:
-                k, parts = atom.args
-                mu = Composition(parts)
-                if mu.d != d or mu.n != n:
-                    raise EvalError("E(%d; %s) does not match session (d=%d, n=%d)"
-                                    % (k, ",".join(map(str, parts)), d, n))
-                m = coset_system(mu).m
-                if not 1 <= k <= m:
-                    raise EvalError("character index %d out of range 1..%d" % (k, m))
-                base = yk.E_chi(d, n, yk.character_exponents(mu, k))
-            return base if power >= 1 else yk.unit(d, n)
+            base = yk.gen_g(d, n, args[0]) if power >= 0 else yk.gen_g_inv(d, n, args[0])
+            return _power(base, power, d, n)
+        # e, T and E are idempotents: every positive power is the atom itself
+        if power < 0:
+            raise EvalError("%s atoms are not invertible" % kind)
+        if kind == "e":
+            base = yk.e(d, n, args[0])
+        elif kind == "T":
+            base = yk.T(d, n, args[0])
+        else:
+            k, parts = args
+            mu = Composition(parts)
+            if mu.d != d or mu.n != n:
+                raise EvalError("E(%d; %s) does not match session (d=%d, n=%d)"
+                                % (k, ",".join(map(str, parts)), d, n))
+            m = coset_system(mu).m
+            if not 1 <= k <= m:
+                raise EvalError("character index %d out of range 1..%d" % (k, m))
+            base = yk.E_chi(d, n, yk.character_exponents(mu, k))
+        return base if power >= 1 else yk.unit(d, n)
     except ValueError as exc:
         raise EvalError(str(exc)) from exc
-    raise TypeError("unknown atom %r" % (atom,))
 
 
 def parse_and_evaluate(text, d, n):
-    return evaluate(parse(text), d, n)
+    """The YElement that text denotes in Y(d, n). Raises ParseError at the
+    position of a syntax error and EvalError for an atom or a power that the
+    session cannot evaluate, whichever comes first in the text."""
+    return _Reader(text, d, n).read()

@@ -100,23 +100,17 @@ class DTableau(Record):
             grids[k - 1][x - 1][y - 1] = i
         return grids
 
-    def is_standard(self):
-        for grid in self.entry_grid():
-            for r, row in enumerate(grid):
-                for c, v in enumerate(row):
-                    if c + 1 < len(row) and row[c + 1] < v:
-                        return False
-                    if r + 1 < len(grid) and c < len(grid[r + 1]) and grid[r + 1][c] < v:
-                        return False
-        return True
-
     def apply_transposition(self, i):
-        """Swap entries i and i+1; returns None when the result is not standard
-        (consumers treat that as the zero vector)."""
+        """Swap entries i and i+1 of this standard tableau; returns None when
+        the result is not standard (consumers treat that as the zero vector).
+        That happens exactly when the two nodes share a component and a row
+        or a column, where they are neighbours."""
+        (x, y, k), (x2, y2, k2) = self.placement[i - 1], self.placement[i]
+        if k == k2 and (x == x2 or y == y2):
+            return None
         placement = list(self.placement)
         placement[i - 1], placement[i] = placement[i], placement[i - 1]
-        swapped = DTableau(self.shape, tuple(placement))
-        return swapped if swapped.is_standard() else None
+        return DTableau(self.shape, tuple(placement))
 
     def __repr__(self):
         return "DTableau(%r)" % (self.entry_grid(),)

@@ -314,6 +314,11 @@ def _unpack(packed, low, width, qshift):
     qhalf, half = 1 << (qshift - 1), 1 << (width - 1)
     e = low
     while packed:
+        if not packed & qmask:
+            # a run of zero q-chunks carries no borrow: one shift skips it
+            skip = ((packed & -packed).bit_length() - 1) // qshift
+            packed >>= skip * qshift
+            e += skip
         chunk = packed & qmask
         packed >>= qshift
         if chunk >= qhalf:

@@ -3,36 +3,48 @@ from fractions import Fraction
 
 import pytest
 
-from ytl.exprparse import (MAX_LOOP_EXPONENT, MAX_PAREN_DEPTH, Atom, BinOp, EvalError,
-                           ParseError, Power, Rational, parse, parse_and_evaluate)
+from ytl.exprparse import (MAX_LOOP_EXPONENT, MAX_PAREN_DEPTH, EvalError, ParseError,
+                           parse_and_evaluate)
+from ytl.permutations import Composition
 from ytl.scalars import RatFunc
 from ytl import yokonuma as yk
 
 
 def test_parse_atoms():
-    assert parse("g1") == Atom("g", 1)
-    assert parse("t12") == Atom("t", 12)
-    node = parse("E(2; 1, 2)")
-    assert node == Atom("E", 2, (1, 2))
+    d, n = 2, 3
+    assert parse_and_evaluate("g1", d, n) == yk.gen_g(d, n, 1)
+    assert parse_and_evaluate("t3", d, n) == yk.gen_t(d, n, 3)
+    assert parse_and_evaluate(" e2 ", d, n) == yk.e(d, n, 2)
+    assert parse_and_evaluate("T1", d, n) == yk.T(d, n, 1)
+    mu = Composition((1, 2))
+    assert parse_and_evaluate("E(2; 1, 2)", d, n) \
+        == yk.E_chi(d, n, yk.character_exponents(mu, 2))
 
 
 def test_parse_precedence_and_power():
-    node = parse("g1 + t2 * q^2")
-    assert isinstance(node, BinOp) and node.op == "+"
-    assert isinstance(node.right, BinOp) and node.right.op == "*"
-    assert isinstance(node.right.right, Power)
-    assert node.right.right.exponent == 2
-    neg = parse("q^-3")
-    assert neg.exponent == -3
-    grouped = parse("(g1 + g2)^2")
-    assert isinstance(grouped, Power) and isinstance(grouped.base, BinOp)
+    d, n = 2, 3
+    g1, g2 = yk.gen_g(d, n, 1), yk.gen_g(d, n, 2)
+    assert parse_and_evaluate("g1 + t2 * q^2", d, n) \
+        == g1 + yk.gen_t(d, n, 2).scale(RatFunc.q_power(2, d))
+    assert parse_and_evaluate("q^-3", d, n) == yk.unit(d, n).scale(RatFunc.q_power(-3, d))
+    assert parse_and_evaluate("(g1 + g2)^2", d, n) == (g1 + g2) * (g1 + g2)
+    assert parse_and_evaluate("g1 - g2 - g1", d, n) == (g1 - g2) - g1
+    # an exponent after a parenthesised atom is the atom's
+    assert parse_and_evaluate("((q))^-1", d, n) == parse_and_evaluate("q^-1", d, n)
+    assert parse_and_evaluate("(g1)^-2", d, n) == parse_and_evaluate("g1^-2", d, n)
+    assert parse_and_evaluate("(e1)^1000000", d, n) == yk.e(d, n, 1)
+    with pytest.raises(EvalError, match="compound"):
+        parse_and_evaluate("(g1^1)^-1", d, n)
 
 
 def test_parse_rationals():
-    assert parse("3").value == Fraction(3)
-    assert parse("2/3").value == Fraction(2, 3)
-    with pytest.raises(ParseError):
-        parse("1/0")
+    d, n = 2, 3
+    for text, value in (("3", Fraction(3)), ("2/3", Fraction(2, 3)), ("4 / 6", Fraction(2, 3))):
+        assert parse_and_evaluate(text, d, n) \
+            == yk.unit(d, n).scale(RatFunc.from_scalar(value, d)), text
+    with pytest.raises(ParseError) as info:
+        parse_and_evaluate("1/0", d, n)
+    assert info.value.position == 3
 
 
 @pytest.mark.parametrize("text,pos", [
@@ -46,14 +58,28 @@ def test_parse_rationals():
 ])
 def test_parse_errors_report_position(text, pos):
     with pytest.raises(ParseError) as info:
-        parse(text)
+        parse_and_evaluate(text, 2, 3)
     assert info.value.position == pos
 
 
 def test_parse_error_expected_set():
     with pytest.raises(ParseError) as info:
-        parse("(g1")
-    assert ")" in info.value.expected
+        parse_and_evaluate("(g1", 2, 3)
+    assert info.value.expected == (")",)
+    with pytest.raises(ParseError) as info:
+        parse_and_evaluate("g1 g2", 2, 3)
+    assert info.value.expected == ("*", "+", "-", "^", "end of input")
+
+
+def test_first_error_in_reading_order():
+    # the text is read once: an atom the session cannot evaluate is
+    # reported before a syntax error after it
+    for text in ("g9 + )", "g1^100000 +"):
+        with pytest.raises(EvalError):
+            parse_and_evaluate(text, 1, 3)
+    with pytest.raises(ParseError) as info:
+        parse_and_evaluate("g1 + )", 1, 3)
+    assert info.value.position == 5
 
 
 def test_evaluate_basics():
@@ -121,18 +147,6 @@ def test_long_chains_do_not_recurse():
         == yk.gen_g(d, n, 1) + yk.unit(d, n).scale(RatFunc.q_power(3000, d))
 
 
-def test_repr_of_long_chains():
-    atom = "Atom('g', (1,))"
-    want = atom
-    for _ in range(2999):
-        want = "BinOp('+', %s, %s)" % (want, atom)
-    assert repr(parse("+".join(["g1"] * 3000))) == want
-    # the loop prints what the recursive form printed
-    assert repr(parse("(g1 - 2*t2^3) * q")) == \
-        "BinOp('*', BinOp('-', Atom('g', (1,)), BinOp('*', Rational(Fraction(2, 1)), " \
-        "Power(Atom('t', (2,)), 3))), Atom('q', ()))"
-
-
 def test_paren_depth_is_bounded():
     d, n = 1, 2
     deepest = "(" * MAX_PAREN_DEPTH + "g1 + 1" + ")" * MAX_PAREN_DEPTH
@@ -140,7 +154,7 @@ def test_paren_depth_is_bounded():
         == parse_and_evaluate("(g1 + 1)^2", d, n)
     for depth in (MAX_PAREN_DEPTH + 1, 400, 5000):
         with pytest.raises(ParseError, match="deeper than %d" % MAX_PAREN_DEPTH) as info:
-            parse("g1 * " + "(" * depth + "g1" + ")" * depth)
+            parse_and_evaluate("g1 * " + "(" * depth + "g1" + ")" * depth, d, n)
         assert info.value.position == 5 + MAX_PAREN_DEPTH
     # sibling groups do not add up
     assert parse_and_evaluate("*".join([deepest] * 3), d, n) \

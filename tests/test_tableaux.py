@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ytl.tableaux import (catalan, count_d_partitions, count_standard_tableaux,
+from ytl.tableaux import (DTableau, catalan, count_d_partitions, count_standard_tableaux,
                           dim_bruteforce, dim_CTL, dim_FTL, dim_TL, dim_Y,
                           enumerate_d_partitions, enumerate_partitions,
                           jones_pairs, jones_permutation, quotient_admissible,
@@ -56,6 +56,36 @@ def test_apply_transposition():
     assert swapped is not None
     assert swapped.entry_grid() == [[[1, 3], [2]]]
 
+
+
+def _grid_is_standard(tab):
+    """Rows and columns of every component increase: read off the grid."""
+    for grid in tab.entry_grid():
+        for r, row in enumerate(grid):
+            for c, v in enumerate(row):
+                if c + 1 < len(row) and row[c + 1] < v:
+                    return False
+                if r + 1 < len(grid) and c < len(grid[r + 1]) and grid[r + 1][c] < v:
+                    return False
+    return True
+
+
+def test_transposition_rule_matches_the_grid():
+    # swapping i and i+1 leaves a standard tableau unless the two nodes
+    # share a component and a row or a column
+    cases = 0
+    for d, n in [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
+                 (2, 4), (2, 5), (3, 4), (4, 3)]:
+        for shape in enumerate_d_partitions(d, n):
+            for tab in standard_tableaux(shape):
+                for i in range(1, n):
+                    placement = list(tab.placement)
+                    placement[i - 1], placement[i] = placement[i], placement[i - 1]
+                    swapped = DTableau(shape, tuple(placement))
+                    want = swapped if _grid_is_standard(swapped) else None
+                    assert tab.apply_transposition(i) == want, (tab, i)
+                    cases += 1
+    assert cases == 4426
 
 def test_admissibility():
     assert two_column((2, 2, 1))

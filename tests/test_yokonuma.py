@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -300,6 +301,18 @@ def test_packed_product_carries_no_zeta_power_into_q(order):
     y = yk.YElement(1, 3, {((0, 0, 0), Perm.transposition(3, 2)): c})
     _same_as_reference(x, y)
     _same_as_reference(y, x)
+
+
+def test_packed_product_skips_zero_powers_of_q():
+    # (1 + q^N) g_1 and (1 + q^N)^2 pack into ints with N - 1 zero powers
+    # of q between their digits; each run is skipped in one shift
+    d, n, N = 1, 2, 10 ** 6
+    one, qn = RatFunc.one(d), RatFunc.q_power(N, d)
+    x, g1 = yk.unit(d, n).scale(one + qn), yk.gen_g(d, n, 1)
+    start = time.monotonic()
+    assert x * g1 == g1.scale(one + qn)
+    assert x * x == yk.unit(d, n).scale(one + qn + qn + RatFunc.q_power(2 * N, d))
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize("d,n", [(3, 3), (5, 2)])

@@ -18,4 +18,4 @@ The slow reference oracles the tests check these against live in
 tests/oracles.py, outside the package.
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"

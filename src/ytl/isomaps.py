@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from .permutations import (ConsistencyError, Perm, act_on_character, all_perms,
                            compositions, coset_system, embed_word, factor_in_young)
-from .scalars import Cyclotomic, NonIntegralExponent, RatFunc, as_ratfunc
+from .scalars import Cyclotomic, RatFunc, as_ratfunc
 from .tableaux import jones_pairs, jones_permutation, tl_factors
 from .yokonuma import (YElement, character_exponents, character_sum, encode, g_block,
                        g_word, zero as y_zero)
@@ -162,17 +162,14 @@ def _psi_step(mu, k, w):
     """(l, u, s): the coordinate of (w, k-th character) lands in cell (k, l)
     as q^s G_u, u = pi_k^-1 w pi_l in the Young subgroup, with the diagonal
     rescaling by pi_k and pi_l applied. The character index l is the one
-    w^-1 sends the k-th character to. An odd half-step count raises
-    NonIntegralExponent (not cached)."""
+    w^-1 sends the k-th character to. The length sum h is even, as l(x) has
+    the parity of sign(x) and sign(u) = sign(pi_k) sign(w) sign(pi_l)."""
     sys = coset_system(mu)
     target = act_on_character(w.inv(), block_characters(mu)[k - 1])
     l = _character_lookup(mu)[target]
     pi_k, pi_l = sys.rep(k), sys.rep(l)
     u = pi_k.inv() * w * pi_l
     h = w.length() - u.length() + pi_k.length() - pi_l.length()
-    if h % 2 != 0:
-        raise NonIntegralExponent(
-            "odd half-power at mu=%r, k=%d, w=%r" % (mu.parts, k, w))
     return l, u, h // 2
 
 
@@ -211,8 +208,8 @@ def _block_coords(mu, x):
 
 def psi_mu(mu, x):
     """The block image of x (implicitly of E_mu * x): an m x m matrix of
-    Hecke elements supported in the Young subgroup. Entries are integral in
-    q; an odd half-step count raises NonIntegralExponent."""
+    Hecke elements supported in the Young subgroup. Every power of q it
+    carries is an integer (see _psi_step)."""
     if x.d != mu.d or x.n != mu.n:
         raise ValueError("algebra parameter mismatch")
     return _psi_block(mu, _block_coords(mu, x))
@@ -221,15 +218,12 @@ def psi_mu(mu, x):
 @lru_cache(maxsize=None)
 def _phi_step(mu, k, l, w):
     """(v, s): the term q^s E_chi_k g_v that G_w in cell (k, l) maps to,
-    v = pi_k w pi_l^-1, undoing the diagonal rescaling. An odd half-step
-    count raises NonIntegralExponent (not cached)."""
+    v = pi_k w pi_l^-1, undoing the diagonal rescaling. The length sum h is
+    even, as sign(v) = sign(pi_k) sign(w) sign(pi_l) (see _psi_step)."""
     sys = coset_system(mu)
     pi_k, pi_l = sys.rep(k), sys.rep(l)
     v = pi_k * w * pi_l.inv()
     h = w.length() - v.length() + pi_l.length() - pi_k.length()
-    if h % 2 != 0:
-        raise NonIntegralExponent(
-            "odd half-power at mu=%r, (k,l)=(%d,%d)" % (mu.parts, k, l))
     return v, h // 2
 
 

@@ -21,11 +21,6 @@ from functools import lru_cache
 from math import gcd as int_gcd, lcm
 
 
-class NonIntegralExponent(Exception):
-    """A q-exponent of an isomorphism image came out as an odd number of
-    half-steps, so it is not an integer power of q."""
-
-
 class PoleAtValue(Exception):
     """Evaluation of a rational function at a zero of its denominator."""
 
@@ -723,21 +718,12 @@ class RatFunc:
     __slots__ = ("num", "den_exps")
 
     def __init__(self, num, den=None):
-        """num / den for Laurent polynomials; den must have the form
-        c q^a prod Phi_j(q)^k, and any other is a ValueError."""
+        """num / den for Laurent polynomials, the division of the field:
+        den must have the form c q^a prod Phi_j(q)^k (see inv)."""
         exps = ()
         if den is not None:
-            if den.is_zero():
-                raise ZeroDivisionError("zero denominator")
-            num, den = Laurent._common(num, den)
-            factors = _factor_den(den)
-            if factors is None:
-                raise ValueError("a denominator must be c q^a prod Phi_j(q)^k, not %s"
-                                 % den.pretty())
-            c, a, exps = factors
-            num = RatFunc._raw(num, ()).times_monomial(c.inv(), -a).num
-            if exps:
-                num, exps = RatFunc._normalize(num, exps)
+            quot = RatFunc._raw(num, ()) / RatFunc._raw(den, ())
+            num, exps = quot.num, quot.den_exps
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den_exps", exps)
 

@@ -15,7 +15,7 @@ from math import factorial
 from .linalg import identity_matrix, mat_mul
 from .permutations import (ConsistencyError, Perm, all_perms, compositions,
                            coset_system)
-from .scalars import NonIntegralExponent, RatFunc
+from .scalars import RatFunc
 from .tableaux import (catalan, dim_bruteforce, dim_CTL, dim_FTL, dim_TL, dim_Y,
                        enumerate_d_partitions, enumerate_partitions, jones_pairs,
                        jones_permutation, standard_tableaux, tl_factors, two_column)
@@ -53,6 +53,13 @@ def _report(report, *tallies):
         _check(report, t.name, t.instances, t.detail is None, t.detail or "")
 
 
+def _counts_agree(report, name, instances, cases):
+    """One check that got == want for each case (label, got, want); the
+    detail names the first case that differs, with both counts."""
+    detail = next(("%s: %d != %d" % case for case in cases if case[1] != case[2]), "")
+    _check(report, name, instances, not detail, detail)
+
+
 def _new_report(d, n, suite, seed):
     return {"d": d, "n": n, "suite": suite, "seed": seed,
             "convention_version": 1, "checks": [], "ok": True}
@@ -79,17 +86,20 @@ def _random_element(d, n, rng, terms=2):
 
 def suite_dims(d, n, seed=0):
     report = _new_report(d, n, "dims", seed)
-    _check(report, "catalan_two_column_sum", n,
-           all(dim_TL(m) == sum(len(standard_tableaux((p,))) ** 2
-                                for p in enumerate_partitions(m) if two_column(p))
-               for m in range(1, n + 1)))
-    _check(report, "squared_tableaux_sum", 1,
-           sum(len(standard_tableaux(s)) ** 2
-               for s in enumerate_d_partitions(d, n)) == dim_Y(d, n))
-    _check(report, "ftl_formula_vs_bruteforce", 1,
-           dim_FTL(d, n) == dim_bruteforce(d, n, tl_factors("FTL", d)))
-    _check(report, "ctl_formulas_agree_and_match_bruteforce", 1,
-           dim_CTL(d, n) == dim_bruteforce(d, n, tl_factors("CTL", d)))
+    _counts_agree(report, "catalan_two_column_sum", n, (
+        ("dim_TL(%d) vs its squared two-column tableaux counts" % m, dim_TL(m),
+         sum(len(standard_tableaux((p,))) ** 2
+             for p in enumerate_partitions(m) if two_column(p)))
+        for m in range(1, n + 1)))
+    _counts_agree(report, "squared_tableaux_sum", 1, [(
+        "squared tableaux counts vs dim_Y(%d, %d)" % (d, n),
+        sum(len(standard_tableaux(s)) ** 2 for s in enumerate_d_partitions(d, n)),
+        dim_Y(d, n))])
+    for name, which, dim in (("ftl_formula_vs_bruteforce", "FTL", dim_FTL),
+                             ("ctl_formulas_agree_and_match_bruteforce", "CTL", dim_CTL)):
+        _counts_agree(report, name, 1, [(
+            "dim_%s(%d, %d) vs the brute-force count" % (which, d, n), dim(d, n),
+            dim_bruteforce(d, n, tl_factors(which, d)))])
     return report
 
 
@@ -276,17 +286,6 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
     rng = random.Random(seed)
     mus = compositions(d, n)
     report["blocks"] = [[list(mu.parts), coset_system(mu).m] for mu in mus]
-    nonintegral = []
-
-    def images(fn, *args):
-        """fn(*args), or None when an image has a non-integral q-power; such
-        a call fails its own check and integrality_of_images."""
-        try:
-            return fn(*args)
-        except NonIntegralExponent as exc:
-            nonintegral.append(exc)
-            return None
-
     inverse, mat_inverse, hom, diag, trips = map(_Tally, (
         "phi_after_psi_identity", "psi_after_phi_identity", "homomorphism_property",
         "framing_images_diagonal", "quotient_round_trips_mod_ideal"))
@@ -294,8 +293,7 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
     for a in itertools.product(range(d), repeat=n):
         for w in all_perms(n):
             x = yk.YElement(d, n, {(a, w): RatFunc.one(d)})
-            blocks = images(iso.psi_n, x)
-            inverse.add(blocks is not None and iso.phi_n(blocks) == x,
+            inverse.add(iso.phi_n(iso.psi_n(x)) == x,
                         "phi_n(psi_n(x)) != x for x = t^%s g_%s", list(a), list(w.images))
     # inverse on the matrix side, sampled per block
     for mu in mus:
@@ -308,8 +306,7 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
             hterm = iso.hecke_term(n, w, RatFunc.one(d))
             hmat = [[hterm if (i, j) == (k, l) else yk.zero(1, n)
                      for j in range(m)] for i in range(m)]
-            back = images(lambda: iso.psi_mu(mu, iso.phi_mu(mu, hmat)))
-            mat_inverse.add(back == hmat,
+            mat_inverse.add(iso.psi_mu(mu, iso.phi_mu(mu, hmat)) == hmat,
                             "psi_mu(phi_mu(h)) != h for mu = %s, h = g_%s in cell (%d, %d)",
                             list(mu.parts), list(w.images), k, l)
     # homomorphism property on random pairs
@@ -317,9 +314,8 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
         for pair in range(hom_pairs):
             x = _random_element(d, n, rng)
             y = _random_element(d, n, rng)
-            lhs = images(iso.psi_mu, mu, x * y)
-            px, py = images(iso.psi_mu, mu, x), images(iso.psi_mu, mu, y)
-            hom.add(None not in (lhs, px, py) and lhs == iso.block_mat_mul(px, py),
+            px, py = iso.psi_mu(mu, x), iso.psi_mu(mu, y)
+            hom.add(iso.psi_mu(mu, x * y) == iso.block_mat_mul(px, py),
                     "psi_mu(x y) != psi_mu(x) psi_mu(y) for mu = %s, pair %d",
                     list(mu.parts), pair)
     # diagonal action of the framing generators on each block
@@ -327,7 +323,7 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
         m = coset_system(mu).m
         chars = iso.block_characters(mu)
         for j in range(1, n + 1):
-            mat = images(iso.psi_mu, mu, yk.gen_t(d, n, j))
+            mat = iso.psi_mu(mu, yk.gen_t(d, n, j))
             tmon = tuple(1 if jj == j - 1 else 0 for jj in range(n))
             vals = [RatFunc.from_scalar(yk.chi_value(d, chi, tmon), d) for chi in chars]
             want = [[iso.hecke_term(n, Perm.identity(n), vals[k]) if k == l else yk.zero(1, n)
@@ -340,14 +336,9 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
                                ("ctl", iso.ctl_psi, yk.ctl_generator)):
             kill = _Tally("%s_psi_kills_generator" % name)
             kills.append(kill)
-            blocks = images(psi, gen(d, n))
-            image = "%s_psi(%s_generator(%d, %d))" % (name, name, d, n)
-            if blocks is None:
-                kill.add(False, "%s raised NonIntegralExponent", image)
-            else:
-                mu = iso.nonzero_block(blocks)
-                kill.add(mu is None, "%s is nonzero in the block of mu = %s",
-                         image, None if mu is None else list(mu.parts))
+            mu = iso.nonzero_block(psi(gen(d, n)))
+            kill.add(mu is None, "%s_psi(%s_generator(%d, %d)) is nonzero in the block of "
+                     "mu = %s", name, name, d, n, None if mu is None else list(mu.parts))
         # quotient round trips on random standard-basis elements
         rounds = 10 if d ** n * factorial(n) > 100 else 20
         for _ in range(rounds):
@@ -355,27 +346,21 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
             ((a, w), _), = x.terms
             for psi, phi, which in ((iso.ftl_psi, iso.ftl_phi, "FTL"),
                                     (iso.ctl_psi, iso.ctl_phi, "CTL")):
-                back = images(lambda: phi(psi(x)))
-                trips.add(back is not None and ideal_membership(back - x, which),
-                          "%s round trip of t^%s g_%s %s", which, list(a), list(w.images),
-                          "raised NonIntegralExponent" if back is None
-                          else "is not congruent to it modulo the ideal")
-    _report(report, inverse, mat_inverse, hom)
-    # every psi image of the suite has been computed before this check
-    _check(report, "integrality_of_images", hom.instances, not nonintegral,
-           "integer q-exponents asserted during every psi computation")
-    _report(report, diag)
+                trips.add(ideal_membership(phi(psi(x)) - x, which),
+                          "%s round trip of t^%s g_%s is not congruent to it modulo the "
+                          "ideal", which, list(a), list(w.images))
+    _report(report, inverse, mat_inverse, hom, diag)
     if n >= 3:
         _report(report, *kills, trips)
-    _check(report, "ftl_basis_count", 1, len(iso.ftl_basis(d, n)) == dim_FTL(d, n))
-    _check(report, "ctl_basis_count", 1, len(iso.ctl_basis(d, n)) == dim_CTL(d, n))
+    _basis_counts(report, d, n)
     return report
 
 
 def suite_basis(d, n, seed=0):
     report = _new_report(d, n, "basis", seed)
-    _check(report, "jones_tl_count", n,
-           all(len(jones_pairs(m, "TL")) == catalan(m) for m in range(n + 1)))
+    _counts_agree(report, "jones_tl_count", n, (
+        ("TL Jones pairs vs catalan(%d)" % m, len(jones_pairs(m, "TL")), catalan(m))
+        for m in range(n + 1)))
     bijection = _Tally("jones_words_reduced_bijection")
     for m in range(1, n + 1):
         words = {jones_permutation(m, p): p.word() for p in jones_pairs(m, "All")}
@@ -385,9 +370,17 @@ def suite_basis(d, n, seed=0):
             bijection.add(all(w.length() == len(word) for w, word in words.items()),
                           "a Jones word for m = %d is not reduced", m)
     _report(report, bijection)
-    _check(report, "ftl_basis_count", 1, len(iso.ftl_basis(d, n)) == dim_FTL(d, n))
-    _check(report, "ctl_basis_count", 1, len(iso.ctl_basis(d, n)) == dim_CTL(d, n))
+    _basis_counts(report, d, n)
     return report
+
+
+def _basis_counts(report, d, n):
+    """The checks ftl_basis_count and ctl_basis_count: each quotient basis
+    has the dimension its formula gives."""
+    for which, basis, dim in (("ftl", iso.ftl_basis, dim_FTL), ("ctl", iso.ctl_basis, dim_CTL)):
+        _counts_agree(report, "%s_basis_count" % which, 1, [(
+            "the size of %s_basis(%d, %d) vs dim_%s" % (which, d, n, which.upper()),
+            len(basis(d, n)), dim(d, n))])
 
 
 SUITES = {

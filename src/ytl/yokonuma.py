@@ -35,6 +35,10 @@ from .scalars import (Cyclotomic, RatFunc, as_ratfunc, int_rows, laurent_from_in
                       multiply_dens, over_one_denominator, specialize_q)
 
 
+# the largest packed int _int_product builds, in bits (32 MiB)
+MAX_PACKED_BITS = 1 << 28
+
+
 class NTooSmall(Exception):
     """The requested ideal generator needs n >= 3."""
 
@@ -202,6 +206,10 @@ def _int_product(d, n, order, left, right):
     most d m + 2 d m, and the operands with shorter words are scaled by d
     per missing step, so no digit reaches 2^(B-2) in absolute value.
 
+    A packed int holds B Z bits per power of q, over the q-spreads of both
+    operands plus one power per fold step. Past MAX_PACKED_BITS the product
+    is a ValueError, raised before anything is packed.
+
     Each distinct packed output is unpacked once per call: outputs repeat
     (on products of idempotents many terms share a coefficient), so a dict
     local to the call maps each to its RatFunc."""
@@ -209,11 +217,15 @@ def _int_product(d, n, order, left, right):
     rden, rcommon, rgroups = right
     ids, tmons, add, shifts = _tmon_tables(d, n)
     top = max(len(_reduced_word(v.images)) for v in rgroups)
-    lmass, lmin = _mass_and_low(lgroups)
-    rmass, rmin = _mass_and_low(rgroups)
+    lmass, lmin, lmax = _mass_and_span(lgroups)
+    rmass, rmin, rmax = _mass_and_span(rgroups)
     zdigits = 2 * order - 1
     width = (lmass * rmass * (3 * d) ** top).bit_length() + 2
     qshift = width * zdigits
+    powers = (lmax - lmin) + (rmax - rmin) + top + 1
+    if powers * qshift > MAX_PACKED_BITS:
+        raise ValueError("the product spans %d powers of q, %d bits packed, more than %d"
+                         % (powers, powers * qshift, MAX_PACKED_BITS))
     lterms = []
     for u, rows in lgroups.items():
         packed = []
@@ -272,16 +284,19 @@ def _int_product(d, n, order, left, right):
     return out
 
 
-def _mass_and_low(groups):
-    """(sum of |c|, lowest q-exponent) over the triples of every row."""
-    mass, low = 0, None
+def _mass_and_span(groups):
+    """(sum of |c|, lowest q-exponent, highest q-exponent) over the triples
+    of every row."""
+    mass, low, high = 0, None, None
     for rows in groups.values():
         for _, mono in rows:
             for e, _, c in mono:
                 mass += abs(c)
                 if low is None or e < low:
                     low = e
-    return mass, low
+                if high is None or e > high:
+                    high = e
+    return mass, low, high
 
 
 def _fold_step(work, i, d, qshift, shifts):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -114,6 +115,20 @@ def test_products_at_large_d_to_the_n_are_quick(capsys, d, n, count):
     code, payload = run(capsys, "--no-cache", "mul", "-d", str(d), "-n", str(n),
                         "(t1 + t2)*g1*g2*g1*g1")
     assert code == 0 and len(payload["element"]) == count
+    assert time.monotonic() - start < 1.0
+
+
+def test_products_past_the_packed_bound_are_usage_errors(capsys):
+    # 2 * 10^8 powers of q would pack into ints of gigabytes; the size is
+    # known before anything is packed
+    from ytl.yokonuma import MAX_PACKED_BITS
+
+    start = time.monotonic()
+    code, payload = run(capsys, "--no-cache", "mul", "-d", "3", "-n", "2",
+                        "(1 + q^100000000) * (1 + q^-100000000) * g1")
+    assert code == 2
+    bits = int(re.search(r"(\d+) bits", payload["error"]).group(1))
+    assert bits > MAX_PACKED_BITS and str(MAX_PACKED_BITS) in payload["error"]
     assert time.monotonic() - start < 1.0
 
 

@@ -161,6 +161,27 @@ def test_phi_on_first_column_has_no_length_correction():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (1, 5)])
+def test_block_map_q_powers_are_exact_halves(d, n):
+    # the power s of q in each step is half the length sum h, with nothing
+    # dropped: h is even, as l(x) has the parity of sign(x)
+    for mu in compositions(d, n):
+        system = coset_system(mu)
+        for k in range(1, system.m + 1):
+            pi_k = system.rep(k)
+            for w in all_perms(n):
+                l, u, s = iso._psi_step(mu, k, w)
+                pi_l = system.rep(l)
+                assert u == pi_k.inv() * w * pi_l
+                assert 2 * s == w.length() - u.length() + pi_k.length() - pi_l.length()
+            for l in range(1, system.m + 1):
+                pi_l = system.rep(l)
+                for u in mu.young_subgroup():
+                    v, s = iso._phi_step(mu, k, l, u)
+                    assert v == pi_k * u * pi_l.inv()
+                    assert 2 * s == u.length() - v.length() + pi_l.length() - pi_k.length()
+
+
 # -- reference block maps in the standard basis ---------------------------------
 # The formulas the character transform replaced: psi adds one character value
 # per (term, k) into YElement cells, phi expands E_chi for every entry term.

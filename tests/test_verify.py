@@ -108,29 +108,6 @@ def test_admissibility_mismatch_fails_under_optimize():
     assert out.stdout.strip() == "[False]"
 
 
-def test_nonintegral_exponent_fails_integrality(monkeypatch):
-    import ytl.isomaps as iso
-    from ytl.scalars import NonIntegralExponent
-
-    def raising(mu, coords):
-        raise NonIntegralExponent("forced")
-
-    passing = {c["name"]: c for c in run_suite(1, 2, "iso")["checks"]}
-    # the per-block step under psi_mu, psi_n and the quotient maps
-    monkeypatch.setattr(iso, "_psi_block", raising)
-    report = run_suite(1, 2, "iso")
-    checks = {c["name"]: c for c in report["checks"]}
-    assert not report["ok"]
-    assert checks.keys() == passing.keys()
-    for name in ("integrality_of_images", "phi_after_psi_identity",
-                 "psi_after_phi_identity", "homomorphism_property",
-                 "framing_images_diagonal"):
-        assert checks[name]["passed"] is False, name
-        assert checks[name]["instances"] == passing[name]["instances"]
-    assert checks["integrality_of_images"]["detail"] == \
-        passing["integrality_of_images"]["detail"]
-
-
 def test_failed_membership_names_the_instance(monkeypatch):
     import re
     import ytl.verify as verify
@@ -345,11 +322,10 @@ def test_kill_checks_name_the_block(monkeypatch):
     import ytl.isomaps as iso
     import ytl.yokonuma as yk
     from ytl.permutations import compositions
-    from ytl.scalars import NonIntegralExponent
     from ytl.verify import suite_iso
 
     d, n = 2, 3
-    mu = compositions(d, n)[-1]
+    mu, nu = compositions(d, n)[-1], compositions(d, n)[0]
 
     def ftl_psi(x):
         # the generator's image gets one nonzero cell, in the last block
@@ -359,12 +335,15 @@ def test_kill_checks_name_the_block(monkeypatch):
         return blocks
 
     def ctl_psi(x):
+        # and the CTL one in the first block
+        blocks = iso.ctl_psi(x)
         if x == yk.ctl_generator(d, n):
-            raise NonIntegralExponent("forced")
-        return iso.ctl_psi(x)
+            blocks[nu][0][0] = {"nonzero": 1}
+        return blocks
 
     passing = {c["name"]: c for c in suite_iso(d, n, hom_pairs=1)["checks"]}
     assert passing["ftl_psi_kills_generator"]["detail"] == ""
+    assert passing["ctl_psi_kills_generator"]["detail"] == ""
     _iso_with(monkeypatch, ftl_psi=ftl_psi, ctl_psi=ctl_psi)
     checks = {c["name"]: c for c in suite_iso(d, n, hom_pairs=1)["checks"]}
     assert checks["ftl_psi_kills_generator"] == {
@@ -373,7 +352,8 @@ def test_kill_checks_name_the_block(monkeypatch):
                   % list(mu.parts)}
     assert checks["ctl_psi_kills_generator"] == {
         "name": "ctl_psi_kills_generator", "instances": 1, "passed": False,
-        "detail": "ctl_psi(ctl_generator(2, 3)) raised NonIntegralExponent"}
+        "detail": "ctl_psi(ctl_generator(2, 3)) is nonzero in the block of mu = %s"
+                  % list(nu.parts)}
     assert checks["quotient_round_trips_mod_ideal"]["passed"] is True
 
 
@@ -483,3 +463,35 @@ def test_jones_bijection_names_the_size(monkeypatch):
     check, = [c for c in verify.suite_basis(1, 4)["checks"]
               if c["name"] == "jones_words_reduced_bijection"]
     assert check["detail"] == "a Jones word for m = 3 is not reduced"
+
+
+def test_count_checks_name_both_counts(monkeypatch):
+    import ytl.verify as verify
+
+    # each reference count off by one; the per-m ones only from m = 2 on
+    for name in ("dim_TL", "catalan"):
+        monkeypatch.setattr(verify, name, lambda m, f=getattr(verify, name): f(m) + (m >= 2))
+    for name in ("dim_Y", "dim_FTL", "dim_CTL"):
+        monkeypatch.setattr(verify, name, lambda d, n, f=getattr(verify, name): f(d, n) + 1)
+    ftl = "the size of ftl_basis(2, 3) vs dim_FTL: 46 != 47"
+    ctl = "the size of ctl_basis(2, 3) vs dim_CTL: 47 != 48"
+    want = {
+        "dims": {
+            "catalan_two_column_sum":
+                (3, "dim_TL(2) vs its squared two-column tableaux counts: 3 != 2"),
+            "squared_tableaux_sum": (1, "squared tableaux counts vs dim_Y(2, 3): 48 != 49"),
+            "ftl_formula_vs_bruteforce": (1, "dim_FTL(2, 3) vs the brute-force count: 47 != 46"),
+            "ctl_formulas_agree_and_match_bruteforce":
+                (1, "dim_CTL(2, 3) vs the brute-force count: 48 != 47")},
+        "basis": {"jones_tl_count": (3, "TL Jones pairs vs catalan(2): 2 != 3"),
+                  "ftl_basis_count": (1, ftl), "ctl_basis_count": (1, ctl)},
+        "iso": {"ftl_basis_count": (1, ftl), "ctl_basis_count": (1, ctl)},
+    }
+    reports = {"dims": verify.suite_dims(2, 3), "basis": verify.suite_basis(2, 3),
+               "iso": verify.suite_iso(2, 3, hom_pairs=1)}
+    for suite, checks in want.items():
+        report = reports[suite]
+        assert report["ok"] is False
+        got = {c["name"]: (c["instances"], c["detail"])
+               for c in report["checks"] if not c["passed"]}
+        assert got == checks, suite

@@ -19,8 +19,9 @@ Negative exponents are allowed on q, on t atoms (reduced mod d), and on g
 atoms (closed-form inverse); other bases require non-negative exponents. An
 exponent after a parenthesised atom, as in `(q)^-1`, is the atom's. The
 atoms e, T and E are idempotents, so any positive power is the atom. Powers
-of g atoms and of compound expressions run one multiplication per unit of
-the exponent, so their magnitude is bounded by MAX_LOOP_EXPONENT.
+of g atoms and of compound expressions are taken by repeated squaring,
+about 2 log2|k| products for the exponent k, and their magnitude is
+bounded by MAX_LOOP_EXPONENT.
 """
 
 from __future__ import annotations
@@ -175,13 +176,19 @@ class _Reader:
 
 
 def _power(base, power, d, n):
-    """base^|power|, one product per unit of the exponent."""
+    """base^|power| by repeated squaring: one product per bit of |power|
+    and one more per bit set."""
     if abs(power) > MAX_LOOP_EXPONENT:
         raise EvalError("exponent %d exceeds the bound %d on powers of g atoms "
                         "and of compound expressions" % (power, MAX_LOOP_EXPONENT))
     out = yk.unit(d, n)
-    for _ in range(abs(power)):
-        out = out * base
+    k = abs(power)
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
     return out
 
 

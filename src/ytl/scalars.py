@@ -527,31 +527,28 @@ def _as_laurent(x, order):
     raise TypeError("cannot coerce %r to Laurent" % (x,))
 
 
-# Laurent polynomials in int coordinates: the products in yokonuma and the
-# character sums in reps add and shift ints, and build Laurents only at the end
+# Laurent polynomials in int coordinates: the products and character sums in
+# yokonuma add and shift ints, and build Laurents only at the end, here
 
 
-def int_rows(nums, order):
-    """Laurent polynomials over subfields of Q(zeta_order) in int
-    coordinates, as (common, rows): common is one int denominator for all of
-    them, and each row lists a polynomial's terms as (q-exponent,
-    zeta_order power, int numerator) triples. laurent_from_ints reverses it."""
-    common = lcm(*(v.den for num in nums for _, v in num.terms))
-    return common, [tuple((e, i * (order // v.order), x * (common // v.den))
-                          for e, v in num.terms for i, x in enumerate(v.nums) if x)
-                    for num in nums]
-
-
-def laurent_from_ints(order, by_e, common):
-    """The Laurent polynomial of {q-exponent: ints}, sum over e and z of
-    by_e[e][z] zeta_order^z q^e / common. Each coefficient is reduced mod
-    Phi_order and tested for zero only then: 1 + zeta_3 + zeta_3^2 and the
-    like vanish only after the reduction."""
+def laurent_from_ints(order, rows, common):
+    """The Laurent polynomial of rows [(q-exponent, ints)] in ascending
+    order of exponent, sum over them of sum_z ints[z] zeta_order^z q^e /
+    common. Each coefficient is reduced mod Phi_order and tested for zero
+    only then (1 + zeta_3 + zeta_3^2 and the like vanish only after the
+    reduction), and brought to lowest terms by its own gcd."""
+    tail = (0,) * (_degree(order) - 1)
     terms = []
-    for e in sorted(by_e):
-        nums = _power_sum(order, by_e[e], 1)
-        if any(nums):
-            terms.append((e, _reduced(order, nums, common)))
+    for e, ints in rows:
+        if len(ints) == 1:
+            # the power of zeta 0 alone: its int is the first coordinate
+            if ints[0]:
+                g = int_gcd(common, ints[0])
+                terms.append((e, Cyclotomic._raw(order, (ints[0] // g,) + tail, common // g)))
+        else:
+            nums = _power_sum(order, ints, 1)
+            if any(nums):
+                terms.append((e, _reduced(order, nums, common)))
     return Laurent._raw(order, tuple(terms))
 
 
@@ -773,9 +770,8 @@ class RatFunc:
                 out.append((j, e))
         if rows is start:
             return num, exps
-        # rows in the reduced basis are their own power sums
-        by_e = {low + i: row for i, row in enumerate(rows)}
-        return laurent_from_ints(num.order, by_e, common), tuple(out)
+        # rows in the reduced basis decode to themselves
+        return laurent_from_ints(num.order, enumerate(rows, low), common), tuple(out)
 
     # -- constructors ------------------------------------------------------
 

@@ -12,15 +12,15 @@ An element has one int encoding (encode), read by the product here, by
 psi_mu and by the seminormal evaluation: its coefficients over one
 denominator (a Laurent-only element is over 1), their numerators as ints
 in the group ring Z[Z/L] over one integer denominator, L a multiple of d
-and of every coefficient order, grouped by permutation. The product packs
-each numerator into one int by Kronecker substitution in (q, zeta_L), so
-a pair of terms is one int multiplication; for each permutation v of the
-right operand it folds the left operand times sum_b c_b t^b through the
-reduced word of v once, keyed by (permutation, t-monomial id); the 1/d of
-an e-term becomes a power of d in the common denominator. Each distinct
-packed output is unpacked and reduced mod Phi_L once, and tested for zero
-only then. A character sum (character_sum) shifts the zeta powers of each
-row by its root of unity.
+and of every coefficient order, grouped by permutation; an element keeps
+each of its encodings. The product packs each numerator into one int by
+Kronecker substitution in (q, zeta_L), so a pair of terms is one int
+multiplication; for each permutation v of the right operand it folds the
+left operand times sum_b c_b t^b through the reduced word of v once, keyed
+by (permutation, t-monomial id); the 1/d of an e-term becomes a power of d
+in the common denominator. Each distinct packed output is unpacked once,
+and decoded by scalars.laurent_from_ints. A character sum (character_sum)
+shifts the zeta powers of each row by its root of unity.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from functools import lru_cache
 from math import lcm
 
 from .permutations import Perm, act_on_character, coset_system
-from .scalars import (Cyclotomic, RatFunc, as_ratfunc, int_rows, laurent_from_ints,
-                      multiply_dens, over_one_denominator, specialize_q)
+from .scalars import (Cyclotomic, RatFunc, as_ratfunc, laurent_from_ints, multiply_dens,
+                      over_one_denominator, specialize_q)
 
 
 # the largest packed int _int_product builds, in bits (32 MiB)
@@ -44,9 +44,10 @@ class NTooSmall(Exception):
 
 
 class YElement:
-    """An element of the (d, n) algebra: sorted terms ((tmon, w), coeff)."""
+    """An element of the (d, n) algebra: sorted terms ((tmon, w), coeff).
+    The slot _codes (see _codes) takes no part in ==, hash, repr or pickling."""
 
-    __slots__ = ("d", "n", "terms")
+    __slots__ = ("d", "n", "terms", "_codes")
 
     def __init__(self, d, n, terms):
         clean = {}
@@ -66,6 +67,7 @@ class YElement:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", tuple(sorted(clean.items(), key=_term_order)))
+        object.__setattr__(self, "_codes", None)
 
     @staticmethod
     def _trusted(d, n, terms):
@@ -76,6 +78,7 @@ class YElement:
         object.__setattr__(new, "d", d)
         object.__setattr__(new, "n", n)
         object.__setattr__(new, "terms", tuple(sorted(terms, key=_term_order)))
+        object.__setattr__(new, "_codes", None)
         return new
 
     def __setattr__(self, *a):
@@ -93,7 +96,7 @@ class YElement:
     def order(self):
         """The order of the smallest cyclotomic field holding Q(zeta_d) and
         every coefficient."""
-        return lcm(self.d, *[c.num.order for _, c in self.terms])
+        return _codes(self)[0]
 
     def _check_compat(self, other):
         if not isinstance(other, YElement):
@@ -128,8 +131,8 @@ class YElement:
         if not self.terms or not other.terms:
             return zero(d, n)
         order = lcm(self.order, other.order)
-        return YElement._trusted(d, n, _int_product(d, n, order, encode(self, order),
-                                                    encode(other, order)))
+        return YElement._trusted(d, n, _int_product(d, n, order, _coded(self, order),
+                                                    _coded(other, order)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -166,26 +169,56 @@ def _term_order(term):
     return tmon, w.images
 
 
+def _codes(x):
+    """The dict in x's slot, made on first use: 0 maps to x.order and each
+    order x was encoded at to its encoding (_coded)."""
+    if x._codes is None:
+        object.__setattr__(x, "_codes", {0: lcm(x.d, *[c.num.order for _, c in x.terms])})
+    return x._codes
+
+
 def encode(x, order):
     """x in int coordinates, as (den, common, groups), for order a multiple
     of x.order. The coefficients are brought over den, the lcm of their
     denominators (scalars.over_one_denominator), and each numerator becomes
     (q-exponent, zeta_order power, int) triples over the one int
-    denominator common (scalars.int_rows). groups maps each permutation of
-    x, in order of first appearance, to the rows [(tmon, triples)] of its
-    terms. A row decodes as RatFunc.over(laurent_from_ints(order, by_e,
-    common), den), by_e its ints by q-exponent and zeta power."""
+    denominator common. groups maps each permutation of x, in order of
+    first appearance, to the rows [(tmon, triples)] of its terms. A row
+    decodes as RatFunc.over(laurent_from_ints(order, rows, common), den),
+    rows its ints summed by q-exponent, in ascending order."""
+    return _coded(x, order)[:3]
+
+
+def _coded(x, order):
+    """encode(x, order) followed by the sum of |c| over the triples and the
+    lowest and highest q-exponent, built in one pass over the terms and
+    kept in x's slot."""
+    codes = _codes(x)
+    if order in codes:
+        return codes[order]
     nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in x.terms])
-    common, monos = int_rows(nums, order)
-    groups = {}
-    for ((tmon, w), _), mono in zip(x.terms, monos):
-        groups.setdefault(w, []).append((tmon, mono))
-    return den, common, groups
+    common = lcm(*[v.den for num in nums for _, v in num.terms])
+    groups, mass = {}, 0
+    for ((tmon, w), _), num in zip(x.terms, nums):
+        row = []
+        for e, v in num.terms:
+            step, scale, z = order // v.order, common // v.den, 0
+            for c in v.nums:
+                if c:
+                    c *= scale
+                    row.append((e, z, c))
+                    mass += abs(c)
+                z += step
+        groups.setdefault(w, []).append((tmon, row))
+    low = min([num.terms[0][0] for num in nums], default=None)
+    high = max([num.terms[-1][0] for num in nums], default=None)
+    codes[order] = den, common, groups, mass, low, high
+    return codes[order]
 
 
 def _int_product(d, n, order, left, right):
-    """The product of two elements encoded at one order (encode), as terms
-    [((tmon, Perm), RatFunc)] in normal form but unsorted.
+    """The product of two nonzero elements encoded at one order (_coded), as
+    terms [((tmon, Perm), RatFunc)] in normal form but unsorted.
 
     Each row (one term's numerator) is packed into one int by Kronecker
     substitution in (q, zeta): the digit of zeta^z q^e sits at index
@@ -213,12 +246,10 @@ def _int_product(d, n, order, left, right):
     Each distinct packed output is unpacked once per call: outputs repeat
     (on products of idempotents many terms share a coefficient), so a dict
     local to the call maps each to its RatFunc."""
-    lden, lcommon, lgroups = left
-    rden, rcommon, rgroups = right
+    lden, lcommon, lgroups, lmass, lmin, lmax = left
+    rden, rcommon, rgroups, rmass, rmin, rmax = right
     ids, tmons, add, shifts = _tmon_tables(d, n)
     top = max(len(_reduced_word(v.images)) for v in rgroups)
-    lmass, lmin, lmax = _mass_and_span(lgroups)
-    rmass, rmin, rmax = _mass_and_span(rgroups)
     zdigits = 2 * order - 1
     width = (lmass * rmass * (3 * d) ** top).bit_length() + 2
     qshift = width * zdigits
@@ -284,21 +315,6 @@ def _int_product(d, n, order, left, right):
     return out
 
 
-def _mass_and_span(groups):
-    """(sum of |c|, lowest q-exponent, highest q-exponent) over the triples
-    of every row."""
-    mass, low, high = 0, None, None
-    for rows in groups.values():
-        for _, mono in rows:
-            for e, _, c in mono:
-                mass += abs(c)
-                if low is None or e < low:
-                    low = e
-                if high is None or e > high:
-                    high = e
-    return mass, low, high
-
-
 def _fold_step(work, i, d, qshift, shifts):
     """work {w: {m: packed}} times g_i on the right."""
     new = {}
@@ -322,9 +338,10 @@ def _fold_step(work, i, d, qshift, shifts):
 
 
 def _unpack(packed, low, width, qshift):
-    """{q-exponent: ints by zeta power} of a packed sum of products of rows,
-    its lowest digit at q^low: signed digits of B bits, Z to a power of q."""
-    by_e = {}
+    """[(q-exponent, ints by zeta power)], ascending, of a packed sum of
+    products of rows, its lowest digit at q^low: signed digits of B bits, Z
+    to a power of q."""
+    rows = []
     qmask, mask = (1 << qshift) - 1, (1 << width) - 1
     qhalf, half = 1 << (qshift - 1), 1 << (width - 1)
     e = low
@@ -342,19 +359,19 @@ def _unpack(packed, low, width, qshift):
         if chunk:
             if -half < chunk < half:
                 # the power of zeta 0 alone
-                by_e[e] = [chunk]
+                rows.append((e, (chunk,)))
             else:
-                row = []
+                ints = []
                 while chunk:
                     digit = chunk & mask
                     chunk >>= width
                     if digit >= half:
                         digit -= mask + 1
                         chunk += 1
-                    row.append(digit)
-                by_e[e] = row
+                    ints.append(digit)
+                rows.append((e, ints))
         e += 1
-    return by_e
+    return rows
 
 
 # Tables per permutation or t-exponent vector, so bounded by the size of the
@@ -552,7 +569,7 @@ def character_sum(d, order, den, common, rows, exps):
             if coeffs is None:
                 coeffs = by_e[e] = [0] * order
             coeffs[(z + shift) % order] += v
-    return RatFunc.over(laurent_from_ints(order, by_e, common), den)
+    return RatFunc.over(laurent_from_ints(order, sorted(by_e.items()), common), den)
 
 
 def E_chi(d, n, exps):

@@ -21,6 +21,10 @@ this module.
 - ref_character_sum: the character sum behind the seminormal row scalars
   and psi_mu in plain RatFunc arithmetic, one multiplication by a root of
   unity per term, against the int-coordinate yokonuma.character_sum
+- ref_unpack, ref_laurent_from_ints: the int decoder in its dict form (a
+  {q-exponent: ints} dict, its keys sorted, each row reduced by
+  scalars._power_sum), against scalars.laurent_from_ints, which reads rows
+  in order as yokonuma._unpack hands them over
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
 from ytl.permutations import Perm, all_perms
 from ytl.reps import quotient_shapes, rep_element, rep_module
-from ytl.scalars import Cyclotomic, Laurent, RatFunc, specialize_q
+from ytl.scalars import Cyclotomic, Laurent, RatFunc, _power_sum, _reduced, specialize_q
 from ytl.tableaux import jones_pairs, jones_permutation
 from ytl.yokonuma import YElement, g_block, gen_g, gen_g_inv, unit
 
@@ -558,6 +562,59 @@ def ref_character_sum(d, terms, exps):
         phase = sum(a * p for a, p in zip(tmon, exps)) % d
         out = out + c * RatFunc.from_scalar(Cyclotomic.root_power(d, phase), d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the int decoder in dict form
+
+
+def ref_unpack(packed, low, width, qshift):
+    """{q-exponent: ints by zeta power} of a packed sum of products of rows,
+    its lowest digit at q^low: signed digits of B bits, Z to a power of q."""
+    by_e = {}
+    qmask, mask = (1 << qshift) - 1, (1 << width) - 1
+    qhalf, half = 1 << (qshift - 1), 1 << (width - 1)
+    e = low
+    while packed:
+        if not packed & qmask:
+            # a run of zero q-chunks carries no borrow: one shift skips it
+            skip = ((packed & -packed).bit_length() - 1) // qshift
+            packed >>= skip * qshift
+            e += skip
+        chunk = packed & qmask
+        packed >>= qshift
+        if chunk >= qhalf:
+            chunk -= qmask + 1
+            packed += 1
+        if chunk:
+            if -half < chunk < half:
+                # the power of zeta 0 alone
+                by_e[e] = [chunk]
+            else:
+                row = []
+                while chunk:
+                    digit = chunk & mask
+                    chunk >>= width
+                    if digit >= half:
+                        digit -= mask + 1
+                        chunk += 1
+                    row.append(digit)
+                by_e[e] = row
+        e += 1
+    return by_e
+
+
+def ref_laurent_from_ints(order, by_e, common):
+    """The Laurent polynomial of {q-exponent: ints}, sum over e and z of
+    by_e[e][z] zeta_order^z q^e / common. Each coefficient is reduced mod
+    Phi_order and tested for zero only then: 1 + zeta_3 + zeta_3^2 and the
+    like vanish only after the reduction."""
+    terms = []
+    for e in sorted(by_e):
+        nums = _power_sum(order, by_e[e], 1)
+        if any(nums):
+            terms.append((e, _reduced(order, nums, common)))
+    return Laurent._raw(order, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,20 @@ def test_round_trip_corpus():
         assert x == y, text
         # serialization is deterministic for equal elements
         assert json.dumps(x.to_json()) == json.dumps(y.to_json()), text
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+def test_powers_by_squaring_equal_the_loop_product(d, n):
+    # base^k by repeated squaring against k products in a row, for every k
+    # up to 9 and at 31 and 64 (all bits set, one bit set at the bound)
+    g1 = yk.gen_g(d, n, 1)
+    bases = {"g1": g1, "g1^-1": yk.gen_g_inv(d, n, 1),
+             "(g1 + t1 - q)": g1 + yk.gen_t(d, n, 1) - yk.unit(d, n).scale(RatFunc.q(d))}
+    ks = list(range(10)) + [31, 64]
+    for text, base in bases.items():
+        loop = yk.unit(d, n)
+        for k in range(max(ks) + 1):
+            if k in ks:
+                power = ("g1^-%d" % k) if text == "g1^-1" else "%s^%d" % (text, k)
+                assert parse_and_evaluate(power, d, n) == loop, power
+            loop = loop * base

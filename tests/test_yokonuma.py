@@ -4,7 +4,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ytl.permutations import Perm, all_perms, compositions
+from ytl.reps import ideal_membership
 from ytl.scalars import Cyclotomic, Laurent, RatFunc, laurent_from_ints
 from ytl import yokonuma as yk
 
@@ -539,10 +540,139 @@ def test_encode_decodes_to_the_coefficients(d):
                 by_e = {}
                 for e, z, v in mono:
                     by_e.setdefault(e, [0] * order)[z] += v
-                decoded[(tmon, w)] = RatFunc.over(laurent_from_ints(order, by_e, common), den)
+                decoded[(tmon, w)] = RatFunc.over(
+                    laurent_from_ints(order, sorted(by_e.items()), common), den)
         assert list(decoded) == [key for key, _ in sorted(
             x.terms, key=lambda t: list(groups).index(t[0][1]))]
         for key, c in x.terms:
             got, want = decoded[key], c * RatFunc.one(order)
             assert got == c and hash(got) == hash(c)
             assert got.order == order and repr(got) == repr(want)
+
+
+# -- the encoding kept by an element -----------------------------------------
+
+
+@pytest.mark.parametrize("order", [3, 4, 12])
+def test_encoding_cache_serves_every_order(order):
+    # x is encoded at each order a product asks for, and keeps each: x * y
+    # at lcm(order, 4), x * z at lcm(order, 3), then x * y again from the
+    # kept encoding; each product matches the term-by-term reference
+    rng = random.Random(order)
+    x = _random_element(rng, 1, 3, 4, order=order)
+    y = _random_element(rng, 1, 3, 3, order=4)
+    z = _random_element(rng, 1, 3, 3, order=3)
+    assert (x.order, y.order, z.order) == (order, 4, 3)
+    first = _same_as_reference(x, y)
+    kept = yk._coded(x, lcm(order, 4))
+    _same_as_reference(x, z)
+    assert _same_as_reference(x, y) == first
+    assert yk._coded(x, lcm(order, 4)) is kept
+    assert set(x._codes) == {0, lcm(order, 4), lcm(order, 3)}
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 3)])
+def test_zero_element_encodes(d, n):
+    zero = yk.zero(d, n)
+    assert yk.encode(zero, zero.order) == ((), 1, {})
+    assert ideal_membership(zero, "FTL") and ideal_membership(zero, "CTL")
+    x = _random_element(random.Random(d), d, n, 3)
+    assert (zero * x).is_zero() and (x * zero).is_zero() and (zero * zero).is_zero()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_filled_encoding_takes_no_part_in_identity(d):
+    c = RatFunc(Laurent(d, {0: Fraction(2, 3), 1: Cyclotomic.root_power(d, 1)}),
+                Laurent(d, {0: 1, 1: 1}))
+    x = (yk.gen_t(d, 3, 1) * yk.gen_g(d, 3, 2)).scale(c) + yk.gen_g(d, 3, 1)
+    square = x * x
+    fresh = yk.YElement(d, 3, list(x.terms))
+    assert x._codes is not None and fresh._codes is None
+    assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+    assert x.to_json() == fresh.to_json()
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is yk.YElement and y == fresh
+        assert hash(y) == hash(fresh) and repr(y) == repr(fresh)
+        assert y * y == square
+
+
+# -- the int decoder against its dict form ------------------------------------
+
+
+_DECODER_ORDERS = (1, 2, 3, 4, 6, 12)
+# digit width of the packed ints below; every digit stays under 2^(B-2)
+_DECODER_WIDTH = 14
+
+
+@st.composite
+def _decoder_rows(draw):
+    """(order, common, {q-exponent: ints}, low): up to 6 rows above q^low,
+    with gaps of zero powers of q between them, of random signed digits,
+    of one digit, or summing to zero only mod Phi_order (c times all the
+    p-th roots of unity, p a prime dividing order); common and every digit
+    share the factor g."""
+    order = draw(st.sampled_from(_DECODER_ORDERS))
+    zdigits = 2 * order - 1
+    g = draw(st.sampled_from((1, 2, 6, 35)))
+    common = g * draw(st.sampled_from((1, 3, 4, 10)))
+    low = draw(st.integers(-5, 5))
+    digit = st.integers(-40, 40).map(lambda c: c * g)
+    rows, e = {}, low
+    for _ in range(draw(st.integers(0, 6))):
+        e += draw(st.one_of(st.just(1), st.integers(2, 12)))
+        kind = draw(st.sampled_from(("digits", "one", "vanishing")))
+        if kind == "digits":
+            ints = draw(st.lists(digit, min_size=1, max_size=zdigits))
+        elif kind == "one" or order == 1:
+            ints = [draw(digit.filter(bool))]
+        else:
+            p = draw(st.sampled_from([p for p in (2, 3) if order % p == 0]))
+            ints = [0] * zdigits
+            c, s = draw(digit.filter(bool)), draw(st.integers(0, order // p - 1))
+            for k in range(p):
+                # zeta^z and zeta^(z + order) are one power
+                z = s + k * order // p
+                ints[z + order if z + order < zdigits and draw(st.booleans()) else z] += c
+        rows[e] = ints
+    return order, common, rows, low
+
+
+@given(_decoder_rows())
+@settings(max_examples=300, deadline=None)
+def test_decoder_against_dict_form(case):
+    order, common, rows, low = case
+    width, zdigits = _DECODER_WIDTH, 2 * order - 1
+    qshift = width * zdigits
+
+    def same(got, want):
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+    # the rows themselves, zero and vanishing rows included
+    same(laurent_from_ints(order, sorted(rows.items()), common),
+         oracles.ref_laurent_from_ints(order, rows, common))
+    # the same rows packed, as a product leaves them: negative digits borrow
+    # from the next digit and a negative power of q from the next power
+    packed = sum(c << ((e - low) * zdigits + z) * width
+                 for e, ints in rows.items() for z, c in enumerate(ints))
+    unpacked = yk._unpack(packed, low, width, qshift)
+    by_e = oracles.ref_unpack(packed, low, width, qshift)
+    assert [(e, list(ints)) for e, ints in unpacked] == sorted(by_e.items())
+    same(laurent_from_ints(order, unpacked, common),
+         oracles.ref_laurent_from_ints(order, by_e, common))
+
+
+def test_decoder_examples():
+    # 1 + zeta_3 + zeta_3^2 in Q(zeta_3), Q(zeta_6) and Q(zeta_12), also with
+    # its last power written past the order, as a product leaves it
+    for order in (3, 6, 12):
+        step = order // 3
+        for top in (2 * step, 2 * step + order):
+            if top < 2 * order - 1:
+                ints = [0] * (top + 1)
+                ints[0] = ints[step] = ints[top] = 1
+                assert laurent_from_ints(order, [(0, ints), (2, [0])], 5).is_zero()
+    # each power of q in lowest terms by its own gcd with common
+    got = laurent_from_ints(3, [(-1, (6,)), (2, [4, 10]), (4, [0, 0, 2])], 6)
+    want = Laurent(3, {-1: 1, 2: Cyclotomic(3, [Fraction(2, 3), Fraction(5, 3)]),
+                       4: Cyclotomic.root_power(3, 2) * Fraction(1, 3)})
+    assert got == want and repr(got) == repr(want)

@@ -25,6 +25,12 @@ class PoleAtValue(Exception):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
+def slot_setters(cls):
+    """The __set__ of each slot of cls, in the order of __slots__: one call
+    sets a slot at about half the cost of object.__setattr__."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
@@ -122,7 +128,7 @@ def _reduced(order, nums, den):
     if den != 1:
         g = int_gcd(den, *nums)
         if g != 1:
-            return Cyclotomic._raw(order, tuple(n // g for n in nums), den // g)
+            return Cyclotomic._raw(order, tuple([n // g for n in nums]), den // g)
     return Cyclotomic._raw(order, tuple(nums), den)
 
 
@@ -146,23 +152,23 @@ class Cyclotomic:
                 raise TypeError("a coordinate must be an int or a Fraction, not %r" % (c,))
         # the lcm of reduced denominators leaves the numerators coprime to it
         den = lcm(*(c.denominator for c in coords))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator)
-                                               for c in coords))
-        object.__setattr__(self, "den", den)
+        _cyclotomic_order(self, order)
+        _cyclotomic_nums(self, tuple(c.numerator * (den // c.denominator) for c in coords))
+        _cyclotomic_den(self, den)
 
     @staticmethod
     def _raw(order, nums, den):
         """Trusted constructor: a tuple of ints over a positive int, already
         in lowest terms."""
         new = object.__new__(Cyclotomic)
-        object.__setattr__(new, "order", order)
-        object.__setattr__(new, "nums", nums)
-        object.__setattr__(new, "den", den)
+        _cyclotomic_order(new, order)
+        _cyclotomic_nums(new, nums)
+        _cyclotomic_den(new, den)
         return new
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return Cyclotomic._raw, (self.order, self.nums, self.den)
@@ -358,20 +364,21 @@ class Laurent:
                         clean[e] = s
                 else:
                     clean[e] = c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", tuple(sorted(clean.items())))
+        _laurent_order(self, order)
+        _laurent_terms(self, tuple(sorted(clean.items())))
 
     @staticmethod
     def _raw(order, terms):
         """Trusted constructor: sorted terms whose coefficients are nonzero
         and of this order."""
         new = object.__new__(Laurent)
-        object.__setattr__(new, "order", order)
-        object.__setattr__(new, "terms", terms)
+        _laurent_order(new, order)
+        _laurent_terms(new, terms)
         return new
 
     def __setattr__(self, *a):
         raise AttributeError("Laurent is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return Laurent._raw, (self.order, self.terms)
@@ -531,24 +538,28 @@ def _as_laurent(x, order):
 # yokonuma add and shift ints, and build Laurents only at the end, here
 
 
+def cyclotomic_from_ints(order, ints, common):
+    """sum_z ints[z] zeta_order^z / common in lowest terms by its own gcd,
+    or None where it vanishes mod Phi_order: 1 + zeta_3 + zeta_3^2 and the
+    like vanish only after the reduction."""
+    deg = _degree(order)
+    if len(ints) <= deg:
+        # no power of zeta past the basis: the ints are the first coordinates
+        nums = tuple(ints) + (0,) * (deg - len(ints))
+    else:
+        nums = _power_sum(order, ints, 1)
+    return _reduced(order, nums, common) if any(nums) else None
+
+
 def laurent_from_ints(order, rows, common):
     """The Laurent polynomial of rows [(q-exponent, ints)] in ascending
     order of exponent, sum over them of sum_z ints[z] zeta_order^z q^e /
-    common. Each coefficient is reduced mod Phi_order and tested for zero
-    only then (1 + zeta_3 + zeta_3^2 and the like vanish only after the
-    reduction), and brought to lowest terms by its own gcd."""
-    tail = (0,) * (_degree(order) - 1)
+    common, each power of q decoded by cyclotomic_from_ints."""
     terms = []
     for e, ints in rows:
-        if len(ints) == 1:
-            # the power of zeta 0 alone: its int is the first coordinate
-            if ints[0]:
-                g = int_gcd(common, ints[0])
-                terms.append((e, Cyclotomic._raw(order, (ints[0] // g,) + tail, common // g)))
-        else:
-            nums = _power_sum(order, ints, 1)
-            if any(nums):
-                terms.append((e, _reduced(order, nums, common)))
+        c = cyclotomic_from_ints(order, ints, common)
+        if c is not None:
+            terms.append((e, c))
     return Laurent._raw(order, tuple(terms))
 
 
@@ -721,16 +732,16 @@ class RatFunc:
         if den is not None:
             quot = RatFunc._raw(num, ()) / RatFunc._raw(den, ())
             num, exps = quot.num, quot.den_exps
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den_exps", exps)
+        _ratfunc_num(self, num)
+        _ratfunc_den_exps(self, exps)
 
     @staticmethod
     def _raw(num, exps):
         """Trusted constructor: a numerator and exponent vector already in
         canonical form."""
         new = object.__new__(RatFunc)
-        object.__setattr__(new, "num", num)
-        object.__setattr__(new, "den_exps", exps)
+        _ratfunc_num(new, num)
+        _ratfunc_den_exps(new, exps)
         return new
 
     @staticmethod
@@ -743,6 +754,7 @@ class RatFunc:
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return RatFunc._raw, (self.num, self.den_exps)
@@ -916,6 +928,11 @@ class RatFunc:
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
+
+
+_cyclotomic_order, _cyclotomic_nums, _cyclotomic_den = slot_setters(Cyclotomic)
+_laurent_order, _laurent_terms = slot_setters(Laurent)
+_ratfunc_num, _ratfunc_den_exps = slot_setters(RatFunc)
 
 
 def as_ratfunc(x, order=1):

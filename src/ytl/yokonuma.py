@@ -10,16 +10,16 @@ where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
 
 An element has one int encoding (encode), read by the product here, by
 psi_mu and by the seminormal evaluation: its coefficients over one
-denominator (a Laurent-only element is over 1), their numerators as ints
-in the group ring Z[Z/L] over one integer denominator, L a multiple of d
-and of every coefficient order, grouped by permutation; an element keeps
-each of its encodings. The product packs each numerator into one int by
-Kronecker substitution in (q, zeta_L), so a pair of terms is one int
-multiplication; for each permutation v of the right operand it folds the
-left operand times sum_b c_b t^b through the reduced word of v once, keyed
-by (permutation, t-monomial id); the 1/d of an e-term becomes a power of d
-in the common denominator. Each distinct packed output is unpacked once,
-and decoded by scalars.laurent_from_ints. A character sum (character_sum)
+denominator (a Laurent-only element is over 1), their numerators as ints in
+the group ring Z[Z/L] over one integer denominator, L a multiple of d and
+of every coefficient order, grouped by permutation; an element keeps each
+of its encodings. The product packs each numerator into one int by
+Kronecker substitution in (q, zeta_L), in the zeta digits used, so a pair
+of terms is one int multiplication; for each permutation v of the right
+operand it folds the left operand times sum_b c_b t^b through the reduced
+word of v once, keyed by (permutation, t-monomial id); the 1/d of an e-term
+becomes a power of d in the common denominator. Each distinct output is
+decoded once, into terms in normal order. A character sum (character_sum)
 shifts the zeta powers of each row by its root of unity.
 """
 
@@ -31,11 +31,13 @@ from functools import lru_cache
 from math import lcm
 
 from .permutations import Perm, act_on_character, coset_system
-from .scalars import (Cyclotomic, RatFunc, as_ratfunc, laurent_from_ints, multiply_dens,
-                      over_one_denominator, specialize_q)
+from .scalars import (Cyclotomic, Laurent, RatFunc, as_ratfunc, cyclotomic_from_ints,
+                      laurent_from_ints, multiply_dens, over_one_denominator, slot_setters,
+                      specialize_q)
 
 
-# the largest packed int _int_product builds, in bits (32 MiB)
+# the largest packed int _int_product builds, in bits (32 MiB); a product
+# near it holds several such ints at once, about 6x that at its peak
 MAX_PACKED_BITS = 1 << 28
 
 
@@ -64,25 +66,25 @@ class YElement:
                 clean.pop(key, None)
             else:
                 clean[key] = c
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tuple(sorted(clean.items(), key=_term_order)))
-        object.__setattr__(self, "_codes", None)
+        _fill(self, d, n, tuple(sorted(clean.items(), key=_term_order)))
 
     @staticmethod
     def _trusted(d, n, terms):
-        """Trusted constructor from terms [((tmon, w), c)] in normal form:
-        distinct keys, tmon of length n reduced mod d, w of degree n and c a
-        nonzero RatFunc."""
+        """Trusted constructor from terms [((tmon, w), c)] in normal form,
+        in any order: distinct keys, tmon of length n reduced mod d, w of
+        degree n and c a nonzero RatFunc."""
+        return YElement._sorted(d, n, tuple(sorted(terms, key=_term_order)))
+
+    @staticmethod
+    def _sorted(d, n, terms):
+        """YElement._trusted for a tuple of terms sorted by _term_order."""
         new = object.__new__(YElement)
-        object.__setattr__(new, "d", d)
-        object.__setattr__(new, "n", n)
-        object.__setattr__(new, "terms", tuple(sorted(terms, key=_term_order)))
-        object.__setattr__(new, "_codes", None)
+        _fill(new, d, n, terms)
         return new
 
     def __setattr__(self, *a):
         raise AttributeError("YElement is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return YElement, (self.d, self.n, self.terms)
@@ -131,8 +133,8 @@ class YElement:
         if not self.terms or not other.terms:
             return zero(d, n)
         order = lcm(self.order, other.order)
-        return YElement._trusted(d, n, _int_product(d, n, order, _coded(self, order),
-                                                    _coded(other, order)))
+        return YElement._sorted(d, n, _int_product(d, n, order, _coded(self, order),
+                                                   _coded(other, order)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -164,6 +166,17 @@ class YElement:
                 for (tmon, w), c in self.terms]
 
 
+_set_d, _set_n, _set_terms, _set_codes = slot_setters(YElement)
+
+
+def _fill(x, d, n, terms):
+    """Set the slots of a new YElement; its encodings are made on use."""
+    _set_d(x, d)
+    _set_n(x, n)
+    _set_terms(x, terms)
+    _set_codes(x, None)
+
+
 def _term_order(term):
     (tmon, w), _ = term
     return tmon, w.images
@@ -173,7 +186,7 @@ def _codes(x):
     """The dict in x's slot, made on first use: 0 maps to x.order and each
     order x was encoded at to its encoding (_coded)."""
     if x._codes is None:
-        object.__setattr__(x, "_codes", {0: lcm(x.d, *[c.num.order for _, c in x.terms])})
+        _set_codes(x, {0: lcm(x.d, *[c.num.order for _, c in x.terms])})
     return x._codes
 
 
@@ -190,15 +203,15 @@ def encode(x, order):
 
 
 def _coded(x, order):
-    """encode(x, order) followed by the sum of |c| over the triples and the
-    lowest and highest q-exponent, built in one pass over the terms and
-    kept in x's slot."""
+    """encode(x, order) followed by the sum of |c| over the triples, the
+    lowest and highest q-exponent and the highest zeta_order power, built
+    in one pass over the terms and kept in x's slot."""
     codes = _codes(x)
     if order in codes:
         return codes[order]
     nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in x.terms])
     common = lcm(*[v.den for num in nums for _, v in num.terms])
-    groups, mass = {}, 0
+    groups, mass, ztop = {}, 0, 0
     for ((tmon, w), _), num in zip(x.terms, nums):
         row = []
         for e, v in num.terms:
@@ -208,29 +221,31 @@ def _coded(x, order):
                     c *= scale
                     row.append((e, z, c))
                     mass += abs(c)
+                    ztop = z if z > ztop else ztop
                 z += step
         groups.setdefault(w, []).append((tmon, row))
     low = min([num.terms[0][0] for num in nums], default=None)
     high = max([num.terms[-1][0] for num in nums], default=None)
-    codes[order] = den, common, groups, mass, low, high
+    codes[order] = den, common, groups, mass, low, high, ztop
     return codes[order]
 
 
 def _int_product(d, n, order, left, right):
     """The product of two nonzero elements encoded at one order (_coded), as
-    terms [((tmon, Perm), RatFunc)] in normal form but unsorted.
+    a tuple of terms ((tmon, Perm), RatFunc) in normal form and order.
 
     Each row (one term's numerator) is packed into one int by Kronecker
     substitution in (q, zeta): the digit of zeta^z q^e sits at index
-    (e - e_min) Z + z, Z = 2 order - 1, and each digit is B bits wide,
-    signed. A product of two rows is one int multiplication, and z1 + z2 <
-    Z never carries into the next power of q. The terms of the right
+    (e - e_min) Z + z, each digit B bits wide, signed, and Z = z_left +
+    z_right + 1 for the highest zeta powers of the operands (1 when both
+    are rational). A product of two rows is one int multiplication, and z1
+    + z2 < Z never carries into the next power of q. The terms of the right
     operand that share a permutation v are folded through its reduced word
-    together, keyed by (permutation, t-monomial) only: a step that
-    descends sends P to d q P on w s_i and to (q - 1) P on each of the d
-    shifted monomials of the e-term (q is a shift by B Z bits); any other
-    step sends P to d P on w s_i. The factor d there is the 1/d of the
-    e-term, carried as one more factor d of the common denominator.
+    together, keyed by (permutation, t-monomial) only: a step that descends
+    sends P to d q P on w s_i and to (q - 1) P on each of the d shifted
+    monomials of the e-term (q is a shift by B Z bits); any other step
+    sends P to d P on w s_i. The factor d there is the 1/d of the e-term,
+    carried as one more factor d of the common denominator.
 
     The digit width B is the bit length of sum|c_left| sum|c_right|
     (3d)^top, plus a sign bit and one spare, top being the longest reduced
@@ -243,14 +258,15 @@ def _int_product(d, n, order, left, right):
     operands plus one power per fold step. Past MAX_PACKED_BITS the product
     is a ValueError, raised before anything is packed.
 
-    Each distinct packed output is unpacked once per call: outputs repeat
-    (on products of idempotents many terms share a coefficient), so a dict
-    local to the call maps each to its RatFunc."""
-    lden, lcommon, lgroups, lmass, lmin, lmax = left
-    rden, rcommon, rgroups, rmass, rmin, rmax = right
+    Each distinct packed output, and each distinct q-chunk, is decoded once
+    per call (_decode): outputs repeat on products of idempotents. The terms
+    are sorted by (t-monomial id, images), the order of _term_order, as an
+    id is the number of its vector in base d."""
+    lden, lcommon, lgroups, lmass, lmin, lmax, lztop = left
+    rden, rcommon, rgroups, rmass, rmin, rmax, rztop = right
     ids, tmons, add, shifts = _tmon_tables(d, n)
     top = max(len(_reduced_word(v.images)) for v in rgroups)
-    zdigits = 2 * order - 1
+    zdigits = lztop + rztop + 1
     width = (lmass * rmass * (3 * d) ** top).bit_length() + 2
     qshift = width * zdigits
     powers = (lmax - lmin) + (rmax - rmin) + top + 1
@@ -301,18 +317,16 @@ def _int_product(d, n, order, left, right):
     common = lcommon * rcommon * d ** top
     den = multiply_dens(lden, rden)
     low = lmin + rmin
-    decoded = {0: None}
+    decoded, chunks = {0: None}, {}
     out = []
-    for w, terms in acc.items():
-        perm = _perm(w)
-        for m, p in terms.items():
-            c = decoded.get(p, decoded)
-            if c is decoded:
-                num = laurent_from_ints(order, _unpack(p, low, width, qshift), common)
-                c = decoded[p] = RatFunc.over(num, den) if num.terms else None
-            if c is not None:
-                out.append(((tmons[m], perm), c))
-    return out
+    for m, w, p in sorted([(m, w, p) for w, terms in acc.items() for m, p in terms.items()]):
+        c = decoded.get(p, decoded)
+        if c is decoded:
+            num = _decode(p, low, width, zdigits, order, common, chunks)
+            c = decoded[p] = RatFunc.over(num, den) if num.terms else None
+        if c is not None:
+            out.append(((tmons[m], _perm[w]), c))
+    return tuple(out)
 
 
 def _fold_step(work, i, d, qshift, shifts):
@@ -337,13 +351,15 @@ def _fold_step(work, i, d, qshift, shifts):
     return new
 
 
-def _unpack(packed, low, width, qshift):
-    """[(q-exponent, ints by zeta power)], ascending, of a packed sum of
-    products of rows, its lowest digit at q^low: signed digits of B bits, Z
-    to a power of q."""
-    rows = []
+def _decode(packed, low, width, zdigits, order, common, chunks):
+    """The Laurent polynomial of a packed sum of products of rows over
+    common, its lowest digit at q^low: signed digits of B = width bits, Z =
+    zdigits to a power of q. chunks maps each q-chunk met in this product
+    to its cyclotomic_from_ints."""
+    qshift = width * zdigits
     qmask, mask = (1 << qshift) - 1, (1 << width) - 1
     qhalf, half = 1 << (qshift - 1), 1 << (width - 1)
+    terms = []
     e = low
     while packed:
         if not packed & qmask:
@@ -356,49 +372,24 @@ def _unpack(packed, low, width, qshift):
         if chunk >= qhalf:
             chunk -= qmask + 1
             packed += 1
-        if chunk:
+        # chunk is not 0: its lowest set bit is the lowest of packed
+        c = chunks.get(chunk, chunks)
+        if c is chunks:
             if -half < chunk < half:
-                # the power of zeta 0 alone
-                rows.append((e, (chunk,)))
+                ints = (chunk,)  # the power of zeta 0 alone
             else:
-                ints = []
-                while chunk:
-                    digit = chunk & mask
-                    chunk >>= width
-                    if digit >= half:
-                        digit -= mask + 1
-                        chunk += 1
-                    ints.append(digit)
-                rows.append((e, ints))
+                # each digit plus 2^(B-1) lies in [0, 2^B): no borrows
+                biased = chunk + qmask // mask * half
+                ints = [(biased >> z & mask) - half for z in range(0, qshift, width)]
+            c = chunks[chunk] = cyclotomic_from_ints(order, ints, common)
+        if c is not None:
+            terms.append((e, c))
         e += 1
-    return rows
+    return Laurent._raw(order, tuple(terms))
 
 
 # Tables per permutation or t-exponent vector, so bounded by the size of the
 # algebra: a product creates no Perm and no reduced word once they are filled.
-
-
-@lru_cache(maxsize=None)
-def _perm(images):
-    return Perm(images)
-
-
-@lru_cache(maxsize=None)
-def _reduced_word(images):
-    return _perm(images).reduced_word()
-
-
-@lru_cache(maxsize=None)
-def _right_steps(images):
-    """Indexed by i = 1..n-1 (entry 0 unused): (images of w s_i, j, k), with
-    (j, k) = (w(i), w(i+1)) where l(w s_i) < l(w) and (0, 0) otherwise."""
-    w = _perm(images)
-    out = [None]
-    for i in range(1, len(images)):
-        j, k = images[i - 1], images[i]
-        ws = images[:i - 1] + (k, j) + images[i + 1:]
-        out.append((ws, j, k) if w.descends_right(i) else (ws, 0, 0))
-    return tuple(out)
 
 
 class _Table(dict):
@@ -413,6 +404,27 @@ class _Table(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+_perm = _Table(Perm)
+
+
+@lru_cache(maxsize=None)
+def _reduced_word(images):
+    return _perm[images].reduced_word()
+
+
+@lru_cache(maxsize=None)
+def _right_steps(images):
+    """Indexed by i = 1..n-1 (entry 0 unused): (images of w s_i, j, k), with
+    (j, k) = (w(i), w(i+1)) where l(w s_i) < l(w) and (0, 0) otherwise."""
+    w = _perm[images]
+    out = [None]
+    for i in range(1, len(images)):
+        j, k = images[i - 1], images[i]
+        ws = images[:i - 1] + (k, j) + images[i + 1:]
+        out.append((ws, j, k) if w.descends_right(i) else (ws, 0, 0))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,9 @@ this module.
   unity per term, against the int-coordinate yokonuma.character_sum
 - ref_unpack, ref_laurent_from_ints: the int decoder in its dict form (a
   {q-exponent: ints} dict, its keys sorted, each row reduced by
-  scalars._power_sum), against scalars.laurent_from_ints, which reads rows
-  in order as yokonuma._unpack hands them over
+  scalars._power_sum), against yokonuma._decode, which reads a packed int
+  straight into a Laurent polynomial and decodes each distinct q-chunk
+  once, and against scalars.laurent_from_ints, which reads rows in order
 """
 
 from __future__ import annotations

@@ -132,6 +132,25 @@ def test_products_past_the_packed_bound_are_usage_errors(capsys):
     assert time.monotonic() - start < 1.0
 
 
+def test_wide_rational_products_pack_one_zeta_digit(capsys):
+    # (1 + q^N)(1 + q^-N) g1 at N = 4 * 10^6: both operands of each product
+    # are rational, so a power of q packs one zeta digit, and the 8 * 10^6
+    # powers of q of the second product fit under MAX_PACKED_BITS
+    import oracles
+    from ytl import yokonuma as yk
+    from ytl.scalars import RatFunc
+
+    N = 4 * 10 ** 6
+    code, payload = run(capsys, "--no-cache", "mul", "-d", "3", "-n", "2",
+                        "(1 + q^%d) * (1 + q^-%d) * g1" % (N, N))
+    assert code == 0
+    one = yk.unit(3, 2)
+    x = oracles.ref_mul(one.scale(RatFunc.one(3) + RatFunc.q_power(N, 3)),
+                        one.scale(RatFunc.one(3) + RatFunc.q_power(-N, 3)))
+    want = oracles.ref_mul(x, yk.gen_g(3, 2, 1))
+    assert payload["element"] == want.to_json() and len(want.terms[0][1].num.terms) == 3
+
+
 def test_long_and_deep_expressions(capsys):
     from ytl.exprparse import MAX_PAREN_DEPTH
 

@@ -45,6 +45,14 @@ COMMANDS = {
     # Phi_4; written before the packed product kernel
     "mul_long_d4n3": ["mul", "-d", "4", "-n", "3",
                       "(g1*g2*g1 + q^-2*t1^3*t3*g2) * (E(2; 1,1,1,0)*g2*g1*g2 - 3/5*q*g1^-1)"],
+    # 8 * 10^6 powers of q between two rational operands: one zeta digit
+    # to a power of q; written before each side packed only its own digits
+    "mul_wide_q_d3": ["mul", "-d", "3", "-n", "2", "(1 + q^4000000) * (1 + q^-4000000)"],
+    # a rational operand times character idempotents over Q(zeta_6), and
+    # inside, each of them times a rational one
+    "mul_mixed_zeta_d6": ["mul", "-d", "6", "-n", "2",
+                          "(q^-1*g1 + 2/3*t1^2 - q*t2^3) * (E(1; 1,0,1,0,0,0)*g1"
+                          " + q^2*t2^5*E(2; 0,0,0,1,1,0) - 5/7*g1^-1)"],
     "verify_idempotents_d3": ["verify", "-d", "3", "-n", "3", "--suite", "idempotents",
                               "--seed", "0"],
     # passes_to_quotient and ideal membership at d = 4, where reduction mod

@@ -432,6 +432,27 @@ def test_scalars_survive_pickle_and_copy(d):
             assert hash(y) == hash(x) and repr(y) == repr(x)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_scalars_refuse_assignment_and_deletion(d):
+    # each slot, on values from the validating constructors, from the
+    # trusted ones (arithmetic) and from pickle and copy
+    c = Cyclotomic(d, [Fraction(1, 3)] + [0] * (len(Cyclotomic.one(d).nums) - 1))
+    num = Laurent(d, {-1: c, 2: Cyclotomic.one(d)})
+    r = RatFunc(num, Laurent(d, {0: 1, 1: 1}))
+    for x in (c, num, r, c * c, num * num, r * r):
+        for y in [x] + round_trips(x):
+            for name in type(x).__slots__:
+                before = getattr(y, name)
+                with pytest.raises(AttributeError):
+                    setattr(y, name, before)
+                with pytest.raises(AttributeError):
+                    delattr(y, name)
+                assert getattr(y, name) is before
+            with pytest.raises(AttributeError):
+                y.extra = 1
+            assert y == x
+
+
 # -- the Phi-factored RatFunc against the gcd field -----------------------------
 
 # F_1 = 1 - q and F_j = Phi_j, the factors a denominator is made of

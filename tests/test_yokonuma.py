@@ -152,6 +152,8 @@ def _same_as_reference(x, y):
     assert got == want
     assert hash(got) == hash(want)
     assert repr(got) == repr(want)
+    # the product emits its terms in normal form, unsorted by YElement
+    assert list(got.terms) == sorted(got.terms, key=yk._term_order)
     return got
 
 
@@ -219,6 +221,29 @@ def test_product_against_reference_mixed_orders():
             y = _random_element(rng, d, n, 3, order=orders[1])
             got, want = x * y, oracles.ref_mul(x, y)
             assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("d,n,order", [(6, 2, 6), (2, 3, 6), (3, 3, 12), (4, 2, 12)])
+def test_packed_product_of_unequal_zeta_spans(d, n, order):
+    # a rational operand times one with coefficients of order L and of order
+    # 3: the promoted zeta_3 = zeta_L^(L/3) sits at a power of zeta past
+    # phi(L), the widest span a row of Q(zeta_L) has. Each side packs the
+    # zeta powers it uses, whichever side it is on
+    rng = random.Random(100 * d + order)
+    zeta3 = RatFunc.from_scalar(Cyclotomic.root_power(3, 1), 3)
+    for _ in range(3):
+        rational = _random_element(rng, d, n, 4, order=1)
+        full = (_random_element(rng, d, n, 3, order=order)
+                + _random_element(rng, d, n, 2, order=3)
+                + yk.gen_t(d, n, 1).scale(zeta3 * RatFunc.q_power(rng.randint(-2, 2), 3)))
+        assert lcm(rational.order, full.order) == order
+        assert yk._coded(rational, order)[6] == 0
+        assert yk._coded(full, order)[6] == order // 3 >= {6: 2, 12: 4}[order]
+        for x, y in ((rational, full), (full, rational), (full, full),
+                     (rational, rational * yk.gen_g(d, n, 1))):
+            got, want = x * y, oracles.ref_mul(x, y)
+            assert got == want and hash(got) == hash(want)
+            assert list(got.terms) == sorted(got.terms, key=yk._term_order)
 
 
 def test_product_cancels_only_mod_phi3():
@@ -481,6 +506,26 @@ def test_elements_survive_pickle_and_copy(d):
         assert hash(y) == hash(x) and repr(y) == repr(x)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_elements_refuse_assignment_and_deletion(d):
+    # from the validating constructor, a product (the trusted constructor)
+    # and pickle and copy, before and after the encodings are filled
+    x = yk.gen_t(d, 3, 1).scale(RatFunc.q(d)) + yk.gen_g(d, 3, 2)
+    product = x * x
+    for y in (x, product, pickle.loads(pickle.dumps(product)), copy.copy(product),
+              copy.deepcopy(x)):
+        for name in yk.YElement.__slots__:
+            before = getattr(y, name)
+            with pytest.raises(AttributeError):
+                setattr(y, name, before)
+            with pytest.raises(AttributeError):
+                delattr(y, name)
+            assert getattr(y, name) is before
+        with pytest.raises(AttributeError):
+            y.extra = 1
+    assert product == oracles.ref_mul(x, x)
+
+
 @pytest.mark.parametrize("d,n", [(4, 2), (4, 3), (6, 2)])
 def test_trusted_outputs_equal_validated(d, n):
     # products, psi blocks and the inverse character transform build their
@@ -606,42 +651,47 @@ _DECODER_WIDTH = 14
 
 @st.composite
 def _decoder_rows(draw):
-    """(order, common, {q-exponent: ints}, low): up to 6 rows above q^low,
-    with gaps of zero powers of q between them, of random signed digits,
-    of one digit, or summing to zero only mod Phi_order (c times all the
-    p-th roots of unity, p a prime dividing order); common and every digit
-    share the factor g."""
+    """(order, Z, common, {q-exponent: ints}, low): up to 8 rows above q^low,
+    Z digits to a power of q for any Z in 1..2 order - 1, with gaps of zero
+    powers of q between them, of random signed digits, of one digit,
+    summing to zero only mod Phi_order (c times all the p-th roots of
+    unity, p a prime dividing order, where Z leaves room for them), or
+    repeating an earlier row; common and every digit share the factor g."""
     order = draw(st.sampled_from(_DECODER_ORDERS))
-    zdigits = 2 * order - 1
+    zdigits = draw(st.integers(1, 2 * order - 1))
     g = draw(st.sampled_from((1, 2, 6, 35)))
     common = g * draw(st.sampled_from((1, 3, 4, 10)))
     low = draw(st.integers(-5, 5))
     digit = st.integers(-40, 40).map(lambda c: c * g)
+    primes = [p for p in (2, 3) if order % p == 0 and (p - 1) * order // p < zdigits]
     rows, e = {}, low
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 8))):
         e += draw(st.one_of(st.just(1), st.integers(2, 12)))
-        kind = draw(st.sampled_from(("digits", "one", "vanishing")))
-        if kind == "digits":
-            ints = draw(st.lists(digit, min_size=1, max_size=zdigits))
-        elif kind == "one" or order == 1:
-            ints = [draw(digit.filter(bool))]
-        else:
-            p = draw(st.sampled_from([p for p in (2, 3) if order % p == 0]))
+        kind = draw(st.sampled_from(("digits", "one", "vanishing", "repeat")))
+        if kind == "repeat" and rows:
+            ints = list(draw(st.sampled_from(sorted(rows.items())))[1])
+        elif kind == "vanishing" and primes:
+            p = draw(st.sampled_from(primes))
             ints = [0] * zdigits
-            c, s = draw(digit.filter(bool)), draw(st.integers(0, order // p - 1))
+            c = draw(digit.filter(bool))
+            s = draw(st.integers(0, min(order // p, zdigits - (p - 1) * order // p) - 1))
             for k in range(p):
                 # zeta^z and zeta^(z + order) are one power
                 z = s + k * order // p
                 ints[z + order if z + order < zdigits and draw(st.booleans()) else z] += c
+        elif kind == "one":
+            ints = [draw(digit.filter(bool))]
+        else:
+            ints = draw(st.lists(digit, min_size=1, max_size=zdigits))
         rows[e] = ints
-    return order, common, rows, low
+    return order, zdigits, common, rows, low
 
 
 @given(_decoder_rows())
 @settings(max_examples=300, deadline=None)
 def test_decoder_against_dict_form(case):
-    order, common, rows, low = case
-    width, zdigits = _DECODER_WIDTH, 2 * order - 1
+    order, zdigits, common, rows, low = case
+    width = _DECODER_WIDTH
     qshift = width * zdigits
 
     def same(got, want):
@@ -654,11 +704,21 @@ def test_decoder_against_dict_form(case):
     # from the next digit and a negative power of q from the next power
     packed = sum(c << ((e - low) * zdigits + z) * width
                  for e, ints in rows.items() for z, c in enumerate(ints))
-    unpacked = yk._unpack(packed, low, width, qshift)
-    by_e = oracles.ref_unpack(packed, low, width, qshift)
-    assert [(e, list(ints)) for e, ints in unpacked] == sorted(by_e.items())
-    same(laurent_from_ints(order, unpacked, common),
-         oracles.ref_laurent_from_ints(order, by_e, common))
+    want = oracles.ref_laurent_from_ints(
+        order, oracles.ref_unpack(packed, low, width, qshift), common)
+    chunks = {}
+    same(yk._decode(packed, low, width, zdigits, order, common, chunks), want)
+    # one entry per distinct nonzero row, None where it vanishes mod Phi_order
+    signed = {sum(c << z * width for z, c in enumerate(ints)): e for e, ints in rows.items()}
+    signed.pop(0, None)
+    assert set(chunks) == set(signed)
+    for chunk, e in signed.items():
+        row = oracles.ref_laurent_from_ints(order, {e: rows[e]}, common)
+        assert (chunks[chunk] is None) == row.is_zero()
+    # a second output of the same product reads its rows from the memo
+    memo = dict(chunks)
+    same(yk._decode(packed, low, width, zdigits, order, common, chunks), want)
+    assert chunks == memo
 
 
 def test_decoder_examples():

@@ -21,8 +21,9 @@ the same transform with inverse roots and the factor d^-n goes back. In
 these coordinates psi is a relabelling: the coordinate of (w, k-th
 character of mu) lands in cell (k, l) of the block of mu as q^s G_u, with
 u = pi_k^-1 w pi_l. psi_mu needs only the m characters of its block and
-sums those coordinates directly instead of running the whole transform.
-phi gathers the coordinates of all its blocks into one dict and transforms
+sums those coordinates directly (yokonuma.character_sums, off the int
+encoding the element keeps) instead of running the whole transform. phi
+gathers the coordinates of all its blocks into one dict and transforms
 back once.
 
 The Temperley-Lieb reduction straightens inside the Hecke algebra: the Jones
@@ -42,8 +43,7 @@ from .permutations import (ConsistencyError, Perm, act_on_character, all_perms,
                            compositions, coset_system, embed_word, factor_in_young)
 from .scalars import Cyclotomic, RatFunc, as_ratfunc
 from .tableaux import jones_pairs, jones_permutation, tl_factors
-from .yokonuma import (YElement, character_exponents, character_sum, encode, g_block,
-                       g_word, zero as y_zero)
+from .yokonuma import YElement, character_exponents, character_sums, g_block, g_word
 
 
 def _acc_term(acc, key, c):
@@ -83,26 +83,6 @@ def hecke_term(n, w, coeff, order=1):
 
 def hecke_unit(n, order=1):
     return hecke_term(n, Perm.identity(n), RatFunc.one(order))
-
-
-def _zero_block(n, m):
-    z = y_zero(1, n)
-    return [[z for _ in range(m)] for _ in range(m)]
-
-
-def block_mat_mul(a, b):
-    m = len(a)
-    n = a[0][0].n if m else 0
-    out = _zero_block(n, m)
-    for i in range(m):
-        for k in range(m):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(m):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[k][j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +154,10 @@ def _psi_step(mu, k, w):
 
 
 def _psi_block(mu, coords):
-    """The block of mu from character coordinates {w: {chi: c}}: an m x m
-    matrix of Hecke elements. For fixed (k, l) the map w -> u is injective,
-    so each cell is built once from its list of terms."""
+    """The block of mu from character coordinates {w: {chi: c}}, a missing
+    or zero c a zero coordinate: an m x m matrix of Hecke elements. For
+    fixed (k, l) the map w -> u is injective, so each cell is built once
+    from its list of terms."""
     n, m = mu.n, coset_system(mu).m
     chars = block_characters(mu)
     ident = (0,) * n
@@ -185,25 +166,9 @@ def _psi_block(mu, coords):
         for k in range(1, m + 1):
             l, u, s = _psi_step(mu, k, w)
             c = chis.get(chars[k - 1])
-            if c is not None:
+            if c is not None and not c.is_zero():
                 cells[k - 1][l - 1].append(((ident, u), c.times_monomial(1, s)))
     return [[YElement._trusted(1, n, cell) for cell in row] for row in cells]
-
-
-def _block_coords(mu, x):
-    """The character coordinates of x on the m characters of mu's block
-    only, each summed directly: c_{w,chi} = sum_a x[t^a g_w] chi(t^a). Keys
-    as in _character_coords. x is encoded once for the m characters."""
-    order = x.order
-    den, common, groups = encode(x, order)
-    coords = {}
-    for w, rows in groups.items():
-        cell = coords[w] = {}
-        for exps in block_characters(mu):
-            c = character_sum(x.d, order, den, common, rows, exps)
-            if not c.is_zero():
-                cell[exps] = c
-    return coords
 
 
 def psi_mu(mu, x):
@@ -212,7 +177,7 @@ def psi_mu(mu, x):
     carries is an integer (see _psi_step)."""
     if x.d != mu.d or x.n != mu.n:
         raise ValueError("algebra parameter mismatch")
-    return _psi_block(mu, _block_coords(mu, x))
+    return _psi_block(mu, character_sums(x, block_characters(mu)))
 
 
 @lru_cache(maxsize=None)

@@ -206,9 +206,6 @@ class Composition(Record):
             out.append(Perm(tuple(images)))
         return out
 
-    def to_json(self):
-        return list(self.parts)
-
 
 def compositions(d, n):
     """All compositions of n with d parts, lexicographic from (n,0,...,0) down."""

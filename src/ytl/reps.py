@@ -3,15 +3,13 @@ for t_j, g_i, e_i over the rational-function field, evaluation of algebra
 elements, quotient admissibility checks, and the representation-based
 ideal-membership oracle.
 
-Each call that evaluates x (rep_element, ideal_membership,
-passes_to_quotient) reads the one int encoding of x (yokonuma.encode),
-made once for every shape it visits and dropped when it returns. t^a acts
-on the row of a tableau by a root of unity, so the terms of one
-permutation w fold into one scalar per (w, row), a character sum
-(yokonuma.character_sum, which psi_mu shares). Each entry of the matrix is
-then the sum over w of that scalar times the entry of g_w, one
-sum_of_products: the products are brought over their least common
-denominator, added, and normalised once, and a zero test divides nothing.
+t^a acts on the row of a tableau by a root of unity, so the terms of one
+permutation w of x fold into one scalar per (w, row), a character sum
+(yokonuma.character_sums, which psi_mu shares, read off the int encoding
+that x keeps). Each entry of the matrix is then the sum over w of that
+scalar times the entry of g_w, one sum_of_products: the products are
+brought over their least common denominator, added, and normalised once,
+and a zero test divides nothing.
 
 The matrices of g_w are filled once per (shape, w), from g_w' and g_i for
 w = w' s_i: a column of g_i has at most two nonzero entries, so each entry
@@ -27,7 +25,7 @@ from .permutations import ConsistencyError, Perm
 from .scalars import Laurent, RatFunc, root_of_unity, sum_of_products
 from .tableaux import (enumerate_d_partitions, quotient_admissible, standard_tableaux,
                        tl_factors)
-from .yokonuma import character_sum, ctl_generator, encode, ftl_generator
+from .yokonuma import character_sums, ctl_generator, ftl_generator
 
 # the generator of each quotient's defining ideal
 _GENERATORS = {"FTL": ftl_generator, "CTL": ctl_generator}
@@ -172,23 +170,19 @@ def _row_components(d, shape):
                  for tab in rep_module(d, shape).basis)
 
 
-def _entries(module, order, encoded):
+def _entries(module, x):
     """{(row, col): [(s, g)]}: the pairs whose products sum to each entry of
-    the matrix of the element encoded at the given order (yokonuma.encode),
-    one per permutation w with both factors nonzero. g is the entry of g_w,
-    and s the row scalar of w, the character sum of w's terms at the row's
-    components (rows with the same components share it)."""
+    the matrix of x, one per permutation w with both factors nonzero. g is
+    the entry of g_w, and s the row scalar of w, the character sum of w's
+    terms at the row's components (rows with the same components share
+    it)."""
     d = module.d
-    den, common, groups = encoded
     components = _row_components(d, module.shape)
     out = {}
-    for w, rows in groups.items():
+    for w, sums in character_sums(x, components).items():
         gmat = _rep_word_cached(d, module.shape, w)
-        sums = {}
         for row, comps in enumerate(components):
-            s = sums.get(comps)
-            if s is None:
-                s = sums[comps] = character_sum(d, order, den, common, rows, comps)
+            s = sums[comps]
             if s.is_zero():
                 continue
             for col, g in enumerate(gmat[row]):
@@ -203,18 +197,16 @@ def rep_element(module, x):
     if x.d != module.d or x.n != module.n:
         raise ValueError("algebra parameter mismatch")
     out = _zero_matrix(module.dim, module.d)
-    order = x.order
-    for (row, col), pairs in _entries(module, order, encode(x, order)).items():
+    for (row, col), pairs in _entries(module, x).items():
         out[row][col] = sum_of_products(pairs, out[row][col])
     return out
 
 
-def _annihilates(module, order, encoded):
-    """Whether the element encoded at the given order acts as zero on the
-    module."""
+def _annihilates(module, x):
+    """Whether x acts as zero on the module."""
     zero = RatFunc.zero(module.d)
     return all(sum_of_products(pairs, zero).is_zero()
-               for pairs in _entries(module, order, encoded).values())
+               for pairs in _entries(module, x).values())
 
 
 def passes_to_quotient(d, shape, which):
@@ -227,8 +219,7 @@ def passes_to_quotient(d, shape, which):
         # the ideal is zero for n <= 2: every module passes
         annihilates = True
     else:
-        x = _GENERATORS[which](d, n)
-        annihilates = _annihilates(rep_module(d, shape), x.order, encode(x, x.order))
+        annihilates = _annihilates(rep_module(d, shape), _GENERATORS[which](d, n))
     if combinatorial != annihilates:
         raise ConsistencyError(
             "admissibility predicate disagrees with generator annihilation "
@@ -245,10 +236,7 @@ def quotient_shapes(d, n, which):
 
 def ideal_membership(x, which):
     """True iff x maps to zero in every irreducible that passes to the
-    quotient; by semisimplicity this is membership in the defining ideal.
-    x is encoded once for all the shapes."""
-    order = x.order
-    encoded = encode(x, order)
-    return all(_annihilates(rep_module(x.d, shape), order, encoded)
+    quotient; by semisimplicity this is membership in the defining ideal."""
+    return all(_annihilates(rep_module(x.d, shape), x)
                for shape in quotient_shapes(x.d, x.n, which))
 

@@ -254,7 +254,11 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if type(other) is not Cyclotomic:
-            other = _as_cyclotomic(other, self.order)
+            try:
+                other = _as_cyclotomic(other, self.order)
+            except TypeError:
+                # an algebra element scales by this scalar in its __rmul__
+                return NotImplemented
         a, b = Cyclotomic._common(self, other)
         order, xs, ys = a.order, a.nums, b.nums
         deg = len(xs)
@@ -461,7 +465,11 @@ class Laurent:
 
     def __mul__(self, other):
         if type(other) is not Laurent:
-            other = _as_laurent(other, self.order)
+            try:
+                other = _as_laurent(other, self.order)
+            except TypeError:
+                # an algebra element scales by this scalar in its __rmul__
+                return NotImplemented
         a, b = Laurent._common(self, other)
         out = {}
         for e1, c1 in a.terms:
@@ -856,7 +864,11 @@ class RatFunc:
 
     def __mul__(self, other):
         if type(other) is not RatFunc:
-            other = as_ratfunc(other, self.order)
+            try:
+                other = as_ratfunc(other, self.order)
+            except TypeError:
+                # an algebra element scales by this scalar in its __rmul__
+                return NotImplemented
         return RatFunc.over(self.num * other.num, multiply_dens(self.den_exps, other.den_exps))
 
     __rmul__ = __mul__

@@ -8,19 +8,20 @@ Elements are immutable; multiplication rewrites to normal form using
   g_w g_i  = q g_{w s_i} + (q-1) e_{w(i), w(i+1)} g_w    otherwise,
 where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
 
-An element has one int encoding (encode), read by the product here, by
-psi_mu and by the seminormal evaluation: its coefficients over one
-denominator (a Laurent-only element is over 1), their numerators as ints in
-the group ring Z[Z/L] over one integer denominator, L a multiple of d and
-of every coefficient order, grouped by permutation; an element keeps each
-of its encodings. The product packs each numerator into one int by
-Kronecker substitution in (q, zeta_L), in the zeta digits used, so a pair
-of terms is one int multiplication; for each permutation v of the right
-operand it folds the left operand times sum_b c_b t^b through the reduced
-word of v once, keyed by (permutation, t-monomial id); the 1/d of an e-term
-becomes a power of d in the common denominator. Each distinct output is
-decoded once, into terms in normal order. A character sum (character_sum)
-shifts the zeta powers of each row by its root of unity.
+An element has one int encoding (_coded), known to this module alone: its
+coefficients over one denominator (a Laurent-only element is over 1),
+their numerators as ints in the group ring Z[Z/L] over one integer
+denominator, L a multiple of d and of every coefficient order, grouped by
+permutation; an element keeps each of its encodings. Two things read it.
+The product packs each numerator into one int by Kronecker substitution in
+(q, zeta_L), in the zeta digits used, so a pair of terms is one int
+multiplication; for each permutation v of the right operand it folds the
+left operand times sum_b c_b t^b through the reduced word of v once, keyed
+by (permutation, t-monomial id); the 1/d of an e-term becomes a power of d
+in the common denominator. Each distinct output is decoded once, into
+terms in normal order. The character sums (character_sums), which psi_mu
+and the seminormal evaluation read, shift the zeta powers of each row by
+its root of unity.
 """
 
 from __future__ import annotations
@@ -190,22 +191,18 @@ def _codes(x):
     return x._codes
 
 
-def encode(x, order):
-    """x in int coordinates, as (den, common, groups), for order a multiple
-    of x.order. The coefficients are brought over den, the lcm of their
-    denominators (scalars.over_one_denominator), and each numerator becomes
-    (q-exponent, zeta_order power, int) triples over the one int
-    denominator common. groups maps each permutation of x, in order of
-    first appearance, to the rows [(tmon, triples)] of its terms. A row
-    decodes as RatFunc.over(laurent_from_ints(order, rows, common), den),
-    rows its ints summed by q-exponent, in ascending order."""
-    return _coded(x, order)[:3]
-
-
 def _coded(x, order):
-    """encode(x, order) followed by the sum of |c| over the triples, the
-    lowest and highest q-exponent and the highest zeta_order power, built
-    in one pass over the terms and kept in x's slot."""
+    """x in int coordinates, for order a multiple of x.order, built in one
+    pass over the terms and kept in x's slot: (den, common, groups, mass,
+    low, high, ztop). The coefficients are brought over den, the lcm of
+    their denominators (scalars.over_one_denominator), and each numerator
+    becomes (q-exponent, zeta_order power, int) triples over the one int
+    denominator common. groups maps each permutation of x, in order of first
+    appearance, to the rows [(tmon, triples)] of its terms. A row decodes as
+    RatFunc.over(laurent_from_ints(order, rows, common), den), rows its ints
+    summed by q-exponent, in ascending order. mass is the sum of |c| over
+    the triples, low and high the lowest and highest q-exponent and ztop
+    the highest zeta_order power."""
     codes = _codes(x)
     if order in codes:
         return codes[order]
@@ -566,22 +563,33 @@ def chi_value(d, exps, tmon):
     return Cyclotomic.root_power(d, sum(c * a for c, a in zip(exps, tmon)) % d)
 
 
-def character_sum(d, order, den, common, rows, exps):
-    """sum c * chi(t^a) over the terms (a, c) of one permutation, given as
-    its rows of an encoding at the given order (encode: den, common and
-    groups[w]), with chi(t^a) = zeta_d^(a . exps), as a RatFunc over
-    Q(zeta_order). The root of unity of a row shifts its zeta powers by
-    (a . exps mod d) order/d; the ints are added and decoded once."""
+def character_sums(x, characters):
+    """{w: {exps: c}} for each permutation w of x, in order of first
+    appearance, and each distinct exponent vector exps of characters, in
+    order of first appearance: c = sum_a x[t^a g_w] zeta_d^(a . exps), a
+    RatFunc over Q(zeta_order) for order = x.order, read off the encoding x
+    keeps at that order (_coded). The root of unity of a row shifts its
+    zeta powers by (a . exps mod d) order/d; the ints of each sum are added
+    and decoded once."""
+    d, order = x.d, x.order
+    den, common, groups = _coded(x, order)[:3]
     step = order // d
-    by_e = {}
-    for tmon, mono in rows:
-        shift = sum(a * p for a, p in zip(tmon, exps)) % d * step
-        for e, z, v in mono:
-            coeffs = by_e.get(e)
-            if coeffs is None:
-                coeffs = by_e[e] = [0] * order
-            coeffs[(z + shift) % order] += v
-    return RatFunc.over(laurent_from_ints(order, sorted(by_e.items()), common), den)
+    characters = dict.fromkeys(characters)
+    out = {}
+    for w, rows in groups.items():
+        sums = out[w] = {}
+        for exps in characters:
+            by_e = {}
+            for tmon, mono in rows:
+                shift = sum(a * p for a, p in zip(tmon, exps)) % d * step
+                for e, z, v in mono:
+                    coeffs = by_e.get(e)
+                    if coeffs is None:
+                        coeffs = by_e[e] = [0] * order
+                    coeffs[(z + shift) % order] += v
+            sums[exps] = RatFunc.over(laurent_from_ints(order, sorted(by_e.items()), common),
+                                      den)
+    return out
 
 
 def E_chi(d, n, exps):

@@ -20,7 +20,7 @@ this module.
   coefficients, against the integer-table YElement.__mul__
 - ref_character_sum: the character sum behind the seminormal row scalars
   and psi_mu in plain RatFunc arithmetic, one multiplication by a root of
-  unity per term, against the int-coordinate yokonuma.character_sum
+  unity per term, against the int-coordinate yokonuma.character_sums
 - ref_unpack, ref_laurent_from_ints: the int decoder in its dict form (a
   {q-exponent: ints} dict, its keys sorted, each row reduced by
   scalars._power_sum), against yokonuma._decode, which reads a packed int

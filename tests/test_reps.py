@@ -194,8 +194,7 @@ def encoded_character_sum(d, terms, exps):
     n = len(exps)
     w = Perm.identity(n)
     x = yk.YElement(d, n, {(a, w): c for a, c in terms.items()})
-    den, common, groups = yk.encode(x, x.order)
-    return yk.character_sum(d, x.order, den, common, groups.get(w, ()), exps)
+    return yk.character_sums(x, [exps]).get(w, {exps: RatFunc.zero(x.order)})[exps]
 
 
 @given(character_terms())
@@ -204,6 +203,33 @@ def test_character_sum_against_reference(case):
     d, terms, exps = case
     assert same_scalar(encoded_character_sum(d, terms, exps),
                        ref_character_sum(d, terms.items(), exps))
+
+
+def test_character_sums_of_every_permutation():
+    # every permutation of x in order of first appearance, each distinct
+    # character once in order of first appearance, a zero sum kept (1 +
+    # zeta_3 + zeta_3^2 on g_1), all read off the one encoding x keeps
+    d, n = 3, 2
+    rng = random.Random(3)
+    s1, ident = Perm.transposition(n, 1), Perm.identity(n)
+    terms = {((a, 0), ident): RatFunc.one(d) for a in range(d)}
+    for _ in range(6):
+        terms[(tuple(rng.randrange(d) for _ in range(n)), s1)] = \
+            RatFunc.from_scalar(root_of_unity(d, rng.randint(1, d)), d) * RatFunc.q_power(
+                rng.randint(-2, 2), d)
+    x = yk.YElement(d, n, terms)
+    chars = [(1, 0), (0, 0), (1, 0), (2, 1), (0, 0)]
+    sums = yk.character_sums(x, chars)
+    assert list(sums) == list(dict.fromkeys(w for (_, w), _ in x.terms))
+    for w, by_chi in sums.items():
+        assert list(by_chi) == [(1, 0), (0, 0), (2, 1)]
+        for exps, c in by_chi.items():
+            want = ref_character_sum(d, [(a, v) for (a, u), v in x.terms if u == w], exps)
+            assert same_scalar(c, want)
+    assert sums[ident][(1, 0)].is_zero() and not sums[ident][(0, 0)].is_zero()
+    kept = yk._coded(x, x.order)
+    assert yk.character_sums(x, chars) == sums and yk._coded(x, x.order) is kept
+    assert set(x._codes) == {0, x.order}
 
 
 def test_character_sum_vanishes_only_mod_phi():
@@ -319,9 +345,8 @@ def oracle_elements(rng, d, n):
 def entry_denominators(module, x):
     """{(row, col): the distinct denominators of the products that
     sum_of_products adds into the entry of the matrix of x}."""
-    order = x.order
     return {key: {multiply_dens(s.den_exps, g.den_exps) for s, g in pairs}
-            for key, pairs in _entries(module, order, yk.encode(x, order)).items()}
+            for key, pairs in _entries(module, x).items()}
 
 
 REP_ORACLE_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (1, 5), (4, 3), (6, 2)]

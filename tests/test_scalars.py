@@ -109,6 +109,24 @@ def test_specialization():
         specialize_q(g, Cyclotomic.from_rational(1))
 
 
+@pytest.mark.parametrize("c", [Fraction(-3, 4), Cyclotomic.root_power(3, 1) * 2])
+def test_specialize_at_every_power_of_q(c):
+    # c q^e at q = 1 is c, at q = 2 it is c 2^e, and at q = zeta_6 it is
+    # c zeta_6^(e mod 6); a negative e goes through the inverse of q
+    one, two, z6 = Cyclotomic.from_rational(1), Cyclotomic.from_rational(2), \
+        Cyclotomic.root_power(6, 1)
+    for e in range(-3, 4):
+        rf = RatFunc(Laurent(3, {e: c}))
+        assert specialize_q(rf, one) == c
+        assert specialize_q(rf, two) == c * Fraction(2) ** e
+        assert specialize_q(rf, z6) == c * Cyclotomic.root_power(6, e % 6)
+        if e < 0:
+            with pytest.raises(PoleAtValue):
+                specialize_q(rf, Cyclotomic.zero(1))
+        else:
+            assert specialize_q(rf, Cyclotomic.zero(1)) == (c if e == 0 else 0)
+
+
 def test_integrality_predicate():
     q = RatFunc.q()
     assert (q + q * q).is_laurent()

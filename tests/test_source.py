@@ -59,6 +59,24 @@ def _definitions(tree):
                     yield sub
 
 
+# The int encoding of an element (its layout, the encodings an element keeps,
+# the packed product and its decoder) is known to yokonuma alone: the other
+# modules multiply elements and read their character sums.
+ENCODING_HELPERS = {"_coded", "_codes", "_int_product", "_decode"}
+
+
+def test_only_yokonuma_names_the_encoding():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        names = set(_names_used(ast.parse(path.read_text(), str(path))))
+        if path.name == "yokonuma.py":
+            assert ENCODING_HELPERS <= names, ENCODING_HELPERS - names
+        else:
+            found.extend("%s: %s" % (path.name, name)
+                         for name in sorted(ENCODING_HELPERS & names))
+    assert not found, found
+
+
 def test_every_definition_is_used():
     # a definition counts as used when src/ytl or perfbench/ names it
     # outside its own body

@@ -15,16 +15,15 @@ canonical coset-representative order. Entries of psi images are Hecke
 elements, stored as d=1 YElements supported inside the Young subgroup.
 
 The block maps work in the character coordinates of an element,
-x = sum c_{w,chi} E_chi g_w with c_{w,chi} = sum_a x[t^a g_w] chi(t^a). One
-transform over (Z/d)^n, n passes of size d per permutation w, computes them;
-the same transform with inverse roots and the factor d^-n goes back. In
+x = sum c_{w,chi} E_chi g_w with c_{w,chi} = sum_a x[t^a g_w] chi(t^a). In
 these coordinates psi is a relabelling: the coordinate of (w, k-th
 character of mu) lands in cell (k, l) of the block of mu as q^s G_u, with
-u = pi_k^-1 w pi_l. psi_mu needs only the m characters of its block and
-sums those coordinates directly (yokonuma.character_sums, off the int
-encoding the element keeps) instead of running the whole transform. phi
-gathers the coordinates of all its blocks into one dict and transforms
-back once.
+u = pi_k^-1 w pi_l. psi_mu sums the coordinates of the m characters of its
+block directly (yokonuma.character_sums, off the int encoding the element
+keeps), and psi_n and the quotient maps read psi_mu block by block. phi
+hands the terms q^s c E_chi g_v of all its blocks to
+yokonuma.from_characters, which sums them and runs the inverse transform
+over (Z/d)^n once, on packed ints.
 
 The Temperley-Lieb reduction straightens inside the Hecke algebra: the Jones
 basis of TL_m is G_w for w fully commutative (321-avoiding), and any other
@@ -36,14 +35,14 @@ basis elements remain. No linear algebra is involved.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .permutations import (ConsistencyError, Perm, act_on_character, all_perms,
                            compositions, coset_system, embed_word, factor_in_young)
-from .scalars import Cyclotomic, RatFunc, as_ratfunc
+from .scalars import RatFunc, as_ratfunc
 from .tableaux import jones_pairs, jones_permutation, tl_factors
-from .yokonuma import YElement, character_exponents, character_sums, g_block, g_word
+from .yokonuma import (YElement, character_exponents, character_sums, from_characters,
+                       g_block, g_word)
 
 
 def _acc_term(acc, key, c):
@@ -86,54 +85,6 @@ def hecke_unit(n, order=1):
 
 
 # ---------------------------------------------------------------------------
-# character coordinates
-
-
-def _char_transform(d, n, values, sign):
-    """The transform over (Z/d)^n of {a: c}: {b: sum_a c * zeta_d^(sign a.b)},
-    one axis at a time (n passes of size d), zero sums dropped."""
-    for j in range(n):
-        nxt = {}
-        for key, c in values.items():
-            a, head, tail = key[j], key[:j], key[j + 1:]
-            for b in range(d):
-                e = sign * a * b % d
-                _acc_term(nxt, head + (b,) + tail,
-                          c.times_monomial(Cyclotomic.root_power(d, e)) if e else c)
-        values = nxt
-    return values
-
-
-def _in_field(c, d):
-    """c as a RatFunc whose order is a multiple of d, the order an image
-    coefficient gets from its characters."""
-    c = as_ratfunc(c, d)
-    return c * RatFunc.one(d) if c.order % d else c
-
-
-def _character_coords(x):
-    """The coordinates c_{w,chi} of x = sum c_{w,chi} E_chi g_w, as
-    {w: {chi: c}}, chi an exponent vector: c_{w,chi} = sum_a x[t^a g_w]
-    chi(t^a). Every permutation of x is a key, in order of first appearance,
-    even when all its coordinates vanish."""
-    by_w = {}
-    for (tmon, w), c in x.terms:
-        by_w.setdefault(w, {})[tmon] = _in_field(c, x.d)
-    return {w: _char_transform(x.d, x.n, vals, 1) for w, vals in by_w.items()}
-
-
-def _from_character_coords(d, n, coords):
-    """The element sum_{v,chi} coords[v][chi] E_chi g_v: the inverse
-    transform, times d^-n."""
-    scale = Fraction(1, d ** n)
-    terms = []
-    for v, chis in coords.items():
-        for a, c in _char_transform(d, n, chis, -1).items():
-            terms.append(((a, v), c.times_monomial(scale)))
-    return YElement._trusted(d, n, terms)
-
-
-# ---------------------------------------------------------------------------
 # psi_mu and phi_mu
 
 
@@ -153,31 +104,24 @@ def _psi_step(mu, k, w):
     return l, u, h // 2
 
 
-def _psi_block(mu, coords):
-    """The block of mu from character coordinates {w: {chi: c}}, a missing
-    or zero c a zero coordinate: an m x m matrix of Hecke elements. For
-    fixed (k, l) the map w -> u is injective, so each cell is built once
-    from its list of terms."""
-    n, m = mu.n, coset_system(mu).m
-    chars = block_characters(mu)
-    ident = (0,) * n
-    cells = [[[] for _ in range(m)] for _ in range(m)]
-    for w, chis in coords.items():
-        for k in range(1, m + 1):
-            l, u, s = _psi_step(mu, k, w)
-            c = chis.get(chars[k - 1])
-            if c is not None and not c.is_zero():
-                cells[k - 1][l - 1].append(((ident, u), c.times_monomial(1, s)))
-    return [[YElement._trusted(1, n, cell) for cell in row] for row in cells]
-
-
 def psi_mu(mu, x):
     """The block image of x (implicitly of E_mu * x): an m x m matrix of
-    Hecke elements supported in the Young subgroup. Every power of q it
-    carries is an integer (see _psi_step)."""
+    Hecke elements supported in the Young subgroup, read off the character
+    sums of x for the m characters of the block. Every power of q it
+    carries is an integer (see _psi_step). For fixed (k, l) the map w -> u
+    is injective, so each cell is built once from its list of terms."""
     if x.d != mu.d or x.n != mu.n:
         raise ValueError("algebra parameter mismatch")
-    return _psi_block(mu, character_sums(x, block_characters(mu)))
+    n, chars = mu.n, block_characters(mu)
+    m, ident = len(chars), (0,) * n
+    cells = [[[] for _ in range(m)] for _ in range(m)]
+    for w, sums in character_sums(x, chars).items():
+        for k, exps in enumerate(chars, 1):
+            c = sums[exps]
+            if not c.is_zero():
+                l, u, s = _psi_step(mu, k, w)
+                cells[k - 1][l - 1].append(((ident, u), c.times_monomial(1, s)))
+    return [[YElement._trusted(1, n, cell) for cell in row] for row in cells]
 
 
 @lru_cache(maxsize=None)
@@ -192,45 +136,46 @@ def _phi_step(mu, k, l, w):
     return v, h // 2
 
 
-def _phi_blocks(blocks, cell_terms):
-    """phi of a block family: the character coordinates of all blocks are
-    gathered into one dict {v: {chi: c}} and transformed back once.
-    cell_terms(mu, cell) yields (w, c) for each term c G_w of a cell."""
-    coords = {}
+def _phi_blocks(blocks, which=None):
+    """phi of a block family: each term c G_w of cell (k, l) of the block of
+    mu is q^s c E_chi_k g_v (_phi_step), all transformed back at once
+    (yokonuma.from_characters). A cell is a Hecke element, or for which
+    'FTL'/'CTL' quotient coordinates {key: c}, w = quotient_coord_perm(mu,
+    key, r). An empty family or a block not m x m is a ValueError."""
+    if not blocks:
+        raise ValueError("an empty block family has no (d, n)")
+    parts = []
     for mu, block in blocks.items():
         chars = block_characters(mu)
+        m = len(chars)
+        if len(block) != m or any(len(row) != m for row in block):
+            raise ValueError("the block of mu = %s must be %d x %d, not %d rows of lengths %s"
+                             % (mu.parts, m, m, len(block), [len(row) for row in block]))
+        r = which and tl_factors(which, mu.d)
         for k, row in enumerate(block, 1):
             for l, cell in enumerate(row, 1):
-                for w, c in cell_terms(mu, cell):
-                    c = _in_field(c, mu.d)
-                    if c.is_zero():
-                        continue
+                for key, c in (cell.items() if which else cell.terms):
+                    w = quotient_coord_perm(mu, key, r) if which else key[1]
                     v, s = _phi_step(mu, k, l, w)
-                    _acc_term(coords.setdefault(v, {}), chars[k - 1],
-                              c.times_monomial(1, s))
+                    parts.append((v, chars[k - 1], s, c))
     mu = next(iter(blocks))
-    return _from_character_coords(mu.d, mu.n, coords)
-
-
-def _hecke_terms(mu, entry):
-    return ((w, c) for (_, w), c in entry.terms)
+    return from_characters(mu.d, mu.n, parts)
 
 
 def phi_mu(mu, matrix):
     """Inverse block map: matrix of Hecke elements (support in the Young
     subgroup) to a YElement. The q-power on each term uses the length of
     pi_k w pi_l^{-1}, the permutation appearing in the image."""
-    return _phi_blocks({mu: matrix}, _hecke_terms)
+    return _phi_blocks({mu: matrix})
 
 
 def psi_n(x):
     """Blockwise image over all compositions: {mu: matrix}."""
-    coords = _character_coords(x)
-    return {mu: _psi_block(mu, coords) for mu in compositions(x.d, x.n)}
+    return {mu: psi_mu(mu, x) for mu in compositions(x.d, x.n)}
 
 
 def phi_n(blocks):
-    return _phi_blocks(blocks, _hecke_terms)
+    return _phi_blocks(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +266,8 @@ def quotient_entry(mu, hecke, r):
 
 def _quotient_psi(x, which):
     r = tl_factors(which, x.d)
-    coords = _character_coords(x)
     # zero blocks are kept too, so every family has the same shape
-    return {mu: [[quotient_entry(mu, e, r) for e in row] for row in _psi_block(mu, coords)]
+    return {mu: [[quotient_entry(mu, e, r) for e in row] for row in psi_mu(mu, x)]
             for mu in compositions(x.d, x.n)}
 
 
@@ -347,20 +291,14 @@ def quotient_coord_perm(mu, key, r):
     return Perm.from_word(mu.n, tuple(word))
 
 
-def _quotient_phi(blocks, which):
-    r = tl_factors(which, next(iter(blocks)).d)
-    return _phi_blocks(blocks, lambda mu, cell: (
-        (quotient_coord_perm(mu, key, r), c) for key, c in cell.items()))
-
-
 def ftl_phi(blocks):
     """A preimage in the algebra whose ftl_psi image is the given block
     family (well-defined modulo the defining ideal)."""
-    return _quotient_phi(blocks, "FTL")
+    return _phi_blocks(blocks, "FTL")
 
 
 def ctl_phi(blocks):
-    return _quotient_phi(blocks, "CTL")
+    return _phi_blocks(blocks, "CTL")
 
 
 def blocks_equal(a, b):
@@ -422,4 +360,4 @@ def basis_blocks(descriptor, kind):
 
 def basis_element(descriptor, kind):
     """The algebra-side representative of one basis descriptor."""
-    return _quotient_phi(basis_blocks(descriptor, kind), kind)
+    return _phi_blocks(basis_blocks(descriptor, kind), kind)

@@ -21,7 +21,8 @@ by (permutation, t-monomial id); the 1/d of an e-term becomes a power of d
 in the common denominator. Each distinct output is decoded once, into
 terms in normal order. The character sums (character_sums), which psi_mu
 and the seminormal evaluation read, shift the zeta powers of each row by
-its root of unity.
+its root of unity. Their inverse (from_characters), which phi reads, packs
+the same rows as the product does; a root of unity is a shift of digits.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .scalars import (Cyclotomic, Laurent, RatFunc, as_ratfunc, cyclotomic_from_
                       specialize_q)
 
 
-# the largest packed int _int_product builds, in bits (32 MiB); a product
-# near it holds several such ints at once, about 6x that at its peak
+# the largest packed int _int_product or from_characters builds, in bits
+# (32 MiB); a product near it holds several at once, about 6x that at peak
 MAX_PACKED_BITS = 1 << 28
 
 
@@ -196,20 +197,34 @@ def _coded(x, order):
     pass over the terms and kept in x's slot: (den, common, groups, mass,
     low, high, ztop). The coefficients are brought over den, the lcm of
     their denominators (scalars.over_one_denominator), and each numerator
-    becomes (q-exponent, zeta_order power, int) triples over the one int
-    denominator common. groups maps each permutation of x, in order of first
+    becomes its row of triples over common (_encode_rows, which also gives
+    mass and ztop). groups maps each permutation of x, in order of first
     appearance, to the rows [(tmon, triples)] of its terms. A row decodes as
     RatFunc.over(laurent_from_ints(order, rows, common), den), rows its ints
-    summed by q-exponent, in ascending order. mass is the sum of |c| over
-    the triples, low and high the lowest and highest q-exponent and ztop
-    the highest zeta_order power."""
+    summed by q-exponent, in ascending order; low and high are the lowest
+    and highest q-exponent."""
     codes = _codes(x)
     if order in codes:
         return codes[order]
     nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in x.terms])
+    common, rows, mass, ztop = _encode_rows(nums, order)
+    groups = {}
+    for ((tmon, w), _), row in zip(x.terms, rows):
+        groups.setdefault(w, []).append((tmon, row))
+    low = min([num.terms[0][0] for num in nums], default=None)
+    high = max([num.terms[-1][0] for num in nums], default=None)
+    codes[order] = den, common, groups, mass, low, high, ztop
+    return codes[order]
+
+
+def _encode_rows(nums, order):
+    """(common, rows, mass, ztop) for Laurent numerators whose orders divide
+    order: rows[i] lists nums[i] as (q-exponent, zeta_order power, int)
+    triples over one int denominator common; mass is the sum of |int| over
+    all triples and ztop the highest zeta_order power."""
     common = lcm(*[v.den for num in nums for _, v in num.terms])
-    groups, mass, ztop = {}, 0, 0
-    for ((tmon, w), _), num in zip(x.terms, nums):
+    rows, mass, ztop = [], 0, 0
+    for num in nums:
         row = []
         for e, v in num.terms:
             step, scale, z = order // v.order, common // v.den, 0
@@ -220,11 +235,8 @@ def _coded(x, order):
                     mass += abs(c)
                     ztop = z if z > ztop else ztop
                 z += step
-        groups.setdefault(w, []).append((tmon, row))
-    low = min([num.terms[0][0] for num in nums], default=None)
-    high = max([num.terms[-1][0] for num in nums], default=None)
-    codes[order] = den, common, groups, mass, low, high, ztop
-    return codes[order]
+        rows.append(row)
+    return common, rows, mass, ztop
 
 
 def _int_product(d, n, order, left, right):
@@ -590,6 +602,65 @@ def character_sums(x, characters):
             sums[exps] = RatFunc.over(laurent_from_ints(order, sorted(by_e.items()), common),
                                       den)
     return out
+
+
+def from_characters(d, n, parts):
+    """sum q^s c E_chi g_v over parts [(v, exps, s, c)], exps the exponent
+    vector of chi: the inverse of the character sums. The coefficient of
+    t^b g_v is d^-n sum_chi C_{v,chi} zeta_d^-(exps . b), C_{v,chi} the sum
+    of the q^s c of (v, chi), each one int packed as in _int_product, its
+    coefficients encoded as _coded encodes them (_encode_rows) at the lcm
+    order L of d and their orders. Per v, n axis passes of size d make each
+    step one shift and one add: zeta_d^k shifts by k L/d zeta digits, with
+    no wrap, so Z = ztop + 1 + n (d - 1) L/d digits hold every shift and
+    _decode folds the powers past L back. An output digit is a signed sum
+    of input digits, so B = bitlen(sum |c|) + 2 bits hold it. The factor
+    d^-n joins the int denominator. Past MAX_PACKED_BITS the transform is a
+    ValueError, raised before anything is packed."""
+    parts = [(v, exps, s, as_ratfunc(c, d)) for v, exps, s, c in parts]
+    parts = [part for part in parts if not part[3].is_zero()]
+    if not parts:
+        return zero(d, n)
+    order = lcm(d, *[c.order for _, _, _, c in parts])
+    nums, den = over_one_denominator([(c.num, c.den_exps) for _, _, _, c in parts])
+    common, rows, mass, ztop = _encode_rows(nums, order)
+    low = min([row[0][0] + s for (_, _, s, _), row in zip(parts, rows)])
+    powers = max([row[-1][0] + s for (_, _, s, _), row in zip(parts, rows)]) - low + 1
+    step = order // d
+    zdigits = ztop + 1 + n * (d - 1) * step
+    width = mass.bit_length() + 2
+    if powers * zdigits * width > MAX_PACKED_BITS:
+        raise ValueError("the character transform spans %d powers of q, %d bits packed, "
+                         "more than %d" % (powers, powers * zdigits * width, MAX_PACKED_BITS))
+    # exps is keyed by its id (_tmon_tables): axis j is its digit of weight d^(n-1-j)
+    ids, tmons = _tmon_tables(d, n)[:2]
+    packed = {}
+    for (v, exps, s, _), row in zip(parts, rows):
+        p = 0
+        for e, z, c in row:
+            p += c << ((e + s - low) * zdigits + z) * width
+        sums, x = packed.setdefault(v, {}), ids[exps]
+        sums[x] = sums.get(x, 0) + p
+    common *= d ** n
+    chunks, out = {}, []
+    for v, values in packed.items():
+        for j in range(n):
+            stride = d ** (n - 1 - j)
+            # for each digit a, the move to each b and the shift of zeta_d^(-a b)
+            steps = [[((b - a) * stride, -a * b % d * step * width) for b in range(d)]
+                     for a in range(d)]
+            nxt = {}
+            for x, p in values.items():
+                if p:
+                    for move, shift in steps[x // stride % d]:
+                        nxt[x + move] = nxt.get(x + move, 0) + (p << shift)
+            values = nxt
+        for x, p in values.items():
+            if p:
+                num = _decode(p, low, width, zdigits, order, common, chunks)
+                if num.terms:
+                    out.append(((tmons[x], v), RatFunc.over(num, den)))
+    return YElement._trusted(d, n, out)
 
 
 def E_chi(d, n, exps):

@@ -21,6 +21,10 @@ this module.
 - ref_character_sum: the character sum behind the seminormal row scalars
   and psi_mu in plain RatFunc arithmetic, one multiplication by a root of
   unity per term, against the int-coordinate yokonuma.character_sums
+- ref_char_transform, ref_from_characters: the transform over (Z/d)^n in
+  RatFunc arithmetic, one multiplication by a root of unity and one
+  normalised sum per step, as the block maps ran it before the inverse moved
+  onto packed ints, against yokonuma.from_characters
 - ref_unpack, ref_laurent_from_ints: the int decoder in its dict form (a
   {q-exponent: ints} dict, its keys sorted, each row reduced by
   scalars._power_sum), against yokonuma._decode, which reads a packed int
@@ -38,7 +42,8 @@ from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
 from ytl.permutations import Perm, all_perms
 from ytl.reps import quotient_shapes, rep_element, rep_module
-from ytl.scalars import Cyclotomic, Laurent, RatFunc, _power_sum, _reduced, specialize_q
+from ytl.scalars import (Cyclotomic, Laurent, RatFunc, _power_sum, _reduced, as_ratfunc,
+                         specialize_q)
 from ytl.tableaux import jones_pairs, jones_permutation
 from ytl.yokonuma import YElement, g_block, gen_g, gen_g_inv, unit
 
@@ -563,6 +568,37 @@ def ref_character_sum(d, terms, exps):
         phase = sum(a * p for a, p in zip(tmon, exps)) % d
         out = out + c * RatFunc.from_scalar(Cyclotomic.root_power(d, phase), d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the character transform in RatFunc arithmetic
+
+
+def ref_char_transform(d, n, values, sign):
+    """The transform over (Z/d)^n of {a: c}: {b: sum_a c * zeta_d^(sign a.b)},
+    one axis at a time (n passes of size d), zero sums dropped."""
+    for j in range(n):
+        nxt = {}
+        for key, c in values.items():
+            a, head, tail = key[j], key[:j], key[j + 1:]
+            for b in range(d):
+                e = sign * a * b % d
+                _acc_term(nxt, head + (b,) + tail,
+                          c.times_monomial(Cyclotomic.root_power(d, e)) if e else c)
+        values = nxt
+    return values
+
+
+def ref_from_characters(d, n, parts):
+    """sum q^s c E_chi g_v over parts [(v, exps, s, c)]: the q^s c of each
+    (v, exps) summed in a field holding zeta_d, transformed back with
+    inverse roots (ref_char_transform) and scaled by d^-n."""
+    coords = {}
+    for v, exps, s, c in parts:
+        _acc_term(coords.setdefault(v, {}), exps, as_ratfunc(c, d) * RatFunc.q_power(s, d))
+    scale = Fraction(1, d ** n)
+    return YElement(d, n, [((a, v), c * scale) for v, chis in coords.items()
+                           for a, c in ref_char_transform(d, n, chis, -1).items()])
 
 
 # ---------------------------------------------------------------------------

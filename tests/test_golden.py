@@ -64,6 +64,9 @@ COMMANDS = {
     "rep_d4n4": ["rep", "-d", "4", "-n", "4", "--shape", "[[3,1],[],[],[]]"],
     # the isomorphism suite at a composite order, where Phi_6 has degree 2
     "verify_iso_d6": ["verify", "-d", "6", "-n", "2", "--suite", "iso", "--seed", "0"],
+    # psi and phi at d = 3, n = 3: the inverse transform over three axes;
+    # written before phi ran on packed ints
+    "verify_iso_d3n3": ["verify", "-d", "3", "-n", "3", "--suite", "iso", "--seed", "0"],
     # every suite at d = 1, the only such report with hecke_seminormal_match
     "verify_d1n4": ["verify", "-d", "1", "-n", "4", "--suite", "all", "--seed", "0"],
 }

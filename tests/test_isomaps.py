@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -65,6 +66,45 @@ def test_inverse_pair_full_basis(d, n):
         for w in all_perms(n):
             x = basis_elem(d, n, a, w)
             assert iso.phi_n(iso.psi_n(x)) == x
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inverse_pair_mixed_orders(n):
+    # one zeta_6 coefficient at d = 3: the images, and so phi's output, are
+    # over Q(zeta_6), the lcm order of x, as products are
+    d, perms = 3, all_perms(n)
+    x = yk.YElement(d, n, [
+        (((1,) * n, perms[-1]), RatFunc.from_scalar(Cyclotomic.root_power(6, 1), 6)),
+        (((0,) * n, perms[-1]), RatFunc.q(3) + RatFunc.from_scalar(Fraction(-2, 5), 3)),
+        (((2,) + (0,) * (n - 1), perms[0]), Cyclotomic.root_power(3, 2))])
+    back = iso.phi_n(iso.psi_n(x))
+    assert back == x and hash(back) == hash(x)
+    assert {c.order for _, c in back.terms} == {6}
+
+
+def test_phi_refuses_empty_and_misshapen_families():
+    for phi in (iso.phi_n, iso.ftl_phi, iso.ctl_phi):
+        with pytest.raises(ValueError, match="empty block family"):
+            phi({})
+    # mu = (1, 1, 1) has m = 6: a 1 x 1 matrix is not its block
+    mu = Composition((1, 1, 1))
+    with pytest.raises(ValueError, match=r"mu = \(1, 1, 1\) must be 6 x 6, not 1 rows"):
+        iso.phi_mu(mu, [[iso.hecke_unit(3)]])
+    full = iso.psi_mu(mu, yk.unit(3, 3))
+    with pytest.raises(ValueError, match=r"lengths \[6, 6, 6, 6, 6, 5\]"):
+        iso.phi_mu(mu, full[:-1] + [full[-1][:-1]])
+    with pytest.raises(ValueError, match="must be 6 x 6"):
+        iso.ftl_phi({mu: [[{}] * 6] * 5})
+
+
+def test_phi_mu_refuses_a_wide_q_span():
+    # a cell coefficient 1 + q^(10^8) spans 10^8 + 1 powers of q
+    mu = Composition((2, 0))
+    cell = iso.hecke_term(2, Perm.identity(2), RatFunc.one(1) + RatFunc.q_power(10 ** 8, 1))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="spans 100000001 powers of q"):
+        iso.phi_mu(mu, [[cell]])
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])

@@ -752,3 +752,79 @@ def test_decoder_examples():
     want = Laurent(3, {-1: 1, 2: Cyclotomic(3, [Fraction(2, 3), Fraction(5, 3)]),
                        4: Cyclotomic.root_power(3, 2) * Fraction(1, 3)})
     assert got == want and repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# the inverse character transform on packed ints
+
+
+_TRANSFORM_ORDERS = (1, 2, 3, 4, 6, 12)
+
+
+@st.composite
+def _transform_coefficient(draw):
+    """One or two terms c zeta^k q^e over Q(zeta_order), order drawn from
+    1, 2, 3, 4, 6, 12, c a rational with a small numerator or one up to
+    10^30, over 1 or a product of Phi_j(q); now and then zero."""
+    order = draw(st.sampled_from(_TRANSFORM_ORDERS))
+    out = RatFunc.zero(order)
+    for _ in range(draw(st.integers(0, 2))):
+        c = Fraction(draw(st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))),
+                     draw(st.sampled_from((1, 2, 7))))
+        zeta = Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
+        out = out + RatFunc.from_scalar(zeta * c, order) * RatFunc.q_power(
+            draw(st.integers(-6, 6)), order)
+    one, q = RatFunc.one(order), RatFunc.q(order)
+    den = draw(st.sampled_from((None, one + q, one + q + q * q, one + q * q, one - q)))
+    return out if den is None or out.is_zero() else out / den
+
+
+@st.composite
+def _transform_parts(draw):
+    """(d, n, parts): terms (v, exps, s, c) standing for q^s c E_chi g_v,
+    several of them sharing a (v, exps), with negative shifts s."""
+    d = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    n = draw(st.integers(1, 3 if d < 6 else 2))
+    perms, exps = all_perms(n), st.tuples(*[st.integers(0, d - 1)] * n)
+    keys = draw(st.lists(st.tuples(st.sampled_from(perms), exps), min_size=1, max_size=3))
+    parts = [(v, chi, draw(st.integers(-4, 4)), draw(_transform_coefficient()))
+             for v, chi in draw(st.lists(st.sampled_from(keys), max_size=6))]
+    return d, n, parts
+
+
+def _same_transform(d, n, parts):
+    got, want = yk.from_characters(d, n, parts), oracles.ref_from_characters(d, n, parts)
+    assert got == want and hash(got) == hash(want)
+    return got
+
+
+@given(_transform_parts())
+@settings(max_examples=150, deadline=None)
+def test_from_characters_against_reference(case):
+    _same_transform(*case)
+
+
+def test_from_characters_examples():
+    d, n = 3, 2
+    v = Perm.transposition(n, 1)
+    # 1 + zeta_3 + zeta_3^2 on one (v, chi): no packed int is zero, but the
+    # element is, once each output is reduced mod Phi_3
+    parts = [(v, (1, 2), -1, Cyclotomic.root_power(3, k)) for k in range(3)]
+    assert _same_transform(d, n, parts).is_zero()
+    # all-zero families: none, zero coefficients, and terms that cancel
+    for zeros in ([], [(v, (0, 0), 0, RatFunc.zero(3))],
+                  [(v, (2, 1), 3, RatFunc.q(6)), (v, (2, 1), 4, -RatFunc.one(6))]):
+        assert _same_transform(d, n, zeros) == yk.zero(d, n)
+    # E_chi itself, the single term 1 E_chi g_1
+    for exps in itertools.product(range(d), repeat=n):
+        assert _same_transform(d, n, [(Perm.identity(n), exps, 0, 1)]) == yk.E_chi(d, n, exps)
+
+
+def test_from_characters_refuses_a_wide_q_span():
+    # (1 + q^(10^8)) spans 10^8 + 1 powers of q: refused before packing
+    c = RatFunc.one(1) + RatFunc.q_power(10 ** 8, 1)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="spans 100000001 powers of q") as err:
+        yk.from_characters(2, 2, [(Perm.identity(2), (0, 1), 0, c)])
+    assert str(yk.MAX_PACKED_BITS) in str(err.value)
+    assert time.monotonic() - start < 1.0

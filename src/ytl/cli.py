@@ -101,7 +101,7 @@ def _cache_store(args, kind, key, payload):
 # output
 
 
-def _emit(args, payload):
+def _write_json(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -111,7 +111,7 @@ def _emit(args, payload):
 
 
 def _error(args, message, code=2):
-    _emit(args, {"error": message})
+    _write_json(args, {"error": message})
     return code
 
 
@@ -147,7 +147,7 @@ def cmd_dim(args):
         value = dim_FTL(d, n) if n >= 3 else dim_Y(d, n)
     else:
         value = dim_CTL(d, n) if n >= 3 else dim_Y(d, n)
-    _emit(args, {"kind": kind, "d": d, "n": n, "dim": value})
+    _write_json(args, {"kind": kind, "d": d, "n": n, "dim": value})
     return 0
 
 
@@ -222,7 +222,7 @@ def cmd_enumerate(args):
             {"mu": list(m.parts),
              "representatives": [w.to_json() for w in coset_system(m).reps]}
             for m in mus]}
-    _emit(args, payload)
+    _write_json(args, payload)
     return 0
 
 
@@ -278,7 +278,7 @@ def cmd_rep(args):
     report = module_relations(d, n, [shape])
     payload["relation_check"] = {"ok": report["ok"],
                                  "checks": report["checks"]}
-    _emit(args, payload)
+    _write_json(args, payload)
     return 0 if report["ok"] else 1
 
 
@@ -292,7 +292,7 @@ def cmd_mul(args):
     payload = {"d": d, "n": n, "expr": args.expr,
                "element": element.to_json(),
                "pretty": repr(element)}
-    _emit(args, payload)
+    _write_json(args, payload)
     return 0
 
 
@@ -304,7 +304,7 @@ def cmd_basis(args):
         isinstance(p.get("elements"), list)
         and _has_fields(p, kind=args.kind, d=d, n=n, count=len(p["elements"]))))
     if cached is not None:
-        _emit(args, cached)
+        _write_json(args, cached)
         return 0 if cached["count"] == cached.get("expected") else 1
     from .tableaux import dim_CTL, dim_FTL, dim_Y
     # a basis has at least d^n elements (the E_chi) and at least
@@ -326,7 +326,7 @@ def cmd_basis(args):
                "count": len(items), "expected": expected,
                "elements": items}
     _cache_store(args, "basis", key, payload)
-    _emit(args, payload)
+    _write_json(args, payload)
     return 0 if len(items) == expected else 1
 
 
@@ -338,7 +338,7 @@ def cmd_verify(args):
         and isinstance(p.get("ok"), bool)
         and isinstance(p.get("checks"), list)))
     if cached is not None:
-        _emit(args, cached)
+        _write_json(args, cached)
         return 0 if cached["ok"] else 1
     from .verify import run_suite
     try:
@@ -349,7 +349,7 @@ def cmd_verify(args):
     # depth), not from (d, n, seed): its report is not kept
     if not any(chk["name"].endswith(".raised") for chk in report["checks"]):
         _cache_store(args, "verify", key, report)
-    _emit(args, report)
+    _write_json(args, report)
     return 0 if report["ok"] else 1
 
 

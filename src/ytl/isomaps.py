@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .permutations import (ConsistencyError, Perm, act_on_character, all_perms,
+from .permutations import (Composition, ConsistencyError, Perm, act_on_character, all_perms,
                            compositions, coset_system, embed_word, factor_in_young)
 from .scalars import RatFunc, as_ratfunc
 from .tableaux import jones_pairs, jones_permutation, tl_factors
@@ -227,15 +227,10 @@ def _rho_perm(m, w):
 
 def rho_reduce(h, m=None):
     """Image of a Hecke element in the Temperley-Lieb quotient, as Jones
-    coordinates {JonesPair: coeff}: the linear extension of the
-    straightening _rho_perm over the terms of h."""
-    if m is None:
-        m = h.n
-    out = {}
-    for (_, w), c in h.terms:
-        for pair, pc in _rho_perm(m, w):
-            _acc_term(out, pair, c * pc)
-    return out
+    coordinates {JonesPair: coeff}: quotient_entry for the one-part
+    composition (m,), m = h.n by default, with its one factor reduced."""
+    entry = quotient_entry(Composition((h.n if m is None else m,)), h, 1)
+    return {key[0]: c for key, c in entry.items()}
 
 
 # ---------------------------------------------------------------------------

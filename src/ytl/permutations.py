@@ -207,15 +207,14 @@ class Composition(Record):
         return out
 
 
+@lru_cache(maxsize=None)
 def compositions(d, n):
-    """All compositions of n with d parts, lexicographic from (n,0,...,0) down."""
+    """All compositions of n with d parts, lexicographic from (n,0,...,0)
+    down, as a tuple (cached)."""
     if d == 1:
-        return [Composition((n,))]
-    out = []
-    for first in range(n, -1, -1):
-        for rest in compositions(d - 1, n - first):
-            out.append(Composition((first,) + rest.parts))
-    return out
+        return (Composition((n,)),)
+    return tuple(Composition((first,) + rest.parts)
+                 for first in range(n, -1, -1) for rest in compositions(d - 1, n - first))
 
 
 class CosetSystem(Record):

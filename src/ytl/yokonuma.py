@@ -8,21 +8,19 @@ Elements are immutable; multiplication rewrites to normal form using
   g_w g_i  = q g_{w s_i} + (q-1) e_{w(i), w(i+1)} g_w    otherwise,
 where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
 
-An element has one int encoding (_coded), known to this module alone: its
-coefficients over one denominator (a Laurent-only element is over 1),
-their numerators as ints in the group ring Z[Z/L] over one integer
-denominator, L a multiple of d and of every coefficient order, grouped by
-permutation; an element keeps each of its encodings. Two things read it.
-The product packs each numerator into one int by Kronecker substitution in
-(q, zeta_L), in the zeta digits used, so a pair of terms is one int
-multiplication; for each permutation v of the right operand it folds the
-left operand times sum_b c_b t^b through the reduced word of v once, keyed
-by (permutation, t-monomial id); the 1/d of an e-term becomes a power of d
-in the common denominator. Each distinct output is decoded once, into
-terms in normal order. The character sums (character_sums), which psi_mu
-and the seminormal evaluation read, shift the zeta powers of each row by
-its root of unity. Their inverse (from_characters), which phi reads, packs
-the same rows as the product does; a root of unity is a shift of digits.
+An element keeps one int encoding (_coded), known to this module alone:
+its coefficients over one denominator, their numerators as ints in the
+group ring Z[Z/o] over one integer denominator, o = x.order, grouped by
+permutation. The product packs each numerator into one int (_pack) in
+(q, zeta_L), L the lcm of the operands' orders; for each permutation v of
+the right operand it folds the left operand times sum_b c_b t^b through
+the reduced word of v once, keyed by (permutation, t-monomial id); the 1/d
+of an e-term becomes a power of d in the common denominator. The
+character sums (character_sums), which psi_mu and the seminormal
+evaluation read, shift the zeta powers of each row by its root of unity.
+Their inverse (from_characters), which phi reads, packs its rows with
+_pack too; a root of unity is a shift of digits. Both bound their packed
+ints in one place (_check_span) and decode them in one loop (_emit).
 """
 
 from __future__ import annotations
@@ -49,9 +47,9 @@ class NTooSmall(Exception):
 
 class YElement:
     """An element of the (d, n) algebra: sorted terms ((tmon, w), coeff).
-    The slot _codes (see _codes) takes no part in ==, hash, repr or pickling."""
+    The slot _code (see _coded) takes no part in ==, hash, repr or pickling."""
 
-    __slots__ = ("d", "n", "terms", "_codes")
+    __slots__ = ("d", "n", "terms", "_code")
 
     def __init__(self, d, n, terms):
         clean = {}
@@ -96,11 +94,14 @@ class YElement:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     @property
     def order(self):
         """The order of the smallest cyclotomic field holding Q(zeta_d) and
         every coefficient."""
-        return _codes(self)[0]
+        return _coded(self)[0]
 
     def _check_compat(self, other):
         if not isinstance(other, YElement):
@@ -134,9 +135,7 @@ class YElement:
         d, n = self.d, self.n
         if not self.terms or not other.terms:
             return zero(d, n)
-        order = lcm(self.order, other.order)
-        return YElement._sorted(d, n, _int_product(d, n, order, _coded(self, order),
-                                                   _coded(other, order)))
+        return YElement._sorted(d, n, _int_product(d, n, _coded(self), _coded(other)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -168,15 +167,15 @@ class YElement:
                 for (tmon, w), c in self.terms]
 
 
-_set_d, _set_n, _set_terms, _set_codes = slot_setters(YElement)
+_set_d, _set_n, _set_terms, _set_code = slot_setters(YElement)
 
 
 def _fill(x, d, n, terms):
-    """Set the slots of a new YElement; its encodings are made on use."""
+    """Set the slots of a new YElement; its encoding is made on use."""
     _set_d(x, d)
     _set_n(x, n)
     _set_terms(x, terms)
-    _set_codes(x, None)
+    _set_code(x, None)
 
 
 def _term_order(term):
@@ -184,37 +183,30 @@ def _term_order(term):
     return tmon, w.images
 
 
-def _codes(x):
-    """The dict in x's slot, made on first use: 0 maps to x.order and each
-    order x was encoded at to its encoding (_coded)."""
-    if x._codes is None:
-        _set_codes(x, {0: lcm(x.d, *[c.num.order for _, c in x.terms])})
-    return x._codes
-
-
-def _coded(x, order):
-    """x in int coordinates, for order a multiple of x.order, built in one
-    pass over the terms and kept in x's slot: (den, common, groups, mass,
-    low, high, ztop). The coefficients are brought over den, the lcm of
-    their denominators (scalars.over_one_denominator), and each numerator
-    becomes its row of triples over common (_encode_rows, which also gives
-    mass and ztop). groups maps each permutation of x, in order of first
-    appearance, to the rows [(tmon, triples)] of its terms. A row decodes as
-    RatFunc.over(laurent_from_ints(order, rows, common), den), rows its ints
-    summed by q-exponent, in ascending order; low and high are the lowest
-    and highest q-exponent."""
-    codes = _codes(x)
-    if order in codes:
-        return codes[order]
-    nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in x.terms])
-    common, rows, mass, ztop = _encode_rows(nums, order)
-    groups = {}
-    for ((tmon, w), _), row in zip(x.terms, rows):
-        groups.setdefault(w, []).append((tmon, row))
-    low = min([num.terms[0][0] for num in nums], default=None)
-    high = max([num.terms[-1][0] for num in nums], default=None)
-    codes[order] = den, common, groups, mass, low, high, ztop
-    return codes[order]
+def _coded(x):
+    """x in int coordinates, built in one pass over the terms on first use
+    and kept in x's slot: (order, den, common, groups, mass, low, high,
+    ztop), order = x.order. The coefficients are brought over den, the lcm
+    of their denominators (scalars.over_one_denominator), and each
+    numerator becomes its row of triples over common (_encode_rows, which
+    also gives mass and ztop). groups maps each permutation of x, in order
+    of first appearance, to the rows [(tmon, triples)] of its terms. A row
+    decodes as RatFunc.over(laurent_from_ints(order, rows, common), den),
+    rows its ints summed by q-exponent, in ascending order; low and high
+    are the lowest and highest q-exponent."""
+    code = x._code
+    if code is None:
+        order = lcm(x.d, *[c.num.order for _, c in x.terms])
+        nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in x.terms])
+        common, rows, mass, ztop = _encode_rows(nums, order)
+        groups = {}
+        for ((tmon, w), _), row in zip(x.terms, rows):
+            groups.setdefault(w, []).append((tmon, row))
+        low = min([num.terms[0][0] for num in nums], default=None)
+        high = max([num.terms[-1][0] for num in nums], default=None)
+        code = order, den, common, groups, mass, low, high, ztop
+        _set_code(x, code)
+    return code
 
 
 def _encode_rows(nums, order):
@@ -239,16 +231,15 @@ def _encode_rows(nums, order):
     return common, rows, mass, ztop
 
 
-def _int_product(d, n, order, left, right):
-    """The product of two nonzero elements encoded at one order (_coded), as
-    a tuple of terms ((tmon, Perm), RatFunc) in normal form and order.
+def _int_product(d, n, left, right):
+    """The product of two nonzero encoded elements (_coded), as a tuple of
+    terms ((tmon, Perm), RatFunc) in normal form and order (_emit).
 
-    Each row (one term's numerator) is packed into one int by Kronecker
-    substitution in (q, zeta): the digit of zeta^z q^e sits at index
-    (e - e_min) Z + z, each digit B bits wide, signed, and Z = z_left +
-    z_right + 1 for the highest zeta powers of the operands (1 when both
-    are rational). A product of two rows is one int multiplication, and z1
-    + z2 < Z never carries into the next power of q. The terms of the right
+    Each row (one term's numerator) is one int (_pack) over Q(zeta_L), L
+    the lcm of the operands' orders, Z = z_left + z_right + 1 digits to a
+    power of q for their highest zeta_L powers, each digit B bits wide. A
+    product of two rows is one int multiplication, and z1 + z2 < Z never
+    carries into the next power of q. The terms of the right
     operand that share a permutation v are folded through its reduced word
     together, keyed by (permutation, t-monomial) only: a step that descends
     sends P to d q P on w s_i and to (q - 1) P on each of the d shifted
@@ -261,36 +252,22 @@ def _int_product(d, n, order, left, right):
     word on the right. The bound is exact: the products of the rows have
     total mass sum|c_left| sum|c_right|, one fold step sends mass m to at
     most d m + 2 d m, and the operands with shorter words are scaled by d
-    per missing step, so no digit reaches 2^(B-2) in absolute value.
-
-    A packed int holds B Z bits per power of q, over the q-spreads of both
-    operands plus one power per fold step. Past MAX_PACKED_BITS the product
-    is a ValueError, raised before anything is packed.
-
-    Each distinct packed output, and each distinct q-chunk, is decoded once
-    per call (_decode): outputs repeat on products of idempotents. The terms
-    are sorted by (t-monomial id, images), the order of _term_order, as an
-    id is the number of its vector in base d."""
-    lden, lcommon, lgroups, lmass, lmin, lmax, lztop = left
-    rden, rcommon, rgroups, rmass, rmin, rmax, rztop = right
-    ids, tmons, add, shifts = _tmon_tables(d, n)
+    per missing step, so no digit reaches 2^(B-2) in absolute value. A
+    packed int spans the q-spreads of both operands plus one power per fold
+    step (_check_span)."""
+    lorder, lden, lcommon, lgroups, lmass, lmin, lmax, lztop = left
+    rorder, rden, rcommon, rgroups, rmass, rmin, rmax, rztop = right
+    order = lcm(lorder, rorder)
+    lstep, rstep = order // lorder, order // rorder
+    ids, _, add, shifts = _tmon_tables(d, n)
     top = max(len(_reduced_word(v.images)) for v in rgroups)
-    zdigits = lztop + rztop + 1
+    zdigits = lztop * lstep + rztop * rstep + 1
     width = (lmass * rmass * (3 * d) ** top).bit_length() + 2
     qshift = width * zdigits
-    powers = (lmax - lmin) + (rmax - rmin) + top + 1
-    if powers * qshift > MAX_PACKED_BITS:
-        raise ValueError("the product spans %d powers of q, %d bits packed, more than %d"
-                         % (powers, powers * qshift, MAX_PACKED_BITS))
-    lterms = []
-    for u, rows in lgroups.items():
-        packed = []
-        for a, mono in rows:
-            p = 0
-            for e, z, c in mono:
-                p += c << ((e - lmin) * zdigits + z) * width
-            packed.append((ids[a], p))
-        lterms.append((u.images, _tmon_action(d, n, u.images), packed))
+    _check_span("product", (lmax - lmin) + (rmax - rmin) + top + 1, qshift)
+    lterms = [(u.images, _tmon_action(d, n, u.images),
+               [(ids[a], _pack(mono, lmin, lstep, zdigits, width)) for a, mono in rows])
+              for u, rows in lgroups.items()]
     acc = {}
     for v, rights in rgroups.items():
         # the left group times sum_b c_b t^b, all still left of g_v:
@@ -301,9 +278,7 @@ def _int_product(d, n, order, left, right):
         scale = d ** (top - len(word))
         for b, rmono in rights:
             bid = ids[b]
-            pr = 0
-            for e, z, c in rmono:
-                pr += c * scale << ((e - rmin) * zdigits + z) * width
+            pr = _pack(rmono, rmin, rstep, zdigits, width) * scale
             for u, act, rows in lterms:
                 y = act[bid]
                 sums = add[y]
@@ -323,12 +298,41 @@ def _int_product(d, n, order, left, right):
             else:
                 for m, p in terms.items():
                     into[m] = into.get(m, 0) + p
-    common = lcommon * rcommon * d ** top
-    den = multiply_dens(lden, rden)
-    low = lmin + rmin
+    return _emit(d, n, [(m, w, p) for w, terms in acc.items() for m, p in terms.items()],
+                 lmin + rmin, width, zdigits, order, lcommon * rcommon * d ** top,
+                 multiply_dens(lden, rden))
+
+
+def _pack(row, low, step, zdigits, width):
+    """One int for a row of (q-exponent, zeta power, int) triples, by
+    Kronecker substitution in (q, zeta): the signed digit of zeta^(z step)
+    q^e sits at index (e - low) zdigits + z step, each digit width bits
+    wide; step lifts the zeta powers of a row of order o to order o step."""
+    p = 0
+    for e, z, c in row:
+        p += c << ((e - low) * zdigits + z * step) * width
+    return p
+
+
+def _check_span(what, powers, qshift):
+    """A packed int of powers powers of q, qshift bits each, past
+    MAX_PACKED_BITS is a ValueError, raised before anything is packed."""
+    if powers * qshift > MAX_PACKED_BITS:
+        raise ValueError("the %s spans %d powers of q, %d bits packed, more than %d"
+                         % (what, powers, powers * qshift, MAX_PACKED_BITS))
+
+
+def _emit(d, n, outputs, low, width, zdigits, order, common, den):
+    """The terms ((tmon, Perm), RatFunc) of the packed outputs [(t-monomial
+    id, images, packed)], distinct keys over common and den, sorted by
+    _term_order (an id is the number of its vector in base d, so it sorts
+    like the vector), zero outputs dropped. Each distinct packed output,
+    and each distinct q-chunk, is decoded once per call (_decode): outputs
+    repeat on products of idempotents."""
+    tmons = _tmon_tables(d, n)[1]
     decoded, chunks = {0: None}, {}
     out = []
-    for m, w, p in sorted([(m, w, p) for w, terms in acc.items() for m, p in terms.items()]):
+    for m, w, p in sorted(outputs):
         c = decoded.get(p, decoded)
         if c is decoded:
             num = _decode(p, low, width, zdigits, order, common, chunks)
@@ -580,11 +584,11 @@ def character_sums(x, characters):
     appearance, and each distinct exponent vector exps of characters, in
     order of first appearance: c = sum_a x[t^a g_w] zeta_d^(a . exps), a
     RatFunc over Q(zeta_order) for order = x.order, read off the encoding x
-    keeps at that order (_coded). The root of unity of a row shifts its
-    zeta powers by (a . exps mod d) order/d; the ints of each sum are added
-    and decoded once."""
-    d, order = x.d, x.order
-    den, common, groups = _coded(x, order)[:3]
+    keeps (_coded). The root of unity of a row shifts its zeta powers by (a
+    . exps mod d) order/d; the ints of each sum are added and decoded
+    once."""
+    d = x.d
+    order, den, common, groups = _coded(x)[:4]
     step = order // d
     characters = dict.fromkeys(characters)
     out = {}
@@ -608,15 +612,14 @@ def from_characters(d, n, parts):
     """sum q^s c E_chi g_v over parts [(v, exps, s, c)], exps the exponent
     vector of chi: the inverse of the character sums. The coefficient of
     t^b g_v is d^-n sum_chi C_{v,chi} zeta_d^-(exps . b), C_{v,chi} the sum
-    of the q^s c of (v, chi), each one int packed as in _int_product, its
-    coefficients encoded as _coded encodes them (_encode_rows) at the lcm
-    order L of d and their orders. Per v, n axis passes of size d make each
-    step one shift and one add: zeta_d^k shifts by k L/d zeta digits, with
-    no wrap, so Z = ztop + 1 + n (d - 1) L/d digits hold every shift and
-    _decode folds the powers past L back. An output digit is a signed sum
-    of input digits, so B = bitlen(sum |c|) + 2 bits hold it. The factor
-    d^-n joins the int denominator. Past MAX_PACKED_BITS the transform is a
-    ValueError, raised before anything is packed."""
+    of the q^s c of (v, chi), each one int (_pack), its coefficients
+    encoded as _coded encodes them (_encode_rows) at the lcm order L of d
+    and their orders. Per v, n axis passes of size d make each step one
+    shift and one add: zeta_d^k shifts by k L/d zeta digits, with no wrap,
+    so Z = ztop + 1 + n (d - 1) L/d digits hold every shift and _decode
+    folds the powers past L back. An output digit is a signed sum of input
+    digits, so B = bitlen(sum |c|) + 2 bits hold it. The factor d^-n joins
+    the int denominator (_emit)."""
     parts = [(v, exps, s, as_ratfunc(c, d)) for v, exps, s, c in parts]
     parts = [part for part in parts if not part[3].is_zero()]
     if not parts:
@@ -629,20 +632,14 @@ def from_characters(d, n, parts):
     step = order // d
     zdigits = ztop + 1 + n * (d - 1) * step
     width = mass.bit_length() + 2
-    if powers * zdigits * width > MAX_PACKED_BITS:
-        raise ValueError("the character transform spans %d powers of q, %d bits packed, "
-                         "more than %d" % (powers, powers * zdigits * width, MAX_PACKED_BITS))
+    _check_span("character transform", powers, zdigits * width)
     # exps is keyed by its id (_tmon_tables): axis j is its digit of weight d^(n-1-j)
-    ids, tmons = _tmon_tables(d, n)[:2]
+    ids = _tmon_tables(d, n)[0]
     packed = {}
     for (v, exps, s, _), row in zip(parts, rows):
-        p = 0
-        for e, z, c in row:
-            p += c << ((e + s - low) * zdigits + z) * width
-        sums, x = packed.setdefault(v, {}), ids[exps]
-        sums[x] = sums.get(x, 0) + p
-    common *= d ** n
-    chunks, out = {}, []
+        sums, x = packed.setdefault(v.images, {}), ids[exps]
+        sums[x] = sums.get(x, 0) + _pack(row, low - s, 1, zdigits, width)
+    outputs = []
     for v, values in packed.items():
         for j in range(n):
             stride = d ** (n - 1 - j)
@@ -655,12 +652,9 @@ def from_characters(d, n, parts):
                     for move, shift in steps[x // stride % d]:
                         nxt[x + move] = nxt.get(x + move, 0) + (p << shift)
             values = nxt
-        for x, p in values.items():
-            if p:
-                num = _decode(p, low, width, zdigits, order, common, chunks)
-                if num.terms:
-                    out.append(((tmons[x], v), RatFunc.over(num, den)))
-    return YElement._trusted(d, n, out)
+        outputs.extend((x, v, p) for x, p in values.items())
+    return YElement._sorted(d, n, _emit(d, n, outputs, low, width, zdigits, order,
+                                        common * d ** n, den))
 
 
 def E_chi(d, n, exps):

@@ -367,7 +367,7 @@ def test_psi_phi_against_reference(d, n):
     rng = random.Random(100 * d + n)
     for x in random_elements(rng, d, n):
         mats = iso.psi_n(x)
-        assert list(mats) == compositions(d, n)
+        assert tuple(mats) == compositions(d, n)
         for mu in compositions(d, n):
             want = ref_psi_mu(mu, x)
             assert same_block(mats[mu], want)
@@ -543,6 +543,17 @@ def test_blocks_equal_compares_whole_blocks():
     # a block missing on one side is zero
     assert iso.blocks_equal({mu: [[{}]]}, {})
     assert not iso.blocks_equal({}, {mu: [[x]]})
+
+
+def test_zero_hecke_cells_read_as_zero():
+    # a zero Hecke cell is zero, as an empty quotient cell is; a nonzero one
+    # is not
+    mu = Composition((2,))
+    assert not yk.zero(1, 2) and yk.gen_g(1, 2, 1)
+    assert iso.blocks_equal({mu: [[yk.zero(1, 2)]]}, {})
+    assert not iso.blocks_equal({mu: [[iso.hecke_unit(2)]]}, {})
+    assert iso.nonzero_block(iso.psi_n(yk.zero(2, 2))) is None
+    assert iso.nonzero_block(iso.psi_n(yk.gen_g(2, 2, 1))) is not None
 
 
 # -- bases ----------------------------------------------------------------------

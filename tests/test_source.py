@@ -59,10 +59,11 @@ def _definitions(tree):
                     yield sub
 
 
-# The int encoding of an element (its layout, the encodings an element keeps,
-# the packed product and its decoder) is known to yokonuma alone: the other
-# modules multiply elements and read their character sums.
-ENCODING_HELPERS = {"_coded", "_codes", "_int_product", "_decode"}
+# The int encoding of an element (its layout, the one encoding an element
+# keeps, the packer, the packed product, its decoder and decode loop) is known
+# to yokonuma alone: the other modules multiply elements and read their
+# character sums.
+ENCODING_HELPERS = {"_coded", "_code", "_int_product", "_decode", "_pack", "_emit"}
 
 
 def test_only_yokonuma_names_the_encoding():

@@ -236,9 +236,9 @@ def test_packed_product_of_unequal_zeta_spans(d, n, order):
         full = (_random_element(rng, d, n, 3, order=order)
                 + _random_element(rng, d, n, 2, order=3)
                 + yk.gen_t(d, n, 1).scale(zeta3 * RatFunc.q_power(rng.randint(-2, 2), 3)))
-        assert lcm(rational.order, full.order) == order
-        assert yk._coded(rational, order)[6] == 0
-        assert yk._coded(full, order)[6] == order // 3 >= {6: 2, 12: 4}[order]
+        assert lcm(rational.order, full.order) == full.order == order
+        assert yk._coded(rational)[7] == 0
+        assert yk._coded(full)[7] == order // 3 >= {6: 2, 12: 4}[order]
         for x, y in ((rational, full), (full, rational), (full, full),
                      (rational, rational * yk.gen_g(d, n, 1))):
             got, want = x * y, oracles.ref_mul(x, y)
@@ -545,8 +545,8 @@ def test_elements_refuse_assignment_and_deletion(d):
 @pytest.mark.parametrize("d,n", [(4, 2), (4, 3), (6, 2)])
 def test_trusted_outputs_equal_validated(d, n):
     # products, psi blocks and the inverse character transform build their
-    # output through YElement._trusted; the validating constructor must give
-    # the same element
+    # output through YElement._sorted or _trusted; the validating constructor
+    # must give the same element
     from ytl import isomaps as iso
 
     def validated(x):
@@ -575,7 +575,6 @@ def test_trusted_outputs_equal_validated(d, n):
 def test_encode_decodes_to_the_coefficients(d):
     # coefficients over 1, 1 + q, Phi_3 and 1 - q^2, in Q(zeta_d) and in
     # Q(zeta_3); each row decodes to its coefficient, at the element's order
-    # and at a multiple of it
     rng = random.Random(60 + d)
     n = 3
     dens = (Laurent(d, {0: 1}), Laurent(d, {0: 1, 1: 1}), Laurent(d, {0: 1, 1: 1, 2: 1}),
@@ -592,23 +591,23 @@ def test_encode_decodes_to_the_coefficients(d):
     x = yk.YElement(d, n, terms)
     assert x.order == (12 if d == 4 else 6)
     assert len({c.den_exps for _, c in x.terms}) > 2
-    for order in (x.order, 2 * x.order):
-        den, common, groups = yk._coded(x, order)[:3]
-        assert list(groups) == list(dict.fromkeys(w for (_, w), _ in x.terms))
-        decoded = {}
-        for w, rows in groups.items():
-            for tmon, mono in rows:
-                by_e = {}
-                for e, z, v in mono:
-                    by_e.setdefault(e, [0] * order)[z] += v
-                decoded[(tmon, w)] = RatFunc.over(
-                    laurent_from_ints(order, sorted(by_e.items()), common), den)
-        assert list(decoded) == [key for key, _ in sorted(
-            x.terms, key=lambda t: list(groups).index(t[0][1]))]
-        for key, c in x.terms:
-            got, want = decoded[key], c * RatFunc.one(order)
-            assert got == c and hash(got) == hash(c)
-            assert got.order == order and repr(got) == repr(want)
+    order, den, common, groups = yk._coded(x)[:4]
+    assert order == x.order
+    assert list(groups) == list(dict.fromkeys(w for (_, w), _ in x.terms))
+    decoded = {}
+    for w, rows in groups.items():
+        for tmon, mono in rows:
+            by_e = {}
+            for e, z, v in mono:
+                by_e.setdefault(e, [0] * order)[z] += v
+            decoded[(tmon, w)] = RatFunc.over(
+                laurent_from_ints(order, sorted(by_e.items()), common), den)
+    assert list(decoded) == [key for key, _ in sorted(
+        x.terms, key=lambda t: list(groups).index(t[0][1]))]
+    for key, c in x.terms:
+        got, want = decoded[key], c * RatFunc.one(order)
+        assert got == c and hash(got) == hash(c)
+        assert got.order == order and repr(got) == repr(want)
 
 
 # -- the encoding kept by an element -----------------------------------------
@@ -616,26 +615,26 @@ def test_encode_decodes_to_the_coefficients(d):
 
 @pytest.mark.parametrize("order", [3, 4, 12])
 def test_encoding_cache_serves_every_order(order):
-    # x is encoded at each order a product asks for, and keeps each: x * y
-    # at lcm(order, 4), x * z at lcm(order, 3), then x * y again from the
-    # kept encoding; each product matches the term-by-term reference
+    # x is encoded once, at its own order, and that one kept encoding serves
+    # x * y at lcm(order, 4), x * z at lcm(order, 3), then x * y again; each
+    # product matches the term-by-term reference
     rng = random.Random(order)
     x = _random_element(rng, 1, 3, 4, order=order)
     y = _random_element(rng, 1, 3, 3, order=4)
     z = _random_element(rng, 1, 3, 3, order=3)
     assert (x.order, y.order, z.order) == (order, 4, 3)
+    kept = yk._coded(x)
+    assert kept[0] == order
     first = _same_as_reference(x, y)
-    kept = yk._coded(x, lcm(order, 4))
     _same_as_reference(x, z)
     assert _same_as_reference(x, y) == first
-    assert yk._coded(x, lcm(order, 4)) is kept
-    assert set(x._codes) == {0, lcm(order, 4), lcm(order, 3)}
+    assert yk._coded(x) is kept
 
 
 @pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 3)])
 def test_zero_element_encodes(d, n):
     zero = yk.zero(d, n)
-    assert yk._coded(zero, zero.order)[:3] == ((), 1, {})
+    assert yk._coded(zero)[1:4] == ((), 1, {})
     assert ideal_membership(zero, "FTL") and ideal_membership(zero, "CTL")
     x = _random_element(random.Random(d), d, n, 3)
     assert (zero * x).is_zero() and (x * zero).is_zero() and (zero * zero).is_zero()
@@ -648,7 +647,7 @@ def test_filled_encoding_takes_no_part_in_identity(d):
     x = (yk.gen_t(d, 3, 1) * yk.gen_g(d, 3, 2)).scale(c) + yk.gen_g(d, 3, 1)
     square = x * x
     fresh = yk.YElement(d, 3, list(x.terms))
-    assert x._codes is not None and fresh._codes is None
+    assert x._code is not None and fresh._code is None
     assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
     assert x.to_json() == fresh.to_json()
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):

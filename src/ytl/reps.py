@@ -13,7 +13,9 @@ and a zero test divides nothing.
 
 The matrices of g_w are filled once per (shape, w), from g_w' and g_i for
 w = w' s_i: a column of g_i has at most two nonzero entries, so each entry
-of the product is a sum of at most two products, normalised once.
+of the product is a sum of at most two products, normalised once. The
+entries of g_i invert content differences through scalars.q_gap_inverse, in
+closed form; this module builds no canonical form of its own and reads none.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 from .linalg import identity_matrix
 from .permutations import ConsistencyError, Perm
-from .scalars import Laurent, RatFunc, root_of_unity, sum_of_products
+from .scalars import RatFunc, int_coords, q_gap_inverse, root_of_unity, sum_of_products
 from .tableaux import (enumerate_d_partitions, quotient_admissible, standard_tableaux,
                        tl_factors)
 from .yokonuma import character_sums, ctl_generator, ftl_generator
@@ -90,18 +92,6 @@ def rep_e(module, i):
     return out
 
 
-def _content_gap_inverse(d, a, b):
-    """1 / (q^b - q^a) for a != b, in closed form: with k = |b - a| and
-    1 - q^k = prod_{j | k} F_j, q^b - q^a is -q^a prod F_j for b > a and
-    q^b prod F_j for b < a. No F_j divides a monomial, so the quotient is
-    canonical as built and no trial division runs."""
-    k = abs(b - a)
-    exps = tuple((j, 1) for j in range(1, k + 1) if k % j == 0)
-    if b > a:
-        return RatFunc._raw(-Laurent.q_power(-a, d), exps)
-    return RatFunc._raw(Laurent.q_power(-b, d), exps)
-
-
 # The entries of the cached matrices of g_i and g_w take few distinct values
 # (54 among the 1,290 nonzero entries that the reps benchmark caches), so
 # equal entries of one field share one object: `ytl verify -d 1 -n 7 --suite
@@ -110,11 +100,9 @@ _ENTRIES = {}
 
 
 def _shared(x):
-    """The first cached matrix entry equal to x over x's field. Equal values
-    of one field have equal int coordinates, which hash faster than the
-    value itself."""
-    key = (x.order, x.den_exps, tuple((e, c.nums, c.den) for e, c in x.num.terms))
-    return _ENTRIES.setdefault(key, x)
+    """The first cached matrix entry equal to x over x's field, keyed by its
+    int coordinates."""
+    return _ENTRIES.setdefault(int_coords(x), x)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +120,7 @@ def rep_g_cached(d, shape, i):
         else:
             a, b = tab.content_exponent(i), tab.content_exponent(i + 1)
             c_i, c_next = RatFunc.q_power(a, d), RatFunc.q_power(b, d)
-            denom = _content_gap_inverse(d, a, b)
+            denom = q_gap_inverse(d, a, b)
             out[col][col] = (q * c_next - c_next) * denom
             if swapped is not None:
                 out[module.index[swapped]][col] = (q * c_next - c_i) * denom

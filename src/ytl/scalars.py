@@ -9,9 +9,10 @@ per basis power) are derived from them for display. ``Laurent`` polynomials
 have integer exponents. ``RatFunc`` is the fraction field, a Laurent
 numerator over a product of cyclotomic polynomials Phi_j(q) (exponent
 vectors, no polynomial gcd anywhere), kept in a canonical form so equality
-is a plain structural comparison. Equal values
-hash equally, also across field orders and across the int -> Cyclotomic ->
-Laurent -> RatFunc coercions.
+is a plain structural comparison. This module is the form's one owner: it
+alone builds, factors and evaluates it. Equal values hash equally, also
+across field orders and across the int -> Cyclotomic -> Laurent -> RatFunc
+coercions.
 """
 
 from __future__ import annotations
@@ -416,11 +417,6 @@ class Laurent:
     def is_zero(self):
         return not self.terms
 
-    def min_exp(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no support")
-        return self.terms[0][0]
-
     def constant(self):
         for e, c in self.terms:
             if e == 0:
@@ -676,21 +672,24 @@ def _rows_quotient(rows, factor):
     return quot
 
 
+def _divide_out(rows, j, most):
+    """(quotient, k): rows divided by F_j k times, as often as the division
+    stays exact but at most `most` times. The one trial-division loop."""
+    k = 0
+    while k < most:
+        quot = _rows_quotient(rows, _den_factor(j))
+        if quot is None:
+            break
+        rows, k = quot, k + 1
+    return rows, k
+
+
 def _factor_den(p):
     """(c, a, exps) with p = c q^a prod F_j^e_j for a nonzero Laurent p, or
-    None when p has no such form. The F_j are found by trial division, j in
-    increasing order, and only those of degree phi(j) at most the degree
-    left are tried."""
-    (a, c), top = p.terms[0], p.terms[-1][0]
-    cinv = c.inv()
-    rows = [(0,)] * (top - a + 1)
-    for e, v in p.terms:
-        r = v * cinv
-        if r.den != 1 or not r.is_rational():
-            return None
-        rows[e - a] = (r.nums[0],)
-    if abs(rows[-1][0]) != 1:
-        return None
+    None when p has no such form. The F_j are divided out of the int rows
+    of p, j in increasing order, and only those of degree phi(j) at most the
+    degree left are tried; c is the one row left."""
+    a, common, rows = _dense_rows(p)
     exps = []
     j = 1
     while len(rows) > 1:
@@ -699,15 +698,11 @@ def _factor_den(p):
             # phi(j) >= sqrt(j / 2), so no F_j of degree at most deg is left
             return None
         if _totient(j) <= deg:
-            e = 0
-            quot = _rows_quotient(rows, _den_factor(j))
-            while quot is not None:
-                rows, e = quot, e + 1
-                quot = _rows_quotient(rows, _den_factor(j))
+            rows, e = _divide_out(rows, j, deg)
             if e:
                 exps.append((j, e))
         j += 1
-    return c, a, tuple(exps)
+    return cyclotomic_from_ints(p.order, rows[0], common), a, tuple(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -782,10 +777,8 @@ class RatFunc:
                 if rows is None:
                     low, common, rows = _dense_rows(num)
                     start = rows
-                quot = _rows_quotient(rows, _den_factor(j))
-                while quot is not None:
-                    rows, e = quot, e - 1
-                    quot = _rows_quotient(rows, _den_factor(j)) if e else None
+                rows, k = _divide_out(rows, j, e)
+                e -= k
             if e:
                 out.append((j, e))
         if rows is start:
@@ -828,14 +821,6 @@ class RatFunc:
 
     def is_zero(self):
         return not self.num.terms
-
-    def is_laurent(self):
-        return not self.den_exps
-
-    def as_laurent(self):
-        if not self.is_laurent():
-            raise ValueError("denominator is not a unit: %r" % (self,))
-        return self.num
 
     # -- arithmetic --------------------------------------------------------
 
@@ -981,40 +966,37 @@ def sum_of_products(pairs, zero):
     nums, exps = over_one_denominator(fractions)
     return RatFunc.over(sum(nums[1:], nums[0]), exps)
 
-def specialize_q(rf, value):
-    """Evaluate a rational function at a cyclotomic value of q."""
-    rf = as_ratfunc(rf)
-    num = _eval_laurent(rf.num, value)
-    den = _eval_laurent(rf.den, value)
-    if den.is_zero():
-        raise PoleAtValue("denominator vanishes at the given value")
-    return num / den
+
+def q_gap_inverse(order, a, b):
+    """1 / (q^b - q^a) over Q(zeta_order) for a != b, in closed form: with
+    k = |b - a| and 1 - q^k = prod_{j | k} F_j, q^b - q^a is -q^a prod F_j
+    for b > a and q^b prod F_j for b < a. No F_j divides a monomial, so the
+    quotient is canonical as built and no trial division runs."""
+    k = abs(b - a)
+    exps = tuple((j, 1) for j in range(1, k + 1) if k % j == 0)
+    if b > a:
+        return RatFunc._raw(-Laurent.q_power(-a, order), exps)
+    return RatFunc._raw(Laurent.q_power(-b, order), exps)
 
 
-def _eval_laurent(p, value):
-    order = value.order if isinstance(value, Cyclotomic) else p.order
-    value = _as_cyclotomic(value, order)
-    if value.is_zero() and p.terms and p.min_exp() < 0:
-        raise PoleAtValue("negative exponent at zero")
-    out = Cyclotomic.zero(order * p.order // int_gcd(order, p.order))
-    inv = None
-    for e, c in p.terms:
-        if e >= 0:
-            v = _cyc_pow(value, e)
-        else:
-            if inv is None:
-                inv = value.inv()
-            v = _cyc_pow(inv, -e)
-        out = out + c * v
-    return out
+def value_at_one(rf):
+    """rf at q = 1, a Cyclotomic of rf's field: the sum of the numerator's
+    coefficients over prod F_j(1)^e_j, with F_j(1) = Phi_j(1) for j > 1.
+    F_1(1) = 0, so an F_1 in the denominator is a PoleAtValue."""
+    den = 1
+    for j, e in rf.den_exps:
+        if j == 1:
+            raise PoleAtValue("the denominator vanishes at q = 1")
+        den *= sum(cyclotomic_polynomial(j)) ** e
+    total = Cyclotomic.zero(rf.num.order)
+    for _, c in rf.num.terms:
+        total = total + c
+    return _reduced(total.order, total.nums, total.den * den)
 
 
-def _cyc_pow(c, e):
-    out = Cyclotomic.one(c.order)
-    base = c
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
-    return out
+def int_coords(x):
+    """The int coordinates of a RatFunc: its order, its exponent vector, and
+    per term the q-exponent and the coefficient's nums and den. Equal values
+    of one field have equal coordinates, which hash faster than the value
+    itself."""
+    return (x.num.order, x.den_exps, tuple((e, c.nums, c.den) for e, c in x.num.terms))

@@ -53,11 +53,13 @@ def _report(report, *tallies):
         _check(report, t.name, t.instances, t.detail is None, t.detail or "")
 
 
-def _counts_agree(report, name, instances, cases):
-    """One check that got == want for each case (label, got, want); the
-    detail names the first case that differs, with both counts."""
+def _counts_agree(report, name, cases):
+    """One check that got == want for each case (label, got, want), one
+    instance per case; the detail names the first case that differs, with
+    both counts."""
+    cases = list(cases)
     detail = next(("%s: %d != %d" % case for case in cases if case[1] != case[2]), "")
-    _check(report, name, instances, not detail, detail)
+    _check(report, name, len(cases), not detail, detail)
 
 
 def _new_report(d, n, suite, seed):
@@ -86,18 +88,18 @@ def _random_element(d, n, rng, terms=2):
 
 def suite_dims(d, n, seed=0):
     report = _new_report(d, n, "dims", seed)
-    _counts_agree(report, "catalan_two_column_sum", n, (
+    _counts_agree(report, "catalan_two_column_sum", (
         ("dim_TL(%d) vs its squared two-column tableaux counts" % m, dim_TL(m),
          sum(len(standard_tableaux((p,))) ** 2
              for p in enumerate_partitions(m) if two_column(p)))
         for m in range(1, n + 1)))
-    _counts_agree(report, "squared_tableaux_sum", 1, [(
+    _counts_agree(report, "squared_tableaux_sum", [(
         "squared tableaux counts vs dim_Y(%d, %d)" % (d, n),
         sum(len(standard_tableaux(s)) ** 2 for s in enumerate_d_partitions(d, n)),
         dim_Y(d, n))])
     for name, which, dim in (("ftl_formula_vs_bruteforce", "FTL", dim_FTL),
                              ("ctl_formulas_agree_and_match_bruteforce", "CTL", dim_CTL)):
-        _counts_agree(report, name, 1, [(
+        _counts_agree(report, name, [(
             "dim_%s(%d, %d) vs the brute-force count" % (which, d, n), dim(d, n),
             dim_bruteforce(d, n, tl_factors(which, d)))])
     return report
@@ -356,9 +358,9 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
 
 def suite_basis(d, n, seed=0):
     report = _new_report(d, n, "basis", seed)
-    _counts_agree(report, "jones_tl_count", n, (
+    _counts_agree(report, "jones_tl_count", (
         ("TL Jones pairs vs catalan(%d)" % m, len(jones_pairs(m, "TL")), catalan(m))
-        for m in range(n + 1)))
+        for m in range(1, n + 1)))
     bijection = _Tally("jones_words_reduced_bijection")
     for m in range(1, n + 1):
         words = {jones_permutation(m, p): p.word() for p in jones_pairs(m, "All")}
@@ -376,7 +378,7 @@ def _basis_counts(report, d, n):
     """The checks ftl_basis_count and ctl_basis_count: each quotient basis
     has the dimension its formula gives."""
     for which, basis, dim in (("ftl", iso.ftl_basis, dim_FTL), ("ctl", iso.ctl_basis, dim_CTL)):
-        _counts_agree(report, "%s_basis_count" % which, 1, [(
+        _counts_agree(report, "%s_basis_count" % which, [(
             "the size of %s_basis(%d, %d) vs dim_%s" % (which, d, n, which.upper()),
             len(basis(d, n)), dim(d, n))])
 

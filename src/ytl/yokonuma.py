@@ -33,7 +33,7 @@ from math import lcm
 from .permutations import Perm, act_on_character, coset_system
 from .scalars import (Cyclotomic, Laurent, RatFunc, as_ratfunc, cyclotomic_from_ints,
                       laurent_from_ints, multiply_dens, over_one_denominator, slot_setters,
-                      specialize_q)
+                      value_at_one)
 
 
 # the largest packed int _int_product or from_characters builds, in bits
@@ -731,11 +731,11 @@ def ctl_generator(d, n):
 
 def specialize_group_algebra(x):
     """Image at q = 1: a map {(tmon, perm): Cyclotomic} in the group algebra
-    of the wreath product (Z/d) wr S_n. Raises PoleAtValue when undefined."""
-    one = Cyclotomic.one(x.d)
+    of the wreath product (Z/d) wr S_n, each coefficient evaluated by
+    scalars.value_at_one. Raises PoleAtValue when undefined."""
     out = {}
     for key, c in x.terms:
-        v = specialize_q(c, one)
+        v = value_at_one(c)
         if not v.is_zero():
             out[key] = v
     return out

@@ -6,6 +6,10 @@ this module.
   [Jones columns | ideal-span row basis], against the straightening rho_reduce
 - independent_mod_quotient: linear independence of quotient basis elements,
   by the rank of their seminormal images with q specialised to a rational
+- specialize_q: a RatFunc evaluated at any cyclotomic value of q, term by
+  term through powers of the value, numerator over expanded denominator;
+  the reference for scalars.value_at_one, the library's one evaluation (at
+  q = 1), and the q = 5 specialization of independent_mod_quotient
 - conjugate_shift: conjugation by powers of g_1 g_2 ... g_{n-1}
 - is_zero_matrix
 - Field, row_echelon, matrix_rank, invert_matrix: Gaussian elimination over
@@ -42,8 +46,8 @@ from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
 from ytl.permutations import Perm, all_perms
 from ytl.reps import quotient_shapes, rep_element, rep_module
-from ytl.scalars import (Cyclotomic, Laurent, RatFunc, _power_sum, _reduced, as_ratfunc,
-                         specialize_q)
+from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, _as_cyclotomic,
+                         _power_sum, _reduced, as_ratfunc)
 from ytl.tableaux import jones_pairs, jones_permutation
 from ytl.yokonuma import YElement, g_block, gen_g, gen_g_inv, unit
 
@@ -196,6 +200,45 @@ def rho_bruteforce(h, m):
 def _cyclotomic_field(order):
     return Field(Cyclotomic.zero(order), Cyclotomic.one(order),
                  is_zero=lambda x: x.is_zero())
+
+
+def specialize_q(rf, value):
+    """Evaluate a rational function at a cyclotomic value of q."""
+    rf = as_ratfunc(rf)
+    num = _eval_laurent(rf.num, value)
+    den = _eval_laurent(rf.den, value)
+    if den.is_zero():
+        raise PoleAtValue("denominator vanishes at the given value")
+    return num / den
+
+
+def _eval_laurent(p, value):
+    order = value.order if isinstance(value, Cyclotomic) else p.order
+    value = _as_cyclotomic(value, order)
+    if value.is_zero() and p.terms and p.terms[0][0] < 0:
+        raise PoleAtValue("negative exponent at zero")
+    out = Cyclotomic.zero(order * p.order // int_gcd(order, p.order))
+    inv = None
+    for e, c in p.terms:
+        if e >= 0:
+            v = _cyc_pow(value, e)
+        else:
+            if inv is None:
+                inv = value.inv()
+            v = _cyc_pow(inv, -e)
+        out = out + c * v
+    return out
+
+
+def _cyc_pow(c, e):
+    out = Cyclotomic.one(c.order)
+    base = c
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
 
 
 def vectorize_mod_quotient(x, which, q_value=None):
@@ -698,7 +741,7 @@ def _laurent_gcd(a, b):
 def _shift_to_zero(p):
     if p.is_zero():
         return p
-    m = p.min_exp()
+    m = p.terms[0][0]
     return Laurent(p.order, {e - m: c for e, c in p.terms})
 
 
@@ -745,7 +788,7 @@ class GcdRatFunc:
             return num, den
         if num.is_zero():
             return Laurent.zero(order), Laurent.one(order)
-        sn, sd = num.min_exp(), den.min_exp()
+        sn, sd = num.terms[0][0], den.terms[0][0]
         num0, den0 = _shift_to_zero(num), _shift_to_zero(den)
         g = _laurent_gcd(num0, den0)
         if not _is_one(g):

@@ -117,7 +117,7 @@ def test_criterion_4_isomorphism_suite(capsys):
                     for row in mat:
                         for entry in row:
                             for _, c in entry.terms:
-                                assert c.is_laurent()
+                                assert not c.den_exps
                                 assert all(type(e) is int
                                            for p in (c.num, c.den)
                                            for e, _ in p.terms)

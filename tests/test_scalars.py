@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, as_ratfunc,
                          cyclotomic_polynomial, over_one_denominator, root_of_unity,
-                         specialize_q, sum_of_products)
+                         sum_of_products, value_at_one)
 
-from oracles import FractionCyclotomic, GcdRatFunc
+from oracles import FractionCyclotomic, GcdRatFunc, specialize_q
 
 
 def test_cyclotomic_polynomials():
@@ -53,7 +53,7 @@ def test_laurent_basics():
     q = Laurent.q()
     p = q * q + Laurent.one() - Laurent.q_power(-1)
     assert p.pretty() == "q^2 + 1 - q^-1"
-    assert p.min_exp() == -1 and p.terms[-1][0] == 2
+    assert p.terms[0][0] == -1 and p.terms[-1][0] == 2
 
 
 def test_ratfunc_canonical_form():
@@ -129,8 +129,8 @@ def test_specialize_at_every_power_of_q(c):
 
 def test_integrality_predicate():
     q = RatFunc.q()
-    assert (q + q * q).is_laurent()
-    assert not (RatFunc.one() / (q + RatFunc.one())).is_laurent()
+    assert not (q + q * q).den_exps
+    assert (RatFunc.one() / (q + RatFunc.one())).den_exps
 
 
 def test_coercion():
@@ -443,7 +443,7 @@ def test_scalars_survive_pickle_and_copy(d):
     c = Cyclotomic(d, [Fraction(1, 3)] + [Fraction(2, 9)] * (deg - 1))
     num = Laurent(d, {-1: c, 2: Cyclotomic.one(d)})
     r = RatFunc(num, Laurent(d, {0: 1, 1: 1}))
-    assert c.den > 1 and not r.is_laurent()
+    assert c.den > 1 and r.den_exps
     for x in (c, num, r):
         for y in round_trips(x):
             assert type(y) is type(x) and y == x
@@ -565,3 +565,75 @@ def test_inverse_needs_a_phi_product():
     x = (q * q - one) * (q * q + one) * RatFunc.from_scalar(Fraction(-2, 3)) * q
     assert x.inv() * x == one
     assert x.inv().den_exps == ((1, 1), (2, 1), (4, 1))
+
+
+# -- the canonical form's two read-outs: the value at q = 1 and the inverse ---
+
+_FIELD_ORDERS = (1, 2, 3, 4, 6, 12)
+
+
+@st.composite
+def _nonzero_cyclotomics(draw, order):
+    """A nonzero element of Q(zeta_order), not only a rational."""
+    deg = len(cyclotomic_polynomial(order)) - 1
+    coords = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=deg,
+                           max_size=deg).filter(any))
+    return Cyclotomic(order, coords)
+
+
+def _exponent_vectors():
+    return st.dictionaries(st.integers(1, 12), st.integers(1, 2), max_size=3).map(
+        lambda exps: tuple(sorted(exps.items())))
+
+
+@st.composite
+def ratfuncs_over_f(draw):
+    """A RatFunc with q-exponents in -4..4 over prod F_j^e_j, j in 1..12."""
+    order = draw(st.sampled_from(_FIELD_ORDERS))
+    num = Laurent(order, draw(st.dictionaries(st.integers(-4, 4),
+                                              _nonzero_cyclotomics(order), max_size=4)))
+    return RatFunc.over(num, draw(_exponent_vectors()))
+
+
+@given(ratfuncs_over_f())
+@settings(max_examples=200, deadline=None)
+def test_value_at_one_matches_the_evaluator(rf):
+    try:
+        want = specialize_q(rf, 1)
+    except PoleAtValue:
+        with pytest.raises(PoleAtValue):
+            value_at_one(rf)
+        assert any(j == 1 for j, _ in rf.den_exps)
+        return
+    got = value_at_one(rf)
+    assert got == want and hash(got) == hash(want)
+    assert got.order == want.order == rf.order
+
+
+def test_value_at_one_examples():
+    q, one = RatFunc.q(), RatFunc.one()
+    # (q^2 - 1) / (q^6 - 1) = 1 / (Phi_3 Phi_6) at q = 1 is 1/3
+    assert value_at_one((q * q - one) / (q ** 6 - one)) == Fraction(1, 3)
+    assert value_at_one(RatFunc.zero(3)) == 0
+    with pytest.raises(PoleAtValue):
+        value_at_one(one / (q - one))
+
+
+@given(st.data(), st.sampled_from(_FIELD_ORDERS), st.integers(-4, 4), _exponent_vectors())
+@settings(max_examples=150, deadline=None)
+def test_inverse_of_a_unit_times_f_powers(data, order, a, exps):
+    # c q^a prod F_j^e_j with c in Q(zeta_order) inverts to q^-a / c over the
+    # exponent vector it was built from
+    c = data.draw(_nonzero_cyclotomics(order))
+    num = Laurent(order, {a: c})
+    for j, e in exps:
+        for _ in range(e):
+            num = num * _factor(j, order)
+    x = RatFunc(num)
+    inv = x.inv()
+    assert inv * x == 1
+    assert inv.den_exps == exps and inv.num == Laurent(order, {-a: c.inv()})
+    # a leading coefficient twice the lowest: no unit times F_j has that
+    perturbed = num + Laurent(order, {num.terms[-1][0] + 1: 2 * c})
+    with pytest.raises(ValueError, match="cannot invert"):
+        RatFunc(perturbed).inv()

@@ -22,7 +22,6 @@ def test_no_assert_statements_in_src():
 UNCALLED = {
     "basis_element": "the paper's explicit basis of the quotients, as algebra "
                      "elements (the CLI prints only the block descriptors)",
-    "as_laurent": "the checked exit from RatFunc to its Laurent numerator",
 }
 
 
@@ -76,6 +75,41 @@ def test_only_yokonuma_names_the_encoding():
             found.extend("%s: %s" % (path.name, name)
                          for name in sorted(ENCODING_HELPERS & names))
     assert not found, found
+
+
+# The canonical RatFunc form (a Laurent numerator over an exponent vector of
+# F_j, kept canonical by trial division) is built, factored and evaluated in
+# scalars alone, through one trial-division loop. yokonuma reads exponent
+# vectors to pass them to scalars.over_one_denominator, and builds none.
+FORM_HELPERS = {"_normalize", "_divide_out", "_rows_quotient", "_den_factor", "_dense_rows",
+                "_factor_den", "_lift"}
+
+
+def _calls_ratfunc_raw(tree):
+    return any(isinstance(node, ast.Attribute) and node.attr == "_raw"
+               and isinstance(node.value, ast.Name) and node.value.id == "RatFunc"
+               for node in ast.walk(tree))
+
+
+def test_only_scalars_builds_the_canonical_form():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = set(_names_used(tree))
+        found.extend("%s: %s" % (path.name, name) for name in sorted(FORM_HELPERS & names))
+        if _calls_ratfunc_raw(tree):
+            found.append("%s: RatFunc._raw" % path.name)
+        if "den_exps" in names and path.name != "yokonuma.py":
+            found.append("%s: den_exps" % path.name)
+    assert not found, found
+    tree = ast.parse((SRC / "scalars.py").read_text())
+    names = set(_names_used(tree))
+    assert FORM_HELPERS <= names, FORM_HELPERS - names
+    loops = [node.name for node in _definitions(tree)
+             if node.name != "_rows_quotient" and "_rows_quotient" in _names_used(node)]
+    assert loops == ["_divide_out"], loops
 
 
 def test_every_definition_is_used():

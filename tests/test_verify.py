@@ -238,6 +238,23 @@ def test_module_relations_name_the_failing_instance(monkeypatch):
     assert checks["diagonal_actions"]["passed"] is True
 
 
+def test_jones_count_reports_the_cases_it_compares(monkeypatch):
+    # one instance per catalan comparison that suite_basis makes
+    import ytl.verify as verify
+
+    compared = []
+    original = verify.jones_pairs
+
+    def counted(m, mode="TL"):
+        if mode == "TL":
+            compared.append(m)
+        return original(m, mode)
+
+    monkeypatch.setattr(verify, "jones_pairs", counted)
+    checks = {c["name"]: c for c in verify.suite_basis(1, 3)["checks"]}
+    assert checks["jones_tl_count"]["instances"] == len(compared) == 3
+
+
 def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
     # the seminormal fill inverts content differences in closed form, and the
     # Hoefsmit matrix through RatFunc.inv, so one dropped divisor shows
@@ -245,7 +262,7 @@ def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
     from ytl.scalars import RatFunc
     from ytl.verify import suite_relations
 
-    original = reps._content_gap_inverse
+    original = reps.q_gap_inverse
 
     def one_divisor_short(d, a, b):
         x = original(d, a, b)
@@ -257,7 +274,7 @@ def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
         reps._ENTRIES.clear()
 
     clear()
-    monkeypatch.setattr(reps, "_content_gap_inverse", one_divisor_short)
+    monkeypatch.setattr(reps, "q_gap_inverse", one_divisor_short)
     try:
         checks = {c["name"]: c for c in suite_relations(1, 4)["checks"]}
     finally:

@@ -3,7 +3,8 @@ type), their Temperley-Lieb-style quotients, explicit irreducible
 representations, and constructive matrix-algebra isomorphisms.
 
 Modules:
-    scalars       exact cyclotomic / Laurent / rational-function arithmetic
+    scalars       exact cyclotomic numbers and rational functions in q, one
+                  type that holds the Laurent polynomials too
     permutations  symmetric group, compositions, coset representatives
     tableaux      partitions, standard d-tableaux, dimension formulas
     yokonuma      the algebra Y_{d,n}(q) in the standard basis

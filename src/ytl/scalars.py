@@ -1,17 +1,19 @@
-"""Exact scalar arithmetic: cyclotomic numbers, Laurent polynomials in q,
-and the rational-function field they generate.
+"""Exact scalar arithmetic: cyclotomic numbers, and the field of rational
+functions in q over them, whose Laurent polynomials are one case.
 
 All values are immutable. A ``Cyclotomic`` of order d lives in the field
 Q(zeta_d), stored in the reduced power basis 1, zeta, ..., zeta^(phi(d)-1)
 modulo the d-th cyclotomic polynomial, as integer numerators over one
 positive integer denominator in lowest terms; its ``coords`` (one Fraction
-per basis power) are derived from them for display. ``Laurent`` polynomials
-have integer exponents. ``RatFunc`` is the fraction field, a Laurent
-numerator over a product of cyclotomic polynomials Phi_j(q) (exponent
-vectors, no polynomial gcd anywhere), kept in a canonical form so equality
-is a plain structural comparison. This module is the form's one owner: it
-alone builds, factors and evaluates it. Equal values hash equally, also
-across field orders and across the int -> Cyclotomic -> Laurent -> RatFunc
+per basis power) are derived from them for display. ``RatFunc`` is the one
+q-scalar type: a Laurent numerator, sorted (exponent, Cyclotomic) terms
+with integer exponents, over a product of cyclotomic polynomials Phi_j(q)
+(exponent vectors, no polynomial gcd anywhere), kept in a canonical form so
+equality is a plain structural comparison. A Laurent polynomial is a
+RatFunc whose exponent vector is empty. This module is the form's one
+owner: it alone builds, factors and evaluates it, with the numerator
+arithmetic in private functions on term tuples. Equal values hash equally,
+also across field orders and across the int -> Cyclotomic -> RatFunc
 coercions.
 """
 
@@ -342,204 +344,72 @@ def root_of_unity(d, j):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in q
+# Laurent polynomials in q, as sorted term tuples ((exponent, Cyclotomic), ...)
+# of one order with no zero coefficient: the numerators of RatFunc
 
 
-class Laurent:
-    """Laurent polynomial in q with integer exponents over a cyclotomic
-    field: sorted (exponent, coefficient) terms, no zero coefficients."""
+def _add_terms(a, b):
+    """The sum of two term tuples of one order."""
+    out = dict(a)
+    for e, c in b:
+        if e in out:
+            s = out[e] + c
+            if s.is_zero():
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = c
+    return tuple(sorted(out.items()))
 
-    __slots__ = ("order", "terms")
 
-    def __init__(self, order, terms):
-        clean = {}
-        for e, c in (terms.items() if isinstance(terms, dict) else terms):
-            c = _as_cyclotomic(c, order)
-            if c.order != order:
-                if order % c.order:
-                    raise ValueError("a coefficient of order %d does not lie in "
-                                     "Q(zeta_%d)" % (c.order, order))
-                c = c.promote(order)
-            if not c.is_zero():
-                if e in clean:
-                    s = clean[e] + c
-                    if s.is_zero():
-                        del clean[e]
-                    else:
-                        clean[e] = s
-                else:
-                    clean[e] = c
-        _laurent_order(self, order)
-        _laurent_terms(self, tuple(sorted(clean.items())))
-
-    @staticmethod
-    def _raw(order, terms):
-        """Trusted constructor: sorted terms whose coefficients are nonzero
-        and of this order."""
-        new = object.__new__(Laurent)
-        _laurent_order(new, order)
-        _laurent_terms(new, terms)
-        return new
-
-    def __setattr__(self, *a):
-        raise AttributeError("Laurent is immutable")
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return Laurent._raw, (self.order, self.terms)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(order=1):
-        return Laurent(order, {})
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def one(order=1):
-        """1, one shared instance per order."""
-        return Laurent._raw(order, ((0, Cyclotomic.one(order)),))
-
-    @staticmethod
-    def q(order=1):
-        return Laurent(order, {1: Cyclotomic.one(order)})
-
-    @staticmethod
-    def q_power(e, order=1):
-        return Laurent(order, {e: Cyclotomic.one(order)})
-
-    @staticmethod
-    def from_scalar(c, order=1):
-        return Laurent(order, {0: _as_cyclotomic(c, order)})
-
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def constant(self):
-        for e, c in self.terms:
-            if e == 0:
-                return c
-        return Cyclotomic.zero(self.order)
-
-    @staticmethod
-    def _common(a, b):
-        if a.order == b.order:
-            return a, b
-        m = a.order * b.order // int_gcd(a.order, b.order)
-        return Laurent(m, a.terms), Laurent(m, b.terms)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if type(other) is not Laurent:
-            other = _as_laurent(other, self.order)
-        a, b = Laurent._common(self, other)
-        out = dict(a.terms)
-        for e, c in b.terms:
+def _mul_terms(a, b):
+    """The product of two term tuples of one order."""
+    out = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            e = e1 + e2
+            p = c1 * c2
             if e in out:
-                s = out[e] + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
+                out[e] = out[e] + p
             else:
-                out[e] = c
-        return Laurent._raw(a.order, tuple(sorted(out.items())))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Laurent._raw(self.order, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other):
-        return self + (-_as_laurent(other, self.order))
-
-    def __rsub__(self, other):
-        return _as_laurent(other, self.order) - self
-
-    def __mul__(self, other):
-        if type(other) is not Laurent:
-            try:
-                other = _as_laurent(other, self.order)
-            except TypeError:
-                # an algebra element scales by this scalar in its __rmul__
-                return NotImplemented
-        a, b = Laurent._common(self, other)
-        out = {}
-        for e1, c1 in a.terms:
-            for e2, c2 in b.terms:
-                e = e1 + e2
-                p = c1 * c2
-                if e in out:
-                    out[e] = out[e] + p
-                else:
-                    out[e] = p
-        return Laurent._raw(a.order, tuple(sorted(
-            (e, c) for e, c in out.items() if not c.is_zero())))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Laurent.from_scalar(other, self.order)
-        elif isinstance(other, Cyclotomic):
-            other = Laurent.from_scalar(other, other.order)
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        a, b = Laurent._common(self, other)
-        return a.terms == b.terms
-
-    def __hash__(self):
-        # a constant hashes as its coefficient, so it agrees with ints
-        if all(e == 0 for e, _ in self.terms):
-            return hash(self.constant())
-        return hash(self.terms)
-
-    def __repr__(self):
-        return "Laurent(%s)" % self.pretty()
-
-    def pretty(self):
-        """Human-readable form like 'q^2 + 1 - q^-1'."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in reversed(self.terms):
-            qpow = "1" if e == 0 else ("q" if e == 1 else "q^%d" % e)
-            if c.is_rational():
-                r = c.as_rational()
-                sign = "-" if r < 0 else "+"
-                mag = abs(r)
-                coeff = "" if mag == 1 and qpow != "1" else str(mag)
-            else:
-                sign = "+"
-                coeff = "(" + "+".join(
-                    "%s*z^%d" % (v, i) for i, v in enumerate(c.coords) if v != 0
-                ) + ")"
-            body = coeff + ("" if qpow == "1" and coeff else ("*" if coeff else "") + qpow) \
-                if not (qpow == "1" and not coeff) else "1"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
-
-    def to_json(self):
-        return [[str(e), c.to_json()] for e, c in self.terms]
+                out[e] = p
+    return tuple(sorted((e, c) for e, c in out.items() if not c.is_zero()))
 
 
-def _as_laurent(x, order):
-    if isinstance(x, Laurent):
-        return x
-    if isinstance(x, (int, Fraction, Cyclotomic)):
-        return Laurent.from_scalar(x, order)
-    raise TypeError("cannot coerce %r to Laurent" % (x,))
+def _pretty(terms):
+    """Human-readable form like 'q^2 + 1 - q^-1'."""
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in reversed(terms):
+        qpow = "1" if e == 0 else ("q" if e == 1 else "q^%d" % e)
+        if c.is_rational():
+            r = c.as_rational()
+            sign = "-" if r < 0 else "+"
+            mag = abs(r)
+            coeff = "" if mag == 1 and qpow != "1" else str(mag)
+        else:
+            sign = "+"
+            coeff = "(" + "+".join(
+                "%s*z^%d" % (v, i) for i, v in enumerate(c.coords) if v != 0
+            ) + ")"
+        body = coeff + ("" if qpow == "1" and coeff else ("*" if coeff else "") + qpow) \
+            if not (qpow == "1" and not coeff) else "1"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += " %s %s" % (sign, body)
+    return text
+
+
+def _terms_json(terms):
+    return [[str(e), c.to_json()] for e, c in terms]
 
 
 # Laurent polynomials in int coordinates: the products and character sums in
-# yokonuma add and shift ints, and build Laurents only at the end, here
+# yokonuma add and shift ints, and build term tuples only at the end, here
 
 
 def cyclotomic_from_ints(order, ints, common):
@@ -556,15 +426,15 @@ def cyclotomic_from_ints(order, ints, common):
 
 
 def laurent_from_ints(order, rows, common):
-    """The Laurent polynomial of rows [(q-exponent, ints)] in ascending
-    order of exponent, sum over them of sum_z ints[z] zeta_order^z q^e /
-    common, each power of q decoded by cyclotomic_from_ints."""
+    """The term tuple of rows [(q-exponent, ints)] in ascending order of
+    exponent, sum over them of sum_z ints[z] zeta_order^z q^e / common,
+    each power of q decoded by cyclotomic_from_ints."""
     terms = []
     for e, ints in rows:
         c = cyclotomic_from_ints(order, ints, common)
         if c is not None:
             terms.append((e, c))
-    return Laurent._raw(order, tuple(terms))
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -616,30 +486,29 @@ def _dens_lcm(vectors):
 
 
 @lru_cache(maxsize=None)
-def _den_laurent(exps, order):
-    """prod F_j^e_j expanded, as a Laurent polynomial over Q(zeta_order)."""
-    out = Laurent.one(order)
+def _den_terms(exps, order):
+    """prod F_j^e_j expanded, as a term tuple over Q(zeta_order)."""
+    out = RatFunc.one(order).terms
     for j, e in exps:
-        factor = Laurent(order, dict(enumerate(_den_factor(j))))
+        factor = RatFunc(order, dict(enumerate(_den_factor(j)))).terms
         for _ in range(e):
-            out = out * factor
+            out = _mul_terms(out, factor)
     return out
 
 
-def _lift(num, top, own):
-    """num / own as a numerator over top, a multiple of own."""
+def _lift(order, terms, top, own):
+    """terms / own as a numerator over top, a multiple of own."""
     if own == top:
-        return num
+        return terms
     less = dict(own)
     cofactor = tuple((j, e - less.get(j, 0)) for j, e in top if e > less.get(j, 0))
-    return num * _den_laurent(cofactor, num.order)
+    return _mul_terms(terms, _den_terms(cofactor, order))
 
 
-def _dense_rows(num):
-    """(low, common, rows) with num = q^low sum_i rows[i] q^i / common for a
-    nonzero Laurent num: rows[i] holds the int coordinates of a coefficient
+def _dense_rows(terms):
+    """(low, common, rows) with terms = q^low sum_i rows[i] q^i / common for
+    a nonzero term tuple: rows[i] holds the int coordinates of a coefficient
     over the one int denominator common, zero coefficients included."""
-    terms = num.terms
     low = terms[0][0]
     common = lcm(*(c.den for _, c in terms))
     rows = [(0,) * len(terms[0][1].nums)] * (terms[-1][0] - low + 1)
@@ -684,12 +553,12 @@ def _divide_out(rows, j, most):
     return rows, k
 
 
-def _factor_den(p):
-    """(c, a, exps) with p = c q^a prod F_j^e_j for a nonzero Laurent p, or
-    None when p has no such form. The F_j are divided out of the int rows
-    of p, j in increasing order, and only those of degree phi(j) at most the
-    degree left are tried; c is the one row left."""
-    a, common, rows = _dense_rows(p)
+def _factor_den(order, terms):
+    """(c, a, exps) with terms = c q^a prod F_j^e_j for a nonzero term tuple
+    of Q(zeta_order), or None when it has no such form. The F_j are divided
+    out of its int rows, j in increasing order, and only those of degree
+    phi(j) at most the degree left are tried; c is the one row left."""
+    a, common, rows = _dense_rows(terms)
     exps = []
     j = 1
     while len(rows) > 1:
@@ -702,7 +571,7 @@ def _factor_den(p):
             if e:
                 exps.append((j, e))
         j += 1
-    return cyclotomic_from_ints(p.order, rows[0], common), a, tuple(exps)
+    return cyclotomic_from_ints(order, rows[0], common), a, tuple(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +579,14 @@ def _factor_den(p):
 
 
 class RatFunc:
-    """Element of the rational-function field over Q(zeta_d): a Laurent
-    numerator ``num`` over prod F_j^e_j, with F_1 = 1 - q and F_j = Phi_j(q)
-    for j > 1. Every denominator the library builds has this form: the
-    seminormal entries invert q^k - 1 = -prod_{j | k} F_j. ``den_exps`` is
-    the exponent vector ((j, e_j), ...), sorted by j, every e_j > 0.
+    """Element of the rational-function field over Q(zeta_order): the
+    Laurent numerator ``terms`` over prod F_j^e_j, with F_1 = 1 - q and F_j
+    = Phi_j(q) for j > 1. ``terms`` are sorted (exponent, Cyclotomic) pairs
+    of order ``order``, no coefficient zero; ``den_exps`` is the exponent
+    vector ((j, e_j), ...), sorted by j, every e_j > 0. The Laurent
+    polynomials are the values with ``den_exps == ()``. Every denominator the
+    library builds has this form: the seminormal entries invert q^k - 1 =
+    -prod_{j | k} F_j.
 
     Canonical form: no F_j of the denominator divides the numerator. The F_j
     are pairwise coprime over every Q(zeta_d), also where they split (Phi_3
@@ -723,123 +595,150 @@ class RatFunc:
     tries to divide the numerator only by the F_j that can divide it.
     ``den`` expands the denominator (lowest exponent 0, constant term 1):
     wherever no split F_j shares a factor with the numerator this is the
-    coprime form num/den.
+    coprime form numerator/den.
     """
 
-    __slots__ = ("num", "den_exps")
+    __slots__ = ("order", "terms", "den_exps")
 
-    def __init__(self, num, den=None):
-        """num / den for Laurent polynomials, the division of the field:
-        den must have the form c q^a prod Phi_j(q)^k (see inv)."""
-        exps = ()
-        if den is not None:
-            quot = RatFunc._raw(num, ()) / RatFunc._raw(den, ())
-            num, exps = quot.num, quot.den_exps
-        _ratfunc_num(self, num)
-        _ratfunc_den_exps(self, exps)
+    def __init__(self, order, terms):
+        """The Laurent polynomial sum c q^e over terms, a dict or pairs
+        (e, c), c an int, a Fraction or a Cyclotomic of a subfield of
+        Q(zeta_order) (any other field is a ValueError)."""
+        clean = {}
+        for e, c in (terms.items() if isinstance(terms, dict) else terms):
+            c = _as_cyclotomic(c, order)
+            if c.order != order:
+                if order % c.order:
+                    raise ValueError("a coefficient of order %d does not lie in "
+                                     "Q(zeta_%d)" % (c.order, order))
+                c = c.promote(order)
+            if not c.is_zero():
+                if e in clean:
+                    s = clean[e] + c
+                    if s.is_zero():
+                        del clean[e]
+                    else:
+                        clean[e] = s
+                else:
+                    clean[e] = c
+        _ratfunc_order(self, order)
+        _ratfunc_terms(self, tuple(sorted(clean.items())))
+        _ratfunc_den_exps(self, ())
 
     @staticmethod
-    def _raw(num, exps):
-        """Trusted constructor: a numerator and exponent vector already in
+    def _raw(order, terms, exps):
+        """Trusted constructor: a term tuple and exponent vector already in
         canonical form."""
         new = object.__new__(RatFunc)
-        _ratfunc_num(new, num)
+        _ratfunc_order(new, order)
+        _ratfunc_terms(new, terms)
         _ratfunc_den_exps(new, exps)
         return new
 
     @staticmethod
-    def over(num, exps, tried=None):
-        """num / prod F_j^e_j in canonical form. tried, when given, names
-        the only j whose F_j can divide num."""
+    def over(order, terms, exps, tried=None):
+        """terms / prod F_j^e_j in canonical form. tried, when given, names
+        the only j whose F_j can divide terms."""
         if not exps:
-            return RatFunc._raw(num, exps)
-        return RatFunc._raw(*RatFunc._normalize(num, exps, tried))
+            return RatFunc._raw(order, terms, exps)
+        return RatFunc._raw(order, *RatFunc._normalize(order, terms, exps, tried))
 
     def __setattr__(self, *a):
         raise AttributeError("RatFunc is immutable")
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return RatFunc._raw, (self.num, self.den_exps)
+        return RatFunc._raw, (self.order, self.terms, self.den_exps)
 
     @staticmethod
-    def _normalize(num, exps, tried=None):
-        """(num, exps) for a nonempty exps, with each e_j lowered while F_j
-        divides the numerator exactly: one division by a monic-up-to-sign
-        int polynomial per attempt, in int coordinates, and the numerator
-        is rebuilt once."""
-        if not num.terms:
-            return num, ()
+    def _normalize(order, terms, exps, tried=None):
+        """(terms, exps) for a nonempty exps, with each e_j lowered while
+        F_j divides the numerator exactly: one division by a
+        monic-up-to-sign int polynomial per attempt, in int coordinates, and
+        the numerator is rebuilt once."""
+        if not terms:
+            return terms, ()
         rows = start = None
         out = []
         for j, e in exps:
             if tried is None or j in tried:
                 if rows is None:
-                    low, common, rows = _dense_rows(num)
+                    low, common, rows = _dense_rows(terms)
                     start = rows
                 rows, k = _divide_out(rows, j, e)
                 e -= k
             if e:
                 out.append((j, e))
         if rows is start:
-            return num, exps
+            return terms, exps
         # rows in the reduced basis decode to themselves
-        return laurent_from_ints(num.order, enumerate(rows, low), common), tuple(out)
+        return laurent_from_ints(order, enumerate(rows, low), common), tuple(out)
+
+    @staticmethod
+    def _common(a, b):
+        """a and b promoted to the lcm of their orders. Promotion keeps the
+        canonical form: whether F_j divides does not depend on the field."""
+        if a.order == b.order:
+            return a, b
+        m = lcm(a.order, b.order)
+        return _promoted(a, m), _promoted(b, m)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(order=1):
-        return RatFunc._raw(Laurent.zero(order), ())
+        return RatFunc._raw(order, (), ())
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def one(order=1):
-        return RatFunc._raw(Laurent.one(order), ())
+        """1, one shared instance per order."""
+        return RatFunc._raw(order, ((0, Cyclotomic.one(order)),), ())
 
     @staticmethod
     def q(order=1):
-        return RatFunc._raw(Laurent.q(order), ())
+        return RatFunc._raw(order, ((1, Cyclotomic.one(order)),), ())
 
     @staticmethod
     def q_power(e, order=1):
-        return RatFunc._raw(Laurent.q_power(e, order), ())
+        return RatFunc._raw(order, ((e, Cyclotomic.one(order)),), ())
 
     @staticmethod
     def from_scalar(c, order=1):
-        return RatFunc._raw(Laurent.from_scalar(c, order), ())
+        return RatFunc(order, ((0, c),))
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def order(self):
-        return self.num.order
-
-    @property
     def den(self):
-        """The denominator expanded over the numerator's field."""
-        return _den_laurent(self.den_exps, self.num.order)
+        """The denominator expanded over Q(zeta_order), a Laurent
+        polynomial."""
+        return RatFunc._raw(self.order, _den_terms(self.den_exps, self.order), ())
 
     def is_zero(self):
-        return not self.num.terms
+        return not self.terms
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not RatFunc:
             other = as_ratfunc(other, self.order)
-        a, b = self.den_exps, other.den_exps
+        if self.order != other.order:
+            self, other = RatFunc._common(self, other)
+        order, a, b = self.order, self.den_exps, other.den_exps
         if a == b:
-            return RatFunc.over(self.num + other.num, a)
+            return RatFunc.over(order, _add_terms(self.terms, other.terms), a)
         top = _dens_lcm((a, b))
         # an F_j with unequal exponents on the two sides divides exactly one
         # of the lifted numerators, so it cannot divide their sum
         tried = {j for j, e in a if (j, e) in b}
-        return RatFunc.over(_lift(self.num, top, a) + _lift(other.num, top, b), top, tried)
+        return RatFunc.over(order, _add_terms(_lift(order, self.terms, top, a),
+                                              _lift(order, other.terms, top, b)), top, tried)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den_exps)
+        return RatFunc._raw(self.order, tuple((e, -c) for e, c in self.terms), self.den_exps)
 
     def __sub__(self, other):
         return self + (-as_ratfunc(other, self.order))
@@ -854,7 +753,10 @@ class RatFunc:
             except TypeError:
                 # an algebra element scales by this scalar in its __rmul__
                 return NotImplemented
-        return RatFunc.over(self.num * other.num, multiply_dens(self.den_exps, other.den_exps))
+        if self.order != other.order:
+            self, other = RatFunc._common(self, other)
+        return RatFunc.over(self.order, _mul_terms(self.terms, other.terms),
+                            multiply_dens(self.den_exps, other.den_exps))
 
     __rmul__ = __mul__
 
@@ -869,8 +771,8 @@ class RatFunc:
         if not unit and type(c) is Cyclotomic and order % c.order:
             raise ValueError("a coefficient of order %d does not lie in Q(zeta_%d)"
                              % (lcm(order, c.order), order))
-        return RatFunc._raw(Laurent._raw(order, tuple(
-            (k + e, v if unit else v * c) for k, v in self.num.terms)), self.den_exps)
+        return RatFunc._raw(order, tuple((k + e, v if unit else v * c) for k, v in self.terms),
+                            self.den_exps)
 
     def inv(self):
         """1 / self. The numerator must have the form c q^a prod Phi_j(q)^k,
@@ -878,14 +780,16 @@ class RatFunc:
         any other is a ValueError that names the value."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        factors = _factor_den(self.num)
+        order = self.order
+        factors = _factor_den(order, self.terms)
         if factors is None:
             raise ValueError("cannot invert %r: its numerator is not c q^a prod Phi_j(q)^k"
                              % (self,))
         c, a, exps = factors
         # the F_j of the old numerator and denominator are distinct, so the
         # inverse is canonical as it stands
-        return RatFunc._raw(self.den, exps).times_monomial(c.inv(), -a)
+        return RatFunc._raw(order, _den_terms(self.den_exps, order), exps).times_monomial(
+            c.inv(), -a)
 
     def __truediv__(self, other):
         return self * as_ratfunc(other, self.order).inv()
@@ -902,69 +806,95 @@ class RatFunc:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, Laurent)):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
             other = as_ratfunc(other, self.order)
-        if not isinstance(other, RatFunc):
+        elif not isinstance(other, RatFunc):
             return NotImplemented
-        return self.den_exps == other.den_exps and self.num == other.num
+        # Cyclotomic equality promotes across orders, and promotion keeps
+        # the exponents and the nonzero coefficients
+        return self.den_exps == other.den_exps and self.terms == other.terms
 
     def __hash__(self):
-        # with denominator 1, hash as the numerator, so a RatFunc agrees with
-        # the Laurent, Cyclotomic or int it equals
-        if not self.den_exps:
-            return hash(self.num)
-        return hash((self.num, self.den))
+        # Cyclotomic hashes agree across orders. A constant hashes as its
+        # coefficient, so it agrees with the int, Fraction or Cyclotomic it
+        # equals
+        terms = self.terms
+        if self.den_exps:
+            return hash((terms, self.den_exps))
+        if not terms:
+            return 0
+        if len(terms) == 1 and terms[0][0] == 0:
+            return hash(terms[0][1])
+        return hash(terms)
 
     def __repr__(self):
         return "RatFunc(%s)" % self.pretty()
 
     def pretty(self):
         if not self.den_exps:
-            return self.num.pretty()
-        return "(%s)/(%s)" % (self.num.pretty(), self.den.pretty())
+            return _pretty(self.terms)
+        return "(%s)/(%s)" % (_pretty(self.terms),
+                              _pretty(_den_terms(self.den_exps, self.order)))
 
     def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        return {"num": _terms_json(self.terms),
+                "den": _terms_json(_den_terms(self.den_exps, self.order))}
 
 
 _cyclotomic_order, _cyclotomic_nums, _cyclotomic_den = slot_setters(Cyclotomic)
-_laurent_order, _laurent_terms = slot_setters(Laurent)
-_ratfunc_num, _ratfunc_den_exps = slot_setters(RatFunc)
+_ratfunc_order, _ratfunc_terms, _ratfunc_den_exps = slot_setters(RatFunc)
+
+
+def _promoted(x, order):
+    """The RatFunc x over Q(zeta_order), order a multiple of x.order."""
+    if x.order == order:
+        return x
+    return RatFunc._raw(order, tuple((e, c.promote(order)) for e, c in x.terms), x.den_exps)
 
 
 def as_ratfunc(x, order=1):
+    """x as a RatFunc: an int or a Fraction over Q(zeta_order), a Cyclotomic
+    over Q(zeta_lcm(order, its order))."""
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, Laurent):
-        return RatFunc._raw(x, ())
-    if isinstance(x, (int, Fraction, Cyclotomic)):
+    if isinstance(x, Cyclotomic):
+        return RatFunc.from_scalar(x, lcm(order, x.order))
+    if isinstance(x, (int, Fraction)):
         return RatFunc.from_scalar(x, order)
     raise TypeError("cannot coerce %r to RatFunc" % (x,))
 
 
-def over_one_denominator(fractions):
-    """The fractions [(num, exps)] of Laurent numerators over denominator
-    exponent vectors, brought over their least common denominator, as
-    (nums, exps): exps takes the largest e_j of each j, and each num is
-    multiplied by the factors its own denominator lacks. No division is
-    tried. With one distinct denominator the numerators come back as they
-    are."""
-    first = fractions[0][1] if fractions else ()
-    if all(exps == first for _, exps in fractions):
-        return [num for num, _ in fractions], first
-    top = _dens_lcm(exps for _, exps in fractions)
-    return [_lift(num, top, exps) for num, exps in fractions], top
+def over_one_denominator(values):
+    """The numerators of RatFuncs brought over their least common
+    denominator, as (term tuples, exps): exps takes the largest e_j of each
+    j, and each numerator is multiplied by the factors its own denominator
+    lacks, in its own field. No division is tried. With one distinct
+    denominator the numerators come back as they are."""
+    first = values[0].den_exps if values else ()
+    if all(x.den_exps == first for x in values):
+        return [x.terms for x in values], first
+    top = _dens_lcm(x.den_exps for x in values)
+    return [_lift(x.order, x.terms, top, x.den_exps) for x in values], top
 
 
 def sum_of_products(pairs, zero):
     """sum x * y over pairs of RatFuncs, over one denominator and normalised
     once; the given zero itself when every product vanishes."""
-    fractions = [(x.num * y.num, multiply_dens(x.den_exps, y.den_exps))
-                 for x, y in pairs if x.num.terms and y.num.terms]
-    if not fractions:
+    pairs = [(x, y) for x, y in pairs if x.terms and y.terms]
+    if not pairs:
         return zero
-    nums, exps = over_one_denominator(fractions)
-    return RatFunc.over(sum(nums[1:], nums[0]), exps)
+    order = lcm(*[x.order for pair in pairs for x in pair])
+    products = []
+    for x, y in pairs:
+        x, y = _promoted(x, order), _promoted(y, order)
+        # unnormalised: over_one_denominator reads the numerator and exponents
+        products.append(RatFunc._raw(order, _mul_terms(x.terms, y.terms),
+                                     multiply_dens(x.den_exps, y.den_exps)))
+    nums, exps = over_one_denominator(products)
+    total = nums[0]
+    for num in nums[1:]:
+        total = _add_terms(total, num)
+    return RatFunc.over(order, total, exps)
 
 
 def q_gap_inverse(order, a, b):
@@ -975,8 +905,8 @@ def q_gap_inverse(order, a, b):
     k = abs(b - a)
     exps = tuple((j, 1) for j in range(1, k + 1) if k % j == 0)
     if b > a:
-        return RatFunc._raw(-Laurent.q_power(-a, order), exps)
-    return RatFunc._raw(Laurent.q_power(-b, order), exps)
+        return RatFunc._raw(order, ((-a, Cyclotomic.from_rational(-1, order)),), exps)
+    return RatFunc._raw(order, ((-b, Cyclotomic.one(order)),), exps)
 
 
 def value_at_one(rf):
@@ -988,8 +918,8 @@ def value_at_one(rf):
         if j == 1:
             raise PoleAtValue("the denominator vanishes at q = 1")
         den *= sum(cyclotomic_polynomial(j)) ** e
-    total = Cyclotomic.zero(rf.num.order)
-    for _, c in rf.num.terms:
+    total = Cyclotomic.zero(rf.order)
+    for _, c in rf.terms:
         total = total + c
     return _reduced(total.order, total.nums, total.den * den)
 
@@ -999,4 +929,4 @@ def int_coords(x):
     per term the q-exponent and the coefficient's nums and den. Equal values
     of one field have equal coordinates, which hash faster than the value
     itself."""
-    return (x.num.order, x.den_exps, tuple((e, c.nums, c.den) for e, c in x.num.terms))
+    return (x.order, x.den_exps, tuple((e, c.nums, c.den) for e, c in x.terms))

@@ -31,9 +31,8 @@ from functools import lru_cache
 from math import lcm
 
 from .permutations import Perm, act_on_character, coset_system
-from .scalars import (Cyclotomic, Laurent, RatFunc, as_ratfunc, cyclotomic_from_ints,
-                      laurent_from_ints, multiply_dens, over_one_denominator, slot_setters,
-                      value_at_one)
+from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, laurent_from_ints,
+                      multiply_dens, over_one_denominator, slot_setters, value_at_one)
 
 
 # the largest packed int _int_product or from_characters builds, in bits
@@ -191,34 +190,35 @@ def _coded(x):
     numerator becomes its row of triples over common (_encode_rows, which
     also gives mass and ztop). groups maps each permutation of x, in order
     of first appearance, to the rows [(tmon, triples)] of its terms. A row
-    decodes as RatFunc.over(laurent_from_ints(order, rows, common), den),
+    decodes as RatFunc.over(order, laurent_from_ints(order, rows, common), den),
     rows its ints summed by q-exponent, in ascending order; low and high
     are the lowest and highest q-exponent."""
     code = x._code
     if code is None:
-        order = lcm(x.d, *[c.num.order for _, c in x.terms])
-        nums, den = over_one_denominator([(c.num, c.den_exps) for _, c in x.terms])
+        order = lcm(x.d, *[c.order for _, c in x.terms])
+        nums, den = over_one_denominator([c for _, c in x.terms])
         common, rows, mass, ztop = _encode_rows(nums, order)
         groups = {}
         for ((tmon, w), _), row in zip(x.terms, rows):
             groups.setdefault(w, []).append((tmon, row))
-        low = min([num.terms[0][0] for num in nums], default=None)
-        high = max([num.terms[-1][0] for num in nums], default=None)
+        low = min([num[0][0] for num in nums], default=None)
+        high = max([num[-1][0] for num in nums], default=None)
         code = order, den, common, groups, mass, low, high, ztop
         _set_code(x, code)
     return code
 
 
 def _encode_rows(nums, order):
-    """(common, rows, mass, ztop) for Laurent numerators whose orders divide
-    order: rows[i] lists nums[i] as (q-exponent, zeta_order power, int)
-    triples over one int denominator common; mass is the sum of |int| over
-    all triples and ztop the highest zeta_order power."""
-    common = lcm(*[v.den for num in nums for _, v in num.terms])
+    """(common, rows, mass, ztop) for numerators, the term tuples of
+    scalars.over_one_denominator, whose orders divide order: rows[i] lists
+    nums[i] as (q-exponent, zeta_order power, int) triples over one int
+    denominator common; mass is the sum of |int| over all triples and ztop
+    the highest zeta_order power."""
+    common = lcm(*[v.den for num in nums for _, v in num])
     rows, mass, ztop = [], 0, 0
     for num in nums:
         row = []
-        for e, v in num.terms:
+        for e, v in num:
             step, scale, z = order // v.order, common // v.den, 0
             for c in v.nums:
                 if c:
@@ -336,7 +336,7 @@ def _emit(d, n, outputs, low, width, zdigits, order, common, den):
         c = decoded.get(p, decoded)
         if c is decoded:
             num = _decode(p, low, width, zdigits, order, common, chunks)
-            c = decoded[p] = RatFunc.over(num, den) if num.terms else None
+            c = decoded[p] = RatFunc.over(order, num, den) if num else None
         if c is not None:
             out.append(((tmons[m], _perm[w]), c))
     return tuple(out)
@@ -366,9 +366,10 @@ def _fold_step(work, i, d, qshift, shifts):
 
 def _decode(packed, low, width, zdigits, order, common, chunks):
     """The Laurent polynomial of a packed sum of products of rows over
-    common, its lowest digit at q^low: signed digits of B = width bits, Z =
-    zdigits to a power of q. chunks maps each q-chunk met in this product
-    to its cyclotomic_from_ints."""
+    common, as the term tuple a RatFunc keeps for its numerator, its lowest
+    digit at q^low: signed digits of B = width bits, Z = zdigits to a power
+    of q. chunks maps each q-chunk met in this product to its
+    cyclotomic_from_ints."""
     qshift = width * zdigits
     qmask, mask = (1 << qshift) - 1, (1 << width) - 1
     qhalf, half = 1 << (qshift - 1), 1 << (width - 1)
@@ -398,7 +399,7 @@ def _decode(packed, low, width, zdigits, order, common, chunks):
         if c is not None:
             terms.append((e, c))
         e += 1
-    return Laurent._raw(order, tuple(terms))
+    return tuple(terms)
 
 
 # Tables per permutation or t-exponent vector, so bounded by the size of the
@@ -603,8 +604,8 @@ def character_sums(x, characters):
                     if coeffs is None:
                         coeffs = by_e[e] = [0] * order
                     coeffs[(z + shift) % order] += v
-            sums[exps] = RatFunc.over(laurent_from_ints(order, sorted(by_e.items()), common),
-                                      den)
+            sums[exps] = RatFunc.over(order, laurent_from_ints(order, sorted(by_e.items()),
+                                                               common), den)
     return out
 
 
@@ -625,7 +626,7 @@ def from_characters(d, n, parts):
     if not parts:
         return zero(d, n)
     order = lcm(d, *[c.order for _, _, _, c in parts])
-    nums, den = over_one_denominator([(c.num, c.den_exps) for _, _, _, c in parts])
+    nums, den = over_one_denominator([c for _, _, _, c in parts])
     common, rows, mass, ztop = _encode_rows(nums, order)
     low = min([row[0][0] + s for (_, _, s, _), row in zip(parts, rows)])
     powers = max([row[-1][0] + s for (_, _, s, _), row in zip(parts, rows)]) - low + 1

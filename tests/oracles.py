@@ -32,8 +32,12 @@ this module.
 - ref_unpack, ref_laurent_from_ints: the int decoder in its dict form (a
   {q-exponent: ints} dict, its keys sorted, each row reduced by
   scalars._power_sum), against yokonuma._decode, which reads a packed int
-  straight into a Laurent polynomial and decodes each distinct q-chunk
-  once, and against scalars.laurent_from_ints, which reads rows in order
+  straight into the term tuple of a Laurent polynomial and decodes each
+  distinct q-chunk once, and against scalars.laurent_from_ints, which reads
+  rows in order
+
+A Laurent polynomial here is what it is in the library: a RatFunc with
+den_exps == (), read through its order and terms.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
 from ytl.permutations import Perm, all_perms
 from ytl.reps import quotient_shapes, rep_element, rep_module
-from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, _as_cyclotomic,
-                         _power_sum, _reduced, as_ratfunc)
+from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, _as_cyclotomic, _power_sum,
+                         _reduced, as_ratfunc)
 from ytl.tableaux import jones_pairs, jones_permutation
 from ytl.yokonuma import YElement, g_block, gen_g, gen_g_inv, unit
 
@@ -147,7 +151,7 @@ class SingularReduction(Exception):
 def _flat_hecke(x, index):
     vec = [GcdRatFunc.zero(1)] * len(index)
     for (_, w), c in x.terms:
-        vec[index[w]] = GcdRatFunc(c.num, c.den)
+        vec[index[w]] = _as_gcd_ratfunc(c)
     return vec
 
 
@@ -189,7 +193,7 @@ def rho_bruteforce(h, m):
     for pair, row in zip(pairs, inverse):
         for r, v in zip(row, vec):
             c = r * v
-            _acc_term(out, pair, RatFunc(c.num, c.den))
+            _acc_term(out, pair, c.num / c.den)
     return out
 
 
@@ -205,7 +209,7 @@ def _cyclotomic_field(order):
 def specialize_q(rf, value):
     """Evaluate a rational function at a cyclotomic value of q."""
     rf = as_ratfunc(rf)
-    num = _eval_laurent(rf.num, value)
+    num = _eval_laurent(RatFunc(rf.order, rf.terms), value)
     den = _eval_laurent(rf.den, value)
     if den.is_zero():
         raise PoleAtValue("denominator vanishes at the given value")
@@ -694,7 +698,7 @@ def ref_laurent_from_ints(order, by_e, common):
         nums = _power_sum(order, by_e[e], 1)
         if any(nums):
             terms.append((e, _reduced(order, nums, common)))
-    return Laurent._raw(order, tuple(terms))
+    return RatFunc(order, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -735,14 +739,14 @@ def _laurent_gcd(a, b):
     while len(pb) > 1 or not pb[0].is_zero():
         pa, pb = pb, _poly_divmod(pa, pb)[1]
     lead = pa[-1]
-    return Laurent(a.order, {i: c / lead for i, c in enumerate(pa)})
+    return RatFunc(a.order, {i: c / lead for i, c in enumerate(pa)})
 
 
 def _shift_to_zero(p):
     if p.is_zero():
         return p
     m = p.terms[0][0]
-    return Laurent(p.order, {e - m: c for e, c in p.terms})
+    return RatFunc(p.order, {e - m: c for e, c in p.terms})
 
 
 def _to_dense(p):
@@ -752,6 +756,32 @@ def _to_dense(p):
     for e, c in p.terms:
         out[e] = c
     return out
+
+
+def _f_exponents(den):
+    """The exponent vector ((j, e_j), ...) of den, a polynomial with constant
+    term 1, when den = prod F_j^e_j with F_1 = 1 - q and F_j = Phi_j(q):
+    each F_j divided out by long division while it divides exactly; None
+    when a factor of any other form is left."""
+    p = _to_dense(den)
+    exps = []
+    j = 1
+    while len(p) > 1:
+        if j > 2 * (len(p) - 1) ** 2:
+            # phi(j) >= sqrt(j / 2): no F_j of degree at most deg(p) is left
+            return None
+        factor = [Cyclotomic.from_rational(c, den.order)
+                  for c in ((1, -1) if j == 1 else _fraction_cyclotomic_polynomial(j))]
+        e = 0
+        while len(p) >= len(factor):
+            quot, rem = _poly_divmod(p, factor)
+            if not rem[-1].is_zero():
+                break
+            p, e = quot, e + 1
+        if e:
+            exps.append((j, e))
+        j += 1
+    return tuple(exps)
 
 
 class GcdRatFunc:
@@ -766,7 +796,7 @@ class GcdRatFunc:
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
             # a numerator over the shared 1 is already canonical
-            den, _normalized = Laurent.one(num.order), True
+            den, _normalized = RatFunc.one(num.order), True
         if not _normalized:
             num, den = GcdRatFunc._normalize(num, den)
         object.__setattr__(self, "num", num)
@@ -782,12 +812,12 @@ class GcdRatFunc:
     def _normalize(num, den):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        num, den = Laurent._common(num, den)
+        num, den = RatFunc._common(num, den)
         order = num.order
         if _is_one(den):
             return num, den
         if num.is_zero():
-            return Laurent.zero(order), Laurent.one(order)
+            return RatFunc.zero(order), RatFunc.one(order)
         sn, sd = num.terms[0][0], den.terms[0][0]
         num0, den0 = _shift_to_zero(num), _shift_to_zero(den)
         g = _laurent_gcd(num0, den0)
@@ -798,34 +828,34 @@ class GcdRatFunc:
                 quot, rem = _poly_divmod(_to_dense(p), gd)
                 if not rem[-1].is_zero():
                     raise ArithmeticError("inexact Laurent division")
-                reduced.append(Laurent(order, dict(enumerate(quot))))
+                reduced.append(RatFunc(order, dict(enumerate(quot))))
             num0, den0 = reduced
         cinv = den0.terms[0][1].inv()  # constant coefficient, nonzero by construction
-        num0 = Laurent(order, {e + sn - sd: v * cinv for e, v in num0.terms})
-        den0 = Laurent(order, {e: v * cinv for e, v in den0.terms})
+        num0 = RatFunc(order, {e + sn - sd: v * cinv for e, v in num0.terms})
+        den0 = RatFunc(order, {e: v * cinv for e, v in den0.terms})
         return num0, den0
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(order=1):
-        return GcdRatFunc(Laurent.zero(order), Laurent.one(order), _normalized=True)
+        return GcdRatFunc(RatFunc.zero(order), RatFunc.one(order), _normalized=True)
 
     @staticmethod
     def one(order=1):
-        return GcdRatFunc(Laurent.one(order), Laurent.one(order), _normalized=True)
+        return GcdRatFunc(RatFunc.one(order), RatFunc.one(order), _normalized=True)
 
     @staticmethod
     def q(order=1):
-        return GcdRatFunc(Laurent.q(order), Laurent.one(order), _normalized=True)
+        return GcdRatFunc(RatFunc.q(order), RatFunc.one(order), _normalized=True)
 
     @staticmethod
     def q_power(e, order=1):
-        return GcdRatFunc(Laurent.q_power(e, order))
+        return GcdRatFunc(RatFunc.q_power(e, order))
 
     @staticmethod
     def from_scalar(c, order=1):
-        return GcdRatFunc(Laurent.from_scalar(c, order))
+        return GcdRatFunc(RatFunc.from_scalar(c, order))
 
     # -- structure ---------------------------------------------------------
 
@@ -885,7 +915,7 @@ class GcdRatFunc:
         unit = c == 1
         if unit and e == 0:
             return self
-        num = Laurent(self.order, [(k + e, v if unit else v * c)
+        num = RatFunc(self.order, [(k + e, v if unit else v * c)
                                    for k, v in self.num.terms])
         return GcdRatFunc(num, self.den, _normalized=True)
 
@@ -909,7 +939,7 @@ class GcdRatFunc:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, Laurent)):
+        if isinstance(other, (int, Fraction, Cyclotomic, RatFunc)):
             other = _as_gcd_ratfunc(other, self.order)
         if not isinstance(other, GcdRatFunc):
             return NotImplemented
@@ -917,10 +947,14 @@ class GcdRatFunc:
 
     def __hash__(self):
         # with denominator 1, hash as the numerator, so a GcdRatFunc agrees with
-        # the Laurent, Cyclotomic or int it equals
+        # the Laurent polynomial, Cyclotomic or int it equals; over a product
+        # of F_j, as the RatFunc with this numerator and denominator
         if _is_one(self.den):
             return hash(self.num)
-        return hash((self.num, self.den))
+        exps = _f_exponents(self.den)
+        if exps is None:
+            return hash((self.num, self.den))
+        return hash((self.num.terms, exps))
 
     def __repr__(self):
         if _is_one(self.den):
@@ -933,14 +967,14 @@ class GcdRatFunc:
         return "(%s)/(%s)" % (self.num.pretty(), self.den.pretty())
 
     def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        return {"num": self.num.to_json()["num"], "den": self.den.to_json()["num"]}
 
 
 def _as_gcd_ratfunc(x, order=1):
     if isinstance(x, GcdRatFunc):
         return x
-    if isinstance(x, Laurent):
-        return GcdRatFunc(x)
+    if isinstance(x, RatFunc):
+        return GcdRatFunc(RatFunc(x.order, x.terms), x.den)
     if isinstance(x, (int, Fraction, Cyclotomic)):
         return GcdRatFunc.from_scalar(x, order)
     raise TypeError("cannot coerce %r to GcdRatFunc" % (x,))

@@ -119,7 +119,7 @@ def test_criterion_4_isomorphism_suite(capsys):
                             for _, c in entry.terms:
                                 assert not c.den_exps
                                 assert all(type(e) is int
-                                           for p in (c.num, c.den)
+                                           for p in (c, c.den)
                                            for e, _ in p.terms)
                 assert iso.phi_n(mats) == x
         # matrix side: psi(phi(M)) = M on the full matrix-unit basis

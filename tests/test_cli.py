@@ -148,7 +148,7 @@ def test_wide_rational_products_pack_one_zeta_digit(capsys):
     x = oracles.ref_mul(one.scale(RatFunc.one(3) + RatFunc.q_power(N, 3)),
                         one.scale(RatFunc.one(3) + RatFunc.q_power(-N, 3)))
     want = oracles.ref_mul(x, yk.gen_g(3, 2, 1))
-    assert payload["element"] == want.to_json() and len(want.terms[0][1].num.terms) == 3
+    assert payload["element"] == want.to_json() and len(want.terms[0][1].terms) == 3
 
 
 def test_long_and_deep_expressions(capsys):

@@ -11,7 +11,7 @@ from ytl.linalg import mat_mul
 from ytl.permutations import (Composition, ConsistencyError, Perm,
                               act_on_character, all_perms, compositions,
                               coset_system, factor_in_young)
-from ytl.scalars import Cyclotomic, Laurent, RatFunc, as_ratfunc
+from ytl.scalars import Cyclotomic, RatFunc, as_ratfunc
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
 from ytl.reps import ideal_membership, quotient_shapes, rep_element, rep_module
@@ -311,7 +311,7 @@ def random_coeff(rng, d):
     for _ in range(rng.randint(1, 3)):
         terms[rng.randint(-2, 2)] = Cyclotomic.root_power(d, rng.randrange(d)) \
             * rng.choice([1, -2, Fraction(1, 3)])
-    c = RatFunc(Laurent(d, terms))
+    c = RatFunc(d, terms)
     if rng.random() < 0.2:
         c = c / (RatFunc.one(d) + RatFunc.q(d))
     return c if not c.is_zero() else RatFunc.one(d)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ytl.scalars import (Cyclotomic, Laurent, PoleAtValue, RatFunc, as_ratfunc,
+from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, as_ratfunc,
                          cyclotomic_polynomial, over_one_denominator, root_of_unity,
                          sum_of_products, value_at_one)
 
@@ -49,10 +49,15 @@ def test_cyclotomic_field_ops():
     assert mixed.order == 6
 
 
+def _num(x):
+    """The numerator of x, a Laurent polynomial."""
+    return RatFunc(x.order, x.terms)
+
+
 def test_laurent_basics():
-    q = Laurent.q()
-    p = q * q + Laurent.one() - Laurent.q_power(-1)
-    assert p.pretty() == "q^2 + 1 - q^-1"
+    q = RatFunc.q()
+    p = q * q + RatFunc.one() - RatFunc.q_power(-1)
+    assert p.pretty() == "q^2 + 1 - q^-1" and p.den_exps == ()
     assert p.terms[0][0] == -1 and p.terms[-1][0] == 2
 
 
@@ -62,7 +67,7 @@ def test_ratfunc_canonical_form():
     x = (q - one) / (q * q - one)
     y = one / (q + one)
     assert x == y
-    assert x.den.constant() == Cyclotomic.one(1)
+    assert x.den.den_exps == () and dict(x.den.terms)[0] == Cyclotomic.one(1)
     assert ((q ** 3 - one) / (q - one)) == q * q + q + one
 
 
@@ -72,10 +77,10 @@ def test_ratfunc_field_axioms_random():
     import random
     rng = random.Random(0)
     def rand():
-        num = Laurent(1, {e: Fraction(rng.randint(-3, 3)) for e in range(3)})
+        num = RatFunc(1, {e: Fraction(rng.randint(-3, 3)) for e in range(3)})
         if num.is_zero():
-            num = Laurent.one(1)
-        den = Laurent(1, {0: Fraction(1), 1: Fraction(rng.randint(0, 2))})
+            num = RatFunc.one(1)
+        den = RatFunc(1, {0: Fraction(1), 1: Fraction(rng.randint(0, 2))})
         return GcdRatFunc(num, den)
     for _ in range(50):
         a, b, c = rand(), rand(), rand()
@@ -104,7 +109,7 @@ def test_specialization():
     one = RatFunc.one()
     f = (q * q - one) / (q - one)       # = q + 1 after cancellation
     assert specialize_q(f, Cyclotomic.from_rational(1)) == Cyclotomic.from_rational(2)
-    g = RatFunc(Laurent.one(1), Laurent(1, {0: Fraction(-1), 1: Fraction(1)}))
+    g = RatFunc.one(1) / RatFunc(1, {0: Fraction(-1), 1: Fraction(1)})
     with pytest.raises(PoleAtValue):
         specialize_q(g, Cyclotomic.from_rational(1))
 
@@ -116,7 +121,7 @@ def test_specialize_at_every_power_of_q(c):
     one, two, z6 = Cyclotomic.from_rational(1), Cyclotomic.from_rational(2), \
         Cyclotomic.root_power(6, 1)
     for e in range(-3, 4):
-        rf = RatFunc(Laurent(3, {e: c}))
+        rf = RatFunc(3, {e: c})
         assert specialize_q(rf, one) == c
         assert specialize_q(rf, two) == c * Fraction(2) ** e
         assert specialize_q(rf, z6) == c * Cyclotomic.root_power(6, e % 6)
@@ -157,16 +162,16 @@ def cyclotomics(draw):
 def test_hash_examples():
     assert Cyclotomic.root_power(4, 1) == Cyclotomic.root_power(8, 2)
     assert len({Cyclotomic.root_power(4, 1), Cyclotomic.root_power(8, 2)}) == 1
-    for x in (Laurent.from_scalar(3), RatFunc.from_scalar(3)):
+    for x in (RatFunc(1, {0: 3}), RatFunc.from_scalar(3)):
         assert x == 3 and hash(x) == hash(3)
-    assert RatFunc.from_scalar(3) == Laurent.from_scalar(3)
-    assert hash(RatFunc.from_scalar(3)) == hash(Laurent.from_scalar(3))
+    assert RatFunc.from_scalar(3) == RatFunc(1, {0: 3})
+    assert hash(RatFunc.from_scalar(3)) == hash(RatFunc(1, {0: 3}))
 
 
 @given(st.fractions(-5, 5), _orders)
 @settings(max_examples=40, deadline=None)
 def test_rational_hash_through_coercions(r, order):
-    for x in (Cyclotomic.from_rational(r, order), Laurent.from_scalar(r, order),
+    for x in (Cyclotomic.from_rational(r, order), RatFunc(order, {0: r}),
               RatFunc.from_scalar(r, order)):
         assert x == r and hash(x) == hash(r)
 
@@ -189,20 +194,20 @@ def test_cyclotomic_hash_across_fields(order, k, coeffs):
 @given(cyclotomics(), cyclotomics(), st.integers(-3, 3), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_hash_across_promotion_and_coercion(x, y, e, k):
-    p = Laurent(x.order, {e: x}) + Laurent(y.order, {0: y})
-    den = Laurent(y.order, {0: y, 2: -y})  # y (1 - q)(1 + q) when y is not 0
+    p = RatFunc(x.order, {e: x}) + RatFunc(y.order, {0: y})
+    den = RatFunc(y.order, {0: y, 2: -y})  # y (1 - q)(1 + q) when y is not 0
     if y.is_zero():
-        den = Laurent(y.order, {0: 1, 1: 1})
+        den = RatFunc(y.order, {0: 1, 1: 1})
     m = p.order * k
     pairs = [
         (RatFunc.from_scalar(x, x.order), x),
-        (RatFunc.from_scalar(x, x.order), Laurent.from_scalar(x, x.order)),
-        (Laurent.from_scalar(x, x.order), x),
-        (x, Laurent.from_scalar(x, x.order)),
-        (RatFunc(p), p),
-        (p, Laurent(m, p.terms)),
-        (RatFunc(p), RatFunc(Laurent(m, p.terms))),
-        (RatFunc(p, den), RatFunc(Laurent(m, p.terms), Laurent(m, den.terms))),
+        (RatFunc.from_scalar(x, x.order), RatFunc(x.order, {0: x})),
+        (RatFunc(x.order, {0: x}), x),
+        (x, RatFunc(x.order, {0: x})),
+        (RatFunc(p.order, p.terms), p),
+        (p, RatFunc(m, p.terms)),
+        (RatFunc(p.order, p.terms), RatFunc(m, p.terms)),
+        (p / den, RatFunc(m, p.terms) / RatFunc(m, den.terms)),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
@@ -211,24 +216,23 @@ def test_hash_across_promotion_and_coercion(x, y, e, k):
 def test_laurent_rejects_coefficient_outside_its_field():
     zeta3 = Cyclotomic.root_power(3, 1)
     with pytest.raises(ValueError):
-        Laurent(2, {0: zeta3})
+        RatFunc(2, {0: zeta3})
     with pytest.raises(ValueError):
-        Laurent(2, {1: Cyclotomic.root_power(4, 1)})
+        RatFunc(2, {1: Cyclotomic.root_power(4, 1)})
     # a coefficient of a subfield is promoted
-    assert Laurent(6, {0: zeta3}).terms[0][1].order == 6
+    assert RatFunc(6, {0: zeta3}).terms[0][1].order == 6
 
 
 def test_specialize_uses_the_lcm_of_the_orders():
-    q = Laurent.q(4) * Cyclotomic.root_power(4, 1)
+    q = RatFunc.q(4) * Cyclotomic.root_power(4, 1)
     z6 = Cyclotomic.root_power(6, 1)
-    v = specialize_q(RatFunc(q), z6)
+    v = specialize_q(q, z6)
     assert v.order == 12 and len(v.coords) == 4
     assert v == Cyclotomic.root_power(12, 5)
 
 
 def test_times_monomial():
-    x = RatFunc(Laurent(3, {-1: 2, 2: Cyclotomic.root_power(3, 1)}),
-                Laurent(3, {0: 1, 1: 1}))
+    x = RatFunc(3, {-1: 2, 2: Cyclotomic.root_power(3, 1)}) / RatFunc(3, {0: 1, 1: 1})
     z = Cyclotomic.root_power(3, 2)
     for c, e in ((1, 0), (z, 0), (1, -3), (z, 2), (Fraction(1, 9), 1)):
         got = x.times_monomial(c, e)
@@ -344,15 +348,15 @@ def test_coordinates_must_be_exact():
 
 def test_polynomial_fast_paths_keep_one_field():
     z3, z4 = Cyclotomic.root_power(3, 1), Cyclotomic.root_power(4, 1)
-    a = RatFunc(Laurent(3, {1: z3, 0: 2}))
-    b = RatFunc(Laurent(4, {-1: z4}))
+    a = RatFunc(3, {1: z3, 0: 2})
+    b = RatFunc(4, {-1: z4})
     for r in (a + b, a * b, b + a, b * a):
-        assert r.num.order == r.den.order == 12 and r.den == 1
-    assert a * b == RatFunc(Laurent(12, {0: z3 * z4, -1: z4 * 2}))
-    assert a + b == RatFunc(Laurent(12, {1: z3, 0: 2, -1: z4}))
+        assert r.order == r.den.order == 12 and r.den == 1
+    assert a * b == RatFunc(12, {0: z3 * z4, -1: z4 * 2})
+    assert a + b == RatFunc(12, {1: z3, 0: 2, -1: z4})
     # sums that cancel leave no zero terms behind
-    assert (a - a).num.terms == () and (a + (-a)).is_zero()
-    p = Laurent(3, {0: 1, 1: z3})
+    assert (a - a).terms == () and (a + (-a)).is_zero()
+    p = RatFunc(3, {0: 1, 1: z3})
     assert (p + -p).terms == () and (p * p - p * p).terms == ()
 
 
@@ -369,7 +373,7 @@ def laurents(draw):
     included."""
     order = draw(st.sampled_from([1, 2, 3, 4]))
     exps = draw(st.lists(st.integers(-2, 3), max_size=3, unique=True))
-    return Laurent(order, {e: Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
+    return RatFunc(order, {e: Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
                            * draw(st.fractions(-3, 3, max_denominator=3)) for e in exps})
 
 
@@ -378,57 +382,66 @@ def _fresh(den):
     return tuple(list(den))
 
 
+def _over(num, den):
+    """The Laurent polynomial num over the exponent vector den."""
+    return RatFunc.over(num.order, num.terms, den)
+
+
 @given(st.lists(st.tuples(laurents(), st.integers(0, len(_DENS) - 1)), min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_over_one_denominator_sums_like_ratfuncs(drawn):
-    fractions = [(num, _fresh(_DENS[i])) for num, i in drawn]
-    nums, den = over_one_denominator(fractions)
+    values = [_over(num, _fresh(_DENS[i])) for num, i in drawn]
+    nums, den = over_one_denominator(values)
     want = RatFunc.zero()
-    for num, d in fractions:
-        want = want + RatFunc.over(num, d)
-    assert RatFunc.over(sum(nums[1:], nums[0]), den) == want
+    for x in values:
+        want = want + x
+    order = lcm(*(x.order for x in values))
+    total = RatFunc.zero(order)
+    for x, num in zip(values, nums):
+        total = total + RatFunc(x.order, num)
+    assert RatFunc.over(order, total.terms, den) == want
     # the least common multiple: the largest exponent of each factor
     top = {}
-    for _, d in fractions:
-        for j, e in d:
+    for x in values:
+        for j, e in x.den_exps:
             top[j] = max(top.get(j, 0), e)
     assert den == tuple(sorted(top.items()))
-    if len(set(d for _, d in fractions)) == 1:
+    if len(set(x.den_exps for x in values)) == 1:
         # one distinct denominator: nothing is multiplied
-        assert all(a is b for a, (b, _) in zip(nums, fractions))
-        assert den is fractions[0][1]
+        assert all(a is x.terms for a, x in zip(nums, values))
+        assert den is values[0].den_exps
 
 
 def test_over_one_denominator_examples():
     one_q = ((2, 1),)
-    x, y = Laurent(1, {0: 2}), Laurent(1, {1: -1})
+    x, y = RatFunc(1, {0: 2}), RatFunc(1, {1: -1})
     assert over_one_denominator([]) == ([], ())
-    nums, den = over_one_denominator([(x, one_q), (y, _fresh(one_q))])
-    assert nums[0] is x and nums[1] is y and den is one_q
-    nums, den = over_one_denominator([(x, ()), (y, ())])
-    assert nums[0] is x and nums[1] is y and den == ()
+    nums, den = over_one_denominator([_over(x, one_q), _over(y, _fresh(one_q))])
+    assert nums[0] is x.terms and nums[1] is y.terms and den is one_q
+    nums, den = over_one_denominator([x, y])
+    assert nums[0] is x.terms and nums[1] is y.terms and den == ()
     # () stands for 1: only the other denominator multiplies
-    nums, den = over_one_denominator([(x, ()), (y, one_q), (x, _fresh(one_q))])
-    assert nums == [x * Laurent(1, {0: 1, 1: 1}), y, x] and den == one_q
+    nums, den = over_one_denominator([x, _over(y, one_q), _over(x, _fresh(one_q))])
+    assert nums == [(x * RatFunc(1, {0: 1, 1: 1})).terms, y.terms, x.terms] and den == one_q
     # the lcm, not the product: (1 + q) and (1 - q)(1 + q) meet over the latter
-    nums, den = over_one_denominator([(x, one_q), (y, ((1, 1), (2, 1)))])
-    assert nums == [x * Laurent(1, {0: 1, 1: -1}), y] and den == ((1, 1), (2, 1))
+    nums, den = over_one_denominator([_over(x, one_q), _over(y, ((1, 1), (2, 1)))])
+    assert nums == [(x * RatFunc(1, {0: 1, 1: -1})).terms, y.terms] and den == ((1, 1), (2, 1))
 
 
 def test_sum_of_products_cancels_across_denominators():
     # 1/(1 + q) * q - q Phi_3 / ((1 + q) Phi_3): two products over distinct
     # denominators, lifted to their lcm and added before any division
-    one_q = Laurent(1, {0: 1, 1: 1})
-    phi3 = Laurent(1, {0: 1, 1: 1, 2: 1})
+    one_q = RatFunc(1, {0: 1, 1: 1})
+    phi3 = RatFunc(1, {0: 1, 1: 1, 2: 1})
     q = RatFunc.q()
-    left = (RatFunc(Laurent.one(), one_q), q)
-    right = RatFunc(Laurent.one(), one_q * phi3), RatFunc(Laurent(1, {1: 1}) * phi3)
+    left = (RatFunc.one() / one_q, q)
+    right = RatFunc.one() / (one_q * phi3), RatFunc(1, {1: 1}) * phi3
     zero = RatFunc.zero()
     got = sum_of_products([left, (right[0], -right[1])], zero)
     assert got.is_zero() and got == zero
     assert sum_of_products([(q, zero), (zero, q)], zero) is zero
     got = sum_of_products([left, right], zero)
-    assert got == RatFunc(Laurent(1, {1: 2}), one_q) and got.den_exps == ((2, 1),)
+    assert got == RatFunc(1, {1: 2}) / one_q and got.den_exps == ((2, 1),)
 
 
 def round_trips(x):
@@ -441,8 +454,8 @@ def round_trips(x):
 def test_scalars_survive_pickle_and_copy(d):
     deg = len(Cyclotomic.one(d).nums)
     c = Cyclotomic(d, [Fraction(1, 3)] + [Fraction(2, 9)] * (deg - 1))
-    num = Laurent(d, {-1: c, 2: Cyclotomic.one(d)})
-    r = RatFunc(num, Laurent(d, {0: 1, 1: 1}))
+    num = RatFunc(d, {-1: c, 2: Cyclotomic.one(d)})
+    r = num / RatFunc(d, {0: 1, 1: 1})
     assert c.den > 1 and r.den_exps
     for x in (c, num, r):
         for y in round_trips(x):
@@ -455,8 +468,8 @@ def test_scalars_refuse_assignment_and_deletion(d):
     # each slot, on values from the validating constructors, from the
     # trusted ones (arithmetic) and from pickle and copy
     c = Cyclotomic(d, [Fraction(1, 3)] + [0] * (len(Cyclotomic.one(d).nums) - 1))
-    num = Laurent(d, {-1: c, 2: Cyclotomic.one(d)})
-    r = RatFunc(num, Laurent(d, {0: 1, 1: 1}))
+    num = RatFunc(d, {-1: c, 2: Cyclotomic.one(d)})
+    r = num / RatFunc(d, {0: 1, 1: 1})
     for x in (c, num, r, c * c, num * num, r * r):
         for y in [x] + round_trips(x):
             for name in type(x).__slots__:
@@ -478,8 +491,8 @@ _FACTOR_JS = (1, 2, 3, 4, 6)
 
 
 def _factor(j, order):
-    return Laurent(order, {0: 1, 1: -1}) if j == 1 else \
-        Laurent(order, dict(enumerate(cyclotomic_polynomial(j))))
+    return RatFunc(order, {0: 1, 1: -1}) if j == 1 else \
+        RatFunc(order, dict(enumerate(cyclotomic_polynomial(j))))
 
 
 @st.composite
@@ -489,29 +502,29 @@ def phi_fractions(draw):
     product of F_j (so that it can be inverted), in which case it shares
     factors with the denominator one time in two."""
     order = draw(st.sampled_from((1, 2, 3, 4, 6)))
-    den = Laurent.one(order)
+    den = RatFunc.one(order)
     for j in draw(st.lists(st.sampled_from(_FACTOR_JS), max_size=3)):
         den = den * _factor(j, order)
     if draw(st.booleans()):
-        num = Laurent(order, {e: Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
+        num = RatFunc(order, {e: Cyclotomic.root_power(order, draw(st.integers(0, order - 1)))
                               * draw(st.sampled_from((1, -1, 2, Fraction(1, 3))))
                               for e in draw(st.lists(st.integers(-2, 3), min_size=1,
                                                      max_size=3, unique=True))})
     else:
-        num = Laurent(order, {draw(st.integers(-2, 2)): Cyclotomic.root_power(
+        num = RatFunc(order, {draw(st.integers(-2, 2)): Cyclotomic.root_power(
             order, draw(st.integers(0, order - 1))) * draw(st.sampled_from((1, -3)))})
         for j in draw(st.lists(st.sampled_from(_FACTOR_JS), max_size=2)):
             num = num * _factor(j, order)
-    return RatFunc(num, den), GcdRatFunc(num, den)
+    return num / den, GcdRatFunc(num, den)
 
 
 def _matches(x, ref):
     """x and the gcd-field value ref are the same number. Where the two
     canonical forms coincide, so do repr and hash."""
-    assert GcdRatFunc(x.num, x.den) == ref
-    assert x.num * ref.den == ref.num * x.den
+    assert GcdRatFunc(_num(x), x.den) == ref
+    assert _num(x) * ref.den == ref.num * x.den
     if x.den == ref.den:
-        assert x.num == ref.num
+        assert _num(x) == ref.num
         assert repr(x) == repr(ref) and hash(x) == hash(ref)
 
 
@@ -541,16 +554,16 @@ def test_split_factor_cancels_only_in_the_gcd_field():
     # q - zeta_3 divides Phi_3 = (q - zeta_3)(q - zeta_3^2) over Q(zeta_3):
     # the gcd field cancels it, the Phi-factored form keeps Phi_3
     z = Cyclotomic.root_power(3, 1)
-    num = Laurent(3, {1: 1, 0: -z})
+    num = RatFunc(3, {1: 1, 0: -z})
     phi3 = _factor(3, 3)
-    x, ref = RatFunc(num, phi3), GcdRatFunc(num, phi3)
-    assert x.den_exps == ((3, 1),) and x.num == num
+    x, ref = num / phi3, GcdRatFunc(num, phi3)
+    assert x.den_exps == ((3, 1),) and _num(x) == num
     # 1 / (q - zeta^2) = -zeta / (1 - zeta q)
-    assert ref.num == Laurent(3, {0: -z}) and ref.den == Laurent(3, {0: 1, 1: -z})
-    assert x.num * ref.den == ref.num * x.den
-    assert GcdRatFunc(x.num, x.den) == ref
+    assert ref.num == RatFunc(3, {0: -z}) and ref.den == RatFunc(3, {0: 1, 1: -z})
+    assert _num(x) * ref.den == ref.num * x.den
+    assert GcdRatFunc(_num(x), x.den) == ref
     # sums and products that meet the other factor cancel all of Phi_3
-    other = RatFunc(Laurent(3, {1: 1, 0: -z * z}))
+    other = RatFunc(3, {1: 1, 0: -z * z})
     assert x * other == RatFunc.one(3)
     assert (x * other).den_exps == ()
 
@@ -560,7 +573,7 @@ def test_inverse_needs_a_phi_product():
     with pytest.raises(ValueError, match=r"RatFunc\(q - 2\)"):
         one / (q - 2 * one)
     with pytest.raises(ValueError, match=r"q \+ 2"):
-        RatFunc(Laurent.one(1), Laurent(1, {0: 2, 1: 1}))
+        RatFunc.one(1) / RatFunc(1, {0: 2, 1: 1})
     # a unit times powers of q and of Phi_j inverts
     x = (q * q - one) * (q * q + one) * RatFunc.from_scalar(Fraction(-2, 3)) * q
     assert x.inv() * x == one
@@ -590,9 +603,9 @@ def _exponent_vectors():
 def ratfuncs_over_f(draw):
     """A RatFunc with q-exponents in -4..4 over prod F_j^e_j, j in 1..12."""
     order = draw(st.sampled_from(_FIELD_ORDERS))
-    num = Laurent(order, draw(st.dictionaries(st.integers(-4, 4),
+    num = RatFunc(order, draw(st.dictionaries(st.integers(-4, 4),
                                               _nonzero_cyclotomics(order), max_size=4)))
-    return RatFunc.over(num, draw(_exponent_vectors()))
+    return _over(num, draw(_exponent_vectors()))
 
 
 @given(ratfuncs_over_f())
@@ -625,15 +638,70 @@ def test_inverse_of_a_unit_times_f_powers(data, order, a, exps):
     # c q^a prod F_j^e_j with c in Q(zeta_order) inverts to q^-a / c over the
     # exponent vector it was built from
     c = data.draw(_nonzero_cyclotomics(order))
-    num = Laurent(order, {a: c})
+    num = RatFunc(order, {a: c})
     for j, e in exps:
         for _ in range(e):
             num = num * _factor(j, order)
-    x = RatFunc(num)
-    inv = x.inv()
-    assert inv * x == 1
-    assert inv.den_exps == exps and inv.num == Laurent(order, {-a: c.inv()})
+    inv = num.inv()
+    assert inv * num == 1
+    assert inv.den_exps == exps and _num(inv) == RatFunc(order, {-a: c.inv()})
     # a leading coefficient twice the lowest: no unit times F_j has that
-    perturbed = num + Laurent(order, {num.terms[-1][0] + 1: 2 * c})
+    perturbed = num + RatFunc(order, {num.terms[-1][0] + 1: 2 * c})
     with pytest.raises(ValueError, match="cannot invert"):
-        RatFunc(perturbed).inv()
+        perturbed.inv()
+
+
+# -- one type: equality and hashing across fields, constants and pickling ----
+
+
+@given(ratfuncs_over_f(), ratfuncs_over_f(), st.sampled_from((1, 2, 3, 6)))
+@settings(max_examples=150, deadline=None)
+def test_equality_and_hash_of_the_one_type(x, y, k):
+    # promoted to a multiple of its order, a value stays equal and hashes
+    # equal; the promotion is built from Cyclotomic.promote alone
+    m = k * x.order
+    big = RatFunc.over(m, tuple((e, c.promote(m)) for e, c in x.terms), x.den_exps)
+    assert big.order == m and big.den_exps == x.den_exps
+    assert big == x and x == big and hash(big) == hash(x)
+    assert (x * RatFunc.one(m)).order == m and x * RatFunc.one(m) == x
+    # two values are equal exactly when their difference is zero
+    assert (x == y) == (x - y).is_zero() == (y == x)
+    if x == y:
+        assert hash(x) == hash(y)
+    for v in (x, big):
+        for w in round_trips(v):
+            assert type(w) is RatFunc and w == v and hash(w) == hash(v)
+            assert repr(w) == repr(v) and w.order == v.order
+
+
+@given(st.sampled_from(_FIELD_ORDERS), st.sampled_from((1, 2, 3)),
+       st.fractions(-5, 5, max_denominator=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_constants_equal_and_hash_as_their_scalar(order, k, r, data):
+    c = data.draw(_nonzero_cyclotomics(order))
+    for scalar in (r, r.numerator, c, c.promote(k * order)):
+        for x in (RatFunc.from_scalar(scalar, k * order), RatFunc(k * order, {0: scalar})):
+            assert x.den_exps == ()
+            assert x == scalar and scalar == x and hash(x) == hash(scalar)
+            assert x != scalar + 1 and x + RatFunc.q(order) != scalar
+
+
+def test_foreign_cyclotomic_meets_ratfunc_in_the_common_field():
+    from ytl.yokonuma import unit
+    z3 = Cyclotomic.root_power(3, 1)
+    # comparisons never raise: 1 is not zeta_3, in either order
+    assert (RatFunc.one(1) == z3) is False
+    assert (z3 == RatFunc.one(1)) is False
+    assert (RatFunc.one(1) != z3) is True
+    assert RatFunc.from_scalar(z3, 3) == z3 and z3 == RatFunc.one(2) * RatFunc.from_scalar(z3, 3)
+    # a sum lands in Q(zeta_6): 1 + zeta_3 = zeta_6
+    s = RatFunc.one(2) + z3
+    assert s.order == 6 and s == Cyclotomic.root_power(6, 1) and s - z3 == 1
+    # so does a scale, as with the RatFunc of zeta_3
+    x = unit(2, 2).scale(z3)
+    assert x == unit(2, 2) * RatFunc.from_scalar(z3, 3) and x.order == 6
+    # a constructor or a unit factor of a foreign field is still refused
+    with pytest.raises(ValueError):
+        RatFunc.from_scalar(z3, 2)
+    with pytest.raises(ValueError):
+        RatFunc.one(2).times_monomial(z3)

@@ -1,7 +1,9 @@
 import ast
 import collections
+import importlib
 import pathlib
 import re
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ytl"
 
@@ -79,10 +81,11 @@ def test_only_yokonuma_names_the_encoding():
 
 # The canonical RatFunc form (a Laurent numerator over an exponent vector of
 # F_j, kept canonical by trial division) is built, factored and evaluated in
-# scalars alone, through one trial-division loop. yokonuma reads exponent
-# vectors to pass them to scalars.over_one_denominator, and builds none.
+# scalars alone, through one trial-division loop. No other module reads it:
+# yokonuma passes RatFuncs to scalars.over_one_denominator and gets term
+# tuples back, and names neither an exponent vector nor a numerator object.
 FORM_HELPERS = {"_normalize", "_divide_out", "_rows_quotient", "_den_factor", "_dense_rows",
-                "_factor_den", "_lift"}
+                "_factor_den", "_lift", "_den_terms"}
 
 
 def _calls_ratfunc_raw(tree):
@@ -101,8 +104,11 @@ def test_only_scalars_builds_the_canonical_form():
         found.extend("%s: %s" % (path.name, name) for name in sorted(FORM_HELPERS & names))
         if _calls_ratfunc_raw(tree):
             found.append("%s: RatFunc._raw" % path.name)
-        if "den_exps" in names and path.name != "yokonuma.py":
+        if "den_exps" in names:
             found.append("%s: den_exps" % path.name)
+        if any(isinstance(node, ast.Attribute) and node.attr == "num"
+               for node in ast.walk(tree)):
+            found.append("%s: .num" % path.name)
     assert not found, found
     tree = ast.parse((SRC / "scalars.py").read_text())
     names = set(_names_used(tree))
@@ -110,6 +116,41 @@ def test_only_scalars_builds_the_canonical_form():
     loops = [node.name for node in _definitions(tree)
              if node.name != "_rows_quotient" and "_rows_quotient" in _names_used(node)]
     assert loops == ["_divide_out"], loops
+
+
+def test_one_q_scalar_type():
+    # a Laurent polynomial is a RatFunc with den_exps == (): no module
+    # defines, binds or reads a second q-scalar type
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined = [node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
+        if "Laurent" in defined or "Laurent" in _names_used(tree):
+            found.append(path.name)
+    assert not found, found
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def test_traced_names_resolve():
+    # the benchmark's traced run finds library functions by name, so a
+    # renamed one would only make its metric read 0. scalars._laurent_gcd is
+    # the one known dead counter; it goes when the benchmark drops it
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    lib = workloads.load_ytl()
+    names = (list(tracing.TIMED_CALLS) + list(tracing.COUNTED_CALLS.values())
+             + [tuple(name.split(".", 1)) for name in tracing.HIT_RATIOS.values()])
+    assert ("scalars", "RatFunc._normalize") in names
+    assert ("scalars", "Cyclotomic.__mul__") in names
+    unresolved = {"%s.%s" % name for name in names if tracing.resolve(lib, *name) is None}
+    assert unresolved == {"scalars._laurent_gcd"}
 
 
 def test_every_definition_is_used():

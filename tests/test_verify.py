@@ -266,7 +266,7 @@ def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
 
     def one_divisor_short(d, a, b):
         x = original(d, a, b)
-        return RatFunc._raw(x.num, x.den_exps[:-1])
+        return RatFunc._raw(x.order, x.terms, x.den_exps[:-1])
 
     def clear():
         reps.rep_g_cached.cache_clear()

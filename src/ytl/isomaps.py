@@ -8,7 +8,8 @@ Both quotients are one construction: a block entry lies in a tensor product
 of d factors over the parts of mu, the first r of them Temperley-Lieb and
 the others Hecke algebras, with r = tableaux.tl_factors(which, d) (d for
 FTL, 1 for CTL). Its coordinate keys are flat tuples (b_1, ..., b_r,
-w_{r+1}, ..., w_d) of Jones pairs and local permutations.
+w_{r+1}, ..., w_d) of Jones pairs and local permutations: the factors of a
+permutation of S_mu (permutations.factor_in_young, inverse join_young).
 
 Matrix blocks are indexed by compositions mu; row/column indices follow the
 canonical coset-representative order. Entries of psi images are Hecke
@@ -28,8 +29,8 @@ over (Z/d)^n once, on packed ints.
 The Temperley-Lieb reduction straightens inside the Hecke algebra: the Jones
 basis of TL_m is G_w for w fully commutative (321-avoiding), and any other
 G_w = G_x G_{s_i s_{i+1} s_i} G_y becomes minus G_x (the other five terms of
-g_{i,i+1}) G_y, shorter terms with Laurent coefficients, until only Jones
-basis elements remain. No linear algebra is involved.
+g_{i,i+1}, basis elements) G_y, two products of shorter terms with Laurent
+coefficients, until only Jones basis elements remain. No linear algebra.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ import itertools
 from functools import lru_cache
 
 from .permutations import (Composition, ConsistencyError, Perm, act_on_character, all_perms,
-                           compositions, coset_system, embed_word, factor_in_young)
+                           compositions, coset_system, factor_in_young, join_young)
 from .scalars import RatFunc, as_ratfunc
 from .tableaux import jones_pairs, jones_permutation, tl_factors
-from .yokonuma import (YElement, character_exponents, character_sums, from_characters,
-                       g_block, g_word)
+from .yokonuma import YElement, character_exponents, character_sums, from_characters, g_block
 
 
 def _acc_term(acc, key, c):
@@ -128,7 +128,9 @@ def psi_mu(mu, x):
 def _phi_step(mu, k, l, w):
     """(v, s): the term q^s E_chi_k g_v that G_w in cell (k, l) maps to,
     v = pi_k w pi_l^-1, undoing the diagonal rescaling. The length sum h is
-    even, as sign(v) = sign(pi_k) sign(w) sign(pi_l) (see _psi_step)."""
+    even, as sign(v) = sign(pi_k) sign(w) sign(pi_l) (see _psi_step); w
+    outside S_mu is a ValueError."""
+    factor_in_young(mu, w)
     sys = coset_system(mu)
     pi_k, pi_l = sys.rep(k), sys.rep(l)
     v = pi_k * w * pi_l.inv()
@@ -141,11 +143,15 @@ def _phi_blocks(blocks, which=None):
     mu is q^s c E_chi_k g_v (_phi_step), all transformed back at once
     (yokonuma.from_characters). A cell is a Hecke element, or for which
     'FTL'/'CTL' quotient coordinates {key: c}, w = quotient_coord_perm(mu,
-    key, r). An empty family or a block not m x m is a ValueError."""
+    key, r). An empty family, compositions of two (d, n), a block not m x
+    m, or a Hecke cell not of d = 1 and degree n is a ValueError."""
     if not blocks:
         raise ValueError("an empty block family has no (d, n)")
+    d, n = next((mu.d, mu.n) for mu in blocks)
     parts = []
     for mu, block in blocks.items():
+        if (mu.d, mu.n) != (d, n):
+            raise ValueError("mu = %s in a family at (d, n) = (%d, %d)" % (mu.parts, d, n))
         chars = block_characters(mu)
         m = len(chars)
         if len(block) != m or any(len(row) != m for row in block):
@@ -154,12 +160,14 @@ def _phi_blocks(blocks, which=None):
         r = which and tl_factors(which, mu.d)
         for k, row in enumerate(block, 1):
             for l, cell in enumerate(row, 1):
+                if not which and (cell.d != 1 or cell.n != n):
+                    raise ValueError("cell (%d, %d) of the block of mu = %s is not a Hecke "
+                                     "element of degree %d" % (k, l, mu.parts, n))
                 for key, c in (cell.items() if which else cell.terms):
                     w = quotient_coord_perm(mu, key, r) if which else key[1]
                     v, s = _phi_step(mu, k, l, w)
                     parts.append((v, chars[k - 1], s, c))
-    mu = next(iter(blocks))
-    return from_characters(mu.d, mu.n, parts)
+    return from_characters(d, n, parts)
 
 
 def phi_mu(mu, matrix):
@@ -209,7 +217,8 @@ def _rho_perm(m, w):
     """Jones coordinates of G_w in TL_m (cached), by straightening. A fully
     commutative w is a Jones basis element. Otherwise w = x s_i s_{i+1} s_i y,
     and as g_{i,i+1} lies in the ideal, G_w is congruent to minus G_x (the
-    other five terms of g_{i,i+1}) G_y, whose terms are all shorter than w."""
+    other five terms of g_{i,i+1}, basis elements) G_y: two products, whose
+    terms are all shorter than w."""
     one = RatFunc.one(1)
     split = _braid_split(w)
     if split is None:
@@ -217,7 +226,7 @@ def _rho_perm(m, w):
             raise ConsistencyError("fully commutative %r has no Jones pair" % (w,))
         return ((_jones_index(m)[w], one),)
     x, i, y = split
-    others = g_block(1, m, i) - g_word(1, m, (i, i + 1, i))
+    others = g_block(1, m, i) - hecke_term(m, Perm.from_word(m, (i, i + 1, i)), one)
     out = {}
     for (_, z), c in (hecke_term(m, x, one) * others * hecke_term(m, y, one)).terms:
         for pair, pc in _rho_perm(m, z):
@@ -242,7 +251,10 @@ def quotient_entry(mu, hecke, r):
     factors reduced to Temperley-Lieb and the rest kept Hecke:
     {(b_1..b_r, w_{r+1}..w_d): coeff}, the outer product of the Jones
     coordinates of the first r local permutations with the others
-    appended."""
+    appended. An entry not of d = 1 and degree mu.n is a ValueError."""
+    if hecke.d != 1 or hecke.n != mu.n:
+        raise ValueError("an entry for mu = %s must be a Hecke element of degree %d, not "
+                         "d = %d, n = %d" % (mu.parts, mu.n, hecke.d, hecke.n))
     out = {}
     for (_, w), c in hecke.terms:
         locals_ = factor_in_young(mu, w)
@@ -278,12 +290,14 @@ def ctl_psi(x):
 @lru_cache(maxsize=None)
 def quotient_coord_perm(mu, key, r):
     """The permutation whose Hecke basis element has the given coordinates:
-    the embedded Jones words of the first r factors and the reduced words of
-    the others, concatenated, form one reduced word."""
-    word = []
-    for i, (local, offset) in enumerate(zip(key, mu.offsets)):
-        word.extend(embed_word(local.word() if i < r else local.reduced_word(), offset))
-    return Perm.from_word(mu.n, tuple(word))
+    the Jones permutations of the first r joined with the others (join_young).
+    A key other than a Temperley-Lieb Jones pair for each of the first r
+    parts of mu and a permutation for each other part is a ValueError."""
+    tl = list(zip(mu.parts[:r], key))
+    if len(key) != mu.d or any(pair not in jones_pairs(part, "TL") for part, pair in tl):
+        raise ValueError("%r is not a key for mu = %s: a Temperley-Lieb Jones pair for each of "
+                         "its first %d parts, a permutation for each other" % (key, mu.parts, r))
+    return join_young(mu, [jones_permutation(part, pair) for part, pair in tl] + list(key[r:]))
 
 
 def ftl_phi(blocks):

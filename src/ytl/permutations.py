@@ -1,6 +1,7 @@
 """The symmetric group: permutations, lengths, reduced words, compositions,
-Young subgroups, distinguished coset representatives, and the action of
-permutations on character value vectors.
+Young subgroups and the one codec of their elements (factor_in_young and its
+inverse join_young, the only readers of the block layout), distinguished
+coset representatives, and the action of permutations on character vectors.
 
 Permutations are stored in one-line notation (1-based images) and compose
 right-to-left: (u * v)(x) = u(v(x)). Under this convention the coset
@@ -182,29 +183,14 @@ class Composition(Record):
     @property
     def offsets(self):
         """Start offset of each block: block i covers offsets[i]+1..offsets[i]+parts[i]."""
-        out = []
-        acc = 0
-        for p in self.parts:
-            out.append(acc)
-            acc += p
-        return tuple(out)
+        return tuple(itertools.accumulate(self.parts[:-1], initial=0))
 
     def young_subgroup(self):
-        """All elements of the Young subgroup S_mu, as permutations of S_n."""
-        n = self.n
-        blocks = []
-        acc = 0
-        for p in self.parts:
-            blocks.append(list(range(acc + 1, acc + p + 1)))
-            acc += p
-        out = []
-        for pieces in itertools.product(*(itertools.permutations(b) for b in blocks)):
-            images = [0] * n
-            for block, perm in zip(blocks, pieces):
-                for pos, val in zip(block, perm):
-                    images[pos - 1] = val
-            out.append(Perm(tuple(images)))
-        return out
+        """All elements of S_mu as permutations of S_n: the joins of the
+        permutations of the parts, in lexicographic order, the last fastest."""
+        return [join_young(self, [Perm(images) for images in pieces])
+                for pieces in itertools.product(
+                    *(itertools.permutations(range(1, p + 1)) for p in self.parts))]
 
 
 @lru_cache(maxsize=None)
@@ -263,17 +249,26 @@ def act_on_character(w, values):
 
 def factor_in_young(mu, w):
     """Split w in S_mu into its per-block components, each a Perm of S_{mu_i}."""
-    out = []
-    acc = 0
+    out, acc = [], 0
     for p in mu.parts:
         block = w.images[acc:acc + p]
         if sorted(block) != list(range(acc + 1, acc + p + 1)):
             raise ValueError("%r is not in the Young subgroup of %r" % (w, mu))
         out.append(Perm(tuple(v - acc for v in block)))
         acc += p
+    if acc != w.n:
+        raise ValueError("%r is not in the Young subgroup of %r" % (w, mu))
     return tuple(out)
 
 
-def embed_word(word, offset):
-    """Shift a generator word by an offset (block embedding)."""
-    return tuple(i + offset for i in word)
+def join_young(mu, factors):
+    """The element of S_mu with the given factors, one Perm of S_{mu_i} per
+    part: the inverse of factor_in_young."""
+    if len(factors) != mu.d:
+        raise ValueError("%d factors for the %d parts of %r" % (len(factors), mu.d, mu))
+    images = []
+    for i, (acc, p, f) in enumerate(zip(mu.offsets, mu.parts, factors), 1):
+        if not isinstance(f, Perm) or f.n != p:
+            raise ValueError("%r is not in S_%d, for part %d of %r" % (f, p, i, mu))
+        images.extend(v + acc for v in f.images)
+    return Perm(tuple(images))

@@ -133,13 +133,13 @@ def rep_g(module, i):
 
 @lru_cache(maxsize=None)
 def _rep_word_cached(d, shape, w):
-    """Matrix of g_w (w given by its reduced word) on V_shape."""
+    """Matrix of g_w on V_shape: g_{w s_i} g_i, i the last letter of w's reduced word."""
     module = rep_module(d, shape)
     word = w.reduced_word()
     if not word:
         return tuple(tuple(r) for r in
                      identity_matrix(module.dim, RatFunc.zero(d), RatFunc.one(d)))
-    left = _rep_word_cached(d, shape, Perm.from_word(w.n, word[:-1]))
+    left = _rep_word_cached(d, shape, w * Perm.transposition(w.n, word[-1]))
     right = rep_g_cached(d, shape, word[-1])
     # a column of g_i has at most two nonzero entries, so each column of the
     # product combines at most two columns of g_w', normalised once per entry

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .permutations import Perm, act_on_character, coset_system
+from .permutations import Composition, Perm, act_on_character, coset_system
 from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, laurent_from_ints,
                       multiply_dens, over_one_denominator, slot_setters, value_at_one)
 
@@ -540,13 +540,6 @@ def gen_g_inv(d, n, i):
     return gen_g(d, n, i).scale(qinv) + e(d, n, i).scale(qinv - RatFunc.one(d))
 
 
-def g_word(d, n, word):
-    out = unit(d, n)
-    for i in word:
-        out = out * gen_g(d, n, i)
-    return out
-
-
 def e_pair(d, n, j, k):
     """e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}."""
     if not (1 <= j <= n and 1 <= k <= n and j != k):
@@ -690,10 +683,8 @@ def E_mu(d, n, mu):
     staircase character."""
     if mu.d != d or mu.n != n:
         raise ValueError("composition does not match algebra parameters")
-    out = zero(d, n)
-    for k in range(1, coset_system(mu).m + 1):
-        out = out + E_chi(d, n, character_exponents(mu, k))
-    return out
+    return YElement(d, n, [term for k in range(1, coset_system(mu).m + 1)
+                           for term in E_chi(d, n, character_exponents(mu, k)).terms])
 
 
 # ---------------------------------------------------------------------------
@@ -701,14 +692,13 @@ def E_mu(d, n, mu):
 
 
 def g_block(d, n, i):
-    """g_{i,i+1}: the sum of g_w over the six permutations of {i, i+1, i+2}."""
+    """g_{i,i+1}: the sum of the basis elements g_w over the six
+    permutations w of <s_i, s_{i+1}>, the Young subgroup of the composition
+    (1, ..., 1, 3, 1, ..., 1) with its 3 at place i."""
     if not 1 <= i <= n - 2:
         raise ValueError("block index %d out of range 1..%d" % (i, n - 2))
-    words = [(), (i,), (i + 1,), (i, i + 1), (i + 1, i), (i, i + 1, i)]
-    out = zero(d, n)
-    for word in words:
-        out = out + g_word(d, n, word)
-    return out
+    mu = Composition((1,) * (i - 1) + (3,) + (1,) * (n - i - 2))
+    return YElement(d, n, [(((0,) * n, w), RatFunc.one(d)) for w in mu.young_subgroup()])
 
 
 def ftl_generator(d, n):

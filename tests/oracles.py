@@ -10,6 +10,7 @@ this module.
   term through powers of the value, numerator over expanded denominator;
   the reference for scalars.value_at_one, the library's one evaluation (at
   q = 1), and the q = 5 specialization of independent_mod_quotient
+- g_word: a product of generators g_i, one algebra product per letter
 - conjugate_shift: conjugation by powers of g_1 g_2 ... g_{n-1}
 - is_zero_matrix
 - Field, row_echelon, matrix_rank, invert_matrix: Gaussian elimination over
@@ -267,7 +268,16 @@ def independent_mod_quotient(elements, which, d):
 
 
 # ---------------------------------------------------------------------------
-# conjugation shift
+# words in the generators and conjugation shift
+
+
+def g_word(d, n, word):
+    """g_{i_1} g_{i_2} ... g_{i_k} for word (i_1, ..., i_k), by one algebra
+    product per letter."""
+    out = unit(d, n)
+    for i in word:
+        out = out * gen_g(d, n, i)
+    return out
 
 
 def conjugate_shift(x, i):
@@ -865,17 +875,6 @@ class GcdRatFunc:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_one(self):
-        return _is_one(self.num) and _is_one(self.den)
-
-    def is_laurent(self):
-        return _is_one(self.den)
-
-    def as_laurent(self):
-        if not self.is_laurent():
-            raise ValueError("denominator is not a unit: %r" % (self,))
-        return self.num
 
     # -- arithmetic --------------------------------------------------------
 

@@ -260,8 +260,8 @@ def test_criterion_8_oracle_cross_checks(capsys):
         for w in sample:
             h = iso.hecke_term(4, w, RatFunc.one(1))
             assert iso.rho_reduce(h) == oracles.rho_bruteforce(h, 4)
-        combo = yk.g_word(1, 4, (1, 3)) + \
-            yk.g_word(1, 4, (2,)).scale(RatFunc.q(1))
+        combo = oracles.g_word(1, 4, (1, 3)) + \
+            oracles.g_word(1, 4, (2,)).scale(RatFunc.q(1))
         assert iso.rho_reduce(combo) == oracles.rho_bruteforce(combo, 4)
         # closed-form projector matrices vs evaluated framing averages
         for d, n in [(2, 3), (3, 3)]:

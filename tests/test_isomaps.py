@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from ytl.scalars import Cyclotomic, RatFunc, as_ratfunc
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
 from ytl.reps import ideal_membership, quotient_shapes, rep_element, rep_module
-from ytl.tableaux import (dim_CTL, dim_FTL, enumerate_partitions, jones_pairs,
+from ytl.tableaux import (JonesPair, dim_CTL, dim_FTL, enumerate_partitions, jones_pairs,
                           jones_permutation, tl_factors, two_column)
 
 
@@ -105,6 +106,83 @@ def test_phi_mu_refuses_a_wide_q_span():
     with pytest.raises(ValueError, match="spans 100000001 powers of q"):
         iso.phi_mu(mu, [[cell]])
     assert time.monotonic() - start < 1.0
+
+
+def test_phi_refuses_families_of_two_sizes():
+    # a (2, 3) family merged with a (2, 2) one would hold permutations of two
+    # degrees
+    family = {**iso.psi_n(yk.gen_g(2, 3, 1)), **iso.psi_n(yk.gen_g(2, 2, 1))}
+    with pytest.raises(ValueError, match=r"mu = \(2, 0\) in a family at \(d, n\) = \(2, 3\)"):
+        iso.phi_n(family)
+    family = {**iso.ftl_psi(yk.gen_g(2, 2, 1)), **iso.ftl_psi(yk.gen_g(2, 3, 1))}
+    with pytest.raises(ValueError, match=r"mu = \(3, 0\) in a family at \(d, n\) = \(2, 2\)"):
+        iso.ftl_phi(family)
+
+
+def test_phi_refuses_cells_outside_the_hecke_algebra():
+    mu = Composition((2, 0))
+    for cell in (yk.gen_t(2, 2, 1), yk.unit(2, 2), iso.hecke_unit(3)):
+        with pytest.raises(ValueError, match=r"cell \(1, 1\) of the block of mu = \(2, 0\) "
+                                             "is not a Hecke element of degree 2"):
+            iso.phi_mu(mu, [[cell]])
+
+
+def test_phi_refuses_terms_outside_the_young_subgroup():
+    mu = Composition((2, 1))
+    for k, l in ((1, 1), (2, 3)):
+        cells = single_entry(mu, 3, 3, k, l, iso.hecke_term(3, Perm((1, 3, 2)), 1))
+        with pytest.raises(ValueError, match=r"Young subgroup of Composition\(parts=\(2, 1\)\)"):
+            iso.phi_mu(mu, cells)
+        with pytest.raises(ValueError, match="Young subgroup"):
+            iso.phi_n({**iso.psi_n(yk.zero(2, 3)), mu: cells})
+
+
+def _key_block(mu, key):
+    m = coset_system(mu).m
+    return {mu: [[{key: RatFunc.one(mu.d)} if (k, l) == (0, 0) else {} for l in range(m)]
+                 for k in range(m)]}
+
+
+def test_quotient_phi_refuses_malformed_keys():
+    # at d = 2 FTL reduces both factors and CTL the first one
+    mu, empty = Composition((2, 1)), JonesPair((), ())
+    for phi, r in ((iso.ftl_phi, 2), (iso.ctl_phi, 1)):
+        # too few or too many coordinates, or a permutation in a
+        # Temperley-Lieb slot
+        for key in ((empty,), (empty, empty, empty), (Perm((2, 1)), Perm((1,)))):
+            with pytest.raises(ValueError, match=r"is not a key for mu = \(2, 1\): a "
+                                                 "Temperley-Lieb Jones pair for each of its "
+                                                 "first %d parts" % r):
+                phi(_key_block(mu, key))
+    with pytest.raises(ValueError, match=r"not in S_1, for part 2 of "
+                                         r"Composition\(parts=\(2, 1\)\)"):
+        iso.ctl_phi(_key_block(mu, (empty, empty)))
+    with pytest.raises(ValueError, match=r"is not a key for mu = \(2, 1\)"):
+        iso.ftl_phi(_key_block(mu, (empty, Perm((1,)))))
+
+
+def test_quotient_phi_refuses_pairs_outside_temperley_lieb():
+    # s_2 is not in S_2, and (1, 2; 0, 1) names s_1 s_2 s_1, which is not
+    # fully commutative
+    cases = [(Composition((2, 1)), (JonesPair((2,), (0,)), JonesPair((), ()))),
+             (Composition((3, 0)), (JonesPair((1, 2), (0, 1)), JonesPair((), ())))]
+    for mu, key in cases:
+        message = r"is not a key for mu = %s: a Temperley-Lieb Jones pair"
+        with pytest.raises(ValueError, match=message % re.escape(str(mu.parts))):
+            iso.ftl_phi(_key_block(mu, key))
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 4)])
+def test_quotient_coord_perm_is_the_product_of_embedded_words(d, n):
+    for kind, basis in (("FTL", iso.ftl_basis), ("CTL", iso.ctl_basis)):
+        r = tl_factors(kind, d)
+        for mu, key in {(mu, key) for mu, key, _, _ in basis(d, n)}:
+            word, offset = [], 0
+            for i, (part, local) in enumerate(zip(mu.parts, key)):
+                word.extend(j + offset for j in
+                            (local.word() if i < r else local.reduced_word()))
+                offset += part
+            assert iso.quotient_coord_perm(mu, key, r) == Perm.from_word(n, tuple(word))
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
@@ -198,7 +276,7 @@ def test_phi_on_first_column_has_no_length_correction():
         for w in mu.young_subgroup():
             hmat = single_entry(mu, m, n, 1, 1, iso.hecke_term(n, w, RatFunc.one(d)))
             lhs = iso.phi_mu(mu, hmat)
-            rhs = E1 * yk.g_word(d, n, w.reduced_word()) * E1
+            rhs = E1 * oracles.g_word(d, n, w.reduced_word()) * E1
             assert lhs == rhs
 
 
@@ -402,10 +480,20 @@ def test_rho_basics():
     assert iso.rho_reduce(yk.g_block(1, 3, 1)) == {}
 
 
+def test_quotient_entry_refuses_non_hecke_input():
+    with pytest.raises(ValueError, match=r"an entry for mu = \(3,\) must be a Hecke element "
+                                         "of degree 3, not d = 1, n = 4"):
+        iso.rho_reduce(iso.hecke_unit(4), 3)
+    with pytest.raises(ValueError, match="not d = 2, n = 3"):
+        iso.rho_reduce(yk.gen_t(2, 3, 1))
+    with pytest.raises(ValueError, match=r"mu = \(2, 1\) must be a Hecke element"):
+        iso.quotient_entry(Composition((2, 1)), yk.gen_g(2, 3, 1), 2)
+
+
 def test_rho_is_multiplicative_mod_kernel():
     # rho(G_w) computed coordinate-wise matches rho of products
-    h1 = yk.g_word(1, 3, (1,))
-    h2 = yk.g_word(1, 3, (2, 1))
+    h1 = oracles.g_word(1, 3, (1,))
+    h2 = oracles.g_word(1, 3, (2, 1))
     lhs = iso.rho_reduce(h1 * h2)
     rhs = oracles.rho_bruteforce(h1 * h2, 3)
     assert lhs == rhs
@@ -417,7 +505,7 @@ def test_rho_against_bruteforce(m):
         h = iso.hecke_term(m, w, RatFunc.one(1))
         assert iso.rho_reduce(h) == oracles.rho_bruteforce(h, m)
     # and one non-basis combination
-    combo = yk.g_word(1, m, (1, 2)) + yk.g_word(1, m, (2,)).scale(RatFunc.q(1))
+    combo = oracles.g_word(1, m, (1, 2)) + oracles.g_word(1, m, (2,)).scale(RatFunc.q(1))
     assert iso.rho_reduce(combo) == oracles.rho_bruteforce(combo, m)
 
 

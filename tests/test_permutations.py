@@ -1,9 +1,10 @@
 import copy
+import itertools
 import os
 import pickle
 import subprocess
 import sys
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 
 import ytl
 from ytl.permutations import (Composition, Perm, act_on_character, all_perms,
-                              compositions, coset_system, embed_word,
-                              factor_in_young)
+                              compositions, coset_system, factor_in_young, join_young)
 
 
 def test_one_line_convention():
@@ -149,8 +149,63 @@ def test_factor_in_young():
         factor_in_young(mu, Perm((3, 1, 2, 4)))
 
 
-def test_embed_word():
-    assert embed_word((1, 2), 2) == (3, 4)
+def test_factor_in_young_refuses_other_degrees():
+    # the first blocks of (1, 2, 3, 5, 4) match those of (2, 1), but it is
+    # not in S_3
+    with pytest.raises(ValueError, match="Young subgroup"):
+        factor_in_young(Composition((2, 1)), Perm((1, 2, 3, 5, 4)))
+    with pytest.raises(ValueError, match="Young subgroup"):
+        factor_in_young(Composition((2, 2)), Perm((2, 1, 3)))
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 3)])
+def test_join_young_inverts_factor_in_young(d, n):
+    for mu in compositions(d, n):
+        members = 0
+        for w in all_perms(n):
+            try:
+                factors = factor_in_young(mu, w)
+            except ValueError:
+                continue
+            members += 1
+            assert join_young(mu, factors) == w
+        assert members == prod(factorial(p) for p in mu.parts)
+
+
+def test_join_young_refuses():
+    mu = Composition((2, 1))
+    with pytest.raises(ValueError, match="1 factors for the 2 parts of"):
+        join_young(mu, (Perm((2, 1)),))
+    with pytest.raises(ValueError, match="3 factors for the 2 parts of"):
+        join_young(mu, (Perm((2, 1)), Perm((1,)), Perm((1,))))
+    with pytest.raises(ValueError, match=r"not in S_1, for part 2 of Composition\(parts="):
+        join_young(mu, (Perm((2, 1)), Perm((1, 2))))
+    with pytest.raises(ValueError, match="not in S_2, for part 1 of"):
+        join_young(mu, ((2, 1), Perm((1,))))
+
+
+def _young_by_blocks(mu):
+    """The Young subgroup built without join_young, the reference order for
+    young_subgroup: the permutations of each block's own positions, filled
+    into one image array."""
+    blocks, acc = [], 0
+    for p in mu.parts:
+        blocks.append(list(range(acc + 1, acc + p + 1)))
+        acc += p
+    out = []
+    for pieces in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        images = [0] * mu.n
+        for block, perm in zip(blocks, pieces):
+            for pos, val in zip(block, perm):
+                images[pos - 1] = val
+        out.append(Perm(tuple(images)))
+    return out
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (1, 4), (3, 4)])
+def test_young_subgroup_order(d, n):
+    for mu in compositions(d, n):
+        assert mu.young_subgroup() == _young_by_blocks(mu)
 
 
 def test_record_semantics():

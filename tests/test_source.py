@@ -79,6 +79,21 @@ def test_only_yokonuma_names_the_encoding():
     assert not found, found
 
 
+# The block layout of a composition (Composition.offsets, where each part's
+# positions start) is read in permutations alone: the other modules split an
+# element of a Young subgroup with factor_in_young and join one with
+# join_young.
+def test_only_permutations_reads_block_offsets():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        names = set(_names_used(ast.parse(path.read_text(), str(path))))
+        if path.name == "permutations.py":
+            assert "offsets" in names
+        elif "offsets" in names:
+            found.append(path.name)
+    assert not found, found
+
+
 # The canonical RatFunc form (a Laurent numerator over an exponent vector of
 # F_j, kept canonical by trial division) is built, factored and evaluated in
 # scalars alone, through one trial-division loop. No other module reads it:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ytl.permutations import Perm, all_perms, compositions
+from ytl.permutations import Perm, all_perms, compositions, coset_system
 from ytl.reps import ideal_membership
 from ytl.scalars import Cyclotomic, RatFunc, laurent_from_ints
 from ytl import yokonuma as yk
@@ -257,7 +257,7 @@ def test_product_cancels_only_mod_phi3():
                            for k in range(d)])
     assert _same_as_reference(x, y).is_zero()
     # the same sum, folded through a braid word first
-    assert _same_as_reference(x, y * yk.g_word(d, n, (1, 2, 1))).is_zero()
+    assert _same_as_reference(x, y * oracles.g_word(d, n, (1, 2, 1))).is_zero()
     assert not _same_as_reference(x, x).is_zero()
 
 
@@ -405,7 +405,7 @@ def test_character_eigenvalue_and_permutation_action():
             assert yk.gen_t(d, n, j) * Ec == Ec.scale(val)
         for w in all_perms(n):
             from ytl.permutations import act_on_character
-            gw = yk.g_word(d, n, w.reduced_word())
+            gw = oracles.g_word(d, n, w.reduced_word())
             moved = yk.E_chi(d, n, act_on_character(w, c))
             assert gw * Ec == moved * gw
 
@@ -436,6 +436,29 @@ def test_central_idempotents():
     assert total == yk.unit(d, n)
     for mu, nu in itertools.combinations(mus, 2):
         assert (Emus[mu] * Emus[nu]).is_zero()
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (2, 4)])
+def test_E_mu_is_the_sum_of_its_E_chi(d, n):
+    for mu in compositions(d, n):
+        total = yk.zero(d, n)
+        for k in range(1, coset_system(mu).m + 1):
+            total = total + yk.E_chi(d, n, yk.character_exponents(mu, k))
+        assert yk.E_mu(d, n, mu) == total
+        assert repr(yk.E_mu(d, n, mu)) == repr(total)
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 4), (3, 3), (1, 5)])
+def test_g_block_is_the_sum_of_its_six_word_products(d, n):
+    for i in range(1, n - 1):
+        total = yk.zero(d, n)
+        for word in [(), (i,), (i + 1,), (i, i + 1), (i + 1, i), (i, i + 1, i)]:
+            total = total + oracles.g_word(d, n, word)
+        assert yk.g_block(d, n, i) == total
+        assert repr(yk.g_block(d, n, i)) == repr(total)
+    for i in (0, n - 1):
+        with pytest.raises(ValueError, match="block index"):
+            yk.g_block(d, n, i)
 
 
 def test_ideal_generators():

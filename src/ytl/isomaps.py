@@ -26,11 +26,10 @@ hands the terms q^s c E_chi g_v of all its blocks to
 yokonuma.from_characters, which sums them and runs the inverse transform
 over (Z/d)^n once, on packed ints.
 
-The Temperley-Lieb reduction straightens inside the Hecke algebra: the Jones
-basis of TL_m is G_w for w fully commutative (321-avoiding), and any other
-G_w = G_x G_{s_i s_{i+1} s_i} G_y becomes minus G_x (the other five terms of
-g_{i,i+1}, basis elements) G_y, two products of shorter terms with Laurent
-coefficients, until only Jones basis elements remain. No linear algebra.
+The Temperley-Lieb reduction acts by g_k on Jones coordinates, with Perm and
+RatFunc alone: the Jones basis of TL_m is G_w for w fully commutative, and
+any other G_w is G_{w s_k} g_k with w s_k shorter or, when every braid ends w,
+-G_x (the five lower terms of g_{i,i+1}) with x shorter. No algebra product.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .permutations import (Composition, ConsistencyError, Perm, act_on_character
                            compositions, coset_system, factor_in_young, join_young)
 from .scalars import RatFunc, as_ratfunc
 from .tableaux import jones_pairs, jones_permutation, tl_factors
-from .yokonuma import YElement, character_exponents, character_sums, from_characters, g_block
+from .yokonuma import YElement, character_exponents, character_sums, from_characters
 
 
 def _acc_term(acc, key, c):
@@ -144,7 +143,7 @@ def _phi_blocks(blocks, which=None):
     (yokonuma.from_characters). A cell is a Hecke element, or for which
     'FTL'/'CTL' quotient coordinates {key: c}, w = quotient_coord_perm(mu,
     key, r). An empty family, compositions of two (d, n), a block not m x
-    m, or a Hecke cell not of d = 1 and degree n is a ValueError."""
+    m, or a cell of the wrong kind, d or degree is a ValueError."""
     if not blocks:
         raise ValueError("an empty block family has no (d, n)")
     d, n = next((mu.d, mu.n) for mu in blocks)
@@ -160,9 +159,11 @@ def _phi_blocks(blocks, which=None):
         r = which and tl_factors(which, mu.d)
         for k, row in enumerate(block, 1):
             for l, cell in enumerate(row, 1):
-                if not which and (cell.d != 1 or cell.n != n):
-                    raise ValueError("cell (%d, %d) of the block of mu = %s is not a Hecke "
-                                     "element of degree %d" % (k, l, mu.parts, n))
+                if not (isinstance(cell, dict) if which else isinstance(cell, YElement)
+                        and (cell.d, cell.n) == (1, n)):
+                    raise ValueError("cell (%d, %d) of the block of mu = %s is not %s" % (
+                        k, l, mu.parts, "a dict of quotient coordinates" if which
+                        else "a Hecke element of degree %d" % n))
                 for key, c in (cell.items() if which else cell.terms):
                     w = quotient_coord_perm(mu, key, r) if which else key[1]
                     v, s = _phi_step(mu, k, l, w)
@@ -187,51 +188,60 @@ def phi_n(blocks):
 
 
 # ---------------------------------------------------------------------------
-# Temperley-Lieb reduction in the Jones basis, by straightening
+# Temperley-Lieb reduction in the Jones basis, by the action of g_k
 
 
 @lru_cache(maxsize=None)
 def _jones_index(m):
-    """{jones_permutation(m, p): p}: the fully commutative permutations."""
-    return {jones_permutation(m, p): p for p in jones_pairs(m, "TL")}
+    """The Jones basis of TL_m as one two-way table (a Perm never equals a
+    JonesPair): {fully commutative permutation: its Jones pair}, and back."""
+    perms = {jones_permutation(m, p): p for p in jones_pairs(m, "TL")}
+    return {**perms, **{p: v for v, p in perms.items()}}
 
 
-@lru_cache(maxsize=None)
-def _braid_split(w):
-    """(x, i, y) with w = x * s_i s_{i+1} s_i * y and the lengths adding, or
-    None when w is fully commutative: either a braid factor starts w, or it
-    sits inside s_j w for a left descent j."""
-    n, pos = w.n, w.inv().images
-    for j in (j for j in range(1, n) if pos[j - 1] > pos[j]):
-        if j < n - 1 and pos[j] > pos[j + 1]:
-            return Perm.identity(n), j, Perm.from_word(n, (j, j + 1, j)) * w
-        split = _braid_split(Perm.transposition(n, j) * w)
-        if split is not None:
-            x, i, y = split
-            return Perm.transposition(n, j) * x, i, y
-    return None
+def _times_g(m, coords, k):
+    """Jones coordinates times g_k, as dict items: a fully commutative G_u goes
+    to q G_{u s_k} + (q - 1) G_u when k is a right descent of u, and to the
+    reduction of G_{u s_k} otherwise."""
+    table, s_k, out = _jones_index(m), Perm.transposition(m, k), {}
+    for pair, c in coords:
+        u = table[pair]
+        if u.descends_right(k):
+            qc = c.times_monomial(1, 1)
+            _acc_term(out, table[u * s_k], qc)
+            _acc_term(out, pair, qc - c)
+        else:
+            for pz, cz in _rho_perm(m, u * s_k):
+                _acc_term(out, pz, c * cz)
+    return out.items()
 
 
 @lru_cache(maxsize=None)
 def _rho_perm(m, w):
-    """Jones coordinates of G_w in TL_m (cached), by straightening. A fully
-    commutative w is a Jones basis element. Otherwise w = x s_i s_{i+1} s_i y,
-    and as g_{i,i+1} lies in the ideal, G_w is congruent to minus G_x (the
-    other five terms of g_{i,i+1}, basis elements) G_y: two products, whose
-    terms are all shorter than w."""
-    one = RatFunc.one(1)
-    split = _braid_split(w)
-    if split is None:
-        if w not in _jones_index(m):
+    """Jones coordinates of G_w in TL_m (cached), sorted by pair: w itself if
+    fully commutative, else rho(G_{w s_k}) g_k for a right descent k with w s_k
+    not fully commutative. Without one, every braid ends w, so i and i + 1 are
+    right descents, and as g_{i,i+1} lies in the ideal, G_w is congruent to
+    -G_x (1 + g_i + g_{i+1} + g_i g_{i+1} + g_{i+1} g_i), x = w s_i s_{i+1} s_i.
+    Every G_u met is shorter than G_w, so the recursion ends."""
+    table = _jones_index(m)
+    if w in table:
+        return ((table[w], RatFunc.one(1)),)
+    descents = [k for k in range(1, m) if w.descends_right(k)]
+    k = next((k for k in descents if w * Perm.transposition(m, k) not in table), None)
+    if k is not None:
+        coords = _times_g(m, _rho_perm(m, w * Perm.transposition(m, k)), k)
+    else:
+        i = next((i for i in descents if i + 1 in descents), None)
+        if i is None:
             raise ConsistencyError("fully commutative %r has no Jones pair" % (w,))
-        return ((_jones_index(m)[w], one),)
-    x, i, y = split
-    others = g_block(1, m, i) - hecke_term(m, Perm.from_word(m, (i, i + 1, i)), one)
-    out = {}
-    for (_, z), c in (hecke_term(m, x, one) * others * hecke_term(m, y, one)).terms:
-        for pair, pc in _rho_perm(m, z):
-            _acc_term(out, pair, -c * pc)
-    return tuple(sorted(out.items(), key=lambda kv: (kv[0].i, kv[0].k)))
+        x = _rho_perm(m, w * Perm.from_word(m, (i, i + 1, i)))
+        gi, gj, out = _times_g(m, x, i), _times_g(m, x, i + 1), {}
+        for part in (x, gi, gj, _times_g(m, gi, i + 1), _times_g(m, gj, i)):
+            for pair, c in part:
+                _acc_term(out, pair, -c)
+        coords = out.items()
+    return tuple(sorted(coords, key=lambda kv: (kv[0].i, kv[0].k)))
 
 
 def rho_reduce(h, m=None):
@@ -293,11 +303,11 @@ def quotient_coord_perm(mu, key, r):
     the Jones permutations of the first r joined with the others (join_young).
     A key other than a Temperley-Lieb Jones pair for each of the first r
     parts of mu and a permutation for each other part is a ValueError."""
-    tl = list(zip(mu.parts[:r], key))
-    if len(key) != mu.d or any(pair not in jones_pairs(part, "TL") for part, pair in tl):
+    tl = [_jones_index(part).get(pair) for part, pair in zip(mu.parts[:r], key)]
+    if len(key) != mu.d or not all(isinstance(v, Perm) for v in tl):
         raise ValueError("%r is not a key for mu = %s: a Temperley-Lieb Jones pair for each of "
                          "its first %d parts, a permutation for each other" % (key, mu.parts, r))
-    return join_young(mu, [jones_permutation(part, pair) for part, pair in tl] + list(key[r:]))
+    return join_young(mu, tl + list(key[r:]))
 
 
 def ftl_phi(blocks):

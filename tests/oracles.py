@@ -3,7 +3,12 @@ library's fast paths are checked against. Nothing in the library imports
 this module.
 
 - rho_bruteforce: Temperley-Lieb reduction by solving a square linear system
-  [Jones columns | ideal-span row basis], against the straightening rho_reduce
+  [Jones columns | ideal-span row basis], against rho_reduce
+- ref_rho_perm: Temperley-Lieb reduction by straightening, with its braid
+  search _braid_split: each G_x G_{s_i s_{i+1} s_i} G_y becomes minus G_x
+  (the five lower terms of g_{i,i+1}) G_y, two Hecke products, as the library
+  ran it before the action of g_k on Jones coordinates (isomaps._rho_perm)
+  replaced it
 - independent_mod_quotient: linear independence of quotient basis elements,
   by the rank of their seminormal images with q specialised to a rational
 - specialize_q: a RatFunc evaluated at any cyclotomic value of q, term by
@@ -49,7 +54,7 @@ from math import gcd as int_gcd
 
 from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix
-from ytl.permutations import Perm, all_perms
+from ytl.permutations import ConsistencyError, Perm, all_perms
 from ytl.reps import quotient_shapes, rep_element, rep_module
 from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, _as_cyclotomic, _power_sum,
                          _reduced, as_ratfunc)
@@ -196,6 +201,54 @@ def rho_bruteforce(h, m):
             c = r * v
             _acc_term(out, pair, c.num / c.den)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Temperley-Lieb reduction by straightening in the Hecke algebra
+
+
+@lru_cache(maxsize=None)
+def _ref_jones_index(m):
+    """{jones_permutation(m, p): p}: the fully commutative permutations."""
+    return {jones_permutation(m, p): p for p in jones_pairs(m, "TL")}
+
+
+@lru_cache(maxsize=None)
+def _braid_split(w):
+    """(x, i, y) with w = x * s_i s_{i+1} s_i * y and the lengths adding, or
+    None when w is fully commutative: either a braid factor starts w, or it
+    sits inside s_j w for a left descent j."""
+    n, pos = w.n, w.inv().images
+    for j in (j for j in range(1, n) if pos[j - 1] > pos[j]):
+        if j < n - 1 and pos[j] > pos[j + 1]:
+            return Perm.identity(n), j, Perm.from_word(n, (j, j + 1, j)) * w
+        split = _braid_split(Perm.transposition(n, j) * w)
+        if split is not None:
+            x, i, y = split
+            return Perm.transposition(n, j) * x, i, y
+    return None
+
+
+@lru_cache(maxsize=None)
+def ref_rho_perm(m, w):
+    """Jones coordinates of G_w in TL_m (cached), by straightening. A fully
+    commutative w is a Jones basis element. Otherwise w = x s_i s_{i+1} s_i y,
+    and as g_{i,i+1} lies in the ideal, G_w is congruent to minus G_x (the
+    other five terms of g_{i,i+1}, basis elements) G_y: two products, whose
+    terms are all shorter than w."""
+    one = RatFunc.one(1)
+    split = _braid_split(w)
+    if split is None:
+        if w not in _ref_jones_index(m):
+            raise ConsistencyError("fully commutative %r has no Jones pair" % (w,))
+        return ((_ref_jones_index(m)[w], one),)
+    x, i, y = split
+    others = g_block(1, m, i) - hecke_term(m, Perm.from_word(m, (i, i + 1, i)), one)
+    out = {}
+    for (_, z), c in (hecke_term(m, x, one) * others * hecke_term(m, y, one)).terms:
+        for pair, pc in ref_rho_perm(m, z):
+            _acc_term(out, pair, -c * pc)
+    return tuple(sorted(out.items(), key=lambda kv: (kv[0].i, kv[0].k)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from ytl.scalars import Cyclotomic, RatFunc, as_ratfunc
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
 from ytl.reps import ideal_membership, quotient_shapes, rep_element, rep_module
-from ytl.tableaux import (JonesPair, dim_CTL, dim_FTL, enumerate_partitions, jones_pairs,
-                          jones_permutation, tl_factors, two_column)
+from ytl.tableaux import (JonesPair, catalan, dim_CTL, dim_FTL, enumerate_partitions,
+                          jones_pairs, jones_permutation, tl_factors, two_column)
 
 
 def basis_elem(d, n, a, w):
@@ -125,6 +125,18 @@ def test_phi_refuses_cells_outside_the_hecke_algebra():
         with pytest.raises(ValueError, match=r"cell \(1, 1\) of the block of mu = \(2, 0\) "
                                              "is not a Hecke element of degree 2"):
             iso.phi_mu(mu, [[cell]])
+
+
+def test_phi_refuses_cells_of_the_other_kind():
+    # quotient coordinates where a Hecke element belongs, and the reverse
+    mu = Composition((2,))
+    with pytest.raises(ValueError, match=r"cell \(1, 1\) of the block of mu = \(2,\) is not "
+                                         "a Hecke element of degree 2"):
+        iso.phi_mu(mu, [[{}]])
+    for phi in (iso.ftl_phi, iso.ctl_phi):
+        with pytest.raises(ValueError, match=r"cell \(1, 1\) of the block of mu = \(2,\) is "
+                                             "not a dict of quotient coordinates"):
+            phi({mu: [[iso.hecke_unit(2)]]})
 
 
 def test_phi_refuses_terms_outside_the_young_subgroup():
@@ -515,12 +527,51 @@ def test_braid_split(m):
     x * s_i s_{i+1} s_i * y with the lengths adding."""
     jones = {jones_permutation(m, p) for p in jones_pairs(m, "TL")}
     for w in all_perms(m):
-        split = iso._braid_split(w)
+        split = oracles._braid_split(w)
         assert (split is None) == (w in jones)
         if split is not None:
             x, i, y = split
             assert x * Perm.from_word(m, (i, i + 1, i)) * y == w
             assert x.length() + 3 + y.length() == w.length()
+
+
+def _random_perms(m, count, seed):
+    rng = random.Random(seed)
+    return [Perm(tuple(rng.sample(range(1, m + 1), m))) for _ in range(count)]
+
+
+def test_rho_perm_matches_the_straightening():
+    # the action of g_k gives the straightening's coordinates, in its order
+    cases = [(m, w) for m in range(1, 7) for w in all_perms(m)]
+    cases += [(7, w) for w in _random_perms(7, 20, 29)]
+    for m, w in cases:
+        assert iso._rho_perm(m, w) == oracles.ref_rho_perm(m, w), (m, w)
+
+
+def test_rho_reduce_keeps_the_straightening_order():
+    for w in all_perms(5):
+        want = [pair for pair, _ in oracles.ref_rho_perm(5, w)]
+        assert list(iso.rho_reduce(iso.hecke_term(5, w, RatFunc.one(1)))) == want
+
+
+def _contains_321(w):
+    images = w.images
+    return any(images[a] > images[b] > images[c]
+               for a, b, c in itertools.combinations(range(len(images)), 3))
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_jones_index_is_a_two_way_table(m):
+    table = iso._jones_index(m)
+    perms = {v: p for v, p in table.items() if isinstance(v, Perm)}
+    pairs = {p: v for p, v in table.items() if isinstance(p, JonesPair)}
+    assert len(perms) == len(pairs) == catalan(m) and len(table) == 2 * catalan(m)
+    assert set(pairs) == set(jones_pairs(m, "TL"))
+    assert all(pairs[p] == v for v, p in perms.items())
+    assert all(perms[v] == p for p, v in pairs.items())
+    assert not any(_contains_321(v) for v in perms)
+    # and the 321-avoiding permutations are all there
+    assert sum(not _contains_321(w) for w in all_perms(m)) == catalan(m)
 
 
 def two_column_images(h, m):

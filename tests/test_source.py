@@ -146,6 +146,26 @@ def test_one_q_scalar_type():
     assert not found, found
 
 
+# The Temperley-Lieb reduction acts by g_k on Jones coordinates, with Perm
+# and RatFunc alone: no function of the Jones section of isomaps builds an
+# algebra element, multiplies one or searches a word for a braid.
+HECKE_PRODUCT_NAMES = {"YElement", "g_block", "hecke_term", "_braid_split"}
+
+
+def test_jones_reduction_builds_no_hecke_products():
+    text = (SRC / "isomaps.py").read_text()
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines, 1)
+                 if line.startswith("# Temperley-Lieb reduction"))
+    end = next(i for i, line in enumerate(lines, 1) if i > start and line.startswith("# ---"))
+    section = [node for node in ast.parse(text).body
+               if isinstance(node, ast.FunctionDef) and start < node.lineno < end]
+    assert {"_jones_index", "_rho_perm", "rho_reduce"} <= {node.name for node in section}
+    found = ["%s: %s" % (node.name, name) for node in section
+             for name in sorted(HECKE_PRODUCT_NAMES & set(_names_used(node)))]
+    assert not found, found
+
+
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 

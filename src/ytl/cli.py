@@ -235,20 +235,8 @@ def _parse_mu(parts, d, n):
 
 
 def _parse_shape(text, d, n):
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(isinstance(c, list) for c in data):
-        raise ValueError("shape must be a list of %d lists" % d)
-    for comp in data:
-        if not all(type(p) is int and p > 0 for p in comp):
-            raise ValueError("parts must be positive integers: %r" % (comp,))
-        if any(a < b for a, b in zip(comp, comp[1:])):
-            raise ValueError("parts must be non-increasing: %r" % (comp,))
-    shape = tuple(tuple(part) for part in data)
-    if len(shape) != d:
-        raise ValueError("shape must have %d components" % d)
-    if sum(sum(c) for c in shape) != n:
-        raise ValueError("shape must have %d nodes" % n)
-    return shape
+    from .reps import check_shape
+    return check_shape(json.loads(text), d, n)
 
 
 def cmd_rep(args):

@@ -182,8 +182,9 @@ class Composition(Record):
 
     @property
     def offsets(self):
-        """Start offset of each block: block i covers offsets[i]+1..offsets[i]+parts[i]."""
-        return tuple(itertools.accumulate(self.parts[:-1], initial=0))
+        """Start offset of each block: block i covers offsets[i]+1..offsets[i]+parts[i].
+        Built once per parts tuple."""
+        return _offsets(self.parts)
 
     def young_subgroup(self):
         """All elements of S_mu as permutations of S_n: the joins of the
@@ -191,6 +192,11 @@ class Composition(Record):
         return [join_young(self, [Perm(images) for images in pieces])
                 for pieces in itertools.product(
                     *(itertools.permutations(range(1, p + 1)) for p in self.parts))]
+
+
+@lru_cache(maxsize=None)
+def _offsets(parts):
+    return tuple(itertools.accumulate(parts[:-1], initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -249,15 +255,14 @@ def act_on_character(w, values):
 
 def factor_in_young(mu, w):
     """Split w in S_mu into its per-block components, each a Perm of S_{mu_i}."""
-    out, acc = [], 0
-    for p in mu.parts:
+    if w.n != mu.n:
+        raise ValueError("%r is not in the Young subgroup of %r" % (w, mu))
+    out = []
+    for acc, p in zip(mu.offsets, mu.parts):
         block = w.images[acc:acc + p]
         if sorted(block) != list(range(acc + 1, acc + p + 1)):
             raise ValueError("%r is not in the Young subgroup of %r" % (w, mu))
         out.append(Perm(tuple(v - acc for v in block)))
-        acc += p
-    if acc != w.n:
-        raise ValueError("%r is not in the Young subgroup of %r" % (w, mu))
     return tuple(out)
 
 

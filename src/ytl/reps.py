@@ -5,29 +5,32 @@ ideal-membership oracle.
 
 t^a acts on the row of a tableau by a root of unity, so the terms of one
 permutation w of x fold into one scalar per (w, row), a character sum
-(yokonuma.character_sums, which psi_mu shares, read off the int encoding
-that x keeps). Each entry of the matrix is then the sum over w of that
-scalar times the entry of g_w, one sum_of_products: the products are
-brought over their least common denominator, added, and normalised once,
-and a zero test divides nothing.
+(yokonuma.character_sums, which psi_mu shares). Each entry of the matrix of
+x is the sum over w of that scalar times the entry of g_w.
 
-The matrices of g_w are filled once per (shape, w), from g_w' and g_i for
-w = w' s_i: a column of g_i has at most two nonzero entries, so each entry
-of the product is a sum of at most two products, normalised once. The
-entries of g_i invert content differences through scalars.q_gap_inverse, in
-closed form; this module builds no canonical form of its own and reads none.
+The matrices of g_w are int rows (yokonuma.seminormal_step), each entry a
+packed int polynomial over one denominator per word, filled once per
+(shape, w) from g_w' and g_i for w = w' s_i. A column of g_i is (alpha v_c
++ beta v_c2) / [k], alpha and beta int polynomials and [k] the q-integer of
+a content difference (_g_columns), so each entry of the product is at most
+two int products and one exact int division. An entry of the matrix of x
+is then a sum of int products (yokonuma.seminormal_image): the zero test
+reads the ints and stops at the first nonzero row, and rep_element decodes
+each nonzero entry once into its canonical RatFunc. rep_g reads the same
+columns as RatFunc matrices, inverting [k] through scalars.q_gap_inverse;
+this module builds no canonical form of its own and reads none.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import identity_matrix
 from .permutations import ConsistencyError, Perm
-from .scalars import RatFunc, int_coords, q_gap_inverse, root_of_unity, sum_of_products
+from .scalars import RatFunc, q_gap_inverse, root_of_unity
 from .tableaux import (enumerate_d_partitions, quotient_admissible, standard_tableaux,
                        tl_factors)
-from .yokonuma import character_sums, ctl_generator, ftl_generator
+from .yokonuma import (NarrowWidth, YElement, ctl_generator, ftl_generator, seminormal_image,
+                       seminormal_step, seminormal_unit)
 
 # the generator of each quotient's defining ideal
 _GENERATORS = {"FTL": ftl_generator, "CTL": ctl_generator}
@@ -60,8 +63,42 @@ class RepModule:
         return self.basis[0].n if self.basis else 0
 
 
-@lru_cache(maxsize=None)
+# the narrowest packing of the word matrices, in bits per power of q: a word
+# matrix or an image that needs more is packed again at twice the width
+FIRST_WIDTH = 64
+
+
+def check_shape(shape, d, n=None):
+    """shape as a tuple of tuples when it is a d-partition (of n, when n is
+    given): d sequences of positive non-increasing ints. Otherwise a
+    ValueError, whose message the CLI prints as it stands."""
+    if not isinstance(shape, (list, tuple)) or not all(isinstance(c, (list, tuple))
+                                                       for c in shape):
+        raise ValueError("shape must be a list of %d lists" % d)
+    for comp in shape:
+        if not all(type(p) is int and p > 0 for p in comp):
+            raise ValueError("parts must be positive integers: %r" % (comp,))
+        if any(a < b for a, b in zip(comp, comp[1:])):
+            raise ValueError("parts must be non-increasing: %r" % (comp,))
+    if len(shape) != d:
+        raise ValueError("shape must have %d components" % d)
+    if n is not None and sum(sum(c) for c in shape) != n:
+        raise ValueError("shape must have %d nodes" % n)
+    return tuple(tuple(c) for c in shape)
+
+
+def _check_index(name, i, top):
+    if not 1 <= i <= top:
+        raise ValueError("%s index %d out of range 1..%d" % (name, i, top))
+
+
 def rep_module(d, shape):
+    """The module of a d-partition (check_shape), one instance per (d, shape)."""
+    return _rep_module(d, check_shape(shape, d))
+
+
+@lru_cache(maxsize=None)
+def _rep_module(d, shape):
     return RepModule(d, shape)
 
 
@@ -73,6 +110,7 @@ def _zero_matrix(dim, d):
 def rep_t(module, j):
     """Diagonal action: t_j scales v_T by the root of unity of T's component
     at entry j (component m acts by zeta_d^(m-1), so component 1 acts by 1)."""
+    _check_index("t", j, module.n)
     d = module.d
     out = _zero_matrix(module.dim, d)
     for col, tab in enumerate(module.basis):
@@ -83,6 +121,7 @@ def rep_t(module, j):
 def rep_e(module, i):
     """Diagonal projector: 1 where entries i and i+1 sit in the same
     component, 0 otherwise."""
+    _check_index("e", i, module.n - 1)
     d = module.d
     out = _zero_matrix(module.dim, d)
     one = RatFunc.one(d)
@@ -92,62 +131,61 @@ def rep_e(module, i):
     return out
 
 
-# The entries of the cached matrices of g_i and g_w take few distinct values
-# (54 among the 1,290 nonzero entries that the reps benchmark caches), so
-# equal entries of one field share one object: `ytl verify -d 1 -n 7 --suite
-# iso` peaks at 54 MB of resident memory instead of 102 MB.
-_ENTRIES = {}
-
-
-def _shared(x):
-    """The first cached matrix entry equal to x over x's field, keyed by its
-    int coordinates."""
-    return _ENTRIES.setdefault(int_coords(x), x)
+@lru_cache(maxsize=None)
+def _g_columns(d, shape, i):
+    """Column c of g_i on V_shape as (alpha, c2, beta, k): g_i v_c = (alpha
+    v_c + beta v_c2) / [k], c2 the index of s_i T (None where i and i + 1
+    share a row or a column), alpha and beta int polynomials in q
+    (coefficients, constant first), [k] = 1 + q + ... + q^(k-1). With q^a
+    and q^b the contents of i and i + 1 in one component and k = |b - a|,
+    g_i v_T = (q - 1) q^b / (q^b - q^a) v_T + (q^(b+1) - q^a) / (q^b - q^a)
+    v_{s_i T}: q^k / [k] and [k + 1] / [k] for b > a, -1 / [k] and q [k - 1]
+    / [k] for b < a. Across components g_i sends v_T to v_{s_i T}, times q
+    when i lies in the earlier component."""
+    module = _rep_module(d, shape)
+    out = []
+    for tab in module.basis:
+        swapped = tab.apply_transposition(i)
+        c2 = None if swapped is None else module.index[swapped]
+        p_i, p_next = tab.position(i), tab.position(i + 1)
+        gap = tab.content_exponent(i + 1) - tab.content_exponent(i)
+        if p_i != p_next:
+            out.append(((), c2, (1,) if p_i > p_next else (0, 1), 1))
+        elif gap > 0:
+            out.append(((0,) * gap + (1,), c2, (1,) * (gap + 1), gap))
+        else:
+            out.append(((-1,), c2, (0,) + (1,) * (-gap - 1), -gap))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def rep_g_cached(d, shape, i):
-    module = rep_module(d, shape)
-    q = RatFunc.q(d)
-    out = _zero_matrix(module.dim, d)
-    for col, tab in enumerate(module.basis):
-        p_i, p_next = tab.position(i), tab.position(i + 1)
-        swapped = tab.apply_transposition(i)
-        if p_i != p_next:
-            # swapping entries across components always stays standard
-            row = module.index[swapped]
-            out[row][col] = RatFunc.one(d) if p_i > p_next else q
-        else:
-            a, b = tab.content_exponent(i), tab.content_exponent(i + 1)
-            c_i, c_next = RatFunc.q_power(a, d), RatFunc.q_power(b, d)
-            denom = q_gap_inverse(d, a, b)
-            out[col][col] = (q * c_next - c_next) * denom
-            if swapped is not None:
-                out[module.index[swapped]][col] = (q * c_next - c_i) * denom
-    return tuple(tuple(_shared(x) for x in r) for r in out)
+    """The RatFunc matrix of g_i from its columns (_g_columns), 1 / [k] the
+    closed form (q - 1) / (q^k - 1) of scalars.q_gap_inverse."""
+    out = _zero_matrix(_rep_module(d, shape).dim, d)
+    for col, (alpha, c2, beta, k) in enumerate(_g_columns(d, shape, i)):
+        scale = (RatFunc.q(d) - 1) * q_gap_inverse(d, 0, k) if k > 1 else RatFunc.one(d)
+        out[col][col] = RatFunc(d, enumerate(alpha)) * scale
+        if c2 is not None:
+            out[c2][col] = RatFunc(d, enumerate(beta)) * scale
+    return tuple(map(tuple, out))
 
 
 def rep_g(module, i):
+    _check_index("g", i, module.n - 1)
     return [list(r) for r in rep_g_cached(module.d, module.shape, i)]
 
 
 @lru_cache(maxsize=None)
-def _rep_word_cached(d, shape, w):
-    """Matrix of g_w on V_shape: g_{w s_i} g_i, i the last letter of w's reduced word."""
-    module = rep_module(d, shape)
+def _rep_word_cached(d, shape, w, width):
+    """The int rows of g_w on V_shape packed at width (see
+    yokonuma.seminormal_step): g_w' g_i, i the last letter of w's reduced
+    word."""
     word = w.reduced_word()
     if not word:
-        return tuple(tuple(r) for r in
-                     identity_matrix(module.dim, RatFunc.zero(d), RatFunc.one(d)))
-    left = _rep_word_cached(d, shape, w * Perm.transposition(w.n, word[-1]))
-    right = rep_g_cached(d, shape, word[-1])
-    # a column of g_i has at most two nonzero entries, so each column of the
-    # product combines at most two columns of g_w', normalised once per entry
-    cols = [[(k, row[c]) for k, row in enumerate(right) if not row[c].is_zero()]
-            for c in range(module.dim)]
-    zero = RatFunc.zero(d)
-    return tuple(tuple(_shared(sum_of_products([(row[k], g) for k, g in col], zero))
-                       for col in cols) for row in left)
+        return seminormal_unit(_rep_module(d, shape).dim)
+    left = _rep_word_cached(d, shape, w * Perm.transposition(w.n, word[-1]), width)
+    return seminormal_step(left, _g_columns(d, shape, word[-1]), width)
 
 
 @lru_cache(maxsize=None)
@@ -155,46 +193,36 @@ def _row_components(d, shape):
     """Per basis tableau, the component index minus one of entries 1..n:
     t^a acts on that row by zeta_d^(a . components)."""
     return tuple(tuple(tab.position(j) - 1 for j in range(1, tab.n + 1))
-                 for tab in rep_module(d, shape).basis)
+                 for tab in _rep_module(d, shape).basis)
 
 
-def _entries(module, x):
-    """{(row, col): [(s, g)]}: the pairs whose products sum to each entry of
-    the matrix of x, one per permutation w with both factors nonzero. g is
-    the entry of g_w, and s the row scalar of w, the character sum of w's
-    terms at the row's components (rows with the same components share
-    it)."""
-    d = module.d
-    components = _row_components(d, module.shape)
-    out = {}
-    for w, sums in character_sums(x, components).items():
-        gmat = _rep_word_cached(d, module.shape, w)
-        for row, comps in enumerate(components):
-            s = sums[comps]
-            if s.is_zero():
-                continue
-            for col, g in enumerate(gmat[row]):
-                if not g.is_zero():
-                    out.setdefault((row, col), []).append((s, g))
-    return out
+def _image(module, x, zero_test):
+    """yokonuma.seminormal_image of x on the module, packed at FIRST_WIDTH
+    bits per power of q and at twice the width as often as that is too
+    narrow."""
+    if not isinstance(x, YElement):
+        raise TypeError("expected YElement, not %s" % type(x).__name__)
+    if x.d != module.d or x.n != module.n:
+        raise ValueError("algebra parameter mismatch")
+    d, shape = module.d, module.shape
+    width = FIRST_WIDTH
+    while True:
+        try:
+            return seminormal_image(x, _row_components(d, shape),
+                                    lambda w: _rep_word_cached(d, shape, w, width), width,
+                                    zero_test)
+        except NarrowWidth:
+            width *= 2
 
 
 def rep_element(module, x):
-    """Matrix of a general algebra element: sum of coeff * t-part * g-part.
-    Each entry is one sum_of_products."""
-    if x.d != module.d or x.n != module.n:
-        raise ValueError("algebra parameter mismatch")
-    out = _zero_matrix(module.dim, module.d)
-    for (row, col), pairs in _entries(module, x).items():
-        out[row][col] = sum_of_products(pairs, out[row][col])
-    return out
+    """Matrix of a general algebra element: sum of coeff * t-part * g-part."""
+    return _image(module, x, False)
 
 
 def _annihilates(module, x):
     """Whether x acts as zero on the module."""
-    zero = RatFunc.zero(module.d)
-    return all(sum_of_products(pairs, zero).is_zero()
-               for pairs in _entries(module, x).values())
+    return _image(module, x, True)
 
 
 def passes_to_quotient(d, shape, which):
@@ -225,6 +253,8 @@ def quotient_shapes(d, n, which):
 def ideal_membership(x, which):
     """True iff x maps to zero in every irreducible that passes to the
     quotient; by semisimplicity this is membership in the defining ideal."""
-    return all(_annihilates(rep_module(x.d, shape), x)
+    if not isinstance(x, YElement):
+        raise TypeError("expected YElement, not %s" % type(x).__name__)
+    return all(_annihilates(_rep_module(x.d, shape), x)
                for shape in quotient_shapes(x.d, x.n, which))
 

@@ -877,26 +877,6 @@ def over_one_denominator(values):
     return [_lift(x.order, x.terms, top, x.den_exps) for x in values], top
 
 
-def sum_of_products(pairs, zero):
-    """sum x * y over pairs of RatFuncs, over one denominator and normalised
-    once; the given zero itself when every product vanishes."""
-    pairs = [(x, y) for x, y in pairs if x.terms and y.terms]
-    if not pairs:
-        return zero
-    order = lcm(*[x.order for pair in pairs for x in pair])
-    products = []
-    for x, y in pairs:
-        x, y = _promoted(x, order), _promoted(y, order)
-        # unnormalised: over_one_denominator reads the numerator and exponents
-        products.append(RatFunc._raw(order, _mul_terms(x.terms, y.terms),
-                                     multiply_dens(x.den_exps, y.den_exps)))
-    nums, exps = over_one_denominator(products)
-    total = nums[0]
-    for num in nums[1:]:
-        total = _add_terms(total, num)
-    return RatFunc.over(order, total, exps)
-
-
 def q_gap_inverse(order, a, b):
     """1 / (q^b - q^a) over Q(zeta_order) for a != b, in closed form: with
     k = |b - a| and 1 - q^k = prod_{j | k} F_j, q^b - q^a is -q^a prod F_j
@@ -907,6 +887,15 @@ def q_gap_inverse(order, a, b):
     if b > a:
         return RatFunc._raw(order, ((-a, Cyclotomic.from_rational(-1, order)),), exps)
     return RatFunc._raw(order, ((-b, Cyclotomic.one(order)),), exps)
+
+
+@lru_cache(maxsize=None)
+def q_integer_factors(k):
+    """The factors F_j, 1 < j | k, of the q-integer [k] = 1 + q + ... +
+    q^(k-1) = (1 - q^k) / (1 - q), each as (1 / F_j over Q, the int
+    coefficients of F_j, constant first)."""
+    return tuple((RatFunc._raw(1, RatFunc.one(1).terms, ((j, 1),)), _den_factor(j))
+                 for j in range(2, k + 1) if k % j == 0)
 
 
 def value_at_one(rf):
@@ -922,11 +911,3 @@ def value_at_one(rf):
     for _, c in rf.terms:
         total = total + c
     return _reduced(total.order, total.nums, total.den * den)
-
-
-def int_coords(x):
-    """The int coordinates of a RatFunc: its order, its exponent vector, and
-    per term the q-exponent and the coefficient's nums and den. Equal values
-    of one field have equal coordinates, which hash faster than the value
-    itself."""
-    return (x.order, x.den_exps, tuple((e, c.nums, c.den) for e, c in x.terms))

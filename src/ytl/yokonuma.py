@@ -32,7 +32,8 @@ from math import lcm
 
 from .permutations import Composition, Perm, act_on_character, coset_system
 from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, laurent_from_ints,
-                      multiply_dens, over_one_denominator, slot_setters, value_at_one)
+                      multiply_dens, over_one_denominator, q_integer_factors, slot_setters,
+                      value_at_one)
 
 
 # the largest packed int _int_product or from_characters builds, in bits
@@ -746,3 +747,164 @@ def group_algebra_mul(d, n, xs, ys):
             else:
                 out[key] = s
     return out
+
+
+# ---------------------------------------------------------------------------
+# seminormal word matrices as packed int rows
+
+
+class NarrowWidth(Exception):
+    """A seminormal word matrix or image needs more bits per power of q than
+    its packing gives: the caller packs it again, wider."""
+
+
+# equal entries (column, int) of the word matrices share one tuple: at
+# (d, n) = (1, 8), `ytl verify --suite iso` keeps 571,150 entries, 71,934 of
+# them distinct, and peaks at 134 MB of resident memory instead of 236 MB
+_ENTRIES = {}
+
+
+def seminormal_unit(dim):
+    """The word matrix of the identity permutation (seminormal_step)."""
+    return RatFunc.one(1), tuple(((r, 1),) for r in range(dim)), 1, 1
+
+
+def seminormal_step(word, columns, width):
+    """The word matrix of g_w g_i from that of g_w: (den, rows, digits,
+    bits), rows[r] the nonzero entries (c, p) of row r, p the numerator of
+    entry (r, c) over 1/den (den a RatFunc over Q), an int polynomial in q
+    packed width bits per power, at most digits digits, each in [-2^bits,
+    2^bits). Column c of g_w g_i is (alpha col_c + beta col_c2) / [k] for
+    columns[c] = (alpha, c2, beta, k), alpha and beta int polynomials
+    (coefficients, constant first), [k] = 1 + q + ... + q^(k-1), c2 None
+    where beta is 0. Each entry is two int products and one exact int
+    division, its digit bound one add and one mask: no RatFunc and no
+    normalisation. Where [k] leaves a remainder, the F_j of [k] that do not
+    divide that numerator join the denominator and the step starts again."""
+    den, rows, digits, bits = word
+    dense = [[0] * len(rows) for _ in rows]
+    for r, row in enumerate(rows):
+        for c, p in row:
+            dense[r][c] = p
+    packed = _packed_columns(columns, width)
+    mass, degree = max(col[4] for col in packed), max(col[5] for col in packed)
+    grow, gmass, gdegree = 1, 1, 0
+    while True:
+        # every digit of a product, quotient or remainder stays below
+        # 2^(width - 2) in absolute value
+        if (bits + mass.bit_length() + gmass.bit_length()
+                + (2 * (digits + degree + gdegree)).bit_length() + 6 > width):
+            raise NarrowWidth
+        out, top, most = [[] for _ in rows], bits, 1
+        for c, (alpha, c2, beta, divisor, _, _, k) in enumerate(packed):
+            for r, row in enumerate(dense):
+                p = alpha * row[c] if c2 is None else alpha * row[c] + beta * row[c2]
+                if not p:
+                    continue
+                p *= grow
+                if divisor != 1:
+                    p, rest = divmod(p, divisor)
+                    if rest:
+                        break
+                count = p.bit_length() // width + 1
+                bias, high = _digit_masks(width, top, count)
+                while p + bias < 0 or (p + bias) & high:
+                    top += 4
+                    bias, high = _digit_masks(width, top, count)
+                most = max(most, count)
+                entry = (c, p)
+                out[r].append(_ENTRIES.setdefault(entry, entry))
+            else:
+                continue
+            numerator, before = p * divisor + rest, grow
+            for inverse, ints in q_integer_factors(k):
+                factor = _pack(((e, 0, v) for e, v in enumerate(ints)), 0, 1, 1, width)
+                if numerator % factor:
+                    den, grow = den * inverse, grow * factor
+                    gmass, gdegree = gmass * sum(map(abs, ints)), gdegree + len(ints) - 1
+            if grow == before:
+                raise NarrowWidth
+            break
+        else:
+            return den, tuple(map(tuple, out)), most, top
+
+
+@lru_cache(maxsize=None)
+def _packed_columns(columns, width):
+    """Per column (alpha, c2, beta, [k], mass, degree, k), the polynomials
+    packed at width; mass and degree bound those of alpha and beta."""
+    def pack(poly):
+        return _pack(((e, 0, v) for e, v in enumerate(poly)), 0, 1, 1, width)
+
+    return tuple((pack(alpha), c2, pack(beta), pack((1,) * k),
+                  sum(map(abs, alpha)) + sum(map(abs, beta)), max(len(alpha), len(beta)), k)
+                 for alpha, c2, beta, k in columns)
+
+
+@lru_cache(maxsize=None)
+def _digit_masks(width, bits, count):
+    """(2^bits in each of count digits, the bits above bits in each): an int
+    whose digits lie below 2^(width - 2) in absolute value has them all in
+    [-2^bits, 2^bits) exactly when p + bias >= 0 and (p + bias) & high == 0."""
+    ones = sum(1 << (e * width) for e in range(count))
+    return ones << bits, ones * ((1 << width) - (1 << (bits + 1)))
+
+
+def seminormal_image(x, components, word, width, zero_test):
+    """The matrix of x on a seminormal module, row r of which has the
+    component indices components[r]: entry (r, c) sums, over the
+    permutations w of x, the character sum of w at row r times entry (r, c)
+    of g_w, word(w) its word matrix (seminormal_step) at width. With
+    zero_test, whether every entry is zero, up to the first nonzero row;
+    else the matrix, each nonzero entry decoded once into a canonical
+    RatFunc, each zero one RatFunc.zero(x.d).
+
+    The sums go over one denominator, and the cofactor of each word over the
+    lcm of the word denominators lifts the sums of that word. A lifted sum
+    is one int, Z zeta digits of width / Z bits to a power of q (_pack), so
+    its products with the word entries are ints of the layout of _decode.
+    The sums are reduced mod Phi_order and the word entries are rational,
+    so an entry is zero exactly when its int is 0. NarrowWidth when a zeta
+    digit could reach 2^(width / Z - 2)."""
+    dim, order = len(components), x.order
+    sums = character_sums(x, components)
+    words = [word(w) for w in sums]
+    nums, sden = over_one_denominator([s for by in sums.values() for s in by.values()])
+    common, srows, smass, ztop = _encode_rows(nums, order)
+    lows = [row[0][0] for row in srows if row]
+    if not lows:
+        return True if zero_test else [[RatFunc.zero(x.d)] * dim for _ in range(dim)]
+    zdigits = 1 << ztop.bit_length()
+    zwidth, low = width // zdigits, min(lows)
+    # a word whose denominator is the lcm keeps its numerators as they are
+    cofactors, wden = over_one_denominator([m[0] for m in words])
+    lifts, cmass = [], 1
+    for num, m in zip(cofactors, words):
+        if num is m[0].terms:
+            lifts.append(1)
+        else:
+            lifts.append(_pack(((e, 0, v.nums[0]) for e, v in num), 0, 1, 1, width))
+            cmass = max(cmass, sum(abs(v.nums[0]) for _, v in num))
+    if (smass * cmass).bit_length() + max(m[3] for m in words) + 2 > zwidth:
+        raise NarrowWidth
+    packed = iter(srows)
+    plan = []
+    for by, lift, m in zip(sums.values(), lifts, words):
+        own = {exps: _pack(next(packed), low, 1, zdigits, zwidth) * lift for exps in by}
+        plan.append(([own[comps] for comps in components], m[1]))
+
+    def sums_by_row():
+        for r in range(dim):
+            acc = [0] * dim
+            for scalars, rows in plan:
+                s = scalars[r]
+                if s:
+                    for c, g in rows[r]:
+                        acc[c] += s * g
+            yield acc
+
+    if zero_test:
+        return not any(any(acc) for acc in sums_by_row())
+    exps, chunks, zero = multiply_dens(sden, wden), {}, RatFunc.zero(x.d)
+    return [[RatFunc.over(order, _decode(p, low, zwidth, zdigits, order, common, chunks), exps)
+             if p else zero for p in acc] for acc in sums_by_row()]

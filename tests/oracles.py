@@ -31,6 +31,11 @@ this module.
 - ref_character_sum: the character sum behind the seminormal row scalars
   and psi_mu in plain RatFunc arithmetic, one multiplication by a root of
   unity per term, against the int-coordinate yokonuma.character_sums
+- ref_word_matrix, sum_of_products, ref_rep_element, ref_annihilates,
+  ref_ideal_membership: the seminormal evaluation as the library ran it
+  before its word matrices became packed int rows, with g_w the product of
+  the RatFunc matrices of rep_g along a reduced word and each entry one
+  sum of RatFunc products over one denominator, normalised once
 - ref_char_transform, ref_from_characters: the transform over (Z/d)^n in
   RatFunc arithmetic, one multiplication by a root of unity and one
   normalised sum per step, as the block maps ran it before the inverse moved
@@ -50,16 +55,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from ytl.isomaps import hecke_term
-from ytl.linalg import identity_matrix
+from ytl.linalg import identity_matrix, mat_mul
 from ytl.permutations import ConsistencyError, Perm, all_perms
-from ytl.reps import quotient_shapes, rep_element, rep_module
-from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, _as_cyclotomic, _power_sum,
-                         _reduced, as_ratfunc)
+from ytl.reps import quotient_shapes, rep_element, rep_g, rep_module
+from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, _add_terms, _as_cyclotomic,
+                         _mul_terms, _power_sum, _promoted, _reduced, as_ratfunc,
+                         multiply_dens, over_one_denominator)
 from ytl.tableaux import jones_pairs, jones_permutation
-from ytl.yokonuma import YElement, g_block, gen_g, gen_g_inv, unit
+from ytl.yokonuma import YElement, character_sums, g_block, gen_g, gen_g_inv, unit
 
 
 def _acc_term(acc, key, c):
@@ -678,6 +684,85 @@ def ref_character_sum(d, terms, exps):
         phase = sum(a * p for a, p in zip(tmon, exps)) % d
         out = out + c * RatFunc.from_scalar(Cyclotomic.root_power(d, phase), d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the seminormal evaluation in RatFunc arithmetic
+
+
+@lru_cache(maxsize=None)
+def _ref_word_matrix(d, shape, w):
+    module = rep_module(d, shape)
+    word = w.reduced_word()
+    if not word:
+        return tuple(map(tuple, identity_matrix(module.dim, RatFunc.zero(d), RatFunc.one(d))))
+    left = _ref_word_matrix(d, shape, w * Perm.transposition(w.n, word[-1]))
+    return tuple(map(tuple, mat_mul(left, rep_g(module, word[-1]), RatFunc.zero(d))))
+
+
+def ref_word_matrix(module, w):
+    """The matrix of g_w: the RatFunc matrices of rep_g multiplied along
+    w's reduced word."""
+    return _ref_word_matrix(module.d, module.shape, w)
+
+
+def sum_of_products(pairs, zero):
+    """sum x * y over pairs of RatFuncs, over one denominator and normalised
+    once; the given zero itself when every product vanishes."""
+    pairs = [(x, y) for x, y in pairs if x.terms and y.terms]
+    if not pairs:
+        return zero
+    order = lcm(*[x.order for pair in pairs for x in pair])
+    products = []
+    for x, y in pairs:
+        x, y = _promoted(x, order), _promoted(y, order)
+        # unnormalised: over_one_denominator reads the numerator and exponents
+        products.append(RatFunc._raw(order, _mul_terms(x.terms, y.terms),
+                                     multiply_dens(x.den_exps, y.den_exps)))
+    nums, exps = over_one_denominator(products)
+    total = nums[0]
+    for num in nums[1:]:
+        total = _add_terms(total, num)
+    return RatFunc.over(order, total, exps)
+
+
+def ref_entries(module, x):
+    """{(row, col): [(s, g)]}: the pairs whose products sum to each entry of
+    the matrix of x, one per permutation w with both factors nonzero, g the
+    entry of g_w (ref_word_matrix) and s the character sum of w at the row."""
+    d = module.d
+    components = [tuple(tab.position(j) - 1 for j in range(1, module.n + 1))
+                  for tab in module.basis]
+    out = {}
+    for w, sums in character_sums(x, components).items():
+        gmat = ref_word_matrix(module, w)
+        for row, comps in enumerate(components):
+            s = sums[comps]
+            if not s.is_zero():
+                for col, g in enumerate(gmat[row]):
+                    if not g.is_zero():
+                        out.setdefault((row, col), []).append((s, g))
+    return out
+
+
+def ref_rep_element(module, x):
+    """The matrix of x: one sum_of_products per entry over ref_entries."""
+    out = [[RatFunc.zero(module.d)] * module.dim for _ in range(module.dim)]
+    for (row, col), pairs in ref_entries(module, x).items():
+        out[row][col] = sum_of_products(pairs, out[row][col])
+    return out
+
+
+def ref_annihilates(module, x):
+    """Whether every sum_of_products of ref_entries is zero."""
+    zero = RatFunc.zero(module.d)
+    return all(sum_of_products(pairs, zero).is_zero()
+               for pairs in ref_entries(module, x).values())
+
+
+def ref_ideal_membership(x, which):
+    return all(ref_annihilates(rep_module(x.d, shape), x)
+               for shape in quotient_shapes(x.d, x.n, which))
 
 
 # ---------------------------------------------------------------------------

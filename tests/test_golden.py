@@ -69,6 +69,10 @@ COMMANDS = {
     "verify_iso_d3n3": ["verify", "-d", "3", "-n", "3", "--suite", "iso", "--seed", "0"],
     # every suite at d = 1, the only such report with hecke_seminormal_match
     "verify_d1n4": ["verify", "-d", "1", "-n", "4", "--suite", "all", "--seed", "0"],
+    # the seminormal membership oracle at d = 1 on 6 strands, where each
+    # entry is a rational function over Q; written before the oracle ran on
+    # packed ints
+    "verify_iso_d1n6": ["verify", "-d", "1", "-n", "6", "--suite", "iso", "--seed", "0"],
 }
 
 

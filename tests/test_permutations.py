@@ -70,6 +70,9 @@ def test_composition_structure():
     mu = Composition((1, 3))
     assert (mu.d, mu.n, mu.offsets) == (2, 4, (0, 1))
     assert len(mu.young_subgroup()) == 6
+    # the layout is built once per parts tuple, not on every read
+    assert mu.offsets is mu.offsets is Composition((1, 3)).offsets
+    assert Composition((2, 0, 1)).offsets == (0, 2, 2)
 
 
 def test_coset_system():

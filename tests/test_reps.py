@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_zero_matrix, ref_character_sum
+from oracles import (is_zero_matrix, ref_annihilates, ref_character_sum, ref_entries,
+                     ref_ideal_membership, ref_word_matrix)
+from oracles import ref_rep_element as summed_rep_element
 from ytl.linalg import mat_mul
 from ytl.permutations import Perm, all_perms
 from ytl.scalars import (Cyclotomic, RatFunc, multiply_dens, q_gap_inverse,
@@ -15,9 +17,8 @@ from ytl.scalars import (Cyclotomic, RatFunc, multiply_dens, q_gap_inverse,
 from ytl.tableaux import enumerate_d_partitions
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
-from ytl.reps import (_entries, _rep_word_cached, ideal_membership,
-                      passes_to_quotient, quotient_shapes, rep_e, rep_element, rep_g,
-                      rep_module, rep_t)
+from ytl.reps import (_annihilates, check_shape, ideal_membership, passes_to_quotient,
+                      quotient_shapes, rep_e, rep_element, rep_g, rep_module, rep_t)
 from ytl.verify import suite_relations
 
 
@@ -255,12 +256,13 @@ def test_character_sum_vanishes_only_mod_phi():
 
 def ref_rep_element(module, x):
     """Reference evaluation: one RatFunc product and sum per (term, row,
-    col), the t-part scaling each row by its root of unity."""
+    col), the t-part scaling each row by its root of unity, g_w the product
+    of the matrices of rep_g along its reduced word."""
     d = module.d
     dim = module.dim
     out = [[RatFunc.zero(d) for _ in range(dim)] for _ in range(dim)]
     for (tmon, w), c in x.terms:
-        gmat = _rep_word_cached(d, module.shape, w)
+        gmat = ref_word_matrix(module, w)
         for row in range(dim):
             tab = module.basis[row]
             phase = sum(tmon[j - 1] * (tab.position(j) - 1)
@@ -270,11 +272,6 @@ def ref_rep_element(module, x):
                 if not gmat[row][col].is_zero():
                     out[row][col] = out[row][col] + scale * gmat[row][col]
     return out
-
-
-def ref_ideal_membership(x, which):
-    return all(is_zero_matrix(ref_rep_element(rep_module(x.d, shape), x))
-               for shape in quotient_shapes(x.d, x.n, which))
 
 
 def _coeff(rng, d):
@@ -288,11 +285,11 @@ def _coeff(rng, d):
 
 def _words(n):
     """The permutations the oracle elements use: all of them up to n = 4,
-    at n = 5 a fixed handful (their seminormal matrices fill quickly)."""
+    from n = 5 on a fixed handful (their reference matrices fill quickly)."""
     if n < 5:
         return all_perms(n)
-    return [Perm.identity(5), Perm.from_word(5, (2,)), Perm.from_word(5, (1, 3)),
-            Perm.from_word(5, (2, 3, 2)), Perm.from_word(5, (4, 3, 1, 2))]
+    return [Perm.identity(n), Perm.from_word(n, (2,)), Perm.from_word(n, (1, 3)),
+            Perm.from_word(n, (2, 3, 2)), Perm.from_word(n, (4, 3, 1, 2))]
 
 
 def _row_cancelling(d, n, w, c):
@@ -312,7 +309,7 @@ def _two_denominator_cancelling(d, n, shape, words):
         for col in range(module.dim):
             by_den = {}
             for w in words:
-                g = _rep_word_cached(d, shape, w)[row][col]
+                g = ref_word_matrix(module, w)[row][col]
                 if not g.is_zero():
                     by_den.setdefault(g.den, (w, g))
             if len(by_den) >= 2:
@@ -345,10 +342,10 @@ def oracle_elements(rng, d, n):
 
 
 def entry_denominators(module, x):
-    """{(row, col): the distinct denominators of the products that
-    sum_of_products adds into the entry of the matrix of x}."""
+    """{(row, col): the distinct denominators of the products that sum to
+    the entry of the matrix of x}."""
     return {key: {multiply_dens(s.den_exps, g.den_exps) for s, g in pairs}
-            for key, pairs in _entries(module, x).items()}
+            for key, pairs in ref_entries(module, x).items()}
 
 
 REP_ORACLE_CELLS = [(1, 4), (2, 3), (3, 2), (3, 3), (1, 5), (4, 3), (6, 2)]
@@ -438,6 +435,106 @@ def test_ideal_membership_against_reference(d, n):
     if n >= 3:
         # members are zero through entries with several denominators
         assert several
+
+
+@pytest.mark.parametrize("d,n", MEMBERSHIP_CELLS + [(2, 4), (1, 6)])
+def test_int_rows_against_reference(d, n):
+    # the zero test and rep_element on the int word rows against the RatFunc
+    # evaluation with g_w built from rep_g, on every shape: a member a G b of
+    # the FTL ideal is zero on the shapes that pass to FTL and nonzero on the
+    # others, and the scaled units, g_1 and t_n are nonzero everywhere
+    rng = random.Random(40 * d + n)
+    words = _words(n)
+
+    def basis(w):
+        c = _coeff(rng, d)
+        if (d, n) in LAURENT_MEMBER_CELLS:
+            c = RatFunc(c.order, c.terms)
+        return yk.YElement(d, n, {(tuple(rng.randrange(d) for _ in range(n)), w): c})
+
+    cases = [x.scale(_coeff(rng, d)) for x in (yk.unit(d, n), yk.gen_g(d, n, 1),
+                                                yk.gen_t(d, n, n))]
+    if n >= 3:
+        cases.append(basis(rng.choice(words)) * yk.ftl_generator(d, n)
+                     * basis(rng.choice(words)))
+    outcomes = set()
+    for shape in enumerate_d_partitions(d, n):
+        module = rep_module(d, shape)
+        for x in cases:
+            killed = _annihilates(module, x)
+            assert killed == ref_annihilates(module, x), (shape, x)
+            assert same(rep_element(module, x), summed_rep_element(module, x)), (shape, x)
+            outcomes.add(killed)
+    assert outcomes == ({False, True} if n >= 3 else {False})
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (3, 3)])
+def test_wide_coefficients_repack(d, n):
+    # coefficients of 150 and 300 bits do not fit the first packing (64 bits
+    # per power of q), so the word matrices are packed again, wider
+    huge = RatFunc.from_scalar(10 ** 45 + 7, d) * RatFunc.q_power(2, d)
+    member = yk.gen_g(d, n, 2) * yk.ftl_generator(d, n) * yk.gen_t(d, n, 1).scale(huge * huge)
+    assert ideal_membership(member, "FTL") and ref_ideal_membership(member, "FTL")
+    x = member + yk.gen_g(d, n, 1).scale(huge)
+    for shape in enumerate_d_partitions(d, n)[:4]:
+        module = rep_module(d, shape)
+        assert same(rep_element(module, x), summed_rep_element(module, x))
+    assert not ideal_membership(x, "FTL")
+
+
+def test_narrow_first_packing(monkeypatch):
+    # from 8 bits per power of q, the word fill itself runs out of room and
+    # packs again, wider: the same matrices and the same zero tests
+    import ytl.reps as reps
+    rng = random.Random(7)
+    d, n = 1, 5
+    xs = oracle_elements(rng, d, n)
+    xs.append(yk.gen_g(d, n, 3) * yk.ftl_generator(d, n) * yk.gen_g(d, n, 4))
+    narrow = []
+
+    def step(word, columns, width):
+        try:
+            return yk.seminormal_step(word, columns, width)
+        except yk.NarrowWidth:
+            narrow.append(width)
+            raise
+
+    # the word matrices are cached by width, and none was packed this narrow
+    monkeypatch.setattr(reps, "FIRST_WIDTH", 8)
+    monkeypatch.setattr(reps, "seminormal_step", step)
+    for shape in enumerate_d_partitions(d, n):
+        module = rep_module(d, shape)
+        for x in xs:
+            assert same(rep_element(module, x), summed_rep_element(module, x))
+            assert _annihilates(module, x) == ref_annihilates(module, x)
+    assert {8, 16} <= set(narrow)
+
+
+def test_library_input_checks():
+    # the checks that the CLI's shape parser makes, and index and type checks
+    bad_shapes = [(2, ((2,),), "shape must have 2 components"),
+                  (1, ((1, 2),), "parts must be non-increasing: (1, 2)"),
+                  (1, ((-1,),), "parts must be positive integers: (-1,)"),
+                  (1, ((2.0,),), "parts must be positive integers: (2.0,)"),
+                  (2, ((1,), 3), "shape must be a list of 2 lists")]
+    for d, shape, message in bad_shapes:
+        with pytest.raises(ValueError) as info:
+            rep_module(d, shape)
+        assert str(info.value) == message
+    assert check_shape([[2, 1], []], 2, 3) == ((2, 1), ())
+    with pytest.raises(ValueError, match="shape must have 4 nodes"):
+        check_shape([[2, 1], []], 2, 4)
+    module = rep_module(1, ((2,),))
+    for call, index in ((rep_e, 0), (rep_t, 3), (rep_t, 0), (rep_g, 2), (rep_g, 0)):
+        with pytest.raises(ValueError, match="index %d out of range" % index):
+            call(module, index)
+    assert rep_t(module, 2)[0][0] == RatFunc.one(1)
+    with pytest.raises(TypeError, match="expected YElement"):
+        ideal_membership(3, "FTL")
+    with pytest.raises(TypeError, match="expected YElement"):
+        rep_element(module, RatFunc.one(1))
+    with pytest.raises(ValueError, match="algebra parameter mismatch"):
+        rep_element(module, yk.unit(1, 3))
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (1, 4)])

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, as_ratfunc,
                          cyclotomic_polynomial, over_one_denominator, root_of_unity,
-                         sum_of_products, value_at_one)
+                         value_at_one)
 
-from oracles import FractionCyclotomic, GcdRatFunc, specialize_q
+from oracles import FractionCyclotomic, GcdRatFunc, specialize_q, sum_of_products
 
 
 def test_cyclotomic_polynomials():
@@ -429,8 +429,9 @@ def test_over_one_denominator_examples():
 
 
 def test_sum_of_products_cancels_across_denominators():
-    # 1/(1 + q) * q - q Phi_3 / ((1 + q) Phi_3): two products over distinct
-    # denominators, lifted to their lcm and added before any division
+    # the reference seminormal sum of tests/oracles.py: 1/(1 + q) * q - q
+    # Phi_3 / ((1 + q) Phi_3), two products over distinct denominators,
+    # lifted to their lcm and added before any division
     one_q = RatFunc(1, {0: 1, 1: 1})
     phi3 = RatFunc(1, {0: 1, 1: 1, 2: 1})
     q = RatFunc.q()

@@ -256,8 +256,10 @@ def test_jones_count_reports_the_cases_it_compares(monkeypatch):
 
 
 def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
-    # the seminormal fill inverts content differences in closed form, and the
-    # Hoefsmit matrix through RatFunc.inv, so one dropped divisor shows
+    # rep_g inverts the q-integer [k] of a content difference k >= 2 in
+    # closed form, and the Hoefsmit matrix through RatFunc.inv, so one
+    # dropped divisor shows; entries 1 and 2 always share a row or a column,
+    # so g_2 is the first generator with such a difference
     import ytl.reps as reps
     from ytl.scalars import RatFunc
     from ytl.verify import suite_relations
@@ -271,7 +273,6 @@ def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
     def clear():
         reps.rep_g_cached.cache_clear()
         reps._rep_word_cached.cache_clear()
-        reps._ENTRIES.clear()
 
     clear()
     monkeypatch.setattr(reps, "q_gap_inverse", one_divisor_short)
@@ -282,7 +283,7 @@ def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
         clear()
     hecke = checks["hecke_seminormal_match"]
     assert hecke["passed"] is False
-    assert hecke["detail"].startswith("g_1 != the Hoefsmit matrix at shape ((")
+    assert hecke["detail"].startswith("g_2 != the Hoefsmit matrix at shape ((")
     assert suite_relations(1, 4)["ok"] is True
 
 

@@ -468,6 +468,24 @@ def test_int_rows_against_reference(d, n):
     assert outcomes == ({False, True} if n >= 3 else {False})
 
 
+@pytest.mark.parametrize("order", [5, 12])
+def test_int_rows_at_four_zeta_digits(order):
+    # coefficients in Q(zeta_5) or Q(zeta_12) at d = 2: four zeta digits to
+    # a power of q in the packed sums, one of them cancelling to zero
+    d, n = 2, 3
+    rng = random.Random(order)
+    zeta = RatFunc.from_scalar(Cyclotomic.root_power(order, 1), order)
+    x = yk.YElement(d, n, {(tuple(rng.randrange(d) for _ in range(n)), w):
+                           zeta ** rng.randrange(order) * RatFunc.q_power(rng.randint(-2, 2), d)
+                           / (RatFunc.one(d) + RatFunc.q(d) * rng.randint(0, 1))
+                           for w in all_perms(n)})
+    for y in (x, x * yk.ftl_generator(d, n), x - x):
+        for shape in enumerate_d_partitions(d, n):
+            module = rep_module(d, shape)
+            assert same(rep_element(module, y), summed_rep_element(module, y))
+            assert _annihilates(module, y) == ref_annihilates(module, y)
+
+
 @pytest.mark.parametrize("d,n", [(1, 4), (3, 3)])
 def test_wide_coefficients_repack(d, n):
     # coefficients of 150 and 300 bits do not fit the first packing (64 bits

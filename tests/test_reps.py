@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (is_zero_matrix, ref_annihilates, ref_character_sum, ref_entries,
-                     ref_ideal_membership, ref_word_matrix)
+                     ref_ideal_membership, ref_unpack, ref_word_matrix)
 from oracles import ref_rep_element as summed_rep_element
 from ytl.linalg import mat_mul
 from ytl.permutations import Perm, all_perms
@@ -466,6 +466,27 @@ def test_int_rows_against_reference(d, n):
             assert same(rep_element(module, x), summed_rep_element(module, x)), (shape, x)
             outcomes.add(killed)
     assert outcomes == ({False, True} if n >= 3 else {False})
+
+
+@pytest.mark.parametrize("d,shape", [(1, ((3, 2, 1),)), (2, ((2, 1), (1,)))])
+def test_word_rows_against_reference(d, shape):
+    # each packed entry of a word matrix over the word's denominator is the
+    # entry of g_w from rep_g, and its digits lie within the bound and the
+    # count the word matrix states
+    import ytl.reps as reps
+    module = rep_module(d, shape)
+    width = reps.FIRST_WIDTH
+    for w in all_perms(module.n)[::29]:
+        den, rows, digits, bits = reps._rep_word_cached(d, shape, w, width)
+        want = ref_word_matrix(module, w)
+        got = [[RatFunc.zero(d)] * module.dim for _ in range(module.dim)]
+        for r, row in enumerate(rows):
+            for c, p in row:
+                coeffs = ref_unpack(p, 0, width, width)
+                assert max(coeffs) < digits
+                assert all(abs(v) <= 2 ** bits for vs in coeffs.values() for v in vs)
+                got[r][c] = RatFunc(d, {e: vs[0] for e, vs in coeffs.items()}) * den
+        assert got == [list(row) for row in want], w
 
 
 @pytest.mark.parametrize("order", [5, 12])

@@ -20,7 +20,10 @@ character sums (character_sums), which psi_mu and the seminormal
 evaluation read, shift the zeta powers of each row by its root of unity.
 Their inverse (from_characters), which phi reads, packs its rows with
 _pack too; a root of unity is a shift of digits. Both bound their packed
-ints in one place (_check_span) and decode them in one loop (_emit).
+ints in one place (_check_span) and decode them in one loop (_emit). The
+seminormal word matrices of reps are packed ints of the same layout
+(seminormal_step), and the matrix of an element sums their products with
+its packed character sums (seminormal_image), decoded by _decode.
 """
 
 from __future__ import annotations

@@ -125,12 +125,7 @@ class Perm(Record):
 
     def length(self):
         """Number of inversions = length of any reduced word."""
-        count = 0
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if self.images[a] > self.images[b]:
-                    count += 1
-        return count
+        return _length(self.images)
 
     def reduced_word(self):
         """The lexicographically smallest reduced word for this permutation."""
@@ -160,11 +155,16 @@ class Perm(Record):
 
 
 @lru_cache(maxsize=None)
+def _length(images):
+    """The number of inversions of a one-line notation, once per tuple."""
+    return sum(a > b for i, a in enumerate(images) for b in images[i + 1:])
+
+
+@lru_cache(maxsize=None)
 def all_perms(n):
     """All of S_n, sorted by (length, one-line notation)."""
-    perms = [Perm(p) for p in itertools.permutations(range(1, n + 1))]
-    perms.sort(key=lambda w: (w.length(), w.images))
-    return tuple(perms)
+    return tuple(sorted(map(Perm, itertools.permutations(range(1, n + 1))),
+                        key=lambda w: (_length(w.images), w.images)))
 
 
 class Composition(Record):
@@ -240,7 +240,7 @@ def coset_system(mu):
         for block in itertools.combinations(sorted(remaining), size):
             build(remaining - set(block), chosen + [block])
     build(set(range(1, n + 1)), [])
-    reps.sort(key=lambda w: (w.length(), w.images))
+    reps.sort(key=lambda w: (_length(w.images), w.images))
     if not reps[0].is_identity():
         raise ConsistencyError("the first coset representative of %r is not "
                                "the identity" % (mu.parts,))

@@ -417,24 +417,22 @@ def cyclotomic_from_ints(order, ints, common):
     or None where it vanishes mod Phi_order: 1 + zeta_3 + zeta_3^2 and the
     like vanish only after the reduction."""
     deg = _degree(order)
-    if len(ints) <= deg:
-        # no power of zeta past the basis: the ints are the first coordinates
-        nums = tuple(ints) + (0,) * (deg - len(ints))
-    else:
-        nums = _power_sum(order, ints, 1)
-    return _reduced(order, nums, common) if any(nums) else None
+    if len(ints) > deg:
+        ints = _power_sum(order, ints, 1)
+    if not any(ints):
+        return None
+    # with no power of zeta past the basis the ints are the first coordinates
+    g = int_gcd(common, *ints)
+    return Cyclotomic._raw(order, (*[a // g for a in ints], *(0,) * (deg - len(ints))),
+                           common // g)
 
 
 def laurent_from_ints(order, rows, common):
     """The term tuple of rows [(q-exponent, ints)] in ascending order of
     exponent, sum over them of sum_z ints[z] zeta_order^z q^e / common,
     each power of q decoded by cyclotomic_from_ints."""
-    terms = []
-    for e, ints in rows:
-        c = cyclotomic_from_ints(order, ints, common)
-        if c is not None:
-            terms.append((e, c))
-    return tuple(terms)
+    return tuple([(e, c) for e, ints in rows
+                  if (c := cyclotomic_from_ints(order, ints, common)) is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +860,15 @@ def as_ratfunc(x, order=1):
     if isinstance(x, (int, Fraction)):
         return RatFunc.from_scalar(x, order)
     raise TypeError("cannot coerce %r to RatFunc" % (x,))
+
+
+def value_key(x):
+    """A cheap hashable key of the RatFunc x, equal for equal values of one order."""
+    try:
+        (e, c), = x.terms
+        return x.order, x.den_exps, e, c.nums, c.den
+    except ValueError:
+        return x.order, x.den_exps, tuple([(e, c.nums, c.den) for e, c in x.terms])
 
 
 def over_one_denominator(values):

@@ -8,10 +8,11 @@ Elements are immutable; multiplication rewrites to normal form using
   g_w g_i  = q g_{w s_i} + (q-1) e_{w(i), w(i+1)} g_w    otherwise,
 where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
 
-An element keeps one int encoding (_coded), known to this module alone:
-its coefficients over one denominator, their numerators as ints in the
-group ring Z[Z/o] over one integer denominator, o = x.order, grouped by
-permutation. The product packs each numerator into one int (_pack) in
+An element keeps one int encoding (_coded), known to this module alone,
+built in one pass over its terms: each distinct coefficient value once, as
+a row of ints in the group ring Z[Z/o] over one denominator, o = x.order,
+and each term as (t-monomial, row index), grouped by the images of its
+permutation. The product packs each distinct row into one int (_pack) in
 (q, zeta_L), L the lcm of the operands' orders; for each permutation v of
 the right operand it folds the left operand times sum_b c_b t^b through
 the reduced word of v once, keyed by (permutation, t-monomial id); the 1/d
@@ -20,10 +21,11 @@ character sums (character_sums), which psi_mu and the seminormal
 evaluation read, shift the zeta powers of each row by its root of unity.
 Their inverse (from_characters), which phi reads, packs its rows with
 _pack too; a root of unity is a shift of digits. Both bound their packed
-ints in one place (_check_span) and decode them in one loop (_emit). The
-seminormal word matrices of reps are packed ints of the same layout
-(seminormal_step), and the matrix of an element sums their products with
-its packed character sums (seminormal_image), decoded by _decode.
+ints in one place (_check_span) and sort their outputs in one place
+(_emit). The seminormal word matrices of reps are packed ints of the same
+layout (seminormal_step), and the matrix of an element sums their products
+with its packed character sums (seminormal_image). One decoder (_decode)
+reads them all, each distinct int and q-chunk once, with masks set once.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .permutations import Composition, Perm, act_on_character, coset_system
-from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, laurent_from_ints,
-                      multiply_dens, over_one_denominator, q_integer_factors, slot_setters,
-                      value_at_one)
+from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, cyclotomic_polynomial,
+                      laurent_from_ints, multiply_dens, over_one_denominator, q_integer_factors,
+                      slot_setters, value_at_one, value_key)
 
 
 # the largest packed int _int_product or from_characters builds, in bits
@@ -58,6 +60,8 @@ class YElement:
         clean = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (tmon, w), c in items:
+            if not isinstance(w, Perm) or not all(isinstance(a, int) for a in tmon):
+                raise TypeError("a term takes int t-exponents and a Perm, not %r" % ((tmon, w),))
             tmon = tuple(a % d for a in tmon)
             if len(tmon) != n or w.n != n:
                 raise ValueError("term size mismatch")
@@ -189,39 +193,41 @@ def _term_order(term):
 def _coded(x):
     """x in int coordinates, built in one pass over the terms on first use
     and kept in x's slot: (order, den, common, groups, mass, low, high,
-    ztop), order = x.order. The coefficients are brought over den, the lcm
-    of their denominators (scalars.over_one_denominator), and each
-    numerator becomes its row of triples over common (_encode_rows, which
-    also gives mass and ztop). groups maps each permutation of x, in order
-    of first appearance, to the rows [(tmon, triples)] of its terms. A row
-    decodes as RatFunc.over(order, laurent_from_ints(order, rows, common), den),
-    rows its ints summed by q-exponent, in ascending order; low and high
-    are the lowest and highest q-exponent."""
+    ztop, rows), order = x.order. Each distinct coefficient value
+    (scalars.value_key) is brought over den (scalars.over_one_denominator)
+    and encoded once, as the row rows[i] of triples over common
+    (_encode_rows). groups maps the images of each permutation of x, in
+    order of first appearance, to [(tmon, i)] for its terms; mass sums
+    |int| over the rows of all terms; low and high are the lowest and
+    highest q-exponent."""
     code = x._code
     if code is None:
-        order = lcm(x.d, *[c.order for _, c in x.terms])
-        nums, den = over_one_denominator([c for _, c in x.terms])
-        common, rows, mass, ztop = _encode_rows(nums, order)
-        groups = {}
-        for ((tmon, w), _), row in zip(x.terms, rows):
-            groups.setdefault(w, []).append((tmon, row))
+        index, values, groups = {}, [], {}
+        for (tmon, w), c in x.terms:
+            i = index.setdefault(value_key(c), len(values))
+            if i == len(values):
+                values.append(c)
+            groups.setdefault(w.images, []).append((tmon, i))
+        order = lcm(x.d, *[c.order for c in values])
+        nums, den = over_one_denominator(values)
+        common, rows, masses, ztop = _encode_rows(nums, order)
+        mass = sum([masses[i] for terms in groups.values() for _, i in terms])
         low = min([num[0][0] for num in nums], default=None)
         high = max([num[-1][0] for num in nums], default=None)
-        code = order, den, common, groups, mass, low, high, ztop
+        code = order, den, common, groups, mass, low, high, ztop, rows
         _set_code(x, code)
     return code
 
 
 def _encode_rows(nums, order):
-    """(common, rows, mass, ztop) for numerators, the term tuples of
-    scalars.over_one_denominator, whose orders divide order: rows[i] lists
-    nums[i] as (q-exponent, zeta_order power, int) triples over one int
-    denominator common; mass is the sum of |int| over all triples and ztop
-    the highest zeta_order power."""
+    """(common, rows, masses, ztop) for the term tuples nums of
+    scalars.over_one_denominator, of orders dividing order: rows[i] lists
+    nums[i] as (q-exponent, zeta_order power, int) triples over the int
+    common, masses[i] sums their |int|, ztop is the top zeta_order power."""
     common = lcm(*[v.den for num in nums for _, v in num])
-    rows, mass, ztop = [], 0, 0
+    rows, masses, ztop = [], [], 0
     for num in nums:
-        row = []
+        row, mass = [], 0
         for e, v in num:
             step, scale, z = order // v.order, common // v.den, 0
             for c in v.nums:
@@ -232,61 +238,61 @@ def _encode_rows(nums, order):
                     ztop = z if z > ztop else ztop
                 z += step
         rows.append(row)
-    return common, rows, mass, ztop
+        masses.append(mass)
+    return common, rows, masses, ztop
 
 
 def _int_product(d, n, left, right):
     """The product of two nonzero encoded elements (_coded), as a tuple of
     terms ((tmon, Perm), RatFunc) in normal form and order (_emit).
 
-    Each row (one term's numerator) is one int (_pack) over Q(zeta_L), L
+    Each distinct row of an operand is one int (_pack) over Q(zeta_L), L
     the lcm of the operands' orders, Z = z_left + z_right + 1 digits to a
     power of q for their highest zeta_L powers, each digit B bits wide. A
     product of two rows is one int multiplication, and z1 + z2 < Z never
-    carries into the next power of q. The terms of the right
-    operand that share a permutation v are folded through its reduced word
-    together, keyed by (permutation, t-monomial) only: a step that descends
-    sends P to d q P on w s_i and to (q - 1) P on each of the d shifted
-    monomials of the e-term (q is a shift by B Z bits); any other step
-    sends P to d P on w s_i. The factor d there is the 1/d of the e-term,
-    carried as one more factor d of the common denominator.
+    carries into the next power of q. The terms of the right operand that
+    share a permutation v are folded through its reduced word together,
+    keyed by (permutation, t-monomial) only: a step that descends sends P
+    to d q P on w s_i and to (q - 1) P on each of the d shifted monomials of
+    the e-term (q is a shift by B Z bits); any other step sends P to d P on
+    w s_i. The factor d is the 1/d of the e-term, one more factor d of the
+    common denominator.
 
-    The digit width B is the bit length of sum|c_left| sum|c_right|
-    (3d)^top, plus a sign bit and one spare, top being the longest reduced
-    word on the right. The bound is exact: the products of the rows have
-    total mass sum|c_left| sum|c_right|, one fold step sends mass m to at
-    most d m + 2 d m, and the operands with shorter words are scaled by d
-    per missing step, so no digit reaches 2^(B-2) in absolute value. A
+    The digit width B is the bit length of sum|c_left| sum|c_right| (3d)^top,
+    top the longest reduced word on the right, plus a sign bit and a spare:
+    the row products have total mass sum|c_left| sum|c_right| (each term
+    counted), a fold step sends mass m to at most d m + 2 d m, and shorter
+    words are scaled by d per missing step, so no digit reaches 2^(B-2). A
     packed int spans the q-spreads of both operands plus one power per fold
     step (_check_span)."""
-    lorder, lden, lcommon, lgroups, lmass, lmin, lmax, lztop = left
-    rorder, rden, rcommon, rgroups, rmass, rmin, rmax, rztop = right
+    lorder, lden, lcommon, lgroups, lmass, lmin, lmax, lztop, lrows = left
+    rorder, rden, rcommon, rgroups, rmass, rmin, rmax, rztop, rrows = right
     order = lcm(lorder, rorder)
     lstep, rstep = order // lorder, order // rorder
     ids, _, add, shifts = _tmon_tables(d, n)
-    top = max(len(_reduced_word(v.images)) for v in rgroups)
+    top = max(len(_reduced_word(v)) for v in rgroups)
     zdigits = lztop * lstep + rztop * rstep + 1
     width = (lmass * rmass * (3 * d) ** top).bit_length() + 2
     qshift = width * zdigits
     _check_span("product", (lmax - lmin) + (rmax - rmin) + top + 1, qshift)
-    lterms = [(u.images, _tmon_action(d, n, u.images),
-               [(ids[a], _pack(mono, lmin, lstep, zdigits, width)) for a, mono in rows])
+    lpacked = [_pack(row, lmin, lstep, zdigits, width) for row in lrows]
+    rpacked = [_pack(row, rmin, rstep, zdigits, width) for row in rrows]
+    lterms = [(u, _tmon_action(d, n, u), [(ids[a], lpacked[i]) for a, i in rows])
               for u, rows in lgroups.items()]
     acc = {}
     for v, rights in rgroups.items():
-        # the left group times sum_b c_b t^b, all still left of g_v:
-        # g_u t^b = t^{u(b)} g_u
         work = {}
-        word = _reduced_word(v.images)
+        word = _reduced_word(v)
         # the words shorter than top make up for their missing factors d
         scale = d ** (top - len(word))
-        for b, rmono in rights:
-            bid = ids[b]
-            pr = _pack(rmono, rmin, rstep, zdigits, width) * scale
-            for u, act, rows in lterms:
+        rights = [(ids[b], rpacked[j] * scale) for b, j in rights]
+        for u, act, rows in lterms:
+            # the left group times sum_b c_b t^b, all still left of g_v:
+            # g_u t^b = t^{u(b)} g_u
+            into = work[u] = {}
+            for bid, pr in rights:
                 y = act[bid]
                 sums = add[y]
-                into = work.setdefault(u, {})
                 for a, pl in rows:
                     try:
                         m = sums[a]
@@ -302,7 +308,7 @@ def _int_product(d, n, left, right):
             else:
                 for m, p in terms.items():
                     into[m] = into.get(m, 0) + p
-    return _emit(d, n, [(m, w, p) for w, terms in acc.items() for m, p in terms.items()],
+    return _emit(d, n, [(m, w, p) for w, terms in acc.items() for m, p in terms.items() if p],
                  lmin + rmin, width, zdigits, order, lcommon * rcommon * d ** top,
                  multiply_dens(lden, rden))
 
@@ -327,23 +333,14 @@ def _check_span(what, powers, qshift):
 
 
 def _emit(d, n, outputs, low, width, zdigits, order, common, den):
-    """The terms ((tmon, Perm), RatFunc) of the packed outputs [(t-monomial
-    id, images, packed)], distinct keys over common and den, sorted by
-    _term_order (an id is the number of its vector in base d, so it sorts
-    like the vector), zero outputs dropped. Each distinct packed output,
-    and each distinct q-chunk, is decoded once per call (_decode): outputs
-    repeat on products of idempotents."""
+    """The terms ((tmon, Perm), RatFunc) of nonzero packed outputs [(t-monomial
+    id, images, packed)] with distinct keys, over common and den, by
+    _term_order (an id sorts like its vector), those zero mod Phi dropped."""
     tmons = _tmon_tables(d, n)[1]
-    decoded, chunks = {0: None}, {}
-    out = []
-    for m, w, p in sorted(outputs):
-        c = decoded.get(p, decoded)
-        if c is decoded:
-            num = _decode(p, low, width, zdigits, order, common, chunks)
-            c = decoded[p] = RatFunc.over(order, num, den) if num else None
-        if c is not None:
-            out.append(((tmons[m], _perm[w]), c))
-    return tuple(out)
+    outputs = sorted(outputs)
+    coeffs = _decode([p for _, _, p in outputs], low, width, zdigits, order, common, den)
+    return tuple([((tmons[m], _perm[w]), c) for (m, w, _), c in zip(outputs, coeffs)
+                  if c is not None])
 
 
 def _fold_step(work, i, d, qshift, shifts):
@@ -368,42 +365,52 @@ def _fold_step(work, i, d, qshift, shifts):
     return new
 
 
-def _decode(packed, low, width, zdigits, order, common, chunks):
-    """The Laurent polynomial of a packed sum of products of rows over
-    common, as the term tuple a RatFunc keeps for its numerator, its lowest
-    digit at q^low: signed digits of B = width bits, Z = zdigits to a power
-    of q. chunks maps each q-chunk met in this product to its
-    cyclotomic_from_ints."""
+def _decode(packs, low, width, zdigits, order, common, den):
+    """The RatFuncs of packed sums of products of rows over common and den,
+    one per int of packs, in order, None where one vanishes mod Phi_order;
+    each has its lowest digit at q^low and Z = zdigits signed digits of B =
+    width bits to a power of q. The masks, bias and zero coordinates are set
+    once per call; each distinct int and q-chunk is decoded once, a chunk of
+    one digit straight to its Cyclotomic in lowest terms."""
     qshift = width * zdigits
     qmask, mask = (1 << qshift) - 1, (1 << width) - 1
     qhalf, half = 1 << (qshift - 1), 1 << (width - 1)
-    terms = []
-    e = low
-    while packed:
-        if not packed & qmask:
-            # a run of zero q-chunks carries no borrow: one shift skips it
-            skip = ((packed & -packed).bit_length() - 1) // qshift
-            packed >>= skip * qshift
-            e += skip
-        chunk = packed & qmask
-        packed >>= qshift
-        if chunk >= qhalf:
-            chunk -= qmask + 1
-            packed += 1
-        # chunk is not 0: its lowest set bit is the lowest of packed
-        c = chunks.get(chunk, chunks)
-        if c is chunks:
-            if -half < chunk < half:
-                ints = (chunk,)  # the power of zeta 0 alone
-            else:
-                # each digit plus 2^(B-1) lies in [0, 2^B): no borrows
-                biased = chunk + qmask // mask * half
-                ints = [(biased >> z & mask) - half for z in range(0, qshift, width)]
-            c = chunks[chunk] = cyclotomic_from_ints(order, ints, common)
-        if c is not None:
-            terms.append((e, c))
-        e += 1
-    return tuple(terms)
+    # each digit plus 2^(B-1) lies in [0, 2^B): no borrows
+    bias = qmask // mask * half
+    zeros = (0,) * (len(cyclotomic_polynomial(order)) - 2)
+    chunks, done, out = {}, {}, []
+    for packed in packs:
+        c = done.get(packed, done)
+        if c is done:
+            terms, e, p = [], low, packed
+            while p:
+                chunk = p & qmask
+                if not chunk:
+                    # a run of zero q-chunks carries no borrow: one shift skips it
+                    skip = ((p & -p).bit_length() - 1) // qshift
+                    p >>= skip * qshift
+                    e += skip
+                    chunk = p & qmask
+                p >>= qshift
+                if chunk >= qhalf:
+                    chunk -= qmask + 1
+                    p += 1
+                v = chunks.get(chunk, chunks)
+                if v is chunks:
+                    if -half < chunk < half:
+                        # the power of zeta 0 alone, in lowest terms
+                        g = gcd(chunk, common)
+                        v = Cyclotomic._raw(order, (chunk // g, *zeros), common // g)
+                    else:
+                        v = cyclotomic_from_ints(order, [(chunk + bias >> z & mask) - half
+                                                         for z in range(0, qshift, width)], common)
+                    chunks[chunk] = v
+                if v is not None:
+                    terms.append((e, v))
+                e += 1
+            c = done[packed] = RatFunc.over(order, tuple(terms), den) if terms else None
+        out.append(c)
+    return out
 
 
 # Tables per permutation or t-exponent vector, so bounded by the size of the
@@ -447,25 +454,17 @@ def _right_steps(images):
 
 @lru_cache(maxsize=None)
 def _tmon_tables(d, n):
-    """The t-exponent vectors of (d, n) by int id, as (ids, tmons, add,
-    shifts): the id of a vector is its number in base d (its place in the
-    order of itertools.product), ids maps a vector to its id and tmons an
-    id to its vector, add[y][x] is the id of tmons[x] + tmons[y], and
-    shifts[j, k][x] lists the ids of _e_shifts(tmons[x], j, k, d). Each is
-    filled on demand, so it holds the monomials and sums that have occurred,
-    not all d^n vectors or d^(2n) sums: a product at large d^n costs what
-    its terms cost."""
+    """The t-exponent vectors of (d, n) by int id, the number of a vector in
+    base d (its place in the order of itertools.product), as (ids, tmons,
+    add, shifts): ids maps a vector to its id and tmons back, add[y][x] is
+    the id of tmons[x] + tmons[y] and shifts[j, k][x] lists the ids of
+    _e_shifts(tmons[x], j, k, d). Each fills on demand, so a product at
+    large d^n costs what its terms cost, not d^n or d^(2n) entries."""
     def number(m):
-        x = 0
-        for a in m:
-            x = x * d + a
-        return x
+        return sum(a * d ** (n - 1 - j) for j, a in enumerate(m))
 
     def vector(x):
-        m = [0] * n
-        for j in range(n - 1, -1, -1):
-            x, m[j] = divmod(x, d)
-        return tuple(m)
+        return tuple(x // d ** (n - 1 - j) % d for j in range(n))
 
     def shifted(pair):
         j, k = pair
@@ -503,13 +502,8 @@ def _tmon_action(d, n, images):
 
 def _e_shifts(m, j, k, d):
     """The t-exponent vectors m + s (e_j - e_k), s = 0..d-1."""
-    out = []
-    for s in range(d):
-        m2 = list(m)
-        m2[j - 1] = (m2[j - 1] + s) % d
-        m2[k - 1] = (m2[k - 1] - s) % d
-        out.append(tuple(m2))
-    return tuple(out)
+    step = [(i == j - 1) - (i == k - 1) for i in range(len(m))]
+    return tuple(tuple([(a + s * b) % d for a, b in zip(m, step)]) for s in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -582,21 +576,20 @@ def character_sums(x, characters):
     appearance, and each distinct exponent vector exps of characters, in
     order of first appearance: c = sum_a x[t^a g_w] zeta_d^(a . exps), a
     RatFunc over Q(zeta_order) for order = x.order, read off the encoding x
-    keeps (_coded). The root of unity of a row shifts its zeta powers by (a
-    . exps mod d) order/d; the ints of each sum are added and decoded
-    once."""
+    keeps (_coded). The root of unity of a row shifts its zeta powers by
+    (a . exps mod d) order/d; each sum is decoded once."""
     d = x.d
-    order, den, common, groups = _coded(x)[:4]
+    order, den, common, groups, _, _, _, _, values = _coded(x)
     step = order // d
     characters = dict.fromkeys(characters)
     out = {}
     for w, rows in groups.items():
-        sums = out[w] = {}
+        sums = out[_perm[w]] = {}
         for exps in characters:
             by_e = {}
-            for tmon, mono in rows:
+            for tmon, i in rows:
                 shift = sum(a * p for a, p in zip(tmon, exps)) % d * step
-                for e, z, v in mono:
+                for e, z, v in values[i]:
                     coeffs = by_e.get(e)
                     if coeffs is None:
                         coeffs = by_e[e] = [0] * order
@@ -610,26 +603,24 @@ def from_characters(d, n, parts):
     """sum q^s c E_chi g_v over parts [(v, exps, s, c)], exps the exponent
     vector of chi: the inverse of the character sums. The coefficient of
     t^b g_v is d^-n sum_chi C_{v,chi} zeta_d^-(exps . b), C_{v,chi} the sum
-    of the q^s c of (v, chi), each one int (_pack), its coefficients
-    encoded as _coded encodes them (_encode_rows) at the lcm order L of d
-    and their orders. Per v, n axis passes of size d make each step one
-    shift and one add: zeta_d^k shifts by k L/d zeta digits, with no wrap,
-    so Z = ztop + 1 + n (d - 1) L/d digits hold every shift and _decode
-    folds the powers past L back. An output digit is a signed sum of input
-    digits, so B = bitlen(sum |c|) + 2 bits hold it. The factor d^-n joins
-    the int denominator (_emit)."""
+    of the q^s c of (v, chi), one int (_pack) of rows encoded as _coded
+    encodes them (_encode_rows) at the lcm order L of d and their orders.
+    Per v, n axis passes of size d make each step one shift and one add:
+    zeta_d^k shifts by k L/d zeta digits, with no wrap, so Z = ztop + 1 +
+    n (d - 1) L/d digits hold every shift, and B = bitlen(sum |c|) + 2 bits
+    an output digit, a signed sum of input digits; d^-n joins common."""
     parts = [(v, exps, s, as_ratfunc(c, d)) for v, exps, s, c in parts]
     parts = [part for part in parts if not part[3].is_zero()]
     if not parts:
         return zero(d, n)
     order = lcm(d, *[c.order for _, _, _, c in parts])
     nums, den = over_one_denominator([c for _, _, _, c in parts])
-    common, rows, mass, ztop = _encode_rows(nums, order)
+    common, rows, masses, ztop = _encode_rows(nums, order)
     low = min([row[0][0] + s for (_, _, s, _), row in zip(parts, rows)])
     powers = max([row[-1][0] + s for (_, _, s, _), row in zip(parts, rows)]) - low + 1
     step = order // d
     zdigits = ztop + 1 + n * (d - 1) * step
-    width = mass.bit_length() + 2
+    width = sum(masses).bit_length() + 2
     _check_span("character transform", powers, zdigits * width)
     # exps is keyed by its id (_tmon_tables): axis j is its digit of weight d^(n-1-j)
     ids = _tmon_tables(d, n)[0]
@@ -650,7 +641,7 @@ def from_characters(d, n, parts):
                     for move, shift in steps[x // stride % d]:
                         nxt[x + move] = nxt.get(x + move, 0) + (p << shift)
             values = nxt
-        outputs.extend((x, v, p) for x, p in values.items())
+        outputs.extend((x, v, p) for x, p in values.items() if p)
     return YElement._sorted(d, n, _emit(d, n, outputs, low, width, zdigits, order,
                                         common * d ** n, den))
 
@@ -863,17 +854,16 @@ def seminormal_image(x, components, word, width, zero_test):
     RatFunc, each zero one RatFunc.zero(x.d).
 
     The sums go over one denominator, and the cofactor of each word over the
-    lcm of the word denominators lifts the sums of that word. A lifted sum
-    is one int, Z zeta digits of width / Z bits to a power of q (_pack), so
-    its products with the word entries are ints of the layout of _decode.
-    The sums are reduced mod Phi_order and the word entries are rational,
-    so an entry is zero exactly when its int is 0. NarrowWidth when a zeta
-    digit could reach 2^(width / Z - 2)."""
+    lcm of the word denominators lifts the sums of that word, each one int
+    of Z zeta digits of width / Z bits to a power of q (_pack), as _decode
+    reads them. The sums are reduced mod Phi_order and the word entries are
+    rational, so an entry is zero exactly when its int is 0. NarrowWidth
+    when a zeta digit could reach 2^(width / Z - 2)."""
     dim, order = len(components), x.order
     sums = character_sums(x, components)
     words = [word(w) for w in sums]
     nums, sden = over_one_denominator([s for by in sums.values() for s in by.values()])
-    common, srows, smass, ztop = _encode_rows(nums, order)
+    common, srows, smasses, ztop = _encode_rows(nums, order)
     lows = [row[0][0] for row in srows if row]
     if not lows:
         return True if zero_test else [[RatFunc.zero(x.d)] * dim for _ in range(dim)]
@@ -888,7 +878,7 @@ def seminormal_image(x, components, word, width, zero_test):
         else:
             lifts.append(_pack(((e, 0, v.nums[0]) for e, v in num), 0, 1, 1, width))
             cmass = max(cmass, sum(abs(v.nums[0]) for _, v in num))
-    if (smass * cmass).bit_length() + max(m[3] for m in words) + 2 > zwidth:
+    if (sum(smasses) * cmass).bit_length() + max(m[3] for m in words) + 2 > zwidth:
         raise NarrowWidth
     packed = iter(srows)
     plan = []
@@ -908,6 +898,7 @@ def seminormal_image(x, components, word, width, zero_test):
 
     if zero_test:
         return not any(any(acc) for acc in sums_by_row())
-    exps, chunks, zero = multiply_dens(sden, wden), {}, RatFunc.zero(x.d)
-    return [[RatFunc.over(order, _decode(p, low, zwidth, zdigits, order, common, chunks), exps)
-             if p else zero for p in acc] for acc in sums_by_row()]
+    accs, zero = list(sums_by_row()), RatFunc.zero(x.d)
+    entries = iter(_decode([p for acc in accs for p in acc if p], low, zwidth, zdigits, order,
+                           common, multiply_dens(sden, wden)))
+    return [[next(entries) if p else zero for p in acc] for acc in accs]

@@ -55,6 +55,10 @@ COMMANDS = {
                           " + q^2*t2^5*E(2; 0,0,0,1,1,0) - 5/7*g1^-1)"],
     "verify_idempotents_d3": ["verify", "-d", "3", "-n", "3", "--suite", "idempotents",
                               "--seed", "0"],
+    # 2,982 products of order-4 elements, dense character idempotents among
+    # them; written before each distinct coefficient value was encoded once
+    "verify_idempotents_d4": ["verify", "-d", "4", "-n", "3", "--suite", "idempotents",
+                              "--seed", "0"],
     # passes_to_quotient and ideal membership at d = 4, where reduction mod
     # Phi_4 does real work
     "verify_quotients_d4": ["verify", "-d", "4", "-n", "3", "--suite", "quotients",

@@ -38,6 +38,21 @@ def test_constructors():
         yk.gen_t(2, 2, 3)
 
 
+def test_terms_need_int_exponents_and_a_perm():
+    # a float t-exponent or a word that is not a Perm is refused, naming
+    # the term, before any product can key the shared t-monomial tables by it
+    ident = Perm.identity(2)
+    for make in (lambda: yk.YElement(2, 2, {((0.5, 0), ident): 1}),
+                 lambda: yk.gen_t(2, 2, 1, power=0.5)):
+        with pytest.raises(TypeError, match=r"\(0\.5, 0\)"):
+            make()
+    with pytest.raises(TypeError, match=r"\(1, 2\)"):
+        yk.YElement(2, 2, {((0, 0), (1, 2)): 1})
+    t1 = yk.gen_t(2, 2, 1)
+    assert (t1 * t1).to_json()[0]["t"] == [0, 0]
+    assert yk.YElement(2, 2, {((True, 3), ident): 1}).terms[0][0] == ((1, 1), ident)
+
+
 def test_quadratic_relation_d1():
     x = yk.gen_g(1, 2, 1) * yk.gen_g(1, 2, 1)
     assert x == yk.unit(1, 2).scale(q()) + yk.gen_g(1, 2, 1).scale(q() - one())
@@ -289,17 +304,29 @@ def _kernel_coefficient(draw, order):
 
 @st.composite
 def _kernel_operands(draw, cells=_KERNEL_CELLS):
-    """Two elements of one cell; the right one carries the longest word."""
+    """Two elements of one cell; the right one carries the longest word.
+    As in E_mu and a scaled E_chi, terms repeat coefficient values: a term
+    draws a fresh coefficient, an object of a small shared pool, or a copy
+    of a pool value in an object of its own."""
     d, n = draw(st.sampled_from(cells))
     orders = _KERNEL_ORDERS[d]
     perms = all_perms(n)
+    pool = [draw(_kernel_coefficient(draw(st.sampled_from(orders))))
+            for _ in range(draw(st.integers(1, 3)))]
+
+    def coefficient():
+        kind = draw(st.sampled_from(("fresh", "shared", "equal")))
+        if kind == "fresh":
+            return draw(_kernel_coefficient(draw(st.sampled_from(orders))))
+        c = draw(st.sampled_from(pool))
+        return c if kind == "shared" else c * RatFunc.one(c.order)
+
     def element(terms, extra=()):
         return yk.YElement(d, n, [
-            ((tuple(draw(st.integers(0, d - 1)) for _ in range(n)), w),
-             draw(_kernel_coefficient(draw(st.sampled_from(orders)))))
+            ((tuple(draw(st.integers(0, d - 1)) for _ in range(n)), w), coefficient())
             for w in [draw(st.sampled_from(perms)) for _ in range(terms)] + list(extra)])
-    x = element(draw(st.integers(1, 3)))
-    y = element(draw(st.integers(0, 2)), extra=(perms[-1],))
+    x = element(draw(st.integers(1, 4)))
+    y = element(draw(st.integers(0, 3)), extra=(perms[-1],))
     return x, y
 
 
@@ -614,19 +641,19 @@ def test_encode_decodes_to_the_coefficients(d):
     x = yk.YElement(d, n, terms)
     assert x.order == (12 if d == 4 else 6)
     assert len({c.den_exps for _, c in x.terms}) > 2
-    order, den, common, groups = yk._coded(x)[:4]
+    order, den, common, groups, _, _, _, _, rows = yk._coded(x)
     assert order == x.order
-    assert list(groups) == list(dict.fromkeys(w for (_, w), _ in x.terms))
+    assert list(groups) == list(dict.fromkeys(w.images for (_, w), _ in x.terms))
     decoded = {}
-    for w, rows in groups.items():
-        for tmon, mono in rows:
+    for images, terms in groups.items():
+        for tmon, i in terms:
             by_e = {}
-            for e, z, v in mono:
+            for e, z, v in rows[i]:
                 by_e.setdefault(e, [0] * order)[z] += v
-            decoded[(tmon, w)] = RatFunc.over(
+            decoded[(tmon, Perm(images))] = RatFunc.over(
                 order, laurent_from_ints(order, sorted(by_e.items()), common), den)
     assert list(decoded) == [key for key, _ in sorted(
-        x.terms, key=lambda t: list(groups).index(t[0][1]))]
+        x.terms, key=lambda t: list(groups).index(t[0][1].images))]
     for key, c in x.terms:
         got, want = decoded[key], c * RatFunc.one(order)
         assert got == c and hash(got) == hash(c)
@@ -634,6 +661,23 @@ def test_encode_decodes_to_the_coefficients(d):
 
 
 # -- the encoding kept by an element -----------------------------------------
+
+
+@pytest.mark.parametrize("d,n", [(3, 3), (2, 4), (4, 3)])
+def test_repeated_values_are_encoded_once(d, n):
+    # each distinct coefficient value of E_mu and of a scaled E_chi is one
+    # row, shared by its terms, and the mass counts every term
+    scale = RatFunc.from_scalar(-5, d) * RatFunc.q_power(2, d)
+    elements = [yk.E_mu(d, n, mu) for mu in compositions(d, n)]
+    elements.append(yk.E_chi(d, n, (1,) + (0,) * (n - 1)).scale(scale))
+    for x in elements:
+        order, den, common, groups, mass, _, _, _, rows = yk._coded(x)
+        values = {c for _, c in x.terms}
+        assert len(rows) == len(values) < len(x.terms)
+        assert sum(len(terms) for terms in groups.values()) == len(x.terms)
+        assert mass == sum(abs(v) for terms in groups.values() for _, i in terms
+                           for _, _, v in rows[i])
+        assert x * x == oracles.ref_mul(x, x)
 
 
 @pytest.mark.parametrize("order", [3, 4, 12])
@@ -747,19 +791,26 @@ def test_decoder_against_dict_form(case):
                  for e, ints in rows.items() for z, c in enumerate(ints))
     want = oracles.ref_laurent_from_ints(
         order, oracles.ref_unpack(packed, low, width, qshift), common)
-    chunks = {}
-    same(yk._decode(packed, low, width, zdigits, order, common, chunks), want)
-    # one entry per distinct nonzero row, None where it vanishes mod Phi_order
-    signed = {sum(c << z * width for z, c in enumerate(ints)): e for e, ints in rows.items()}
-    signed.pop(0, None)
-    assert set(chunks) == set(signed)
-    for chunk, e in signed.items():
-        row = oracles.ref_laurent_from_ints(order, {e: rows[e]}, common)
-        assert (chunks[chunk] is None) == row.is_zero()
-    # a second output of the same product reads its rows from the memo
-    memo = dict(chunks)
-    same(yk._decode(packed, low, width, zdigits, order, common, chunks), want)
-    assert chunks == memo
+    def decoded(got, want):
+        # got a RatFunc over no denominator, or None where want is zero
+        if want.is_zero():
+            assert got is None
+        else:
+            same(got.terms, want)
+            assert got.den_exps == () and got.order == order
+
+    first, again, zero = yk._decode([packed, packed, 0], low, width, zdigits, order, common, ())
+    decoded(first, want)
+    # a repeated output is decoded once
+    assert again is first or first is None
+    assert zero is None
+    # each row alone, one packed int per row in one call: a row that
+    # vanishes mod Phi_order decodes to None
+    alone = [(e, sum(c << ((e - low) * zdigits + z) * width for z, c in enumerate(ints)))
+             for e, ints in sorted(rows.items())]
+    for (e, _), got in zip(alone, yk._decode([p for _, p in alone], low, width, zdigits,
+                                             order, common, ())):
+        decoded(got, oracles.ref_laurent_from_ints(order, {e: rows[e]}, common))
 
 
 def test_decoder_examples():

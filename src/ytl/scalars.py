@@ -417,14 +417,12 @@ def cyclotomic_from_ints(order, ints, common):
     or None where it vanishes mod Phi_order: 1 + zeta_3 + zeta_3^2 and the
     like vanish only after the reduction."""
     deg = _degree(order)
-    if len(ints) > deg:
-        ints = _power_sum(order, ints, 1)
-    if not any(ints):
-        return None
-    # with no power of zeta past the basis the ints are the first coordinates
-    g = int_gcd(common, *ints)
-    return Cyclotomic._raw(order, (*[a // g for a in ints], *(0,) * (deg - len(ints))),
-                           common // g)
+    if len(ints) <= deg:
+        # no power of zeta past the basis: the ints are the first coordinates
+        nums = tuple(ints) + (0,) * (deg - len(ints))
+    else:
+        nums = _power_sum(order, ints, 1)
+    return _reduced(order, nums, common) if any(nums) else None
 
 
 def laurent_from_ints(order, rows, common):
@@ -864,11 +862,10 @@ def as_ratfunc(x, order=1):
 
 def value_key(x):
     """A cheap hashable key of the RatFunc x, equal for equal values of one order."""
-    try:
+    if len(x.terms) == 1:
         (e, c), = x.terms
         return x.order, x.den_exps, e, c.nums, c.den
-    except ValueError:
-        return x.order, x.den_exps, tuple([(e, c.nums, c.den) for e, c in x.terms])
+    return x.order, x.den_exps, tuple([(e, c.nums, c.den) for e, c in x.terms])
 
 
 def over_one_denominator(values):

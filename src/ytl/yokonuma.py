@@ -34,6 +34,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .permutations import Composition, Perm, act_on_character, coset_system
 from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, cyclotomic_polynomial,
@@ -202,19 +203,21 @@ def _coded(x):
     highest q-exponent."""
     code = x._code
     if code is None:
-        index, values, groups = {}, [], {}
+        index, values, counts, groups, order = {}, [], [], {}, x.d
         for (tmon, w), c in x.terms:
             i = index.setdefault(value_key(c), len(values))
             if i == len(values):
                 values.append(c)
+                counts.append(0)
+                order = lcm(order, c.order)
+            counts[i] += 1
             groups.setdefault(w.images, []).append((tmon, i))
-        order = lcm(x.d, *[c.order for c in values])
         nums, den = over_one_denominator(values)
         common, rows, masses, ztop = _encode_rows(nums, order)
-        mass = sum([masses[i] for terms in groups.values() for _, i in terms])
         low = min([num[0][0] for num in nums], default=None)
         high = max([num[-1][0] for num in nums], default=None)
-        code = order, den, common, groups, mass, low, high, ztop, rows
+        code = (order, den, common, groups, sum(map(mul, counts, masses)), low, high, ztop,
+                rows)
         _set_code(x, code)
     return code
 

@@ -791,6 +791,7 @@ def test_decoder_against_dict_form(case):
                  for e, ints in rows.items() for z, c in enumerate(ints))
     want = oracles.ref_laurent_from_ints(
         order, oracles.ref_unpack(packed, low, width, qshift), common)
+
     def decoded(got, want):
         # got a RatFunc over no denominator, or None where want is zero
         if want.is_zero():

@@ -1,7 +1,7 @@
-"""Irreducible seminormal representations indexed by d-partitions: matrices
-for t_j, g_i, e_i over the rational-function field, evaluation of algebra
-elements, quotient admissibility checks, and the representation-based
-ideal-membership oracle.
+"""Irreducible seminormal representations indexed by d-partitions: the
+matrix of an algebra element over the rational-function field, and so of
+t_j, g_i and e_i, quotient admissibility checks, and the
+representation-based ideal-membership oracle.
 
 t^a acts on the row of a tableau by a root of unity, so the terms of one
 permutation w of x fold into one scalar per (w, row), a character sum
@@ -16,8 +16,8 @@ a content difference (_g_columns), so each entry of the product is at most
 two int products and one exact int division. An entry of the matrix of x
 is then a sum of int products (yokonuma.seminormal_image): the zero test
 reads the ints and stops at the first nonzero row, and rep_element decodes
-each nonzero entry once into its canonical RatFunc. rep_g reads the same
-columns as RatFunc matrices, inverting [k] through scalars.q_gap_inverse;
+each nonzero entry once into its canonical RatFunc. rep_t, rep_g and rep_e
+are the matrices of gen_t, gen_g and e by that one evaluation (_image);
 this module builds no canonical form of its own and reads none.
 """
 
@@ -26,11 +26,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .permutations import ConsistencyError, Perm
-from .scalars import RatFunc, q_gap_inverse, root_of_unity
 from .tableaux import (enumerate_d_partitions, quotient_admissible, standard_tableaux,
                        tl_factors)
-from .yokonuma import (NarrowWidth, YElement, ctl_generator, ftl_generator, seminormal_image,
-                       seminormal_step, seminormal_unit)
+from .yokonuma import (NarrowWidth, YElement, ctl_generator, e, ftl_generator, gen_g, gen_t,
+                       seminormal_image, seminormal_step, seminormal_unit)
 
 # the generator of each quotient's defining ideal
 _GENERATORS = {"FTL": ftl_generator, "CTL": ctl_generator}
@@ -87,11 +86,6 @@ def check_shape(shape, d, n=None):
     return tuple(tuple(c) for c in shape)
 
 
-def _check_index(name, i, top):
-    if not 1 <= i <= top:
-        raise ValueError("%s index %d out of range 1..%d" % (name, i, top))
-
-
 def rep_module(d, shape):
     """The module of a d-partition (check_shape), one instance per (d, shape)."""
     return _rep_module(d, check_shape(shape, d))
@@ -102,33 +96,14 @@ def _rep_module(d, shape):
     return RepModule(d, shape)
 
 
-def _zero_matrix(dim, d):
-    z = RatFunc.zero(d)
-    return [[z for _ in range(dim)] for _ in range(dim)]
-
-
 def rep_t(module, j):
-    """Diagonal action: t_j scales v_T by the root of unity of T's component
-    at entry j (component m acts by zeta_d^(m-1), so component 1 acts by 1)."""
-    _check_index("t", j, module.n)
-    d = module.d
-    out = _zero_matrix(module.dim, d)
-    for col, tab in enumerate(module.basis):
-        out[col][col] = RatFunc.from_scalar(root_of_unity(d, tab.position(j)), d)
-    return out
+    """The matrix of t_j: v_T times zeta_d^(m-1), m T's component at j."""
+    return rep_element(module, gen_t(module.d, module.n, j))
 
 
 def rep_e(module, i):
-    """Diagonal projector: 1 where entries i and i+1 sit in the same
-    component, 0 otherwise."""
-    _check_index("e", i, module.n - 1)
-    d = module.d
-    out = _zero_matrix(module.dim, d)
-    one = RatFunc.one(d)
-    for col, tab in enumerate(module.basis):
-        if tab.position(i) == tab.position(i + 1):
-            out[col][col] = one
-    return out
+    """The matrix of e_i: the projector onto the v_T with i, i+1 in one component."""
+    return rep_element(module, e(module.d, module.n, i))
 
 
 @lru_cache(maxsize=None)
@@ -160,19 +135,13 @@ def _g_columns(d, shape, i):
 
 @lru_cache(maxsize=None)
 def rep_g_cached(d, shape, i):
-    """The RatFunc matrix of g_i from its columns (_g_columns), 1 / [k] the
-    closed form (q - 1) / (q^k - 1) of scalars.q_gap_inverse."""
-    out = _zero_matrix(_rep_module(d, shape).dim, d)
-    for col, (alpha, c2, beta, k) in enumerate(_g_columns(d, shape, i)):
-        scale = (RatFunc.q(d) - 1) * q_gap_inverse(d, 0, k) if k > 1 else RatFunc.one(d)
-        out[col][col] = RatFunc(d, enumerate(alpha)) * scale
-        if c2 is not None:
-            out[c2][col] = RatFunc(d, enumerate(beta)) * scale
-    return tuple(map(tuple, out))
+    """The matrix of g_i on V_shape, kept per (d, shape, i)."""
+    module = _rep_module(d, shape)
+    return tuple(map(tuple, rep_element(module, gen_g(d, module.n, i))))
 
 
 def rep_g(module, i):
-    _check_index("g", i, module.n - 1)
+    """The matrix of g_i (its columns: _g_columns)."""
     return [list(r) for r in rep_g_cached(module.d, module.shape, i)]
 
 

@@ -19,9 +19,13 @@ coercions.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd, lcm
+
+# the modulus of Python's hash of rationals (Cyclotomic.__hash__)
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class PoleAtValue(Exception):
@@ -315,11 +319,19 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        # the normalised trace: equal across promotions, and the number
-        # itself for rationals
+        # the normalised trace t / den: equal across promotions, and the
+        # number itself for rationals. Hashed as hash(Fraction(t, den)) is,
+        # without building the Fraction: t times the inverse of den modulo
+        # the hash modulus, unless that modulus divides den
         weights, wden = _trace_weights(self.order)
-        return hash(Fraction(sum(n * w for n, w in zip(self.nums, weights) if n),
-                             self.den * wden))
+        t = sum(n * w for n, w in zip(self.nums, weights) if n)
+        den = self.den * wden
+        if den % _HASH_MODULUS == 0:
+            return hash(Fraction(t, den))
+        h = abs(t) * pow(den, -1, _HASH_MODULUS) % _HASH_MODULUS
+        if t < 0:
+            h = -h
+        return -2 if h == -1 else h
 
     def __repr__(self):
         return "Cyclotomic(%d, %s)" % (self.order, list(self.coords))
@@ -334,13 +346,6 @@ def _as_cyclotomic(x, order):
     if isinstance(x, (int, Fraction)):
         return Cyclotomic.from_rational(x, order)
     raise TypeError("cannot coerce %r to Cyclotomic" % (x,))
-
-
-def root_of_unity(d, j):
-    """The j-th of the d-th roots of unity, zeta_d^(j-1); j=1 gives 1."""
-    if not 1 <= j <= d:
-        raise ValueError("root index %d out of range 1..%d" % (j, d))
-    return Cyclotomic.root_power(d, j - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -879,18 +884,6 @@ def over_one_denominator(values):
         return [x.terms for x in values], first
     top = _dens_lcm(x.den_exps for x in values)
     return [_lift(x.order, x.terms, top, x.den_exps) for x in values], top
-
-
-def q_gap_inverse(order, a, b):
-    """1 / (q^b - q^a) over Q(zeta_order) for a != b, in closed form: with
-    k = |b - a| and 1 - q^k = prod_{j | k} F_j, q^b - q^a is -q^a prod F_j
-    for b > a and q^b prod F_j for b < a. No F_j divides a monomial, so the
-    quotient is canonical as built and no trial division runs."""
-    k = abs(b - a)
-    exps = tuple((j, 1) for j in range(1, k + 1) if k % j == 0)
-    if b > a:
-        return RatFunc._raw(order, ((-a, Cyclotomic.from_rational(-1, order)),), exps)
-    return RatFunc._raw(order, ((-b, Cyclotomic.one(order)),), exps)
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,7 @@ from .tableaux import (catalan, dim_bruteforce, dim_CTL, dim_FTL, dim_TL, dim_Y,
                        enumerate_d_partitions, enumerate_partitions, jones_pairs,
                        jones_permutation, standard_tableaux, tl_factors, two_column)
 from . import yokonuma as yk
-from .reps import (ideal_membership, passes_to_quotient, rep_e, rep_element,
-                   rep_g, rep_module, rep_t)
+from .reps import ideal_membership, passes_to_quotient, rep_e, rep_g, rep_module, rep_t
 from . import isomaps as iso
 
 
@@ -159,7 +158,7 @@ def module_relations(d, n, shapes, seed=0):
             quad.add(mm(E[i], G[i]) == mm(G[i], E[i]),
                      "e_%d g_%d != g_%d e_%d at shape %r", i + 1, i + 1, i + 1, i + 1, shape)
             # e_i through the framing generators matches the projector
-            diag.add(rep_element(module, yk.e(d, n, i + 1)) == E[i],
+            diag.add(E[i] == _projector(module, i + 1),
                      "rep(e_%d) != the projector E_%d at shape %r", i + 1, i + 1, shape)
         for j in range(n):
             diag.add(all(Tm[j][r][c].is_zero()
@@ -176,9 +175,17 @@ def module_relations(d, n, shapes, seed=0):
     return report
 
 
+def _projector(module, i):
+    """The diagonal projector of e_i from the tableaux alone: 1 where entries
+    i and i+1 sit in the same component, 0 otherwise."""
+    one, z = RatFunc.one(module.d), RatFunc.zero(module.d)
+    return [[one if r == c and tab.position(i) == tab.position(i + 1) else z
+             for c in range(module.dim)] for r, tab in enumerate(module.basis)]
+
+
 def _hoefsmit_matrix(module, i):
     """Classical seminormal matrix from quantum contents only (d=1), through
-    RatFunc.inv rather than the closed form of reps.rep_g_cached."""
+    RatFunc.inv, independent of the int word rows that reps.rep_g reads."""
     d = module.d
     q, z = RatFunc.q(d), RatFunc.zero(d)
     out = [[z for _ in range(module.dim)] for _ in range(module.dim)]

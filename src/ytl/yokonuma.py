@@ -861,7 +861,10 @@ def seminormal_image(x, components, word, width, zero_test):
     of Z zeta digits of width / Z bits to a power of q (_pack), as _decode
     reads them. The sums are reduced mod Phi_order and the word entries are
     rational, so an entry is zero exactly when its int is 0. NarrowWidth
-    when a zeta digit could reach 2^(width / Z - 2)."""
+    when a zeta digit could reach 2^(width / Z - 2); a ValueError before
+    anything is packed when an entry would span more than MAX_PACKED_BITS
+    (_check_span): the sums' q-spread, a lift's degree and a word entry's
+    digit count."""
     dim, order = len(components), x.order
     sums = character_sums(x, components)
     words = [word(w) for w in sums]
@@ -874,6 +877,8 @@ def seminormal_image(x, components, word, width, zero_test):
     zwidth, low = width // zdigits, min(lows)
     # a word whose denominator is the lcm keeps its numerators as they are
     cofactors, wden = over_one_denominator([m[0] for m in words])
+    _check_span("seminormal image", max(row[-1][0] for row in srows if row) - low + 1
+                + max(num[-1][0] for num in cofactors) + max(m[2] for m in words), width)
     lifts, cmass = [], 1
     for num, m in zip(cofactors, words):
         if num is m[0].terms:

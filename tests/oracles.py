@@ -31,11 +31,15 @@ this module.
 - ref_character_sum: the character sum behind the seminormal row scalars
   and psi_mu in plain RatFunc arithmetic, one multiplication by a root of
   unity per term, against the int-coordinate yokonuma.character_sums
+- q_gap_inverse, ref_rep_g, ref_rep_t: the seminormal matrices of g_i and
+  t_j in closed form from the tableaux, 1 / (q^b - q^a) written out over
+  the F_j of q^k - 1, as the library built them before rep_g and rep_t
+  became evaluations of gen_g and gen_t on the int word rows
 - ref_word_matrix, sum_of_products, ref_rep_element, ref_annihilates,
   ref_ideal_membership: the seminormal evaluation as the library ran it
   before its word matrices became packed int rows, with g_w the product of
-  the RatFunc matrices of rep_g along a reduced word and each entry one
-  sum of RatFunc products over one denominator, normalised once
+  the closed-form matrices ref_rep_g along a reduced word and each entry
+  one sum of RatFunc products over one denominator, normalised once
 - ref_char_transform, ref_from_characters: the transform over (Z/d)^n in
   RatFunc arithmetic, one multiplication by a root of unity and one
   normalised sum per step, as the block maps ran it before the inverse moved
@@ -60,7 +64,7 @@ from math import gcd as int_gcd, lcm
 from ytl.isomaps import hecke_term
 from ytl.linalg import identity_matrix, mat_mul
 from ytl.permutations import ConsistencyError, Perm, all_perms
-from ytl.reps import quotient_shapes, rep_element, rep_g, rep_module
+from ytl.reps import quotient_shapes, rep_element, rep_module
 from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, _add_terms, _as_cyclotomic,
                          _mul_terms, _power_sum, _promoted, _reduced, as_ratfunc,
                          multiply_dens, over_one_denominator)
@@ -690,6 +694,51 @@ def ref_character_sum(d, terms, exps):
 # the seminormal evaluation in RatFunc arithmetic
 
 
+def q_gap_inverse(order, a, b):
+    """1 / (q^b - q^a) over Q(zeta_order) for a != b, in closed form: with
+    k = |b - a| and 1 - q^k = prod_{j | k} F_j, q^b - q^a is -q^a prod F_j
+    for b > a and q^b prod F_j for b < a. No F_j divides a monomial, so the
+    quotient is canonical as built and no trial division runs."""
+    k = abs(b - a)
+    exps = tuple((j, 1) for j in range(1, k + 1) if k % j == 0)
+    if b > a:
+        return RatFunc._raw(order, ((-a, Cyclotomic.from_rational(-1, order)),), exps)
+    return RatFunc._raw(order, ((-b, Cyclotomic.one(order)),), exps)
+
+
+def ref_rep_g(module, i):
+    """The matrix of g_i from the tableaux: with q^a and q^b the contents of
+    i and i + 1 in one component, g_i v_T = (q - 1) q^b / (q^b - q^a) v_T +
+    (q^(b+1) - q^a) / (q^b - q^a) v_{s_i T} (q_gap_inverse); across
+    components g_i sends v_T to v_{s_i T}, times q when i lies in the
+    earlier component."""
+    d = module.d
+    q, z = RatFunc.q(d), RatFunc.zero(d)
+    out = [[z] * module.dim for _ in range(module.dim)]
+    for col, tab in enumerate(module.basis):
+        swapped = tab.apply_transposition(i)
+        p_i, p_next = tab.position(i), tab.position(i + 1)
+        if p_i != p_next:
+            out[module.index[swapped]][col] = q if p_i < p_next else RatFunc.one(d)
+            continue
+        a, b = tab.content_exponent(i), tab.content_exponent(i + 1)
+        inverse = q_gap_inverse(d, a, b)
+        out[col][col] = (q - 1) * RatFunc.q_power(b, d) * inverse
+        if swapped is not None:
+            out[module.index[swapped]][col] = \
+                (RatFunc.q_power(b + 1, d) - RatFunc.q_power(a, d)) * inverse
+    return out
+
+
+def ref_rep_t(module, j):
+    """The matrix of t_j from the tableaux: v_T times zeta_d^(m-1) for T's
+    component m at entry j."""
+    d = module.d
+    return [[RatFunc.from_scalar(Cyclotomic.root_power(d, tab.position(j) - 1), d)
+             if r == c else RatFunc.zero(d) for c in range(module.dim)]
+            for r, tab in enumerate(module.basis)]
+
+
 @lru_cache(maxsize=None)
 def _ref_word_matrix(d, shape, w):
     module = rep_module(d, shape)
@@ -697,12 +746,12 @@ def _ref_word_matrix(d, shape, w):
     if not word:
         return tuple(map(tuple, identity_matrix(module.dim, RatFunc.zero(d), RatFunc.one(d))))
     left = _ref_word_matrix(d, shape, w * Perm.transposition(w.n, word[-1]))
-    return tuple(map(tuple, mat_mul(left, rep_g(module, word[-1]), RatFunc.zero(d))))
+    return tuple(map(tuple, mat_mul(left, ref_rep_g(module, word[-1]), RatFunc.zero(d))))
 
 
 def ref_word_matrix(module, w):
-    """The matrix of g_w: the RatFunc matrices of rep_g multiplied along
-    w's reduced word."""
+    """The matrix of g_w: the closed-form matrices ref_rep_g multiplied
+    along w's reduced word."""
     return _ref_word_matrix(module.d, module.shape, w)
 
 

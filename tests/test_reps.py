@@ -1,25 +1,26 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (is_zero_matrix, ref_annihilates, ref_character_sum, ref_entries,
-                     ref_ideal_membership, ref_unpack, ref_word_matrix)
+from oracles import (is_zero_matrix, q_gap_inverse, ref_annihilates, ref_character_sum,
+                     ref_entries, ref_ideal_membership, ref_rep_g, ref_rep_t, ref_unpack,
+                     ref_word_matrix)
 from oracles import ref_rep_element as summed_rep_element
 from ytl.linalg import mat_mul
 from ytl.permutations import Perm, all_perms
-from ytl.scalars import (Cyclotomic, RatFunc, multiply_dens, q_gap_inverse,
-                         root_of_unity)
+from ytl.scalars import Cyclotomic, RatFunc, multiply_dens
 from ytl.tableaux import enumerate_d_partitions
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
 from ytl.reps import (_annihilates, check_shape, ideal_membership, passes_to_quotient,
                       quotient_shapes, rep_e, rep_element, rep_g, rep_module, rep_t)
-from ytl.verify import suite_relations
+from ytl.verify import _projector, suite_relations
 
 
 def test_one_dimensional_hecke_modules():
@@ -49,7 +50,7 @@ def test_rep_t_diagonal_roots():
     diag = sorted((t1[0][0], t1[1][1]), key=lambda r: r.pretty())
     assert not t1[0][0].den_exps and not t1[1][1].den_exps
     values = {dict(t1[0][0].terms)[0], dict(t1[1][1].terms)[0]}
-    assert values == {root_of_unity(2, 1), root_of_unity(2, 2)}
+    assert values == {Cyclotomic.root_power(2, 0), Cyclotomic.root_power(2, 1)}
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
@@ -61,6 +62,19 @@ def test_content_gap_inverse_matches_inv(order):
                 want = (RatFunc.q_power(b, order) - RatFunc.q_power(a, order)).inv()
                 got = q_gap_inverse(order, a, b)
                 assert got == want and repr(got) == repr(want), (a, b)
+
+
+@pytest.mark.parametrize("d,n", [(1, 6), (2, 4), (3, 3), (4, 3)])
+def test_generator_matrices_match_the_closed_forms(d, n):
+    # rep_t, rep_g and rep_e evaluate gen_t, gen_g and e on the int word
+    # rows; the closed forms build them from the tableaux alone
+    for shape in enumerate_d_partitions(d, n):
+        module = rep_module(d, shape)
+        pairs = [(rep_t(module, j), ref_rep_t(module, j)) for j in range(1, n + 1)]
+        pairs += [(rep_g(module, i), ref_rep_g(module, i)) for i in range(1, n)]
+        pairs += [(rep_e(module, i), _projector(module, i)) for i in range(1, n)]
+        for got, want in pairs:
+            assert same(got, want), shape
 
 
 @pytest.mark.parametrize("d,n", [(1, 4), (2, 3), (3, 3)])
@@ -218,7 +232,7 @@ def test_character_sums_of_every_permutation():
     terms = {((a, 0), ident): RatFunc.one(d) for a in range(d)}
     for _ in range(6):
         terms[(tuple(rng.randrange(d) for _ in range(n)), s1)] = \
-            RatFunc.from_scalar(root_of_unity(d, rng.randint(1, d)), d) * RatFunc.q_power(
+            RatFunc.from_scalar(Cyclotomic.root_power(d, rng.randrange(d)), d) * RatFunc.q_power(
                 rng.randint(-2, 2), d)
     x = yk.YElement(d, n, terms)
     chars = [(1, 0), (0, 0), (1, 0), (2, 1), (0, 0)]
@@ -241,9 +255,9 @@ def test_character_sum_vanishes_only_mod_phi():
     # the phases at d = 4, over 1 + q
     one = RatFunc.one(3)
     cases = [(3, {(a,): one for a in range(3)}, (1,)),
-             (2, {((j // 2) % 2, j % 2): RatFunc.from_scalar(root_of_unity(3, j), 3)
+             (2, {((j // 2) % 2, j % 2): RatFunc.from_scalar(Cyclotomic.root_power(3, j - 1), 3)
                   for j in (1, 2, 3)}, (0, 0)),
-             (6, {(j, 0): RatFunc.q(3) * root_of_unity(3, j + 1) for j in range(3)}, (2, 5)),
+             (6, {(j, 0): RatFunc.q(3) * Cyclotomic.root_power(3, j) for j in range(3)}, (2, 5)),
              (4, {(a,): RatFunc.q(4) / (RatFunc.one(4) + RatFunc.q(4)) for a in range(4)},
               (2,))]
     for d, terms, exps in cases:
@@ -257,7 +271,7 @@ def test_character_sum_vanishes_only_mod_phi():
 def ref_rep_element(module, x):
     """Reference evaluation: one RatFunc product and sum per (term, row,
     col), the t-part scaling each row by its root of unity, g_w the product
-    of the matrices of rep_g along its reduced word."""
+    of the closed-form matrices ref_rep_g along its reduced word."""
     d = module.d
     dim = module.dim
     out = [[RatFunc.zero(d) for _ in range(dim)] for _ in range(dim)]
@@ -440,7 +454,7 @@ def test_ideal_membership_against_reference(d, n):
 @pytest.mark.parametrize("d,n", MEMBERSHIP_CELLS + [(2, 4), (1, 6)])
 def test_int_rows_against_reference(d, n):
     # the zero test and rep_element on the int word rows against the RatFunc
-    # evaluation with g_w built from rep_g, on every shape: a member a G b of
+    # evaluation with g_w built from ref_rep_g, on every shape: a member a G b of
     # the FTL ideal is zero on the shapes that pass to FTL and nonzero on the
     # others, and the scaled units, g_1 and t_n are nonzero everywhere
     rng = random.Random(40 * d + n)
@@ -471,7 +485,7 @@ def test_int_rows_against_reference(d, n):
 @pytest.mark.parametrize("d,shape", [(1, ((3, 2, 1),)), (2, ((2, 1), (1,)))])
 def test_word_rows_against_reference(d, shape):
     # each packed entry of a word matrix over the word's denominator is the
-    # entry of g_w from rep_g, and its digits lie within the bound and the
+    # entry of g_w from ref_rep_g, and its digits lie within the bound and the
     # count the word matrix states
     import ytl.reps as reps
     module = rep_module(d, shape)
@@ -574,6 +588,30 @@ def test_library_input_checks():
         rep_element(module, RatFunc.one(1))
     with pytest.raises(ValueError, match="algebra parameter mismatch"):
         rep_element(module, yk.unit(1, 3))
+
+
+def test_seminormal_image_refuses_a_wide_q_spread():
+    # the image packs each character sum into one int of (q-spread) x width
+    # bits, so (1 + q^(10^7)) g_1 is refused as the product refuses it,
+    # before anything is packed; a 10^5 spread still evaluates
+    module = rep_module(1, ((2, 1),))
+
+    def wide(top):
+        return yk.YElement(1, 3, {((0, 0, 0), Perm((2, 1, 3))): RatFunc(1, {0: 1, top: 1})})
+
+    x = wide(10 ** 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="the seminormal image spans 10000003 powers of q"):
+            rep_element(module, x)
+        with pytest.raises(ValueError, match="the seminormal image spans"):
+            ideal_membership(x, "FTL")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    x = wide(10 ** 5)
+    assert same(rep_element(module, x), summed_rep_element(module, x))
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (1, 4)])

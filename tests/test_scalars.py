@@ -1,5 +1,7 @@
 import copy
 import pickle
+import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -7,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, as_ratfunc,
-                         cyclotomic_polynomial, over_one_denominator, root_of_unity,
-                         value_at_one)
+from ytl.scalars import (Cyclotomic, PoleAtValue, RatFunc, _trace_weights, as_ratfunc,
+                         cyclotomic_polynomial, over_one_denominator, value_at_one)
 
 from oracles import FractionCyclotomic, GcdRatFunc, specialize_q, sum_of_products
 
@@ -24,7 +25,7 @@ def test_cyclotomic_polynomials():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_roots_of_unity(d):
-    roots = [root_of_unity(d, j) for j in range(1, d + 1)]
+    roots = [Cyclotomic.root_power(d, j) for j in range(d)]
     assert roots[0] == Cyclotomic.one(d)
     for z in roots:
         acc = Cyclotomic.one(d)
@@ -166,6 +167,28 @@ def test_hash_examples():
         assert x == 3 and hash(x) == hash(3)
     assert RatFunc.from_scalar(3) == RatFunc(1, {0: 3})
     assert hash(RatFunc.from_scalar(3)) == hash(RatFunc(1, {0: 3}))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_cyclotomic_hash_is_the_trace_fraction_hash(order):
+    # the hash of the normalised trace t / den without the Fraction, against
+    # hash(Fraction(t, den)); a rational hashes as its int or Fraction, and a
+    # promoted value as the original
+    rng = random.Random(order)
+    weights, wden = _trace_weights(order)
+    for _ in range(40):
+        nums = [rng.randint(-10 ** 6, 10 ** 6) for _ in weights]
+        x = Cyclotomic(order, [Fraction(c, rng.choice((1, 2, 3, 7, 12, 10 ** 20)))
+                               for c in nums])
+        t = sum(n * w for n, w in zip(x.nums, weights))
+        assert hash(x) == hash(Fraction(t, x.den * wden))
+        assert hash(x.promote(2 * order)) == hash(x)
+        r = Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice((1, 3, 10 ** 20)))
+        assert hash(Cyclotomic.from_rational(r, order)) == hash(r)
+    for r in (0, 1, -1, -2, sys.hash_info.modulus, -sys.hash_info.modulus - 1,
+              Fraction(1, sys.hash_info.modulus), Fraction(-3, 2 * sys.hash_info.modulus)):
+        assert hash(Cyclotomic.from_rational(r, order)) == hash(r)
+        assert hash(Cyclotomic.from_rational(r).promote(order)) == hash(r)
 
 
 @given(st.fractions(-5, 5), _orders)

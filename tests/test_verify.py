@@ -256,26 +256,25 @@ def test_jones_count_reports_the_cases_it_compares(monkeypatch):
 
 
 def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
-    # rep_g inverts the q-integer [k] of a content difference k >= 2 in
-    # closed form, and the Hoefsmit matrix through RatFunc.inv, so one
-    # dropped divisor shows; entries 1 and 2 always share a row or a column,
-    # so g_2 is the first generator with such a difference
+    # the int word rows divide each column of g_i by the q-integer [k] of a
+    # content difference k, and the Hoefsmit matrix inverts q^b - q^a
+    # through RatFunc.inv, so a column left undivided shows; entries 1 and 2
+    # always share a row or a column, so g_2 is the first generator with
+    # k >= 2
     import ytl.reps as reps
-    from ytl.scalars import RatFunc
     from ytl.verify import suite_relations
 
-    original = reps.q_gap_inverse
+    original = reps._g_columns
 
-    def one_divisor_short(d, a, b):
-        x = original(d, a, b)
-        return RatFunc._raw(x.order, x.terms, x.den_exps[:-1])
+    def undivided(d, shape, i):
+        return tuple((alpha, c2, beta, 1) for alpha, c2, beta, _ in original(d, shape, i))
 
     def clear():
         reps.rep_g_cached.cache_clear()
         reps._rep_word_cached.cache_clear()
 
     clear()
-    monkeypatch.setattr(reps, "q_gap_inverse", one_divisor_short)
+    monkeypatch.setattr(reps, "_g_columns", undivided)
     try:
         checks = {c["name"]: c for c in suite_relations(1, 4)["checks"]}
     finally:
@@ -285,6 +284,29 @@ def test_hecke_match_catches_a_wrong_closed_form(monkeypatch):
     assert hecke["passed"] is False
     assert hecke["detail"].startswith("g_2 != the Hoefsmit matrix at shape ((")
     assert suite_relations(1, 4)["ok"] is True
+
+
+def test_relations_read_the_row_components(monkeypatch):
+    # rep_t and rep_e act through the components the membership oracle
+    # reads (reps._row_components): with entry 1 moved to the next
+    # component, t_1 no longer commutes past g_1 as t_2 and e_1 no longer
+    # satisfies the quadratic relation with g_1
+    import ytl.reps as reps
+    from ytl.verify import suite_relations
+
+    original = reps._row_components
+
+    def moved(d, shape):
+        return tuple(((row[0] + 1) % d,) + row[1:] for row in original(d, shape))
+
+    monkeypatch.setattr(reps, "_row_components", moved)
+    try:
+        checks = {c["name"]: c for c in suite_relations(2, 3)["checks"]}
+    finally:
+        monkeypatch.undo()
+    for name in ("framing_relations", "quadratic_relation", "diagonal_actions"):
+        assert checks[name]["passed"] is False, name
+    assert suite_relations(2, 3)["ok"] is True
 
 
 def test_wrong_shaped_images_fail(monkeypatch):

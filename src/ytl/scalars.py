@@ -807,10 +807,13 @@ class RatFunc:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = as_ratfunc(other, self.order)
-        elif not isinstance(other, RatFunc):
-            return NotImplemented
+        # a RatFunc first: isinstance with Fraction goes through the ABC
+        # machinery, and linalg.mat_mul compares every entry with zero
+        if type(other) is not RatFunc:
+            if isinstance(other, (int, Fraction, Cyclotomic)):
+                other = as_ratfunc(other, self.order)
+            elif not isinstance(other, RatFunc):
+                return NotImplemented
         # Cyclotomic equality promotes across orders, and promotion keeps
         # the exponents and the nonzero coefficients
         return self.den_exps == other.den_exps and self.terms == other.terms

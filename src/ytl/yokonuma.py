@@ -25,7 +25,10 @@ ints in one place (_check_span) and sort their outputs in one place
 (_emit). The seminormal word matrices of reps are packed ints of the same
 layout (seminormal_step), and the matrix of an element sums their products
 with its packed character sums (seminormal_image). One decoder (_decode)
-reads them all, each distinct int and q-chunk once, with masks set once.
+reads them all, with masks set once per call: each distinct int once per
+call, and each distinct q-chunk once per process while a table bounded by
+MAX_CHUNKS keeps it (_CHUNKS). A long row is packed in halves and a long
+int walked in pieces, so neither costs time quadratic in its powers of q.
 """
 
 from __future__ import annotations
@@ -45,6 +48,13 @@ from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, cyc
 # the largest packed int _int_product or from_characters builds, in bits
 # (32 MiB); a product near it holds several at once, about 6x that at peak
 MAX_PACKED_BITS = 1 << 28
+# the most q-chunks _decode keeps reduced between calls, over all layouts
+# (_CHUNKS); the whole table is cleared when it is full
+MAX_CHUNKS = 1 << 12
+# _pack packs a row of more triples in halves, and _decode walks an int of
+# more bits in pieces: shorter ones cost less by the plain loop
+_PACK_TERMS = 32
+_WALK_BITS = 1 << 12
 
 
 class NTooSmall(Exception):
@@ -205,13 +215,19 @@ def _coded(x):
     if code is None:
         index, values, counts, groups, order = {}, [], [], {}, x.d
         for (tmon, w), c in x.terms:
-            i = index.setdefault(value_key(c), len(values))
-            if i == len(values):
+            key = value_key(c)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(values)
                 values.append(c)
                 counts.append(0)
-                order = lcm(order, c.order)
+                if order % c.order:
+                    order = lcm(order, c.order)
             counts[i] += 1
-            groups.setdefault(w.images, []).append((tmon, i))
+            group = groups.get(w.images)
+            if group is None:
+                group = groups[w.images] = []
+            group.append((tmon, i))
         nums, den = over_one_denominator(values)
         common, rows, masses, ztop = _encode_rows(nums, order)
         low = min([num[0][0] for num in nums], default=None)
@@ -317,10 +333,18 @@ def _int_product(d, n, left, right):
 
 
 def _pack(row, low, step, zdigits, width):
-    """One int for a row of (q-exponent, zeta power, int) triples, by
-    Kronecker substitution in (q, zeta): the signed digit of zeta^(z step)
-    q^e sits at index (e - low) zdigits + z step, each digit width bits
-    wide; step lifts the zeta powers of a row of order o to order o step."""
+    """One int for a list of (q-exponent, zeta power, int) triples in
+    ascending order of q-exponent, by Kronecker substitution in (q, zeta):
+    the signed digit of zeta^(z step) q^e sits at index (e - low) zdigits +
+    z step, each digit width bits wide; step lifts the zeta powers of a row
+    of order o to order o step. A row of more than _PACK_TERMS triples packs
+    its halves apart, each from its own lowest power of q, so a long row
+    costs n log n, not n^2, in its length."""
+    if len(row) > _PACK_TERMS:
+        h = len(row) // 2
+        mid = row[h][0]
+        return (_pack(row[:h], low, step, zdigits, width)
+                + (_pack(row[h:], mid, step, zdigits, width) << (mid - low) * zdigits * width))
     p = 0
     for e, z, c in row:
         p += c << ((e - low) * zdigits + z * step) * width
@@ -368,52 +392,100 @@ def _fold_step(work, i, d, qshift, shifts):
     return new
 
 
+# The q-chunks _decode has reduced, kept between calls: {(order, common,
+# width, zdigits): {chunk: its Cyclotomic, or None where it vanishes mod
+# Phi_order}}, at most MAX_CHUNKS chunks in all, _chunk_room of them free.
+# Products meet the same chunks again and again: 60 rounds of the ring
+# benchmark's products reduce 38,456 chunks one call at a time, but only
+# 3,261 distinct ones per process.
+_CHUNKS = {}
+_chunk_room = MAX_CHUNKS
+
+
+def _forget_chunks():
+    """Empty the q-chunk table of _decode."""
+    global _chunk_room
+    _CHUNKS.clear()
+    _chunk_room = MAX_CHUNKS
+
+
 def _decode(packs, low, width, zdigits, order, common, den):
     """The RatFuncs of packed sums of products of rows over common and den,
     one per int of packs, in order, None where one vanishes mod Phi_order;
     each has its lowest digit at q^low and Z = zdigits signed digits of B =
     width bits to a power of q. The masks, bias and zero coordinates are set
-    once per call; each distinct int and q-chunk is decoded once, a chunk of
-    one digit straight to its Cyclotomic in lowest terms."""
+    once per call; each distinct int of a call is decoded once, and each
+    distinct q-chunk of a layout (order, common, width, zdigits) is reduced
+    once per process while the table _CHUNKS keeps it: a chunk of one digit
+    straight to its Cyclotomic in lowest terms. An int of more than
+    _WALK_BITS bits is walked in pieces (_halves), so a long output costs n
+    log n, not n^2, in its number of q-chunks."""
+    global _chunk_room
     qshift = width * zdigits
     qmask, mask = (1 << qshift) - 1, (1 << width) - 1
     qhalf, half = 1 << (qshift - 1), 1 << (width - 1)
     # each digit plus 2^(B-1) lies in [0, 2^B): no borrows
     bias = qmask // mask * half
     zeros = (0,) * (len(cyclotomic_polynomial(order)) - 2)
-    chunks, done, out = {}, {}, []
+    layout = (order, common, width, zdigits)
+    chunks = _CHUNKS.get(layout)
+    if chunks is None:
+        chunks = _CHUNKS[layout] = {}
+    done, out = {}, []
     for packed in packs:
         c = done.get(packed, done)
         if c is done:
-            terms, e, p = [], low, packed
-            while p:
-                chunk = p & qmask
-                if not chunk:
-                    # a run of zero q-chunks carries no borrow: one shift skips it
-                    skip = ((p & -p).bit_length() - 1) // qshift
-                    p >>= skip * qshift
-                    e += skip
+            terms = []
+            for e, p in (((low, packed),) if packed.bit_length() <= _WALK_BITS
+                         else _halves(packed, low, qshift)):
+                while p:
                     chunk = p & qmask
-                p >>= qshift
-                if chunk >= qhalf:
-                    chunk -= qmask + 1
-                    p += 1
-                v = chunks.get(chunk, chunks)
-                if v is chunks:
-                    if -half < chunk < half:
-                        # the power of zeta 0 alone, in lowest terms
-                        g = gcd(chunk, common)
-                        v = Cyclotomic._raw(order, (chunk // g, *zeros), common // g)
-                    else:
-                        v = cyclotomic_from_ints(order, [(chunk + bias >> z & mask) - half
-                                                         for z in range(0, qshift, width)], common)
-                    chunks[chunk] = v
-                if v is not None:
-                    terms.append((e, v))
-                e += 1
+                    if not chunk:
+                        # a run of zero q-chunks carries no borrow: one shift skips it
+                        skip = ((p & -p).bit_length() - 1) // qshift
+                        p >>= skip * qshift
+                        e += skip
+                        chunk = p & qmask
+                    p >>= qshift
+                    if chunk >= qhalf:
+                        chunk -= qmask + 1
+                        p += 1
+                    v = chunks.get(chunk, chunks)
+                    if v is chunks:
+                        if -half < chunk < half:
+                            # the power of zeta 0 alone, in lowest terms
+                            g = gcd(chunk, common)
+                            v = Cyclotomic._raw(order, (chunk // g, *zeros), common // g)
+                        else:
+                            v = cyclotomic_from_ints(order, [(chunk + bias >> z & mask) - half
+                                                             for z in range(0, qshift, width)],
+                                                     common)
+                        if not _chunk_room:
+                            _forget_chunks()
+                            chunks = _CHUNKS[layout] = {}
+                        chunks[chunk] = v
+                        _chunk_room -= 1
+                    if v is not None:
+                        terms.append((e, v))
+                    e += 1
             c = done[packed] = RatFunc.over(order, tuple(terms), den) if terms else None
         out.append(c)
     return out
+
+
+def _halves(p, e, qshift):
+    """The packed int p whose lowest q-chunk is the power q^e, as pieces
+    [(e_i, p_i)] in ascending e_i with p = sum p_i 2^((e_i - e) qshift),
+    each of at most _WALK_BITS bits or under two q-chunks: the signed
+    q-chunks of p_i are those of p from q^e_i on. Each split takes the low
+    half of p in its signed range, and the high half takes its borrow."""
+    h = p.bit_length() // (2 * qshift)
+    if not h or p.bit_length() <= _WALK_BITS:
+        return [(e, p)]
+    s = h * qshift
+    top = 1 << (s - 1)
+    lo = ((p + top) & ((top << 1) - 1)) - top
+    return _halves(lo, e, qshift) + _halves((p - lo) >> s, e + h, qshift)
 
 
 # Tables per permutation or t-exponent vector, so bounded by the size of the
@@ -815,7 +887,7 @@ def seminormal_step(word, columns, width):
                 continue
             numerator, before = p * divisor + rest, grow
             for inverse, ints in q_integer_factors(k):
-                factor = _pack(((e, 0, v) for e, v in enumerate(ints)), 0, 1, 1, width)
+                factor = _pack([(e, 0, v) for e, v in enumerate(ints)], 0, 1, 1, width)
                 if numerator % factor:
                     den, grow = den * inverse, grow * factor
                     gmass, gdegree = gmass * sum(map(abs, ints)), gdegree + len(ints) - 1
@@ -831,7 +903,7 @@ def _packed_columns(columns, width):
     """Per column (alpha, c2, beta, [k], mass, degree, k), the polynomials
     packed at width; mass and degree bound those of alpha and beta."""
     def pack(poly):
-        return _pack(((e, 0, v) for e, v in enumerate(poly)), 0, 1, 1, width)
+        return _pack([(e, 0, v) for e, v in enumerate(poly)], 0, 1, 1, width)
 
     return tuple((pack(alpha), c2, pack(beta), pack((1,) * k),
                   sum(map(abs, alpha)) + sum(map(abs, beta)), max(len(alpha), len(beta)), k)
@@ -884,7 +956,7 @@ def seminormal_image(x, components, word, width, zero_test):
         if num is m[0].terms:
             lifts.append(1)
         else:
-            lifts.append(_pack(((e, 0, v.nums[0]) for e, v in num), 0, 1, 1, width))
+            lifts.append(_pack([(e, 0, v.nums[0]) for e, v in num], 0, 1, 1, width))
             cmass = max(cmass, sum(abs(v.nums[0]) for _, v in num))
     if (sum(smasses) * cmass).bit_length() + max(m[3] for m in words) + 2 > zwidth:
         raise NarrowWidth

@@ -729,3 +729,30 @@ def test_foreign_cyclotomic_meets_ratfunc_in_the_common_field():
         RatFunc.from_scalar(z3, 2)
     with pytest.raises(ValueError):
         RatFunc.one(2).times_monomial(z3)
+
+
+def test_ratfunc_equality_makes_no_abc_instance_check():
+    # linalg.mat_mul compares every entry with zero: RatFunc == RatFunc
+    # decides on the type alone, without isinstance against Fraction, whose
+    # ABC __instancecheck__ runs Python code on every call
+    z3 = Cyclotomic.root_power(3, 1)
+    x = RatFunc(3, {-1: z3, 2: Fraction(1, 2)}) / (RatFunc.one(3) + RatFunc.q(3))
+    values = [RatFunc.zero(1), RatFunc.zero(3), RatFunc.one(1), RatFunc.one(6), x,
+              x * RatFunc.one(6), RatFunc.q(2)]
+    checks = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__instancecheck__":
+            checks.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        got = [[a == b for b in values] for a in values]
+        unequal = [[a != b for b in values] for a in values]
+    finally:
+        sys.setprofile(None)
+    assert not checks, checks
+    # zero and one equal across orders, x equals its promotion to Q(zeta_6)
+    classes = [0, 0, 1, 1, 2, 2, 3]
+    assert got == [[i == j for j in classes] for i in classes]
+    assert unequal == [[i != j for j in classes] for i in classes]

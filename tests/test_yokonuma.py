@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ytl.exprparse import parse_and_evaluate
 from ytl.permutations import Perm, all_perms, compositions, coset_system
 from ytl.reps import ideal_membership
 from ytl.scalars import Cyclotomic, RatFunc, laurent_from_ints
@@ -829,6 +830,137 @@ def test_decoder_examples():
     want = RatFunc(3, {-1: 1, 2: Cyclotomic(3, [Fraction(2, 3), Fraction(5, 3)]),
                        4: Cyclotomic.root_power(3, 2) * Fraction(1, 3)})
     assert got == want.terms and repr(got) == repr(want.terms)
+
+
+def test_decoder_walks_long_ints_in_pieces():
+    # thousands of random signed digits: the pieces of a long int (_halves)
+    # borrow across their boundaries as the whole int does
+    rng = random.Random(58)
+    for order, zdigits, width in ((1, 1, 14), (3, 3, 14), (12, 7, 20)):
+        rows = {e: [rng.randint(-900, 900) for _ in range(zdigits)]
+                for e in range(-3, 3000) if rng.random() < 0.9}
+        rows[3000] = [rng.randint(1, 900)]
+        packed = sum(c << ((e + 3) * zdigits + z) * width
+                     for e, ints in rows.items() for z, c in enumerate(ints))
+        assert packed.bit_length() > 8 * yk._WALK_BITS
+        want = oracles.ref_laurent_from_ints(
+            order, oracles.ref_unpack(packed, -3, width, width * zdigits), 6)
+        for p, expect in ((packed, want), (-packed, -want)):
+            got = yk._decode([p], -3, width, zdigits, order, 6, ())[0]
+            assert got.terms == expect.terms and repr(got.terms) == repr(expect.terms)
+
+
+def test_long_rows_pack_in_halves():
+    # a row longer than _PACK_TERMS packs to the int of the plain loop
+    rng = random.Random(59)
+    for n in (yk._PACK_TERMS + 1, 1000):
+        row = sorted((e, z, rng.randint(-50, 50)) for e in range(-5, n) for z in range(3)
+                     if rng.random() < 0.5)
+        for low, step, zdigits, width in ((-5, 1, 3, 12), (-9, 2, 7, 20)):
+            assert yk._pack(row, low, step, zdigits, width) == sum(
+                c << ((e - low) * zdigits + z * step) * width for e, z, c in row)
+
+
+def test_long_coefficient_products_against_reference():
+    # (sum_{i<k} (1 + i mod 7) q^i) g_1 times g_1 at (1, 2): one row of k
+    # powers of q packed, and two outputs of about k q-chunks decoded
+    k = 4000
+    c = RatFunc(1, {i: 1 + i % 7 for i in range(k)})
+    x, g1 = yk.gen_g(1, 2, 1).scale(c), yk.gen_g(1, 2, 1)
+    got, want = x * g1, oracles.ref_mul(x, g1)
+    assert got == want and repr(got) == repr(want) and got.to_json() == want.to_json()
+    assert [len(v.terms) for _, v in got.terms] == [k, k + 1]
+
+
+# -- the q-chunk table of the decoder --------------------------------------------
+
+
+def _table_operands():
+    """Operand pairs at (3,3), (2,4), (4,3) and (1,5), Laurent and over
+    denominators, dense idempotents among them, and the order-6 mixed-zeta
+    operands of the mul_mixed_zeta_d6 golden."""
+    pairs = []
+    for d, n in ((3, 3), (2, 4), (4, 3), (1, 5)):
+        rng = random.Random(33 * d + n)
+        one_q = RatFunc.one(d) + RatFunc.q(d)
+        for dens in ((), (one_q,)):
+            pairs.append((_random_element(rng, d, n, 5, dens=dens),
+                          _random_element(rng, d, n, 5, dens=dens)))
+        chars = list(itertools.product(range(d), repeat=n))
+        mu = rng.choice(compositions(d, n))
+        pairs.append((yk.E_chi(d, n, rng.choice(chars)).scale(_random_coeff(rng, d)),
+                      yk.E_mu(d, n, mu) * yk.gen_g(d, n, 1)))
+    pairs.append((parse_and_evaluate("q^-1*g1 + 2/3*t1^2 - q*t2^3", 6, 2),
+                  parse_and_evaluate("E(1; 1,0,1,0,0,0)*g1 + q^2*t2^5*E(2; 0,0,0,1,1,0)"
+                                     " - 5/7*g1^-1", 6, 2)))
+    return pairs
+
+
+def test_chunk_table_keeps_products_identical():
+    pairs = _table_operands()
+    cold = []
+    for x, y in pairs:
+        yk._forget_chunks()
+        cold.append(x * y)
+        assert cold[-1] == oracles.ref_mul(x, y)
+    yk._forget_chunks()
+    first = [x * y for x, y in pairs]
+    room = yk._chunk_room
+    assert 0 < room < yk.MAX_CHUNKS
+    # every chunk of the second pass is read from the table
+    warm = [x * y for x, y in pairs]
+    assert yk._chunk_room == room
+    for a, b, c in zip(cold, first, warm):
+        for other in (b, c):
+            assert a.terms == other.terms and repr(a) == repr(other)
+            assert a.to_json() == other.to_json()
+
+
+def test_chunk_table_keeps_chunks_that_vanish():
+    # the digits (1, 1, 1) of 1 + zeta_3 + zeta_3^2 vanish mod Phi_3: dropped
+    # when the chunk is first reduced and when the table serves it again
+    order, zdigits, width, common = 3, 3, 10, 2
+    chunk = 1 + (1 << width) + (1 << 2 * width)
+    qshift = zdigits * width
+    packs = [chunk, chunk + (5 << qshift), (3 << qshift) + (chunk << 2 * qshift)]
+    yk._forget_chunks()
+    first = yk._decode(packs, -1, width, zdigits, order, common, ())
+    assert yk._CHUNKS[order, common, width, zdigits][chunk] is None
+    room = yk._chunk_room
+    again = yk._decode(packs, -1, width, zdigits, order, common, ())
+    assert yk._chunk_room == room
+    five = Cyclotomic.from_rational(Fraction(5, 2), 3)
+    three = Cyclotomic.from_rational(Fraction(3, 2), 3)
+    assert first[0] is None and again[0] is None
+    for got in (first, again):
+        assert got[1].terms == ((0, five),) and got[2].terms == ((0, three),)
+
+
+def test_chunk_table_stays_within_its_bound(monkeypatch):
+    # products over at least 50 digit widths, scales from 1 to 2^40,
+    # against a bound of 50 chunks: the table is cleared when full, even
+    # within one product, and never holds more
+    monkeypatch.setattr(yk, "MAX_CHUNKS", 50)
+    yk._forget_chunks()
+    try:
+        rng = random.Random(50)
+        d, n = 2, 3
+        widths, most, cleared = set(), 0, False
+        for k in range(80):
+            x = _random_element(rng, d, n, 4).scale(2 ** (k // 2) + rng.randrange(2 ** (k // 2)))
+            y = _random_element(rng, d, n, 3).scale(2 ** (k - k // 2))
+            before = yk._chunk_room
+            got = x * y
+            assert got == oracles.ref_mul(x, y)
+            held = sum(map(len, yk._CHUNKS.values()))
+            cleared |= yk._chunk_room > before
+            assert held == 50 - yk._chunk_room <= 50
+            most = max(most, held)
+            widths.update(w for _, _, w, _ in yk._CHUNKS)
+        assert len(widths) >= 50 and cleared and most > 40
+    finally:
+        monkeypatch.undo()
+        yk._forget_chunks()
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ character of mu) lands in cell (k, l) of the block of mu as q^s G_u, with
 u = pi_k^-1 w pi_l. psi_mu sums the coordinates of the m characters of its
 block directly (yokonuma.character_sums, off the int encoding the element
 keeps), and psi_n and the quotient maps read psi_mu block by block. phi
-hands the terms q^s c E_chi g_v of all its blocks to
-yokonuma.from_characters, which sums them and runs the inverse transform
-over (Z/d)^n once, on packed ints.
+gathers the terms q^s c E_chi g_v of all its blocks into one element, each
+as q^s c t^exps g_v for the exponent vector exps of chi, and hands it to
+yokonuma.from_characters, which runs the inverse transform over (Z/d)^n
+once, on packed ints.
 
 The Temperley-Lieb reduction acts by g_k on Jones coordinates, with Perm and
 RatFunc alone: the Jones basis of TL_m is G_w for w fully commutative, and
@@ -138,16 +139,17 @@ def _phi_step(mu, k, l, w):
 
 
 def _phi_blocks(blocks, which=None):
-    """phi of a block family: each term c G_w of cell (k, l) of the block of
-    mu is q^s c E_chi_k g_v (_phi_step), all transformed back at once
-    (yokonuma.from_characters). A cell is a Hecke element, or for which
+    """phi of a block family: each nonzero term c G_w of cell (k, l) of the
+    block of mu is q^s c E_chi_k g_v (_phi_step), the term q^s c t^exps g_v
+    of one element, exps the exponent vector of chi_k, all transformed back
+    at once (yokonuma.from_characters). A cell is a Hecke element, or for which
     'FTL'/'CTL' quotient coordinates {key: c}, w = quotient_coord_perm(mu,
     key, r). An empty family, compositions of two (d, n), a block not m x
     m, or a cell of the wrong kind, d or degree is a ValueError."""
     if not blocks:
         raise ValueError("an empty block family has no (d, n)")
     d, n = next((mu.d, mu.n) for mu in blocks)
-    parts = []
+    terms = []
     for mu, block in blocks.items():
         if (mu.d, mu.n) != (d, n):
             raise ValueError("mu = %s in a family at (d, n) = (%d, %d)" % (mu.parts, d, n))
@@ -167,8 +169,11 @@ def _phi_blocks(blocks, which=None):
                 for key, c in (cell.items() if which else cell.terms):
                     w = quotient_coord_perm(mu, key, r) if which else key[1]
                     v, s = _phi_step(mu, k, l, w)
-                    parts.append((v, chars[k - 1], s, c))
-    return from_characters(d, n, parts)
+                    c = as_ratfunc(c, d)
+                    if c.terms:
+                        terms.append(((chars[k - 1], v), c.times_monomial(1, s)))
+    # the keys are distinct: for fixed k, (l, w) -> v is injective
+    return from_characters(YElement._trusted(d, n, terms))
 
 
 def phi_mu(mu, matrix):

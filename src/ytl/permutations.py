@@ -88,19 +88,18 @@ class Perm(Record):
     @staticmethod
     def transposition(n, i):
         """The simple transposition s_i = (i, i+1)."""
-        if not 1 <= i <= n - 1:
-            raise ValueError("generator index %d out of range 1..%d" % (i, n - 1))
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return Perm(tuple(images))
+        return Perm.from_word(n, (i,))
 
     @staticmethod
     def from_word(n, word):
-        """Product s_{i_1} s_{i_2} ... of simple transpositions."""
-        w = Perm.identity(n)
+        """Product s_{i_1} s_{i_2} ... of simple transpositions, each letter
+        in 1..n-1: w s_i swaps the images at i and i+1."""
+        images = list(range(1, n + 1))
         for i in word:
-            w = w * Perm.transposition(n, i)
-        return w
+            if not 1 <= i <= n - 1:
+                raise ValueError("generator index %d out of range 1..%d" % (i, n - 1))
+            images[i - 1], images[i] = images[i], images[i - 1]
+        return Perm(tuple(images))
 
     @property
     def n(self):
@@ -128,20 +127,18 @@ class Perm(Record):
         return _length(self.images)
 
     def reduced_word(self):
-        """The lexicographically smallest reduced word for this permutation."""
-        word = []
-        w = self
-        inv = w.inv().images
+        """The lexicographically smallest reduced word for this permutation:
+        s_i w swaps the inverse images of i and i+1."""
+        word, inv = [], list(self.inv().images)
         while True:
             # smallest left descent: i with w^-1(i) > w^-1(i+1)
-            for i in range(1, w.n):
+            for i in range(1, len(inv)):
                 if inv[i - 1] > inv[i]:
                     break
             else:
                 return tuple(word)
             word.append(i)
-            w = Perm.transposition(w.n, i) * w
-            inv = w.inv().images
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
 
     def descends_right(self, i):
         """True iff l(w s_i) < l(w), i.e. w(i) > w(i+1)."""

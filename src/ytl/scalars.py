@@ -883,10 +883,11 @@ def over_one_denominator(values):
     lacks, in its own field. No division is tried. With one distinct
     denominator the numerators come back as they are."""
     first = values[0].den_exps if values else ()
-    if all(x.den_exps == first for x in values):
-        return [x.terms for x in values], first
-    top = _dens_lcm(x.den_exps for x in values)
-    return [_lift(x.order, x.terms, top, x.den_exps) for x in values], top
+    for x in values:
+        if x.den_exps != first:
+            top = _dens_lcm(x.den_exps for x in values)
+            return [_lift(x.order, x.terms, top, x.den_exps) for x in values], top
+    return [x.terms for x in values], first
 
 
 @lru_cache(maxsize=None)

@@ -8,23 +8,27 @@ Elements are immutable; multiplication rewrites to normal form using
   g_w g_i  = q g_{w s_i} + (q-1) e_{w(i), w(i+1)} g_w    otherwise,
 where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
 
-An element keeps one int encoding (_coded), known to this module alone,
-built in one pass over its terms: each distinct coefficient value once, as
-a row of ints in the group ring Z[Z/o] over one denominator, o = x.order,
-and each term as (t-monomial, row index), grouped by the images of its
-permutation. The product packs each distinct row into one int (_pack) in
-(q, zeta_L), L the lcm of the operands' orders; for each permutation v of
-the right operand it folds the left operand times sum_b c_b t^b through
-the reduced word of v once, keyed by (permutation, t-monomial id); the 1/d
-of an e-term becomes a power of d in the common denominator. The
-character sums (character_sums), which psi_mu and the seminormal
-evaluation read, shift the zeta powers of each row by its root of unity.
-Their inverse (from_characters), which phi reads, packs its rows with
-_pack too; a root of unity is a shift of digits. Both bound their packed
-ints in one place (_check_span) and sort their outputs in one place
+An element keeps one int encoding (_coded), known to this module alone
+and the only place where coefficients become ints, built in one pass over
+its terms: each distinct coefficient value once, as a row of ints in the
+group ring Z[Z/o] over one denominator, o = x.order, and each term as
+(t-monomial, row index), grouped by the images of its permutation. Each
+reader that packs packs each distinct row into one int (_pack) once. The
+product works in (q, zeta_L), L the lcm of the operands' orders; for each
+permutation v of the right operand it folds the left operand times sum_b
+c_b t^b through the reduced word of v once, keyed by (permutation,
+t-monomial id); the 1/d of an e-term becomes a power of d in the common
+denominator. The character sums (character_sums), which psi_mu and the
+seminormal evaluation read, shift the zeta powers of each row by its root
+of unity. Their inverse (from_characters), which phi reads, takes an
+element whose t-exponents are the characters' exponent vectors and reads
+its encoding; a root of unity is a shift of digits. Both bound their
+packed ints in one place (_check_span) and sort their outputs in one place
 (_emit). The seminormal word matrices of reps are packed ints of the same
 layout (seminormal_step), and the matrix of an element sums their products
-with its packed character sums (seminormal_image). One decoder (_decode)
+with its character sums (seminormal_image), which it encodes as an element
+keyed by (row components, w), and the word denominators as a d = 1
+element keyed by w. One decoder (_decode)
 reads them all, with masks set once per call: each distinct int once per
 call, and each distinct q-chunk once per process while a table bounded by
 MAX_CHUNKS keeps it (_CHUNKS). A long row is packed in halves and a long
@@ -37,7 +41,6 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 
 from .permutations import Composition, Perm, act_on_character, coset_system
 from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, cyclotomic_polynomial,
@@ -204,13 +207,14 @@ def _term_order(term):
 def _coded(x):
     """x in int coordinates, built in one pass over the terms on first use
     and kept in x's slot: (order, den, common, groups, mass, low, high,
-    ztop, rows), order = x.order. Each distinct coefficient value
-    (scalars.value_key) is brought over den (scalars.over_one_denominator)
-    and encoded once, as the row rows[i] of triples over common
-    (_encode_rows). groups maps the images of each permutation of x, in
-    order of first appearance, to [(tmon, i)] for its terms; mass sums
-    |int| over the rows of all terms; low and high are the lowest and
-    highest q-exponent."""
+    ztop, rows), order = x.order. The one place where coefficients become
+    ints: each distinct coefficient value (scalars.value_key) is brought
+    over den (scalars.over_one_denominator) and encoded once, as the row
+    rows[i] of (q-exponent, zeta_order power, int) triples over the int
+    common. groups maps the images of each permutation of x, in order of
+    first appearance, to [(tmon, i)] for its terms; mass sums |int| over
+    the rows of all terms; low and high are the lowest and highest
+    q-exponent and ztop the highest zeta_order power."""
     code = x._code
     if code is None:
         index, values, counts, groups, order = {}, [], [], {}, x.d
@@ -229,36 +233,28 @@ def _coded(x):
                 group = groups[w.images] = []
             group.append((tmon, i))
         nums, den = over_one_denominator(values)
-        common, rows, masses, ztop = _encode_rows(nums, order)
-        low = min([num[0][0] for num in nums], default=None)
-        high = max([num[-1][0] for num in nums], default=None)
-        code = (order, den, common, groups, sum(map(mul, counts, masses)), low, high, ztop,
-                rows)
+        common = lcm(*[v.den for num in nums for _, v in num])
+        rows, mass, ztop, low, high = [], 0, 0, None, None
+        for num, count in zip(nums, counts):
+            row, own = [], 0
+            if low is None or num[0][0] < low:
+                low = num[0][0]
+            if high is None or num[-1][0] > high:
+                high = num[-1][0]
+            for e, v in num:
+                step, scale, z = order // v.order, common // v.den, 0
+                for c in v.nums:
+                    if c:
+                        c *= scale
+                        row.append((e, z, c))
+                        own += abs(c)
+                        ztop = z if z > ztop else ztop
+                    z += step
+            rows.append(row)
+            mass += count * own
+        code = order, den, common, groups, mass, low, high, ztop, rows
         _set_code(x, code)
     return code
-
-
-def _encode_rows(nums, order):
-    """(common, rows, masses, ztop) for the term tuples nums of
-    scalars.over_one_denominator, of orders dividing order: rows[i] lists
-    nums[i] as (q-exponent, zeta_order power, int) triples over the int
-    common, masses[i] sums their |int|, ztop is the top zeta_order power."""
-    common = lcm(*[v.den for num in nums for _, v in num])
-    rows, masses, ztop = [], [], 0
-    for num in nums:
-        row, mass = [], 0
-        for e, v in num:
-            step, scale, z = order // v.order, common // v.den, 0
-            for c in v.nums:
-                if c:
-                    c *= scale
-                    row.append((e, z, c))
-                    mass += abs(c)
-                    ztop = z if z > ztop else ztop
-                z += step
-        rows.append(row)
-        masses.append(mass)
-    return common, rows, masses, ztop
 
 
 def _int_product(d, n, left, right):
@@ -674,49 +670,42 @@ def character_sums(x, characters):
     return out
 
 
-def from_characters(d, n, parts):
-    """sum q^s c E_chi g_v over parts [(v, exps, s, c)], exps the exponent
+def from_characters(x):
+    """sum c E_chi g_v over the terms c t^exps g_v of x, exps the exponent
     vector of chi: the inverse of the character sums. The coefficient of
-    t^b g_v is d^-n sum_chi C_{v,chi} zeta_d^-(exps . b), C_{v,chi} the sum
-    of the q^s c of (v, chi), one int (_pack) of rows encoded as _coded
-    encodes them (_encode_rows) at the lcm order L of d and their orders.
-    Per v, n axis passes of size d make each step one shift and one add:
-    zeta_d^k shifts by k L/d zeta digits, with no wrap, so Z = ztop + 1 +
-    n (d - 1) L/d digits hold every shift, and B = bitlen(sum |c|) + 2 bits
-    an output digit, a signed sum of input digits; d^-n joins common."""
-    parts = [(v, exps, s, as_ratfunc(c, d)) for v, exps, s, c in parts]
-    parts = [part for part in parts if not part[3].is_zero()]
-    if not parts:
+    t^b g_v is d^-n sum_chi C_{v,chi} zeta_d^-(exps . b), C_{v,chi} the
+    coefficient of t^exps g_v, one int (_pack) of a row of the encoding x
+    keeps (_coded). Per v, n axis passes of size d make each step one shift
+    and one add: zeta_d^k shifts by k L/d zeta digits, L = x.order, with no
+    wrap, so Z = ztop + 1 + n (d - 1) L/d digits hold every shift, and B =
+    bitlen(mass) + 2 bits an output digit, a signed sum of input digits;
+    d^-n joins common."""
+    d, n = x.d, x.n
+    if not x.terms:
         return zero(d, n)
-    order = lcm(d, *[c.order for _, _, _, c in parts])
-    nums, den = over_one_denominator([c for _, _, _, c in parts])
-    common, rows, masses, ztop = _encode_rows(nums, order)
-    low = min([row[0][0] + s for (_, _, s, _), row in zip(parts, rows)])
-    powers = max([row[-1][0] + s for (_, _, s, _), row in zip(parts, rows)]) - low + 1
+    order, den, common, groups, mass, low, high, ztop, rows = _coded(x)
     step = order // d
     zdigits = ztop + 1 + n * (d - 1) * step
-    width = sum(masses).bit_length() + 2
-    _check_span("character transform", powers, zdigits * width)
+    width = mass.bit_length() + 2
+    _check_span("character transform", high - low + 1, zdigits * width)
+    packed = [_pack(row, low, 1, zdigits, width) for row in rows]
     # exps is keyed by its id (_tmon_tables): axis j is its digit of weight d^(n-1-j)
     ids = _tmon_tables(d, n)[0]
-    packed = {}
-    for (v, exps, s, _), row in zip(parts, rows):
-        sums, x = packed.setdefault(v.images, {}), ids[exps]
-        sums[x] = sums.get(x, 0) + _pack(row, low - s, 1, zdigits, width)
     outputs = []
-    for v, values in packed.items():
+    for v, terms in groups.items():
+        values = {ids[exps]: packed[i] for exps, i in terms}
         for j in range(n):
             stride = d ** (n - 1 - j)
             # for each digit a, the move to each b and the shift of zeta_d^(-a b)
             steps = [[((b - a) * stride, -a * b % d * step * width) for b in range(d)]
                      for a in range(d)]
             nxt = {}
-            for x, p in values.items():
+            for y, p in values.items():
                 if p:
-                    for move, shift in steps[x // stride % d]:
-                        nxt[x + move] = nxt.get(x + move, 0) + (p << shift)
+                    for move, shift in steps[y // stride % d]:
+                        nxt[y + move] = nxt.get(y + move, 0) + (p << shift)
             values = nxt
-        outputs.extend((x, v, p) for x, p in values.items() if p)
+        outputs.extend((y, v, p) for y, p in values.items() if p)
     return YElement._sorted(d, n, _emit(d, n, outputs, low, width, zdigits, order,
                                         common * d ** n, den))
 
@@ -928,7 +917,9 @@ def seminormal_image(x, components, word, width, zero_test):
     else the matrix, each nonzero entry decoded once into a canonical
     RatFunc, each zero one RatFunc.zero(x.d).
 
-    The sums go over one denominator, and the cofactor of each word over the
+    The nonzero sums are the coefficients of one element keyed by
+    (components, w) and the word denominators those of one d = 1 element
+    keyed by w, each encoded once (_coded): the cofactor of a word over the
     lcm of the word denominators lifts the sums of that word, each one int
     of Z zeta digits of width / Z bits to a power of q (_pack), as _decode
     reads them. The sums are reduced mod Phi_order and the word entries are
@@ -937,34 +928,36 @@ def seminormal_image(x, components, word, width, zero_test):
     anything is packed when an entry would span more than MAX_PACKED_BITS
     (_check_span): the sums' q-spread, a lift's degree and a word entry's
     digit count."""
-    dim, order = len(components), x.order
-    sums = character_sums(x, components)
-    words = [word(w) for w in sums]
-    nums, sden = over_one_denominator([s for by in sums.values() for s in by.values()])
-    common, srows, smasses, ztop = _encode_rows(nums, order)
-    lows = [row[0][0] for row in srows if row]
-    if not lows:
-        return True if zero_test else [[RatFunc.zero(x.d)] * dim for _ in range(dim)]
+    d, n, dim = x.d, x.n, len(components)
+    sums = YElement._trusted(d, n, [((exps, w), c)
+                                    for w, by in character_sums(x, components).items()
+                                    for exps, c in by.items() if c.terms])
+    if not sums.terms:
+        return True if zero_test else [[RatFunc.zero(d)] * dim for _ in range(dim)]
+    order, sden, scommon, sgroups, smass, low, high, ztop, srows = _coded(sums)
+    # the word matrix of each w, in normal order, with its denominator as the
+    # coefficient of g_w: the groups of the d = 1 element follow that order
+    words, dens, digits, bits, ident = [], [], 0, 0, (0,) * n
+    for w in sorted(sgroups):
+        v = _perm[w]
+        m = word(v)
+        words.append((sgroups[w], m[1]))
+        dens.append(((ident, v), m[0]))
+        digits, bits = max(digits, m[2]), max(bits, m[3])
+    _, wden, wcommon, wgroups, _, wlow, whigh, _, wrows = _coded(
+        YElement._sorted(1, n, tuple(dens)))
     zdigits = 1 << ztop.bit_length()
-    zwidth, low = width // zdigits, min(lows)
-    # a word whose denominator is the lcm keeps its numerators as they are
-    cofactors, wden = over_one_denominator([m[0] for m in words])
-    _check_span("seminormal image", max(row[-1][0] for row in srows if row) - low + 1
-                + max(num[-1][0] for num in cofactors) + max(m[2] for m in words), width)
-    lifts, cmass = [], 1
-    for num, m in zip(cofactors, words):
-        if num is m[0].terms:
-            lifts.append(1)
-        else:
-            lifts.append(_pack([(e, 0, v.nums[0]) for e, v in num], 0, 1, 1, width))
-            cmass = max(cmass, sum(abs(v.nums[0]) for _, v in num))
-    if (sum(smasses) * cmass).bit_length() + max(m[3] for m in words) + 2 > zwidth:
+    zwidth = width // zdigits
+    _check_span("seminormal image", high - low + 1 + whigh - wlow + digits, width)
+    cmass = max([sum([abs(c) for _, _, c in row]) for row in wrows])
+    if (smass * cmass).bit_length() + bits + 2 > zwidth:
         raise NarrowWidth
-    packed = iter(srows)
+    spacked = [_pack(row, low, 1, zdigits, zwidth) for row in srows]
+    lifts = [_pack(row, wlow, 1, 1, width) for row in wrows]
     plan = []
-    for by, lift, m in zip(sums.values(), lifts, words):
-        own = {exps: _pack(next(packed), low, 1, zdigits, zwidth) * lift for exps in by}
-        plan.append(([own[comps] for comps in components], m[1]))
+    for (terms, rows), ((_, j),) in zip(words, wgroups.values()):
+        own = {exps: spacked[i] * lifts[j] for exps, i in terms}
+        plan.append(([own.get(comps, 0) for comps in components], rows))
 
     def sums_by_row():
         for r in range(dim):
@@ -978,7 +971,7 @@ def seminormal_image(x, components, word, width, zero_test):
 
     if zero_test:
         return not any(any(acc) for acc in sums_by_row())
-    accs, zero = list(sums_by_row()), RatFunc.zero(x.d)
-    entries = iter(_decode([p for acc in accs for p in acc if p], low, zwidth, zdigits, order,
-                           common, multiply_dens(sden, wden)))
+    accs, zero = list(sums_by_row()), RatFunc.zero(d)
+    entries = iter(_decode([p for acc in accs for p in acc if p], low + wlow, zwidth, zdigits,
+                           order, scommon * wcommon, multiply_dens(sden, wden)))
     return [[next(entries) if p else zero for p in acc] for acc in accs]

@@ -206,6 +206,28 @@ def test_verify_command_and_cache(capsys, tmp_path):
         assert json.load(fh) == cold
 
 
+def test_verify_caches_under_the_environment_directory(capsys, tmp_path, monkeypatch):
+    # with no --cache-dir, YTL_CACHE_DIR names the cache: the first run
+    # writes its entry there, and the second prints that entry byte for
+    # byte without running the suite
+    cache = tmp_path / "env-cache"
+    monkeypatch.setenv("YTL_CACHE_DIR", str(cache))
+    argv = ["verify", "-d", "2", "-n", "2", "--suite", "relations"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert json.loads(cold)["ok"]
+    files = list(cache.iterdir())
+    assert len(files) == 1 and files[0].name.startswith("verify-relations-d2-n2-s")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cached entry was not read")
+
+    monkeypatch.setattr("ytl.verify.run_suite", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert list(cache.iterdir()) == files
+
+
 def test_verify_bad_suite_args(capsys):
     code, payload = run(capsys, "--no-cache", "verify", "-d", "0", "-n", "3")
     assert code == 2

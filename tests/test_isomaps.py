@@ -50,6 +50,14 @@ def test_psi_tilde_identity_and_full_block():
             [[iso.hecke_term(3, w, RatFunc.one(1))]]
 
 
+def test_block_maps_check_parameters():
+    # psi_mu of an element of another (d, n) than mu is refused
+    mu = Composition((2, 1))
+    for x in (yk.unit(3, 3), yk.unit(2, 4), yk.unit(1, 3)):
+        with pytest.raises(ValueError, match="algebra parameter mismatch"):
+            iso.psi_mu(mu, x)
+
+
 def test_psi_tilde_deodhar_descend():
     # mu=(1,3), k=4, w=s_2: stays on the diagonal with a conjugated generator
     mu = Composition((1, 3))

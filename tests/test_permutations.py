@@ -29,6 +29,19 @@ def test_mul_and_inverse():
     assert (u * v)(2) == u(v(2))
     assert (u * u.inv()).is_identity()
     assert u.inv() * u == Perm.identity(3)
+    with pytest.raises(ValueError, match="size mismatch"):
+        u * Perm.identity(4)
+
+
+def test_generator_indices_are_checked():
+    # s_i and the letters of a word take i in 1..n-1
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match="generator index %d out of range 1..2" % i):
+            Perm.transposition(3, i)
+        with pytest.raises(ValueError, match="generator index %d out of range 1..2" % i):
+            Perm.from_word(3, (1, i))
+    assert Perm.transposition(3, 2) == Perm((1, 3, 2))
+    assert Perm.from_word(1, ()) == Perm.identity(1)
 
 
 @given(st.permutations(list(range(1, 6))))

@@ -60,6 +60,12 @@ def test_laurent_basics():
     p = q * q + RatFunc.one() - RatFunc.q_power(-1)
     assert p.pretty() == "q^2 + 1 - q^-1" and p.den_exps == ()
     assert p.terms[0][0] == -1 and p.terms[-1][0] == 2
+    # a repeated exponent sums its coefficients, and drops the power where
+    # they cancel
+    r = RatFunc(3, [(1, 2), (0, 1), (1, Cyclotomic.root_power(3, 1)), (1, Fraction(-1, 2))])
+    assert r == RatFunc(3, {0: 1, 1: Cyclotomic.root_power(3, 1) + Fraction(3, 2)})
+    assert RatFunc(2, [(1, 3), (0, 1), (1, -3)]) == RatFunc.one(2)
+    assert RatFunc(2, [(1, 3), (1, -3)]).is_zero() and RatFunc(2, [(1, 3), (1, -3)]).terms == ()
 
 
 def test_ratfunc_canonical_form():

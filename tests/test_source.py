@@ -79,6 +79,21 @@ def test_only_yokonuma_names_the_encoding():
     assert not found, found
 
 
+# Coefficients become ints in one place: _coded brings the distinct values
+# of an element over one denominator and encodes them as int rows, and every
+# other reader of the encoding (the product, the character sums and their
+# inverse, the seminormal image) builds an element and reads its rows.
+def test_only_coded_encodes_coefficients():
+    tree = ast.parse((SRC / "yokonuma.py").read_text())
+    named = [node.name for node in _definitions(tree)
+             if "over_one_denominator" in _names_used(node)]
+    assert named == ["_coded"], named
+    # once imported, once called
+    assert _names_used(tree).count("over_one_denominator") == 2
+    assert "_encode_rows" not in _names_used(tree)
+    assert "_encode_rows" not in {node.name for node in _definitions(tree)}
+
+
 # The block layout of a composition (Composition.offsets, where each part's
 # positions start) is read in permutations alone: the other modules split an
 # element of a Young subgroup with factor_in_young and join one with

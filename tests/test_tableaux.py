@@ -130,6 +130,9 @@ def test_jones_counts():
         assert len(jones_pairs(m, "TL")) == catalan(m)
     for m in range(6):
         assert len(jones_pairs(m, "All")) == factorial(m)
+    for mode in ("tl", "FTL", None):
+        with pytest.raises(ValueError, match="mode must be 'All' or 'TL'"):
+            jones_pairs(3, mode)
 
 
 def test_jones_words_are_reduced_and_bijective():

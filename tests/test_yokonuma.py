@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from ytl.exprparse import parse_and_evaluate
-from ytl.permutations import Perm, all_perms, compositions, coset_system
+from ytl.permutations import Composition, Perm, all_perms, compositions, coset_system
 from ytl.reps import ideal_membership
-from ytl.scalars import Cyclotomic, RatFunc, laurent_from_ints
+from ytl.scalars import Cyclotomic, RatFunc, as_ratfunc, laurent_from_ints
 from ytl import yokonuma as yk
 
 
@@ -52,6 +52,33 @@ def test_terms_need_int_exponents_and_a_perm():
     t1 = yk.gen_t(2, 2, 1)
     assert (t1 * t1).to_json()[0]["t"] == [0, 0]
     assert yk.YElement(2, 2, {((True, 3), ident): 1}).terms[0][0] == ((1, 1), ident)
+
+
+def test_sizes_and_indices_are_checked():
+    # a term, an operand, a character or a composition of the wrong size is
+    # refused, and so is an index out of range
+    x = yk.unit(2, 2)
+    for key in (((0, 0, 0), Perm.identity(2)), ((0, 0), Perm.identity(3))):
+        with pytest.raises(ValueError, match="term size mismatch"):
+            yk.YElement(2, 2, {key: 1})
+    # (a product with anything else is a scaling, which coerces the scalar)
+    with pytest.raises(TypeError, match="expected YElement"):
+        x + Perm.identity(2)
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        for other in (yk.unit(3, 2), yk.unit(2, 3)):
+            with pytest.raises(ValueError, match=r"algebra parameter mismatch: \(2,2\) vs "):
+                op(x, other)
+    with pytest.raises(ValueError, match="character needs 2 values"):
+        yk.E_chi(2, 2, (0, 1, 0))
+    for mu in (Composition((1, 1, 0)), Composition((2, 1))):
+        with pytest.raises(ValueError, match="composition does not match"):
+            yk.E_mu(2, 2, mu)
+    for j, k in ((0, 1), (1, 3), (2, 2)):
+        with pytest.raises(ValueError, match=r"bad index pair \(%d, %d\)" % (j, k)):
+            yk.e_pair(2, 2, j, k)
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="T index %d out of range 1..2" % j):
+            yk.T(2, 2, j)
 
 
 def test_quadratic_relation_d1():
@@ -1001,8 +1028,16 @@ def _transform_parts(draw):
     return d, n, parts
 
 
+def _characters_element(d, n, parts):
+    """The element sum q^s c t^exps g_v of parts [(v, exps, s, c)], whose
+    t-exponents stand for the characters' exponent vectors."""
+    return yk.YElement(d, n, [((exps, v), as_ratfunc(c, d).times_monomial(1, s))
+                              for v, exps, s, c in parts])
+
+
 def _same_transform(d, n, parts):
-    got, want = yk.from_characters(d, n, parts), oracles.ref_from_characters(d, n, parts)
+    got = yk.from_characters(_characters_element(d, n, parts))
+    want = oracles.ref_from_characters(d, n, parts)
     assert got == want and hash(got) == hash(want)
     return got
 
@@ -1029,11 +1064,36 @@ def test_from_characters_examples():
         assert _same_transform(d, n, [(Perm.identity(n), exps, 0, 1)]) == yk.E_chi(d, n, exps)
 
 
+def test_from_characters_reads_exponents_mod_d():
+    # the element's constructor reduces each exponent vector mod d and
+    # refuses one of the wrong length: E_chi(0, 0) from (0, 2) at d = 2, and
+    # E_chi(1, 0) from (1, -2), not the idempotents their unreduced ids name
+    ident, v = Perm.identity(2), Perm.transposition(2, 1)
+    assert yk.from_characters(yk.YElement(2, 2, {((0, 2), ident): 1})) == yk.E_chi(2, 2, (0, 0))
+    assert yk.from_characters(yk.YElement(2, 2, {((1, -2), ident): 1})) == yk.E_chi(2, 2, (1, 0))
+    rng = random.Random(34)
+    for d, n in ((2, 2), (3, 2), (3, 3), (4, 2)):
+        chars = [tuple(rng.randrange(-2 * d, 3 * d) for _ in range(n)) for _ in range(5)]
+        assert any(a < 0 or a >= d for exps in chars for a in exps)
+        coeffs = [RatFunc(d, {rng.randint(-2, 2): Cyclotomic.root_power(d, rng.randrange(d))})
+                  for _ in chars]
+        perms = [rng.choice(all_perms(n)) for _ in chars]
+        wide = yk.YElement(d, n, [((exps, w), c) for exps, w, c in zip(chars, perms, coeffs)])
+        reduced = yk.YElement(d, n, [((tuple(a % d for a in exps), w), c)
+                                     for exps, w, c in zip(chars, perms, coeffs)])
+        assert yk.from_characters(wide) == yk.from_characters(reduced)
+        assert yk.from_characters(wide) == oracles.ref_from_characters(
+            d, n, [(w, tuple(a % d for a in exps), 0, c)
+                   for exps, w, c in zip(chars, perms, coeffs)])
+    with pytest.raises(ValueError, match="term size mismatch"):
+        yk.from_characters(yk.YElement(2, 2, {((0, 1, 0), v): 1}))
+
+
 def test_from_characters_refuses_a_wide_q_span():
     # (1 + q^(10^8)) spans 10^8 + 1 powers of q: refused before packing
     c = RatFunc.one(1) + RatFunc.q_power(10 ** 8, 1)
     start = time.monotonic()
     with pytest.raises(ValueError, match="spans 100000001 powers of q") as err:
-        yk.from_characters(2, 2, [(Perm.identity(2), (0, 1), 0, c)])
+        yk.from_characters(yk.YElement(2, 2, {((0, 1), Perm.identity(2)): c}))
     assert str(yk.MAX_PACKED_BITS) in str(err.value)
     assert time.monotonic() - start < 1.0

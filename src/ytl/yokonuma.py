@@ -8,31 +8,32 @@ Elements are immutable; multiplication rewrites to normal form using
   g_w g_i  = q g_{w s_i} + (q-1) e_{w(i), w(i+1)} g_w    otherwise,
 where e_{j,k} = (1/d) sum_s t_j^s t_k^{-s}.
 
-An element keeps one int encoding (_coded), known to this module alone
-and the only place where coefficients become ints, built in one pass over
-its terms: each distinct coefficient value once, as a row of ints in the
-group ring Z[Z/o] over one denominator, o = x.order, and each term as
-(t-monomial, row index), grouped by the images of its permutation. Each
-reader that packs packs each distinct row into one int (_pack) once. The
-product works in (q, zeta_L), L the lcm of the operands' orders; for each
-permutation v of the right operand it folds the left operand times sum_b
-c_b t^b through the reduced word of v once, keyed by (permutation,
-t-monomial id); the 1/d of an e-term becomes a power of d in the common
-denominator. The character sums (character_sums), which psi_mu and the
-seminormal evaluation read, shift the zeta powers of each row by its root
-of unity. Their inverse (from_characters), which phi reads, takes an
-element whose t-exponents are the characters' exponent vectors and reads
-its encoding; a root of unity is a shift of digits. Both bound their
+An element keeps one int encoding (_coded), known to this module alone,
+built in one pass over its terms (_encoding, the only place where
+coefficients become ints): each distinct coefficient value once, as a row
+of ints in the group ring Z[Z/o] over one denominator, o = x.order, and
+each term as (t-monomial, row index), grouped by the images of its
+permutation. Each reader that packs packs each distinct row into one int
+(_pack) once. The product works in (q, zeta_L), L the lcm of the operands'
+orders; for each permutation v of the right operand it folds the left
+operand times sum_b c_b t^b through the reduced word of v once, keyed by
+(permutation, t-monomial id); the 1/d of an e-term becomes a power of d in
+the common denominator. The character sums (character_sums), which psi_mu
+and the seminormal evaluation read, shift the zeta powers of each row by
+its root of unity. Their inverse (from_characters), which phi reads, takes
+an element whose t-exponents are the characters' exponent vectors and
+reads its encoding; a root of unity is a shift of digits. Both bound their
 packed ints in one place (_check_span) and sort their outputs in one place
 (_emit). The seminormal word matrices of reps are packed ints of the same
 layout (seminormal_step), and the matrix of an element sums their products
-with its character sums (seminormal_image), which it encodes as an element
-keyed by (row components, w), and the word denominators as a d = 1
-element keyed by w. One decoder (_decode)
-reads them all, with masks set once per call: each distinct int once per
-call, and each distinct q-chunk once per process while a table bounded by
-MAX_CHUNKS keeps it (_CHUNKS). A long row is packed in halves and a long
-int walked in pieces, so neither costs time quadratic in its powers of q.
+with its character sums (seminormal_image), which the same pass encodes as
+a term list keyed by (row components, w), each word's sums lifted over the
+lcm of the word denominators by a cofactor kept per set of distinct
+denominators (_word_lifts). One decoder (_decode) reads them all, with
+masks set once per call: each distinct int once per call, and each
+distinct q-chunk once per process while a table bounded by MAX_CHUNKS
+keeps it (_CHUNKS). A long row is packed in halves and a long int walked
+in pieces, so neither costs time quadratic in its powers of q.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ MAX_PACKED_BITS = 1 << 28
 # the most q-chunks _decode keeps reduced between calls, over all layouts
 # (_CHUNKS); the whole table is cleared when it is full
 MAX_CHUNKS = 1 << 12
+# the most sets of word denominators _word_lifts keeps (_LIFTS); the whole
+# table is cleared when it is full
+MAX_LIFTS = 1 << 8
 # _pack packs a row of more triples in halves, and _decode walks an int of
 # more bits in pieces: shorter ones cost less by the plain loop
 _PACK_TERMS = 32
@@ -141,6 +145,7 @@ class YElement:
         return YElement(self.d, self.n, [(k, -c) for k, c in self.terms])
 
     def __sub__(self, other):
+        self._check_compat(other)
         return self + (-other)
 
     def scale(self, c):
@@ -205,56 +210,62 @@ def _term_order(term):
 
 
 def _coded(x):
-    """x in int coordinates, built in one pass over the terms on first use
-    and kept in x's slot: (order, den, common, groups, mass, low, high,
-    ztop, rows), order = x.order. The one place where coefficients become
-    ints: each distinct coefficient value (scalars.value_key) is brought
-    over den (scalars.over_one_denominator) and encoded once, as the row
-    rows[i] of (q-exponent, zeta_order power, int) triples over the int
-    common. groups maps the images of each permutation of x, in order of
-    first appearance, to [(tmon, i)] for its terms; mass sums |int| over
-    the rows of all terms; low and high are the lowest and highest
-    q-exponent and ztop the highest zeta_order power."""
+    """x's int encoding (_encoding of its terms), kept in x's slot from first use."""
     code = x._code
     if code is None:
-        index, values, counts, groups, order = {}, [], [], {}, x.d
-        for (tmon, w), c in x.terms:
-            key = value_key(c)
-            i = index.get(key)
-            if i is None:
-                i = index[key] = len(values)
-                values.append(c)
-                counts.append(0)
-                if order % c.order:
-                    order = lcm(order, c.order)
-            counts[i] += 1
-            group = groups.get(w.images)
-            if group is None:
-                group = groups[w.images] = []
-            group.append((tmon, i))
-        nums, den = over_one_denominator(values)
-        common = lcm(*[v.den for num in nums for _, v in num])
-        rows, mass, ztop, low, high = [], 0, 0, None, None
-        for num, count in zip(nums, counts):
-            row, own = [], 0
-            if low is None or num[0][0] < low:
-                low = num[0][0]
-            if high is None or num[-1][0] > high:
-                high = num[-1][0]
-            for e, v in num:
-                step, scale, z = order // v.order, common // v.den, 0
-                for c in v.nums:
-                    if c:
-                        c *= scale
-                        row.append((e, z, c))
-                        own += abs(c)
-                        ztop = z if z > ztop else ztop
-                    z += step
-            rows.append(row)
-            mass += count * own
-        code = order, den, common, groups, mass, low, high, ztop, rows
+        code = _encoding(x.d, x.terms)
         _set_code(x, code)
     return code
+
+
+def _encoding(d, terms):
+    """Terms [((tmon, w), c)] with distinct keys and nonzero RatFuncs c, w a
+    Perm, in int coordinates, built in one pass: (order, den, common, groups,
+    mass, low, high, ztop, rows), order the lcm of d and the orders of the
+    c. The one place where coefficients become ints: each distinct
+    coefficient value (scalars.value_key) is brought over den
+    (scalars.over_one_denominator) and encoded once, as the row rows[i] of
+    (q-exponent, zeta_order power, int) triples over the int common, rows in
+    order of first appearance. groups maps the images of each permutation,
+    in order of first appearance, to [(tmon, i)] for its terms; mass sums
+    |int| over the rows of all terms; low and high are the lowest and
+    highest q-exponent and ztop the highest zeta_order power."""
+    index, values, counts, groups, order = {}, [], [], {}, d
+    for (tmon, w), c in terms:
+        key = value_key(c)
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(values)
+            values.append(c)
+            counts.append(0)
+            if order % c.order:
+                order = lcm(order, c.order)
+        counts[i] += 1
+        group = groups.get(w.images)
+        if group is None:
+            group = groups[w.images] = []
+        group.append((tmon, i))
+    nums, den = over_one_denominator(values)
+    common = lcm(*[v.den for num in nums for _, v in num])
+    rows, mass, ztop, low, high = [], 0, 0, None, None
+    for num, count in zip(nums, counts):
+        row, own = [], 0
+        if low is None or num[0][0] < low:
+            low = num[0][0]
+        if high is None or num[-1][0] > high:
+            high = num[-1][0]
+        for e, v in num:
+            step, scale, z = order // v.order, common // v.den, 0
+            for c in v.nums:
+                if c:
+                    c *= scale
+                    row.append((e, z, c))
+                    own += abs(c)
+                    ztop = z if z > ztop else ztop
+                z += step
+        rows.append(row)
+        mass += count * own
+    return order, den, common, groups, mass, low, high, ztop, rows
 
 
 def _int_product(d, n, left, right):
@@ -828,15 +839,15 @@ def seminormal_unit(dim):
 
 
 def seminormal_step(word, columns, width):
-    """The word matrix of g_w g_i from that of g_w: (den, rows, digits,
-    bits), rows[r] the nonzero entries (c, p) of row r, p the numerator of
-    entry (r, c) over 1/den (den a RatFunc over Q), an int polynomial in q
-    packed width bits per power, at most digits digits, each in [-2^bits,
-    2^bits). Column c of g_w g_i is (alpha col_c + beta col_c2) / [k] for
-    columns[c] = (alpha, c2, beta, k), alpha and beta int polynomials
-    (coefficients, constant first), [k] = 1 + q + ... + q^(k-1), c2 None
-    where beta is 0. Each entry is two int products and one exact int
-    division, its digit bound one add and one mask: no RatFunc and no
+    """The word matrix of g_w g_i from that of g_w: (den, rows, digits, bits),
+    rows[r] the nonzero entries (c, p) of row r, p the numerator of entry
+    (r, c) over 1/den (den = 1 / prod F_j^e_j, a RatFunc over Q), an int
+    polynomial in q packed width bits per power, at most digits digits, each
+    in [-2^bits, 2^bits). Column c of g_w g_i is (alpha col_c + beta col_c2)
+    / [k] for columns[c] = (alpha, c2, beta, k), alpha and beta int
+    polynomials (coefficients, constant first), [k] = 1 + q + ... + q^(k-1),
+    c2 None where beta is 0. Each entry is two int products and one exact
+    int division, its digit bound one add and one mask: no RatFunc and no
     normalisation. Where [k] leaves a remainder, the F_j of [k] that do not
     divide that numerator join the denominator and the step starts again."""
     den, rows, digits, bits = word
@@ -917,46 +928,41 @@ def seminormal_image(x, components, word, width, zero_test):
     else the matrix, each nonzero entry decoded once into a canonical
     RatFunc, each zero one RatFunc.zero(x.d).
 
-    The nonzero sums are the coefficients of one element keyed by
-    (components, w) and the word denominators those of one d = 1 element
-    keyed by w, each encoded once (_coded): the cofactor of a word over the
-    lcm of the word denominators lifts the sums of that word, each one int
-    of Z zeta digits of width / Z bits to a power of q (_pack), as _decode
+    The nonzero sums, a term list keyed by (components, w), are encoded in
+    one pass (_encoding); the cofactor of a word over the lcm of the word
+    denominators (_word_lifts) lifts the sums of that word, each one int of
+    Z zeta digits of width / Z bits to a power of q (_pack), as _decode
     reads them. The sums are reduced mod Phi_order and the word entries are
     rational, so an entry is zero exactly when its int is 0. NarrowWidth
     when a zeta digit could reach 2^(width / Z - 2); a ValueError before
     anything is packed when an entry would span more than MAX_PACKED_BITS
     (_check_span): the sums' q-spread, a lift's degree and a word entry's
     digit count."""
-    d, n, dim = x.d, x.n, len(components)
-    sums = YElement._trusted(d, n, [((exps, w), c)
-                                    for w, by in character_sums(x, components).items()
-                                    for exps, c in by.items() if c.terms])
-    if not sums.terms:
+    d, dim = x.d, len(components)
+    terms = [((exps, w), c) for w, by in character_sums(x, components).items()
+             for exps, c in by.items() if c.terms]
+    if not terms:
         return True if zero_test else [[RatFunc.zero(d)] * dim for _ in range(dim)]
-    order, sden, scommon, sgroups, smass, low, high, ztop, srows = _coded(sums)
-    # the word matrix of each w, in normal order, with its denominator as the
-    # coefficient of g_w: the groups of the d = 1 element follow that order
-    words, dens, digits, bits, ident = [], [], 0, 0, (0,) * n
-    for w in sorted(sgroups):
+    order, sden, scommon, sgroups, smass, low, high, ztop, srows = _encoding(d, terms)
+    words, dens, digits, bits = [], {}, 0, 0
+    for w, sums in sgroups.items():
         v = _perm[w]
-        m = word(v)
-        words.append((sgroups[w], m[1]))
-        dens.append(((ident, v), m[0]))
-        digits, bits = max(digits, m[2]), max(bits, m[3])
-    _, wden, wcommon, wgroups, _, wlow, whigh, _, wrows = _coded(
-        YElement._sorted(1, n, tuple(dens)))
+        den, rows, most, top = word(v)
+        key = value_key(den)
+        dens.setdefault(key, (v, den))
+        words.append((sums, rows, key))
+        digits, bits = max(digits, most), max(bits, top)
+    wden, wcommon, wlow, whigh, cmass, lifts = _word_lifts(dens, width)
     zdigits = 1 << ztop.bit_length()
     zwidth = width // zdigits
     _check_span("seminormal image", high - low + 1 + whigh - wlow + digits, width)
-    cmass = max([sum([abs(c) for _, _, c in row]) for row in wrows])
     if (smass * cmass).bit_length() + bits + 2 > zwidth:
         raise NarrowWidth
     spacked = [_pack(row, low, 1, zdigits, zwidth) for row in srows]
-    lifts = [_pack(row, wlow, 1, 1, width) for row in wrows]
     plan = []
-    for (terms, rows), ((_, j),) in zip(words, wgroups.values()):
-        own = {exps: spacked[i] * lifts[j] for exps, i in terms}
+    for sums, rows, key in words:
+        lift = lifts[key]
+        own = {exps: spacked[i] if lift == 1 else spacked[i] * lift for exps, i in sums}
         plan.append(([own.get(comps, 0) for comps in components], rows))
 
     def sums_by_row():
@@ -975,3 +981,27 @@ def seminormal_image(x, components, word, width, zero_test):
     entries = iter(_decode([p for acc in accs for p in acc if p], low + wlow, zwidth, zdigits,
                            order, scommon * wcommon, multiply_dens(sden, wden)))
     return [[next(entries) if p else zero for p in acc] for acc in accs]
+
+
+# seminormal_image's word denominators over their lcm, per (width, frozenset
+# of their value keys): a module's words carry few distinct denominators
+_LIFTS = {}
+
+
+def _word_lifts(dens, width):
+    """(den, common, low, high, mass, lifts) for the distinct word
+    denominators dens {value key: (w, the denominator of w)}: each is its
+    cofactor lifts[key], packed at width from q^low (_pack), over den and
+    common; mass bounds the sum of |int| of a cofactor. A word denominator
+    is 1 / prod F_j^e_j, so one alone has cofactor 1."""
+    key = width, frozenset(dens)
+    lift = _LIFTS.get(key)
+    if lift is None:
+        _, den, common, _, _, low, high, _, rows = _encoding(
+            1, [(((), w), c) for w, c in dens.values()])
+        lifts = {k: _pack(row, low, 1, 1, width) for k, row in zip(dens, rows)}
+        mass = max([sum([abs(c) for _, _, c in row]) for row in rows])
+        if len(_LIFTS) >= MAX_LIFTS:
+            _LIFTS.clear()
+        lift = _LIFTS[key] = den, common, low, high, mass, lifts
+    return lift

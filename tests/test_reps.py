@@ -14,7 +14,7 @@ from oracles import (is_zero_matrix, q_gap_inverse, ref_annihilates, ref_charact
 from oracles import ref_rep_element as summed_rep_element
 from ytl.linalg import mat_mul
 from ytl.permutations import Perm, all_perms
-from ytl.scalars import Cyclotomic, RatFunc, multiply_dens
+from ytl.scalars import Cyclotomic, RatFunc, multiply_dens, over_one_denominator
 from ytl.tableaux import enumerate_d_partitions
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
@@ -561,6 +561,41 @@ def test_narrow_first_packing(monkeypatch):
             assert same(rep_element(module, x), summed_rep_element(module, x))
             assert _annihilates(module, x) == ref_annihilates(module, x)
     assert {8, 16} <= set(narrow)
+
+
+def test_repeated_image_encodes_the_element_and_its_sums(monkeypatch):
+    # an image encodes x (once per element) and its character sums; the
+    # cofactor lifts of its word denominators are kept per set of distinct
+    # denominators, so a second image on a seen shape and word encodes only
+    # the new element and its sums
+    module = rep_module(2, ((2,), (1,)))
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return over_one_denominator(values)
+
+    def element():
+        return yk.gen_g(2, 3, 2).scale(RatFunc.q_power(1, 2))
+
+    first = rep_element(module, element())
+    monkeypatch.setattr(yk, "over_one_denominator", counted)
+    assert same(rep_element(module, element()), first)
+    assert len(calls) <= 2, calls
+
+
+def test_word_lifts_stay_bounded(monkeypatch):
+    # the table of lifted word denominators is cleared whole at MAX_LIFTS
+    # sets; the images read the same before and after
+    monkeypatch.setattr(yk, "MAX_LIFTS", 2)
+    yk._LIFTS.clear()
+    rng = random.Random(11)
+    d, n = 1, 4
+    for shape in enumerate_d_partitions(d, n):
+        module = rep_module(d, shape)
+        for x in oracle_elements(rng, d, n):
+            assert same(rep_element(module, x), ref_rep_element(module, x)), shape
+            assert len(yk._LIFTS) <= 2
 
 
 def test_library_input_checks():

@@ -79,19 +79,31 @@ def test_only_yokonuma_names_the_encoding():
     assert not found, found
 
 
-# Coefficients become ints in one place: _coded brings the distinct values
-# of an element over one denominator and encodes them as int rows, and every
-# other reader of the encoding (the product, the character sums and their
-# inverse, the seminormal image) builds an element and reads its rows.
+# Coefficients become ints in one place: _encoding brings the distinct
+# values of a term list over one denominator and encodes them as int rows.
+# _coded keeps that pass on an element; the product, the character sums and
+# their inverse read an element's rows, and the seminormal image hands the
+# pass its character sums and its word denominators as plain term lists.
 def test_only_coded_encodes_coefficients():
     tree = ast.parse((SRC / "yokonuma.py").read_text())
     named = [node.name for node in _definitions(tree)
              if "over_one_denominator" in _names_used(node)]
-    assert named == ["_coded"], named
+    assert named == ["_encoding"], named
     # once imported, once called
     assert _names_used(tree).count("over_one_denominator") == 2
     assert "_encode_rows" not in _names_used(tree)
     assert "_encode_rows" not in {node.name for node in _definitions(tree)}
+    coded = next(node for node in _definitions(tree) if node.name == "_coded")
+    assert "_encoding" in _names_used(coded)
+
+
+# The seminormal image builds no temporary element: its sums and word
+# denominators go to the encoding pass as term lists.
+def test_seminormal_image_builds_no_element():
+    tree = ast.parse((SRC / "yokonuma.py").read_text())
+    image = next(node for node in _definitions(tree) if node.name == "seminormal_image")
+    found = {"YElement", "_trusted", "_sorted"} & set(_names_used(image))
+    assert not found, found
 
 
 # The block layout of a composition (Composition.offsets, where each part's

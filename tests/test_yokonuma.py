@@ -54,6 +54,19 @@ def test_terms_need_int_exponents_and_a_perm():
     assert yk.YElement(2, 2, {((True, 3), ident): 1}).terms[0][0] == ((1, 1), ident)
 
 
+def test_add_and_sub_check_their_operand():
+    # both operators refuse a non-element and an element of another (d, n)
+    # before any arithmetic: a - b checks b before it negates it
+    x = yk.unit(2, 2)
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeError, match="expected YElement"):
+            op(x, Perm.identity(2))
+        for other in (yk.unit(3, 2), yk.unit(2, 3)):
+            with pytest.raises(ValueError, match=r"algebra parameter mismatch: \(2,2\) vs "):
+                op(x, other)
+    assert (x - x).is_zero()
+
+
 def test_sizes_and_indices_are_checked():
     # a term, an operand, a character or a composition of the wrong size is
     # refused, and so is an index out of range

@@ -220,7 +220,7 @@ def cmd_enumerate(args):
             mus = compositions(d, n)
         payload = {"cosets": [
             {"mu": list(m.parts),
-             "representatives": [w.to_json() for w in coset_system(m).reps]}
+             "representatives": [w.to_json() for w in coset_system(m)]}
             for m in mus]}
     _write_json(args, payload)
     return 0

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .permutations import Composition, coset_system
+from .permutations import Composition, block_characters
 from .scalars import RatFunc
 from . import yokonuma as yk
 
@@ -215,10 +215,10 @@ def _eval_atom(atom, d, n, power):
             if mu.d != d or mu.n != n:
                 raise EvalError("E(%d; %s) does not match session (d=%d, n=%d)"
                                 % (k, ",".join(map(str, parts)), d, n))
-            m = coset_system(mu).m
-            if not 1 <= k <= m:
-                raise EvalError("character index %d out of range 1..%d" % (k, m))
-            base = yk.E_chi(d, n, yk.character_exponents(mu, k))
+            chars = block_characters(mu)
+            if not 1 <= k <= len(chars):
+                raise EvalError("character index %d out of range 1..%d" % (k, len(chars)))
+            base = yk.E_chi(d, n, chars[k - 1])
         return base if power >= 1 else yk.unit(d, n)
     except ValueError as exc:
         raise EvalError(str(exc)) from exc

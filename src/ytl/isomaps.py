@@ -11,9 +11,10 @@ FTL, 1 for CTL). Its coordinate keys are flat tuples (b_1, ..., b_r,
 w_{r+1}, ..., w_d) of Jones pairs and local permutations: the factors of a
 permutation of S_mu (permutations.factor_in_young, inverse join_young).
 
-Matrix blocks are indexed by compositions mu; row/column indices follow the
-canonical coset-representative order. Entries of psi images are Hecke
-elements, stored as d=1 YElements supported inside the Young subgroup.
+Matrix blocks are indexed by compositions mu. Row and column k of a block
+pair pi_k with chi_k = pi_k . chi_mu, entry k - 1 of permutations.coset_system
+and block_characters. Entries of psi images are Hecke elements, stored as
+d=1 YElements supported inside the Young subgroup.
 
 The block maps work in the character coordinates of an element,
 x = sum c_{w,chi} E_chi g_w with c_{w,chi} = sum_a x[t^a g_w] chi(t^a). In
@@ -39,10 +40,11 @@ import itertools
 from functools import lru_cache
 
 from .permutations import (Composition, ConsistencyError, Perm, act_on_character, all_perms,
-                           compositions, coset_system, factor_in_young, join_young)
+                           block_characters, compositions, coset_system, factor_in_young,
+                           join_young)
 from .scalars import RatFunc, as_ratfunc
 from .tableaux import jones_pairs, jones_permutation, tl_factors
-from .yokonuma import YElement, character_exponents, character_sums, from_characters
+from .yokonuma import YElement, character_sums, from_characters
 
 
 def _acc_term(acc, key, c):
@@ -53,23 +55,6 @@ def _acc_term(acc, key, c):
         acc.pop(key, None)
     else:
         acc[key] = c
-
-
-# ---------------------------------------------------------------------------
-# characters of a block
-
-
-@lru_cache(maxsize=None)
-def block_characters(mu):
-    """The m characters of the block of mu, as exponent vectors: the k-th
-    takes t_j to zeta_d ** exps[j-1]."""
-    return tuple(character_exponents(mu, k) for k in range(1, coset_system(mu).m + 1))
-
-
-@lru_cache(maxsize=None)
-def _character_lookup(mu):
-    """{exponent vector: its 1-based index in block_characters(mu)}."""
-    return {exps: k for k, exps in enumerate(block_characters(mu), 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +80,9 @@ def _psi_step(mu, k, w):
     rescaling by pi_k and pi_l applied. The character index l is the one
     w^-1 sends the k-th character to. The length sum h is even, as l(x) has
     the parity of sign(x) and sign(u) = sign(pi_k) sign(w) sign(pi_l)."""
-    sys = coset_system(mu)
-    target = act_on_character(w.inv(), block_characters(mu)[k - 1])
-    l = _character_lookup(mu)[target]
-    pi_k, pi_l = sys.rep(k), sys.rep(l)
+    reps, chars = coset_system(mu), block_characters(mu)
+    l = chars.index(act_on_character(w.inv(), chars[k - 1])) + 1
+    pi_k, pi_l = reps[k - 1], reps[l - 1]
     u = pi_k.inv() * w * pi_l
     h = w.length() - u.length() + pi_k.length() - pi_l.length()
     return l, u, h // 2
@@ -131,8 +115,8 @@ def _phi_step(mu, k, l, w):
     even, as sign(v) = sign(pi_k) sign(w) sign(pi_l) (see _psi_step); w
     outside S_mu is a ValueError."""
     factor_in_young(mu, w)
-    sys = coset_system(mu)
-    pi_k, pi_l = sys.rep(k), sys.rep(l)
+    reps = coset_system(mu)
+    pi_k, pi_l = reps[k - 1], reps[l - 1]
     v = pi_k * w * pi_l.inv()
     h = w.length() - v.length() + pi_l.length() - pi_k.length()
     return v, h // 2
@@ -355,7 +339,7 @@ def _quotient_basis(d, n, which):
     r = tl_factors(which, d)
     out = []
     for mu in compositions(d, n):
-        cells = list(itertools.product(range(1, coset_system(mu).m + 1), repeat=2))
+        cells = list(itertools.product(range(1, len(coset_system(mu)) + 1), repeat=2))
         factors = [jones_pairs(p, "TL") if i < r else all_perms(p)
                    for i, p in enumerate(mu.parts)]
         for key in itertools.product(*factors):
@@ -376,7 +360,7 @@ def basis_blocks(descriptor, kind):
     """The DirectSumElement (block family) of one basis descriptor; the
     layout is the same for kind 'FTL' and 'CTL'."""
     mu, key, k, l = descriptor
-    m = coset_system(mu).m
+    m = len(coset_system(mu))
     block = [[{} for _ in range(m)] for _ in range(m)]
     block[k - 1][l - 1] = {key: RatFunc.one(mu.d)}
     return {mu: block}

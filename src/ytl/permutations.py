@@ -1,7 +1,10 @@
 """The symmetric group: permutations, lengths, reduced words, compositions,
 Young subgroups and the one codec of their elements (factor_in_young and its
-inverse join_young, the only readers of the block layout), distinguished
-coset representatives, and the action of permutations on character vectors.
+inverse join_young, the only readers of the block layout), the action of
+permutations on character vectors, and the block of a composition mu, owned
+here alone: its distinguished coset representatives pi_k (coset_system) and
+its characters chi_k = pi_k . chi_mu (block_characters), two cached tuples
+read at index k - 1.
 
 Permutations are stored in one-line notation (1-based images) and compose
 right-to-left: (u * v)(x) = u(v(x)). Under this convention the coset
@@ -206,24 +209,11 @@ def compositions(d, n):
                  for first in range(n, -1, -1) for rest in compositions(d - 1, n - first))
 
 
-class CosetSystem(Record):
-    """Distinguished (minimal length) left coset representatives of S_n/S_mu,
-    sorted by (length, one-line notation), so reps[0] is the identity."""
-
-    __slots__ = ("mu", "reps")
-
-    @property
-    def m(self):
-        return len(self.reps)
-
-    def rep(self, k):
-        """The k-th representative, 1-based."""
-        return self.reps[k - 1]
-
-
 @lru_cache(maxsize=None)
 def coset_system(mu):
-    """Build the coset system for a composition (pass a Composition)."""
+    """The distinguished (minimal length) left coset representatives of
+    S_n/S_mu (pass a Composition), as a tuple sorted by (length, one-line
+    notation): entry k - 1 is pi_k, and entry 0 the identity."""
     n, parts = mu.n, mu.parts
     reps = []
     def build(remaining, chosen):
@@ -241,7 +231,17 @@ def coset_system(mu):
     if not reps[0].is_identity():
         raise ConsistencyError("the first coset representative of %r is not "
                                "the identity" % (mu.parts,))
-    return CosetSystem(mu, tuple(reps))
+    return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def block_characters(mu):
+    """The characters of the block of mu as exponent vectors (the k-th takes
+    t_j to zeta_d ** exps[j-1]): mu's staircase character, root index i on
+    the strands of part i, moved by each coset representative, so entry
+    k - 1 is chi_k = pi_k . chi_mu."""
+    staircase = tuple(i for i, p in enumerate(mu.parts) for _ in range(p))
+    return tuple(act_on_character(pi, staircase) for pi in coset_system(mu))
 
 
 def act_on_character(w, values):

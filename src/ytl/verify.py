@@ -13,8 +13,8 @@ from functools import reduce
 from math import factorial
 
 from .linalg import identity_matrix, mat_mul
-from .permutations import (ConsistencyError, Perm, all_perms, compositions,
-                           coset_system)
+from .permutations import (ConsistencyError, Perm, all_perms, block_characters,
+                           compositions, coset_system)
 from .scalars import RatFunc
 from .tableaux import (catalan, dim_bruteforce, dim_CTL, dim_FTL, dim_TL, dim_Y,
                        enumerate_d_partitions, enumerate_partitions, jones_pairs,
@@ -292,7 +292,7 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
     report = _new_report(d, n, "iso", seed)
     rng = random.Random(seed)
     mus = compositions(d, n)
-    report["blocks"] = [[list(mu.parts), coset_system(mu).m] for mu in mus]
+    report["blocks"] = [[list(mu.parts), len(coset_system(mu))] for mu in mus]
     inverse, mat_inverse, hom, diag, trips = map(_Tally, (
         "phi_after_psi_identity", "psi_after_phi_identity", "homomorphism_property",
         "framing_images_diagonal", "quotient_round_trips_mod_ideal"))
@@ -304,7 +304,7 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
                         "phi_n(psi_n(x)) != x for x = t^%s g_%s", list(a), list(w.images))
     # inverse on the matrix side, sampled per block
     for mu in mus:
-        m = coset_system(mu).m
+        m = len(coset_system(mu))
         young = mu.young_subgroup()
         for _ in range(min(hom_pairs, m * m * len(young))):
             w = young[rng.randrange(len(young))]
@@ -327,8 +327,8 @@ def suite_iso(d, n, seed=0, hom_pairs=30):
                     list(mu.parts), pair)
     # diagonal action of the framing generators on each block
     for mu in mus:
-        m = coset_system(mu).m
-        chars = iso.block_characters(mu)
+        chars = block_characters(mu)
+        m = len(chars)
         for j in range(1, n + 1):
             mat = iso.psi_mu(mu, yk.gen_t(d, n, j))
             tmon = tuple(1 if jj == j - 1 else 0 for jj in range(n))

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .permutations import Composition, Perm, act_on_character, coset_system
+from .permutations import Composition, Perm, block_characters
 from .scalars import (Cyclotomic, RatFunc, as_ratfunc, cyclotomic_from_ints, cyclotomic_polynomial,
                       laurent_from_ints, multiply_dens, over_one_denominator, q_integer_factors,
                       slot_setters, value_at_one, value_key)
@@ -733,28 +733,14 @@ def E_chi(d, n, exps):
         for ss in itertools.product(range(d), repeat=n)])
 
 
-def staircase_exponents(mu):
-    """The base character of a composition: the first mu_1 strands get root
-    index 0, the next mu_2 get 1, and so on."""
-    out = []
-    for i, p in enumerate(mu.parts):
-        out.extend([i] * p)
-    return tuple(out)
-
-
-def character_exponents(mu, k):
-    """Exponent vector of the k-th character in the block of mu."""
-    sys = coset_system(mu)
-    return act_on_character(sys.rep(k), staircase_exponents(mu))
-
-
 def E_mu(d, n, mu):
-    """Central idempotent: sum of E_chi over the coset orbit of mu's
-    staircase character."""
+    """Central idempotent: the sum of E_chi over the characters of the block
+    of mu (permutations.block_characters), the coset orbit of its staircase
+    character."""
     if mu.d != d or mu.n != n:
         raise ValueError("composition does not match algebra parameters")
-    return YElement(d, n, [term for k in range(1, coset_system(mu).m + 1)
-                           for term in E_chi(d, n, character_exponents(mu, k)).terms])
+    return YElement(d, n, [term for exps in block_characters(mu)
+                           for term in E_chi(d, n, exps).terms])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from ytl.exprparse import (MAX_LOOP_EXPONENT, MAX_PAREN_DEPTH, EvalError, ParseError,
                            parse_and_evaluate)
-from ytl.permutations import Composition
+from ytl.permutations import Composition, block_characters
 from ytl.scalars import RatFunc
 from ytl import yokonuma as yk
 
@@ -18,7 +18,7 @@ def test_parse_atoms():
     assert parse_and_evaluate("T1", d, n) == yk.T(d, n, 1)
     mu = Composition((1, 2))
     assert parse_and_evaluate("E(2; 1, 2)", d, n) \
-        == yk.E_chi(d, n, yk.character_exponents(mu, 2))
+        == yk.E_chi(d, n, block_characters(mu)[1])
 
 
 def test_parse_precedence_and_power():

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ytl
-from ytl.permutations import (Composition, Perm, act_on_character, all_perms,
+from ytl.permutations import (Composition, Perm, act_on_character, all_perms, block_characters,
                               compositions, coset_system, factor_in_young, join_young)
+from ytl.tableaux import multinomial
 
 
 def test_one_line_convention():
@@ -89,14 +90,15 @@ def test_composition_structure():
 
 
 def test_coset_system():
-    sys = coset_system(Composition((1, 3)))
-    assert sys.m == 4
-    assert sys.rep(1).is_identity()
-    assert sys.rep(4) == Perm((4, 1, 2, 3))
+    mu = Composition((1, 3))
+    sys = coset_system(mu)
+    assert len(sys) == 4
+    assert sys[0].is_identity()
+    assert sys[3] == Perm((4, 1, 2, 3))
     # representatives have minimal length in their coset
-    for k in range(1, sys.m + 1):
-        pi = sys.rep(k)
-        for h in sys.mu.young_subgroup():
+    for k in range(1, len(sys) + 1):
+        pi = sys[k - 1]
+        for h in mu.young_subgroup():
             assert (pi * h).length() >= pi.length()
 
 
@@ -106,7 +108,7 @@ def test_unique_length_additive_factorization(parts):
     sys = coset_system(mu)
     young = mu.young_subgroup()
     seen = set()
-    for pi in sys.reps:
+    for pi in sys:
         for x in young:
             w = pi * x
             assert w not in seen
@@ -118,8 +120,8 @@ def test_unique_length_additive_factorization(parts):
 def _deodhar_step(mu, k, i):
     """(l, pi_k^-1 s_i pi_l) for the one l that puts it in the Young subgroup."""
     sys, young = coset_system(mu), set(mu.young_subgroup())
-    left = sys.rep(k).inv() * Perm.transposition(mu.n, i)
-    (l, conj), = [(l, left * pi) for l, pi in enumerate(sys.reps, 1)
+    left = sys[k - 1].inv() * Perm.transposition(mu.n, i)
+    (l, conj), = [(l, left * pi) for l, pi in enumerate(sys, 1)
                   if left * pi in young]
     return l, conj
 
@@ -137,13 +139,29 @@ def test_deodhar_exhaustive():
     for parts in [(1, 3), (2, 2), (3, 1), (1, 1, 2)]:
         mu = Composition(parts)
         sys = coset_system(mu)
-        for k in range(1, sys.m + 1):
+        for k in range(1, len(sys) + 1):
             for i in range(1, mu.n):
                 l, conj = _deodhar_step(mu, k, i)
                 if l != k:
                     assert conj.is_identity()
                 else:
                     assert conj.length() == 1
+
+
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 4), (4, 3)])
+def test_block_characters_are_the_orbit_of_the_staircase(d, n):
+    # the characters of a block are every vector with mu_i entries equal to
+    # i, each once, the staircase first, one per coset representative
+    for mu in compositions(d, n):
+        chars = block_characters(mu)
+        orbit = {v for v in itertools.product(range(d), repeat=n)
+                 if all(v.count(i) == p for i, p in enumerate(mu.parts))}
+        assert len(chars) == multinomial(mu.parts) == len(coset_system(mu))
+        # the staircase is the one non-decreasing vector of the orbit
+        assert chars[0] == min(orbit) == tuple(sorted(chars[0]))
+        assert len(set(chars)) == len(chars)
+        assert set(chars) == orbit
+        assert block_characters(mu) is chars
 
 
 def test_act_on_character():
@@ -225,13 +243,15 @@ def test_young_subgroup_order(d, n):
 
 
 def test_record_semantics():
+    from ytl.tableaux import JonesPair
+
     t = (2, 1, 3)
     # records of different classes with equal fields differ, as dataclasses do
     assert Perm((1, 2)) != Composition((1, 2))
     assert hash(Perm(t)) == hash((t,))
     mu = Composition((1, 2))
-    system = coset_system(mu)
-    assert hash(system) == hash((mu, system.reps))
+    pair = JonesPair((1, 3), (0, 1))
+    assert hash(pair) == hash(((1, 3), (0, 1)))
     with pytest.raises(AttributeError):
         Perm(t).images = (1, 2, 3)
     with pytest.raises(AttributeError):
@@ -244,15 +264,14 @@ def test_record_semantics():
         Perm((1, 1))
     assert repr(Perm(t)) == "Perm(2, 1, 3)"
     assert repr(mu) == "Composition(parts=(1, 2))"
-    assert repr(system) == ("CosetSystem(mu=Composition(parts=(1, 2)), "
-                            "reps=(Perm(1, 2, 3), Perm(2, 1, 3), Perm(3, 1, 2)))")
+    assert repr(pair) == "JonesPair(i=(1, 3), k=(0, 1))"
 
 
 def test_records_survive_pickle_and_copy():
     from ytl.tableaux import jones_pairs, standard_tableaux
 
     mu = Composition((1, 2))
-    for x in (Perm((2, 1, 3)), mu, coset_system(mu),
+    for x in (Perm((2, 1, 3)), mu,
               standard_tableaux(((2,), (1,)))[0], jones_pairs(4)[3]):
         for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert type(y) is type(x) and y == x

@@ -14,7 +14,8 @@ from oracles import (is_zero_matrix, q_gap_inverse, ref_annihilates, ref_charact
 from oracles import ref_rep_element as summed_rep_element
 from ytl.linalg import mat_mul
 from ytl.permutations import Perm, all_perms
-from ytl.scalars import Cyclotomic, RatFunc, multiply_dens, over_one_denominator
+from ytl.scalars import (Cyclotomic, RatFunc, multiply_dens, over_one_denominator,
+                         q_integer_factors)
 from ytl.tableaux import enumerate_d_partitions
 from ytl import isomaps as iso
 from ytl import yokonuma as yk
@@ -596,6 +597,25 @@ def test_word_lifts_stay_bounded(monkeypatch):
         for x in oracle_elements(rng, d, n):
             assert same(rep_element(module, x), ref_rep_element(module, x)), shape
             assert len(yk._LIFTS) <= 2
+
+
+def test_image_width_bound_counts_the_word_cofactors():
+    # the sums of g_e and g_s1 are 2^60 and 1; over the lcm of the word
+    # denominators 1 and 1 / (F_2^3 F_3^2), the cofactor of g_e is F_2^3
+    # F_3^2, whose coefficients sum to 72, so its lifted sum needs 67 bits:
+    # too many for 64 bits per power of q, enough for 128
+    (inv2, _), = q_integer_factors(2)
+    (inv3, _), = q_integer_factors(3)
+    den = inv2 * inv2 * inv2 * inv3 * inv3
+    x = yk.unit(1, 2).scale(RatFunc.from_scalar(2 ** 60, 1)) + yk.gen_g(1, 2, 1)
+
+    def word(w):
+        return RatFunc.one(1) if w.is_identity() else den, (((0, 1),),), 1, 1
+
+    with pytest.raises(yk.NarrowWidth):
+        yk.seminormal_image(x, ((0, 0),), word, 64, False)
+    assert yk.seminormal_image(x, ((0, 0),), word, 128, False) \
+        == [[RatFunc.from_scalar(2 ** 60, 1) + den]]
 
 
 def test_library_input_checks():

@@ -121,6 +121,27 @@ def test_only_permutations_reads_block_offsets():
     assert not found, found
 
 
+# The block of a composition (coset representative pi_k and character chi_k,
+# read at index k - 1) is built in permutations alone, by coset_system and
+# block_characters; no module keeps a record of it or a second way to the
+# k-th character.
+RETIRED_BLOCK_NAMES = ("CosetSystem", "staircase_exponents", "character_exponents",
+                       "_character_lookup")
+
+
+def test_only_permutations_builds_a_block():
+    defined, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        defined.extend(path.name for node in ast.walk(ast.parse(text, str(path)))
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and node.name == "block_characters")
+        found.extend("%s: %s" % (path.name, name)
+                     for name in RETIRED_BLOCK_NAMES if name in text)
+    assert defined == ["permutations.py"], defined
+    assert not found, found
+
+
 # The canonical RatFunc form (a Laurent numerator over an exponent vector of
 # F_j, kept canonical by trial division) is built, factored and evaluated in
 # scalars alone, through one trial-division loop. No other module reads it:

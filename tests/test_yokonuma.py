@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from ytl.exprparse import parse_and_evaluate
-from ytl.permutations import Composition, Perm, all_perms, compositions, coset_system
+from ytl.permutations import (Composition, Perm, all_perms, block_characters, compositions,
+                              coset_system)
 from ytl.reps import ideal_membership
 from ytl.scalars import Cyclotomic, RatFunc, as_ratfunc, laurent_from_ints
 from ytl import yokonuma as yk
@@ -510,8 +511,8 @@ def test_central_idempotents():
 def test_E_mu_is_the_sum_of_its_E_chi(d, n):
     for mu in compositions(d, n):
         total = yk.zero(d, n)
-        for k in range(1, coset_system(mu).m + 1):
-            total = total + yk.E_chi(d, n, yk.character_exponents(mu, k))
+        for k in range(1, len(coset_system(mu)) + 1):
+            total = total + yk.E_chi(d, n, block_characters(mu)[k - 1])
         assert yk.E_mu(d, n, mu) == total
         assert repr(yk.E_mu(d, n, mu)) == repr(total)
 
